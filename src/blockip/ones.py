@@ -10,9 +10,10 @@ over the lattice coordinates by an exact cutting-plane search: supergradient
 cuts from transportation duals, blocking-set cuts from the max-flow min-cut
 feasibility condition, and box splitting with floor pruning (every candidate
 value is an integer).  Third, the winning aggregate is redistributed over
-the bricks by one min-cost flow.  Every run cross-checks the flow objective
-against the exact LP optimum of the same polytope; a mismatch means a bug,
-not a property of the instance.
+the bricks, and that redistribution is the search's own transport at the
+winning aggregate: it was solved once during the search and certified
+optimal there by integral dual prices whose dual value equals its
+objective, so it is neither solved nor checked a second time.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .model import (
     validate,
 )
 from .ratlp import OPTIMAL, LpProblem, solve_lp
-from .smallip import MipProblem
 
 
 @dataclass(frozen=True)
@@ -71,52 +71,6 @@ def _y_box(inst: FourBlockInstance):
             y_lo[h] += inst.l[s + h]
             y_hi[h] += inst.u[s + h]
     return y_lo, y_hi
-
-
-def build_mip2(inst: FourBlockInstance) -> MipProblem:
-    """Aggregated program: integral x0 and y, continuous bricks.
-
-    Variable order: x0 (t_B), y (t_A), then the bricks in block order.
-    y is boxed by the componentwise sums of the brick boxes, which is the
-    tightest box implied by the linking constraints alone.
-    """
-    _require_ones(inst)
-    n, tA, tB, sC = inst.n, inst.t_A, inst.t_B, inst.s_C
-    nv = tB + tA + n * tA
-
-    y_lo, y_hi = _y_box(inst)
-
-    rows, rhs = [], []
-    for r in range(sC):
-        row = [0] * nv
-        row[:tB] = inst.C.row(r)
-        row[tB:tB + tA] = inst.D.row(r)
-        rows.append(row)
-        rhs.append(inst.b0[r])
-    brow = inst.B.row(0) if inst.s_A else ()
-    for i in range(n):
-        row = [0] * nv
-        row[:tB] = brow
-        s = tB + tA + i * tA
-        for h in range(tA):
-            row[s + h] = 1
-        rows.append(row)
-        rhs.append(inst.b[i][0])
-    for h in range(tA):
-        row = [0] * nv
-        row[tB + h] = -1
-        for i in range(n):
-            row[tB + tA + i * tA + h] = 1
-        rows.append(row)
-        rhs.append(0)
-
-    c = list(inst.w[:tB]) + [0] * tA + list(inst.w[tB:])
-    lo = list(inst.l[:tB]) + y_lo + list(inst.l[tB:])
-    hi = list(inst.u[:tB]) + y_hi + list(inst.u[tB:])
-    mask = [True] * (tB + tA) + [False] * (n * tA)
-    return MipProblem.make(LpProblem.make(c, rows, rhs, lo, hi), mask)
-
-
 
 
 def _reduce_kernel(kernel):
@@ -277,21 +231,44 @@ def _transport_problem(inst: FourBlockInstance, ctx: OnesContext) -> TransportPr
 
 
 def _transport_duals(p: TransportProblem, res: TransportResult):
-    """Optimal dual prices (row, column) certified by strong duality.
+    """Optimal dual prices (row, column), certifying that res is optimal.
 
-    Bellman-Ford over the residual graph of the optimal cells, all nodes
-    seeded at distance zero, yields feasible potentials exactly when the
-    residual graph has no negative cycle, which optimality guarantees.  The
-    returned prices a, c satisfy the complementarity conditions, so for any
-    totals (r', y') the optimum is at most the certified value plus
+    Bellman-Ford over the residual graph of res's cells, all nodes seeded at
+    distance zero, yields potentials exactly when the residual graph has no
+    negative cycle, which optimality guarantees.  The certificate is then
+    checked from scratch: the cells meet every box and total, their profit is
+    res.objective, and for the integral prices a, c the dual value
+    a . r + c . y + sum over cells of max(gap * lower, gap * upper), with
+    gap = profit - a_i - c_h, equals res.objective.  That dual value bounds
+    every feasible transport from above, so equality proves res optimal
+    without trusting the flow code.  Anything else raises
+    InternalInconsistencyError.
+
+    The returned prices also satisfy complementarity, so for any totals
+    (r', y') the optimum is at most the certified value plus
     a . (r' - r) + c . (y' - y): the value function is concave and (a, c)
     is a supergradient at the current totals.
     """
     n, t = len(p.row_totals), len(p.col_totals)
+    cells = res.cells
+    if (
+        len(cells) != n
+        or any(len(cells[i]) != t for i in range(n))
+        or any(not p.cell_lower[i][h] <= cells[i][h] <= p.cell_upper[i][h]
+               for i in range(n) for h in range(t))
+        or any(sum(cells[i]) != p.row_totals[i] for i in range(n))
+        or any(sum(cells[i][h] for i in range(n)) != p.col_totals[h] for h in range(t))
+    ):
+        raise InternalInconsistencyError("transport cells miss their boxes or totals")
+    primal = sum(p.cell_profit[i][h] * cells[i][h] for i in range(n) for h in range(t))
+    if primal != res.objective:
+        raise InternalInconsistencyError(
+            f"transport cells are worth {primal}, not the reported {res.objective}"
+        )
     arcs = []
     for i in range(n):
         for h in range(t):
-            z = res.cells[i][h]
+            z = cells[i][h]
             if z < p.cell_upper[i][h]:
                 arcs.append((i, n + h, -p.cell_profit[i][h]))
             if z > p.cell_lower[i][h]:
@@ -350,7 +327,10 @@ def _blocking_cut(p: TransportProblem):
 
 
 def _optimize_aggregate(inst: FourBlockInstance, form: _LatticeForm, stats=None):
-    """Optimal integral aggregate (x0, y, value) over the lattice, or None.
+    """Optimal (value, x0, y, cells) over the lattice, or None.
+
+    cells is the bricks' transport at the winning aggregate (x0, y), already
+    certified optimal by _transport_duals, so it is the rounding.
 
     Maximizes g(v) = w0 . x0(v) + T(v) over integer lattice coordinates,
     where T is the exact transportation optimum of the bricks for the
@@ -396,7 +376,8 @@ def _optimize_aggregate(inst: FourBlockInstance, form: _LatticeForm, stats=None)
     feas_cuts = []  # (coeffs, rhs, slack_hi): coeffs . v <= rhs on feasible points
     opt_cuts = []  # (slope, rhs, slack_hi): t - slope . v <= rhs on (v, g(v))
     cache = {}
-    best = None  # (value, x0, y)
+    transports = {}  # (q, y) -> (result, duals or blocking pair)
+    best = None  # (value, x0, y, cells of the certified transport)
 
     def root_min(coeffs):
         return sum(min(c * form.v_lo[k], c * form.v_hi[k]) for k, c in enumerate(coeffs))
@@ -418,11 +399,24 @@ def _optimize_aggregate(inst: FourBlockInstance, form: _LatticeForm, stats=None)
         if q_lo is not None and not q_lo <= q <= q_hi:
             return
         x0, y = tuple(xy[:tB]), tuple(xy[tB:])
-        tp = TransportProblem.make([b - q for b in bvals], y, lower, upper, profit)
-        tr = solve_transport(tp)
+        # distinct x0 with equal q and y share one transport: solve it once
+        got = transports.get((q, y))
+        if got is None:
+            tp = TransportProblem.make([b - q for b in bvals], y, lower, upper, profit)
+            tr = solve_transport(tp)
+            if isinstance(tr, TransportResult):
+                cert = _transport_duals(tp, tr)
+            else:
+                cert = _blocking_cut(tp)
+                if cert is None:
+                    raise InternalInconsistencyError(
+                        f"transport infeasible ({tr.reason}) but no blocking pair"
+                    )
+            got = transports[q, y] = (tr, cert)
+        tr, cert = got
         if isinstance(tr, TransportResult):
             value = sum(inst.w[j] * x0[j] for j in range(tB)) + tr.objective
-            a, c = _transport_duals(tp, tr)
+            a, c = cert
             asum = sum(a)
             slope = [
                 w0w[k] - asum * beta[k]
@@ -433,14 +427,9 @@ def _optimize_aggregate(inst: FourBlockInstance, form: _LatticeForm, stats=None)
             opt_cuts.append((slope, rhs, rhs - t_lo + root_max(slope)))
             cache[v] = value
             if best is None or value > best[0]:
-                best = (value, x0, y)
+                best = (value, x0, y, tr.cells)
             return
-        pair = _blocking_cut(tp)
-        if pair is None:
-            raise InternalInconsistencyError(
-                f"transport infeasible ({tr.reason}) but no blocking pair"
-            )
-        rows, cols = pair
+        rows, cols = cert
         # surplus of R that cannot leave H must fit under H's demand; linear in v
         coeffs = [
             -len(rows) * beta[k] - sum(basis[k][tB + h] for h in cols)
@@ -540,35 +529,13 @@ def _optimize_aggregate(inst: FourBlockInstance, form: _LatticeForm, stats=None)
     return best
 
 
-def _lp_of_transport(p: TransportProblem) -> LpProblem:
-    n, t = len(p.row_totals), len(p.col_totals)
-    nv = n * t
-    rows, rhs = [], []
-    for i in range(n):
-        row = [0] * nv
-        for h in range(t):
-            row[i * t + h] = 1
-        rows.append(row)
-        rhs.append(p.row_totals[i])
-    for h in range(t):
-        row = [0] * nv
-        for i in range(n):
-            row[i * t + h] = 1
-        rows.append(row)
-        rhs.append(p.col_totals[h])
-    c = [p.cell_profit[i][h] for i in range(n) for h in range(t)]
-    lo = [p.cell_lower[i][h] for i in range(n) for h in range(t)]
-    hi = [p.cell_upper[i][h] for i in range(n) for h in range(t)]
-    return LpProblem.make(c, rows, rhs, lo, hi)
-
-
-def round_bricks(inst: FourBlockInstance, ctx: OnesContext, audit_lp=True):
+def round_bricks(inst: FourBlockInstance, ctx: OnesContext):
     """Integral bricks meeting the aggregate exactly; n x t_A matrix.
 
-    The polytope is nonempty whenever ctx came from a feasible aggregate
-    solve, so an infeasible flow here is an internal contradiction.  With
-    audit_lp the flow objective is also checked, exactly, against the
-    rational LP optimum of the identical polytope.
+    For callers that hold only an aggregate: solves its transportation
+    problem and certifies the flow with _transport_duals.  The polytope is
+    nonempty whenever ctx came from a feasible aggregate solve, so an
+    infeasible flow here is an internal contradiction.
     """
     p = _transport_problem(inst, ctx)
     res = solve_transport(p)
@@ -576,18 +543,18 @@ def round_bricks(inst: FourBlockInstance, ctx: OnesContext, audit_lp=True):
         raise InternalInconsistencyError(
             f"rounding flow infeasible ({res.reason}) despite feasible aggregate"
         )
-    if audit_lp:
-        lp = solve_lp(_lp_of_transport(p))
-        if lp.status != OPTIMAL or lp.value != res.objective:
-            raise InternalInconsistencyError(
-                f"flow objective {res.objective} != LP optimum "
-                f"{lp.value if lp.status == OPTIMAL else lp.status}"
-            )
+    _transport_duals(p, res)
     return res.cells
 
 
-def solve_ones(inst: FourBlockInstance, audit_lp=True):
-    """Optimal integral solution, Infeasible, or NotAllOnes for wrong shapes."""
+def solve_ones(inst: FourBlockInstance):
+    """Optimal integral solution, Infeasible, or NotAllOnes for wrong shapes.
+
+    The bricks are the cells of the search's transport at the winning
+    aggregate.  _transport_duals certified that transport optimal when the
+    search evaluated it, and the assembled point is re-evaluated against the
+    instance before it is returned.
+    """
     _require_ones(inst)
     form = _aggregate_lattice(inst)
     if form is None:
@@ -595,9 +562,7 @@ def solve_ones(inst: FourBlockInstance, audit_lp=True):
     agg = _optimize_aggregate(inst, form)
     if agg is None:
         return Infeasible("NoLatticePoint")
-    value, x0, y = agg
-    ctx = OnesContext(inst, y, x0)
-    cells = round_bricks(inst, ctx, audit_lp=audit_lp)
+    value, x0, _, cells = agg
     x = x0 + tuple(v for row in cells for v in row)
     report = evaluate(inst, x)
     if not report.feasible or report.objective != value:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import MalformedProblemError, UnboundedError
+from .errors import InternalInconsistencyError, MalformedProblemError, UnboundedError
 
 OPTIMAL = "Optimal"
 INFEASIBLE = "Infeasible"
@@ -32,22 +32,29 @@ UNBOUNDED = "Unbounded"
 
 @dataclass(frozen=True)
 class LpProblem:
-    """max objective . x  s.t.  eq_matrix . x = eq_rhs, lower <= x <= upper."""
+    """max objective . x  s.t.  eq_matrix . x = eq_rhs, lower <= x <= upper.
 
-    objective: tuple
-    eq_matrix: tuple
-    eq_rhs: tuple
-    lower: tuple
-    upper: tuple
+    make stores every field as a list of Fractions (the matrix as a list of
+    rows).  The solvers build and drop many small programs; lists of their
+    widths, unlike tuples, do not pile up in CPython's per-size tuple free
+    lists, which measurably raised peak memory.  Treat the fields as
+    read-only.
+    """
+
+    objective: list
+    eq_matrix: list
+    eq_rhs: list
+    lower: list
+    upper: list
 
     @staticmethod
     def make(objective, eq_matrix, eq_rhs, lower, upper) -> "LpProblem":
         return LpProblem(
-            tuple(Fraction(c) for c in objective),
-            tuple(tuple(Fraction(a) for a in row) for row in eq_matrix),
-            tuple(Fraction(v) for v in eq_rhs),
-            tuple(Fraction(v) for v in lower),
-            tuple(Fraction(v) for v in upper),
+            [Fraction(c) for c in objective],
+            [[Fraction(a) for a in row] for row in eq_matrix],
+            [Fraction(v) for v in eq_rhs],
+            [Fraction(v) for v in lower],
+            [Fraction(v) for v in upper],
         )
 
 
@@ -362,7 +369,10 @@ def _run_phases(p: LpProblem) -> _Simplex | None:
             )
             if pivot_col is not None:
                 old = s.basis[r]
-                assert s.val[old] == 0
+                if s.val[old] != 0:
+                    raise InternalInconsistencyError(
+                        f"artificial {old} is basic at {s.val[old]} after phase 1"
+                    )
                 s._pivot(r, pivot_col)
                 s.where[old] = "L"
                 s.val[old] = Fraction(0)
@@ -383,14 +393,17 @@ def _extract(s: _Simplex, p: LpProblem, rows=None) -> LpResult:
     # exactness audit: the reported optimum is the objective at the point,
     # the point satisfies every row exactly and sits inside the live box
     check = sum(p.objective[j] * point[j] for j in range(n) if p.objective[j])
-    assert check == value
+    if check != value:
+        raise InternalInconsistencyError(f"objective at the point {check} != tableau value {value}")
     if rows is None:
         rows = _row_support(p)
     for r, row in enumerate(rows):
         resid = sum(a * point[j] for j, a in row) - p.eq_rhs[r]
-        assert resid == 0
+        if resid != 0:
+            raise InternalInconsistencyError(f"row {r} misses its right-hand side by {resid}")
     for j in range(n):
-        assert s.lower[j] <= point[j] <= s.upper[j]
+        if not s.lower[j] <= point[j] <= s.upper[j]:
+            raise InternalInconsistencyError(f"variable {j} = {point[j]} leaves its box")
     return LpResult(OPTIMAL, point, value)
 
 
@@ -448,8 +461,8 @@ class WarmLp:
                 self._problem.objective,
                 self._problem.eq_matrix,
                 self._problem.eq_rhs,
-                tuple(s.lower[: s.ns]),
-                tuple(s.upper[: s.ns]),
+                s.lower[: s.ns],
+                s.upper[: s.ns],
             )
             return solve_lp_warm(q)
         if not ok:

@@ -15,7 +15,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import MalformedProblemError
+from .errors import InternalInconsistencyError, MalformedProblemError
 from .ratlp import INFEASIBLE, OPTIMAL, LpProblem, LpResult, solve_lp_warm
 
 
@@ -54,14 +54,19 @@ def _audit_candidate(p: MipProblem, point, value) -> None:
     # a heuristic incumbent steers pruning, so it must be exactly feasible
     lp = p.lp
     n = len(lp.objective)
-    assert len(point) == n
+    if len(point) != n:
+        raise InternalInconsistencyError(f"candidate has {len(point)} entries, not {n}")
     for j in range(n):
-        assert lp.lower[j] <= point[j] <= lp.upper[j]
-        if p.integer_mask[j]:
-            assert Fraction(point[j]).denominator == 1
-    for row, rhs in zip(lp.eq_matrix, lp.eq_rhs):
-        assert sum(row[j] * point[j] for j in range(n) if row[j]) == rhs
-    assert sum(lp.objective[j] * point[j] for j in range(n) if lp.objective[j]) == value
+        if not lp.lower[j] <= point[j] <= lp.upper[j]:
+            raise InternalInconsistencyError(f"candidate entry {j} = {point[j]} leaves its box")
+        if p.integer_mask[j] and Fraction(point[j]).denominator != 1:
+            raise InternalInconsistencyError(f"candidate entry {j} = {point[j]} is not integral")
+    for r, (row, rhs) in enumerate(zip(lp.eq_matrix, lp.eq_rhs)):
+        if sum(row[j] * point[j] for j in range(n) if row[j]) != rhs:
+            raise InternalInconsistencyError(f"candidate misses row {r}")
+    check = sum(lp.objective[j] * point[j] for j in range(n) if lp.objective[j])
+    if check != value:
+        raise InternalInconsistencyError(f"candidate is worth {check}, not the claimed {value}")
 
 
 def solve_mip(p: MipProblem, cutoff=None, integral_value=False, primal_hint=None) -> LpResult:

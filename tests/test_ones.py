@@ -2,10 +2,67 @@ import random
 
 import pytest
 
-from blockip.errors import NotAllOnesError
+from blockip import ones
+from blockip.errors import InternalInconsistencyError, NotAllOnesError
+from blockip.flow import TransportProblem, TransportResult, solve_transport
 from blockip.model import FourBlockInstance, Infeasible, IntMatrix, Solution, evaluate
-from blockip.ones import OnesContext, build_mip2, round_bricks, solve_ones
+from blockip.ones import (
+    OnesContext,
+    _aggregate_lattice,
+    _require_ones,
+    _transport_duals,
+    _y_box,
+    round_bricks,
+    solve_ones,
+)
 from blockip.oracle import OracleBudget, enumerate_optimum
+from blockip.ratlp import LpProblem
+from blockip.smallip import MipProblem
+
+
+def build_mip2(inst: FourBlockInstance) -> MipProblem:
+    """Aggregated program: integral x0 and y, continuous bricks.
+
+    A direct reference for the lattice search.  Variable order: x0 (t_B),
+    y (t_A), then the bricks in block order.  y is boxed by the
+    componentwise sums of the brick boxes, which is the tightest box
+    implied by the linking constraints alone.
+    """
+    _require_ones(inst)
+    n, tA, tB, sC = inst.n, inst.t_A, inst.t_B, inst.s_C
+    nv = tB + tA + n * tA
+
+    y_lo, y_hi = _y_box(inst)
+
+    rows, rhs = [], []
+    for r in range(sC):
+        row = [0] * nv
+        row[:tB] = inst.C.row(r)
+        row[tB:tB + tA] = inst.D.row(r)
+        rows.append(row)
+        rhs.append(inst.b0[r])
+    brow = inst.B.row(0) if inst.s_A else ()
+    for i in range(n):
+        row = [0] * nv
+        row[:tB] = brow
+        s = tB + tA + i * tA
+        for h in range(tA):
+            row[s + h] = 1
+        rows.append(row)
+        rhs.append(inst.b[i][0])
+    for h in range(tA):
+        row = [0] * nv
+        row[tB + h] = -1
+        for i in range(n):
+            row[tB + tA + i * tA + h] = 1
+        rows.append(row)
+        rhs.append(0)
+
+    c = list(inst.w[:tB]) + [0] * tA + list(inst.w[tB:])
+    lo = list(inst.l[:tB]) + y_lo + list(inst.l[tB:])
+    hi = list(inst.u[:tB]) + y_hi + list(inst.u[tB:])
+    mask = [True] * (tB + tA) + [False] * (n * tA)
+    return MipProblem.make(LpProblem.make(c, rows, rhs, lo, hi), mask)
 
 
 def ones_instance(n, t_A, t_B, s_C, rng, width=4, coeff=5, seeded=True):
@@ -173,9 +230,6 @@ def test_lattice_route_matches_direct_mip():
 
 
 def test_transport_duals_certify_supergradient():
-    from blockip.flow import TransportProblem, TransportResult, solve_transport
-    from blockip.ones import _transport_duals
-
     rng = random.Random(9105)
     for _ in range(25):
         n, t = rng.randint(1, 4), rng.randint(1, 3)
@@ -218,3 +272,83 @@ def test_large_magnitudes_complete_exactly():
     assert evaluate(inst, res.x).feasible
     # per brick the full weight belongs on the profitable column
     assert res.objective == 3 * (big - 7) + 2 * (big - 7)
+
+
+def test_transport_duals_reject_a_wrong_flow():
+    # the certificate is the only proof that the rounding is optimal
+    p = TransportProblem.make(
+        [1, 1], [1, 1], [[0, 0], [0, 0]], [[1, 1], [1, 1]], [[3, 1], [0, 2]]
+    )
+    best = solve_transport(p)
+    assert best.cells == ((1, 0), (0, 1)) and best.objective == 5
+    _transport_duals(p, best)
+    with pytest.raises(InternalInconsistencyError):
+        _transport_duals(p, TransportResult(((0, 1), (1, 0)), 1))  # swapped: feasible, worse
+    with pytest.raises(InternalInconsistencyError):
+        _transport_duals(p, TransportResult(best.cells, 6))  # objective overstated
+    with pytest.raises(InternalInconsistencyError):
+        _transport_duals(p, TransportResult(((1, 1), (0, 0)), 4))  # misses the totals
+    with pytest.raises(InternalInconsistencyError):
+        _transport_duals(p, TransportResult(((2, -1), (-1, 2)), 5))  # leaves the boxes
+
+
+def test_transport_duals_reject_every_suboptimal_feasible_flow():
+    rng = random.Random(9107)
+    rejected = 0
+    for _ in range(60):
+        n, t = rng.randint(1, 4), rng.randint(2, 3)
+        lower = [[rng.randint(-3, 1) for _ in range(t)] for _ in range(n)]
+        upper = [[lo + rng.randint(0, 4) for lo in row] for row in lower]
+        profit = [[rng.randint(-6, 6) for _ in range(t)] for _ in range(n)]
+        z = [tuple(rng.randint(lower[i][h], upper[i][h]) for h in range(t)) for i in range(n)]
+        r = [sum(row) for row in z]
+        y = [sum(z[i][h] for i in range(n)) for h in range(t)]
+        p = TransportProblem.make(r, y, lower, upper, profit)
+        best = solve_transport(p)
+        _transport_duals(p, best)
+        worth = sum(profit[i][h] * z[i][h] for i in range(n) for h in range(t))
+        if worth < best.objective:
+            with pytest.raises(InternalInconsistencyError):
+                _transport_duals(p, TransportResult(tuple(z), worth))
+            rejected += 1
+    assert rejected >= 15
+
+
+def test_one_flow_per_transport_and_no_lp_over_the_bricks(monkeypatch):
+    # the search's certified transport is the rounding: nothing is re-solved
+    transports, lps = [], []
+    real_transport, real_lp = ones.solve_transport, ones.solve_lp
+
+    def spy_transport(p):
+        transports.append(p)
+        return real_transport(p)
+
+    def spy_lp(p):
+        lps.append(p)
+        return real_lp(p)
+
+    monkeypatch.setattr(ones, "solve_transport", spy_transport)
+    monkeypatch.setattr(ones, "solve_lp", spy_lp)
+    rng = random.Random(9108)
+    cases = [
+        ones_instance(
+            rng.randint(8, 12), rng.randint(2, 3), rng.randint(0, 2),
+            rng.randint(0, 2), rng, width=3, coeff=3,
+        )
+        for _ in range(24)
+    ]
+    # the first of these meets one transport at two lattice points whose x0
+    # differ but share B x0 and y
+    rng = random.Random(9115)
+    cases += [ones_instance(8, 3, 3, 1, rng) for _ in range(2)]
+    solved_by_f = {}
+    for trial, inst in enumerate(cases):
+        transports.clear()
+        lps.clear()
+        got = solve_ones(inst)
+        assert len(set(transports)) == len(transports), (trial,)
+        assert all(len(p.objective) != inst.n * inst.t_A for p in lps), (trial,)
+        if isinstance(got, Solution):
+            f = len(_aggregate_lattice(inst).basis)
+            solved_by_f[f > 0] = solved_by_f.get(f > 0, 0) + 1
+    assert solved_by_f.get(False, 0) >= 3 and solved_by_f.get(True, 0) >= 3

@@ -117,8 +117,8 @@ def test_exactness_audit_battery():
 
 def with_box(p, j, lo, up):
     """The same program with variable j's box replaced (bypasses validation)."""
-    lower = p.lower[:j] + (Fraction(lo),) + p.lower[j + 1:]
-    upper = p.upper[:j] + (Fraction(up),) + p.upper[j + 1:]
+    lower = list(p.lower[:j]) + [Fraction(lo)] + list(p.lower[j + 1:])
+    upper = list(p.upper[:j]) + [Fraction(up)] + list(p.upper[j + 1:])
     return LpProblem(p.objective, p.eq_matrix, p.eq_rhs, lower, upper)
 
 
