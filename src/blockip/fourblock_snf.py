@@ -687,7 +687,7 @@ def _solve_trivial(inst: FourBlockInstance):
     return Solution(x=x, objective=int(res.value), solver_tag="fourblock_snf")
 
 
-def solve_4block_snf(inst: FourBlockInstance, eliminate="auto", threads=1):
+def solve_4block_snf(inst: FourBlockInstance, eliminate="auto"):
     """Exact optimum for eligible 4-block instances; Solution or Infeasible.
 
     eliminate picks the brick-difference route: "snf" always diagonalizes,
@@ -723,36 +723,13 @@ def solve_4block_snf(inst: FourBlockInstance, eliminate="auto", threads=1):
     )
 
     best = None  # (value, cell, point)
-    cells = enumerate_cells(inst, elim, grid)
-
-    def merge(cell, res, best):
+    for cell in enumerate_cells(inst, elim, grid):
+        cutoff = None if best is None else best[0] - cell.constant
+        res = solve_cell(cell, cutoff=cutoff)
         if res.status == OPTIMAL:
             total = res.value + cell.constant
             if best is None or total > best[0]:
-                return (total, cell, res.point)
-        return best
-
-    if threads > 1:
-        # batched map keeps the merge order (and hence ties) deterministic;
-        # the incumbent only advances between batches
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            while True:
-                batch = list(itertools.islice(cells, threads * 4))
-                if not batch:
-                    break
-                cutoffs = [
-                    None if best is None else best[0] - c.constant
-                    for c in batch
-                ]
-                for cell, res in zip(batch,
-                                     pool.map(solve_cell, batch, cutoffs)):
-                    best = merge(cell, res, best)
-    else:
-        for cell in cells:
-            cutoff = None if best is None else best[0] - cell.constant
-            best = merge(cell, solve_cell(cell, cutoff=cutoff), best)
+                best = (total, cell, res.point)
 
     if best is None:
         return Infeasible("NoLatticePoint")

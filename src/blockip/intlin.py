@@ -1,4 +1,4 @@
-"""Integer linear algebra: extended gcd, two-variable equations, Smith form.
+"""Integer linear algebra: extended gcd, Smith form, rank.
 
 Everything here is exact over Python ints.  The Smith form is computed by
 gcd-driven row/column elimination with a deterministic pivot rule, so equal
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BothZeroError, DimensionMismatchError, ZeroMatrixError
+from .errors import BothZeroError, ZeroMatrixError
 from .model import IntMatrix
 
 
@@ -45,19 +45,6 @@ def extended_gcd(lam: int, mu: int) -> BezoutSolution:
     if g < 0:
         g, bx, by = -g, -bx, -by
     return BezoutSolution(g, bx, by, mu // g, -(lam // g))
-
-
-def solve_two_var(lam: int, mu: int, c: int):
-    """Integer solutions of lam*x + mu*y = c, or None when none exist.
-
-    Returns a BezoutSolution whose (x, y) solve the equation for c and whose
-    steps span the homogeneous lattice.
-    """
-    base = extended_gcd(lam, mu)
-    if c % base.g != 0:
-        return None
-    scale = c // base.g
-    return BezoutSolution(base.g, base.x * scale, base.y * scale, base.step_x, base.step_y)
 
 
 @dataclass(frozen=True)
@@ -221,31 +208,6 @@ def smith_normal_form(A: IntMatrix) -> SnfDecomposition:
         IntMatrix(nc, nc, tuple(e for row in V for e in row)),
         rank,
     )
-
-
-def determinant(A: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    if A.rows != A.cols:
-        raise DimensionMismatchError("determinant needs a square matrix")
-    n = A.rows
-    if n == 0:
-        return 1
-    M = A.row_lists()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            pivot_row = next((i for i in range(k + 1, n) if M[i][k] != 0), None)
-            if pivot_row is None:
-                return 0
-            M[k], M[pivot_row] = M[pivot_row], M[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]
 
 
 def integer_rank(A: IntMatrix) -> int:

@@ -41,7 +41,9 @@ from .model import (
     evaluate,
     validate,
 )
-from .ratlp import OPTIMAL, LpProblem, solve_lp
+# solve_lp is no longer called here; it stays importable under this name
+# because perfbench/tracer.py wraps blockip.ones.solve_lp
+from .ratlp import OPTIMAL, solve_lp, solve_lp_ranged  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -326,7 +328,7 @@ def _blocking_cut(p: TransportProblem):
     return None
 
 
-def _optimize_aggregate(inst: FourBlockInstance, form: _LatticeForm, stats=None):
+def _optimize_aggregate(inst: FourBlockInstance, form: _LatticeForm):
     """Optimal (value, x0, y, cells) over the lattice, or None.
 
     cells is the bricks' transport at the winning aggregate (x0, y), already
@@ -336,13 +338,23 @@ def _optimize_aggregate(inst: FourBlockInstance, form: _LatticeForm, stats=None)
     where T is the exact transportation optimum of the bricks for the
     aggregate at v.  g is evaluated only at integer points, so there is no
     relaxation gap to cross: the upper bound on a coordinate box comes from a
-    small rational LP over v whose rows are valid for every lattice point of
-    the box (xy box rows, the shared-row range, supergradient cuts at
-    feasible evaluations, blocking cuts at infeasible ones), and g is an
-    integer at every point (integral data, integral flow), so a box closes
-    as soon as its bound drops below the incumbent plus one.  Evaluated
-    points always either improve the incumbent, tighten the bound through
-    their cut, or shrink the box through splitting, so the search is finite.
+    small rational LP over (v, t) whose ranged rows are valid for every
+    lattice point of the box (xy box rows, the shared-row range,
+    supergradient cuts at feasible evaluations, blocking cuts at infeasible
+    ones), and g is an integer at every point (integral data, integral flow),
+    so a box closes as soon as its bound drops below the incumbent plus one.
+    Evaluated points always either improve the incumbent, tighten the bound
+    through their cut, or shrink the box through splitting, so the search is
+    finite.
+
+    The bound LP is one warm tableau carried from box to box.  Only the root
+    box is solved cold, from the slack start.  Every heap entry holds the
+    solved state of the box it came from (the two halves of a split share
+    it) and the number of cuts that state already holds; on pop the box's
+    edges are edited in, the cuts found since are added as rows, and the
+    dual simplex re-solves from the old basis.  A cut whose range is empty
+    over the root box makes every later bound LP infeasible, which closes
+    the box as it should.
     """
     n, tA, tB = inst.n, inst.t_A, inst.t_B
     taw = tB + tA
@@ -373,8 +385,17 @@ def _optimize_aggregate(inst: FourBlockInstance, form: _LatticeForm, stats=None)
     t_lo = sum(min(inst.w[j] * inst.l[j], inst.w[j] * inst.u[j]) for j in range(inst.num_vars))
     t_hi = sum(max(inst.w[j] * inst.l[j], inst.w[j] * inst.u[j]) for j in range(inst.num_vars))
 
-    feas_cuts = []  # (coeffs, rhs, slack_hi): coeffs . v <= rhs on feasible points
-    opt_cuts = []  # (slope, rhs, slack_hi): t - slope . v <= rhs on (v, g(v))
+    # bound-LP rows over (v, t) as (coefficients, lo, hi): the xy box, then
+    # the shared-quantity range; cuts grows as the search evaluates points
+    box_rows = [
+        ([basis[k][i] for k in range(f)] + [0], form.xy_lower[i] - p0[i], form.xy_upper[i] - p0[i])
+        for i in range(taw)
+    ]
+    if q_lo is not None:
+        box_rows.append((beta + [0], q_lo - q0, q_hi - q0))
+    # feasibility cuts coeffs . v <= rhs and optimality cuts t - slope . v <= rhs,
+    # each bounded below by its minimum over the root box
+    cuts = []
     cache = {}
     transports = {}  # (q, y) -> (result, duals or blocking pair)
     best = None  # (value, x0, y, cells of the certified transport)
@@ -390,8 +411,6 @@ def _optimize_aggregate(inst: FourBlockInstance, form: _LatticeForm, stats=None)
         if v in cache:
             return
         cache[v] = None
-        if stats is not None:
-            stats["evaluations"] = stats.get("evaluations", 0) + 1
         xy = [p0[i] + sum(basis[k][i] * v[k] for k in range(f)) for i in range(taw)]
         if any(xy[i] < form.xy_lower[i] or xy[i] > form.xy_upper[i] for i in range(taw)):
             return
@@ -424,7 +443,7 @@ def _optimize_aggregate(inst: FourBlockInstance, form: _LatticeForm, stats=None)
                 for k in range(f)
             ]
             rhs = value - sum(slope[k] * v[k] for k in range(f))
-            opt_cuts.append((slope, rhs, rhs - t_lo + root_max(slope)))
+            cuts.append(([-s for s in slope] + [1], t_lo - root_max(slope), rhs))
             cache[v] = value
             if best is None or value > best[0]:
                 best = (value, x0, y, tr.cells)
@@ -442,62 +461,34 @@ def _optimize_aggregate(inst: FourBlockInstance, form: _LatticeForm, stats=None)
         )
         if sum(coeffs[k] * v[k] for k in range(f)) <= rhs:
             raise InternalInconsistencyError("blocking cut fails to separate its point")
-        feas_cuts.append((coeffs, rhs, rhs - root_min(coeffs)))
-
-    def bound(box_lo, box_hi):
-        nrows = taw + (q_lo is not None) + len(feas_cuts) + len(opt_cuts)
-        width = f + 1 + nrows
-        rows, rhs = [], []
-        col_lo = list(box_lo) + [t_lo]
-        col_hi = list(box_hi) + [t_hi]
-
-        def add(coeffs, t_coeff, r, s_lo, s_hi):
-            if s_lo > s_hi:
-                return False
-            row = [0] * width
-            row[:f] = coeffs
-            row[f] = t_coeff
-            row[f + 1 + len(rows)] = 1
-            rows.append(row)
-            rhs.append(r)
-            col_lo.append(s_lo)
-            col_hi.append(s_hi)
-            return True
-
-        for i in range(taw):
-            ok = add([basis[k][i] for k in range(f)], 0, 0,
-                     p0[i] - form.xy_upper[i], p0[i] - form.xy_lower[i])
-            if not ok:
-                return None
-        if q_lo is not None and not add(beta, 0, 0, q0 - q_hi, q0 - q_lo):
-            return None
-        for coeffs, r, s_hi in feas_cuts:
-            if not add(list(coeffs), 0, r, 0, s_hi):
-                return None
-        for slope, r, s_hi in opt_cuts:
-            if not add([-s for s in slope], 1, r, 0, s_hi):
-                return None
-        c = [0] * width
-        c[f] = 1
-        res = solve_lp(LpProblem.make(c, rows, rhs, col_lo, col_hi))
-        if res.status != OPTIMAL:
-            return None
-        return res.value, res.point[:f]
+        cuts.append((coeffs + [0], root_min(coeffs), rhs))
 
     if f == 0:
         evaluate(())
         return best
 
+    objective = [0] * f + [1]
     evaluate(tuple(min(max(0, form.v_lo[k]), form.v_hi[k]) for k in range(f)))
     seq = 0
-    heap = [(-t_hi, 0, form.v_lo, form.v_hi)]
+    # entries: (-bound, -seq, box, solved state of the parent box, cuts it holds)
+    heap = [(-t_hi, 0, form.v_lo, form.v_hi, None, 0)]
     while heap:
-        _, _, box_lo, box_hi = heapq.heappop(heap)
-        got = bound(box_lo, box_hi)
-        if got is None:
+        _, _, box_lo, box_hi, state, seen = heapq.heappop(heap)
+        if state is None:
+            res, state = solve_lp_ranged(
+                objective, box_rows + cuts, list(box_lo) + [t_lo], list(box_hi) + [t_hi]
+            )
+        else:
+            edges = [
+                (k, box_lo[k], box_hi[k]) for k in range(f)
+                if state.bounds(k) != (box_lo[k], box_hi[k])
+            ]
+            res, state = state.edited(edges, cuts[seen:])
+        if res.status != OPTIMAL:
             continue
-        value, vhat = got
-        ceiling = math.floor(value)
+        seen = len(cuts)
+        vhat = res.point[:f]
+        ceiling = math.floor(res.value)
         if best is not None and ceiling <= best[0]:
             continue
         cand_axes = []
@@ -510,7 +501,7 @@ def _optimize_aggregate(inst: FourBlockInstance, form: _LatticeForm, stats=None)
         if fresh:
             for v in fresh:
                 evaluate(v)
-            heapq.heappush(heap, (-ceiling, -seq, box_lo, box_hi))
+            heapq.heappush(heap, (-ceiling, -seq, box_lo, box_hi, state, seen))
             continue
         split = next((k for k in range(f) if vhat[k].denominator != 1), None)
         if split is None:
@@ -524,8 +515,8 @@ def _optimize_aggregate(inst: FourBlockInstance, form: _LatticeForm, stats=None)
         left_hi[split] = at
         right_lo = list(box_lo)
         right_lo[split] = at + 1
-        heapq.heappush(heap, (-ceiling, -seq, box_lo, tuple(left_hi)))
-        heapq.heappush(heap, (-ceiling, -seq, tuple(right_lo), box_hi))
+        heapq.heappush(heap, (-ceiling, -seq, box_lo, tuple(left_hi), state, seen))
+        heapq.heappush(heap, (-ceiling, -seq, tuple(right_lo), box_hi, state, seen))
     return best
 
 

@@ -1,8 +1,8 @@
 """Exact rational linear programming.
 
-Bounded-variable simplex over fractions.Fraction, two phases.  The entering
-rule is Dantzig (largest reduced-cost improvement) with a fallback to Bland's
-rule after a run of degenerate pivots, so the method is fast in practice and
+Bounded-variable simplex over fractions.Fraction.  The entering rule is
+Dantzig (largest reduced-cost improvement) with a fallback to Bland's rule
+after a run of degenerate pivots, so the method is fast in practice and
 still provably finite.  Tableau rows are sparse maps from column to nonzero
 coefficient: the programs the structured solvers build are block angular, and
 their bases keep the tableau sparse, so row operations touch only the support
@@ -10,12 +10,27 @@ instead of every column.  Built for correctness at desk scale: every pivot is
 exact, so the returned optimum is the true rational optimum, not an
 approximation.
 
-Besides the one-shot solve_lp there is a warm path: solve_lp_warm returns the
-optimal tableau wrapped in a WarmLp, and WarmLp.reoptimized re-solves after a
-single variable's box changes.  The old basis stays dual feasible under a
-bound change, so a dual simplex pass restores feasibility in a few pivots
-instead of a cold two-phase solve.  Branch and bound leans on this: each child
-differs from its parent by one tightened bound.
+Two cold starts.  solve_lp and solve_lp_warm take an equality-form
+LpProblem and run two phases with one artificial per row.  solve_lp_ranged
+takes ranged rows lo <= a . x <= hi, gives each row its own bounded slack
+and starts from the all-slack basis with every structural at the bound its
+cost prefers.  That basis is dual feasible by construction, so the dual
+simplex alone reaches the optimum: no artificials, no phase 1.
+
+The warm path is WarmLp, the optimal tableau of either start.
+WarmLp.edited changes structural boxes and adds ranged rows, then re-solves
+from the old basis.  A box edit moves a nonbasic column with the bound it
+sits at, and a new row enters with its slack basic after the basic columns
+are substituted out of it; neither changes a reduced cost, so the basis
+stays dual feasible and a dual simplex pass restores primal feasibility in a
+few pivots instead of a cold solve.  (Unfixing a column can break dual
+feasibility; the primal pass that ends every re-solve repairs that.)  Branch
+and bound leans on the box edits (WarmLp.reoptimized: each child differs
+from its parent by one tightened bound); the all-ones aggregate search leans
+on both, carrying one tableau from box to box and adding each new cut as a
+row.  A warm pass that runs out of its pivot budget rebuilds cold from the
+slack start over all rows, where the dual simplex switches to Bland's rule
+after a degenerate run and so always finishes.
 """
 
 from __future__ import annotations
@@ -86,7 +101,8 @@ def _row_support(p: LpProblem):
 
 
 class _Simplex:
-    """Tableau state over all variables (structural + one artificial per row).
+    """Tableau state over all variables: the structurals, then one column per
+    row (an artificial of the two-phase start or a ranged row's slack).
 
     T holds one dict per row mapping column index to a nonzero Fraction;
     entries that cancel are deleted so the support never carries zeros.
@@ -114,6 +130,74 @@ class _Simplex:
             self.val[n + r] = abs(resid)
         self.d = [Fraction(0)] * self.nv
         self.z = Fraction(0)
+
+    @staticmethod
+    def slack_start(objective, rows, lower, upper) -> "_Simplex":
+        """All-slack basis of ranged rows (support, lo, hi), dual feasible.
+
+        Row r reads s_r - a_r . x = 0 with its slack s_r boxed to [lo, hi].
+        Each structural sits at the bound its cost prefers (the lower one at
+        cost zero), so every reduced cost has the optimal sign already.
+        """
+        s = object.__new__(_Simplex)
+        n, m = len(objective), len(rows)
+        s.ns, s.m, s.nv = n, m, n + m
+        s.where = ["U" if c > 0 else "L" for c in objective] + ["B"] * m
+        s.val = [upper[j] if s.where[j] == "U" else lower[j] for j in range(n)]
+        s.lower = list(lower)
+        s.upper = list(upper)
+        s.T = []
+        for r, (support, lo, hi) in enumerate(rows):
+            trow = {j: -a for j, a in support}
+            trow[n + r] = Fraction(1)
+            s.T.append(trow)
+            s.val.append(sum(a * s.val[j] for j, a in support))
+            s.lower.append(lo)
+            s.upper.append(hi)
+        s.basis = list(range(n, n + m))
+        s.d = list(objective) + [Fraction(0)] * m
+        s.z = sum(c * s.val[j] for j, c in enumerate(objective) if c)
+        return s
+
+    def set_box(self, j: int, lo: Fraction, hi: Fraction) -> None:
+        """Replace column j's box; a nonbasic j moves with the bound it sits at."""
+        self.lower[j] = lo
+        self.upper[j] = hi
+        if self.where[j] == "L":
+            self._shift_nonbasic(j, lo - self.val[j])
+        elif self.where[j] == "U":
+            self._shift_nonbasic(j, hi - self.val[j])
+
+    def add_row(self, support, lo: Fraction, hi: Fraction, row_of) -> None:
+        """Append the ranged row lo <= a . x <= hi with its slack basic.
+
+        row_of maps each basic structural column to its tableau row; those
+        columns are substituted out so the new row holds nonbasics only.
+        The slack has cost zero, so no reduced cost changes.
+        """
+        col = self.nv
+        trow = {col: Fraction(1)}
+        for j, a in support:
+            r = row_of.get(j)
+            if r is None:
+                terms = ((j, -a),)
+            else:
+                terms = ((k, a * b) for k, b in self.T[r].items() if k != j)
+            for k, b in terms:
+                v = trow.get(k, 0) + b
+                if v:
+                    trow[k] = v
+                else:
+                    trow.pop(k, None)
+        self.T.append(trow)
+        self.basis.append(col)
+        self.where.append("B")
+        self.val.append(sum(a * self.val[j] for j, a in support))
+        self.lower.append(lo)
+        self.upper.append(hi)
+        self.d.append(Fraction(0))
+        self.m += 1
+        self.nv += 1
 
     def _copy(self) -> "_Simplex":
         s = object.__new__(_Simplex)
@@ -269,7 +353,7 @@ class _Simplex:
                 if leaving != enter:
                     self.where[leaving] = "L" if rate > 0 else "U"
 
-    def dual_iterate(self, max_pivots: int) -> bool | None:
+    def dual_iterate(self, max_pivots: int | None = None) -> bool | None:
         """Restore primal feasibility from a dual feasible basis.
 
         Picks the most bound-violated basic variable, then the entering column
@@ -277,11 +361,17 @@ class _Simplex:
         with it optimality on exit) is preserved.  Returns True when primal
         feasible, False when a row proves the problem infeasible, and None
         when the pivot budget runs out (caller falls back to a cold solve).
+        Without a budget, a long run of degenerate pivots switches to Bland's
+        rule (the violated basic of smallest index leaves), which cannot
+        cycle, so the pass always finishes.
         """
         lower, upper, val, where, d, basis = (
             self.lower, self.upper, self.val, self.where, self.d, self.basis,
         )
         pivots = 0
+        degenerate = 0
+        fallback = 50 + 2 * (self.m + self.nv)
+        bland = False
         while True:
             r_best = -1
             best_viol = Fraction(0)
@@ -297,13 +387,14 @@ class _Simplex:
                     if up is None or v <= up:
                         continue
                     viol, side = v - up, True
-                if viol > best_viol or (
-                    viol == best_viol and r_best >= 0 and bv < basis[r_best]
+                if r_best < 0 or (
+                    bv < basis[r_best] if bland
+                    else viol > best_viol or (viol == best_viol and bv < basis[r_best])
                 ):
                     r_best, best_viol, to_upper = r, viol, side
             if r_best < 0:
                 return True
-            if pivots >= max_pivots:
+            if max_pivots is not None and pivots >= max_pivots:
                 return None
             pivots += 1
             r = r_best
@@ -332,6 +423,10 @@ class _Simplex:
                     best_key, enter = key, j
             if enter < 0:
                 return False  # the violated row admits no compensating move
+            if max_pivots is None:
+                # a zero dual ratio leaves the dual objective unchanged
+                degenerate = degenerate + 1 if best_key == 0 else 0
+                bland = bland or degenerate >= fallback
             bound = lower[leaving] if not to_upper else upper[leaving]
             delta = -(bound - val[leaving]) / Tr[enter]
             val[enter] += delta
@@ -386,25 +481,28 @@ def _run_phases(p: LpProblem) -> _Simplex | None:
     return s
 
 
-def _extract(s: _Simplex, p: LpProblem, rows=None) -> LpResult:
+def _extract(s: _Simplex, objective, rows) -> LpResult:
     n = s.ns
     point = tuple(s.val[:n])
     value = s.z
     # exactness audit: the reported optimum is the objective at the point,
-    # the point satisfies every row exactly and sits inside the live box
-    check = sum(p.objective[j] * point[j] for j in range(n) if p.objective[j])
+    # the point meets every row's range exactly and sits inside the live box
+    check = sum(objective[j] * point[j] for j in range(n) if objective[j])
     if check != value:
         raise InternalInconsistencyError(f"objective at the point {check} != tableau value {value}")
-    if rows is None:
-        rows = _row_support(p)
-    for r, row in enumerate(rows):
-        resid = sum(a * point[j] for j, a in row) - p.eq_rhs[r]
-        if resid != 0:
-            raise InternalInconsistencyError(f"row {r} misses its right-hand side by {resid}")
+    for r, (support, lo, hi) in enumerate(rows):
+        ax = sum(a * point[j] for j, a in support)
+        if not lo <= ax <= hi:
+            raise InternalInconsistencyError(f"row {r} reads {ax}, outside [{lo}, {hi}]")
     for j in range(n):
         if not s.lower[j] <= point[j] <= s.upper[j]:
             raise InternalInconsistencyError(f"variable {j} = {point[j]} leaves its box")
     return LpResult(OPTIMAL, point, value)
+
+
+def _equality_rows(p: LpProblem):
+    """p's equality rows as ranged rows (support, rhs, rhs)."""
+    return [(support, b, b) for support, b in zip(_row_support(p), p.eq_rhs)]
 
 
 def solve_lp(p: LpProblem) -> LpResult:
@@ -416,27 +514,82 @@ def solve_lp(p: LpProblem) -> LpResult:
     s = _run_phases(p)
     if s is None:
         return LpResult(INFEASIBLE)
-    return _extract(s, p)
+    return _extract(s, p.objective, _equality_rows(p))
+
+
+def _warm_budget(s: _Simplex) -> int:
+    """Dual pivots a warm re-solve may spend before it rebuilds cold."""
+    return 200 + 4 * (s.m + s.nv)
+
+
+def _finish(s: _Simplex, objective, rows, max_pivots):
+    """Dual simplex, then the primal pass; (LpResult, WarmLp or None)."""
+    ok = s.dual_iterate(max_pivots)
+    if ok is None:
+        # degenerate stall: rebuild cold from the slack start over every row
+        s = _Simplex.slack_start(objective, rows, s.lower[:s.ns], s.upper[:s.ns])
+        ok = s.dual_iterate()
+    if not ok:
+        return LpResult(INFEASIBLE), None
+    # a box edit can reopen primal moves; from a feasible point the primal
+    # pass finishes in zero pivots when already optimal
+    s.iterate()
+    return _extract(s, objective, rows), WarmLp(objective, rows, s)
+
+
+def _ranged(rows, n):
+    """Ranged rows (coefficients, lo, hi) as (support, lo, hi) of Fractions."""
+    out = []
+    for coeffs, lo, hi in rows:
+        if len(coeffs) != n:
+            raise MalformedProblemError("row has wrong width")
+        out.append(([(j, Fraction(a)) for j, a in enumerate(coeffs) if a], Fraction(lo), Fraction(hi)))
+    return out
 
 
 class WarmLp:
-    """A solved tableau that supports exact re-optimization after bound edits.
+    """A solved tableau that supports exact re-optimization after edits.
 
-    Holds the optimal basis of one LP.  reoptimized() produces the result for
-    the same program with one variable's box replaced, starting the dual
+    Holds the optimal basis of one LP together with its objective and its
+    rows as (support, lo, hi), meaning lo <= a . x <= hi (an equality row
+    has lo = hi).  edited() produces the result for the same program with
+    structural boxes replaced and ranged rows added, starting the dual
     simplex from this basis, and returns a fresh WarmLp so re-solves chain.
-    The receiver itself is never mutated, so both children of a branch step
-    can reuse one parent state.
+    The receiver itself is never mutated, so several successors (both
+    children of a branch step, both halves of a split box) can reuse one
+    parent state.
     """
 
-    def __init__(self, problem: LpProblem, simplex: _Simplex, rows=None):
-        self._problem = problem
+    def __init__(self, objective, rows, simplex: _Simplex):
+        self._objective = objective
+        self._rows = rows
         self._simplex = simplex
-        self._rows = _row_support(problem) if rows is None else rows
 
     def bounds(self, j: int):
         """Current (lower, upper) box of structural variable j."""
         return self._simplex.lower[j], self._simplex.upper[j]
+
+    def edited(self, boxes=(), rows=()):
+        """Re-solve with boxes (j, lower, upper) set and rows (coeffs, lo, hi) added.
+
+        Each added row reads lo <= coeffs . x <= hi over the structurals.  An
+        empty box or range makes the result Infeasible.  Returns (LpResult,
+        WarmLp or None); the state is None exactly when the result is not
+        Optimal.
+        """
+        s = self._simplex
+        boxes = [(j, Fraction(lo), Fraction(hi)) for j, lo, hi in boxes]
+        rows = _ranged(rows, s.ns)
+        if any(lo > hi for _, lo, hi in boxes) or any(lo > hi for _, lo, hi in rows):
+            return LpResult(INFEASIBLE), None
+        s = s._copy()
+        for j, lo, hi in boxes:
+            s.set_box(j, lo, hi)
+        if rows:
+            row_of = {col: r for r, col in enumerate(s.basis) if col < s.ns}
+            for support, lo, hi in rows:
+                s.add_row(support, lo, hi, row_of)
+        return _finish(s, self._objective, self._rows + rows if rows else self._rows, _warm_budget(s))
 
     def reoptimized(self, j: int, new_lower, new_upper):
         """Re-solve with variable j's box set to [new_lower, new_upper].
@@ -444,37 +597,11 @@ class WarmLp:
         Returns (LpResult, WarmLp or None).  The state is None exactly when
         the result is not Optimal.
         """
-        nl, nu = Fraction(new_lower), Fraction(new_upper)
-        if nl > nu:
-            return LpResult(INFEASIBLE), None
-        s = self._simplex._copy()
-        s.lower[j] = nl
-        s.upper[j] = nu
-        if s.where[j] == "L":
-            s._shift_nonbasic(j, nl - s.val[j])
-        elif s.where[j] == "U":
-            s._shift_nonbasic(j, nu - s.val[j])
-        ok = s.dual_iterate(200 + 4 * (s.m + s.nv))
-        if ok is None:
-            # degenerate stall: rebuild cold on the current bounds
-            q = LpProblem(
-                self._problem.objective,
-                self._problem.eq_matrix,
-                self._problem.eq_rhs,
-                s.lower[: s.ns],
-                s.upper[: s.ns],
-            )
-            return solve_lp_warm(q)
-        if not ok:
-            return LpResult(INFEASIBLE), None
-        # a widened box can reopen primal moves; from a feasible point the
-        # primal pass finishes in zero pivots when already optimal
-        s.iterate()
-        return _extract(s, self._problem, self._rows), WarmLp(self._problem, s, self._rows)
+        return self.edited(boxes=((j, new_lower, new_upper),))
 
 
 def solve_lp_warm(p: LpProblem):
-    """Like solve_lp but also returns a WarmLp for bound-change re-solves.
+    """Like solve_lp but also returns a WarmLp for re-solves after edits.
 
     The state is None exactly when the result is not Optimal (and for the
     degenerate zero-variable program, which has nothing to re-optimize).
@@ -486,5 +613,25 @@ def solve_lp_warm(p: LpProblem):
     s = _run_phases(p)
     if s is None:
         return LpResult(INFEASIBLE), None
-    rows = _row_support(p)
-    return _extract(s, p, rows), WarmLp(p, s, rows)
+    rows = _equality_rows(p)
+    return _extract(s, p.objective, rows), WarmLp(p.objective, rows, s)
+
+
+def solve_lp_ranged(objective, rows, lower, upper):
+    """max objective . x  s.t.  lo <= a . x <= hi per row, lower <= x <= upper.
+
+    rows holds (coefficients, lo, hi).  Solved by the dual simplex from the
+    all-slack basis (no artificials, no phase 1).  An empty box or range
+    makes the result Infeasible.  Returns (LpResult, WarmLp or None) like
+    solve_lp_warm.
+    """
+    n = len(objective)
+    if len(lower) != n or len(upper) != n:
+        raise MalformedProblemError("objective and bounds disagree on variable count")
+    objective = [Fraction(c) for c in objective]
+    lower = [Fraction(v) for v in lower]
+    upper = [Fraction(v) for v in upper]
+    rows = _ranged(rows, n)
+    if any(lo > hi for lo, hi in zip(lower, upper)) or any(lo > hi for _, lo, hi in rows):
+        return LpResult(INFEASIBLE), None
+    return _finish(_Simplex.slack_start(objective, rows, lower, upper), objective, rows, None)

@@ -365,12 +365,3 @@ def test_pinned_boxes():
         2, A, B, C, D, (1,), ((6,), (4,)), x, x, (1, 1, 1, 1, 1),
     )
     assert solve_4block_snf(bad) == Infeasible("NoLatticePoint")
-
-
-def test_thread_count_does_not_change_the_answer():
-    rng = random.Random(5)
-    for _ in range(12):
-        inst = random_instance(rng, n=rng.randint(2, 4))
-        assert solve_4block_snf(inst, threads=1) == solve_4block_snf(
-            inst, threads=3
-        )

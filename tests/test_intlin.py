@@ -5,14 +5,46 @@ import random
 import pytest
 
 from blockip.errors import BothZeroError, DimensionMismatchError, ZeroMatrixError
-from blockip.intlin import (
-    determinant,
-    extended_gcd,
-    integer_rank,
-    smith_normal_form,
-    solve_two_var,
-)
+from blockip.intlin import BezoutSolution, extended_gcd, integer_rank, smith_normal_form
 from blockip.model import IntMatrix
+
+
+def solve_two_var(lam: int, mu: int, c: int):
+    """Integer solutions of lam*x + mu*y = c, or None when none exist.
+
+    Returns a BezoutSolution whose (x, y) solve the equation for c and whose
+    steps span the homogeneous lattice.
+    """
+    base = extended_gcd(lam, mu)
+    if c % base.g != 0:
+        return None
+    scale = c // base.g
+    return BezoutSolution(base.g, base.x * scale, base.y * scale, base.step_x, base.step_y)
+
+
+def determinant(A: IntMatrix) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    if A.rows != A.cols:
+        raise DimensionMismatchError("determinant needs a square matrix")
+    n = A.rows
+    if n == 0:
+        return 1
+    M = A.row_lists()
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if M[k][k] == 0:
+            pivot_row = next((i for i in range(k + 1, n) if M[i][k] != 0), None)
+            if pivot_row is None:
+                return 0
+            M[k], M[pivot_row] = M[pivot_row], M[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
+            M[i][k] = 0
+        prev = M[k][k]
+    return sign * M[n - 1][n - 1]
 
 
 def naive_gcd(a, b):

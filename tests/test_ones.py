@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from blockip import ones
+from blockip import ones, ratlp
 from blockip.errors import InternalInconsistencyError, NotAllOnesError
 from blockip.flow import TransportProblem, TransportResult, solve_transport
 from blockip.model import FourBlockInstance, Infeasible, IntMatrix, Solution, evaluate
@@ -352,3 +352,35 @@ def test_one_flow_per_transport_and_no_lp_over_the_bricks(monkeypatch):
             f = len(_aggregate_lattice(inst).basis)
             solved_by_f[f > 0] = solved_by_f.get(f > 0, 0) + 1
     assert solved_by_f.get(False, 0) >= 3 and solved_by_f.get(True, 0) >= 3
+
+
+def test_aggregate_search_makes_no_cold_two_phase_solve(monkeypatch):
+    # the bound LP is one warm tableau: one slack start per search, then
+    # only warm re-solves that add cuts as rows and edit the box
+    calls = {"solve_lp": 0, "two_phase": 0, "slack_start": 0, "edited": 0}
+    real_phases, real_start, real_edited = ratlp._run_phases, ratlp._Simplex.slack_start, ratlp.WarmLp.edited
+
+    def count(name, real):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(ones, "solve_lp", count("solve_lp", ones.solve_lp))
+    monkeypatch.setattr(ratlp, "_run_phases", count("two_phase", real_phases))
+    monkeypatch.setattr(ratlp._Simplex, "slack_start", staticmethod(count("slack_start", real_start)))
+    monkeypatch.setattr(ratlp.WarmLp, "edited", count("edited", real_edited))
+    rng = random.Random(9116)
+    searched = 0
+    for trial in range(30):
+        inst = ones_instance(rng.randint(3, 8), 3, rng.randint(1, 3), 1, rng, width=3, coeff=3)
+        form = _aggregate_lattice(inst)
+        if form is None or not form.basis:
+            continue
+        for k in calls:
+            calls[k] = 0
+        solve_ones(inst)
+        assert calls["solve_lp"] == 0 and calls["two_phase"] == 0, (trial,)
+        assert calls["slack_start"] <= 1, (trial,)  # more would mean a stall
+        searched += calls["edited"] > 0
+    assert searched >= 10

@@ -5,8 +5,18 @@ from fractions import Fraction
 
 import pytest
 
-from blockip.errors import MalformedProblemError
-from blockip.ratlp import INFEASIBLE, OPTIMAL, LpProblem, LpResult, solve_lp, solve_lp_warm
+from blockip import ratlp
+from blockip.errors import InternalInconsistencyError, MalformedProblemError
+from blockip.ratlp import (
+    INFEASIBLE,
+    OPTIMAL,
+    LpProblem,
+    LpResult,
+    WarmLp,
+    solve_lp,
+    solve_lp_ranged,
+    solve_lp_warm,
+)
 
 
 def test_box_only_maximum():
@@ -194,3 +204,154 @@ def test_warm_tightening_can_cut_all_solutions():
     assert res.status == OPTIMAL
     res, nxt = state.reoptimized(1, 0, 1)
     assert res.status == INFEASIBLE and nxt is None
+
+
+def cold_program(p, ranged, lower, upper):
+    """p with boxes replaced and ranged rows lo <= a . x <= hi added, in
+    equality form: one extra column per ranged row, a . x - s = 0 with s
+    boxed to [lo, hi] and worth nothing."""
+    n, k = len(p.objective), len(ranged)
+    matrix = [list(row) + [0] * k for row in p.eq_matrix]
+    for r, (coeffs, _, _) in enumerate(ranged):
+        matrix.append(list(coeffs) + [0] * r + [-1] + [0] * (k - r - 1))
+    return LpProblem.make(
+        list(p.objective) + [0] * k,
+        matrix,
+        list(p.eq_rhs) + [0] * k,
+        list(lower) + [lo for _, lo, _ in ranged],
+        list(upper) + [hi for _, _, hi in ranged],
+    )
+
+
+def random_row(rng, n, point):
+    """Ranged row around the current point: often cuts it off, rarely empty."""
+    coeffs = [rng.randint(-3, 3) for _ in range(n)]
+    at = sum(a * x for a, x in zip(coeffs, point))
+    return coeffs, at - Fraction(rng.randint(0, 6), rng.choice((1, 2))), at + rng.randint(-2, 4)
+
+
+def check_against_cold(res, nxt, p, ranged, lower, upper):
+    empty = any(lo > hi for lo, hi in zip(lower, upper)) or any(lo > hi for _, lo, hi in ranged)
+    cold = LpResult(INFEASIBLE) if empty else solve_lp(cold_program(p, ranged, lower, upper))
+    assert res.status == cold.status
+    if res.status != OPTIMAL:
+        assert nxt is None
+        return False
+    assert res.value == cold.value
+    return True
+
+
+def run_edit_chain(rng, p, state, res, ranged, lower, upper):
+    """Random row additions and box edits through a chain of warm states,
+    starting from state and its result res.
+
+    Returns (re-solves checked, whether the chain ended infeasible).
+    """
+    n = len(p.objective)
+    checked = 0
+    for _ in range(6):
+        rows = [random_row(rng, n, res.point) for _ in range(rng.choice((0, 1, 1, 2)))]
+        boxes = []
+        for j in rng.sample(range(n), rng.randint(0 if rows else 1, min(2, n))):
+            # shift both ends (tighten, widen or move), now and then empty
+            nl = lower[j] + rng.randint(-2, 2)
+            nu = nl - 1 if rng.random() < 0.05 else max(nl, upper[j] + rng.randint(-2, 2))
+            boxes.append((j, nl, nu))
+        last, (res, nxt) = res, state.edited(boxes, rows)
+        for j, lo, hi in boxes:
+            lower[j], upper[j] = lo, hi
+        ranged = ranged + rows
+        checked += 1
+        if not check_against_cold(res, nxt, p, ranged, lower, upper):
+            return checked, True
+        # the receiver is untouched: it still answers its own program
+        assert state.edited()[0] == last
+        state = nxt
+    return checked, False
+
+
+def test_warm_row_and_box_edits_match_cold_solves():
+    rng = random.Random(503)
+    checked = infeasible = 0
+    for trial in range(120):
+        p = random_lp(rng, feasible=trial % 4 != 0)
+        res, state = solve_lp_warm(p)
+        if state is None:
+            continue
+        c, ended = run_edit_chain(rng, p, state, res, [], list(p.lower), list(p.upper))
+        checked += c
+        infeasible += ended
+    assert checked >= 220 and infeasible >= 60
+
+
+def test_slack_start_matches_cold_solves_and_chains():
+    # ranged rows only: the dual simplex from the all-slack basis alone
+    rng = random.Random(504)
+    checked = infeasible = 0
+    for trial in range(150):
+        n = rng.randint(1, 5)
+        lower = [Fraction(rng.randint(-5, 2)) for _ in range(n)]
+        upper = [lo + rng.randint(0, 7) for lo in lower]
+        seed = [lo + rng.randint(0, int(up - lo)) for lo, up in zip(lower, upper)]
+        rows = [random_row(rng, n, seed) for _ in range(rng.randint(0, 4))]
+        objective = [rng.randint(-5, 5) for _ in range(n)]
+        p = LpProblem.make(objective, [], [], lower, upper)
+        res, state = solve_lp_ranged(objective, rows, lower, upper)
+        checked += 1
+        if not check_against_cold(res, state, p, rows, lower, upper):
+            infeasible += 1
+            continue
+        c, ended = run_edit_chain(rng, p, state, res, rows, list(lower), list(upper))
+        checked += c
+        infeasible += ended
+    assert checked >= 400 and infeasible >= 100
+
+
+def test_pivot_budget_stall_rebuilds_cold_with_the_same_optimum(monkeypatch):
+    rng = random.Random(505)
+    results = []
+    for trial in range(60):
+        p = random_lp(rng, feasible=True)
+        _, state = solve_lp_warm(p)
+        if state is None:
+            continue
+        n = len(p.objective)
+        rows = [random_row(rng, n, p.lower) for _ in range(2)]
+        boxes = [(0, p.lower[0], p.lower[0] + rng.randint(0, 2))]
+        results.append((p, state, rows, boxes, state.edited(boxes, rows)))
+
+    rebuilds = []
+    real_start = ratlp._Simplex.slack_start
+
+    def spy_start(*args):
+        rebuilds.append(args)
+        return real_start(*args)
+
+    monkeypatch.setattr(ratlp, "_warm_budget", lambda s: 0)
+    monkeypatch.setattr(ratlp._Simplex, "slack_start", staticmethod(spy_start))
+    for p, state, rows, boxes, (warm, _) in results:
+        stalled, nxt = state.edited(boxes, rows)
+        assert stalled.status == warm.status
+        assert stalled.value == warm.value
+        if nxt is not None:  # the rebuilt state chains on like any other
+            res, _ = nxt.edited()
+            assert res.value == warm.value
+    assert len(rebuilds) >= 20
+
+
+def test_warm_audit_rejects_an_inconsistent_tableau():
+    res, state = solve_lp_ranged([1, 1], [([1, 1], 0, 3)], [0, 0], [2, 2])
+    assert res.status == OPTIMAL and res.value == 3
+    tampered = WarmLp(state._objective, [([(0, Fraction(1))], 0, 0)], state._simplex)
+    with pytest.raises(InternalInconsistencyError):
+        tampered.edited()
+    state._simplex.z += 1
+    with pytest.raises(InternalInconsistencyError):
+        state.edited()
+
+
+def test_ranged_rows_checked_for_width():
+    with pytest.raises(MalformedProblemError):
+        solve_lp_ranged([1, 1], [([1], 0, 1)], [0, 0], [1, 1])
+    res, state = solve_lp_ranged([1], [([1], 2, 1)], [0], [5])
+    assert res.status == INFEASIBLE and state is None
