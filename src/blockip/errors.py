@@ -30,13 +30,6 @@ class MalformedProblemError(BlockIpError):
     """An LP/MIP description is inconsistent (shapes, missing bounds)."""
 
 
-class UnboundedError(BlockIpError):
-    """An LP direction of unbounded improvement was found.
-
-    Cannot happen once all variable bounds are finite; kept for misuse.
-    """
-
-
 class NotAllOnesError(BlockIpError):
     """The aggregate-variable solver needs every entry of A equal to one."""
 

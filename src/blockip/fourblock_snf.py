@@ -430,6 +430,12 @@ def _cells_for_windows(builder, chosen, pairs, arg_lo, arg_hi, zlo, zhi):
         if a:
             e[j] = e.get(j, 0) + a
 
+    def dense(e):
+        row = [0] * base_vars
+        for var, coef in e.items():
+            row[var] = coef
+        return row
+
     # equality rows: top block, then the anchor brick's own system
     eq_rows = []
     for r in range(sC):
@@ -516,9 +522,7 @@ def _cells_for_windows(builder, chosen, pairs, arg_lo, arg_hi, zlo, zhi):
         obj = dict(base_obj)
         const = base_const
         p_rows = []
-        if j == 1:
-            p_lo, p_hi_j = 0, 0
-        else:
+        if j > 1:
             v_j = builder.rates[order[j - 2]]
             add(obj, layout["p"], v_j)
             lam_prev = expr()  # Lambda(j-1) as coefficients, plus constant
@@ -549,7 +553,6 @@ def _cells_for_windows(builder, chosen, pairs, arg_lo, arg_hi, zlo, zhi):
             add(e, layout["z"][hl], -1)
             add(e, layout["z"][hu], 1)
             p_rows.append((e, lam_prev_const + cc))
-            p_lo, p_hi_j = None, None
 
         cell_lo = list(lo)
         cell_hi = list(hi)
@@ -557,19 +560,16 @@ def _cells_for_windows(builder, chosen, pairs, arg_lo, arg_hi, zlo, zhi):
             cell_lo[layout["p"]] = 0
             cell_hi[layout["p"]] = 0
 
-        rows_all = []
-        rhs_all = []
+        rows = []
         ok = True
         for e, b in eq_rows:
             mn, mx = _range_of(e, cell_lo, cell_hi)
             if not (mn <= b <= mx):
                 ok = False
                 break
-            rows_all.append(e)
-            rhs_all.append(b)
+            rows.append((dense(e), b, b))
         if not ok:
             continue
-        slack_boxes = []
         for e, b in ineq_rows + p_rows:
             mn, mx = _range_of(e, cell_lo, cell_hi)
             if mn > b:
@@ -577,30 +577,12 @@ def _cells_for_windows(builder, chosen, pairs, arg_lo, arg_hi, zlo, zhi):
                 break
             if mx <= b:
                 continue  # always satisfied inside the boxes
-            rows_all.append(e)
-            rhs_all.append(b)
-            slack_boxes.append(b - mn)
+            rows.append((dense(e), mn, b))
         if not ok:
             continue
 
-        nv = base_vars + len(slack_boxes)
-        dense = []
-        k = 0
-        for ri, e in enumerate(rows_all):
-            row = [0] * nv
-            for var, coef in e.items():
-                row[var] = coef
-            if ri >= len(eq_rows):
-                row[base_vars + k] = 1
-                k += 1
-            dense.append(row)
-        full_lo = cell_lo + [0] * len(slack_boxes)
-        full_hi = cell_hi + slack_boxes
-        c = [0] * nv
-        for var, coef in obj.items():
-            c[var] = coef
-        lp = LpProblem.make(c, dense, rhs_all, full_lo, full_hi)
-        mip = MipProblem.make(lp, [True] * nv)
+        lp = LpProblem.make(dense(obj), rows, cell_lo, cell_hi)
+        mip = MipProblem.make(lp, [True] * base_vars)
         yield CellProblem(
             mip=mip,
             constant=const,
@@ -676,15 +658,48 @@ def lift_solution(inst: FourBlockInstance, elim: EliminationData,
 
 def _solve_trivial(inst: FourBlockInstance):
     """No bricks: only the shared variables and the top block remain."""
-    rows = [list(inst.C.row(r)) for r in range(inst.s_C)]
-    lp = LpProblem.make(
-        list(inst.w), rows, list(inst.b0), list(inst.l), list(inst.u)
-    )
+    rows = [(inst.C.row(r), inst.b0[r], inst.b0[r]) for r in range(inst.s_C)]
+    lp = LpProblem.make(inst.w, rows, inst.l, inst.u)
     res = solve_mip(MipProblem.make(lp, [True] * inst.t_B))
     if res.status != OPTIMAL:
         return Infeasible("NoLatticePoint")
     x = tuple(int(v) for v in res.point)
     return Solution(x=x, objective=int(res.value), solver_tag="fourblock_snf")
+
+
+def _prepare(inst: FourBlockInstance, eliminate):
+    """Checks shared by the solver and cell_values, then elimination and grid.
+
+    Raises MalformedProblemError for a malformed instance or an unknown
+    route and NotEligibleError for an ineligible brick matrix.  Returns None
+    when there are no bricks, Infeasible when the brick differences have no
+    integral solution, and (elimination, grid) otherwise.
+    """
+    issues = validate(inst)
+    if issues:
+        raise MalformedProblemError(issues[0].message)
+    if not _structurally_eligible(inst):
+        raise NotEligibleError(
+            "needs one more brick column than rows and full row rank"
+        )
+    if eliminate == "auto":
+        eliminate = "bezout" if (inst.s_A, inst.t_A) == (1, 2) else "snf"
+    if eliminate not in ("bezout", "snf"):
+        raise MalformedProblemError(f"unknown elimination route {eliminate!r}")
+    if inst.n == 0:
+        return None
+    if eliminate == "bezout":
+        elim = elimination_from_bezout(inst)
+    else:
+        elim = elimination_from_snf(inst)
+    if isinstance(elim, Infeasible):
+        return elim
+    grid = build_grid(
+        elim,
+        [inst.l[inst.brick_slice(i)] for i in range(inst.n)],
+        [inst.u[inst.brick_slice(i)] for i in range(inst.n)],
+    )
+    return elim, grid
 
 
 def solve_4block_snf(inst: FourBlockInstance, eliminate="auto"):
@@ -695,32 +710,12 @@ def solve_4block_snf(inst: FourBlockInstance, eliminate="auto"):
     route when it applies.  Both routes must agree on the optimum; the choice
     affects intermediate encodings only.
     """
-    issues = validate(inst)
-    if issues:
-        raise MalformedProblemError(issues[0].message)
-    if not _structurally_eligible(inst):
-        raise NotEligibleError(
-            "needs one more brick column than rows and full row rank"
-        )
-    if inst.n == 0:
+    prepared = _prepare(inst, eliminate)
+    if prepared is None:
         return _solve_trivial(inst)
-
-    if eliminate == "auto":
-        eliminate = "bezout" if (inst.s_A, inst.t_A) == (1, 2) else "snf"
-    if eliminate == "bezout":
-        elim = elimination_from_bezout(inst)
-    elif eliminate == "snf":
-        elim = elimination_from_snf(inst)
-    else:
-        raise MalformedProblemError(f"unknown elimination route {eliminate!r}")
-    if isinstance(elim, Infeasible):
-        return elim
-
-    grid = build_grid(
-        elim,
-        [inst.l[inst.brick_slice(i)] for i in range(inst.n)],
-        [inst.u[inst.brick_slice(i)] for i in range(inst.n)],
-    )
+    if isinstance(prepared, Infeasible):
+        return prepared
+    elim, grid = prepared
 
     best = None  # (value, cell, point)
     for cell in enumerate_cells(inst, elim, grid):
@@ -739,22 +734,12 @@ def solve_4block_snf(inst: FourBlockInstance, eliminate="auto"):
 
 def cell_values(inst: FourBlockInstance, eliminate="auto"):
     """Optima of every feasible cell, in enumeration order (no pruning)."""
-    issues = validate(inst)
-    if issues:
-        raise MalformedProblemError(issues[0].message)
-    if not _structurally_eligible(inst) or inst.n == 0:
-        raise NotEligibleError("cell enumeration needs an eligible instance")
-    if eliminate == "auto":
-        eliminate = "bezout" if (inst.s_A, inst.t_A) == (1, 2) else "snf"
-    elim = (elimination_from_bezout(inst) if eliminate == "bezout"
-            else elimination_from_snf(inst))
-    if isinstance(elim, Infeasible):
+    prepared = _prepare(inst, eliminate)
+    if prepared is None:
+        raise NotEligibleError("cell enumeration needs at least one brick")
+    if isinstance(prepared, Infeasible):
         return []
-    grid = build_grid(
-        elim,
-        [inst.l[inst.brick_slice(i)] for i in range(inst.n)],
-        [inst.u[inst.brick_slice(i)] for i in range(inst.n)],
-    )
+    elim, grid = prepared
     values = []
     for cell in enumerate_cells(inst, elim, grid):
         res = solve_cell(cell)

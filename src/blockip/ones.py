@@ -43,7 +43,7 @@ from .model import (
 )
 # solve_lp is no longer called here; it stays importable under this name
 # because perfbench/tracer.py wraps blockip.ones.solve_lp
-from .ratlp import OPTIMAL, solve_lp, solve_lp_ranged  # noqa: F401
+from .ratlp import OPTIMAL, LpProblem, solve_lp, solve_lp_warm  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -475,9 +475,9 @@ def _optimize_aggregate(inst: FourBlockInstance, form: _LatticeForm):
     while heap:
         _, _, box_lo, box_hi, state, seen = heapq.heappop(heap)
         if state is None:
-            res, state = solve_lp_ranged(
+            res, state = solve_lp_warm(LpProblem.make(
                 objective, box_rows + cuts, list(box_lo) + [t_lo], list(box_hi) + [t_hi]
-            )
+            ))
         else:
             edges = [
                 (k, box_lo[k], box_hi[k]) for k in range(f)

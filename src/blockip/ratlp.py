@@ -10,14 +10,14 @@ instead of every column.  Built for correctness at desk scale: every pivot is
 exact, so the returned optimum is the true rational optimum, not an
 approximation.
 
-Two cold starts.  solve_lp and solve_lp_warm take an equality-form
-LpProblem and run two phases with one artificial per row.  solve_lp_ranged
-takes ranged rows lo <= a . x <= hi, gives each row its own bounded slack
-and starts from the all-slack basis with every structural at the bound its
-cost prefers.  That basis is dual feasible by construction, so the dual
-simplex alone reaches the optimum: no artificials, no phase 1.
+One cold start.  An LpProblem has ranged rows lo <= a . x <= hi (an
+equality row has lo = hi).  solve_lp_warm gives each row its own bounded
+slack and starts from the all-slack basis with every structural at the
+bound its cost prefers.  That basis is dual feasible by construction, so the
+dual simplex alone reaches the optimum: no artificials, no phase 1.  Every
+column is boxed, so no LP is unbounded.
 
-The warm path is WarmLp, the optimal tableau of either start.
+The warm path is WarmLp, the optimal tableau of a solve.
 WarmLp.edited changes structural boxes and adds ranged rows, then re-solves
 from the old basis.  A box edit moves a nonbasic column with the bound it
 sits at, and a new row enters with its slack basic after the basic columns
@@ -38,36 +38,34 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InternalInconsistencyError, MalformedProblemError, UnboundedError
+from .errors import InternalInconsistencyError, MalformedProblemError
 
 OPTIMAL = "Optimal"
 INFEASIBLE = "Infeasible"
-UNBOUNDED = "Unbounded"
 
 
 @dataclass(frozen=True)
 class LpProblem:
-    """max objective . x  s.t.  eq_matrix . x = eq_rhs, lower <= x <= upper.
+    """max objective . x  s.t.  lo <= a . x <= hi per row, lower <= x <= upper.
 
-    make stores every field as a list of Fractions (the matrix as a list of
-    rows).  The solvers build and drop many small programs; lists of their
-    widths, unlike tuples, do not pile up in CPython's per-size tuple free
-    lists, which measurably raised peak memory.  Treat the fields as
-    read-only.
+    rows holds one (coefficients, lo, hi) per row; an equality row has
+    lo = hi.  make stores objective, bounds and each row's coefficients as
+    lists of Fractions.  The solvers build and drop many small programs;
+    lists of their widths, unlike tuples, do not pile up in CPython's
+    per-size tuple free lists, which measurably raised peak memory.  Treat
+    the fields as read-only.
     """
 
     objective: list
-    eq_matrix: list
-    eq_rhs: list
+    rows: list
     lower: list
     upper: list
 
     @staticmethod
-    def make(objective, eq_matrix, eq_rhs, lower, upper) -> "LpProblem":
+    def make(objective, rows, lower, upper) -> "LpProblem":
         return LpProblem(
             [Fraction(c) for c in objective],
-            [[Fraction(a) for a in row] for row in eq_matrix],
-            [Fraction(v) for v in eq_rhs],
+            [([Fraction(a) for a in coeffs], Fraction(lo), Fraction(hi)) for coeffs, lo, hi in rows],
             [Fraction(v) for v in lower],
             [Fraction(v) for v in upper],
         )
@@ -85,51 +83,22 @@ def _validate(p: LpProblem) -> None:
     n = len(p.objective)
     if len(p.lower) != n or len(p.upper) != n:
         raise MalformedProblemError("objective and bounds disagree on variable count")
-    if len(p.eq_matrix) != len(p.eq_rhs):
-        raise MalformedProblemError("matrix and rhs disagree on row count")
-    for row in p.eq_matrix:
-        if len(row) != n:
-            raise MalformedProblemError("matrix row has wrong width")
+    for coeffs, _, _ in p.rows:
+        if len(coeffs) != n:
+            raise MalformedProblemError("row has wrong width")
     for j in range(n):
         if p.lower[j] > p.upper[j]:
             raise MalformedProblemError(f"lower[{j}] > upper[{j}]")
 
 
-def _row_support(p: LpProblem):
-    """Rows of the equality system as (column, coefficient) lists."""
-    return [[(j, a) for j, a in enumerate(row) if a] for row in p.eq_matrix]
-
-
 class _Simplex:
-    """Tableau state over all variables: the structurals, then one column per
-    row (an artificial of the two-phase start or a ranged row's slack).
+    """Tableau state over all variables: the structurals, then one slack
+    column per ranged row.
 
     T holds one dict per row mapping column index to a nonzero Fraction;
     entries that cancel are deleted so the support never carries zeros.
+    Every column is boxed, so the ratio tests always find a bound.
     """
-
-    def __init__(self, p: LpProblem):
-        self.ns = len(p.objective)
-        self.m = len(p.eq_matrix)
-        self.nv = self.ns + self.m
-        n, m = self.ns, self.m
-        self.lower = list(p.lower) + [Fraction(0)] * m
-        self.upper = list(p.upper) + [None] * m  # None: artificial, no cap yet
-        self.val = [p.lower[j] for j in range(n)] + [Fraction(0)] * m
-        self.where = ["L"] * n + ["B"] * m
-        self.basis = list(range(n, n + m))
-        # residual b - A.l decides the artificial orientation per row
-        self.T = []
-        for r in range(m):
-            row = p.eq_matrix[r]
-            resid = p.eq_rhs[r] - sum(row[j] * p.lower[j] for j in range(n) if row[j])
-            sign = 1 if resid >= 0 else -1
-            trow = {j: sign * a for j, a in enumerate(row) if a}
-            trow[n + r] = Fraction(1)
-            self.T.append(trow)
-            self.val[n + r] = abs(resid)
-        self.d = [Fraction(0)] * self.nv
-        self.z = Fraction(0)
 
     @staticmethod
     def slack_start(objective, rows, lower, upper) -> "_Simplex":
@@ -156,7 +125,7 @@ class _Simplex:
             s.upper.append(hi)
         s.basis = list(range(n, n + m))
         s.d = list(objective) + [Fraction(0)] * m
-        s.z = sum(c * s.val[j] for j, c in enumerate(objective) if c)
+        s.z = sum((c * s.val[j] for j, c in enumerate(objective) if c), Fraction(0))
         return s
 
     def set_box(self, j: int, lo: Fraction, hi: Fraction) -> None:
@@ -211,18 +180,6 @@ class _Simplex:
         s.d = self.d[:]
         s.z = self.z
         return s
-
-    def set_objective(self, c) -> None:
-        # reduced costs d = c - c_B . T, objective value at the current point
-        T, basis = self.T, self.basis
-        d = list(c)
-        for r in range(self.m):
-            cb = c[basis[r]]
-            if cb:
-                for j, a in T[r].items():
-                    d[j] -= cb * a
-        self.d = d
-        self.z = sum(c[j] * self.val[j] for j in range(self.nv) if c[j])
 
     def _pivot(self, r: int, e: int) -> int:
         # all updates mutate the existing dicts: callers hold aliases to rows
@@ -287,8 +244,7 @@ class _Simplex:
             for j in range(self.nv):
                 if where[j] == "B":
                     continue
-                uj = upper[j]
-                if uj is not None and lower[j] == uj:
+                if lower[j] == upper[j]:
                     continue  # fixed variable can never improve
                 dj = d[j]
                 if where[j] == "L" and dj > 0:
@@ -305,8 +261,7 @@ class _Simplex:
             if enter < 0:
                 return
             # ratio test: basic variables move by -direction * T[r][enter] * t
-            ue = upper[enter]
-            tmax = None if ue is None else ue - lower[enter]
+            tmax = upper[enter] - lower[enter]
             leave_row = -1
             for r in range(self.m):
                 a = T[r].get(enter)
@@ -316,19 +271,12 @@ class _Simplex:
                 if rate > 0:
                     allowance = (val[self.basis[r]] - lower[self.basis[r]]) / rate
                 else:
-                    ub = upper[self.basis[r]]
-                    if ub is None:
-                        continue
-                    allowance = (ub - val[self.basis[r]]) / (-rate)
-                if (
-                    tmax is None
-                    or allowance < tmax
-                    or (allowance == tmax and leave_row >= 0 and self.basis[r] < self.basis[leave_row])
+                    allowance = (upper[self.basis[r]] - val[self.basis[r]]) / (-rate)
+                if allowance < tmax or (
+                    allowance == tmax and leave_row >= 0 and self.basis[r] < self.basis[leave_row]
                 ):
                     tmax = allowance
                     leave_row = r
-            if tmax is None:
-                raise UnboundedError("no blocking bound; problem misses a finite bound")
             if tmax != 0:
                 val[enter] += direction * tmax
                 for r in range(self.m):
@@ -384,7 +332,7 @@ class _Simplex:
                     viol, side = lo - v, False
                 else:
                     up = upper[bv]
-                    if up is None or v <= up:
+                    if v <= up:
                         continue
                     viol, side = v - up, True
                 if r_best < 0 or (
@@ -406,8 +354,7 @@ class _Simplex:
             for j, a in Tr.items():
                 if where[j] == "B":
                     continue
-                uj = upper[j]
-                if uj is not None and lower[j] == uj:
+                if lower[j] == upper[j]:
                     continue
                 at_low = where[j] == "L"
                 if not to_upper:
@@ -442,45 +389,6 @@ class _Simplex:
             self.where[leaving] = "L" if not to_upper else "U"
 
 
-def _run_phases(p: LpProblem) -> _Simplex | None:
-    """Two-phase solve; returns the optimal tableau or None when infeasible."""
-    n = len(p.objective)
-    m = len(p.eq_matrix)
-    s = _Simplex(p)
-
-    # phase 1: drive artificial variables to zero
-    phase1 = [Fraction(0)] * n + [Fraction(-1)] * m
-    s.set_objective(phase1)
-    s.iterate()
-    if s.z < 0:
-        return None
-    for r in range(m):
-        if s.basis[r] >= n:
-            # degenerate artificial still basic at zero: swap a structural
-            # column in, or accept the row as redundant and pin it
-            pivot_col = min(
-                (j for j, a in s.T[r].items() if j < n and s.where[j] != "B"),
-                default=None,
-            )
-            if pivot_col is not None:
-                old = s.basis[r]
-                if s.val[old] != 0:
-                    raise InternalInconsistencyError(
-                        f"artificial {old} is basic at {s.val[old]} after phase 1"
-                    )
-                s._pivot(r, pivot_col)
-                s.where[old] = "L"
-                s.val[old] = Fraction(0)
-    for a in range(n, n + m):
-        s.upper[a] = Fraction(0)
-
-    # phase 2: the real objective over the feasible tableau
-    phase2 = list(p.objective) + [Fraction(0)] * m
-    s.set_objective(phase2)
-    s.iterate()
-    return s
-
-
 def _extract(s: _Simplex, objective, rows) -> LpResult:
     n = s.ns
     point = tuple(s.val[:n])
@@ -498,23 +406,6 @@ def _extract(s: _Simplex, objective, rows) -> LpResult:
         if not s.lower[j] <= point[j] <= s.upper[j]:
             raise InternalInconsistencyError(f"variable {j} = {point[j]} leaves its box")
     return LpResult(OPTIMAL, point, value)
-
-
-def _equality_rows(p: LpProblem):
-    """p's equality rows as ranged rows (support, rhs, rhs)."""
-    return [(support, b, b) for support, b in zip(_row_support(p), p.eq_rhs)]
-
-
-def solve_lp(p: LpProblem) -> LpResult:
-    """Exact optimum of a bounded-variable equality-form LP."""
-    _validate(p)
-    if len(p.objective) == 0:
-        ok = all(r == 0 for r in p.eq_rhs)
-        return LpResult(OPTIMAL, (), Fraction(0)) if ok else LpResult(INFEASIBLE)
-    s = _run_phases(p)
-    if s is None:
-        return LpResult(INFEASIBLE)
-    return _extract(s, p.objective, _equality_rows(p))
 
 
 def _warm_budget(s: _Simplex) -> int:
@@ -601,37 +492,21 @@ class WarmLp:
 
 
 def solve_lp_warm(p: LpProblem):
-    """Like solve_lp but also returns a WarmLp for re-solves after edits.
+    """Exact optimum of p, and a WarmLp for re-solves after edits.
 
-    The state is None exactly when the result is not Optimal (and for the
-    degenerate zero-variable program, which has nothing to re-optimize).
+    Solved by the dual simplex from the all-slack basis.  A row with an
+    empty range makes the result Infeasible; shape errors and an empty
+    structural box raise MalformedProblemError.  Returns (LpResult, WarmLp
+    or None); the state is None exactly when the result is not Optimal.
     """
     _validate(p)
-    if len(p.objective) == 0:
-        ok = all(r == 0 for r in p.eq_rhs)
-        return (LpResult(OPTIMAL, (), Fraction(0)), None) if ok else (LpResult(INFEASIBLE), None)
-    s = _run_phases(p)
-    if s is None:
+    rows = [([(j, a) for j, a in enumerate(coeffs) if a], lo, hi) for coeffs, lo, hi in p.rows]
+    if any(lo > hi for _, lo, hi in rows):
         return LpResult(INFEASIBLE), None
-    rows = _equality_rows(p)
-    return _extract(s, p.objective, rows), WarmLp(p.objective, rows, s)
+    s = _Simplex.slack_start(p.objective, rows, p.lower, p.upper)
+    return _finish(s, p.objective, rows, None)
 
 
-def solve_lp_ranged(objective, rows, lower, upper):
-    """max objective . x  s.t.  lo <= a . x <= hi per row, lower <= x <= upper.
-
-    rows holds (coefficients, lo, hi).  Solved by the dual simplex from the
-    all-slack basis (no artificials, no phase 1).  An empty box or range
-    makes the result Infeasible.  Returns (LpResult, WarmLp or None) like
-    solve_lp_warm.
-    """
-    n = len(objective)
-    if len(lower) != n or len(upper) != n:
-        raise MalformedProblemError("objective and bounds disagree on variable count")
-    objective = [Fraction(c) for c in objective]
-    lower = [Fraction(v) for v in lower]
-    upper = [Fraction(v) for v in upper]
-    rows = _ranged(rows, n)
-    if any(lo > hi for lo, hi in zip(lower, upper)) or any(lo > hi for _, lo, hi in rows):
-        return LpResult(INFEASIBLE), None
-    return _finish(_Simplex.slack_start(objective, rows, lower, upper), objective, rows, None)
+def solve_lp(p: LpProblem) -> LpResult:
+    """Exact optimum of p; solve_lp_warm without the warm state."""
+    return solve_lp_warm(p)[0]

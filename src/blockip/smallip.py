@@ -3,8 +3,8 @@
 Sits directly on the rational simplex: every node bound is the true LP
 optimum, so best-bound search with integer feasibility checks is a complete
 and exact method.  Child nodes differ from their parent by one tightened
-bound, so they re-solve warm from the parent basis with the dual simplex
-instead of paying a cold two-phase solve each.  Intended for the small
+bound, so they re-solve warm from the parent basis with the dual simplex;
+only the root is solved cold, from the slack start.  Intended for the small
 auxiliary programs the structured solvers generate (a handful of variables,
 narrow boxes), not as a general purpose MIP engine.
 """
@@ -15,7 +15,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InternalInconsistencyError, MalformedProblemError
+from .errors import MalformedProblemError
 from .ratlp import INFEASIBLE, OPTIMAL, LpProblem, LpResult, solve_lp_warm
 
 
@@ -50,26 +50,7 @@ def _branch_var(point, mask):
     return best
 
 
-def _audit_candidate(p: MipProblem, point, value) -> None:
-    # a heuristic incumbent steers pruning, so it must be exactly feasible
-    lp = p.lp
-    n = len(lp.objective)
-    if len(point) != n:
-        raise InternalInconsistencyError(f"candidate has {len(point)} entries, not {n}")
-    for j in range(n):
-        if not lp.lower[j] <= point[j] <= lp.upper[j]:
-            raise InternalInconsistencyError(f"candidate entry {j} = {point[j]} leaves its box")
-        if p.integer_mask[j] and Fraction(point[j]).denominator != 1:
-            raise InternalInconsistencyError(f"candidate entry {j} = {point[j]} is not integral")
-    for r, (row, rhs) in enumerate(zip(lp.eq_matrix, lp.eq_rhs)):
-        if sum(row[j] * point[j] for j in range(n) if row[j]) != rhs:
-            raise InternalInconsistencyError(f"candidate misses row {r}")
-    check = sum(lp.objective[j] * point[j] for j in range(n) if lp.objective[j])
-    if check != value:
-        raise InternalInconsistencyError(f"candidate is worth {check}, not the claimed {value}")
-
-
-def solve_mip(p: MipProblem, cutoff=None, integral_value=False, primal_hint=None) -> LpResult:
+def solve_mip(p: MipProblem, cutoff=None) -> LpResult:
     """Maximize over the mixed lattice of p.  Exact.
 
     cutoff, when given, is an exclusive lower bound on interesting values:
@@ -77,18 +58,6 @@ def solve_mip(p: MipProblem, cutoff=None, integral_value=False, primal_hint=None
     value > cutoff are returned.  When nothing beats the cutoff the result is
     Infeasible even if the program has worse feasible points.  The nodes field
     counts LP relaxations solved.
-
-    integral_value asserts that every feasible point of the mixed lattice has
-    an integer objective (for example all-integer programs with integer
-    weights, or aggregates whose continuous block is totally unimodular with
-    integer weights).  Bounds are then floored before ordering and pruning,
-    which collapses sub-unit integrality gaps: a node with bound below
-    incumbent + 1 can be discarded outright.
-
-    primal_hint, when given, maps the root relaxation point to a feasible
-    (point, value) candidate or None.  A good candidate seeds the incumbent
-    so best-bound pruning starts immediately instead of after the search
-    stumbles on an integral vertex.  Candidates are audited exactly.
     """
     if cutoff is not None:
         cutoff = Fraction(cutoff)
@@ -99,30 +68,15 @@ def solve_mip(p: MipProblem, cutoff=None, integral_value=False, primal_hint=None
 
     mask = p.integer_mask
     best_point, best_val = None, cutoff
-    if primal_hint is not None:
-        cand = primal_hint(root.point)
-        if cand is not None:
-            pt, val = cand
-            pt = tuple(Fraction(v) for v in pt)
-            val = Fraction(val)
-            _audit_candidate(p, pt, val)
-            if best_val is None or val > best_val:
-                best_point, best_val = pt, val
     heap = []
     seq = 0
 
-    def strength(bound):
-        # best integral value a subtree with this LP bound could still reach
-        if integral_value:
-            return Fraction(bound.numerator // bound.denominator)
-        return bound
-
     def push(state, res):
         nonlocal seq
-        if res.status == OPTIMAL and (best_val is None or strength(res.value) > best_val):
+        if res.status == OPTIMAL and (best_val is None or res.value > best_val):
             # ties on the bound pop newest-first: on a value plateau the
             # search dives to an integral point instead of sweeping the tie
-            heapq.heappush(heap, (-strength(res.value), -seq, state, res))
+            heapq.heappush(heap, (-res.value, -seq, state, res))
             seq += 1
 
     push(state, root)

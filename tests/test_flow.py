@@ -42,26 +42,24 @@ def brute_transport(p: TransportProblem):
 
 
 def transport_lp(p: TransportProblem) -> LpProblem:
-    """The same polytope as an equality-form LP, variables row-major."""
+    """The same polytope as an LP with equality rows, variables row-major."""
     n, t = len(p.row_totals), len(p.col_totals)
     nv = n * t
-    rows, rhs = [], []
+    rows = []
     for i in range(n):
         row = [0] * nv
         for h in range(t):
             row[i * t + h] = 1
-        rows.append(row)
-        rhs.append(p.row_totals[i])
+        rows.append((row, p.row_totals[i], p.row_totals[i]))
     for h in range(t):
         row = [0] * nv
         for i in range(n):
             row[i * t + h] = 1
-        rows.append(row)
-        rhs.append(p.col_totals[h])
+        rows.append((row, p.col_totals[h], p.col_totals[h]))
     c = [p.cell_profit[i][h] for i in range(n) for h in range(t)]
     lo = [p.cell_lower[i][h] for i in range(n) for h in range(t)]
     hi = [p.cell_upper[i][h] for i in range(n) for h in range(t)]
-    return LpProblem.make(c, rows, rhs, lo, hi)
+    return LpProblem.make(c, rows, lo, hi)
 
 
 def random_transport(rng, n, t, low_bounds=False, magnitude=6):

@@ -9,6 +9,7 @@ from blockip.fourblock_snf import (
     cell_values,
     elimination_from_bezout,
     elimination_from_snf,
+    enumerate_cells,
     solve_4block_snf,
 )
 from blockip.intlin import integer_rank
@@ -129,6 +130,8 @@ def test_rejects_wide_brick_matrix():
 def test_rejects_unknown_elimination_route():
     with pytest.raises(MalformedProblemError):
         solve_4block_snf(running_example(), eliminate="lll")
+    with pytest.raises(MalformedProblemError):
+        cell_values(running_example(), eliminate="lll")
 
 
 def test_divisibility_gap_is_infeasible():
@@ -309,6 +312,35 @@ def test_every_cell_value_is_dominated_by_the_optimum():
         assert vals and max(vals) == got.objective
         assert all(v <= got.objective for v in vals)
         checked += 1
+
+
+def test_cell_mips_have_no_slack_columns():
+    # one column per shared variable, per grid coordinate's remainder and
+    # quotient, per zero-step coordinate, and the merged free integer p;
+    # the inequality rows are ranged rows, not slack columns
+    rng = random.Random(43)
+    cells = zero_step_cells = 0
+    for trial in range(40):
+        A = IntMatrix.from_rows([(2, 0)]) if trial % 4 == 0 else None
+        inst = random_instance(rng, A=A, n=rng.randint(1, 3), seeded_rate=1.0)
+        elim = elimination_from_snf(inst)
+        if isinstance(elim, Infeasible):
+            continue
+        grid = build_grid(
+            elim,
+            [inst.l[inst.brick_slice(i)] for i in range(inst.n)],
+            [inst.u[inst.brick_slice(i)] for i in range(inst.n)],
+        )
+        zero_hs = sum(1 for th in elim.theta if th == 0)
+        grid_hs = inst.t_A - zero_hs
+        width = inst.t_B + 2 * grid_hs + zero_hs + 1
+        for cell in enumerate_cells(inst, elim, grid):
+            lp = cell.mip.lp
+            assert len(lp.objective) == len(cell.mip.integer_mask) == width
+            assert all(len(coeffs) == width for coeffs, _, _ in lp.rows)
+            cells += 1
+            zero_step_cells += zero_hs > 0
+    assert cells >= 40 and zero_step_cells >= 5
 
 
 def test_elimination_routes_agree_on_single_row_bricks():

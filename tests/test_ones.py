@@ -34,13 +34,12 @@ def build_mip2(inst: FourBlockInstance) -> MipProblem:
 
     y_lo, y_hi = _y_box(inst)
 
-    rows, rhs = [], []
+    rows = []
     for r in range(sC):
         row = [0] * nv
         row[:tB] = inst.C.row(r)
         row[tB:tB + tA] = inst.D.row(r)
-        rows.append(row)
-        rhs.append(inst.b0[r])
+        rows.append((row, inst.b0[r], inst.b0[r]))
     brow = inst.B.row(0) if inst.s_A else ()
     for i in range(n):
         row = [0] * nv
@@ -48,21 +47,19 @@ def build_mip2(inst: FourBlockInstance) -> MipProblem:
         s = tB + tA + i * tA
         for h in range(tA):
             row[s + h] = 1
-        rows.append(row)
-        rhs.append(inst.b[i][0])
+        rows.append((row, inst.b[i][0], inst.b[i][0]))
     for h in range(tA):
         row = [0] * nv
         row[tB + h] = -1
         for i in range(n):
             row[tB + tA + i * tA + h] = 1
-        rows.append(row)
-        rhs.append(0)
+        rows.append((row, 0, 0))
 
     c = list(inst.w[:tB]) + [0] * tA + list(inst.w[tB:])
     lo = list(inst.l[:tB]) + y_lo + list(inst.l[tB:])
     hi = list(inst.u[:tB]) + y_hi + list(inst.u[tB:])
     mask = [True] * (tB + tA) + [False] * (n * tA)
-    return MipProblem.make(LpProblem.make(c, rows, rhs, lo, hi), mask)
+    return MipProblem.make(LpProblem.make(c, rows, lo, hi), mask)
 
 
 def ones_instance(n, t_A, t_B, s_C, rng, width=4, coeff=5, seeded=True):
@@ -357,8 +354,8 @@ def test_one_flow_per_transport_and_no_lp_over_the_bricks(monkeypatch):
 def test_aggregate_search_makes_no_cold_two_phase_solve(monkeypatch):
     # the bound LP is one warm tableau: one slack start per search, then
     # only warm re-solves that add cuts as rows and edit the box
-    calls = {"solve_lp": 0, "two_phase": 0, "slack_start": 0, "edited": 0}
-    real_phases, real_start, real_edited = ratlp._run_phases, ratlp._Simplex.slack_start, ratlp.WarmLp.edited
+    calls = {"solve_lp": 0, "slack_start": 0, "edited": 0}
+    real_start, real_edited = ratlp._Simplex.slack_start, ratlp.WarmLp.edited
 
     def count(name, real):
         def spy(*args, **kwargs):
@@ -367,7 +364,6 @@ def test_aggregate_search_makes_no_cold_two_phase_solve(monkeypatch):
         return spy
 
     monkeypatch.setattr(ones, "solve_lp", count("solve_lp", ones.solve_lp))
-    monkeypatch.setattr(ratlp, "_run_phases", count("two_phase", real_phases))
     monkeypatch.setattr(ratlp._Simplex, "slack_start", staticmethod(count("slack_start", real_start)))
     monkeypatch.setattr(ratlp.WarmLp, "edited", count("edited", real_edited))
     rng = random.Random(9116)
@@ -380,7 +376,7 @@ def test_aggregate_search_makes_no_cold_two_phase_solve(monkeypatch):
         for k in calls:
             calls[k] = 0
         solve_ones(inst)
-        assert calls["solve_lp"] == 0 and calls["two_phase"] == 0, (trial,)
+        assert calls["solve_lp"] == 0, (trial,)
         assert calls["slack_start"] <= 1, (trial,)  # more would mean a stall
         searched += calls["edited"] > 0
     assert searched >= 10

@@ -14,13 +14,17 @@ from blockip.ratlp import (
     LpResult,
     WarmLp,
     solve_lp,
-    solve_lp_ranged,
     solve_lp_warm,
 )
 
+try:  # an independent float reference for the exact answers
+    from scipy.optimize import Bounds, LinearConstraint, milp
+except ImportError:
+    milp = None
+
 
 def test_box_only_maximum():
-    p = LpProblem.make([1], [], [], [0], [5])
+    p = LpProblem.make([1], [], [0], [5])
     res = solve_lp(p)
     assert res.status == OPTIMAL
     assert res.value == 5
@@ -28,20 +32,20 @@ def test_box_only_maximum():
 
 
 def test_single_equality():
-    p = LpProblem.make([1, 1], [[1, 1]], [3], [0, 0], [2, 2])
+    p = LpProblem.make([1, 1], [([1, 1], 3, 3)], [0, 0], [2, 2])
     res = solve_lp(p)
     assert res.status == OPTIMAL
     assert res.value == 3
 
 
 def test_infeasible_equality():
-    p = LpProblem.make([1, 1], [[1, 1]], [7], [0, 0], [2, 2])
+    p = LpProblem.make([1, 1], [([1, 1], 7, 7)], [0, 0], [2, 2])
     assert solve_lp(p).status == INFEASIBLE
 
 
 def test_fractional_optimum_is_exact():
     # max x + y s.t. 2x + 3y = 4 over [0,1]^2: x=1, y=2/3
-    p = LpProblem.make([1, 1], [[2, 3]], [4], [0, 0], [1, 1])
+    p = LpProblem.make([1, 1], [([2, 3], 4, 4)], [0, 0], [1, 1])
     res = solve_lp(p)
     assert res.status == OPTIMAL
     assert res.value == Fraction(5, 3)
@@ -51,8 +55,7 @@ def test_fractional_optimum_is_exact():
 def test_negative_bounds_and_degenerate_rows():
     p = LpProblem.make(
         [1, -2, 0],
-        [[1, 1, 1], [2, 2, 2]],  # second row redundant
-        [0, 0],
+        [([1, 1, 1], 0, 0), ([2, 2, 2], 0, 0)],  # second row redundant
         [-3, -3, -3],
         [3, 3, 3],
     )
@@ -64,14 +67,15 @@ def test_negative_bounds_and_degenerate_rows():
 
 def test_malformed_rejected():
     with pytest.raises(MalformedProblemError):
-        solve_lp(LpProblem.make([1, 1], [[1]], [0], [0, 0], [1, 1]))
+        solve_lp(LpProblem.make([1, 1], [([1], 0, 0)], [0, 0], [1, 1]))
     with pytest.raises(MalformedProblemError):
-        solve_lp(LpProblem.make([1], [], [], [2], [1]))
+        solve_lp(LpProblem.make([1], [], [2], [1]))
 
 
 def test_zero_variable_problem():
-    assert solve_lp(LpProblem.make([], [], [], [], [])).status == OPTIMAL
-    assert solve_lp(LpProblem.make([], [[]], [1], [], [])).status == INFEASIBLE
+    assert solve_lp(LpProblem.make([], [], [], [])).status == OPTIMAL
+    assert solve_lp(LpProblem.make([], [([], 0, 0)], [], [])).status == OPTIMAL
+    assert solve_lp(LpProblem.make([], [([], 1, 1)], [], [])).status == INFEASIBLE
 
 
 def random_lp(rng, feasible=True):
@@ -86,28 +90,35 @@ def random_lp(rng, feasible=True):
     else:
         rhs = [Fraction(rng.randint(-30, 30)) for _ in rows]
     obj = [Fraction(rng.randint(-5, 5)) for _ in range(n)]
-    return LpProblem.make(obj, rows, rhs, lower, upper)
+    return LpProblem.make(obj, [(row, b, b) for row, b in zip(rows, rhs)], lower, upper)
+
+
+def assert_agrees_with_highs(res, p):
+    """res, the exact result for p, against HiGHS on p in floats."""
+    rows = p.rows
+    out = milp(
+        [-float(c) for c in p.objective],
+        constraints=LinearConstraint(
+            [[float(a) for a in coeffs] for coeffs, _, _ in rows],
+            [float(lo) for _, lo, _ in rows],
+            [float(hi) for _, _, hi in rows],
+        ) if rows else None,
+        bounds=Bounds([float(v) for v in p.lower], [float(v) for v in p.upper]),
+    )
+    if res.status == OPTIMAL:
+        assert out.status == 0, f"HiGHS disagrees on feasibility: {out.status}"
+        assert abs(float(res.value) - (-out.fun)) < 1e-6 * max(1.0, abs(float(res.value)))
+    else:
+        assert out.status == 2
 
 
 def test_random_battery_against_scipy():
-    scipy_lp = pytest.importorskip("scipy.optimize").linprog
+    if milp is None:
+        pytest.skip("needs scipy.optimize.milp")
     rng = random.Random(500)
     for trial in range(120):
         p = random_lp(rng, feasible=trial % 3 != 0)
-        res = solve_lp(p)
-        n = len(p.objective)
-        out = scipy_lp(
-            c=[-float(c) for c in p.objective],
-            A_eq=[[float(a) for a in row] for row in p.eq_matrix] or None,
-            b_eq=[float(b) for b in p.eq_rhs] or None,
-            bounds=[(float(lo), float(up)) for lo, up in zip(p.lower, p.upper)],
-            method="highs",
-        )
-        if res.status == OPTIMAL:
-            assert out.status == 0, f"scipy disagrees on feasibility: {out.status}"
-            assert abs(float(res.value) - (-out.fun)) < 1e-6 * max(1.0, abs(float(res.value)))
-        else:
-            assert out.status == 2
+        assert_agrees_with_highs(solve_lp(p), p)
 
 
 def test_exactness_audit_battery():
@@ -119,8 +130,8 @@ def test_exactness_audit_battery():
             continue
         n = len(p.objective)
         assert sum(p.objective[j] * res.point[j] for j in range(n)) == res.value
-        for row, rhs in zip(p.eq_matrix, p.eq_rhs):
-            assert sum(row[j] * res.point[j] for j in range(n)) == rhs
+        for coeffs, lo, hi in p.rows:
+            assert lo <= sum(coeffs[j] * res.point[j] for j in range(n)) <= hi
         for j in range(n):
             assert p.lower[j] <= res.point[j] <= p.upper[j]
 
@@ -129,7 +140,7 @@ def with_box(p, j, lo, up):
     """The same program with variable j's box replaced (bypasses validation)."""
     lower = list(p.lower[:j]) + [Fraction(lo)] + list(p.lower[j + 1:])
     upper = list(p.upper[:j]) + [Fraction(up)] + list(p.upper[j + 1:])
-    return LpProblem(p.objective, p.eq_matrix, p.eq_rhs, lower, upper)
+    return LpProblem(p.objective, p.rows, lower, upper)
 
 
 def test_warm_reoptimize_matches_cold_solve():
@@ -172,12 +183,12 @@ def _current(state, p):
     n = len(p.objective)
     lower = tuple(state.bounds(j)[0] for j in range(n))
     upper = tuple(state.bounds(j)[1] for j in range(n))
-    return LpProblem(p.objective, p.eq_matrix, p.eq_rhs, lower, upper)
+    return LpProblem(p.objective, p.rows, lower, upper)
 
 
 def test_warm_state_serves_both_children():
     # one parent state must answer two different edits of the same variable
-    p = LpProblem.make([3, 2, 1], [[1, 1, 1]], [4], [0, 0, 0], [3, 3, 3])
+    p = LpProblem.make([3, 2, 1], [([1, 1, 1], 4, 4)], [0, 0, 0], [3, 3, 3])
     res, state = solve_lp_warm(p)
     assert res.status == OPTIMAL and res.value == 11  # x=3, y=1
     down, down_state = state.reoptimized(0, 0, 2)
@@ -190,7 +201,7 @@ def test_warm_state_serves_both_children():
 
 
 def test_warm_empty_box_is_infeasible():
-    p = LpProblem.make([1, 1], [[1, 1]], [3], [0, 0], [2, 2])
+    p = LpProblem.make([1, 1], [([1, 1], 3, 3)], [0, 0], [2, 2])
     _, state = solve_lp_warm(p)
     res, nxt = state.reoptimized(0, 2, 1)
     assert res.status == INFEASIBLE and nxt is None
@@ -198,7 +209,7 @@ def test_warm_empty_box_is_infeasible():
 
 def test_warm_tightening_can_cut_all_solutions():
     # x + y = 3 with both boxes squeezed to [0,1] leaves nothing
-    p = LpProblem.make([1, 0], [[1, 1]], [3], [0, 0], [2, 2])
+    p = LpProblem.make([1, 0], [([1, 1], 3, 3)], [0, 0], [2, 2])
     _, state = solve_lp_warm(p)
     res, state = state.reoptimized(0, 0, 1)
     assert res.status == OPTIMAL
@@ -210,14 +221,13 @@ def cold_program(p, ranged, lower, upper):
     """p with boxes replaced and ranged rows lo <= a . x <= hi added, in
     equality form: one extra column per ranged row, a . x - s = 0 with s
     boxed to [lo, hi] and worth nothing."""
-    n, k = len(p.objective), len(ranged)
-    matrix = [list(row) + [0] * k for row in p.eq_matrix]
+    k = len(ranged)
+    rows = [(list(coeffs) + [0] * k, lo, hi) for coeffs, lo, hi in p.rows]
     for r, (coeffs, _, _) in enumerate(ranged):
-        matrix.append(list(coeffs) + [0] * r + [-1] + [0] * (k - r - 1))
+        rows.append((list(coeffs) + [0] * r + [-1] + [0] * (k - r - 1), 0, 0))
     return LpProblem.make(
         list(p.objective) + [0] * k,
-        matrix,
-        list(p.eq_rhs) + [0] * k,
+        rows,
         list(lower) + [lo for _, lo, _ in ranged],
         list(upper) + [hi for _, _, hi in ranged],
     )
@@ -231,8 +241,16 @@ def random_row(rng, n, point):
 
 
 def check_against_cold(res, nxt, p, ranged, lower, upper):
+    """The warm result res against the cold solve of the same program in
+    equality form and, where scipy is installed, against HiGHS on it."""
     empty = any(lo > hi for lo, hi in zip(lower, upper)) or any(lo > hi for _, lo, hi in ranged)
-    cold = LpResult(INFEASIBLE) if empty else solve_lp(cold_program(p, ranged, lower, upper))
+    if empty:
+        cold = LpResult(INFEASIBLE)
+    else:
+        program = cold_program(p, ranged, lower, upper)
+        cold = solve_lp(program)
+        if milp is not None:
+            assert_agrees_with_highs(res, program)
     assert res.status == cold.status
     if res.status != OPTIMAL:
         assert nxt is None
@@ -295,8 +313,8 @@ def test_slack_start_matches_cold_solves_and_chains():
         seed = [lo + rng.randint(0, int(up - lo)) for lo, up in zip(lower, upper)]
         rows = [random_row(rng, n, seed) for _ in range(rng.randint(0, 4))]
         objective = [rng.randint(-5, 5) for _ in range(n)]
-        p = LpProblem.make(objective, [], [], lower, upper)
-        res, state = solve_lp_ranged(objective, rows, lower, upper)
+        p = LpProblem.make(objective, [], lower, upper)
+        res, state = solve_lp_warm(LpProblem.make(objective, rows, lower, upper))
         checked += 1
         if not check_against_cold(res, state, p, rows, lower, upper):
             infeasible += 1
@@ -340,7 +358,7 @@ def test_pivot_budget_stall_rebuilds_cold_with_the_same_optimum(monkeypatch):
 
 
 def test_warm_audit_rejects_an_inconsistent_tableau():
-    res, state = solve_lp_ranged([1, 1], [([1, 1], 0, 3)], [0, 0], [2, 2])
+    res, state = solve_lp_warm(LpProblem.make([1, 1], [([1, 1], 0, 3)], [0, 0], [2, 2]))
     assert res.status == OPTIMAL and res.value == 3
     tampered = WarmLp(state._objective, [([(0, Fraction(1))], 0, 0)], state._simplex)
     with pytest.raises(InternalInconsistencyError):
@@ -352,6 +370,9 @@ def test_warm_audit_rejects_an_inconsistent_tableau():
 
 def test_ranged_rows_checked_for_width():
     with pytest.raises(MalformedProblemError):
-        solve_lp_ranged([1, 1], [([1], 0, 1)], [0, 0], [1, 1])
-    res, state = solve_lp_ranged([1], [([1], 2, 1)], [0], [5])
+        solve_lp_warm(LpProblem.make([1, 1], [([1], 0, 1)], [0, 0], [1, 1]))
+    res, state = solve_lp_warm(LpProblem.make([1], [([1], 2, 1)], [0], [5]))
     assert res.status == INFEASIBLE and state is None
+    _, state = solve_lp_warm(LpProblem.make([1, 1], [], [0, 0], [1, 1]))
+    with pytest.raises(MalformedProblemError):
+        state.edited(rows=[([1], 0, 1)])
