@@ -364,12 +364,7 @@ def evaluate(inst, x) -> EvaluationReport:
             lhs = bx0[r] + ax[r]
             if lhs != inst.b[i][r]:
                 violations.append(f"block {i} row {r}: lhs {lhs} != rhs {inst.b[i][r]}")
-    for j in range(N):
-        if x[j] < inst.l[j]:
-            violations.append(f"x[{j}] = {x[j]} below lower bound {inst.l[j]}")
-        elif x[j] > inst.u[j]:
-            violations.append(f"x[{j}] = {x[j]} above upper bound {inst.u[j]}")
-    objective = sum(inst.w[j] * x[j] for j in range(N))
+    objective = _box_and_objective(inst, x, violations)
     return EvaluationReport(not violations, objective, tuple(violations))
 
 
@@ -380,13 +375,20 @@ def _evaluate_dense(inst, x) -> EvaluationReport:
         lhs = sum(c * v for c, v in zip(coeffs, x))
         if lhs != rhs:
             violations.append(f"row {idx}: lhs {lhs} != rhs {rhs}")
-    for j in range(inst.num_vars):
-        if x[j] < inst.l[j]:
-            violations.append(f"x[{j}] = {x[j]} below lower bound {inst.l[j]}")
-        elif x[j] > inst.u[j]:
-            violations.append(f"x[{j}] = {x[j]} above upper bound {inst.u[j]}")
-    objective = sum(inst.w[j] * x[j] for j in range(inst.num_vars))
+    objective = _box_and_objective(inst, x, violations)
     return EvaluationReport(not violations, objective, tuple(violations))
+
+
+def _box_and_objective(inst, x, violations) -> int:
+    """Append x's box violations to violations and return w . x, in one pass."""
+    objective = 0
+    for j, (v, lo, hi, w) in enumerate(zip(x, inst.l, inst.u, inst.w)):
+        if v < lo:
+            violations.append(f"x[{j}] = {v} below lower bound {lo}")
+        elif v > hi:
+            violations.append(f"x[{j}] = {v} above upper bound {hi}")
+        objective += w * v
+    return objective
 
 
 # ---------------------------------------------------------------------------

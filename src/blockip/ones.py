@@ -11,9 +11,14 @@ cuts from transportation duals, blocking-set cuts from the max-flow min-cut
 feasibility condition, and box splitting with floor pruning (every candidate
 value is an integer).  Third, the winning aggregate is redistributed over
 the bricks, and that redistribution is the search's own transport at the
-winning aggregate: it was solved once during the search and certified
-optimal there by integral dual prices whose dual value equals its
-objective, so it is neither solved nor checked a second time.
+winning aggregate.  Every transport of the search is solved by
+flow.solve_transport, which fills each brick greedily and then moves units
+between the t_A columns along shortest paths over those t_A nodes alone,
+the bricks entering only through one heap per ordered column pair.  The
+winning transport was solved once during the search and certified optimal
+there by integral dual prices, again shortest distances over the t_A
+columns, whose dual value equals its objective, so it is neither solved
+nor checked a second time.
 """
 
 from __future__ import annotations
@@ -235,9 +240,16 @@ def _transport_problem(inst: FourBlockInstance, ctx: OnesContext) -> TransportPr
 def _transport_duals(p: TransportProblem, res: TransportResult):
     """Optimal dual prices (row, column), certifying that res is optimal.
 
-    Bellman-Ford over the residual graph of res's cells, all nodes seeded at
-    distance zero, yields potentials exactly when the residual graph has no
-    negative cycle, which optimality guarantees.  The certificate is then
+    The prices are shortest distances in the residual graph of res's cells
+    (arcs row -> column at cost -profit where a cell has room, column -> row
+    at cost profit where it is above its lower bound) from a virtual source
+    joined to every node at cost zero; they exist exactly when the residual
+    graph has no negative cycle, which optimality guarantees.  Rows only
+    pass paths between columns, so Bellman-Ford runs over the t columns:
+    each is seeded at min(0, least -profit over the rows with room in it),
+    the cheapest row exchange h -> g is relaxed for t rounds, and a row's
+    price is min(0, least d_h + profit over its cells above their lower
+    bound).  The certificate is then
     checked from scratch: the cells meet every box and total, their profit is
     res.objective, and for the integral prices a, c the dual value
     a . r + c . y + sum over cells of max(gap * lower, gap * upper), with
@@ -267,28 +279,33 @@ def _transport_duals(p: TransportProblem, res: TransportResult):
         raise InternalInconsistencyError(
             f"transport cells are worth {primal}, not the reported {res.objective}"
         )
-    arcs = []
+    d = [0] * t  # column distances
+    pair = {}  # (h, g) -> cheapest p_ih - p_ig over rows i that can exchange
+    above = []
     for i in range(n):
-        for h in range(t):
-            z = cells[i][h]
-            if z < p.cell_upper[i][h]:
-                arcs.append((i, n + h, -p.cell_profit[i][h]))
-            if z > p.cell_lower[i][h]:
-                arcs.append((n + h, i, p.cell_profit[i][h]))
-    dist = [0] * (n + t)
-    for _ in range(n + t):
+        z, lo, up, pr = cells[i], p.cell_lower[i], p.cell_upper[i], p.cell_profit[i]
+        room = [g for g in range(t) if z[g] < up[g]]
+        above.append([h for h in range(t) if z[h] > lo[h]])
+        for g in room:
+            if -pr[g] < d[g]:
+                d[g] = -pr[g]
+        for h in above[i]:
+            for g in room:
+                cost = pr[h] - pr[g]
+                if g != h and ((h, g) not in pair or cost < pair[h, g]):
+                    pair[h, g] = cost
+    for _ in range(t):
         changed = False
-        for tail, head, cost in arcs:
-            nd = dist[tail] + cost
-            if nd < dist[head]:
-                dist[head] = nd
+        for (h, g), cost in pair.items():
+            if d[h] + cost < d[g]:
+                d[g] = d[h] + cost
                 changed = True
         if not changed:
             break
     else:
         raise InternalInconsistencyError("negative cycle in optimal transport residual")
-    a = dist[:n]
-    c = [-dist[n + h] for h in range(t)]
+    a = [min([0] + [d[h] + p.cell_profit[i][h] for h in above[i]]) for i in range(n)]
+    c = [-dh for dh in d]
     dual = sum(a[i] * p.row_totals[i] for i in range(n))
     dual += sum(c[h] * p.col_totals[h] for h in range(t))
     for i in range(n):

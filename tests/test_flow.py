@@ -4,16 +4,10 @@ import random
 import pytest
 
 from blockip.errors import MalformedProblemError
-from blockip.flow import (
-    FlowResult,
-    Network,
-    TransportProblem,
-    TransportResult,
-    min_cost_flow,
-    solve_transport,
-)
+from blockip.flow import TransportProblem, TransportResult, solve_transport
 from blockip.model import Infeasible
-from blockip.ratlp import OPTIMAL, LpProblem, solve_lp
+from blockip.ones import _transport_duals
+from blockip.ratlp import INFEASIBLE, OPTIMAL, LpProblem, solve_lp
 
 
 def brute_transport(p: TransportProblem):
@@ -62,6 +56,32 @@ def transport_lp(p: TransportProblem) -> LpProblem:
     return LpProblem.make(c, rows, lo, hi)
 
 
+def networkx_optimum(p: TransportProblem):
+    """Profit optimum by networkx's network simplex, or None when infeasible.
+
+    The lower bounds are shifted out first, so it applies only when they
+    leave every total nonnegative.
+    """
+    nx = pytest.importorskip("networkx")
+    n, t = len(p.row_totals), len(p.col_totals)
+    g = nx.DiGraph()
+    shipped = 0
+    for h in range(t):
+        g.add_node(("col", h), demand=p.col_totals[h] - sum(p.cell_lower[i][h] for i in range(n)))
+    for i in range(n):
+        g.add_node(("row", i), demand=sum(p.cell_lower[i]) - p.row_totals[i])
+        for h in range(t):
+            shipped += p.cell_profit[i][h] * p.cell_lower[i][h]
+            g.add_edge(("row", i), ("col", h),
+                       capacity=p.cell_upper[i][h] - p.cell_lower[i][h],
+                       weight=-p.cell_profit[i][h])
+    try:
+        cost, _ = nx.network_simplex(g)
+    except nx.NetworkXUnfeasible:
+        return None
+    return shipped - cost
+
+
 def random_transport(rng, n, t, low_bounds=False, magnitude=6):
     cells = [[rng.randint(0, magnitude) for _ in range(t)] for _ in range(n)]
     lower = [[0] * t for _ in range(n)]
@@ -77,63 +97,49 @@ def random_transport(rng, n, t, low_bounds=False, magnitude=6):
     return TransportProblem.make(row_totals, col_totals, lower, upper, profit)
 
 
+def assert_certified(p: TransportProblem, res):
+    """res is a TransportResult meeting every box and total, certified optimal."""
+    assert isinstance(res, TransportResult)
+    _transport_duals(p, res)  # raises unless feasible, worth res.objective and optimal
+
+
 def test_single_arc_exact_supply():
-    net = Network(2)
-    net.set_supply(0, 3)
-    net.set_supply(1, -3)
-    net.add_arc(0, 1, 3, 7)
-    res = min_cost_flow(net)
-    assert isinstance(res, FlowResult)
-    assert res.flows == (3,)
-    assert res.cost == 21
+    # one cell: the whole total crosses it, whatever its profit
+    p = TransportProblem.make([3], [3], [[0]], [[3]], [[7]])
+    res = solve_transport(p)
+    assert res.cells == ((3,),)
+    assert res.objective == 21
 
 
 def test_zero_supply_network():
-    net = Network(3)
-    net.add_arc(0, 1, 5, 1)
-    net.add_arc(1, 2, 5, 1)
-    res = min_cost_flow(net)
-    assert res.flows == (0, 0)
-    assert res.cost == 0
-
-
-def test_supply_imbalance_infeasible():
-    net = Network(2)
-    net.set_supply(0, 2)
-    net.set_supply(1, -1)
-    net.add_arc(0, 1, 5, 0)
-    assert isinstance(min_cost_flow(net), Infeasible)
+    p = TransportProblem.make([0, 0], [0, 0, 0], [[0] * 3] * 2, [[5] * 3] * 2,
+                              [[1, -2, 3], [4, 0, -1]])
+    res = solve_transport(p)
+    assert res.cells == ((0, 0, 0), (0, 0, 0))
+    assert res.objective == 0
 
 
 def test_capacity_shortfall_infeasible():
-    net = Network(2)
-    net.set_supply(0, 4)
-    net.set_supply(1, -4)
-    net.add_arc(0, 1, 3, 0)
-    res = min_cost_flow(net)
+    # every total is met in sum, but the cells cannot carry row 0's total
+    p = TransportProblem.make([4, 0], [2, 2], [[0, 0], [0, 0]], [[1, 2], [5, 5]], [[0, 0], [0, 0]])
+    res = solve_transport(p)
     assert isinstance(res, Infeasible)
     assert res.reason == "NoAugmentingPath"
-
-
-def test_negative_cycle_rejected():
-    net = Network(2)
-    net.add_arc(0, 1, 1, -1)
-    net.add_arc(1, 0, 1, -1)
-    with pytest.raises(MalformedProblemError):
-        min_cost_flow(net)
+    # and a column deficit that no row has room to fill
+    p = TransportProblem.make([2, 2], [3, 1], [[0, 0], [0, 0]], [[1, 1], [1, 1]], [[0, 0], [0, 0]])
+    assert solve_transport(p).reason == "NoAugmentingPath"
 
 
 def test_negative_cost_arcs_priced_correctly():
-    # two routes, the longer one cheaper through a negative arc
-    net = Network(3)
-    net.set_supply(0, 2)
-    net.set_supply(2, -2)
-    net.add_arc(0, 2, 2, 5)
-    net.add_arc(0, 1, 2, 1)
-    net.add_arc(1, 2, 2, -3)
-    res = min_cost_flow(net)
-    assert res.cost == -4
-    assert res.flows == (0, 2, 2)
+    # the greedy start puts row 0 on column 0; the demand of column 1 forces
+    # a unit back, and the cheaper exchange is row 1's, through a negative cell
+    p = TransportProblem.make(
+        [2, 2], [3, 1], [[0, 0], [0, 0]], [[2, 2], [2, 2]], [[5, 1], [-1, -3]]
+    )
+    res = solve_transport(p)
+    assert res.objective == 10 - 1 - 3
+    assert res.cells == ((2, 0), (1, 1))
+    assert_certified(p, res)
 
 
 def test_bipartite_2x2_matches_enumeration():
@@ -166,7 +172,9 @@ def test_totals_mismatch_infeasible():
 def test_lower_bounds_exceeding_totals_infeasible():
     p = TransportProblem.make([1, 1], [1, 1], [[1, 1], [0, 0]],
                               [[2, 2], [2, 2]], [[0, 0], [0, 0]])
-    assert isinstance(solve_transport(p), Infeasible)
+    res = solve_transport(p)
+    assert isinstance(res, Infeasible)
+    assert res.reason == "LowerBoundsExceedTotals"
 
 
 def test_empty_cell_box_rejected():
@@ -214,3 +222,143 @@ def test_huge_supplies_complete():
     assert isinstance(res, TransportResult)
     lp = solve_lp(transport_lp(p))
     assert res.objective == lp.value
+
+
+def perturbed_transport(rng, n, t, two_points=False):
+    """Random transport with negative profits, lower bounds and zero-width
+    cells, about a third of them with totals nudged off their witness.
+
+    With two_points the column totals come from a second in-box point
+    (balanced on column 0), which takes many augmentations to reach.
+    """
+    lower = [[rng.randint(-3, 2) for _ in range(t)] for _ in range(n)]
+    upper = [[lo + rng.choice((0, rng.randint(0, 6))) for lo in row] for row in lower]
+    profit = [[rng.randint(-9, 9) for _ in range(t)] for _ in range(n)]
+    z = [[rng.randint(lower[i][h], upper[i][h]) for h in range(t)] for i in range(n)]
+    rows = [sum(r) for r in z]
+    if two_points:
+        z = [[rng.randint(lower[i][h], upper[i][h]) for h in range(t)] for i in range(n)]
+    cols = [sum(z[i][h] for i in range(n)) for h in range(t)]
+    if two_points:
+        cols[0] += sum(rows) - sum(cols)
+    elif rng.random() < 0.35:
+        shift = rng.choice((-2, -1, 1, 2))
+        cols[rng.randrange(t)] += shift
+        if n and rng.random() < 0.75:  # balanced totals, the cells may not fit
+            rows[rng.randrange(n)] += shift
+    return TransportProblem.make(rows, cols, lower, upper, profit)
+
+
+def expected_reason(p: TransportProblem):
+    """The reason code an infeasible transport must carry."""
+    n, t = len(p.row_totals), len(p.col_totals)
+    if sum(p.row_totals) != sum(p.col_totals):
+        return "TotalsMismatch"
+    if any(sum(p.cell_lower[i]) > p.row_totals[i] for i in range(n)) or any(
+        sum(p.cell_lower[i][h] for i in range(n)) > p.col_totals[h] for h in range(t)
+    ):
+        return "LowerBoundsExceedTotals"
+    return "NoAugmentingPath"
+
+
+def test_differential_battery_against_network_simplex_and_lp():
+    # n up to 300 against networkx; the exact LP joins where it stays small
+    rng = random.Random(8103)
+    reasons = {}
+    for trial in range(180):
+        n = rng.choice((0, 1, 2, 5, 12, 40, 120, 300)) if trial % 3 else rng.randint(0, 6)
+        t = rng.randint(1, 5)
+        p = perturbed_transport(rng, n, t, two_points=trial % 4 == 1)
+        res = solve_transport(p)
+        want = expected_reason(p)
+        if want != "NoAugmentingPath":
+            assert isinstance(res, Infeasible) and res.reason == want, (trial, res)
+            reasons[want] = reasons.get(want, 0) + 1
+            continue
+        ref = networkx_optimum(p)
+        if n * t <= 24:
+            lp = solve_lp(transport_lp(p))
+            assert (lp.value if lp.status == OPTIMAL else None) == ref, (trial, lp)
+        if ref is None:
+            assert isinstance(res, Infeasible) and res.reason == want, (trial, res)
+            reasons[want] = reasons.get(want, 0) + 1
+        else:
+            assert_certified(p, res)
+            assert res.objective == ref, (trial, res.objective, ref)
+    assert min(reasons.get(r, 0) for r in (
+        "TotalsMismatch", "LowerBoundsExceedTotals", "NoAugmentingPath")) >= 5, reasons
+
+
+def test_long_augmentation_sequences_are_certified():
+    # the column potentials matter only once reversed exchanges pile up, so
+    # many small transports far from their greedy start, each certified by
+    # the independent dual check
+    rng = random.Random(8105)
+    certified = 0
+    for trial in range(1500):
+        p = perturbed_transport(rng, rng.randint(1, 30), rng.randint(2, 5), two_points=True)
+        res = solve_transport(p)
+        if isinstance(res, TransportResult):
+            assert_certified(p, res)
+            certified += 1
+        else:
+            assert res.reason == expected_reason(p), (trial, res)
+    assert certified >= 400
+
+
+def test_n2000_t3_certified_and_matches_network_simplex():
+    rng = random.Random(8104)
+    n, t = 2000, 3
+    lower = [[rng.randint(0, 2) for _ in range(t)] for _ in range(n)]
+    upper = [[lo + rng.randint(0, 8) for lo in row] for row in lower]
+    profit = [[rng.randint(-6, 6) for _ in range(t)] for _ in range(n)]
+    z = [[rng.randint(lower[i][h], upper[i][h]) for h in range(t)] for i in range(n)]
+    # column totals from a different point than the rows': the flow must move
+    # many units across columns, not just keep the greedy fill
+    w = [[rng.randint(lower[i][h], upper[i][h]) for h in range(t)] for i in range(n)]
+    rows = [sum(r) for r in z]
+    cols = [sum(w[i][h] for i in range(n)) for h in range(t)]
+    cols[0] += sum(rows) - sum(cols)
+    p = TransportProblem.make(rows, cols, lower, upper, profit)
+    res = solve_transport(p)
+    assert_certified(p, res)
+    assert res.objective == networkx_optimum(p)
+
+
+def test_edge_shapes_against_exact_lp():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def transports(draw):
+        n = draw(st.integers(0, 3))
+        t = draw(st.integers(1, 3))
+        big = draw(st.sampled_from((1, 10 ** 30)))
+        negative = draw(st.booleans())
+        lower = [[draw(st.integers(-3, 3)) * big + draw(st.integers(-2, 2)) for _ in range(t)]
+                 for _ in range(n)]
+        width = st.sampled_from((0, 0, 1, 3, big))
+        upper = [[lo + draw(width) for lo in row] for row in lower]
+        profit = [[draw(st.integers(-7, -1) if negative else st.integers(-7, 7))
+                   for _ in range(t)] for _ in range(n)]
+        z = [[draw(st.integers(lower[i][h], upper[i][h])) for h in range(t)] for i in range(n)]
+        rows = [sum(r) for r in z]
+        cols = [sum(z[i][h] for i in range(n)) for h in range(t)]
+        cols[draw(st.integers(0, t - 1))] += draw(st.sampled_from((0, 0, 0, 1, -1, big)))
+        if n and draw(st.booleans()):
+            rows[draw(st.integers(0, n - 1))] += sum(cols) - sum(rows)
+        return TransportProblem.make(rows, cols, lower, upper, profit)
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+    @hypothesis.given(transports())
+    def check(p):
+        res = solve_transport(p)
+        lp = solve_lp(transport_lp(p))
+        if isinstance(res, TransportResult):
+            assert_certified(p, res)
+            assert lp.status == OPTIMAL and lp.value == res.objective
+        else:
+            assert res.reason == expected_reason(p)
+            assert lp.status == INFEASIBLE
+
+    check()

@@ -254,6 +254,50 @@ def test_transport_duals_certify_supergradient():
             assert res2.objective <= bound
 
 
+def residual_distances(p: TransportProblem, cells):
+    """Bellman-Ford over all n + t residual nodes, every node seeded at zero."""
+    n, t = len(p.row_totals), len(p.col_totals)
+    arcs = []
+    for i in range(n):
+        for h in range(t):
+            if cells[i][h] < p.cell_upper[i][h]:
+                arcs.append((i, n + h, -p.cell_profit[i][h]))
+            if cells[i][h] > p.cell_lower[i][h]:
+                arcs.append((n + h, i, p.cell_profit[i][h]))
+    dist = [0] * (n + t)
+    for _ in range(n + t):
+        for tail, head, cost in arcs:
+            dist[head] = min(dist[head], dist[tail] + cost)
+    return dist
+
+
+def test_transport_duals_are_the_residual_shortest_distances():
+    # the column-only relaxation must give the very prices of a full
+    # Bellman-Ford, so the search's supergradient cuts do not change
+    rng = random.Random(9117)
+    checked = 0
+    for trial in range(150):
+        n, t = rng.randint(0, 12), rng.randint(1, 5)
+        lower = [[rng.randint(-2, 1) for _ in range(t)] for _ in range(n)]
+        upper = [[lo + rng.choice((0, rng.randint(0, 4))) for lo in row] for row in lower]
+        profit = [[rng.randint(-7, 7) for _ in range(t)] for _ in range(n)]
+        z = [[rng.randint(lower[i][h], upper[i][h]) for h in range(t)] for i in range(n)]
+        w = [[rng.randint(lower[i][h], upper[i][h]) for h in range(t)] for i in range(n)]
+        rows = [sum(row) for row in z]
+        cols = [sum(w[i][h] for i in range(n)) for h in range(t)]
+        cols[0] += sum(rows) - sum(cols)
+        p = TransportProblem.make(rows, cols, lower, upper, profit)
+        res = solve_transport(p)
+        if not isinstance(res, TransportResult):
+            continue
+        checked += 1
+        a, c = _transport_duals(p, res)
+        dist = residual_distances(p, res.cells)
+        assert list(a) == dist[:n], trial
+        assert list(c) == [-d for d in dist[n:]], trial
+    assert checked >= 50
+
+
 def test_large_magnitudes_complete_exactly():
     big = 10 ** 12
     A = IntMatrix.from_rows([[1, 1]])
