@@ -9,6 +9,15 @@ bounds (via pairwise quotient differences), and the greedy-merge windows
 leaves a family of constant-size integer programs.  Their best value is the
 optimum.
 
+Almost all of these cells have no integer point.  While a cell's rows are
+still sparse int maps, integer bound propagation over them (_propagate)
+proves most empty cells empty, and only the survivors become exact LPs and
+MIPs.  The screen removes only cells with no integer point, and survivors
+keep their untightened boxes, so the cell LPs and the answer are the same
+as without it.  The merge windows j = 1..n of one window combination are
+built in one pass along the rate order: each window's objective and its
+Lambda(j-1) extend the previous window's running sums by one brick.
+
 All enumeration is exact and the winning cell's solution is lifted back to a
 full point and re-checked against the original constraints; any disagreement
 raises instead of returning silently wrong output.
@@ -214,6 +223,50 @@ def _range_of(coeffs, lo, hi):
             mn += a * hi[j]
             mx += a * lo[j]
     return mn, mx
+
+
+# Rounds of bound propagation per cell.  A fixpoint can take as many rounds
+# as the coefficients are large (x - y <= -1 and y - x <= 0 over [0, M]
+# shrink the boxes by one per round), so the screen stops here and lets the
+# cell's LP decide.
+_PROPAGATION_ROUNDS = 30
+
+
+def _propagate(rows, lo, hi):
+    """Integer bound propagation; False when the box has no integer point.
+
+    rows are (coeffs, b) for sum_k coeffs[k] * x_k <= b, where coeffs maps a
+    variable index to a nonzero int, over integer x with lo <= x <= hi.  Each
+    row bounds every variable by the row's least activity over the others,
+    rounded inward because x is integral (Savelsbergh, ORSA J. Comput. 1994;
+    Achterberg, Constraint Integer Programming, 2007, ch. 7).  lo and hi are
+    tightened in place and never lose an integer point that meets every
+    row, so False is a proof of emptiness and True proves nothing.
+    """
+    for k in range(len(lo)):
+        if lo[k] > hi[k]:
+            return False
+    for _ in range(_PROPAGATION_ROUNDS):
+        changed = False
+        for coeffs, b in rows:
+            slack = b
+            for k, a in coeffs.items():
+                slack -= a * (lo[k] if a > 0 else hi[k])
+            if slack < 0:
+                return False
+            # x_k may move from its best bound by slack // |a| at most; the
+            # tightened bound stays on the box side, so lo <= hi holds
+            for k, a in coeffs.items():
+                if a > 0:
+                    if a * (hi[k] - lo[k]) > slack:
+                        hi[k] = lo[k] + slack // a
+                        changed = True
+                elif a * (lo[k] - hi[k]) > slack:
+                    lo[k] = hi[k] - slack // -a
+                    changed = True
+        if not changed:
+            break
+    return True
 
 
 class _CellBuilder:
@@ -427,8 +480,12 @@ def _cells_for_windows(builder, chosen, pairs, arg_lo, arg_hi, zlo, zhi):
         return {}
 
     def add(e, j, a):
+        # a sum that cancels drops its key: _propagate wants nonzero entries
+        a += e.get(j, 0)
         if a:
-            e[j] = e.get(j, 0) + a
+            e[j] = a
+        else:
+            e.pop(j, None)
 
     def dense(e):
         row = [0] * base_vars
@@ -516,38 +573,43 @@ def _cells_for_windows(builder, chosen, pairs, arg_lo, arg_hi, zlo, zhi):
         base_const += v * chosen[hl].d[i]
         add(base_obj, layout["z"][hl], -v)
 
+    # the integer screen: the inequality rows, and each equality row as two
+    # <= rows.  What it proves over the rows shared by every merge window holds
+    # in each window, so each window's screen starts from these bounds.
+    screen_rows = list(ineq_rows)
+    for e, b in eq_rows:
+        screen_rows.append((e, b))
+        screen_rows.append(({var: -coef for var, coef in e.items()}, -b))
+    shared_lo, shared_hi = list(lo), list(hi)
+    if not _propagate(screen_rows, shared_lo, shared_hi):
+        return
+
     order = builder.order
-    cap_by_brick = {i: caps[i - 1] for i in range(1, n)}
+    p = layout["p"]
+    # running sums over the bricks before the window, order[:j-2]: their
+    # objective terms, and Lambda(j-1), the sum of their caps
+    run_obj, run_const = expr(), 0
+    lam_prev, lam_prev_const = expr(), 0
     for j in range(1, n + 1):
-        obj = dict(base_obj)
-        const = base_const
         p_rows = []
+        if j > 2:
+            i = order[j - 3]
+            cc, hl, hu = caps[i - 1]
+            v_i = builder.rates[i]
+            run_const += v_i * cc
+            add(run_obj, layout["z"][hl], v_i)
+            add(run_obj, layout["z"][hu], -v_i)
+            lam_prev_const += cc
+            add(lam_prev, layout["z"][hl], 1)
+            add(lam_prev, layout["z"][hu], -1)
         if j > 1:
-            v_j = builder.rates[order[j - 2]]
-            add(obj, layout["p"], v_j)
-            lam_prev = expr()  # Lambda(j-1) as coefficients, plus constant
-            lam_prev_const = 0
-            for gamma in range(j - 2):
-                i = order[gamma]
-                cc, hl, hu = cap_by_brick[i]
-                v_i = builder.rates[i]
-                const += v_i * cc
-                add(obj, layout["z"][hl], v_i)
-                add(obj, layout["z"][hu], -v_i)
-                lam_prev_const += cc
-                add(lam_prev, layout["z"][hl], 1)
-                add(lam_prev, layout["z"][hu], -1)
-            const -= v_j * lam_prev_const
-            for var, coef in lam_prev.items():
-                add(obj, var, -v_j * coef)
             # Lambda(j-1) + 1 <= p <= Lambda(j)
             e = dict(lam_prev)
-            add(e, layout["p"], -1)
+            add(e, p, -1)
             p_rows.append((e, -lam_prev_const - 1))
-            i = order[j - 2]
-            cc, hl, hu = cap_by_brick[i]
+            cc, hl, hu = caps[order[j - 2] - 1]
             e = expr()
-            add(e, layout["p"], 1)
+            add(e, p, 1)
             for var, coef in lam_prev.items():
                 add(e, var, -coef)
             add(e, layout["z"][hl], -1)
@@ -556,30 +618,30 @@ def _cells_for_windows(builder, chosen, pairs, arg_lo, arg_hi, zlo, zhi):
 
         cell_lo = list(lo)
         cell_hi = list(hi)
+        box_lo, box_hi = list(shared_lo), list(shared_hi)
         if j == 1:
-            cell_lo[layout["p"]] = 0
-            cell_hi[layout["p"]] = 0
+            cell_lo[p] = cell_hi[p] = 0
+            box_hi[p] = 0  # p >= 0 already
+        if not _propagate(screen_rows + p_rows, box_lo, box_hi):
+            continue  # no integer point: skip the LP
 
-        rows = []
-        ok = True
-        for e, b in eq_rows:
-            mn, mx = _range_of(e, cell_lo, cell_hi)
-            if not (mn <= b <= mx):
-                ok = False
-                break
-            rows.append((dense(e), b, b))
-        if not ok:
-            continue
+        obj = dict(base_obj)
+        const = base_const
+        if j > 1:
+            v_j = builder.rates[order[j - 2]]
+            add(obj, p, v_j)
+            for var, coef in run_obj.items():
+                add(obj, var, coef)
+            const += run_const - v_j * lam_prev_const
+            for var, coef in lam_prev.items():
+                add(obj, var, -v_j * coef)
+        # the cell's LP keeps the untightened boxes; rows that the boxes
+        # already imply are dropped
+        rows = [(dense(e), b, b) for e, b in eq_rows]
         for e, b in ineq_rows + p_rows:
             mn, mx = _range_of(e, cell_lo, cell_hi)
-            if mn > b:
-                ok = False
-                break
-            if mx <= b:
-                continue  # always satisfied inside the boxes
-            rows.append((dense(e), mn, b))
-        if not ok:
-            continue
+            if mx > b:
+                rows.append((dense(e), mn, b))
 
         lp = LpProblem.make(dense(obj), rows, cell_lo, cell_hi)
         mip = MipProblem.make(lp, [True] * base_vars)
@@ -668,7 +730,7 @@ def _solve_trivial(inst: FourBlockInstance):
 
 
 def _prepare(inst: FourBlockInstance, eliminate):
-    """Checks shared by the solver and cell_values, then elimination and grid.
+    """The solver's input checks, then the elimination and the grid.
 
     Raises MalformedProblemError for a malformed instance or an unknown
     route and NotEligibleError for an ineligible brick matrix.  Returns None
@@ -731,18 +793,3 @@ def solve_4block_snf(inst: FourBlockInstance, eliminate="auto"):
     total, cell, point = best
     return lift_solution(inst, elim, cell, point, total)
 
-
-def cell_values(inst: FourBlockInstance, eliminate="auto"):
-    """Optima of every feasible cell, in enumeration order (no pruning)."""
-    prepared = _prepare(inst, eliminate)
-    if prepared is None:
-        raise NotEligibleError("cell enumeration needs at least one brick")
-    if isinstance(prepared, Infeasible):
-        return []
-    elim, grid = prepared
-    values = []
-    for cell in enumerate_cells(inst, elim, grid):
-        res = solve_cell(cell)
-        if res.status == OPTIMAL:
-            values.append(res.value + cell.constant)
-    return values

@@ -1,16 +1,20 @@
+import itertools
 import random
 
 import pytest
 
+from blockip import fourblock_snf, generators, smallip
 from blockip.errors import MalformedProblemError, NotEligibleError
 from blockip.fourblock_snf import (
     EliminationData,
+    _prepare,
+    _propagate,
     build_grid,
-    cell_values,
     elimination_from_bezout,
     elimination_from_snf,
     enumerate_cells,
     solve_4block_snf,
+    solve_cell,
 )
 from blockip.intlin import integer_rank
 from blockip.model import (
@@ -21,6 +25,23 @@ from blockip.model import (
     evaluate,
 )
 from blockip.oracle import OracleBudget, enumerate_optimum
+from blockip.ratlp import OPTIMAL
+
+
+def cell_values(inst, eliminate="auto"):
+    """Optima of every cell the solver enumerates, in order (no pruning)."""
+    prepared = _prepare(inst, eliminate)
+    if prepared is None:
+        raise NotEligibleError("cell enumeration needs at least one brick")
+    if isinstance(prepared, Infeasible):
+        return []
+    elim, grid = prepared
+    values = []
+    for cell in enumerate_cells(inst, elim, grid):
+        res = solve_cell(cell)
+        if res.status == OPTIMAL:
+            values.append(res.value + cell.constant)
+    return values
 
 
 def random_full_rank(rng, s_A, coeff=3):
@@ -397,3 +418,152 @@ def test_pinned_boxes():
         2, A, B, C, D, (1,), ((6,), (4,)), x, x, (1, 1, 1, 1, 1),
     )
     assert solve_4block_snf(bad) == Infeasible("NoLatticePoint")
+
+
+def _integer_points(rows, lo, hi):
+    """Every integer point of the box that meets each row sum a_k x_k <= b."""
+    for x in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
+        if all(sum(a * x[k] for k, a in coeffs.items()) <= b for coeffs, b in rows):
+            yield x
+
+
+def test_propagation_never_cuts_off_an_integer_point():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def systems(draw):
+        nvars = draw(st.integers(1, 4))
+        big = draw(st.sampled_from((1, 10 ** 30)))
+        lo = [draw(st.integers(-3, 3)) for _ in range(nvars)]
+        hi = [v + draw(st.sampled_from((0, 0, 1, 2, 4))) for v in lo]  # l = u often
+        rows = []
+        for _ in range(draw(st.integers(1, 4))):
+            coeffs = {}
+            for k in range(nvars):
+                a = draw(st.integers(-3, 3)) * big + draw(st.integers(-2, 2))
+                if a:
+                    coeffs[k] = a
+            if not coeffs:
+                continue
+            # a right-hand side near the row's range over the box, so that
+            # the rows often bind and sometimes exclude the whole box
+            mn = sum(a * (lo[k] if a > 0 else hi[k]) for k, a in coeffs.items())
+            mx = sum(a * (hi[k] if a > 0 else lo[k]) for k, a in coeffs.items())
+            b = draw(st.integers(mn - 2, mx + 1))
+            rows.append((coeffs, b))
+            if draw(st.booleans()):  # an equality row, as two <= rows
+                rows.append(({k: -a for k, a in coeffs.items()}, -b))
+        return rows, lo, hi
+
+    tally = {"empty": 0, "tightened": 0}
+
+    @hypothesis.settings(max_examples=400, deadline=None, derandomize=True)
+    @hypothesis.given(systems())
+    def check(system):
+        rows, lo, hi = system
+        points = list(_integer_points(rows, lo, hi))
+        new_lo, new_hi = list(lo), list(hi)
+        if not _propagate(rows, new_lo, new_hi):
+            assert points == [], (rows, lo, hi)
+            tally["empty"] += 1
+            return
+        assert all(lo[k] <= new_lo[k] <= new_hi[k] <= hi[k] for k in range(len(lo)))
+        for x in points:
+            assert all(new_lo[k] <= x[k] <= new_hi[k] for k in range(len(x))), (rows, lo, hi, x)
+        tally["tightened"] += (new_lo, new_hi) != (lo, hi)
+
+    check()
+    # both outcomes occur, so neither assertion above is vacuous
+    assert tally["empty"] >= 100 and tally["tightened"] >= 40, tally
+
+
+def test_propagation_stops_at_its_round_cap():
+    # x - y <= -1 and y - x <= 0 have no solution, but each round shrinks
+    # the boxes by one, so over [0, 10**30] the screen gives up undecided
+    rows = [({0: 1, 1: -1}, -1), ({0: -1, 1: 1}, 0)]
+    lo, hi = [0, 0], [10 ** 30, 10 ** 30]
+    assert _propagate(rows, lo, hi)
+    assert hi[0] < 10 ** 30 and lo[1] > 0
+    assert not _propagate(rows, [0, 0], [3, 3])
+
+
+def test_screen_keeps_every_cell_with_a_point():
+    # with the screen switched off every candidate cell reaches its LP: the
+    # feasible cells and their optima must be the same, in the same order
+    rng = random.Random(53)
+    screened = []
+    for _ in range(60):
+        inst = random_instance(rng, n=rng.randint(2, 5), seeded_rate=0.8)
+        screened.append(cell_values(inst))
+    rng = random.Random(53)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fourblock_snf, "_propagate", lambda rows, lo, hi: True)
+        for want in screened:
+            inst = random_instance(rng, n=rng.randint(2, 5), seeded_rate=0.8)
+            assert cell_values(inst) == want
+    assert sum(map(len, screened)) >= 50
+
+
+def test_most_cells_are_screened_without_an_lp(monkeypatch):
+    # n = 40 single-row bricks make hundreds of candidate cells per solve,
+    # almost all empty; the integer screen must leave few for the LP
+    calls = []
+    real = smallip.solve_lp_warm
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(smallip, "solve_lp_warm", counted)
+    rng = random.Random(61)
+    solves = 16
+    for _ in range(solves):
+        inst = generators.random_snf_instance(rng, n=40, s_A=1, t_B=1, s_C=1, seeded_rate=0.9)
+        solve_4block_snf(inst)
+    assert len(calls) <= 10 * solves, len(calls)
+
+
+def _highs_optimum(inst):
+    """HiGHS's optimum as an exact Solution, or None when it finds no point."""
+    opt = pytest.importorskip("scipy.optimize")
+    rows = list(inst.dense_rows())
+    rhs = [float(b) for _, b in rows]
+    res = opt.milp(
+        [-float(w) for w in inst.w],
+        constraints=opt.LinearConstraint([[float(a) for a in c] for c, _ in rows], rhs, rhs),
+        integrality=[1] * inst.num_vars,
+        bounds=opt.Bounds([float(v) for v in inst.l], [float(v) for v in inst.u]),
+        options={"mip_rel_gap": 0, "time_limit": 60},
+    )
+    if res.status == 2:
+        return None
+    assert res.status == 0, res.message
+    x = tuple(int(round(v)) for v in res.x)
+    report = evaluate(inst, x)  # the float point must be an exact lattice point
+    assert report.feasible, report.violations[:3]
+    return Solution(x, report.objective, "highs")
+
+
+def test_matches_highs_beyond_the_enumerator():
+    # 40 bricks: far past enumerate_optimum, so the oracle is HiGHS, with
+    # both its answer and the route's re-checked exactly
+    pytest.importorskip("scipy.optimize")
+    rng = random.Random(67)
+    feas, reasons = 0, []
+    for _ in range(20):
+        inst = generators.random_snf_instance(
+            rng, n=40, s_A=rng.choice((1, 2)), t_B=1, s_C=1, seeded_rate=0.5)
+        want = _highs_optimum(inst)
+        got = solve_4block_snf(inst)
+        if want is None:
+            assert isinstance(got, Infeasible), got
+            reasons.append(got.reason)
+            continue
+        assert isinstance(got, Solution), (got, want.objective)
+        report = evaluate(inst, got.x)
+        assert report.feasible and report.objective == got.objective
+        assert got.objective == want.objective
+        feas += 1
+    # some infeasible verdicts come from the cells, not from divisibility
+    assert feas >= 8 and reasons.count("NoLatticePoint") >= 2, (feas, reasons)
