@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 
 from .errors import DimensionMismatchError, ParseError
 
@@ -274,7 +275,12 @@ class EvaluationReport:
 
 
 def validate(inst: FourBlockInstance) -> list[ValidationIssue]:
-    """Check shape compatibility and bound sanity; empty list means valid."""
+    """Check shapes, integrality and bound sanity; empty list means valid.
+
+    Every entry of l, u, w, b0, b and the four matrices must be an int
+    (not a bool, float or Fraction).  Entries are numbered flat: row-major
+    in a matrix, brick-major in b.
+    """
     issues = []
 
     def bad(code, msg):
@@ -302,10 +308,22 @@ def validate(inst: FourBlockInstance) -> list[ValidationIssue]:
     for name, vec in (("l", inst.l), ("u", inst.u), ("w", inst.w)):
         if len(vec) != N:
             bad("ShapeMismatch", f"{name} has length {len(vec)}, expected {N}")
-    for name, vec in (("l", inst.l), ("u", inst.u)):
-        for j, v in enumerate(vec):
-            if not isinstance(v, int) or isinstance(v, bool):
-                bad("InfiniteBound", f"{name}[{j}] = {v!r} is not a finite integer")
+    for code, name, vec in (
+        ("InfiniteBound", "l", inst.l),
+        ("InfiniteBound", "u", inst.u),
+        ("NonIntegerData", "w", inst.w),
+        ("NonIntegerData", "b0", inst.b0),
+        ("NonIntegerData", "b", tuple(chain.from_iterable(inst.b))),
+        ("NonIntegerData", "A", inst.A.entries),
+        ("NonIntegerData", "B", inst.B.entries),
+        ("NonIntegerData", "C", inst.C.entries),
+        ("NonIntegerData", "D", inst.D.entries),
+    ):
+        # one pass in C over the entry types; type(v) is int rejects bools,
+        # floats and Fractions alike
+        if not set(map(type, vec)) <= {int}:
+            j, v = next((j, v) for j, v in enumerate(vec) if type(v) is not int)
+            bad(code, f"{name} entry {j} = {v!r} is not a finite integer")
     if not issues and len(inst.l) == len(inst.u) == N:
         for j in range(N):
             if inst.l[j] > inst.u[j]:

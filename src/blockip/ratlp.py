@@ -1,14 +1,14 @@
 """Exact rational linear programming.
 
-Bounded-variable simplex over fractions.Fraction.  The entering rule is
-Dantzig (largest reduced-cost improvement) with a fallback to Bland's rule
-after a run of degenerate pivots, so the method is fast in practice and
-still provably finite.  Tableau rows are sparse maps from column to nonzero
-coefficient: the programs the structured solvers build are block angular, and
-their bases keep the tableau sparse, so row operations touch only the support
-instead of every column.  Built for correctness at desk scale: every pivot is
-exact, so the returned optimum is the true rational optimum, not an
-approximation.
+One algorithm: the bounded-variable dual simplex over fractions.Fraction.
+The leaving row is the most bound-violated basic variable, with a fallback
+to Bland's rule after a run of degenerate pivots, so the method is fast in
+practice and still provably finite.  Tableau rows are sparse maps from
+column to nonzero coefficient: the programs the structured solvers build are
+block angular, and their bases keep the tableau sparse, so row operations
+touch only the support instead of every column.  Built for correctness at
+desk scale: every pivot is exact, so the returned optimum is the true
+rational optimum, not an approximation.
 
 One cold start.  An LpProblem has ranged rows lo <= a . x <= hi (an
 equality row has lo = hi).  solve_lp_warm gives each row its own bounded
@@ -19,18 +19,24 @@ column is boxed, so no LP is unbounded.
 
 The warm path is WarmLp, the optimal tableau of a solve.
 WarmLp.edited changes structural boxes and adds ranged rows, then re-solves
-from the old basis.  A box edit moves a nonbasic column with the bound it
-sits at, and a new row enters with its slack basic after the basic columns
-are substituted out of it; neither changes a reduced cost, so the basis
-stays dual feasible and a dual simplex pass restores primal feasibility in a
-few pivots instead of a cold solve.  (Unfixing a column can break dual
-feasibility; the primal pass that ends every re-solve repairs that.)  Branch
-and bound leans on the box edits (WarmLp.reoptimized: each child differs
-from its parent by one tightened bound); the all-ones aggregate search leans
-on both, carrying one tableau from box to box and adding each new cut as a
-row.  A warm pass that runs out of its pivot budget rebuilds cold from the
-slack start over all rows, where the dual simplex switches to Bland's rule
-after a degenerate run and so always finishes.
+from the old basis with the same dual simplex.  Every column is boxed, so
+any basis is dual feasible once each nonbasic column sits at the bound its
+reduced cost prefers (the boxed-variable start of Koberstein, The Dual
+Simplex Method, 2005): a box edit puts a nonbasic column there (set_box),
+and a new row enters with its slack basic after the basic columns are
+substituted out of it, which changes no reduced cost.  A dual simplex pass
+then restores primal feasibility in a few pivots instead of a cold solve.
+Branch and bound leans on the box edits (WarmLp.reoptimized: each child
+differs from its parent by one tightened bound); the all-ones aggregate
+search leans on both, carrying one tableau from box to box and adding each
+new cut as a row.
+
+Every Optimal result is audited with explicit raises, so the audits still
+run under python -O: the point meets every row and box and its objective is
+the tableau value, and every reduced cost has its optimal sign (zero on a
+basic column; at most zero at a lower bound and at least zero at an upper
+bound, unless the box is a point).  A failed audit raises
+InternalInconsistencyError.
 """
 
 from __future__ import annotations
@@ -97,7 +103,6 @@ class _Simplex:
 
     T holds one dict per row mapping column index to a nonzero Fraction;
     entries that cancel are deleted so the support never carries zeros.
-    Every column is boxed, so the ratio tests always find a bound.
     """
 
     @staticmethod
@@ -129,13 +134,21 @@ class _Simplex:
         return s
 
     def set_box(self, j: int, lo: Fraction, hi: Fraction) -> None:
-        """Replace column j's box; a nonbasic j moves with the bound it sits at."""
+        """Replace column j's box, keeping the basis dual feasible.
+
+        A nonbasic j moves to the bound its reduced cost prefers, as in
+        slack_start: the upper one when d_j > 0, the lower one when d_j < 0.
+        With d_j = 0, or a point box lo = hi, it stays on its side.  A basic
+        j keeps its value; the dual simplex repairs a value left outside.
+        """
         self.lower[j] = lo
         self.upper[j] = hi
-        if self.where[j] == "L":
-            self._shift_nonbasic(j, lo - self.val[j])
-        elif self.where[j] == "U":
-            self._shift_nonbasic(j, hi - self.val[j])
+        side = self.where[j]
+        if side == "B":
+            return
+        if lo != hi and self.d[j]:
+            side = self.where[j] = "U" if self.d[j] > 0 else "L"
+        self._shift_nonbasic(j, (lo if side == "L" else hi) - self.val[j])
 
     def add_row(self, support, lo: Fraction, hi: Fraction, row_of) -> None:
         """Append the ranged row lo <= a . x <= hi with its slack basic.
@@ -181,7 +194,7 @@ class _Simplex:
         s.z = self.z
         return s
 
-    def _pivot(self, r: int, e: int) -> int:
+    def _pivot(self, r: int, e: int) -> None:
         # all updates mutate the existing dicts: callers hold aliases to rows
         T = self.T
         Tr = T[r]
@@ -212,10 +225,8 @@ class _Simplex:
             d = self.d
             for j, b in Tr.items():
                 d[j] -= de * b
-        leaving = self.basis[r]
         self.basis[r] = e
         self.where[e] = "B"
-        return leaving
 
     def _shift_nonbasic(self, j: int, delta: Fraction) -> None:
         """Move nonbasic variable j by delta, updating basics and the value."""
@@ -229,94 +240,20 @@ class _Simplex:
                 val[basis[r]] -= a * delta
         self.z += self.d[j] * delta
 
-    def iterate(self) -> None:
-        """Run primal simplex to optimality for the current objective."""
-        lower, upper, val, where, d, T = (
-            self.lower, self.upper, self.val, self.where, self.d, self.T,
-        )
-        degenerate = 0
-        fallback = 50 + 2 * (self.m + self.nv)
-        bland = False
-        while True:
-            enter = -1
-            direction = 0
-            best = None
-            for j in range(self.nv):
-                if where[j] == "B":
-                    continue
-                if lower[j] == upper[j]:
-                    continue  # fixed variable can never improve
-                dj = d[j]
-                if where[j] == "L" and dj > 0:
-                    score, dirn = dj, 1
-                elif where[j] == "U" and dj < 0:
-                    score, dirn = -dj, -1
-                else:
-                    continue
-                if bland:
-                    enter, direction = j, dirn
-                    break
-                if best is None or score > best:
-                    best, enter, direction = score, j, dirn
-            if enter < 0:
-                return
-            # ratio test: basic variables move by -direction * T[r][enter] * t
-            tmax = upper[enter] - lower[enter]
-            leave_row = -1
-            for r in range(self.m):
-                a = T[r].get(enter)
-                if a is None:
-                    continue
-                rate = a * direction
-                if rate > 0:
-                    allowance = (val[self.basis[r]] - lower[self.basis[r]]) / rate
-                else:
-                    allowance = (upper[self.basis[r]] - val[self.basis[r]]) / (-rate)
-                if allowance < tmax or (
-                    allowance == tmax and leave_row >= 0 and self.basis[r] < self.basis[leave_row]
-                ):
-                    tmax = allowance
-                    leave_row = r
-            if tmax != 0:
-                val[enter] += direction * tmax
-                for r in range(self.m):
-                    a = T[r].get(enter)
-                    if a:
-                        val[self.basis[r]] -= direction * a * tmax
-                self.z += d[enter] * direction * tmax
-                degenerate = 0
-            else:
-                # a long degenerate streak risks cycling; Bland's rule ends it
-                degenerate += 1
-                if degenerate >= fallback:
-                    bland = True
-            if leave_row < 0:
-                where[enter] = "U" if direction > 0 else "L"
-            else:
-                rate = T[leave_row][enter] * direction
-                leaving = self.basis[leave_row]
-                bound = lower[leaving] if rate > 0 else upper[leaving]
-                val[leaving] = bound
-                self._pivot(leave_row, enter)
-                if leaving != enter:
-                    self.where[leaving] = "L" if rate > 0 else "U"
-
-    def dual_iterate(self, max_pivots: int | None = None) -> bool | None:
+    def dual_iterate(self) -> bool:
         """Restore primal feasibility from a dual feasible basis.
 
         Picks the most bound-violated basic variable, then the entering column
         by the exact dual ratio test, so the reduced-cost sign pattern (and
         with it optimality on exit) is preserved.  Returns True when primal
-        feasible, False when a row proves the problem infeasible, and None
-        when the pivot budget runs out (caller falls back to a cold solve).
-        Without a budget, a long run of degenerate pivots switches to Bland's
-        rule (the violated basic of smallest index leaves), which cannot
-        cycle, so the pass always finishes.
+        feasible, hence optimal, and False when a row proves the problem
+        infeasible.  A long run of degenerate pivots switches to Bland's rule
+        (the violated basic of smallest index leaves), which cannot cycle, so
+        every pass finishes.
         """
         lower, upper, val, where, d, basis = (
             self.lower, self.upper, self.val, self.where, self.d, self.basis,
         )
-        pivots = 0
         degenerate = 0
         fallback = 50 + 2 * (self.m + self.nv)
         bland = False
@@ -342,9 +279,6 @@ class _Simplex:
                     r_best, best_viol, to_upper = r, viol, side
             if r_best < 0:
                 return True
-            if max_pivots is not None and pivots >= max_pivots:
-                return None
-            pivots += 1
             r = r_best
             leaving = basis[r]
             Tr = self.T[r]
@@ -370,10 +304,9 @@ class _Simplex:
                     best_key, enter = key, j
             if enter < 0:
                 return False  # the violated row admits no compensating move
-            if max_pivots is None:
-                # a zero dual ratio leaves the dual objective unchanged
-                degenerate = degenerate + 1 if best_key == 0 else 0
-                bland = bland or degenerate >= fallback
+            # a zero dual ratio leaves the dual objective unchanged
+            degenerate = degenerate + 1 if best_key == 0 else 0
+            bland = bland or degenerate >= fallback
             bound = lower[leaving] if not to_upper else upper[leaving]
             delta = -(bound - val[leaving]) / Tr[enter]
             val[enter] += delta
@@ -386,7 +319,7 @@ class _Simplex:
             val[leaving] = bound
             self.z += d[enter] * delta
             self._pivot(r, enter)
-            self.where[leaving] = "L" if not to_upper else "U"
+            where[leaving] = "L" if not to_upper else "U"
 
 
 def _extract(s: _Simplex, objective, rows) -> LpResult:
@@ -405,26 +338,21 @@ def _extract(s: _Simplex, objective, rows) -> LpResult:
     for j in range(n):
         if not s.lower[j] <= point[j] <= s.upper[j]:
             raise InternalInconsistencyError(f"variable {j} = {point[j]} leaves its box")
+    # optimality audit: no column can improve the objective, so a basic one
+    # has reduced cost zero and a nonbasic one with room to move a cost that
+    # pushes it against the bound it sits at (<= 0 at lower, >= 0 at upper)
+    for j, dj in enumerate(s.d):
+        if dj and (s.where[j] == "B" or (
+                s.lower[j] != s.upper[j] and (dj > 0) == (s.where[j] == "L"))):
+            raise InternalInconsistencyError(
+                f"column {j} ({s.where[j]}) has reduced cost {dj} of the wrong sign")
     return LpResult(OPTIMAL, point, value)
 
 
-def _warm_budget(s: _Simplex) -> int:
-    """Dual pivots a warm re-solve may spend before it rebuilds cold."""
-    return 200 + 4 * (s.m + s.nv)
-
-
-def _finish(s: _Simplex, objective, rows, max_pivots):
-    """Dual simplex, then the primal pass; (LpResult, WarmLp or None)."""
-    ok = s.dual_iterate(max_pivots)
-    if ok is None:
-        # degenerate stall: rebuild cold from the slack start over every row
-        s = _Simplex.slack_start(objective, rows, s.lower[:s.ns], s.upper[:s.ns])
-        ok = s.dual_iterate()
-    if not ok:
+def _finish(s: _Simplex, objective, rows):
+    """The dual simplex, then the audits; (LpResult, WarmLp or None)."""
+    if not s.dual_iterate():
         return LpResult(INFEASIBLE), None
-    # a box edit can reopen primal moves; from a feasible point the primal
-    # pass finishes in zero pivots when already optimal
-    s.iterate()
     return _extract(s, objective, rows), WarmLp(objective, rows, s)
 
 
@@ -480,7 +408,7 @@ class WarmLp:
             row_of = {col: r for r, col in enumerate(s.basis) if col < s.ns}
             for support, lo, hi in rows:
                 s.add_row(support, lo, hi, row_of)
-        return _finish(s, self._objective, self._rows + rows if rows else self._rows, _warm_budget(s))
+        return _finish(s, self._objective, self._rows + rows if rows else self._rows)
 
     def reoptimized(self, j: int, new_lower, new_upper):
         """Re-solve with variable j's box set to [new_lower, new_upper].
@@ -504,7 +432,7 @@ def solve_lp_warm(p: LpProblem):
     if any(lo > hi for _, lo, hi in rows):
         return LpResult(INFEASIBLE), None
     s = _Simplex.slack_start(p.objective, rows, p.lower, p.upper)
-    return _finish(s, p.objective, rows, None)
+    return _finish(s, p.objective, rows)
 
 
 def solve_lp(p: LpProblem) -> LpResult:

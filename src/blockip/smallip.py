@@ -1,12 +1,13 @@
 """Exact mixed-integer optimization by branch and bound.
 
-Sits directly on the rational simplex: every node bound is the true LP
-optimum, so best-bound search with integer feasibility checks is a complete
-and exact method.  Child nodes differ from their parent by one tightened
-bound, so they re-solve warm from the parent basis with the dual simplex;
-only the root is solved cold, from the slack start.  Intended for the small
-auxiliary programs the structured solvers generate (a handful of variables,
-narrow boxes), not as a general purpose MIP engine.
+Sits directly on the rational dual simplex: every node bound is the true LP
+optimum, audited for primal feasibility and for the sign of every reduced
+cost, so best-bound search with integer feasibility checks is a complete and
+exact method.  Child nodes differ from their parent by one tightened bound,
+which keeps the parent's basis dual feasible, so they re-solve warm from it
+with a few dual pivots; only the root is solved cold, from the slack start.
+Intended for the small auxiliary programs the structured solvers generate
+(a handful of variables, narrow boxes), not as a general purpose MIP engine.
 """
 
 from __future__ import annotations

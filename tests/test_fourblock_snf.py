@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from highs_oracle import highs_optimum
 
 from blockip import fourblock_snf, generators, smallip
 from blockip.errors import MalformedProblemError, NotEligibleError
@@ -524,27 +525,6 @@ def test_most_cells_are_screened_without_an_lp(monkeypatch):
     assert len(calls) <= 10 * solves, len(calls)
 
 
-def _highs_optimum(inst):
-    """HiGHS's optimum as an exact Solution, or None when it finds no point."""
-    opt = pytest.importorskip("scipy.optimize")
-    rows = list(inst.dense_rows())
-    rhs = [float(b) for _, b in rows]
-    res = opt.milp(
-        [-float(w) for w in inst.w],
-        constraints=opt.LinearConstraint([[float(a) for a in c] for c, _ in rows], rhs, rhs),
-        integrality=[1] * inst.num_vars,
-        bounds=opt.Bounds([float(v) for v in inst.l], [float(v) for v in inst.u]),
-        options={"mip_rel_gap": 0, "time_limit": 60},
-    )
-    if res.status == 2:
-        return None
-    assert res.status == 0, res.message
-    x = tuple(int(round(v)) for v in res.x)
-    report = evaluate(inst, x)  # the float point must be an exact lattice point
-    assert report.feasible, report.violations[:3]
-    return Solution(x, report.objective, "highs")
-
-
 def test_matches_highs_beyond_the_enumerator():
     # 40 bricks: far past enumerate_optimum, so the oracle is HiGHS, with
     # both its answer and the route's re-checked exactly
@@ -554,7 +534,7 @@ def test_matches_highs_beyond_the_enumerator():
     for _ in range(20):
         inst = generators.random_snf_instance(
             rng, n=40, s_A=rng.choice((1, 2)), t_B=1, s_C=1, seeded_rate=0.5)
-        want = _highs_optimum(inst)
+        want = highs_optimum(inst)
         got = solve_4block_snf(inst)
         if want is None:
             assert isinstance(got, Infeasible), got

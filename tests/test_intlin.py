@@ -193,6 +193,36 @@ def test_snf_random_battery():
         check_snf(A, smith_normal_form(A))
 
 
+def test_snf_diagonal_matches_sympy():
+    # an independent Smith form; rank-deficient matrices come as products
+    # through a narrower inner dimension
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    rng = random.Random(606)
+    deficient = 0
+    for _ in range(300):
+        s, t = rng.randint(1, 4), rng.randint(1, 5)
+        big = rng.choice((9, 1000, 10**6))
+        if rng.random() < 0.5:
+            M = [[rng.randint(-big, big) for _ in range(t)] for _ in range(s)]
+        else:
+            k = rng.randint(1, max(1, min(s, t) - 1))
+            span = max(1, big // 30)
+            L = [[rng.randint(-30, 30) for _ in range(k)] for _ in range(s)]
+            R = [[rng.randint(-span, span) for _ in range(t)] for _ in range(k)]
+            M = [[sum(L[i][h] * R[h][j] for h in range(k)) for j in range(t)] for i in range(s)]
+        A = IntMatrix.from_rows(M)
+        if A.is_zero():
+            continue
+        snf = smith_normal_form(A)
+        theirs = sympy_snf(sympy.Matrix(M), domain=sympy.ZZ)
+        assert tuple(abs(v) for v in snf.diagonal) == tuple(
+            abs(int(theirs[i, i])) for i in range(min(s, t))), M
+        deficient += snf.rank < min(s, t)
+    assert deficient >= 60
+
+
 def test_snf_huge_entries_complete_quickly():
     import time
 

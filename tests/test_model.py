@@ -1,10 +1,13 @@
 """Model construction, validation, classification, evaluation, JSON round trips."""
 
+import dataclasses
 import random
+from fractions import Fraction
 
 import pytest
 
-from blockip.errors import DimensionMismatchError, ParseError
+from blockip.errors import DimensionMismatchError, MalformedProblemError, ParseError
+from blockip.fourblock_snf import solve_4block_snf
 from blockip.model import (
     FourBlockInstance,
     GeneralizedNFoldInstance,
@@ -21,6 +24,8 @@ from blockip.model import (
     solution_to_dict,
     validate,
 )
+from blockip.nfold_snf import solve_nfold_snf
+from blockip.ones import solve_ones
 
 
 def small_instance(n=2):
@@ -71,6 +76,49 @@ def test_validate_bound_problems():
     bad = FourBlockInstance.make(inst.n, inst.A, inst.B, inst.C, inst.D,
                                  inst.b0, inst.b, l, inst.u, inst.w)
     assert {i.code for i in validate(bad)} == {"LowerExceedsUpper"}
+
+
+def test_validate_rejects_non_integer_data():
+    # floats, bools and Fractions anywhere in the data; dataclasses.replace
+    # and the bare IntMatrix constructor skip from_rows's entry check
+    inst = small_instance()
+    b = (inst.b[0], (Fraction(3),))
+    cases = {
+        "w": {"w": (0.5,) + inst.w[1:]},
+        "b0": {"b0": (True,)},
+        "b": {"b": b},
+        "A": {"A": IntMatrix(1, 2, (1, 1.0))},
+        "B": {"B": IntMatrix(1, 1, (False,))},
+        "C": {"C": IntMatrix(1, 1, (2.0,))},
+        "D": {"D": IntMatrix(1, 2, (1, Fraction(0)))},
+    }
+    for name, fields in cases.items():
+        issues = validate(dataclasses.replace(inst, **fields))
+        assert [i.code for i in issues] == ["NonIntegerData"], (name, issues)
+        assert issues[0].message.startswith(f"{name} entry "), issues
+    assert "entry 1 = Fraction(3, 1)" in validate(dataclasses.replace(inst, b=b))[0].message
+    # the bounds keep their own code, with one issue per vector
+    for bad_l in ((0.0,) + inst.l[1:], (0, True) + inst.l[2:], (None, None) + inst.l[2:]):
+        issues = validate(dataclasses.replace(inst, l=bad_l))
+        assert [i.code for i in issues] == ["InfiniteBound"], issues
+
+
+def test_routes_raise_a_typed_error_on_non_integer_data():
+    # an all-ones n-fold with w[0] = 0.5 once solved to a float objective
+    ones = nfold_of([[1, 1]], [[1, 0]])
+    assert isinstance(solve_ones(ones), Solution)
+    with pytest.raises(MalformedProblemError, match="w entry 0"):
+        solve_ones(dataclasses.replace(ones, w=(0.5,) + ones.w[1:]))
+    nfold = nfold_of([[2, 3]], [[1, 0]])
+    assert isinstance(solve_nfold_snf(nfold), Solution)
+    with pytest.raises(MalformedProblemError, match="b0 entry 0"):
+        solve_nfold_snf(dataclasses.replace(nfold, b0=(0.0,)))
+    four = FourBlockInstance.make(
+        2, IntMatrix.from_rows([[2, 3]]), IntMatrix.from_rows([[1]]), IntMatrix.from_rows([[1]]),
+        IntMatrix.from_rows([[1, 0]]), [0], [[0], [0]], [0] * 5, [3] * 5, [0] * 5)
+    assert isinstance(solve_4block_snf(four), Solution)
+    with pytest.raises(MalformedProblemError, match="C entry 0"):
+        solve_4block_snf(dataclasses.replace(four, C=IntMatrix(1, 1, (Fraction(1),))))
 
 
 def nfold_of(A_rows, D_rows, n=2, width=3):

@@ -2,7 +2,9 @@ import itertools
 import random
 
 import pytest
+from highs_oracle import highs_optimum
 
+from blockip import generators
 from blockip.errors import NotEligibleError, TargetOutOfRangeError
 from blockip.intlin import integer_rank
 from blockip.model import (
@@ -254,3 +256,24 @@ def test_moderate_scale_completes():
     inst = eligible_instance(rng, 3000, 2, width=6, seeded=True)
     res = solve_nfold_snf(inst)
     assert isinstance(res, Solution)
+
+
+def test_matches_highs_beyond_the_enumerator():
+    # 200 bricks of width 3: far past enumerate_optimum, so the oracle is
+    # HiGHS, with both its answer and the route's re-checked exactly
+    rng = random.Random(72)
+    feas, reasons = 0, []
+    for _ in range(24):
+        inst = generators.random_nfold_instance(rng, n=200, t_A=3, s_C=1, seeded_rate=0.7)
+        want = highs_optimum(inst)
+        got = solve_nfold_snf(inst)
+        if want is None:
+            assert isinstance(got, Infeasible), got
+            reasons.append(got.reason)
+            continue
+        assert isinstance(got, Solution), (got, want.objective)
+        report = evaluate(inst, got.x)
+        assert report.feasible and report.objective == got.objective
+        assert got.objective == want.objective
+        feas += 1
+    assert feas >= 8 and {"DivisibilityFail", "EmptyInterval"} <= set(reasons), (feas, reasons)

@@ -1,8 +1,9 @@
 import random
 
 import pytest
+from highs_oracle import highs_optimum
 
-from blockip import ones, ratlp
+from blockip import generators, ones, ratlp
 from blockip.errors import InternalInconsistencyError, NotAllOnesError
 from blockip.flow import TransportProblem, TransportResult, solve_transport
 from blockip.model import FourBlockInstance, Infeasible, IntMatrix, Solution, evaluate
@@ -421,6 +422,27 @@ def test_aggregate_search_makes_no_cold_two_phase_solve(monkeypatch):
             calls[k] = 0
         solve_ones(inst)
         assert calls["solve_lp"] == 0, (trial,)
-        assert calls["slack_start"] <= 1, (trial,)  # more would mean a stall
+        assert calls["slack_start"] <= 1, (trial,)  # more would be a second cold solve
         searched += calls["edited"] > 0
     assert searched >= 10
+
+
+def test_matches_highs_beyond_the_enumerator():
+    # the ones-transport shape, 30 bricks: far past enumerate_optimum, so the
+    # oracle is HiGHS, with both its answer and the route's re-checked exactly
+    rng = random.Random(71)
+    feas = infeasible = 0
+    for _ in range(20):
+        inst = generators.random_ones_instance(rng, n=30, t_A=3, t_B=1, s_C=1, seeded_rate=0.5)
+        want = highs_optimum(inst)
+        got = solve_ones(inst)
+        if want is None:
+            assert isinstance(got, Infeasible), got
+            infeasible += 1
+            continue
+        assert isinstance(got, Solution), (got, want.objective)
+        report = evaluate(inst, got.x)
+        assert report.feasible and report.objective == got.objective
+        assert got.objective == want.objective
+        feas += 1
+    assert feas >= 8 and infeasible >= 4, (feas, infeasible)

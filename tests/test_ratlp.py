@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-from blockip import ratlp
 from blockip.errors import InternalInconsistencyError, MalformedProblemError
 from blockip.ratlp import (
     INFEASIBLE,
@@ -325,36 +324,30 @@ def test_slack_start_matches_cold_solves_and_chains():
     assert checked >= 400 and infeasible >= 100
 
 
-def test_pivot_budget_stall_rebuilds_cold_with_the_same_optimum(monkeypatch):
-    rng = random.Random(505)
-    results = []
-    for trial in range(60):
-        p = random_lp(rng, feasible=True)
-        _, state = solve_lp_warm(p)
-        if state is None:
-            continue
-        n = len(p.objective)
-        rows = [random_row(rng, n, p.lower) for _ in range(2)]
-        boxes = [(0, p.lower[0], p.lower[0] + rng.randint(0, 2))]
-        results.append((p, state, rows, boxes, state.edited(boxes, rows)))
+def test_unfixed_column_moves_to_the_bound_its_reduced_cost_prefers():
+    # max x + 2y, x + y <= 1, x fixed at 1: y enters on the row and leaves x
+    # at its upper bound with reduced cost -1, harmless while the box is a
+    # point.  Unfixing x must move it to its lower bound, not leave it there.
+    p = LpProblem.make([1, 2], [([1, 1], 0, 1)], [1, 0], [1, 1])
+    res, state = solve_lp_warm(p)
+    assert res.status == OPTIMAL and res.point == (1, 0) and res.value == 1
+    assert state._simplex.where[0] == "U" and state._simplex.d[0] == -1
+    res, nxt = state.reoptimized(0, 0, 1)
+    cold = solve_lp(with_box(p, 0, 0, 1))
+    assert res == cold and res.point == (0, 1) and res.value == 2
+    assert nxt._simplex.where[0] == "L"
 
-    rebuilds = []
-    real_start = ratlp._Simplex.slack_start
 
-    def spy_start(*args):
-        rebuilds.append(args)
-        return real_start(*args)
-
-    monkeypatch.setattr(ratlp, "_warm_budget", lambda s: 0)
-    monkeypatch.setattr(ratlp._Simplex, "slack_start", staticmethod(spy_start))
-    for p, state, rows, boxes, (warm, _) in results:
-        stalled, nxt = state.edited(boxes, rows)
-        assert stalled.status == warm.status
-        assert stalled.value == warm.value
-        if nxt is not None:  # the rebuilt state chains on like any other
-            res, _ = nxt.edited()
-            assert res.value == warm.value
-    assert len(rebuilds) >= 20
+def test_dual_sign_audit_rejects_a_tampered_reduced_cost():
+    # y enters on the row; x stays at its upper bound with reduced cost 1
+    res, state = solve_lp_warm(LpProblem.make([2, 1], [([1, 1], 0, 3)], [0, 0], [2, 2]))
+    assert res.status == OPTIMAL and res.value == 5
+    s = state._simplex
+    assert s.where[0] == "U" and s.d[0] == 1 and s.lower[0] != s.upper[0]
+    assert state.edited()[0] == res
+    s.d[0] = -s.d[0]
+    with pytest.raises(InternalInconsistencyError):
+        state.edited()
 
 
 def test_warm_audit_rejects_an_inconsistent_tableau():
