@@ -1,7 +1,9 @@
 """4-block solver for bricks with one more column than rows.
 
 The brick systems differ only in their right-hand sides, so once brick 1 is
-chosen every other brick is pinned up to one free integer.  Splitting the
+chosen every other brick is pinned up to one free integer: one Smith form of
+A solves each difference system A x = b_i - b_1 (intlin.brick_solutions),
+for a 1x2 brick matrix as for any other.  Splitting the
 anchor brick into remainder and quotient per coordinate turns all box
 constraints into floor/ceil bounds that are piecewise constant in the
 remainders; enumerating the constancy cells, the orderings of the per-brick
@@ -34,7 +36,7 @@ from .errors import (
     MalformedProblemError,
     NotEligibleError,
 )
-from .intlin import SnfDecomposition, extended_gcd, integer_rank, smith_normal_form
+from .intlin import brick_solutions, integer_rank, quotient_range, smith_normal_form
 from .model import (
     FourBlockInstance,
     Infeasible,
@@ -53,9 +55,7 @@ class EliminationData:
     theta: tuple  # step column, length t_A
     offsets: tuple  # per brick, length-t_A constant shift; offsets[0] is zero
     offset_totals: tuple  # componentwise sum of offsets
-    fixed_y: tuple  # per brick, the components pinned by divisibility
     c0: int  # objective contribution of the offsets
-    snf: SnfDecomposition | None  # None when built from a gcd identity
 
 
 def _structurally_eligible(inst: FourBlockInstance) -> bool:
@@ -67,69 +67,35 @@ def _structurally_eligible(inst: FourBlockInstance) -> bool:
     )
 
 
-def _finish_elimination(inst, theta, offsets, fixed_y, snf):
-    totals = [0] * inst.t_A
-    c0 = 0
+def elimination_from_snf(inst: FourBlockInstance):
+    """Elimination via the Smith form of the brick matrix.
+
+    Each brick's offset is the particular solution of A x = b_i - b_1 that
+    intlin.brick_solutions gives, and theta is the free column of V.
+    Returns EliminationData, or Infeasible("DivisibilityFail") at the first
+    brick whose difference system has no integer solution.
+    """
     tB, tA = inst.t_B, inst.t_A
-    for i, off in enumerate(offsets):
+    snf = smith_normal_form(inst.A)
+    b1 = inst.b[0]
+    deltas = ([v - v1 for v, v1 in zip(bi, b1)] for bi in inst.b)
+    offsets = []
+    totals = [0] * tA
+    c0 = 0
+    for i, off in enumerate(brick_solutions(snf, deltas)):
+        if off is None:
+            return Infeasible("DivisibilityFail")
         s = tB + i * tA
         for h in range(tA):
             totals[h] += off[h]
             c0 += inst.w[s + h] * off[h]
-    return EliminationData(
-        tuple(theta),
-        tuple(tuple(o) for o in offsets),
-        tuple(totals),
-        tuple(tuple(y) for y in fixed_y),
-        c0,
-        snf,
-    )
+        offsets.append(off)
+    return EliminationData(snf.V.col(inst.s_A), tuple(offsets), tuple(totals), c0)
 
 
-def elimination_from_snf(inst: FourBlockInstance):
-    """General elimination via the Smith form of the brick matrix."""
-    sA, tA = inst.s_A, inst.t_A
-    snf = smith_normal_form(inst.A)
-    alphas = snf.diagonal
-    U_rows = snf.U.row_lists()
-    V_rows = snf.V.row_lists()
-    theta = [V_rows[h][sA] for h in range(tA)]
-    offsets = []
-    fixed_y = []
-    b1 = inst.b[0]
-    for i in range(inst.n):
-        delta = [inst.b[i][r] - b1[r] for r in range(sA)]
-        ys = []
-        for j in range(sA):
-            bt = sum(U_rows[j][r] * delta[r] for r in range(sA))
-            if bt % alphas[j] != 0:
-                return Infeasible("DivisibilityFail")
-            ys.append(bt // alphas[j])
-        offsets.append(
-            [sum(V_rows[h][j] * ys[j] for j in range(sA)) for h in range(tA)]
-        )
-        fixed_y.append(ys)
-    return _finish_elimination(inst, theta, offsets, fixed_y, snf)
-
-
-def elimination_from_bezout(inst: FourBlockInstance):
-    """Single-row, two-column elimination from the extended gcd identity."""
-    if inst.s_A != 1 or inst.t_A != 2:
-        raise MalformedProblemError("gcd elimination needs a 1x2 brick matrix")
-    lam, mu = inst.A.row(0)
-    bez = extended_gcd(lam, mu)
-    theta = (bez.step_x, bez.step_y)  # (mu/g, -lam/g)
-    offsets = []
-    fixed_y = []
-    b1 = inst.b[0][0]
-    for i in range(inst.n):
-        delta = inst.b[i][0] - b1
-        if delta % bez.g != 0:
-            return Infeasible("DivisibilityFail")
-        t = delta // bez.g
-        offsets.append([bez.x * t, bez.y * t])
-        fixed_y.append((t,))
-    return _finish_elimination(inst, theta, offsets, fixed_y, None)
+# The 1x2 gcd route is the Smith route now; the old name stays only because
+# perfbench/tracer.py wraps it by name and perfbench/checks.py calls it.
+elimination_from_bezout = elimination_from_snf
 
 
 @dataclass(frozen=True)
@@ -149,15 +115,6 @@ class SubIntervalGrid:
     """
 
     per_h: tuple  # tuple per h: tuple of SubInterval, or None
-
-
-def _quot_bounds(theta, lo, up, shift, xi):
-    """d, d_bar with lo - shift - xi <= theta * q <= up - shift - xi."""
-    a = lo - shift - xi
-    b = up - shift - xi
-    if theta > 0:
-        return -((-a) // theta), b // theta
-    return -((-b) // theta), a // theta
 
 
 def build_grid(elim: EliminationData, lower, upper) -> SubIntervalGrid:
@@ -190,7 +147,8 @@ def build_grid(elim: EliminationData, lower, upper) -> SubIntervalGrid:
             d, dbar = [], []
             for i in range(n):
                 shift = elim.offsets[i][h]
-                a, b = _quot_bounds(th, lower[i][h], upper[i][h], shift, tau)
+                a, b = quotient_range(th, lower[i][h] - shift - tau,
+                                      upper[i][h] - shift - tau)
                 d.append(a)
                 dbar.append(b)
             cells.append(SubInterval(tau, tau_bar, tuple(d), tuple(dbar)))
@@ -729,12 +687,12 @@ def _solve_trivial(inst: FourBlockInstance):
     return Solution(x=x, objective=int(res.value), solver_tag="fourblock_snf")
 
 
-def _prepare(inst: FourBlockInstance, eliminate):
+def _prepare(inst: FourBlockInstance):
     """The solver's input checks, then the elimination and the grid.
 
-    Raises MalformedProblemError for a malformed instance or an unknown
-    route and NotEligibleError for an ineligible brick matrix.  Returns None
-    when there are no bricks, Infeasible when the brick differences have no
+    Raises MalformedProblemError for a malformed instance and
+    NotEligibleError for an ineligible brick matrix.  Returns None when
+    there are no bricks, Infeasible when the brick differences have no
     integral solution, and (elimination, grid) otherwise.
     """
     issues = validate(inst)
@@ -744,16 +702,9 @@ def _prepare(inst: FourBlockInstance, eliminate):
         raise NotEligibleError(
             "needs one more brick column than rows and full row rank"
         )
-    if eliminate == "auto":
-        eliminate = "bezout" if (inst.s_A, inst.t_A) == (1, 2) else "snf"
-    if eliminate not in ("bezout", "snf"):
-        raise MalformedProblemError(f"unknown elimination route {eliminate!r}")
     if inst.n == 0:
         return None
-    if eliminate == "bezout":
-        elim = elimination_from_bezout(inst)
-    else:
-        elim = elimination_from_snf(inst)
+    elim = elimination_from_snf(inst)
     if isinstance(elim, Infeasible):
         return elim
     grid = build_grid(
@@ -764,15 +715,9 @@ def _prepare(inst: FourBlockInstance, eliminate):
     return elim, grid
 
 
-def solve_4block_snf(inst: FourBlockInstance, eliminate="auto"):
-    """Exact optimum for eligible 4-block instances; Solution or Infeasible.
-
-    eliminate picks the brick-difference route: "snf" always diagonalizes,
-    "bezout" uses the gcd identity (1x2 bricks only), "auto" prefers the gcd
-    route when it applies.  Both routes must agree on the optimum; the choice
-    affects intermediate encodings only.
-    """
-    prepared = _prepare(inst, eliminate)
+def solve_4block_snf(inst: FourBlockInstance):
+    """Exact optimum for eligible 4-block instances; Solution or Infeasible."""
+    prepared = _prepare(inst)
     if prepared is None:
         return _solve_trivial(inst)
     if isinstance(prepared, Infeasible):

@@ -1,4 +1,4 @@
-"""Integer linear algebra: extended gcd, Smith form, rank.
+"""Integer linear algebra: extended gcd, Smith form, rank, brick solutions.
 
 Everything here is exact over Python ints.  The Smith form is computed by
 gcd-driven row/column elimination with a deterministic pivot rule, so equal
@@ -8,8 +8,9 @@ inputs always give byte-equal decompositions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
-from .errors import BothZeroError, ZeroMatrixError
+from .errors import BothZeroError, DimensionMismatchError, NotEligibleError, ZeroMatrixError
 from .model import IntMatrix
 
 
@@ -215,3 +216,42 @@ def integer_rank(A: IntMatrix) -> int:
     if A.rows == 0 or A.cols == 0 or A.is_zero():
         return 0
     return smith_normal_form(A).rank
+
+
+def brick_solutions(snf: SnfDecomposition, rhs):
+    """Particular integer solutions of A x = r for each r in rhs, in turn.
+
+    snf is the Smith form U A V = S of an s x (s + 1) matrix A of rank s.
+    For each r this yields V (U r / alpha, 0), or None when a diagonal entry
+    alpha_j does not divide (U r)_j, so that A x = r has no integer point.
+    The integer points are the yielded one plus the integer multiples of the
+    free column theta = V.col(s), which is primitive since V is unimodular.
+    Lazy, so a caller that checks each brick as it comes keeps its order.
+    """
+    s = snf.rank
+    if snf.S.rows != s or snf.S.cols != s + 1:
+        raise NotEligibleError("needs one more column than rows and full row rank")
+    pivots = list(zip(snf.diagonal, snf.U.row_lists()))
+    fixed = [row[:s] for row in snf.V.row_lists()]  # V without its free column
+    for r in rhs:
+        if len(r) != s:
+            raise DimensionMismatchError(f"right-hand side has length {len(r)}, expected {s}")
+        y = []
+        for alpha, u in pivots:
+            q, m = divmod(sum(map(mul, u, r)), alpha)
+            if m:
+                y = None
+                break
+            y.append(q)
+        yield None if y is None else tuple(sum(map(mul, v, y)) for v in fixed)
+
+
+def quotient_range(theta: int, lo: int, hi: int):
+    """Least and greatest integer q with lo <= theta * q <= hi, theta != 0.
+
+    The pair is (ceil, floor) of the two quotients, so it is empty (first >
+    second) exactly when no multiple of theta lies in [lo, hi].
+    """
+    if theta > 0:
+        return -(-lo // theta), hi // theta
+    return -(-hi // theta), lo // theta

@@ -279,15 +279,22 @@ def validate(inst: FourBlockInstance) -> list[ValidationIssue]:
 
     Every entry of l, u, w, b0, b and the four matrices must be an int
     (not a bool, float or Fraction).  Entries are numbered flat: row-major
-    in a matrix, brick-major in b.
+    in a matrix, brick-major in b.  A brick count n that is not an int is
+    the only issue reported, since every other check depends on it.
     """
     issues = []
 
     def bad(code, msg):
         issues.append(ValidationIssue(code, msg))
 
+    if type(inst.n) is not int:
+        bad("ShapeMismatch", f"n = {inst.n!r} is not an int")
+        return issues
     if inst.n < 0:
         bad("ShapeMismatch", f"n must be nonnegative, got {inst.n}")
+    for name, M in (("A", inst.A), ("B", inst.B), ("C", inst.C), ("D", inst.D)):
+        if len(M.entries) != M.rows * M.cols:
+            bad("ShapeMismatch", f"{name} has {len(M.entries)} entries, expected {M.rows} x {M.cols}")
     if inst.C.rows != inst.D.rows:
         bad("ShapeMismatch", f"C has {inst.C.rows} rows, D has {inst.D.rows}")
     if inst.A.rows != inst.B.rows:

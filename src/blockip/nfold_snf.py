@@ -1,15 +1,16 @@
 """Linear-time n-fold solver for bricks with one more column than rows.
 
-Diagonalizing A once turns every brick system A xi = bi into s_A divisibility
-checks plus one free integer per brick.  The top block then collapses to a
-single equation in the sum of the free integers, and the objective becomes
-separable, so a greedy fill finishes the job.  Total work: one Smith form,
-O(1) arithmetic per brick, one sort.
+One Smith form of A gives each brick's integer solutions as base_i + theta
+z_i (intlin.brick_solutions), or proves there are none.  The top block then
+collapses to a single equation in the sum of the z_i, and the objective
+becomes separable, so a greedy fill finishes the job.  Total work: one
+Smith form, O(1) arithmetic per brick, one sort.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import (
     InternalInconsistencyError,
@@ -17,11 +18,10 @@ from .errors import (
     NotEligibleError,
     TargetOutOfRangeError,
 )
-from .intlin import SnfDecomposition, smith_normal_form
+from .intlin import brick_solutions, quotient_range, smith_normal_form
 from .model import (
     FourBlockInstance,
     Infeasible,
-    IntMatrix,
     Solution,
     StructureClass,
     classify,
@@ -34,48 +34,30 @@ from .model import (
 class NfoldSnfContext:
     """Everything the greedy phase needs, derived brick by brick."""
 
-    snf: SnfDecomposition
-    fixed_y: tuple  # per brick: the s_A components pinned by divisibility
+    theta: tuple  # free column of V: A theta = 0, shared by every brick
+    bases: tuple  # per brick: its particular solution of A x = b_i
     d0: object  # forced value of the free-component sum, None if unconstrained
     intervals: tuple  # per brick: (lo, hi) for the free component
     weights: tuple  # per brick: objective rate of its free component
-    c0: int  # objective value contributed by the pinned parts
+    c0: int  # objective value contributed by the bases
 
 
-def _ceil_div(a, b):
-    return -((-a) // b)
+def reduce_box_to_interval(theta, base, l, u):
+    """Tightest integer interval for z with l <= base + theta * z <= u.
 
-
-def _floor_div(a, b):
-    return a // b
-
-
-def reduce_box_to_interval(V: IntMatrix, fixed_y, l, u):
-    """Tightest integer interval for the free component, given the box.
-
-    Each box row l_h <= base_h + theta_h * z <= u_h constrains z when
-    theta_h != 0 and otherwise just checks the constant.  Returns (lo, hi),
-    or Infeasible("EmptyInterval") / Infeasible("ConstantRowViolated").
+    Each coordinate constrains z when theta_h != 0 and otherwise just checks
+    the constant.  Returns (lo, hi), or Infeasible("EmptyInterval") /
+    Infeasible("ConstantRowViolated").
     """
-    t = V.rows
-    k = len(fixed_y)
-    if V.cols != k + 1:
-        raise MalformedProblemError("fixed part leaves more than one free column")
+    if not len(theta) == len(base) == len(l) == len(u):
+        raise MalformedProblemError("theta, base and the box differ in length")
     lo, hi = None, None
-    for h in range(t):
-        row = V.row(h)
-        base = sum(row[j] * fixed_y[j] for j in range(k))
-        theta = row[k]
-        if theta == 0:
-            if not (l[h] <= base <= u[h]):
+    for th, b, lh, uh in zip(theta, base, l, u):
+        if th == 0:
+            if not (lh <= b <= uh):
                 return Infeasible("ConstantRowViolated")
             continue
-        if theta > 0:
-            rlo = _ceil_div(l[h] - base, theta)
-            rhi = _floor_div(u[h] - base, theta)
-        else:
-            rlo = _ceil_div(u[h] - base, theta)
-            rhi = _floor_div(l[h] - base, theta)
+        rlo, rhi = quotient_range(th, lh - b, uh - b)
         if lo is None or rlo > lo:
             lo = rlo
         if hi is None or rhi < hi:
@@ -111,46 +93,36 @@ def greedy_ip8(intervals, weights, target):
 
 
 def build_context(inst: FourBlockInstance):
-    """Per-brick elimination; NfoldSnfContext or Infeasible."""
-    n, tA, sA = inst.n, inst.t_A, inst.s_A
+    """Per-brick elimination; NfoldSnfContext or Infeasible.
+
+    Each brick is checked in full before the next, so the first brick that
+    fails names the reason.
+    """
+    tA, sA = inst.t_A, inst.s_A
     snf = smith_normal_form(inst.A)
     if snf.rank != sA:
         raise InternalInconsistencyError("rank changed between classify and solve")
-    alphas = snf.diagonal
-    U_rows = snf.U.row_lists()
-    V_rows = snf.V.row_lists()
-    theta = [V_rows[h][sA] for h in range(tA)]
+    theta = snf.V.col(sA)
 
-    fixed_y = []
+    bases = []
     intervals = []
     weights = []
     c0 = 0
     base_sum = [0] * tA
-    for i in range(n):
-        bi = inst.b[i]
+    for i, base in enumerate(brick_solutions(snf, inst.b)):
+        if base is None:
+            return Infeasible("DivisibilityFail")
         s = inst.brick_slice(i)
-        li = inst.l[s]
-        ui = inst.u[s]
-        wi = inst.w[s]
-        ys = []
-        for j in range(sA):
-            bt = sum(U_rows[j][r] * bi[r] for r in range(sA))
-            a = alphas[j]
-            if bt % a != 0:
-                return Infeasible("DivisibilityFail")
-            ys.append(bt // a)
-        iv = reduce_box_to_interval(snf.V, ys, li, ui)
+        iv = reduce_box_to_interval(theta, base, inst.l[s], inst.u[s])
         if isinstance(iv, Infeasible):
             return Infeasible("EmptyInterval")
-        rate = 0
+        wi = inst.w[s]
         for h in range(tA):
-            base = sum(V_rows[h][j] * ys[j] for j in range(sA))
-            base_sum[h] += base
-            c0 += wi[h] * base
-            rate += wi[h] * theta[h]
-        fixed_y.append(tuple(ys))
+            base_sum[h] += base[h]
+        c0 += sum(map(mul, wi, base))
+        bases.append(base)
         intervals.append(iv)
-        weights.append(rate)
+        weights.append(sum(map(mul, wi, theta)))
 
     # top block: every row is a one-variable equation in the free-sum
     d0 = None
@@ -171,7 +143,7 @@ def build_context(inst: FourBlockInstance):
             return Infeasible("AggregateInconsistent")
 
     return NfoldSnfContext(
-        snf, tuple(fixed_y), d0, tuple(intervals), tuple(weights), c0
+        theta, tuple(bases), d0, tuple(intervals), tuple(weights), c0
     )
 
 
@@ -186,7 +158,6 @@ def solve_nfold_snf(inst: FourBlockInstance):
     ctx = build_context(inst)
     if isinstance(ctx, Infeasible):
         return ctx
-    n, tA, sA = inst.n, inst.t_A, inst.s_A
 
     low_sum = sum(lo for lo, _ in ctx.intervals)
     if ctx.d0 is None:
@@ -202,15 +173,12 @@ def solve_nfold_snf(inst: FourBlockInstance):
             return Infeasible("AggregateOutOfRange")
         p = greedy_ip8(ctx.intervals, ctx.weights, target)
 
-    V_rows = ctx.snf.V.row_lists()
-    theta = [V_rows[h][sA] for h in range(tA)]
+    theta = ctx.theta
     x = []
     objective = ctx.c0
-    for i in range(n):
+    for i, base in enumerate(ctx.bases):
         z = ctx.intervals[i][0] + p[i]
-        ys = ctx.fixed_y[i]
-        for h in range(tA):
-            x.append(sum(V_rows[h][j] * ys[j] for j in range(sA)) + theta[h] * z)
+        x.extend(b + th * z for b, th in zip(base, theta))
         objective += ctx.weights[i] * z
 
     report = evaluate(inst, tuple(x))

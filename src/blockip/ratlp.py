@@ -392,12 +392,16 @@ class WarmLp:
         """Re-solve with boxes (j, lower, upper) set and rows (coeffs, lo, hi) added.
 
         Each added row reads lo <= coeffs . x <= hi over the structurals.  An
-        empty box or range makes the result Infeasible.  Returns (LpResult,
-        WarmLp or None); the state is None exactly when the result is not
-        Optimal.
+        empty box or range makes the result Infeasible; a box index that
+        names no structural column raises MalformedProblemError.  Returns
+        (LpResult, WarmLp or None); the state is None exactly when the
+        result is not Optimal.
         """
         s = self._simplex
         boxes = [(j, Fraction(lo), Fraction(hi)) for j, lo, hi in boxes]
+        for j, _, _ in boxes:
+            if j not in range(s.ns):
+                raise MalformedProblemError(f"box index {j!r} names no structural column")
         rows = _ranged(rows, s.ns)
         if any(lo > hi for _, lo, hi in boxes) or any(lo > hi for _, lo, hi in rows):
             return LpResult(INFEASIBLE), None

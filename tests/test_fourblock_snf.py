@@ -11,7 +11,6 @@ from blockip.fourblock_snf import (
     _prepare,
     _propagate,
     build_grid,
-    elimination_from_bezout,
     elimination_from_snf,
     enumerate_cells,
     solve_4block_snf,
@@ -29,9 +28,9 @@ from blockip.oracle import OracleBudget, enumerate_optimum
 from blockip.ratlp import OPTIMAL
 
 
-def cell_values(inst, eliminate="auto"):
+def cell_values(inst):
     """Optima of every cell the solver enumerates, in order (no pruning)."""
-    prepared = _prepare(inst, eliminate)
+    prepared = _prepare(inst)
     if prepared is None:
         raise NotEligibleError("cell enumeration needs at least one brick")
     if isinstance(prepared, Infeasible):
@@ -119,8 +118,6 @@ def test_frozen_running_example():
     assert got.objective == 20
     assert got.x == (2, 3, -1, 4, 0)
     assert got.solver_tag == "fourblock_snf"
-    alt = solve_4block_snf(running_example(), eliminate="snf")
-    assert isinstance(alt, Solution) and alt.objective == 20
 
 
 def test_rejects_malformed():
@@ -149,13 +146,6 @@ def test_rejects_wide_brick_matrix():
         solve_4block_snf(inst)
 
 
-def test_rejects_unknown_elimination_route():
-    with pytest.raises(MalformedProblemError):
-        solve_4block_snf(running_example(), eliminate="lll")
-    with pytest.raises(MalformedProblemError):
-        cell_values(running_example(), eliminate="lll")
-
-
 def test_divisibility_gap_is_infeasible():
     # brick equations differ by an amount the brick lattice cannot absorb
     inst = FourBlockInstance.nfold(
@@ -168,9 +158,7 @@ def test_divisibility_gap_is_infeasible():
         u=(5, 5, 5, 5),
         w=(1, 1, 1, 1),
     )
-    for route in ("bezout", "snf", "auto"):
-        got = solve_4block_snf(inst, eliminate=route)
-        assert got == Infeasible("DivisibilityFail")
+    assert solve_4block_snf(inst) == Infeasible("DivisibilityFail")
 
 
 def test_no_bricks_reduces_to_shared_variables():
@@ -236,29 +224,9 @@ def test_elimination_shifts_solve_the_difference_systems():
         assert elim.c0 == c0
 
 
-def test_bezout_elimination_steps():
-    inst = FourBlockInstance.nfold(
-        n=2, A=IntMatrix.from_rows([(4, 6)]), D=IntMatrix.zero(0, 2),
-        b0=(), b=((2,), (6,)), l=(-9,) * 4, u=(9,) * 4, w=(1, 1, 1, 1),
-    )
-    elim = elimination_from_bezout(inst)
-    assert elim.theta == (3, -2)  # (mu/g, -lam/g) for gcd 2
-    assert all(v == 0 for v in inst.A.mul_vec(elim.theta))
-    assert list(inst.A.mul_vec(elim.offsets[1])) == [4]
-    with pytest.raises(MalformedProblemError):
-        elimination_from_bezout(
-            FourBlockInstance.nfold(
-                n=1, A=IntMatrix.from_rows([(1, 0), (0, 1)]),
-                D=IntMatrix.zero(0, 2), b0=(), b=((0, 0),),
-                l=(0, 0), u=(1, 1), w=(0, 0),
-            )
-        )
-
-
 def _unit_elim(theta):
     return EliminationData(
-        theta=(theta,), offsets=((0,),), offset_totals=(0,),
-        fixed_y=((),), c0=0, snf=None,
+        theta=(theta,), offsets=((0,),), offset_totals=(0,), c0=0,
     )
 
 
@@ -303,8 +271,7 @@ def test_grid_values_constant_within_cells():
         offsets[0] = (0,)
         elim = EliminationData(
             theta=(theta,), offsets=tuple(offsets),
-            offset_totals=(sum(o[0] for o in offsets),),
-            fixed_y=((),) * n, c0=0, snf=None,
+            offset_totals=(sum(o[0] for o in offsets),), c0=0,
         )
         cells = build_grid(elim, lower, upper).per_h[0]
         assert cells[0].tau == 0 and cells[-1].tau_bar == abs(theta) - 1
@@ -366,6 +333,9 @@ def test_cell_mips_have_no_slack_columns():
 
 
 def test_elimination_routes_agree_on_single_row_bricks():
+    # 1x2 brick matrices, the shape a gcd identity alone would eliminate,
+    # take the Smith route like every other shape; the exhaustive oracle
+    # is the other route it must agree with
     rng = random.Random(41)
     feas = 0
     for _ in range(60):
@@ -374,13 +344,16 @@ def test_elimination_routes_agree_on_single_row_bricks():
             if (lam, mu) != (0, 0):
                 break
         inst = random_instance(rng, A=IntMatrix.from_rows([(lam, mu)]))
-        gb = solve_4block_snf(inst, eliminate="bezout")
-        gs = solve_4block_snf(inst, eliminate="snf")
-        if isinstance(gb, Solution):
-            assert isinstance(gs, Solution) and gs.objective == gb.objective
+        want = enumerate_optimum(inst, OracleBudget(10**7))
+        got = solve_4block_snf(inst)
+        if isinstance(want, Solution):
+            assert isinstance(got, Solution), (inst, got, want)
+            assert got.objective == want.objective, (inst, got, want)
+            report = evaluate(inst, got.x)
+            assert report.feasible and report.objective == got.objective
             feas += 1
         else:
-            assert isinstance(gs, Infeasible)
+            assert isinstance(got, Infeasible), (inst, got)
     assert feas >= 10
 
 

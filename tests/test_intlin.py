@@ -1,11 +1,20 @@
-"""Integer linear algebra checks: gcd certificates and Smith forms."""
+"""Integer linear algebra checks: gcd certificates, Smith forms, brick solutions."""
 
+import itertools
+import math
 import random
 
 import pytest
 
-from blockip.errors import BothZeroError, DimensionMismatchError, ZeroMatrixError
-from blockip.intlin import BezoutSolution, extended_gcd, integer_rank, smith_normal_form
+from blockip.errors import BothZeroError, DimensionMismatchError, NotEligibleError, ZeroMatrixError
+from blockip.intlin import (
+    BezoutSolution,
+    brick_solutions,
+    extended_gcd,
+    integer_rank,
+    quotient_range,
+    smith_normal_form,
+)
 from blockip.model import IntMatrix
 
 
@@ -267,3 +276,79 @@ def test_integer_rank():
     assert integer_rank(IntMatrix.from_rows([[1, 1, 97]])) == 1
     assert integer_rank(IntMatrix.from_rows([[2, 0], [0, 3]])) == 2
     assert integer_rank(IntMatrix.from_rows([[1, 2], [2, 4]])) == 1
+
+
+def random_full_row_rank(rng, s, coeff):
+    """Random s x (s + 1) integer matrix of rank s."""
+    while True:
+        A = IntMatrix.from_rows([[rng.randint(-coeff, coeff) for _ in range(s + 1)] for _ in range(s)])
+        if integer_rank(A) == s:
+            return A
+
+
+def test_brick_solutions_are_base_plus_multiples_of_theta():
+    rng = random.Random(505)
+    big = 0
+    for trial in range(120):
+        s = rng.choice((1, 1, 2, 3))
+        coeff = 10 ** 6 if trial % 2 else 5
+        A = random_full_row_rank(rng, s, coeff)
+        snf = smith_normal_form(A)
+        theta = snf.V.col(s)
+        assert all(v == 0 for v in A.mul_vec(theta))
+        assert math.gcd(*theta) == 1  # primitive: no shorter kernel step
+        xs = [[rng.randint(-10 ** 7, 10 ** 7) for _ in range(s + 1)] for _ in range(4)]
+        bases = list(brick_solutions(snf, [A.mul_vec(x) for x in xs]))
+        assert len(bases) == len(xs)
+        for x, base in zip(xs, bases):
+            assert base is not None
+            h = next(h for h in range(s + 1) if theta[h])
+            k, rem = divmod(x[h] - base[h], theta[h])
+            assert rem == 0
+            assert all(x[g] - base[g] == k * theta[g] for g in range(s + 1)), (A, x, base)
+        big += max(map(abs, A.entries)) > 10 ** 5
+    assert big >= 40
+
+
+def test_brick_solutions_fail_only_without_an_integer_point():
+    # small systems and arbitrary right-hand sides: None must mean that no
+    # integer point exists, so a search over a box finds none either
+    rng = random.Random(606)
+    found = missing = 0
+    for _ in range(40):
+        s = rng.choice((1, 2))
+        A = random_full_row_rank(rng, s, 3)
+        snf = smith_normal_form(A)
+        rhs = [tuple(rng.randint(-6, 6) for _ in range(s)) for _ in range(3)]
+        for r, base in zip(rhs, brick_solutions(snf, rhs)):
+            if base is not None:
+                assert tuple(A.mul_vec(base)) == r
+                found += 1
+                continue
+            box = itertools.product(range(-8, 9), repeat=s + 1)
+            assert not any(tuple(A.mul_vec(x)) == r for x in box), (A, r)
+            missing += 1
+    assert found >= 20 and missing >= 20, (found, missing)
+
+
+def test_brick_solutions_frozen_and_rejections():
+    # 4x + 6y = r: gcd 2, so odd r has no integer point
+    snf = smith_normal_form(IntMatrix.from_rows([[4, 6]]))
+    got = list(brick_solutions(snf, [(2,), (3,), (0,)]))
+    assert got[1] is None and got[2] == (0, 0)
+    assert 4 * got[0][0] + 6 * got[0][1] == 2
+    assert snf.V.col(1) in ((3, -2), (-3, 2))
+    with pytest.raises(DimensionMismatchError):
+        list(brick_solutions(snf, [(1, 2)]))
+    with pytest.raises(NotEligibleError):
+        list(brick_solutions(smith_normal_form(IntMatrix.from_rows([[1, 2], [2, 4]])), [(0, 0)]))
+    with pytest.raises(NotEligibleError):
+        list(brick_solutions(smith_normal_form(IntMatrix.from_rows([[1, 2, 3]])), [(0,)]))
+
+
+def test_quotient_range_is_the_set_of_multiples():
+    for theta in (-3, -1, 1, 2, 5):
+        for lo in range(-7, 8):
+            for hi in range(lo - 1, 8):
+                a, b = quotient_range(theta, lo, hi)
+                assert list(range(a, b + 1)) == [q for q in range(-20, 21) if lo <= theta * q <= hi]

@@ -121,6 +121,42 @@ def test_routes_raise_a_typed_error_on_non_integer_data():
         solve_4block_snf(dataclasses.replace(four, C=IntMatrix(1, 1, (Fraction(1),))))
 
 
+def test_validate_rejects_a_non_int_brick_count():
+    # n = 2.0 once reached range(N) inside validate and raised TypeError
+    issues = validate(dataclasses.replace(small_instance(), n=2.0))
+    assert [(i.code, i.message) for i in issues] == [("ShapeMismatch", "n = 2.0 is not an int")]
+
+
+def test_validate_rejects_a_matrix_with_the_wrong_entry_count():
+    # the bare IntMatrix constructor does not check rows * cols
+    inst = small_instance()
+    for name in "ABCD":
+        M = getattr(inst, name)
+        short = IntMatrix(M.rows, M.cols, M.entries[:-1])
+        issues = validate(dataclasses.replace(inst, **{name: short}))
+        assert [i.code for i in issues] == ["ShapeMismatch"], (name, issues)
+        assert issues[0].message.startswith(f"{name} has {M.rows * M.cols - 1} entries"), issues
+    issues = validate(dataclasses.replace(inst, A=IntMatrix(2, 3, (1, 1, 1, 1, 1))))
+    assert "A has 5 entries, expected 2 x 3" in [i.message for i in issues]
+
+
+def test_routes_raise_a_typed_error_on_malformed_shapes():
+    four = FourBlockInstance.make(
+        2, IntMatrix.from_rows([[2, 3]]), IntMatrix.from_rows([[1]]), IntMatrix.from_rows([[1]]),
+        IntMatrix.from_rows([[1, 0]]), [0], [[0], [0]], [0] * 5, [3] * 5, [0] * 5)
+    cases = (
+        (solve_ones, nfold_of([[1, 1]], [[1, 0]])),
+        (solve_nfold_snf, nfold_of([[2, 3]], [[1, 0]])),
+        (solve_4block_snf, four),
+    )
+    for solve, inst in cases:
+        assert isinstance(solve(inst), Solution)
+        with pytest.raises(MalformedProblemError, match="n = 2.0"):
+            solve(dataclasses.replace(inst, n=2.0))
+        with pytest.raises(MalformedProblemError, match="D has 1 entries"):
+            solve(dataclasses.replace(inst, D=IntMatrix(1, 2, (1,))))
+
+
 def nfold_of(A_rows, D_rows, n=2, width=3):
     A = IntMatrix.from_rows(A_rows)
     D = IntMatrix.from_rows(D_rows)

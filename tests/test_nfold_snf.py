@@ -5,7 +5,7 @@ import pytest
 from highs_oracle import highs_optimum
 
 from blockip import generators
-from blockip.errors import NotEligibleError, TargetOutOfRangeError
+from blockip.errors import MalformedProblemError, NotEligibleError, TargetOutOfRangeError
 from blockip.intlin import integer_rank
 from blockip.model import (
     FourBlockInstance,
@@ -101,6 +101,24 @@ def test_constant_row_violation_reported_as_empty():
     assert res.reason == "EmptyInterval"
 
 
+def test_first_failing_brick_names_the_reason():
+    # 2x + 4y = b: brick "empty" has integer points (1, 0) + k (2, -1), none
+    # with x = 2; brick "odd" has b = 3, which gcd 2 does not divide.  Each
+    # brick is checked in full before the next, so the order decides
+    A = IntMatrix.from_rows([[2, 4]])
+    D = IntMatrix.zero(0, 2)
+    empty = ((2,), (2, 0), (2, 5))
+    odd = ((3,), (0, 0), (5, 5))
+    for bricks, reason in (((empty, odd), "EmptyInterval"), ((odd, empty), "DivisibilityFail")):
+        inst = FourBlockInstance.nfold(
+            2, A, D, [], [b for b, _, _ in bricks],
+            [v for _, lo, _ in bricks for v in lo],
+            [v for _, _, hi in bricks for v in hi],
+            [1, 1, 1, 1],
+        )
+        assert solve_nfold_snf(inst) == Infeasible(reason)
+
+
 def test_aggregate_inconsistency():
     A = IntMatrix.from_rows([[1, 0]])
     D = IntMatrix.from_rows([[1, 0]])  # ignores the free component
@@ -124,21 +142,26 @@ def test_aggregate_out_of_range():
 
 
 def test_reduce_identity_single_column():
-    V = IntMatrix.identity(1)
-    assert reduce_box_to_interval(V, (), [-4], [7]) == (-4, 7)
+    assert reduce_box_to_interval((1,), (0,), [-4], [7]) == (-4, 7)
 
 
 def test_reduce_rounding_rule():
     # 2z <= 5 rounds down to 2; -3 <= 2z rounds up to -1
-    V = IntMatrix.from_rows([[2]])
-    assert reduce_box_to_interval(V, (), [-3], [5]) == (-1, 2)
+    assert reduce_box_to_interval((2,), (0,), [-3], [5]) == (-1, 2)
 
 
 def test_reduce_constant_row():
-    V = IntMatrix.from_rows([[1, 0], [0, 1]])
-    res = reduce_box_to_interval(V, (4,), [0, 0], [3, 9])
+    # V = I, fixed part y = (4,): base (4, 0), free column (0, 1)
+    res = reduce_box_to_interval((0, 1), (4, 0), [0, 0], [3, 9])
     assert isinstance(res, Infeasible)
     assert res.reason == "ConstantRowViolated"
+
+
+def test_reduce_checks_lengths():
+    with pytest.raises(MalformedProblemError):
+        reduce_box_to_interval((1, 2), (0,), [0, 0], [3, 3])
+    with pytest.raises(MalformedProblemError):
+        reduce_box_to_interval((1,), (0,), [0, 0], [3])
 
 
 def test_reduce_matches_membership_oracle():
@@ -152,20 +175,17 @@ def test_reduce_matches_membership_oracle():
         for h in range(t):
             if all(r[k] == 0 for r in rows):
                 rows[h][k] = rng.choice([-2, -1, 1, 2])
-        V = IntMatrix.from_rows(rows)
         fixed = tuple(rng.randint(-2, 2) for _ in range(k))
         l = [rng.randint(-8, 0) for _ in range(t)]
         u = [v + rng.randint(0, 9) for v in l]
-        got = reduce_box_to_interval(V, fixed, l, u)
+        # base + theta * z is V (fixed, z): theta is V's last column
+        base = tuple(sum(rows[h][j] * fixed[j] for j in range(k)) for h in range(t))
+        theta = tuple(rows[h][k] for h in range(t))
+        got = reduce_box_to_interval(theta, base, l, u)
         members = [
             z
             for z in range(-20, 21)
-            if all(
-                l[h]
-                <= sum(V.at(h, j) * fixed[j] for j in range(k)) + V.at(h, k) * z
-                <= u[h]
-                for h in range(t)
-            )
+            if all(l[h] <= base[h] + theta[h] * z <= u[h] for h in range(t))
         ]
         if isinstance(got, Infeasible):
             assert members == []

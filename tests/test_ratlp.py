@@ -369,3 +369,14 @@ def test_ranged_rows_checked_for_width():
     _, state = solve_lp_warm(LpProblem.make([1, 1], [], [0, 0], [1, 1]))
     with pytest.raises(MalformedProblemError):
         state.edited(rows=[([1], 0, 1)])
+
+
+def test_box_edits_checked_for_index():
+    # max x + y over 0 <= x + y <= 10, x and y in [0, 5]: index 2 is the
+    # row's slack, -1 would wrap to it, 7 is past every column
+    res, state = solve_lp_warm(LpProblem.make([1, 1], [([1, 1], 0, 10)], [0, 0], [5, 5]))
+    assert res.status == OPTIMAL and res.value == 10
+    for box in ((2, 5, 5), (-1, 0, 0), (7, 0, 0)):
+        with pytest.raises(MalformedProblemError):
+            state.edited(boxes=[box])
+    assert state.edited(boxes=[(1, 0, 0)])[0].value == 5
