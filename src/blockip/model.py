@@ -280,7 +280,9 @@ def validate(inst: FourBlockInstance) -> list[ValidationIssue]:
     Every entry of l, u, w, b0, b and the four matrices must be an int
     (not a bool, float or Fraction).  Entries are numbered flat: row-major
     in a matrix, brick-major in b.  A brick count n that is not an int is
-    the only issue reported, since every other check depends on it.
+    the only issue reported, since every other check depends on it; a
+    matrix shape (rows or cols) that is not an int ends the checks the
+    same way, after the other shapes are checked.
     """
     issues = []
 
@@ -292,7 +294,18 @@ def validate(inst: FourBlockInstance) -> list[ValidationIssue]:
         return issues
     if inst.n < 0:
         bad("ShapeMismatch", f"n must be nonnegative, got {inst.n}")
-    for name, M in (("A", inst.A), ("B", inst.B), ("C", inst.C), ("D", inst.D)):
+    matrices = (("A", inst.A), ("B", inst.B), ("C", inst.C), ("D", inst.D))
+    odd_shapes = [
+        f"{name}.{dim} = {v!r} is not an int"
+        for name, M in matrices
+        for dim, v in (("rows", M.rows), ("cols", M.cols))
+        if type(v) is not int
+    ]
+    if odd_shapes:
+        for msg in odd_shapes:
+            bad("ShapeMismatch", msg)
+        return issues
+    for name, M in matrices:
         if len(M.entries) != M.rows * M.cols:
             bad("ShapeMismatch", f"{name} has {len(M.entries)} entries, expected {M.rows} x {M.cols}")
     if inst.C.rows != inst.D.rows:

@@ -27,7 +27,6 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     InternalInconsistencyError,
@@ -80,6 +79,21 @@ def _y_box(inst: FourBlockInstance):
     return y_lo, y_hi
 
 
+def _dot(a, b) -> int:
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _round_half_even(num: int, den: int) -> int:
+    """num / den rounded to the nearest integer, ties to even; den > 0.
+
+    The rule of round() on a Fraction, in integers.
+    """
+    q, r = divmod(num, den)
+    if 2 * r > den or (2 * r == den and q & 1):
+        q += 1
+    return q
+
+
 def _reduce_kernel(kernel):
     """Lenstra-Lenstra-Lovasz reduction of an integer lattice basis.
 
@@ -89,58 +103,124 @@ def _reduce_kernel(kernel):
     (coordinate boxes, branching geometry, nearest-point rounding) needs the
     basis near-orthogonal, and pairwise size reduction alone is not enough,
     so this is the classic exact-arithmetic LLL with delta = 3/4.
+
+    It is the integral LLL of de Weger (1987) in the form of Cohen, A Course
+    in Computational Algebraic Number Theory, Alg. 2.6.7: every quantity is
+    an int.  With b*_j the Gram-Schmidt vectors and mu_kj the Gram-Schmidt
+    coefficients, d[0] = 1 and d[i + 1] = |b*_0|^2 ... |b*_i|^2 is the Gram
+    determinant of b_0 .. b_i, and lam[k][j] = d[j + 1] mu_kj; both are
+    integers for an integer basis.  A size-reduction step changes only row k
+    of lam; a swap updates d[k] and the lam of later rows by exact integer
+    division.
+
+    The decisions and their order are those of the textbook loop: b_k is
+    size-reduced against b_{k-1}, ..., b_0 in turn, each multiplier
+    rounded half to even (round(mu_kj) in exact rationals), and only then
+    is the Lovasz condition |b*_k|^2 >= (3/4 - mu_k,k-1^2) |b*_{k-1}|^2
+    tested, as 4 d[k+1] d[k-1] >= 3 d[k]^2 - 4 lam[k][k-1]^2.  (Cohen tests
+    after reducing against b_{k-1} alone, which can end at another basis.)
+    The input vectors must be linearly independent.
     """
-
-    def dot(a, b):
-        return sum(x * y for x, y in zip(a, b))
-
     basis = [list(v) for v in kernel]
     m = len(basis)
     if m <= 1:
         return basis
 
-    def gso():
-        mu = [[Fraction(0)] * m for _ in range(m)]
-        norms, star = [], []
-        for i in range(m):
-            v = [Fraction(x) for x in basis[i]]
-            for j in range(i):
-                mu[i][j] = Fraction(dot(basis[i], star[j])) / norms[j]
-                v = [x - mu[i][j] * y for x, y in zip(v, star[j])]
-            star.append(v)
-            norms.append(dot(v, v))
-        return mu, norms
+    # integral Gram-Schmidt of the whole input
+    d = [1] + [0] * m
+    lam = [[0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1):
+            u = _dot(basis[i], basis[j])
+            for t in range(j):
+                u = (d[t + 1] * u - lam[i][t] * lam[j][t]) // d[t]
+            if j < i:
+                lam[i][j] = u
+            else:
+                d[i + 1] = u
 
     k = 1
     while k < m:
-        mu, norms = gso()
+        row = lam[k]
         for j in range(k - 1, -1, -1):
-            q = round(mu[k][j])
+            q = _round_half_even(row[j], d[j + 1])
             if q:
                 basis[k] = [x - q * y for x, y in zip(basis[k], basis[j])]
-                mu, norms = gso()
-        if norms[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * norms[k - 1]:
+                row[j] -= q * d[j + 1]
+                for t in range(j):
+                    row[t] -= q * lam[j][t]
+        la = row[k - 1]
+        if 4 * d[k + 1] * d[k - 1] >= 3 * d[k] * d[k] - 4 * la * la:
             k += 1
-        else:
-            basis[k], basis[k - 1] = basis[k - 1], basis[k]
-            k = max(k - 1, 1)
+            continue
+        basis[k], basis[k - 1] = basis[k - 1], basis[k]
+        for t in range(k - 1):
+            lam[k][t], lam[k - 1][t] = lam[k - 1][t], lam[k][t]
+        dk = (d[k + 1] * d[k - 1] + la * la) // d[k]
+        for i in range(k + 1, m):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - la * t) // d[k]
+            lam[i][k - 1] = (dk * t + la * lam[i][k]) // d[k + 1]
+        d[k] = dk
+        k = max(k - 1, 1)
     return basis
 
 
-def _mat_solve(a, b):
-    """Exact solve of a X = b for square nonsingular rational a, b as rows."""
-    k = len(a)
-    m = [list(ra) + list(rb) for ra, rb in zip(a, b)]
-    for col in range(k):
-        piv = next(r for r in range(col, k) if m[r][col])
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(k):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [row[k:] for row in m]
+def _coordinate_box(basis, p, xy_lo, xy_hi):
+    """Recentred offset and coordinate box of the lattice p + basis^T v.
+
+    With W the f x taw matrix of the basis rows and G = W W^T its Gram
+    matrix, v = G^-1 W (xy - p) recovers the coordinates of a lattice point
+    xy.  The work is fraction-free: one Bareiss (1968) elimination of
+    [G | W] (G is positive definite, so no pivot is zero and none is moved)
+    and a back substitution by exact division give the integer matrix
+    Y = det(G) G^-1 W.  The offset is moved by the nearest integer
+    coordinates (ties to even) of the box midpoint, so the numbers of the
+    search stay small, and each coordinate's
+    range over the xy box, which is Y (xy - p) / det(G) summed end by end,
+    is rounded inward.  Returns (offset, v_lo, v_hi), or None when some
+    coordinate range holds no integer.
+    """
+    f, taw = len(basis), len(p)
+    m = [
+        [_dot(basis[a], basis[b]) for b in range(f)] + list(basis[a])
+        for a in range(f)
+    ]
+    width = f + taw
+    prev = 1
+    for k in range(f - 1):
+        piv, top = m[k][k], m[k]
+        for r in range(k + 1, f):
+            low, c = m[r], m[r][k]
+            for j in range(k + 1, width):
+                low[j] = (piv * low[j] - c * top[j]) // prev
+            low[k] = 0
+        prev = piv
+    det = m[f - 1][f - 1]
+    y = [None] * f
+    for k in range(f - 1, -1, -1):
+        y[k] = [
+            (det * m[k][f + i] - sum(m[k][j] * y[j][i] for j in range(k + 1, f))) // m[k][k]
+            for i in range(taw)
+        ]
+    mid2 = [xy_lo[i] + xy_hi[i] - 2 * p[i] for i in range(taw)]
+    shift = [_round_half_even(_dot(y[k], mid2), 2 * det) for k in range(f)]
+    if any(shift):
+        p = [p[i] + sum(shift[k] * basis[k][i] for k in range(f)) for i in range(taw)]
+    v_lo, v_hi = [], []
+    for k in range(f):
+        lo = hi = 0
+        for i in range(taw):
+            c = y[k][i]
+            if c:
+                ends = (c * (xy_lo[i] - p[i]), c * (xy_hi[i] - p[i]))
+                lo += min(ends)
+                hi += max(ends)
+        v_lo.append(-(-lo // det))
+        v_hi.append(hi // det)
+        if v_lo[-1] > v_hi[-1]:
+            return None
+    return p, v_lo, v_hi
 
 
 @dataclass(frozen=True)
@@ -167,6 +247,11 @@ def _aggregate_lattice(inst: FourBlockInstance):
     rounding) and the coordinate box comes from exact interval arithmetic,
     so it contains every lattice point of the xy box.  Returns None when the
     lattice or the coordinate box is empty, which proves infeasibility.
+
+    All of it is integer arithmetic: the Smith form, the integral LLL of
+    _reduce_kernel, and the fraction-free coordinate box of _coordinate_box,
+    which scales every rational by the Gram determinant of the basis and
+    rounds by integer division.
     """
     n, tA, tB, sC = inst.n, inst.t_A, inst.t_B, inst.s_C
     taw = tB + tA
@@ -187,33 +272,16 @@ def _aggregate_lattice(inst: FourBlockInstance):
         base[j] = tt[j] // a
     p = dec.V.mul_vec(base)
     basis = _reduce_kernel([[dec.V.at(i, k) for i in range(taw)] for k in range(r, taw)])
-    f = len(basis)
 
     y_lo, y_hi = _y_box(inst)
     xy_lo = list(inst.l[:tB]) + y_lo
     xy_hi = list(inst.u[:tB]) + y_hi
-    v_lo, v_hi = [], []
-    if f:
-        gram = [[Fraction(sum(basis[a][i] * basis[b][i] for i in range(taw))) for b in range(f)] for a in range(f)]
-        proj = _mat_solve(gram, [[Fraction(basis[k][i]) for i in range(taw)] for k in range(f)])
-        # recenter the particular solution near the box so numbers stay small
-        mid = [Fraction(xy_lo[i] + xy_hi[i], 2) for i in range(taw)]
-        shift = [round(sum(proj[k][i] * (mid[i] - p[i]) for i in range(taw))) for k in range(f)]
-        if any(shift):
-            p = [p[i] + sum(shift[k] * basis[k][i] for k in range(f)) for i in range(taw)]
-        for k in range(f):
-            lo = hi = Fraction(0)
-            for i in range(taw):
-                m = proj[k][i]
-                if not m:
-                    continue
-                ends = (m * (xy_lo[i] - p[i]), m * (xy_hi[i] - p[i]))
-                lo += min(ends)
-                hi += max(ends)
-            v_lo.append(math.ceil(lo))
-            v_hi.append(math.floor(hi))
-            if v_lo[-1] > v_hi[-1]:
-                return None
+    v_lo = v_hi = ()
+    if basis:
+        box = _coordinate_box(basis, p, xy_lo, xy_hi)
+        if box is None:
+            return None
+        p, v_lo, v_hi = box
     return _LatticeForm(
         tuple(p),
         tuple(tuple(v) for v in basis),

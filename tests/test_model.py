@@ -140,6 +140,26 @@ def test_validate_rejects_a_matrix_with_the_wrong_entry_count():
     assert "A has 5 entries, expected 2 x 3" in [i.message for i in issues]
 
 
+def test_validate_rejects_a_non_int_matrix_shape():
+    # A.rows = 1.0 once passed (1.0 * 2 == 2 entries) and the route then
+    # raised a bare TypeError; A.cols = 2.0 made validate itself raise it
+    inst = nfold_of([[2, 3]], [[1, 0]])
+    for A, msg in (
+        (IntMatrix(1.0, 2, (2, 3)), "A.rows = 1.0 is not an int"),
+        (IntMatrix(1, 2.0, (2, 3)), "A.cols = 2.0 is not an int"),
+    ):
+        issues = validate(dataclasses.replace(inst, A=A))
+        assert [(i.code, i.message) for i in issues] == [("ShapeMismatch", msg)]
+    four = small_instance()
+    for name in "BCD":
+        M = getattr(four, name)
+        odd = IntMatrix(M.rows, float(M.cols), M.entries)
+        issues = validate(dataclasses.replace(four, **{name: odd}))
+        assert [(i.code, i.message) for i in issues] == [
+            ("ShapeMismatch", f"{name}.cols = {float(M.cols)!r} is not an int")
+        ], name
+
+
 def test_routes_raise_a_typed_error_on_malformed_shapes():
     four = FourBlockInstance.make(
         2, IntMatrix.from_rows([[2, 3]]), IntMatrix.from_rows([[1]]), IntMatrix.from_rows([[1]]),
@@ -155,6 +175,8 @@ def test_routes_raise_a_typed_error_on_malformed_shapes():
             solve(dataclasses.replace(inst, n=2.0))
         with pytest.raises(MalformedProblemError, match="D has 1 entries"):
             solve(dataclasses.replace(inst, D=IntMatrix(1, 2, (1,))))
+        with pytest.raises(MalformedProblemError, match="A.rows = 1.0"):
+            solve(dataclasses.replace(inst, A=IntMatrix(1.0, 2, inst.A.entries)))
 
 
 def nfold_of(A_rows, D_rows, n=2, width=3):

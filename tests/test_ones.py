@@ -1,4 +1,6 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
 from highs_oracle import highs_optimum
@@ -10,6 +12,8 @@ from blockip.model import FourBlockInstance, Infeasible, IntMatrix, Solution, ev
 from blockip.ones import (
     OnesContext,
     _aggregate_lattice,
+    _coordinate_box,
+    _reduce_kernel,
     _require_ones,
     _transport_duals,
     _y_box,
@@ -446,3 +450,311 @@ def test_matches_highs_beyond_the_enumerator():
         assert got.objective == want.objective
         feas += 1
     assert feas >= 8 and infeasible >= 4, (feas, infeasible)
+
+
+# The lattice set-up as it was done in Fractions: the LLL that recomputes the
+# whole Gram-Schmidt form after every step, and the coordinate box solved from
+# the Fraction Gram matrix.  _reduce_kernel and _coordinate_box must return
+# exactly what these return.
+
+def reference_reduce_kernel(kernel):
+    def dot(a, b):
+        return sum(x * y for x, y in zip(a, b))
+
+    basis = [list(v) for v in kernel]
+    m = len(basis)
+    if m <= 1:
+        return basis
+
+    def gso():
+        mu = [[Fraction(0)] * m for _ in range(m)]
+        norms, star = [], []
+        for i in range(m):
+            v = [Fraction(x) for x in basis[i]]
+            for j in range(i):
+                mu[i][j] = Fraction(dot(basis[i], star[j])) / norms[j]
+                v = [x - mu[i][j] * y for x, y in zip(v, star[j])]
+            star.append(v)
+            norms.append(dot(v, v))
+        return mu, norms
+
+    k = 1
+    while k < m:
+        mu, norms = gso()
+        for j in range(k - 1, -1, -1):
+            q = round(mu[k][j])
+            if q:
+                basis[k] = [x - q * y for x, y in zip(basis[k], basis[j])]
+                mu, norms = gso()
+        if norms[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * norms[k - 1]:
+            k += 1
+        else:
+            basis[k], basis[k - 1] = basis[k - 1], basis[k]
+            k = max(k - 1, 1)
+    return basis
+
+
+def reference_mat_solve(a, b):
+    """Exact solve of a X = b for square nonsingular rational a, b as rows."""
+    k = len(a)
+    m = [list(ra) + list(rb) for ra, rb in zip(a, b)]
+    for col in range(k):
+        piv = next(r for r in range(col, k) if m[r][col])
+        m[col], m[piv] = m[piv], m[col]
+        inv = 1 / m[col][col]
+        m[col] = [x * inv for x in m[col]]
+        for r in range(k):
+            if r != col and m[r][col]:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return [row[k:] for row in m]
+
+
+def reference_coordinate_box(basis, p, xy_lo, xy_hi):
+    f, taw = len(basis), len(p)
+    gram = [[Fraction(sum(basis[a][i] * basis[b][i] for i in range(taw))) for b in range(f)]
+            for a in range(f)]
+    proj = reference_mat_solve(gram, [[Fraction(basis[k][i]) for i in range(taw)] for k in range(f)])
+    mid = [Fraction(xy_lo[i] + xy_hi[i], 2) for i in range(taw)]
+    shift = [round(sum(proj[k][i] * (mid[i] - p[i]) for i in range(taw))) for k in range(f)]
+    if any(shift):
+        p = [p[i] + sum(shift[k] * basis[k][i] for k in range(f)) for i in range(taw)]
+    v_lo, v_hi = [], []
+    for k in range(f):
+        lo = hi = Fraction(0)
+        for i in range(taw):
+            m = proj[k][i]
+            if not m:
+                continue
+            ends = (m * (xy_lo[i] - p[i]), m * (xy_hi[i] - p[i]))
+            lo += min(ends)
+            hi += max(ends)
+        v_lo.append(math.ceil(lo))
+        v_hi.append(math.floor(hi))
+        if v_lo[-1] > v_hi[-1]:
+            return None
+    return p, v_lo, v_hi
+
+
+def reference_form(inst):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ones, "_reduce_kernel", reference_reduce_kernel)
+        mp.setattr(ones, "_coordinate_box", reference_coordinate_box)
+        return _aggregate_lattice(inst)
+
+
+def skewed_kernel(rng, m, dim, entry, steps):
+    """m independent integer vectors of length dim: a random basis with
+    |entries| <= entry, sheared by steps random unimodular row operations."""
+    while True:
+        basis = [[rng.randint(-entry, entry) for _ in range(dim)] for _ in range(m)]
+        if gram_det(basis):
+            break
+    for _ in range(steps if m > 1 else 0):
+        a, b = rng.sample(range(m), 2)
+        q = rng.randint(-3, 3)
+        basis[a] = [x + q * y for x, y in zip(basis[a], basis[b])]
+    return basis
+
+
+def gram_det(basis):
+    """Determinant of the Gram matrix, by Fraction Gaussian elimination."""
+    m = len(basis)
+    g = [[Fraction(sum(x * y for x, y in zip(a, b))) for b in basis] for a in basis]
+    det = Fraction(1)
+    for c in range(m):
+        piv = next((r for r in range(c, m) if g[r][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            g[c], g[piv] = g[piv], g[c]
+            det = -det
+        det *= g[c][c]
+        for r in range(c + 1, m):
+            f = g[r][c] / g[c][c]
+            g[r] = [x - f * y for x, y in zip(g[r], g[c])]
+    return det
+
+
+def lattice_setup_battery():
+    """Seeded instances of the benchmark's two all-ones shapes and of edge
+    shapes, with coefficients scaled from 1 to 10^40."""
+    rng = random.Random(9120)
+    shapes = [
+        dict(n=30, t_A=3, t_B=1, s_C=1),  # ones-transport
+        dict(n=8, t_A=3, t_B=3, s_C=1),  # ones-lattice
+        dict(n=6, t_A=3, t_B=0, s_C=0),
+        dict(n=6, t_A=2, t_B=2, s_C=2),
+        dict(n=5, t_A=4, t_B=0, s_C=2),
+    ]
+    out = []
+    for scale in (1, 10 ** 6, 10 ** 20, 10 ** 40):
+        for shape in shapes:
+            for _ in range(2 if scale < 10 ** 20 else 1):
+                out.append(generators.random_ones_instance(rng, scale=scale, seeded_rate=0.9, **shape))
+    return out
+
+
+def test_reduce_kernel_matches_the_fraction_reference_with_ties(monkeypatch):
+    # small entries make mu = +-1/2 and other half-way roundings common
+    ties = [0]
+    real_round = ones._round_half_even
+
+    def counting_round(num, den):
+        ties[0] += 2 * (num % den) == den
+        return real_round(num, den)
+
+    monkeypatch.setattr(ones, "_round_half_even", counting_round)
+    rng = random.Random(9121)
+    kernels = []
+    for trial in range(2000):
+        m = 4 if trial % 7 == 0 else rng.randint(2, 3)
+        kernels.append(skewed_kernel(rng, m, rng.randint(m, m + 2), 3, rng.randint(0, 3)))
+    for _ in range(60):
+        m = rng.randint(2, 4)
+        kernels.append(skewed_kernel(rng, m, rng.randint(m, m + 2), 10 ** 40, rng.randint(0, 4)))
+    for trial, kernel in enumerate(kernels):
+        assert _reduce_kernel(kernel) == reference_reduce_kernel(kernel), trial
+    assert ties[0] >= 200
+
+
+def test_lattice_form_matches_the_fraction_reference():
+    forms = 0
+    for trial, inst in enumerate(lattice_setup_battery()):
+        got = _aggregate_lattice(inst)
+        assert got == reference_form(inst), trial
+        forms += got is not None and len(got.basis) > 1
+    assert forms >= 15
+
+
+def test_coordinate_box_matches_the_fraction_reference_on_skewed_bases():
+    rng = random.Random(9122)
+    for trial in range(300):
+        f = rng.randint(1, 4)
+        taw = rng.randint(f, f + 2)
+        entry = rng.choice((3, 10 ** 12))
+        basis = skewed_kernel(rng, f, taw, entry, rng.randint(0, 4))
+        p = [rng.randint(-entry, entry) for _ in range(taw)]
+        xy_lo = [rng.randint(-4 * entry, entry) for _ in range(taw)]
+        xy_hi = [lo + rng.randint(0, 3 * entry) for lo in xy_lo]
+        got = _coordinate_box(basis, p, xy_lo, xy_hi)
+        want = reference_coordinate_box(basis, p, xy_lo, xy_hi)
+        assert (got is None) == (want is None), trial
+        if got is not None:
+            assert [list(part) for part in got] == [list(part) for part in want], trial
+
+
+def gso(basis):
+    """Gram-Schmidt coefficients and squared norms, in Fractions."""
+    mu = [[Fraction(0)] * len(basis) for _ in basis]
+    star, norms = [], []
+    for i, b in enumerate(basis):
+        v = [Fraction(x) for x in b]
+        for j in range(i):
+            mu[i][j] = sum(x * y for x, y in zip(b, star[j])) / norms[j]
+            v = [x - mu[i][j] * y for x, y in zip(v, star[j])]
+        star.append(v)
+        norms.append(sum(x * x for x in v))
+    return mu, norms
+
+
+def coordinates(basis, v):
+    """The rational c with c . basis = v, which must exist."""
+    m = len(basis)
+    g = [[Fraction(sum(x * y for x, y in zip(a, b))) for b in basis] for a in basis]
+    rhs = [[Fraction(sum(x * y for x, y in zip(a, v)))] for a in basis]
+    c = [row[0] for row in reference_mat_solve(g, rhs)]
+    assert [sum(c[k] * basis[k][i] for k in range(m)) for i in range(len(v))] == list(v)
+    return c
+
+
+def test_reduce_kernel_is_reduced_and_spans_the_input_lattice():
+    # properties of any LLL output, independent of the reference
+    rng = random.Random(9123)
+    for trial in range(400):
+        m = rng.randint(1, 4)
+        entry = rng.choice((3, 50, 10 ** 30))
+        kernel = skewed_kernel(rng, m, rng.randint(m, m + 2), entry, rng.randint(0, 8))
+        out = _reduce_kernel(kernel)
+        assert len(out) == m and all(type(x) is int for v in out for x in v), trial
+        mu, norms = gso(out)
+        for i in range(m):
+            assert all(abs(mu[i][j]) <= Fraction(1, 2) for j in range(i)), trial
+            if i:
+                assert norms[i] >= (Fraction(3, 4) - mu[i][i - 1] ** 2) * norms[i - 1], trial
+        # the same lattice: integer coordinates in the input basis, same volume
+        assert gram_det(out) == gram_det(kernel), trial
+        for v in out:
+            assert all(c.denominator == 1 for c in coordinates(kernel, v)), trial
+
+
+def test_lattice_setup_makes_no_fraction(monkeypatch):
+    made = [0]
+    real_new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made[0] += 1
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    forms = 0
+    for inst in lattice_setup_battery()[:12]:
+        form = _aggregate_lattice(inst)
+        forms += form is not None and len(form.basis) > 1
+    assert forms >= 5
+    assert made[0] == 0
+
+
+def test_edge_shapes_against_the_enumerator():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def instances(draw):
+        kind = draw(st.sampled_from(("empty", "point", "negative", "big")))
+        if kind == "empty":
+            n, t_A, t_B, s_C = 0, 1, 0, 0
+        else:
+            n, t_A = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+            t_B, s_C = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        big = 10 ** 30 if kind == "big" else 1
+        coeff = st.integers(-3 * big, 3 * big)
+
+        def mat(rows, cols):
+            if not rows:
+                return IntMatrix.zero(0, cols)
+            return IntMatrix.from_rows([[draw(coeff) for _ in range(cols)] for _ in range(rows)])
+
+        A = IntMatrix.from_rows([[1] * t_A])
+        B, C, D = mat(1, t_B), mat(s_C, t_B), mat(s_C, t_A)
+        N = t_B + n * t_A
+        l = [draw(st.integers(-3, 2)) for _ in range(N)]
+        u = [lo + (0 if kind == "point" else draw(st.integers(0, 3))) for lo in l]
+        w = [draw(st.integers(-6, -1) if kind == "negative" else st.integers(-6, 6))
+             for _ in range(N)]
+        z = [draw(st.integers(l[j], u[j])) for j in range(N)]
+        x0 = z[:t_B]
+        agg = [sum(z[t_B + i * t_A + h] for i in range(n)) for h in range(t_A)]
+        b0 = [c + d for c, d in zip(C.mul_vec(x0), D.mul_vec(agg))]
+        bx0 = B.mul_vec(x0)[0]
+        b = [[bx0 + sum(z[t_B + i * t_A:t_B + (i + 1) * t_A])] for i in range(n)]
+        if draw(st.booleans()):  # off the seed: often infeasible
+            if s_C:
+                b0[draw(st.integers(0, s_C - 1))] += draw(st.sampled_from((1, -1, big)))
+            elif n:
+                b[draw(st.integers(0, n - 1))][0] += draw(st.sampled_from((1, -1)))
+        return FourBlockInstance.make(n, A, B, C, D, b0, b, l, u, w)
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
+    @hypothesis.given(instances())
+    def check(inst):
+        want = enumerate_optimum(inst, OracleBudget(10 ** 6))
+        got = solve_ones(inst)
+        if isinstance(want, Infeasible):
+            assert isinstance(got, Infeasible)
+        else:
+            assert isinstance(got, Solution) and got.objective == want.objective
+            report = evaluate(inst, got.x)
+            assert report.feasible and report.objective == got.objective
+
+    check()
