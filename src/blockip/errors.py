@@ -30,12 +30,12 @@ class MalformedProblemError(BlockIpError):
     """An LP/MIP description is inconsistent (shapes, missing bounds)."""
 
 
-class NotAllOnesError(BlockIpError):
-    """The aggregate-variable solver needs every entry of A equal to one."""
-
-
 class NotEligibleError(BlockIpError):
-    """The elimination-based solvers need t_A = s_A + 1 and full row rank."""
+    """A route refused an instance of a structure it cannot solve."""
+
+
+class NotAllOnesError(NotEligibleError):
+    """The aggregate-variable solver needs every entry of A equal to one."""
 
 
 class TargetOutOfRangeError(BlockIpError):

@@ -36,7 +36,7 @@ from .errors import (
     MalformedProblemError,
     NotEligibleError,
 )
-from .intlin import brick_solutions, integer_rank, quotient_range, smith_normal_form
+from .intlin import brick_form, brick_solutions, quotient_range
 from .model import (
     FourBlockInstance,
     Infeasible,
@@ -46,6 +46,10 @@ from .model import (
 )
 from .ratlp import OPTIMAL, LpProblem
 from .smallip import MipProblem, solve_mip
+
+# integer_rank and smith_normal_form are no longer called here; they stay
+# importable under these names because perfbench/tracer.py wraps them here
+from .intlin import integer_rank, smith_normal_form  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -58,27 +62,21 @@ class EliminationData:
     c0: int  # objective contribution of the offsets
 
 
-def _structurally_eligible(inst: FourBlockInstance) -> bool:
-    A = inst.A
-    return (
-        A.rows >= 1
-        and A.cols == A.rows + 1
-        and integer_rank(A) == A.rows
-    )
-
-
 def elimination_from_snf(inst: FourBlockInstance):
     """Elimination via the Smith form of the brick matrix.
 
-    Each brick's offset is the particular solution of A x = b_i - b_1 that
-    intlin.brick_solutions gives, and theta is the free column of V.
-    Returns EliminationData, or Infeasible("DivisibilityFail") at the first
-    brick whose difference system has no integer solution.
+    That Smith form, intlin.brick_form(A), is the eligibility check too:
+    NotEligibleError when it is None.  Each brick's offset is the particular
+    solution of A x = b_i - b_1 that intlin.brick_solutions gives, and theta
+    is the free column of V.  Returns EliminationData, or
+    Infeasible("DivisibilityFail") at the first brick whose difference
+    system has no integer solution.
     """
     tB, tA = inst.t_B, inst.t_A
-    snf = smith_normal_form(inst.A)
-    b1 = inst.b[0]
-    deltas = ([v - v1 for v, v1 in zip(bi, b1)] for bi in inst.b)
+    snf = brick_form(inst.A)
+    if snf is None:
+        raise NotEligibleError("needs one more brick column than rows and full row rank")
+    deltas = ([v - v1 for v, v1 in zip(bi, inst.b[0])] for bi in inst.b)
     offsets = []
     totals = [0] * tA
     c0 = 0
@@ -163,8 +161,6 @@ class CellProblem:
     mip: MipProblem
     constant: int  # objective value outside the MIP variables
     sub_choice: tuple  # per grid coordinate, the chosen SubInterval
-    pair_choice: tuple  # per coordinate pair, the (lo, hi) difference window
-    j: int  # merge window index; 1 means the merged variable is zero
     layout: dict  # variable-name -> column metadata for lifting
     order: tuple  # brick indices (>=1) sorted by objective rate
     arg_lo: tuple  # per brick >=1: coordinate attaining its lower bound
@@ -262,15 +258,12 @@ class _CellBuilder:
             sorted(range(1, n), key=lambda i: (-self.rates[i], i))
         )
 
-    def zero_coords_consistent(self):
-        return all(self.zero_lo[h] <= self.zero_hi[h] for h in self.zero_hs)
-
 
 def enumerate_cells(inst: FourBlockInstance, elim: EliminationData,
                     grid: SubIntervalGrid):
     """Yield every CellProblem; the max over their optima is the optimum."""
     builder = _CellBuilder(inst, elim)
-    if not builder.zero_coords_consistent():
+    if any(builder.zero_lo[h] > builder.zero_hi[h] for h in builder.zero_hs):
         return
     gh = builder.grid_hs
     axes = [grid.per_h[h] for h in gh]
@@ -391,7 +384,7 @@ def _cells_for_windows(builder, chosen, pairs, arg_lo, arg_hi, zlo, zhi):
     theta = elim.theta
 
     # variable layout: x0 | xi_h | z_h | anchor values on zero-step coords | p
-    layout = {"x0": 0, "xi": {}, "z": {}, "direct": {}, "p": None}
+    layout = {"xi": {}, "z": {}, "direct": {}, "p": None}
     col = tB
     for h in gh:
         layout["xi"][h] = col
@@ -607,8 +600,6 @@ def _cells_for_windows(builder, chosen, pairs, arg_lo, arg_hi, zlo, zhi):
             mip=mip,
             constant=const,
             sub_choice=tuple(chosen[h] for h in gh),
-            pair_choice=tuple(sorted(pairs.items())),
-            j=j,
             layout=layout,
             order=order,
             arg_lo=arg_lo,
@@ -690,21 +681,18 @@ def _solve_trivial(inst: FourBlockInstance):
 def _prepare(inst: FourBlockInstance):
     """The solver's input checks, then the elimination and the grid.
 
-    Raises MalformedProblemError for a malformed instance and
-    NotEligibleError for an ineligible brick matrix.  Returns None when
-    there are no bricks, Infeasible when the brick differences have no
-    integral solution, and (elimination, grid) otherwise.
+    Raises MalformedProblemError for a malformed instance, and, from the
+    elimination's Smith form (run with or without bricks), NotEligibleError
+    for an ineligible brick matrix.  Returns None when there are no bricks,
+    Infeasible when the brick differences have no integral solution, and
+    (elimination, grid) otherwise.
     """
     issues = validate(inst)
     if issues:
         raise MalformedProblemError(issues[0].message)
-    if not _structurally_eligible(inst):
-        raise NotEligibleError(
-            "needs one more brick column than rows and full row rank"
-        )
+    elim = elimination_from_snf(inst)
     if inst.n == 0:
         return None
-    elim = elimination_from_snf(inst)
     if isinstance(elim, Infeasible):
         return elim
     grid = build_grid(

@@ -9,7 +9,7 @@ the requested magnitude without changing the shape.
 """
 
 from .errors import BadParamsError
-from .intlin import integer_rank
+from .intlin import brick_form
 from .model import FourBlockInstance, IntMatrix
 
 
@@ -67,14 +67,10 @@ def random_ones_instance(rng, n=3, t_A=2, t_B=1, s_C=1, width=4, coeff=5,
 
 
 def _full_rank_brick(rng, s_A, coeff, scale=1, forbid_all_ones=False):
-    t_A = s_A + 1
     while True:
-        M = _rand_matrix(rng, s_A, t_A, coeff, scale)
-        if integer_rank(M) != s_A:
-            continue
-        if forbid_all_ones and all(v == 1 for v in M.entries):
-            continue
-        return M
+        M = _rand_matrix(rng, s_A, s_A + 1, coeff, scale)
+        if brick_form(M) is not None and not (forbid_all_ones and all(v == 1 for v in M.entries)):
+            return M
 
 
 def random_snf_instance(rng, n=3, s_A=1, t_B=1, s_C=1, width=3, coeff=3,

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import mul
 
-from .errors import BothZeroError, DimensionMismatchError, NotEligibleError, ZeroMatrixError
+from .errors import BothZeroError, DimensionMismatchError, ZeroMatrixError
 from .model import IntMatrix
 
 
@@ -218,10 +218,23 @@ def integer_rank(A: IntMatrix) -> int:
     return smith_normal_form(A).rank
 
 
+def brick_form(A: IntMatrix) -> SnfDecomposition | None:
+    """A's Smith form if A has s >= 1 rows, s + 1 columns and rank s, else None.
+
+    This is the Smith routes' eligibility rule.  A wrong shape, an empty A or
+    a zero A returns None without computing a Smith form.
+    """
+    s = A.rows
+    if s < 1 or A.cols != s + 1 or A.is_zero():
+        return None
+    snf = smith_normal_form(A)
+    return snf if snf.rank == s else None
+
+
 def brick_solutions(snf: SnfDecomposition, rhs):
     """Particular integer solutions of A x = r for each r in rhs, in turn.
 
-    snf is the Smith form U A V = S of an s x (s + 1) matrix A of rank s.
+    snf is brick_form(A), the Smith form U A V = S of an s x (s + 1) A of rank s.
     For each r this yields V (U r / alpha, 0), or None when a diagonal entry
     alpha_j does not divide (U r)_j, so that A x = r has no integer point.
     The integer points are the yielded one plus the integer multiples of the
@@ -229,8 +242,6 @@ def brick_solutions(snf: SnfDecomposition, rhs):
     Lazy, so a caller that checks each brick as it comes keeps its order.
     """
     s = snf.rank
-    if snf.S.rows != s or snf.S.cols != s + 1:
-        raise NotEligibleError("needs one more column than rows and full row rank")
     pivots = list(zip(snf.diagonal, snf.U.row_lists()))
     fixed = [row[:s] for row in snf.V.row_lists()]  # V without its free column
     for r in rhs:

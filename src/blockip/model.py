@@ -280,9 +280,11 @@ def validate(inst: FourBlockInstance) -> list[ValidationIssue]:
     Every entry of l, u, w, b0, b and the four matrices must be an int
     (not a bool, float or Fraction).  Entries are numbered flat: row-major
     in a matrix, brick-major in b.  A brick count n that is not an int is
-    the only issue reported, since every other check depends on it; a
-    matrix shape (rows or cols) that is not an int ends the checks the
-    same way, after the other shapes are checked.
+    the only issue reported, since every other check depends on it.  A
+    matrix that is not an IntMatrix or a vector (b's entries and a matrix's
+    entries too) that is not a tuple or list ends the checks the same way,
+    after the other containers are checked; then so does a matrix shape
+    that is not an int.
     """
     issues = []
 
@@ -295,16 +297,19 @@ def validate(inst: FourBlockInstance) -> list[ValidationIssue]:
     if inst.n < 0:
         bad("ShapeMismatch", f"n must be nonnegative, got {inst.n}")
     matrices = (("A", inst.A), ("B", inst.B), ("C", inst.C), ("D", inst.D))
-    odd_shapes = [
-        f"{name}.{dim} = {v!r} is not an int"
-        for name, M in matrices
-        for dim, v in (("rows", M.rows), ("cols", M.cols))
-        if type(v) is not int
-    ]
-    if odd_shapes:
-        for msg in odd_shapes:
-            bad("ShapeMismatch", msg)
-        return issues
+    seqs = {tuple, list}
+    vectors = {"l": inst.l, "u": inst.u, "w": inst.w, "b0": inst.b0, "b": inst.b}
+    vectors.update((f"{name}.entries", M.entries) for name, M in matrices if type(M) is IntMatrix)
+    if type(inst.b) in seqs and not set(map(type, inst.b)) <= seqs:
+        vectors.update((f"b[{i}]", bi) for i, bi in enumerate(inst.b))
+    odd = [f"{name} is a {type(M).__name__}, not an IntMatrix"
+           for name, M in matrices if type(M) is not IntMatrix]
+    odd += [f"{name} is a {type(v).__name__}, not a tuple or list"
+            for name, v in vectors.items() if type(v) not in seqs]
+    odd = odd or [f"{name}.{dim} = {v!r} is not an int" for name, M in matrices
+                  for dim, v in (("rows", M.rows), ("cols", M.cols)) if type(v) is not int]
+    if odd:
+        return issues + [ValidationIssue("ShapeMismatch", msg) for msg in odd]
     for name, M in matrices:
         if len(M.entries) != M.rows * M.cols:
             bad("ShapeMismatch", f"{name} has {len(M.entries)} entries, expected {M.rows} x {M.cols}")
@@ -355,16 +360,16 @@ def classify(inst: FourBlockInstance) -> StructureClass:
     """Structural class of A, in fixed priority order.
 
     An all-ones row wins over everything; the Smith-form classes need
-    t_A = s_A + 1 with full row rank; two or more extra columns are hard.
+    intlin.brick_form(A); two or more extra columns are hard.
     """
-    from .intlin import integer_rank
+    from .intlin import brick_form
 
     A = inst.A
     if A.rows == 1 and A.cols >= 1 and all(v == 1 for v in A.entries):
         return StructureClass.ALL_ONES_ROW
     if A.rows == 0:
         return StructureClass.GENERAL
-    if A.cols == A.rows + 1 and integer_rank(A) == A.rows:
+    if brick_form(A) is not None:
         if inst.is_nfold:
             return StructureClass.NFOLD_SNF_ELIGIBLE
         return StructureClass.SNF_ELIGIBLE

@@ -1,7 +1,8 @@
 """Linear-time n-fold solver for bricks with one more column than rows.
 
-One Smith form of A gives each brick's integer solutions as base_i + theta
-z_i (intlin.brick_solutions), or proves there are none.  The top block then
+One Smith form of A (intlin.brick_form) decides that A is eligible and
+gives each brick's integer solutions as base_i + theta z_i
+(intlin.brick_solutions), or proves there are none.  The top block then
 collapses to a single equation in the sum of the z_i, and the objective
 becomes separable, so a greedy fill finishes the job.  Total work: one
 Smith form, O(1) arithmetic per brick, one sort.
@@ -18,16 +19,13 @@ from .errors import (
     NotEligibleError,
     TargetOutOfRangeError,
 )
-from .intlin import brick_solutions, quotient_range, smith_normal_form
-from .model import (
-    FourBlockInstance,
-    Infeasible,
-    Solution,
-    StructureClass,
-    classify,
-    evaluate,
-    validate,
-)
+from .intlin import brick_form, brick_solutions, quotient_range
+from .model import FourBlockInstance, Infeasible, Solution, evaluate, validate
+
+# classify and smith_normal_form are no longer called here; they stay
+# importable under these names because perfbench/tracer.py wraps them here
+from .intlin import smith_normal_form  # noqa: F401
+from .model import classify  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -95,13 +93,14 @@ def greedy_ip8(intervals, weights, target):
 def build_context(inst: FourBlockInstance):
     """Per-brick elimination; NfoldSnfContext or Infeasible.
 
-    Each brick is checked in full before the next, so the first brick that
-    fails names the reason.
+    Raises NotEligibleError when intlin.brick_form(A) is None.  Each brick
+    is checked in full before the next, so the first brick that fails names
+    the reason.
     """
     tA, sA = inst.t_A, inst.s_A
-    snf = smith_normal_form(inst.A)
-    if snf.rank != sA:
-        raise InternalInconsistencyError("rank changed between classify and solve")
+    snf = brick_form(inst.A)
+    if snf is None:
+        raise NotEligibleError("needs t_A = s_A + 1 and full row rank")
     theta = snf.V.col(sA)
 
     bases = []
@@ -152,8 +151,8 @@ def solve_nfold_snf(inst: FourBlockInstance):
     issues = validate(inst)
     if issues:
         raise MalformedProblemError(issues[0].message)
-    if classify(inst) != StructureClass.NFOLD_SNF_ELIGIBLE:
-        raise NotEligibleError("needs an n-fold with t_A = s_A + 1 and full row rank")
+    if not inst.is_nfold:
+        raise NotEligibleError("needs a plain n-fold, with t_B = 0")
 
     ctx = build_context(inst)
     if isinstance(ctx, Infeasible):

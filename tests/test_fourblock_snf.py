@@ -16,7 +16,7 @@ from blockip.fourblock_snf import (
     solve_4block_snf,
     solve_cell,
 )
-from blockip.intlin import integer_rank
+from blockip.intlin import brick_form, integer_rank
 from blockip.model import (
     FourBlockInstance,
     Infeasible,
@@ -24,6 +24,7 @@ from blockip.model import (
     Solution,
     evaluate,
 )
+from blockip.nfold_snf import solve_nfold_snf
 from blockip.oracle import OracleBudget, enumerate_optimum
 from blockip.ratlp import OPTIMAL
 
@@ -520,3 +521,64 @@ def test_matches_highs_beyond_the_enumerator():
         feas += 1
     # some infeasible verdicts come from the cells, not from divisibility
     assert feas >= 8 and reasons.count("NoLatticePoint") >= 2, (feas, reasons)
+
+
+def test_smith_routes_edge_shapes_against_the_enumerator():
+    # t_B = 0 goes through both Smith routes; every other shape through this one
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def instances(draw):
+        kind = draw(st.sampled_from(("tB0", "sC0", "n0", "point", "negative", "big")))
+        s_A = draw(st.integers(1, 2))
+        t_A = s_A + 1
+        n = 0 if kind == "n0" else draw(st.integers(1, 3))
+        t_B = 0 if kind == "tB0" else draw(st.integers(0, 2))
+        s_C = 0 if kind == "sC0" else draw(st.integers(0, 2))
+        big = 10 ** 30 if kind == "big" else 1
+        width = 2 if kind == "big" else 3
+
+        def mat(rows, cols, scale):
+            if not rows:
+                return IntMatrix.zero(0, cols)
+            coeff = st.integers(-3 * scale, 3 * scale)
+            return IntMatrix.from_rows([[draw(coeff) for _ in range(cols)] for _ in range(rows)])
+
+        A = mat(s_A, t_A, big)
+        hypothesis.assume(brick_form(A) is not None)
+        B, C, D = mat(s_A, t_B, big), mat(s_C, t_B, 1), mat(s_C, t_A, big)
+        N = t_B + n * t_A
+        l = [draw(st.integers(-3, 2)) for _ in range(N)]
+        u = [lo + (0 if kind == "point" else draw(st.integers(0, width))) for lo in l]
+        w = [draw(st.integers(-6, -1) if kind == "negative" else st.integers(-6, 6))
+             for _ in range(N)]
+        z = [draw(st.integers(l[j], u[j])) for j in range(N)]
+        x0 = z[:t_B]
+        bricks = [z[t_B + i * t_A:t_B + (i + 1) * t_A] for i in range(n)]
+        agg = [sum(x[h] for x in bricks) for h in range(t_A)]
+        b0 = [c + d for c, d in zip(C.mul_vec(x0), D.mul_vec(agg))]
+        b = [[p + q for p, q in zip(B.mul_vec(x0), A.mul_vec(x))] for x in bricks]
+        if draw(st.booleans()):  # off the seed: often infeasible
+            if s_C:
+                b0[draw(st.integers(0, s_C - 1))] += draw(st.sampled_from((1, -1, big)))
+            elif n:
+                b[draw(st.integers(0, n - 1))][draw(st.integers(0, s_A - 1))] += draw(
+                    st.sampled_from((1, -1)))
+        return FourBlockInstance.make(n, A, B, C, D, b0, b, l, u, w)
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+    @hypothesis.given(instances())
+    def check(inst):
+        want = enumerate_optimum(inst, OracleBudget(10 ** 6))
+        routes = (solve_4block_snf, solve_nfold_snf) if inst.is_nfold else (solve_4block_snf,)
+        for solve in routes:
+            got = solve(inst)
+            if isinstance(want, Infeasible):
+                assert isinstance(got, Infeasible), solve.__name__
+                continue
+            assert isinstance(got, Solution) and got.objective == want.objective, solve.__name__
+            report = evaluate(inst, got.x)
+            assert report.feasible and report.objective == got.objective, solve.__name__
+
+    check()

@@ -6,9 +6,11 @@ import random
 
 import pytest
 
-from blockip.errors import BothZeroError, DimensionMismatchError, NotEligibleError, ZeroMatrixError
+from blockip import intlin
+from blockip.errors import BothZeroError, DimensionMismatchError, ZeroMatrixError
 from blockip.intlin import (
     BezoutSolution,
+    brick_form,
     brick_solutions,
     extended_gcd,
     integer_rank,
@@ -340,10 +342,38 @@ def test_brick_solutions_frozen_and_rejections():
     assert snf.V.col(1) in ((3, -2), (-3, 2))
     with pytest.raises(DimensionMismatchError):
         list(brick_solutions(snf, [(1, 2)]))
-    with pytest.raises(NotEligibleError):
-        list(brick_solutions(smith_normal_form(IntMatrix.from_rows([[1, 2], [2, 4]])), [(0, 0)]))
-    with pytest.raises(NotEligibleError):
-        list(brick_solutions(smith_normal_form(IntMatrix.from_rows([[1, 2, 3]])), [(0,)]))
+
+
+def test_brick_form_is_the_smith_route_rule(monkeypatch):
+    # eligible: s >= 1 rows, s + 1 columns, rank s; the form is A's Smith form
+    for rows in ([[4, 6]], [[1, 1]], [[2, 0, 1], [0, 3, 1]]):
+        A = IntMatrix.from_rows(rows)
+        assert brick_form(A) == smith_normal_form(A)
+    # rank-deficient, or a shape other than s x (s + 1): no form
+    assert brick_form(IntMatrix.from_rows([[1, 2], [2, 4]])) is None
+    assert brick_form(IntMatrix.from_rows([[1, 2, 3], [2, 4, 6]])) is None
+    assert brick_form(IntMatrix.from_rows([[1, 2, 3]])) is None
+    # the same rule as t_A = s_A + 1 with full row rank, on a random battery
+    rng = random.Random(11)
+    for _ in range(200):
+        s = rng.randint(1, 3)
+        A = IntMatrix(s, s + 1, tuple(rng.choice((0, 0, 1, -1, 2, 6)) for _ in range(s * (s + 1))))
+        assert (brick_form(A) is not None) == (integer_rank(A) == s), A
+
+    # a wrong shape, a zero A or an empty A is refused without a Smith form
+    def no_smith_form(A):
+        raise AssertionError(f"Smith form computed for {A}")
+
+    monkeypatch.setattr(intlin, "smith_normal_form", no_smith_form)
+    for A in (
+        IntMatrix.from_rows([[1, 2, 3]]),
+        IntMatrix.from_rows([[1, 2], [3, 4]]),
+        IntMatrix.zero(1, 2),
+        IntMatrix.zero(2, 3),
+        IntMatrix.zero(0, 1),
+        IntMatrix.zero(0, 0),
+    ):
+        assert brick_form(A) is None, A
 
 
 def test_quotient_range_is_the_set_of_multiples():

@@ -1,16 +1,21 @@
 """Model construction, validation, classification, evaluation, JSON round trips."""
 
 import dataclasses
+import importlib
+import pkgutil
 import random
 from fractions import Fraction
 
 import pytest
 
-from blockip.errors import DimensionMismatchError, MalformedProblemError, ParseError
+import blockip
+from blockip import generators, intlin
+from blockip.errors import DimensionMismatchError, MalformedProblemError, NotEligibleError, ParseError
 from blockip.fourblock_snf import solve_4block_snf
 from blockip.model import (
     FourBlockInstance,
     GeneralizedNFoldInstance,
+    Infeasible,
     IntMatrix,
     StructureClass,
     classify,
@@ -160,14 +165,24 @@ def test_validate_rejects_a_non_int_matrix_shape():
         ], name
 
 
+def test_validate_reports_wrong_containers_before_using_them():
+    inst = nfold_of([[2, 3]], [[1, 0]])
+    for change, msgs in (
+        ({"b": ((0,), 0)}, ["b[1] is a int, not a tuple or list"]),
+        ({"b0": None}, ["b0 is a NoneType, not a tuple or list"]),
+        ({"A": [[2, 3]], "w": 7}, ["A is a list, not an IntMatrix", "w is a int, not a tuple or list"]),
+        ({"D": IntMatrix(1, 2, None)}, ["D.entries is a NoneType, not a tuple or list"]),
+        ({"l": list(inst.l), "b": [list(bi) for bi in inst.b]}, []),
+    ):
+        issues = validate(dataclasses.replace(inst, **change))
+        assert [(i.code, i.message) for i in issues] == [("ShapeMismatch", m) for m in msgs], change
+
+
 def test_routes_raise_a_typed_error_on_malformed_shapes():
-    four = FourBlockInstance.make(
-        2, IntMatrix.from_rows([[2, 3]]), IntMatrix.from_rows([[1]]), IntMatrix.from_rows([[1]]),
-        IntMatrix.from_rows([[1, 0]]), [0], [[0], [0]], [0] * 5, [3] * 5, [0] * 5)
     cases = (
         (solve_ones, nfold_of([[1, 1]], [[1, 0]])),
         (solve_nfold_snf, nfold_of([[2, 3]], [[1, 0]])),
-        (solve_4block_snf, four),
+        (solve_4block_snf, four_of([[2, 3]])),
     )
     for solve, inst in cases:
         assert isinstance(solve(inst), Solution)
@@ -177,6 +192,14 @@ def test_routes_raise_a_typed_error_on_malformed_shapes():
             solve(dataclasses.replace(inst, D=IntMatrix(1, 2, (1,))))
         with pytest.raises(MalformedProblemError, match="A.rows = 1.0"):
             solve(dataclasses.replace(inst, A=IntMatrix(1.0, 2, inst.A.entries)))
+        # wrong containers once reached len() or .rows as bare TypeError
+        # and AttributeError
+        with pytest.raises(MalformedProblemError, match=r"b\[1\] is a int"):
+            solve(dataclasses.replace(inst, b=(inst.b[0], 0)))
+        with pytest.raises(MalformedProblemError, match="b0 is a NoneType"):
+            solve(dataclasses.replace(inst, b0=None))
+        with pytest.raises(MalformedProblemError, match="A is a list, not an IntMatrix"):
+            solve(dataclasses.replace(inst, A=inst.A.row_lists()))
 
 
 def nfold_of(A_rows, D_rows, n=2, width=3):
@@ -191,6 +214,16 @@ def nfold_of(A_rows, D_rows, n=2, width=3):
         u=[width] * N,
         w=[0] * N,
     )
+
+
+def four_of(A_rows, n=2, width=3):
+    """4-block instance with one shared variable and one top row."""
+    A = IntMatrix.from_rows(A_rows)
+    N = 1 + n * A.cols
+    return FourBlockInstance.make(
+        n, A, IntMatrix.from_rows([[1]] * A.rows), IntMatrix.from_rows([[1]]),
+        IntMatrix.from_rows([[1] + [0] * (A.cols - 1)]), [0], [[0] * A.rows] * n,
+        [0] * N, [width] * N, [0] * N)
 
 
 def test_classify_priorities():
@@ -345,3 +378,68 @@ def test_zero_brick_count_is_legal():
     rep = evaluate(inst, ())
     assert rep.feasible  # 0 == 0 top row
     assert rep.objective == 0
+
+
+# (route, instance it cannot take): every route refuses with NotEligibleError
+# (the all-ones route's NotAllOnesError is a subclass), so a caller that
+# tries routes in turn catches one type
+NOT_ELIGIBLE = (
+    ("ones", solve_ones, nfold_of([[1, 2]], [[1, 0]])),
+    ("ones", solve_ones, nfold_of([[0, 0]], [[1, 0]])),
+    ("nfold_snf", solve_nfold_snf, four_of([[2, 3]])),
+    ("nfold_snf", solve_nfold_snf, nfold_of([[1, 1, 1]], [[1, 0, 0]])),
+    ("nfold_snf", solve_nfold_snf, nfold_of([[0, 0]], [[1, 0]])),
+    ("fourblock_snf", solve_4block_snf, four_of([[1, 1, 1]])),
+    ("fourblock_snf", solve_4block_snf, nfold_of([[1, 2, 3], [2, 4, 6]], [[1, 0, 0]], n=0)),
+    ("fourblock_snf", solve_4block_snf, four_of([[0, 0]])),
+)
+
+
+@pytest.mark.parametrize(
+    "solve, inst", [case[1:] for case in NOT_ELIGIBLE], ids=[case[0] for case in NOT_ELIGIBLE])
+def test_each_route_refuses_what_it_cannot_take(solve, inst):
+    assert validate(inst) == []
+    with pytest.raises(NotEligibleError):
+        solve(inst)
+
+
+def test_one_smith_form_per_smith_route_call(monkeypatch):
+    # the route's Smith form is its eligibility check and its elimination;
+    # classify, which a caller runs first, makes one more
+    original = intlin.smith_normal_form
+    calls = []
+
+    def counted(A):
+        calls.append(A)
+        return original(A)
+
+    patched = []
+    for info in pkgutil.iter_modules(blockip.__path__):
+        module = importlib.import_module(f"blockip.{info.name}")
+        if getattr(module, "smith_normal_form", None) is original:
+            monkeypatch.setattr(module, "smith_normal_form", counted)
+            patched.append(info.name)
+    assert {"intlin", "nfold_snf", "fourblock_snf"} <= set(patched), patched
+
+    rng = random.Random("one Smith form")
+    cases = [(solve_nfold_snf, generators.random_nfold_instance(
+        rng, n=rng.randint(0, 4), t_A=rng.randint(2, 3), s_C=rng.randint(0, 2))) for _ in range(20)]
+    cases += [(solve_4block_snf, inst) for _, inst in cases]  # t_B = 0
+    cases += [(solve_4block_snf, generators.random_snf_instance(
+        rng, n=rng.randint(0, 3), t_B=rng.randint(1, 2), s_C=rng.randint(0, 1))) for _ in range(20)]
+    verdicts = set()
+    for solve, inst in cases:
+        calls.clear()
+        verdicts.add(type(solve(inst)))
+        assert len(calls) == 1, (solve.__name__, inst)
+        calls.clear()
+        classify(inst)
+        assert len(calls) == 1
+    assert verdicts == {Solution, Infeasible}
+    # a wrong shape or a zero A is refused without a Smith form; the
+    # rank-deficient 2 x 3 A needs one to be refused
+    for _, solve, inst in NOT_ELIGIBLE[2:]:
+        calls.clear()
+        with pytest.raises(NotEligibleError):
+            solve(inst)
+        assert len(calls) == (inst.A.rows == 2), (solve.__name__, inst.A)

@@ -5,7 +5,8 @@ import pytest
 from highs_oracle import highs_optimum
 
 from blockip import generators
-from blockip.errors import MalformedProblemError, NotEligibleError, TargetOutOfRangeError
+from blockip.errors import MalformedProblemError, TargetOutOfRangeError
+from blockip.fourblock_snf import solve_4block_snf
 from blockip.intlin import integer_rank
 from blockip.model import (
     FourBlockInstance,
@@ -22,6 +23,7 @@ from blockip.nfold_snf import (
     reduce_box_to_interval,
     solve_nfold_snf,
 )
+from blockip.ones import solve_ones
 from blockip.oracle import OracleBudget, enumerate_optimum
 
 
@@ -69,12 +71,32 @@ def test_divisibility_failure():
     assert res.reason == "DivisibilityFail"
 
 
-def test_wrong_class_rejected():
-    A = IntMatrix.from_rows([[1, 1]])  # all-ones row routes elsewhere
+def test_all_ones_pair_matches_the_ones_route():
+    # classify sends A = (1, 1) to the all-ones route, but it has
+    # t_A = s_A + 1 and full row rank, so this route solves it too
+    A = IntMatrix.from_rows([[1, 1]])
     D = IntMatrix.zero(0, 2)
     inst = FourBlockInstance.nfold(1, A, D, [], [[3]], [0, 0], [5, 5], [1, 1])
-    with pytest.raises(NotEligibleError):
-        solve_nfold_snf(inst)
+    assert classify(inst) == StructureClass.ALL_ONES_ROW
+    res = solve_nfold_snf(inst)
+    assert isinstance(res, Solution) and res.objective == 3
+    assert solve_ones(inst).objective == enumerate_optimum(inst, OracleBudget(10**4)).objective == 3
+    rng = random.Random("nfold_snf/all-ones pair")
+    infeasible = 0
+    for _ in range(60):
+        inst = generators.random_ones_instance(
+            rng, n=rng.randint(0, 4), t_A=2, t_B=0, s_C=rng.randint(0, 2), width=3, coeff=3)
+        want = enumerate_optimum(inst, OracleBudget(10**6))
+        got = solve_nfold_snf(inst)
+        others = (solve_ones(inst), solve_4block_snf(inst))
+        if isinstance(want, Infeasible):
+            assert all(isinstance(r, Infeasible) for r in (got, *others)), inst
+            infeasible += 1
+            continue
+        assert [got.objective] + [r.objective for r in others] == [want.objective] * 3, inst
+        report = evaluate(inst, got.x)
+        assert report.feasible and report.objective == got.objective, inst
+    assert 5 <= infeasible <= 55, infeasible  # both verdicts met
 
 
 def test_degenerate_intervals_unique_solution():

@@ -1,10 +1,11 @@
 """The three structured routes under python -O, against the oracle.
 
 python -O strips every assert, so a check that only asserts would pass
-silently there.  The routes' exactness audits are explicit raises; this
-file runs itself under -O as a script and compares each route's answer
-with enumerate_optimum using plain comparisons, exiting nonzero on the
-first mismatch.
+silently there.  The routes' exactness audits and their eligibility rules
+are explicit raises; this file runs itself under -O as a script, compares
+each route's answer with enumerate_optimum using plain comparisons, and
+checks that each route still refuses with NotEligibleError what it cannot
+take (test_model.NOT_ELIGIBLE), exiting nonzero on the first mismatch.
 
 Run directly: ``python -O tests/test_python_O.py``.
 """
@@ -16,11 +17,13 @@ import sys
 
 import blockip
 from blockip import generators
+from blockip.errors import NotEligibleError
 from blockip.fourblock_snf import solve_4block_snf
 from blockip.model import Infeasible, Solution, StructureClass, classify, evaluate
 from blockip.nfold_snf import solve_nfold_snf
 from blockip.ones import solve_ones
 from blockip.oracle import OracleBudget, enumerate_optimum
+from test_model import NOT_ELIGIBLE
 
 
 def _ones(rng):
@@ -77,6 +80,14 @@ def main() -> int:
                 return 1
             feasible += ok
         print(name, feasible)
+    for k, (name, solve, inst) in enumerate(NOT_ELIGIBLE):
+        try:
+            got = solve(inst)
+        except NotEligibleError:
+            continue
+        print(f"{name} refusal {k}: returned {got!r}")
+        return 1
+    print("refused", len(NOT_ELIGIBLE))
     print("debug", __debug__)
     return 0
 
@@ -90,10 +101,11 @@ def test_whole_battery_under_python_O():
     )
     assert out.returncode == 0, out.stdout + out.stderr
     words = out.stdout.split()
-    assert words[0::2] == ["ones", "nfold_snf", "fourblock_snf", "debug"]
+    assert words[0::2] == ["ones", "nfold_snf", "fourblock_snf", "refused", "debug"]
     assert words[-1] == "False"  # the asserts really were stripped
     # each route met both verdicts: feasible optima and proven infeasibility
-    assert all(PER_ROUTE // 4 <= int(k) < PER_ROUTE for k in words[1:-2:2]), words
+    assert all(PER_ROUTE // 4 <= int(k) < PER_ROUTE for k in words[1:-4:2]), words
+    assert int(words[-3]) == len(NOT_ELIGIBLE)
 
 
 if __name__ == "__main__":
