@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
 
-from .errors import DimensionMismatchError, ParseError
+from .errors import DimensionMismatchError, MalformedProblemError, ParseError
 
 
 @dataclass(frozen=True)
@@ -274,6 +274,28 @@ class EvaluationReport:
     violations: tuple[str, ...]
 
 
+_SEQS = {tuple, list}
+
+
+def _matrix_issues(inst) -> list[str]:
+    """What makes the four matrices of inst unusable, as messages; [] if nothing.
+
+    In order, each stage only when the stages before it found nothing: a
+    matrix that is not an IntMatrix or whose entries are not a tuple or
+    list; a shape that is not an int; an entry count other than rows x
+    cols.  Constant work per matrix: the entries themselves are not read.
+    """
+    matrices = (("A", inst.A), ("B", inst.B), ("C", inst.C), ("D", inst.D))
+    odd = [f"{name} is a {type(M).__name__}, not an IntMatrix"
+           for name, M in matrices if type(M) is not IntMatrix]
+    odd += [f"{name}.entries is a {type(M.entries).__name__}, not a tuple or list"
+            for name, M in matrices if type(M) is IntMatrix and type(M.entries) not in _SEQS]
+    odd = odd or [f"{name}.{dim} = {v!r} is not an int" for name, M in matrices
+                  for dim, v in (("rows", M.rows), ("cols", M.cols)) if type(v) is not int]
+    return odd or [f"{name} has {len(M.entries)} entries, expected {M.rows} x {M.cols}"
+                   for name, M in matrices if len(M.entries) != M.rows * M.cols]
+
+
 def validate(inst: FourBlockInstance) -> list[ValidationIssue]:
     """Check shapes, integrality and bound sanity; empty list means valid.
 
@@ -281,10 +303,9 @@ def validate(inst: FourBlockInstance) -> list[ValidationIssue]:
     (not a bool, float or Fraction).  Entries are numbered flat: row-major
     in a matrix, brick-major in b.  A brick count n that is not an int is
     the only issue reported, since every other check depends on it.  A
-    matrix that is not an IntMatrix or a vector (b's entries and a matrix's
-    entries too) that is not a tuple or list ends the checks the same way,
-    after the other containers are checked; then so does a matrix shape
-    that is not an int.
+    vector (b's entries too) that is not a tuple or list, or any issue that
+    _matrix_issues finds, ends the checks the same way, after the other
+    vectors and the matrices are checked.
     """
     issues = []
 
@@ -296,23 +317,13 @@ def validate(inst: FourBlockInstance) -> list[ValidationIssue]:
         return issues
     if inst.n < 0:
         bad("ShapeMismatch", f"n must be nonnegative, got {inst.n}")
-    matrices = (("A", inst.A), ("B", inst.B), ("C", inst.C), ("D", inst.D))
-    seqs = {tuple, list}
     vectors = {"l": inst.l, "u": inst.u, "w": inst.w, "b0": inst.b0, "b": inst.b}
-    vectors.update((f"{name}.entries", M.entries) for name, M in matrices if type(M) is IntMatrix)
-    if type(inst.b) in seqs and not set(map(type, inst.b)) <= seqs:
+    if type(inst.b) in _SEQS and not set(map(type, inst.b)) <= _SEQS:
         vectors.update((f"b[{i}]", bi) for i, bi in enumerate(inst.b))
-    odd = [f"{name} is a {type(M).__name__}, not an IntMatrix"
-           for name, M in matrices if type(M) is not IntMatrix]
-    odd += [f"{name} is a {type(v).__name__}, not a tuple or list"
-            for name, v in vectors.items() if type(v) not in seqs]
-    odd = odd or [f"{name}.{dim} = {v!r} is not an int" for name, M in matrices
-                  for dim, v in (("rows", M.rows), ("cols", M.cols)) if type(v) is not int]
+    odd = _matrix_issues(inst) + [f"{name} is a {type(v).__name__}, not a tuple or list"
+                                  for name, v in vectors.items() if type(v) not in _SEQS]
     if odd:
         return issues + [ValidationIssue("ShapeMismatch", msg) for msg in odd]
-    for name, M in matrices:
-        if len(M.entries) != M.rows * M.cols:
-            bad("ShapeMismatch", f"{name} has {len(M.entries)} entries, expected {M.rows} x {M.cols}")
     if inst.C.rows != inst.D.rows:
         bad("ShapeMismatch", f"C has {inst.C.rows} rows, D has {inst.D.rows}")
     if inst.A.rows != inst.B.rows:
@@ -360,10 +371,15 @@ def classify(inst: FourBlockInstance) -> StructureClass:
     """Structural class of A, in fixed priority order.
 
     An all-ones row wins over everything; the Smith-form classes need
-    intlin.brick_form(A); two or more extra columns are hard.
+    intlin.brick_form(A); two or more extra columns are hard.  Reads only
+    the matrices: one that _matrix_issues rejects raises
+    MalformedProblemError.  The vectors are left to the routes' validate.
     """
     from .intlin import brick_form
 
+    odd = _matrix_issues(inst)
+    if odd:
+        raise MalformedProblemError(odd[0])
     A = inst.A
     if A.rows == 1 and A.cols >= 1 and all(v == 1 for v in A.entries):
         return StructureClass.ALL_ONES_ROW

@@ -1,11 +1,12 @@
 """Exact mixed-integer optimization by branch and bound.
 
-Sits directly on the rational dual simplex: every node bound is the true LP
-optimum, audited for primal feasibility and for the sign of every reduced
-cost, so best-bound search with integer feasibility checks is a complete and
-exact method.  Child nodes differ from their parent by one tightened bound,
-which keeps the parent's basis dual feasible, so they re-solve warm from it
-with a few dual pivots; only the root is solved cold, from the slack start.
+Sits directly on the exact dual simplex of ratlp, whose integer tableau
+returns every node bound as the true rational LP optimum, audited for
+primal feasibility and for the sign of every reduced cost, so best-bound
+search with integer feasibility checks is a complete and exact method.
+Child nodes differ from their parent by one tightened bound, which keeps
+the parent's basis dual feasible, so they re-solve warm from it with a few
+dual pivots; only the root is solved cold, from the slack start.
 Intended for the small auxiliary programs the structured solvers generate
 (a handful of variables, narrow boxes), not as a general purpose MIP engine.
 """
@@ -91,7 +92,7 @@ def solve_mip(p: MipProblem, cutoff=None) -> LpResult:
             continue
         split = res.point[j].numerator // res.point[j].denominator
         lo, up = state.bounds(j)
-        for child_lo, child_up in ((lo, Fraction(split)), (Fraction(split + 1), up)):
+        for child_lo, child_up in ((lo, split), (split + 1, up)):
             child_res, child_state = state.reoptimized(j, child_lo, child_up)
             nodes += 1
             push(child_state, child_res)

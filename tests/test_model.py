@@ -165,6 +165,21 @@ def test_validate_rejects_a_non_int_matrix_shape():
         ], name
 
 
+@pytest.mark.parametrize("A, msg", [
+    # once an AttributeError, two TypeErrors and a silent ALL_ONES_ROW
+    ([[1, 1]], "A is a list, not an IntMatrix"),
+    (IntMatrix(1.0, 2, (1, 1)), "A.rows = 1.0 is not an int"),
+    (IntMatrix(1, 2, None), "A.entries is a NoneType, not a tuple or list"),
+    (IntMatrix(1, 2, (1,)), "A has 1 entries, expected 1 x 2"),
+])
+def test_classify_rejects_a_malformed_matrix(A, msg):
+    inst = dataclasses.replace(nfold_of([[1, 1]], [[1, 0]]), A=A)
+    with pytest.raises(MalformedProblemError) as err:
+        classify(inst)
+    assert str(err.value) == msg
+    assert [i.message for i in validate(inst)] == [msg]
+
+
 def test_validate_reports_wrong_containers_before_using_them():
     inst = nfold_of([[2, 3]], [[1, 0]])
     for change, msgs in (

@@ -1,11 +1,13 @@
-"""The three structured routes under python -O, against the oracle.
+"""The three structured routes and the LP audits under python -O.
 
 python -O strips every assert, so a check that only asserts would pass
-silently there.  The routes' exactness audits and their eligibility rules
-are explicit raises; this file runs itself under -O as a script, compares
-each route's answer with enumerate_optimum using plain comparisons, and
-checks that each route still refuses with NotEligibleError what it cannot
-take (test_model.NOT_ELIGIBLE), exiting nonzero on the first mismatch.
+silently there.  The routes' exactness audits, their eligibility rules and
+the LP core's audits are explicit raises; this file runs itself under -O as
+a script, compares each route's answer with enumerate_optimum using plain
+comparisons, checks that each route still refuses with NotEligibleError
+what it cannot take (test_model.NOT_ELIGIBLE), and checks that a tampered
+LP tableau still raises InternalInconsistencyError (TAMPERED), exiting
+nonzero on the first mismatch.
 
 Run directly: ``python -O tests/test_python_O.py``.
 """
@@ -17,12 +19,13 @@ import sys
 
 import blockip
 from blockip import generators
-from blockip.errors import NotEligibleError
+from blockip.errors import InternalInconsistencyError, NotEligibleError
 from blockip.fourblock_snf import solve_4block_snf
 from blockip.model import Infeasible, Solution, StructureClass, classify, evaluate
 from blockip.nfold_snf import solve_nfold_snf
 from blockip.ones import solve_ones
 from blockip.oracle import OracleBudget, enumerate_optimum
+from blockip.ratlp import OPTIMAL, LpProblem, WarmLp, solve_lp_warm
 from test_model import NOT_ELIGIBLE
 
 
@@ -49,6 +52,39 @@ ROUTES = (
     ("fourblock_snf", StructureClass.SNF_ELIGIBLE, solve_4block_snf, _snf),
 )
 PER_ROUTE = 100
+
+
+def _flip_reduced_cost(state):
+    # x sits at its upper bound with reduced cost 1 (a numerator over gamma D)
+    state._simplex.d[0] = -state._simplex.d[0]
+    return state
+
+
+def _shift_value(state):
+    s = state._simplex
+    s.z += s.gamma * s.D * s.L  # z is a numerator over gamma D L: the value + 1
+    return state
+
+
+def _inconsistent_rows(state):
+    # the row x = 0 in integer form (support, lo, hi, scale); x = 2 is optimal
+    return WarmLp(state._objective, [([(0, 1)], 0, 0, 1)], state._simplex)
+
+
+# each makes a sound WarmLp of max 2x + y, x + y <= 3, x, y in [0, 2] wrong
+TAMPERED = (_flip_reduced_cost, _shift_value, _inconsistent_rows)
+
+
+def tampered_audit(tamper):
+    """Why the audits let tamper through, or None when they raise."""
+    res, state = solve_lp_warm(LpProblem.make([2, 1], [([1, 1], 0, 3)], [0, 0], [2, 2]))
+    if res.status != OPTIMAL or res.value != 5 or state.edited()[0] != res:
+        return f"untampered solve gives {res!r}"
+    try:
+        got = tamper(state).edited()[0]
+    except InternalInconsistencyError:
+        return None
+    return f"returned {got!r}"
 
 
 def check(inst, cls, solve):
@@ -88,6 +124,12 @@ def main() -> int:
         print(f"{name} refusal {k}: returned {got!r}")
         return 1
     print("refused", len(NOT_ELIGIBLE))
+    for tamper in TAMPERED:
+        why = tampered_audit(tamper)
+        if why is not None:
+            print(f"{tamper.__name__}: {why}")
+            return 1
+    print("audits", len(TAMPERED))
     print("debug", __debug__)
     return 0
 
@@ -101,11 +143,12 @@ def test_whole_battery_under_python_O():
     )
     assert out.returncode == 0, out.stdout + out.stderr
     words = out.stdout.split()
-    assert words[0::2] == ["ones", "nfold_snf", "fourblock_snf", "refused", "debug"]
+    assert words[0::2] == ["ones", "nfold_snf", "fourblock_snf", "refused", "audits", "debug"]
     assert words[-1] == "False"  # the asserts really were stripped
     # each route met both verdicts: feasible optima and proven infeasibility
-    assert all(PER_ROUTE // 4 <= int(k) < PER_ROUTE for k in words[1:-4:2]), words
-    assert int(words[-3]) == len(NOT_ELIGIBLE)
+    assert all(PER_ROUTE // 4 <= int(k) < PER_ROUTE for k in words[1:6:2]), words
+    assert int(words[7]) == len(NOT_ELIGIBLE)
+    assert int(words[9]) == len(TAMPERED)
 
 
 if __name__ == "__main__":

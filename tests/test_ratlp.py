@@ -324,6 +324,11 @@ def test_slack_start_matches_cold_solves_and_chains():
     assert checked >= 400 and infeasible >= 100
 
 
+def reduced_cost(s, j):
+    """Column j's reduced cost in the tableau s, a numerator over gamma D."""
+    return Fraction(s.d[j], s.gamma * s.D)
+
+
 def test_unfixed_column_moves_to_the_bound_its_reduced_cost_prefers():
     # max x + 2y, x + y <= 1, x fixed at 1: y enters on the row and leaves x
     # at its upper bound with reduced cost -1, harmless while the box is a
@@ -331,7 +336,8 @@ def test_unfixed_column_moves_to_the_bound_its_reduced_cost_prefers():
     p = LpProblem.make([1, 2], [([1, 1], 0, 1)], [1, 0], [1, 1])
     res, state = solve_lp_warm(p)
     assert res.status == OPTIMAL and res.point == (1, 0) and res.value == 1
-    assert state._simplex.where[0] == "U" and state._simplex.d[0] == -1
+    s = state._simplex
+    assert s.where[0] == "U" and reduced_cost(s, 0) == -1
     res, nxt = state.reoptimized(0, 0, 1)
     cold = solve_lp(with_box(p, 0, 0, 1))
     assert res == cold and res.point == (0, 1) and res.value == 2
@@ -343,9 +349,9 @@ def test_dual_sign_audit_rejects_a_tampered_reduced_cost():
     res, state = solve_lp_warm(LpProblem.make([2, 1], [([1, 1], 0, 3)], [0, 0], [2, 2]))
     assert res.status == OPTIMAL and res.value == 5
     s = state._simplex
-    assert s.where[0] == "U" and s.d[0] == 1 and s.lower[0] != s.upper[0]
+    assert s.where[0] == "U" and reduced_cost(s, 0) == 1 and s.lower[0] != s.upper[0]
     assert state.edited()[0] == res
-    s.d[0] = -s.d[0]
+    s.d[0] = -s.d[0]  # the numerator over gamma D: the sign flips, nothing else
     with pytest.raises(InternalInconsistencyError):
         state.edited()
 
@@ -353,10 +359,13 @@ def test_dual_sign_audit_rejects_a_tampered_reduced_cost():
 def test_warm_audit_rejects_an_inconsistent_tableau():
     res, state = solve_lp_warm(LpProblem.make([1, 1], [([1, 1], 0, 3)], [0, 0], [2, 2]))
     assert res.status == OPTIMAL and res.value == 3
-    tampered = WarmLp(state._objective, [([(0, Fraction(1))], 0, 0)], state._simplex)
+    # rows in the tableau's integer form (support, lo, hi, scale): x = 0,
+    # which the optimum (1, 2) breaks
+    tampered = WarmLp(state._objective, [([(0, 1)], 0, 0, 1)], state._simplex)
     with pytest.raises(InternalInconsistencyError):
         tampered.edited()
-    state._simplex.z += 1
+    s = state._simplex
+    s.z += s.gamma * s.D * s.L  # z is a numerator over gamma D L: the value + 1
     with pytest.raises(InternalInconsistencyError):
         state.edited()
 
