@@ -300,34 +300,33 @@ def _tournament(n, chosen, pairs, lower_side):
     relation turns cyclic the windows admit no actual point and the caller
     must skip the cell.
     """
+    def beats(i, a, b):
+        # True when coordinate a binds at least as tightly as b for brick i
+        if a == b:
+            return True
+        flip = a > b
+        x, y = (b, a) if flip else (a, b)
+        lo, hi = pairs[(x, y)]
+        if lower_side:
+            dd = chosen[x].d[i] - chosen[y].d[i]
+            xwins = hi < dd  # z_x - z_y < dd throughout
+            ywins = lo >= dd
+        else:
+            dd = chosen[x].d_bar[i] - chosen[y].d_bar[i]
+            xwins = lo >= dd  # d_x - z_x <= d_y - z_y throughout
+            ywins = hi < dd
+        if not (xwins or ywins):
+            raise InternalInconsistencyError("undecided bound comparison")
+        return xwins != flip
+
     hs = sorted(chosen)
     args = []
     for i in range(1, n):
-        def beats(a, b):
-            # True when coordinate a binds at least as tightly as b for brick i
-            if a == b:
-                return True
-            flip = a > b
-            x, y = (b, a) if flip else (a, b)
-            lo, hi = pairs[(x, y)]
-            if lower_side:
-                dd = chosen[x].d[i] - chosen[y].d[i]
-                xwins = hi < dd  # z_x - z_y < dd throughout
-                ywins = lo >= dd
-            else:
-                dd = chosen[x].d_bar[i] - chosen[y].d_bar[i]
-                xwins = lo >= dd  # d_x - z_x <= d_y - z_y throughout
-                ywins = hi < dd
-            if not (xwins or ywins):
-                raise InternalInconsistencyError("undecided bound comparison")
-            win_x = xwins
-            return win_x != flip
-
         best = hs[0]
         for h in hs[1:]:
-            if not beats(best, h):
+            if not beats(i, best, h):
                 best = h
-        if all(beats(best, h) for h in hs):
+        if all(beats(i, best, h) for h in hs):
             args.append(best)
         else:
             return None  # cyclic: the windows are jointly unrealizable

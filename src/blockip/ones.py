@@ -292,17 +292,22 @@ def _aggregate_lattice(inst: FourBlockInstance):
     )
 
 
-def _transport_problem(inst: FourBlockInstance, ctx: OnesContext) -> TransportProblem:
-    n, tA, tB = inst.n, inst.t_A, inst.t_B
-    bx0 = inst.B.mul_vec(ctx.x0)[0] if inst.s_A else 0
-    row_totals = [inst.b[i][0] - bx0 for i in range(n)]
+def _brick_slices(inst: FourBlockInstance):
+    """(lower, upper, profit): per brick, its slices of l, u and w."""
+    tA, tB = inst.t_A, inst.t_B
     lower, upper, profit = [], [], []
-    for i in range(n):
+    for i in range(inst.n):
         s = tB + i * tA
         lower.append(inst.l[s:s + tA])
         upper.append(inst.u[s:s + tA])
         profit.append(inst.w[s:s + tA])
-    return TransportProblem.make(row_totals, ctx.y, lower, upper, profit)
+    return lower, upper, profit
+
+
+def _transport_problem(inst: FourBlockInstance, ctx: OnesContext) -> TransportProblem:
+    bx0 = inst.B.mul_vec(ctx.x0)[0] if inst.s_A else 0
+    row_totals = [inst.b[i][0] - bx0 for i in range(inst.n)]
+    return TransportProblem.make(row_totals, ctx.y, *_brick_slices(inst))
 
 
 def _transport_duals(p: TransportProblem, res: TransportResult):
@@ -423,7 +428,7 @@ def _optimize_aggregate(inst: FourBlockInstance, form: _LatticeForm):
     where T is the exact transportation optimum of the bricks for the
     aggregate at v.  g is evaluated only at integer points, so there is no
     relaxation gap to cross: the upper bound on a coordinate box comes from a
-    small rational LP over (v, t) whose ranged rows are valid for every
+    small exact LP over (v, t) whose integer ranged rows hold at every
     lattice point of the box (xy box rows, the shared-row range,
     supergradient cuts at feasible evaluations, blocking cuts at infeasible
     ones), and g is an integer at every point (integral data, integral flow),
@@ -448,12 +453,7 @@ def _optimize_aggregate(inst: FourBlockInstance, form: _LatticeForm):
     basis = form.basis
     p0 = form.offset
 
-    lower, upper, profit = [], [], []
-    for i in range(n):
-        s = tB + i * tA
-        lower.append(inst.l[s:s + tA])
-        upper.append(inst.u[s:s + tA])
-        profit.append(inst.w[s:s + tA])
+    lower, upper, profit = _brick_slices(inst)
     bvals = [inst.b[i][0] for i in range(n)]
 
     # range of the shared quantity q = B x0 allowed by the brick row sums
@@ -491,7 +491,7 @@ def _optimize_aggregate(inst: FourBlockInstance, form: _LatticeForm):
     def root_max(coeffs):
         return sum(max(c * form.v_lo[k], c * form.v_hi[k]) for k, c in enumerate(coeffs))
 
-    def evaluate(v):
+    def evaluate_at(v):
         nonlocal best
         if v in cache:
             return
@@ -549,11 +549,11 @@ def _optimize_aggregate(inst: FourBlockInstance, form: _LatticeForm):
         cuts.append((coeffs + [0], root_min(coeffs), rhs))
 
     if f == 0:
-        evaluate(())
+        evaluate_at(())
         return best
 
     objective = [0] * f + [1]
-    evaluate(tuple(min(max(0, form.v_lo[k]), form.v_hi[k]) for k in range(f)))
+    evaluate_at(tuple(min(max(0, form.v_lo[k]), form.v_hi[k]) for k in range(f)))
     seq = 0
     # entries: (-bound, -seq, box, solved state of the parent box, cuts it holds)
     heap = [(-t_hi, 0, form.v_lo, form.v_hi, None, 0)]
@@ -585,7 +585,7 @@ def _optimize_aggregate(inst: FourBlockInstance, form: _LatticeForm):
         seq += 1
         if fresh:
             for v in fresh:
-                evaluate(v)
+                evaluate_at(v)
             heapq.heappush(heap, (-ceiling, -seq, box_lo, box_hi, state, seen))
             continue
         split = next((k for k in range(f) if vhat[k].denominator != 1), None)

@@ -1,4 +1,4 @@
-"""Ground-truth engines: exhaustive lattice enumeration and subset-sum DP.
+"""Ground-truth engine: exhaustive lattice enumeration.
 
 The enumerator walks variables in odometer order and prunes with per-row
 residual intervals, so block-structured instances collapse to a tiny search
@@ -123,38 +123,3 @@ def enumerate_optimum(inst, budget: OracleBudget | None = None):
     if best_obj is None:
         return Infeasible("NoLatticePoint")
     return Solution(best_x, best_obj, "bruteforce")
-
-
-def subset_sum_dp(betas, delta: int) -> bool:
-    """Decide whether some subset of betas sums exactly to delta.
-
-    Bitset DP for targets up to 1e6, meet-in-the-middle for up to 25 items;
-    anything bigger is out of budget.
-    """
-    if delta < 0:
-        return False
-    if delta == 0:
-        return True
-    items = [b for b in betas if 0 < b <= delta]
-    if sum(items) < delta:
-        return False
-    if delta <= 10**6:
-        reachable = 1
-        mask = (1 << (delta + 1)) - 1
-        for b in items:
-            reachable |= (reachable << b) & mask
-        return bool((reachable >> delta) & 1)
-    if len(items) <= 25:
-        half = len(items) // 2
-        left, right = items[:half], items[half:]
-
-        def sums(vals):
-            acc = {0}
-            for v in vals:
-                acc |= {s + v for s in acc if s + v <= delta}
-            return acc
-
-        left_sums = sums(left)
-        right_sums = sums(right)
-        return any(delta - s in left_sums for s in right_sums)
-    raise BudgetExceededError(len(items), 25)

@@ -6,8 +6,9 @@ import pytest
 
 from blockip.errors import BudgetExceededError
 from blockip.model import FourBlockInstance, Infeasible, IntMatrix, Solution, evaluate
-from blockip.oracle import OracleBudget, enumerate_optimum, subset_sum_dp
+from blockip.oracle import OracleBudget, enumerate_optimum
 from blockip.reductions import SubsetSumInstance, encode_theorem1
+from subset_sum import subset_sum_dp
 
 
 def boxed(n, A_rows, D_rows, b0, b, l, u, w):

@@ -55,20 +55,20 @@ PER_ROUTE = 100
 
 
 def _flip_reduced_cost(state):
-    # x sits at its upper bound with reduced cost 1 (a numerator over gamma D)
+    # x sits at its upper bound with reduced cost 1 (a numerator over D)
     state._simplex.d[0] = -state._simplex.d[0]
     return state
 
 
 def _shift_value(state):
     s = state._simplex
-    s.z += s.gamma * s.D * s.L  # z is a numerator over gamma D L: the value + 1
+    s.z += s.D  # z is a numerator over D: the value + 1
     return state
 
 
 def _inconsistent_rows(state):
-    # the row x = 0 in integer form (support, lo, hi, scale); x = 2 is optimal
-    return WarmLp(state._objective, [([(0, 1)], 0, 0, 1)], state._simplex)
+    # the row x = 0 in sparse form (support, lo, hi); x = 2 is optimal
+    return WarmLp(state._objective, [([(0, 1)], 0, 0)], state._simplex)
 
 
 # each makes a sound WarmLp of max 2x + y, x + y <= 3, x, y in [0, 2] wrong

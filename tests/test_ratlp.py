@@ -1,5 +1,6 @@
 """Exact simplex checks: frozen cases, exactness audits, float cross-checks."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -80,15 +81,15 @@ def test_zero_variable_problem():
 def random_lp(rng, feasible=True):
     n = rng.randint(1, 6)
     m = rng.randint(0, min(3, n))
-    lower = [Fraction(rng.randint(-5, 2)) for _ in range(n)]
+    lower = [rng.randint(-5, 2) for _ in range(n)]
     upper = [lo + rng.randint(0, 7) for lo in lower]
-    rows = [[Fraction(rng.randint(-4, 4)) for _ in range(n)] for _ in range(m)]
+    rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
     if feasible:
-        seed = [lo + Fraction(rng.randint(0, int(up - lo))) for lo, up in zip(lower, upper)]
+        seed = [lo + rng.randint(0, up - lo) for lo, up in zip(lower, upper)]
         rhs = [sum(r[j] * seed[j] for j in range(n)) for r in rows]
     else:
-        rhs = [Fraction(rng.randint(-30, 30)) for _ in rows]
-    obj = [Fraction(rng.randint(-5, 5)) for _ in range(n)]
+        rhs = [rng.randint(-30, 30) for _ in rows]
+    obj = [rng.randint(-5, 5) for _ in range(n)]
     return LpProblem.make(obj, [(row, b, b) for row, b in zip(rows, rhs)], lower, upper)
 
 
@@ -137,8 +138,8 @@ def test_exactness_audit_battery():
 
 def with_box(p, j, lo, up):
     """The same program with variable j's box replaced (bypasses validation)."""
-    lower = list(p.lower[:j]) + [Fraction(lo)] + list(p.lower[j + 1:])
-    upper = list(p.upper[:j]) + [Fraction(up)] + list(p.upper[j + 1:])
+    lower = list(p.lower[:j]) + [lo] + list(p.lower[j + 1:])
+    upper = list(p.upper[:j]) + [up] + list(p.upper[j + 1:])
     return LpProblem(p.objective, p.rows, lower, upper)
 
 
@@ -159,7 +160,7 @@ def test_warm_reoptimize_matches_cold_solve():
         assert res.value == cold.value
         for _ in range(3):  # chain several edits through returned states
             j = rng.randrange(len(p.objective))
-            nl = Fraction(rng.randint(-7, 4))
+            nl = rng.randint(-7, 4)
             nu = nl + rng.randint(-2, 9)
             res, nxt = state.reoptimized(j, nl, nu)
             if nl > nu:
@@ -233,10 +234,11 @@ def cold_program(p, ranged, lower, upper):
 
 
 def random_row(rng, n, point):
-    """Ranged row around the current point: often cuts it off, rarely empty."""
+    """Ranged row around the current point, rounded down to an integer:
+    often cuts it off, rarely empty."""
     coeffs = [rng.randint(-3, 3) for _ in range(n)]
-    at = sum(a * x for a, x in zip(coeffs, point))
-    return coeffs, at - Fraction(rng.randint(0, 6), rng.choice((1, 2))), at + rng.randint(-2, 4)
+    at = math.floor(sum(a * x for a, x in zip(coeffs, point)))
+    return coeffs, at - rng.randint(0, 6), at + rng.randint(-2, 4)
 
 
 def check_against_cold(res, nxt, p, ranged, lower, upper):
@@ -307,9 +309,9 @@ def test_slack_start_matches_cold_solves_and_chains():
     checked = infeasible = 0
     for trial in range(150):
         n = rng.randint(1, 5)
-        lower = [Fraction(rng.randint(-5, 2)) for _ in range(n)]
+        lower = [rng.randint(-5, 2) for _ in range(n)]
         upper = [lo + rng.randint(0, 7) for lo in lower]
-        seed = [lo + rng.randint(0, int(up - lo)) for lo, up in zip(lower, upper)]
+        seed = [lo + rng.randint(0, up - lo) for lo, up in zip(lower, upper)]
         rows = [random_row(rng, n, seed) for _ in range(rng.randint(0, 4))]
         objective = [rng.randint(-5, 5) for _ in range(n)]
         p = LpProblem.make(objective, [], lower, upper)
@@ -325,8 +327,8 @@ def test_slack_start_matches_cold_solves_and_chains():
 
 
 def reduced_cost(s, j):
-    """Column j's reduced cost in the tableau s, a numerator over gamma D."""
-    return Fraction(s.d[j], s.gamma * s.D)
+    """Column j's reduced cost in the tableau s, a numerator over D."""
+    return Fraction(s.d[j], s.D)
 
 
 def test_unfixed_column_moves_to_the_bound_its_reduced_cost_prefers():
@@ -351,7 +353,7 @@ def test_dual_sign_audit_rejects_a_tampered_reduced_cost():
     s = state._simplex
     assert s.where[0] == "U" and reduced_cost(s, 0) == 1 and s.lower[0] != s.upper[0]
     assert state.edited()[0] == res
-    s.d[0] = -s.d[0]  # the numerator over gamma D: the sign flips, nothing else
+    s.d[0] = -s.d[0]  # the numerator over D: the sign flips, nothing else
     with pytest.raises(InternalInconsistencyError):
         state.edited()
 
@@ -359,13 +361,13 @@ def test_dual_sign_audit_rejects_a_tampered_reduced_cost():
 def test_warm_audit_rejects_an_inconsistent_tableau():
     res, state = solve_lp_warm(LpProblem.make([1, 1], [([1, 1], 0, 3)], [0, 0], [2, 2]))
     assert res.status == OPTIMAL and res.value == 3
-    # rows in the tableau's integer form (support, lo, hi, scale): x = 0,
-    # which the optimum (1, 2) breaks
-    tampered = WarmLp(state._objective, [([(0, 1)], 0, 0, 1)], state._simplex)
+    # rows in the tableau's sparse form (support, lo, hi): x = 0, which the
+    # optimum (1, 2) breaks
+    tampered = WarmLp(state._objective, [([(0, 1)], 0, 0)], state._simplex)
     with pytest.raises(InternalInconsistencyError):
         tampered.edited()
     s = state._simplex
-    s.z += s.gamma * s.D * s.L  # z is a numerator over gamma D L: the value + 1
+    s.z += s.D  # z is a numerator over D: the value + 1
     with pytest.raises(InternalInconsistencyError):
         state.edited()
 
@@ -389,3 +391,29 @@ def test_box_edits_checked_for_index():
         with pytest.raises(MalformedProblemError):
             state.edited(boxes=[box])
     assert state.edited(boxes=[(1, 0, 0)])[0].value == 5
+
+
+@pytest.mark.parametrize("bad", [1.0, Fraction(1), True], ids=["float", "Fraction", "bool"])
+@pytest.mark.parametrize("place", ["objective", "row coefficient", "row bound", "box bound"])
+def test_entries_must_be_ints(place, bad):
+    # max x + y over 0 <= x + y <= 3, x and y in [0, 2], with bad put in
+    # place; bad equals 1, so only its type is wrong
+    objective = [bad, 1] if place == "objective" else [1, 1]
+    row = ([bad, 1] if place == "row coefficient" else [1, 1], bad if place == "row bound" else 0, 3)
+    box = (bad if place == "box bound" else 0, 2)
+    with pytest.raises(MalformedProblemError):
+        LpProblem.make(objective, [row], [box[0], 0], [box[1], 2])
+    res, state = solve_lp_warm(LpProblem.make([1, 1], [([1, 1], 0, 3)], [0, 0], [2, 2]))
+    assert res.status == OPTIMAL and res.value == 3
+    if place != "objective":  # edits take boxes and rows, not costs
+        with pytest.raises(MalformedProblemError):
+            state.edited([(0, *box)], [row])
+    if place == "box bound":  # and reoptimized a box alone, at either end
+        for lo, hi in ((bad, 2), (0, bad)):
+            with pytest.raises(MalformedProblemError):
+                state.reoptimized(0, lo, hi)
+    # bounds hands back the ints it holds, before and after an edit
+    _, nxt = state.reoptimized(0, 1, 2)
+    for s, box0 in ((state, (0, 2)), (nxt, (1, 2))):
+        assert s.bounds(0) == box0 and s.bounds(1) == (0, 2)
+        assert all(type(v) is int for v in s.bounds(0) + s.bounds(1))

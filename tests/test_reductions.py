@@ -6,7 +6,7 @@ import pytest
 
 from blockip.errors import BadParamsError, BetaExceedsTargetError
 from blockip.model import Infeasible, StructureClass, classify, evaluate
-from blockip.oracle import enumerate_optimum, subset_sum_dp
+from blockip.oracle import enumerate_optimum
 from blockip.reductions import (
     SubsetSumInstance,
     encode_scheduling,
@@ -14,6 +14,7 @@ from blockip.reductions import (
     encode_theorem2a,
     encode_theorem2b,
 )
+from subset_sum import subset_sum_dp
 
 
 def feasible(inst):

@@ -60,10 +60,8 @@ def test_integral_relaxation_is_root_only():
 
 
 def test_mixed_keeps_continuous_fraction():
-    p = make_mip(
-        [1, 2], [[1, 1]], [Fraction(3, 2)], [0, 0], [1, Fraction(3, 2)],
-        mask=[True, False],
-    )
+    # max x + 2y, 2x + 2y = 3, x in [0, 1] integral, y in [0, 2]: y = 3/2
+    p = make_mip([1, 2], [[2, 2]], [3], [0, 0], [1, 2], mask=[True, False])
     res = solve_mip(p)
     assert res.status == OPTIMAL
     assert res.value == 3
