@@ -16,9 +16,20 @@ still sparse int maps, integer bound propagation over them (_propagate)
 proves most empty cells empty, and only the survivors become exact LPs and
 MIPs.  The screen removes only cells with no integer point, and survivors
 keep their untightened boxes, so the cell LPs and the answer are the same
-as without it.  The merge windows j = 1..n of one window combination are
-built in one pass along the rate order: each window's objective and its
-Lambda(j-1) extend the previous window's running sums by one brick.
+as without it.
+
+The merge windows j = 1..n of one choice of sub-intervals, difference
+windows and arguments share all rows but two, the p rows Lambda(j-1) + 1
+<= p <= Lambda(j).  They are swept in one pass along the rate order, with
+Lambda(j-1) and the running objective carried as integer coefficients per
+grid coordinate plus a constant, each window adding one brick.  The shared
+rows are propagated once.  A window's two p rows are then first tested at
+that shared box in O(#grid coordinates) (_p_rows_have_slack): a row with
+negative slack there has negative slack in every sub-box, so _propagate,
+whose first pass meets the row in a sub-box, would return False.  Only the
+windows that pass get dict rows, the propagation, an objective and an LP,
+so the survivors and their LPs are exactly those of propagating every
+window.
 
 All enumeration is exact and the winning cell's solution is lifted back to a
 full point and re-checked against the original constraints; any disagreement
@@ -224,18 +235,24 @@ def _propagate(rows, lo, hi):
 
 
 class _CellBuilder:
-    """Shared per-instance data for assembling cell MIPs."""
+    """Per-instance data shared by every cell.
+
+    The variable layout, the anchor brick's own rows, and the parts of the
+    top rows and of the objective that no choice of sub-intervals, windows
+    or arguments changes; the per-brick objective rates and the merge order.
+    """
 
     def __init__(self, inst: FourBlockInstance, elim: EliminationData):
         self.inst = inst
         self.elim = elim
         n, tA, tB = inst.n, inst.t_A, inst.t_B
-        self.grid_hs = [h for h in range(tA) if elim.theta[h] != 0]
-        self.zero_hs = [h for h in range(tA) if elim.theta[h] == 0]
+        theta = elim.theta
+        gh = self.grid_hs = [h for h in range(tA) if theta[h] != 0]
+        zh = self.zero_hs = [h for h in range(tA) if theta[h] == 0]
         # coordinates with a zero step: the anchor value is shared by all
         # bricks up to constant shifts, so the boxes intersect directly
         self.zero_lo, self.zero_hi = {}, {}
-        for h in self.zero_hs:
+        for h in zh:
             los, his = [], []
             for i in range(n):
                 s = tB + i * tA
@@ -252,11 +269,72 @@ class _CellBuilder:
         for i in range(n):
             s = tB + i * tA
             self.rates[i] = sum(
-                inst.w[s + h] * elim.theta[h] for h in range(tA)
+                inst.w[s + h] * theta[h] for h in range(tA)
             )
         self.order = tuple(
             sorted(range(1, n), key=lambda i: (-self.rates[i], i))
         )
+
+        # variable layout: x0 | xi_h | z_h | anchor values on zero-step coords | p
+        g = len(gh)
+        xi = {h: tB + k for k, h in enumerate(gh)}
+        z = self.z_col = {h: tB + g + k for k, h in enumerate(gh)}
+        direct = {h: tB + 2 * g + k for k, h in enumerate(zh)}
+        p = self.p = tB + 2 * g + len(zh)
+        self.layout = {"xi": xi, "z": z, "direct": direct, "p": p}
+        self.nvars = p + 1
+        anchor_col = {**xi, **direct}
+
+        # top rows: brick i's free integer is its lower bound d_i - z_{h_i}
+        # plus its share of p, where h_i is the coordinate setting that bound
+        # (arg_lo) and d_i its quotient, so top row r reads
+        #   C_r x0 + n sum_h D_rh (xi_h or direct_h)
+        #     + sum_h (n D_rh theta_h - k_r cnt_h) z_h + k_r p
+        #   = b0_r - sum_h D_rh offset_totals_h - k_r sum_i d_i
+        # with k_r = sum_h D_rh theta_h and cnt_h the number of bricks with
+        # h_i = h.  Kept per row: the coefficients no cell changes, the z
+        # coefficients before the cnt_h term, k_r, and the constant before
+        # the sum of the d_i
+        self.top = []
+        for r in range(inst.s_C):
+            e = {bcol: a for bcol in range(tB) if (a := inst.C.at(r, bcol))}
+            zc = dict.fromkeys(gh, 0)
+            k = 0
+            const = 0
+            for h in range(tA):
+                drh = inst.D.at(r, h)
+                if drh == 0:
+                    continue
+                const += drh * elim.offset_totals[h]
+                e[anchor_col[h]] = n * drh
+                if theta[h]:
+                    zc[h] = n * drh * theta[h]
+                    k += drh * theta[h]
+            self.top.append((e, zc, k, inst.b0[r] - const))
+        # the anchor brick's own system A x^1 + B x0 = b_1, the same in every cell
+        self.anchor_rows = []
+        for r in range(inst.s_A):
+            e = {bcol: a for bcol in range(tB) if (a := inst.B.at(r, bcol))}
+            for h in range(tA):
+                arh = inst.A.at(r, h)
+                if arh:
+                    e[anchor_col[h]] = arh
+                    if theta[h]:
+                        e[z[h]] = arh * theta[h]
+            self.anchor_rows.append((e, inst.b[0][r]))
+        self.anchor_screen = []
+        for e, b in self.anchor_rows:
+            self.anchor_screen += [(e, b), ({var: -a for var, a in e.items()}, -b)]
+        # objective terms with no brick's bound in them; z_h's is completed
+        # per cell by the rates of the bricks whose lower bound it sets
+        obj = [0] * self.nvars
+        obj[:tB] = inst.w[:tB]
+        for h in gh:
+            obj[xi[h]] = self.wsum[h]
+            obj[z[h]] = self.wsum[h] * theta[h]
+        for h in zh:
+            obj[direct[h]] = self.wsum[h]
+        self.objective = obj
 
 
 def enumerate_cells(inst: FourBlockInstance, elim: EliminationData,
@@ -265,15 +343,17 @@ def enumerate_cells(inst: FourBlockInstance, elim: EliminationData,
     builder = _CellBuilder(inst, elim)
     if any(builder.zero_lo[h] > builder.zero_hi[h] for h in builder.zero_hs):
         return
-    gh = builder.grid_hs
-    axes = [grid.per_h[h] for h in gh]
+    # the anchor brick has no free integer: its box bounds each quotient,
+    # so a sub-interval whose anchor range d[0]..d_bar[0] is empty is in no
+    # cell, whatever the other coordinates choose
+    axes = [[c for c in grid.per_h[h] if c.d[0] <= c.d_bar[0]]
+            for h in builder.grid_hs]
     for combo in itertools.product(*axes):
-        yield from _cells_for_combo(builder, dict(zip(gh, combo)))
+        yield from _cells_for_combo(builder, combo)
 
 
-def _pair_windows(builder, chosen, zlo, zhi, a, b):
+def _pair_windows(n, chosen, zlo, zhi, a, b):
     """Difference windows for z_a - z_b, clipped to the box range."""
-    n = builder.inst.n
     da, dba = chosen[a].d, chosen[a].d_bar
     db, dbb = chosen[b].d, chosen[b].d_bar
     crit = set()
@@ -292,62 +372,79 @@ def _pair_windows(builder, chosen, zlo, zhi, a, b):
     return [w for w in windows if w[0] <= w[1]]
 
 
-def _tournament(n, chosen, pairs, lower_side):
-    """Per brick, the coordinate attaining the binding bound, or None.
+def _tournament(n, gh, diffs, pairs, lower_side):
+    """Per brick i >= 1, the coordinate attaining the binding bound, or None.
 
-    lower_side picks argmax of d - z; otherwise argmin of d_bar - z.  Every
-    pairwise comparison is decided by the chosen difference windows; if the
-    relation turns cyclic the windows admit no actual point and the caller
-    must skip the cell.
+    lower_side picks argmax of d - z; otherwise argmin of d_bar - z.  For
+    each coordinate pair x < y, diffs[(x, y)] lists per brick the difference
+    dd of the two coordinates' d (or d_bar) values, and pairs[(x, y)] is the
+    chosen window [lo, hi] of z_x - z_y.  One pass per pair decides it for
+    every brick: dd > hi puts d_x - z_x above d_y - z_y throughout the
+    window, dd <= lo puts it at or below.  _pair_windows cuts the windows at
+    every such dd, so one of the two holds; otherwise the bound comparison
+    is undecided and InternalInconsistencyError is raised.  With two grid
+    coordinates these outcomes are the arguments.  With more, each brick's
+    argument is the winner of a tournament read from them; if the relation
+    turns cyclic the windows admit no actual point and the caller must skip
+    the cell.
     """
-    def beats(i, a, b):
-        # True when coordinate a binds at least as tightly as b for brick i
-        if a == b:
-            return True
-        flip = a > b
-        x, y = (b, a) if flip else (a, b)
-        lo, hi = pairs[(x, y)]
-        if lower_side:
-            dd = chosen[x].d[i] - chosen[y].d[i]
-            xwins = hi < dd  # z_x - z_y < dd throughout
-            ywins = lo >= dd
-        else:
-            dd = chosen[x].d_bar[i] - chosen[y].d_bar[i]
-            xwins = lo >= dd  # d_x - z_x <= d_y - z_y throughout
-            ywins = hi < dd
-        if not (xwins or ywins):
+    if len(gh) == 1:
+        return (gh[0],) * (n - 1)
+    beats = {}  # (a, b) -> per brick, True when a binds at least as tightly as b
+    for (x, y), (lo, hi) in pairs.items():
+        dds = diffs[(x, y)]
+        if any(lo < dd <= hi for dd in dds):
             raise InternalInconsistencyError("undecided bound comparison")
-        return xwins != flip
-
-    hs = sorted(chosen)
+        above = [dd > hi for dd in dds]
+        if len(gh) == 2:
+            return tuple(x if a == lower_side else y for a in above)
+        beats[(x, y)] = [a == lower_side for a in above]
+        beats[(y, x)] = [a != lower_side for a in above]
     args = []
-    for i in range(1, n):
-        best = hs[0]
-        for h in hs[1:]:
-            if not beats(i, best, h):
+    for i in range(n - 1):
+        best = gh[0]
+        for h in gh[1:]:
+            if not beats[(best, h)][i]:
                 best = h
-        if all(beats(i, best, h) for h in hs):
+        if all(h == best or beats[(best, h)][i] for h in gh):
             args.append(best)
         else:
             return None  # cyclic: the windows are jointly unrealizable
     return tuple(args)
 
 
-def _cells_for_combo(builder, chosen):
+def _cells_for_combo(builder, combo):
     n = builder.inst.n
     gh = builder.grid_hs
-    # the anchor brick has no free integer: its box bounds each quotient
+    chosen = dict(zip(gh, combo))
     zlo = {h: chosen[h].d[0] for h in gh}
     zhi = {h: chosen[h].d_bar[0] for h in gh}
-    if any(zlo[h] > zhi[h] for h in gh):
-        return
     pairs_list = list(itertools.combinations(gh, 2))
     options = []
     for a, b in pairs_list:
-        ws = _pair_windows(builder, chosen, zlo, zhi, a, b)
+        ws = _pair_windows(n, chosen, zlo, zhi, a, b)
         if not ws:
             return
         options.append(ws)
+    d = {h: chosen[h].d for h in gh}
+    d_bar = {h: chosen[h].d_bar for h in gh}
+    diffs_lo, diffs_hi = {}, {}
+    for a, b in pairs_list:
+        diffs_lo[(a, b)] = [x - y for x, y in zip(d[a][1:], d[b][1:])]
+        diffs_hi[(a, b)] = [x - y for x, y in zip(d_bar[a][1:], d_bar[b][1:])]
+    # the box of every column but p, the same in every cell of this combo
+    inst = builder.inst
+    lo = list(inst.l[:inst.t_B])
+    hi = list(inst.u[:inst.t_B])
+    for h in gh:
+        lo.append(chosen[h].tau)
+        hi.append(chosen[h].tau_bar)
+    for h in gh:
+        lo.append(zlo[h])
+        hi.append(zhi[h])
+    for h in builder.zero_hs:
+        lo.append(builder.zero_lo[h])
+        hi.append(builder.zero_hi[h])
     for assignment in itertools.product(*options):
         pairs = dict(zip(pairs_list, assignment))
         ok = True
@@ -367,161 +464,114 @@ def _cells_for_combo(builder, chosen):
                 break
         if not ok:
             continue
-        arg_lo = _tournament(n, chosen, pairs, True)
-        arg_hi = _tournament(n, chosen, pairs, False)
+        arg_lo = _tournament(n, gh, diffs_lo, pairs, True)
+        arg_hi = _tournament(n, gh, diffs_hi, pairs, False)
         if arg_lo is None or arg_hi is None:
             continue
-        yield from _cells_for_windows(builder, chosen, pairs, arg_lo, arg_hi,
-                                      zlo, zhi)
+        yield from _cells_for_windows(builder, combo, d, d_bar, lo, hi, pairs,
+                                      arg_lo, arg_hi)
 
 
-def _cells_for_windows(builder, chosen, pairs, arg_lo, arg_hi, zlo, zhi):
-    inst, elim = builder.inst, builder.elim
-    n, tA, tB, sC, sA = inst.n, inst.t_A, inst.t_B, inst.s_C, inst.s_A
+def _p_rows_have_slack(lam, lam_const, cap, z_lo, z_hi, p_lo, p_hi):
+    """Whether both p rows of a merge window can hold in the given box.
+
+    The rows are Lambda(j-1) + 1 <= p and p <= Lambda(j) = Lambda(j-1) +
+    cap, where lam maps each grid coordinate to its z coefficient in
+    Lambda(j-1), lam_const is its constant and cap is (cc, hl, hu), the
+    window brick's bound gap cc + z_hl - z_hu.  A row's slack is its
+    right-hand side less its least activity over the box; False when either
+    is negative.  That is exactly the first test _propagate makes of a row,
+    and a tighter box only raises the least activity, so a False here means
+    _propagate over any sub-box would return False too.
+    """
+    cc, hl, hu = cap
+    least1 = least2 = 0  # over the z columns of the two rows
+    for h, a in lam.items():
+        least1 += a * (z_lo[h] if a > 0 else z_hi[h])
+        a = -a - (h == hl) + (h == hu)
+        least2 += a * (z_lo[h] if a > 0 else z_hi[h])
+    return p_hi - lam_const - 1 >= least1 and lam_const + cc - p_lo >= least2
+
+
+def _dense(e, width):
+    row = [0] * width
+    for var, coef in e.items():
+        row[var] = coef
+    return row
+
+
+def _cells_for_windows(builder, combo, d, d_bar, lo, hi, pairs, arg_lo, arg_hi):
+    """The cells of one choice of sub-intervals, windows and arguments.
+
+    combo holds the chosen sub-interval per grid coordinate, d and d_bar
+    their quotient bounds per brick, and lo, hi the box of every column but
+    p.  One pass over the bricks gives each brick's cap and the
+    per-coordinate sums that the top rows, p's box and the objective take
+    (how many bricks each coordinate bounds from below, their rates, and
+    the sums of those bounds); no brick is visited again.  The rows shared
+    by every merge window are propagated once, and then the windows are
+    swept as the module docstring describes.  The pre-test
+    _p_rows_have_slack only skips windows whose _propagate would return
+    False, so the cells yielded, their untightened LPs and their order are
+    those of screening every window with _propagate alone.
+    """
+    inst = builder.inst
+    n = inst.n
     gh = builder.grid_hs
-    zh = builder.zero_hs
-    theta = elim.theta
+    zcol = builder.z_col
+    p = builder.p
+    rates = builder.rates
+    width = builder.nvars
 
-    # variable layout: x0 | xi_h | z_h | anchor values on zero-step coords | p
-    layout = {"xi": {}, "z": {}, "direct": {}, "p": None}
-    col = tB
-    for h in gh:
-        layout["xi"][h] = col
-        col += 1
-    for h in gh:
-        layout["z"][h] = col
-        col += 1
-    for h in zh:
-        layout["direct"][h] = col
-        col += 1
-    layout["p"] = col
-    col += 1
-    base_vars = col
-
-    lo = list(inst.l[:tB])
-    hi = list(inst.u[:tB])
-    for h in gh:
-        lo.append(chosen[h].tau)
-        hi.append(chosen[h].tau_bar)
-    for h in gh:
-        lo.append(zlo[h])
-        hi.append(zhi[h])
-    for h in zh:
-        lo.append(builder.zero_lo[h])
-        hi.append(builder.zero_hi[h])
-
-    # per brick i>=1: bound gap cap_i(z) = cc_i + z_{arg_lo} - z_{arg_hi} >= 0
-    caps = []
+    # per brick i>=1: bound gap cap_i(z) = cc_i + z_{arg_lo} - z_{arg_hi} >= 0;
+    # per coordinate h, the bricks whose lower bound h sets: their count and
+    # their rates; and the sums of those bounds and of rate times bound
+    caps = [None] * n
+    cnt_lo = dict.fromkeys(gh, 0)
+    rate_lo = dict.fromkeys(gh, 0)
+    d_lo_sum = rate_d_lo_sum = 0
+    p_hi = 0
+    gaps = {}  # (hl, hu) -> least cc over the bricks with that pair
     for i in range(1, n):
         hl, hu = arg_lo[i - 1], arg_hi[i - 1]
-        cc = chosen[hu].d_bar[i] - chosen[hl].d[i]
-        caps.append((cc, hl, hu))
-
-    # p's own box from the caps over the z boxes
-    p_hi = 0
-    for cc, hl, hu in caps:
-        p_hi += cc + zhi[hl] - zlo[hu]
-    if n > 1 and p_hi < 0:
-        return
-    lo.append(0)
-    hi.append(max(0, p_hi))
-
-    def expr():
-        return {}
-
-    def add(e, j, a):
-        # a sum that cancels drops its key: _propagate wants nonzero entries
-        a += e.get(j, 0)
-        if a:
-            e[j] = a
-        else:
-            e.pop(j, None)
-
-    def dense(e):
-        row = [0] * base_vars
-        for var, coef in e.items():
-            row[var] = coef
-        return row
-
-    # equality rows: top block, then the anchor brick's own system
-    eq_rows = []
-    for r in range(sC):
-        e = expr()
-        const = 0
-        for bcol in range(tB):
-            add(e, bcol, inst.C.at(r, bcol))
-        for h in range(tA):
-            drh = inst.D.at(r, h)
-            if drh == 0:
-                continue
-            const += drh * elim.offset_totals[h]
-            if h in layout["direct"]:
-                add(e, layout["direct"][h], n * drh)
-                continue
-            add(e, layout["xi"][h], n * drh)
-            add(e, layout["z"][h], n * drh * theta[h])
-            add(e, layout["p"], drh * theta[h])
-            for i in range(1, n):
-                hl = arg_lo[i - 1]
-                const += drh * theta[h] * chosen[hl].d[i]
-                add(e, layout["z"][hl], -drh * theta[h])
-        eq_rows.append((e, inst.b0[r] - const))
-    for r in range(sA):
-        e = expr()
-        for bcol in range(tB):
-            add(e, bcol, inst.B.at(r, bcol))
-        for h in range(tA):
-            arh = inst.A.at(r, h)
-            if arh == 0:
-                continue
-            if h in layout["direct"]:
-                add(e, layout["direct"][h], arh)
-            else:
-                add(e, layout["xi"][h], arh)
-                add(e, layout["z"][h], arh * theta[h])
-        eq_rows.append((e, inst.b[0][r]))
-
-    # inequality rows, as coefficient maps with a <= bound
-    ineq_rows = []
-    seen_caps = {}
-    for cc, hl, hu in caps:
+        dl = d[hl][i]
+        cc = d_bar[hu][i] - dl
+        caps[i] = (cc, hl, hu)
+        cnt_lo[hl] += 1
+        rate_lo[hl] += rates[i]
+        d_lo_sum += dl
+        rate_d_lo_sum += rates[i] * dl
+        # p's own box from the caps over the z boxes
+        p_hi += cc + hi[zcol[hl]] - lo[zcol[hu]]
         if hl == hu:
             if cc < 0:
                 return
-            continue
-        key = (hl, hu)
-        if key not in seen_caps or cc < seen_caps[key]:
-            seen_caps[key] = cc
-    for (hl, hu), cc in sorted(seen_caps.items()):
-        e = expr()
-        add(e, layout["z"][hu], 1)
-        add(e, layout["z"][hl], -1)
-        ineq_rows.append((e, cc))
-    for (a, b), (wlo, whi) in sorted(pairs.items()):
-        e = expr()
-        add(e, layout["z"][a], 1)
-        add(e, layout["z"][b], -1)
-        ineq_rows.append((e, whi))
-        e = expr()
-        add(e, layout["z"][a], -1)
-        add(e, layout["z"][b], 1)
-        ineq_rows.append((e, -wlo))
+        elif (hl, hu) not in gaps or cc < gaps[(hl, hu)]:
+            gaps[(hl, hu)] = cc
+    if p_hi < 0:
+        return
+    lo = lo + [0]
+    hi = hi + [max(0, p_hi)]
 
-    # objective pieces shared by every merge window
-    base_obj = expr()
-    base_const = elim.c0
-    for bcol in range(tB):
-        add(base_obj, bcol, inst.w[bcol])
-    for h in gh:
-        add(base_obj, layout["xi"][h], builder.wsum[h])
-        add(base_obj, layout["z"][h], builder.wsum[h] * theta[h])
-    for h in zh:
-        add(base_obj, layout["direct"][h], builder.wsum[h])
-    for i in range(1, n):
-        hl = arg_lo[i - 1]
-        v = builder.rates[i]
-        base_const += v * chosen[hl].d[i]
-        add(base_obj, layout["z"][hl], -v)
+    # equality rows: top block, then the anchor brick's own system
+    eq_rows = []
+    for fixed, zc, k, b in builder.top:
+        e = dict(fixed)
+        for h in gh:
+            a = zc[h] - k * cnt_lo[h]
+            if a:
+                e[zcol[h]] = a
+        if k:
+            e[p] = k
+        eq_rows.append((e, b - k * d_lo_sum))
+
+    # inequality rows, as coefficient maps with a <= bound
+    ineq_rows = []
+    for (hl, hu), cc in sorted(gaps.items()):
+        ineq_rows.append(({zcol[hu]: 1, zcol[hl]: -1}, cc))
+    for (a, b), (wlo, whi) in sorted(pairs.items()):
+        ineq_rows.append(({zcol[a]: 1, zcol[b]: -1}, whi))
+        ineq_rows.append(({zcol[a]: -1, zcol[b]: 1}, -wlo))
 
     # the integer screen: the inequality rows, and each equality row as two
     # <= rows.  What it proves over the rows shared by every merge window holds
@@ -530,76 +580,91 @@ def _cells_for_windows(builder, chosen, pairs, arg_lo, arg_hi, zlo, zhi):
     for e, b in eq_rows:
         screen_rows.append((e, b))
         screen_rows.append(({var: -coef for var, coef in e.items()}, -b))
+    screen_rows += builder.anchor_screen
     shared_lo, shared_hi = list(lo), list(hi)
     if not _propagate(screen_rows, shared_lo, shared_hi):
         return
+    eq_rows += builder.anchor_rows
 
+    # what every window's LP shares.  The LP keeps the untightened boxes;
+    # rows that the boxes already imply are dropped
+    lp_rows = [(_dense(e, width), b, b) for e, b in eq_rows]
+    for e, b in ineq_rows:
+        mn, mx = _range_of(e, lo, hi)
+        if mx > b:
+            lp_rows.append((_dense(e, width), mn, b))
+    base_obj = list(builder.objective)
+    for h in gh:
+        base_obj[zcol[h]] -= rate_lo[h]
+    base_const = builder.elim.c0 + rate_d_lo_sum
+
+    z_lo = {h: shared_lo[zcol[h]] for h in gh}
+    z_hi = {h: shared_hi[zcol[h]] for h in gh}
     order = builder.order
-    p = layout["p"]
-    # running sums over the bricks before the window, order[:j-2]: their
-    # objective terms, and Lambda(j-1), the sum of their caps
-    run_obj, run_const = expr(), 0
-    lam_prev, lam_prev_const = expr(), 0
+    # running sums over the bricks before the window, order[:j-2], as z
+    # coefficients per coordinate and a constant: their objective terms,
+    # and Lambda(j-1), the sum of their caps
+    run, run_const = dict.fromkeys(gh, 0), 0
+    lam, lam_const = dict.fromkeys(gh, 0), 0
     for j in range(1, n + 1):
-        p_rows = []
         if j > 2:
             i = order[j - 3]
-            cc, hl, hu = caps[i - 1]
-            v_i = builder.rates[i]
+            cc, hl, hu = caps[i]
+            v_i = rates[i]
             run_const += v_i * cc
-            add(run_obj, layout["z"][hl], v_i)
-            add(run_obj, layout["z"][hu], -v_i)
-            lam_prev_const += cc
-            add(lam_prev, layout["z"][hl], 1)
-            add(lam_prev, layout["z"][hu], -1)
-        if j > 1:
-            # Lambda(j-1) + 1 <= p <= Lambda(j)
-            e = dict(lam_prev)
-            add(e, p, -1)
-            p_rows.append((e, -lam_prev_const - 1))
-            cc, hl, hu = caps[order[j - 2] - 1]
-            e = expr()
-            add(e, p, 1)
-            for var, coef in lam_prev.items():
-                add(e, var, -coef)
-            add(e, layout["z"][hl], -1)
-            add(e, layout["z"][hu], 1)
-            p_rows.append((e, lam_prev_const + cc))
-
-        cell_lo = list(lo)
-        cell_hi = list(hi)
-        box_lo, box_hi = list(shared_lo), list(shared_hi)
+            run[hl] += v_i
+            run[hu] -= v_i
+            lam_const += cc
+            lam[hl] += 1
+            lam[hu] -= 1
         if j == 1:
-            cell_lo[p] = cell_hi[p] = 0
+            p_rows = []
+            box_lo, box_hi = list(shared_lo), list(shared_hi)
             box_hi[p] = 0  # p >= 0 already
+        else:
+            cap = caps[order[j - 2]]
+            if not _p_rows_have_slack(lam, lam_const, cap, z_lo, z_hi,
+                                      shared_lo[p], shared_hi[p]):
+                continue  # no integer point: _propagate would say so
+            box_lo, box_hi = list(shared_lo), list(shared_hi)
+            # Lambda(j-1) + 1 <= p <= Lambda(j)
+            cc, hl, hu = cap
+            e1 = {zcol[h]: a for h, a in lam.items() if a}
+            e1[p] = -1
+            e2 = {p: 1}
+            for h, a in lam.items():
+                a = -a - (h == hl) + (h == hu)
+                if a:
+                    e2[zcol[h]] = a
+            p_rows = [(e1, -lam_const - 1), (e2, lam_const + cc)]
         if not _propagate(screen_rows + p_rows, box_lo, box_hi):
             continue  # no integer point: skip the LP
 
-        obj = dict(base_obj)
+        cell_lo, cell_hi = lo, hi
+        rows = list(lp_rows)
+        obj = list(base_obj)
         const = base_const
-        if j > 1:
-            v_j = builder.rates[order[j - 2]]
-            add(obj, p, v_j)
-            for var, coef in run_obj.items():
-                add(obj, var, coef)
-            const += run_const - v_j * lam_prev_const
-            for var, coef in lam_prev.items():
-                add(obj, var, -v_j * coef)
-        # the cell's LP keeps the untightened boxes; rows that the boxes
-        # already imply are dropped
-        rows = [(dense(e), b, b) for e, b in eq_rows]
-        for e, b in ineq_rows + p_rows:
-            mn, mx = _range_of(e, cell_lo, cell_hi)
-            if mx > b:
-                rows.append((dense(e), mn, b))
+        if j == 1:
+            cell_lo, cell_hi = list(lo), list(hi)
+            cell_lo[p] = cell_hi[p] = 0
+        else:
+            v_j = rates[order[j - 2]]
+            obj[p] += v_j
+            for h in gh:
+                obj[zcol[h]] += run[h] - v_j * lam[h]
+            const += run_const - v_j * lam_const
+            for e, b in p_rows:
+                mn, mx = _range_of(e, lo, hi)
+                if mx > b:
+                    rows.append((_dense(e, width), mn, b))
 
-        lp = LpProblem.make(dense(obj), rows, cell_lo, cell_hi)
-        mip = MipProblem.make(lp, [True] * base_vars)
+        lp = LpProblem.make(obj, rows, cell_lo, cell_hi)
+        mip = MipProblem.make(lp, [True] * width)
         yield CellProblem(
             mip=mip,
             constant=const,
-            sub_choice=tuple(chosen[h] for h in gh),
-            layout=layout,
+            sub_choice=combo,
+            layout=builder.layout,
             order=order,
             arg_lo=arg_lo,
             arg_hi=arg_hi,

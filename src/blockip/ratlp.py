@@ -10,11 +10,11 @@ exact, so the returned optimum is the true rational optimum, not an
 approximation.
 
 The data are integers: the paper's programs, and every LP the structured
-solvers build from them, are integral, and make and edited reject any other
-entry.  The tableau is fraction free (Edmonds 1967; Bareiss 1968): tableau
-entries, reduced costs, basic values and the objective value are integer
-numerators over one common denominator D, the absolute value of the basis
-determinant; it is 1 at the all-slack start.  A pivot on entry T_re turns
+solvers build from them, are integral, and LpProblem and edited reject any
+other entry.  The tableau is fraction free (Edmonds 1967; Bareiss 1968):
+tableau entries, reduced costs, basic values and the objective value are
+integer numerators over one common denominator D, the absolute value of the
+basis determinant; it is 1 at the all-slack start.  A pivot on entry T_re turns
 row i into (D' T_i - T_ie T_r) / D with D' = |T_re| and row r multiplied by
 the sign of T_re, and the division is exact because every entry is a minor
 of the constraint matrix.  Bounds stay plain integers.  The dual ratio test
@@ -64,21 +64,26 @@ OPTIMAL = "Optimal"
 INFEASIBLE = "Infeasible"
 
 
-def _ints(values) -> list:
-    """values as a list; MalformedProblemError unless every entry is an int.
+def _check_ints(values) -> None:
+    """MalformedProblemError unless every entry of values is an int.
 
     bool fails too (type(v) is int), the rule model.validate uses.
     """
-    values = list(values)
     for v in values:
         if type(v) is not int:
             raise MalformedProblemError(f"LP data must be ints, not {v!r}")
-    return values
 
 
-def _int_rows(rows) -> list:
-    """Ranged rows (coefficients, lo, hi), every entry checked by _ints."""
-    return [(_ints(coeffs), *_ints((lo, hi))) for coeffs, lo, hi in rows]
+def _check_rows(rows) -> None:
+    """_check_ints over every entry of the ranged rows (coefficients, lo, hi)."""
+    for coeffs, lo, hi in rows:
+        _check_ints(coeffs)
+        _check_ints((lo, hi))
+
+
+def _row_lists(rows) -> list:
+    """Ranged rows (coefficients, lo, hi) with each coefficient row a list."""
+    return [(list(coeffs), lo, hi) for coeffs, lo, hi in rows]
 
 
 @dataclass(frozen=True)
@@ -86,11 +91,12 @@ class LpProblem:
     """max objective . x  s.t.  lo <= a . x <= hi per row, lower <= x <= upper.
 
     rows holds one (coefficients, lo, hi) per row; an equality row has
-    lo = hi.  Every entry is an int: make raises MalformedProblemError for
-    any other value, bools, floats and Fractions included.  make stores
-    lists, not tuples: the solvers build and drop many small programs, and
-    lists of their widths do not pile up in CPython's per-size tuple free
-    lists.  Treat the fields as read-only.
+    lo = hi.  Every entry is an int: construction, through make or the
+    dataclass constructor alike, raises MalformedProblemError for any other
+    value, bools, floats and Fractions included.  make stores lists, not
+    tuples: the solvers build and drop many small programs, and lists of
+    their widths do not pile up in CPython's per-size tuple free lists.
+    Treat the fields as read-only.
     """
 
     objective: list
@@ -98,9 +104,15 @@ class LpProblem:
     lower: list
     upper: list
 
+    def __post_init__(self):
+        _check_ints(self.objective)
+        _check_rows(self.rows)
+        _check_ints(self.lower)
+        _check_ints(self.upper)
+
     @staticmethod
     def make(objective, rows, lower, upper) -> "LpProblem":
-        return LpProblem(_ints(objective), _int_rows(rows), _ints(lower), _ints(upper))
+        return LpProblem(list(objective), _row_lists(rows), list(lower), list(upper))
 
 
 @dataclass(frozen=True)
@@ -458,11 +470,14 @@ class WarmLp:
         result is not Optimal.
         """
         s = self._simplex
-        boxes = [(j, *_ints((lo, hi))) for j, lo, hi in boxes]
-        for j, _, _ in boxes:
+        boxes = list(boxes)
+        for j, lo, hi in boxes:
+            _check_ints((lo, hi))
             if j not in range(s.ns):
                 raise MalformedProblemError(f"box index {j!r} names no structural column")
-        rows = _ranged(_int_rows(rows), s.ns)
+        rows = _row_lists(rows)
+        _check_rows(rows)
+        rows = _ranged(rows, s.ns)
         if any(lo > hi for _, lo, hi in boxes) or any(lo > hi for _, lo, hi in rows):
             return LpResult(INFEASIBLE), None
         s = s._copy()

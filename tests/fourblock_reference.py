@@ -1,0 +1,414 @@
+"""The 4-block cell enumerator as it stood before its vector rewrite.
+
+fourblock_snf.enumerate_cells must yield exactly the CellProblem sequence
+this one yields (dataclass ==, same order); tests/test_fourblock_snf.py
+checks that on a seeded battery.  It is kept here, not in src/, because
+only tests use it.  Everything below is the old code unchanged: per brick
+a pairwise tournament through a comparison closure, and per merge window
+the rows and objective rebuilt as sparse dicts and screened by _propagate.
+It shares with the package only the data types and _propagate, which the
+rewrite left as it was.
+"""
+
+import itertools
+
+from blockip.errors import InternalInconsistencyError
+from blockip.fourblock_snf import CellProblem, EliminationData, SubIntervalGrid, _propagate
+from blockip.model import FourBlockInstance
+from blockip.ratlp import LpProblem
+from blockip.smallip import MipProblem
+
+
+def _range_of(coeffs, lo, hi):
+    mn = mx = 0
+    for j, a in coeffs.items():
+        if a > 0:
+            mn += a * lo[j]
+            mx += a * hi[j]
+        elif a < 0:
+            mn += a * hi[j]
+            mx += a * lo[j]
+    return mn, mx
+
+
+class _CellBuilder:
+    """Shared per-instance data for assembling cell MIPs."""
+
+    def __init__(self, inst: FourBlockInstance, elim: EliminationData):
+        self.inst = inst
+        self.elim = elim
+        n, tA, tB = inst.n, inst.t_A, inst.t_B
+        self.grid_hs = [h for h in range(tA) if elim.theta[h] != 0]
+        self.zero_hs = [h for h in range(tA) if elim.theta[h] == 0]
+        # coordinates with a zero step: the anchor value is shared by all
+        # bricks up to constant shifts, so the boxes intersect directly
+        self.zero_lo, self.zero_hi = {}, {}
+        for h in self.zero_hs:
+            los, his = [], []
+            for i in range(n):
+                s = tB + i * tA
+                los.append(inst.l[s + h] - elim.offsets[i][h])
+                his.append(inst.u[s + h] - elim.offsets[i][h])
+            self.zero_lo[h] = max(los)
+            self.zero_hi[h] = min(his)
+        self.wsum = [0] * tA  # total objective weight per coordinate
+        for i in range(n):
+            s = tB + i * tA
+            for h in range(tA):
+                self.wsum[h] += inst.w[s + h]
+        self.rates = [0] * n  # objective rate of each brick's free integer
+        for i in range(n):
+            s = tB + i * tA
+            self.rates[i] = sum(
+                inst.w[s + h] * elim.theta[h] for h in range(tA)
+            )
+        self.order = tuple(
+            sorted(range(1, n), key=lambda i: (-self.rates[i], i))
+        )
+
+
+def enumerate_cells(inst: FourBlockInstance, elim: EliminationData,
+                    grid: SubIntervalGrid):
+    """Yield every CellProblem; the max over their optima is the optimum."""
+    builder = _CellBuilder(inst, elim)
+    if any(builder.zero_lo[h] > builder.zero_hi[h] for h in builder.zero_hs):
+        return
+    gh = builder.grid_hs
+    axes = [grid.per_h[h] for h in gh]
+    for combo in itertools.product(*axes):
+        yield from _cells_for_combo(builder, dict(zip(gh, combo)))
+
+
+def _pair_windows(builder, chosen, zlo, zhi, a, b):
+    """Difference windows for z_a - z_b, clipped to the box range."""
+    n = builder.inst.n
+    da, dba = chosen[a].d, chosen[a].d_bar
+    db, dbb = chosen[b].d, chosen[b].d_bar
+    crit = set()
+    for i in range(1, n):
+        crit.add(da[i] - db[i])
+        crit.add(dba[i] - dbb[i])
+    lo_all = zlo[a] - zhi[b]
+    hi_all = zhi[a] - zlo[b]
+    cuts = sorted(c for c in crit if lo_all < c <= hi_all)
+    windows = []
+    start = lo_all
+    for c in cuts:
+        windows.append((start, c - 1))
+        start = c
+    windows.append((start, hi_all))
+    return [w for w in windows if w[0] <= w[1]]
+
+
+def _tournament(n, chosen, pairs, lower_side):
+    """Per brick, the coordinate attaining the binding bound, or None.
+
+    lower_side picks argmax of d - z; otherwise argmin of d_bar - z.  Every
+    pairwise comparison is decided by the chosen difference windows; if the
+    relation turns cyclic the windows admit no actual point and the caller
+    must skip the cell.
+    """
+    def beats(i, a, b):
+        # True when coordinate a binds at least as tightly as b for brick i
+        if a == b:
+            return True
+        flip = a > b
+        x, y = (b, a) if flip else (a, b)
+        lo, hi = pairs[(x, y)]
+        if lower_side:
+            dd = chosen[x].d[i] - chosen[y].d[i]
+            xwins = hi < dd  # z_x - z_y < dd throughout
+            ywins = lo >= dd
+        else:
+            dd = chosen[x].d_bar[i] - chosen[y].d_bar[i]
+            xwins = lo >= dd  # d_x - z_x <= d_y - z_y throughout
+            ywins = hi < dd
+        if not (xwins or ywins):
+            raise InternalInconsistencyError("undecided bound comparison")
+        return xwins != flip
+
+    hs = sorted(chosen)
+    args = []
+    for i in range(1, n):
+        best = hs[0]
+        for h in hs[1:]:
+            if not beats(i, best, h):
+                best = h
+        if all(beats(i, best, h) for h in hs):
+            args.append(best)
+        else:
+            return None  # cyclic: the windows are jointly unrealizable
+    return tuple(args)
+
+
+def _cells_for_combo(builder, chosen):
+    n = builder.inst.n
+    gh = builder.grid_hs
+    # the anchor brick has no free integer: its box bounds each quotient
+    zlo = {h: chosen[h].d[0] for h in gh}
+    zhi = {h: chosen[h].d_bar[0] for h in gh}
+    if any(zlo[h] > zhi[h] for h in gh):
+        return
+    pairs_list = list(itertools.combinations(gh, 2))
+    options = []
+    for a, b in pairs_list:
+        ws = _pair_windows(builder, chosen, zlo, zhi, a, b)
+        if not ws:
+            return
+        options.append(ws)
+    for assignment in itertools.product(*options):
+        pairs = dict(zip(pairs_list, assignment))
+        ok = True
+        for (a, b), (c, dd) in pairs.items():
+            for e in gh:
+                if e == a or e == b:
+                    continue
+                # transitivity: (a-e) + (e-b) must meet (a-b)
+                lo1, hi1 = pairs[(a, e) if a < e else (e, a)]
+                lo2, hi2 = pairs[(e, b) if e < b else (b, e)]
+                s1, t1 = (lo1, hi1) if a < e else (-hi1, -lo1)
+                s2, t2 = (lo2, hi2) if e < b else (-hi2, -lo2)
+                if s1 + s2 > dd or t1 + t2 < c:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if not ok:
+            continue
+        arg_lo = _tournament(n, chosen, pairs, True)
+        arg_hi = _tournament(n, chosen, pairs, False)
+        if arg_lo is None or arg_hi is None:
+            continue
+        yield from _cells_for_windows(builder, chosen, pairs, arg_lo, arg_hi,
+                                      zlo, zhi)
+
+
+def _cells_for_windows(builder, chosen, pairs, arg_lo, arg_hi, zlo, zhi):
+    inst, elim = builder.inst, builder.elim
+    n, tA, tB, sC, sA = inst.n, inst.t_A, inst.t_B, inst.s_C, inst.s_A
+    gh = builder.grid_hs
+    zh = builder.zero_hs
+    theta = elim.theta
+
+    # variable layout: x0 | xi_h | z_h | anchor values on zero-step coords | p
+    layout = {"xi": {}, "z": {}, "direct": {}, "p": None}
+    col = tB
+    for h in gh:
+        layout["xi"][h] = col
+        col += 1
+    for h in gh:
+        layout["z"][h] = col
+        col += 1
+    for h in zh:
+        layout["direct"][h] = col
+        col += 1
+    layout["p"] = col
+    col += 1
+    base_vars = col
+
+    lo = list(inst.l[:tB])
+    hi = list(inst.u[:tB])
+    for h in gh:
+        lo.append(chosen[h].tau)
+        hi.append(chosen[h].tau_bar)
+    for h in gh:
+        lo.append(zlo[h])
+        hi.append(zhi[h])
+    for h in zh:
+        lo.append(builder.zero_lo[h])
+        hi.append(builder.zero_hi[h])
+
+    # per brick i>=1: bound gap cap_i(z) = cc_i + z_{arg_lo} - z_{arg_hi} >= 0
+    caps = []
+    for i in range(1, n):
+        hl, hu = arg_lo[i - 1], arg_hi[i - 1]
+        cc = chosen[hu].d_bar[i] - chosen[hl].d[i]
+        caps.append((cc, hl, hu))
+
+    # p's own box from the caps over the z boxes
+    p_hi = 0
+    for cc, hl, hu in caps:
+        p_hi += cc + zhi[hl] - zlo[hu]
+    if n > 1 and p_hi < 0:
+        return
+    lo.append(0)
+    hi.append(max(0, p_hi))
+
+    def expr():
+        return {}
+
+    def add(e, j, a):
+        # a sum that cancels drops its key: _propagate wants nonzero entries
+        a += e.get(j, 0)
+        if a:
+            e[j] = a
+        else:
+            e.pop(j, None)
+
+    def dense(e):
+        row = [0] * base_vars
+        for var, coef in e.items():
+            row[var] = coef
+        return row
+
+    # equality rows: top block, then the anchor brick's own system
+    eq_rows = []
+    for r in range(sC):
+        e = expr()
+        const = 0
+        for bcol in range(tB):
+            add(e, bcol, inst.C.at(r, bcol))
+        for h in range(tA):
+            drh = inst.D.at(r, h)
+            if drh == 0:
+                continue
+            const += drh * elim.offset_totals[h]
+            if h in layout["direct"]:
+                add(e, layout["direct"][h], n * drh)
+                continue
+            add(e, layout["xi"][h], n * drh)
+            add(e, layout["z"][h], n * drh * theta[h])
+            add(e, layout["p"], drh * theta[h])
+            for i in range(1, n):
+                hl = arg_lo[i - 1]
+                const += drh * theta[h] * chosen[hl].d[i]
+                add(e, layout["z"][hl], -drh * theta[h])
+        eq_rows.append((e, inst.b0[r] - const))
+    for r in range(sA):
+        e = expr()
+        for bcol in range(tB):
+            add(e, bcol, inst.B.at(r, bcol))
+        for h in range(tA):
+            arh = inst.A.at(r, h)
+            if arh == 0:
+                continue
+            if h in layout["direct"]:
+                add(e, layout["direct"][h], arh)
+            else:
+                add(e, layout["xi"][h], arh)
+                add(e, layout["z"][h], arh * theta[h])
+        eq_rows.append((e, inst.b[0][r]))
+
+    # inequality rows, as coefficient maps with a <= bound
+    ineq_rows = []
+    seen_caps = {}
+    for cc, hl, hu in caps:
+        if hl == hu:
+            if cc < 0:
+                return
+            continue
+        key = (hl, hu)
+        if key not in seen_caps or cc < seen_caps[key]:
+            seen_caps[key] = cc
+    for (hl, hu), cc in sorted(seen_caps.items()):
+        e = expr()
+        add(e, layout["z"][hu], 1)
+        add(e, layout["z"][hl], -1)
+        ineq_rows.append((e, cc))
+    for (a, b), (wlo, whi) in sorted(pairs.items()):
+        e = expr()
+        add(e, layout["z"][a], 1)
+        add(e, layout["z"][b], -1)
+        ineq_rows.append((e, whi))
+        e = expr()
+        add(e, layout["z"][a], -1)
+        add(e, layout["z"][b], 1)
+        ineq_rows.append((e, -wlo))
+
+    # objective pieces shared by every merge window
+    base_obj = expr()
+    base_const = elim.c0
+    for bcol in range(tB):
+        add(base_obj, bcol, inst.w[bcol])
+    for h in gh:
+        add(base_obj, layout["xi"][h], builder.wsum[h])
+        add(base_obj, layout["z"][h], builder.wsum[h] * theta[h])
+    for h in zh:
+        add(base_obj, layout["direct"][h], builder.wsum[h])
+    for i in range(1, n):
+        hl = arg_lo[i - 1]
+        v = builder.rates[i]
+        base_const += v * chosen[hl].d[i]
+        add(base_obj, layout["z"][hl], -v)
+
+    # the integer screen: the inequality rows, and each equality row as two
+    # <= rows.  What it proves over the rows shared by every merge window holds
+    # in each window, so each window's screen starts from these bounds.
+    screen_rows = list(ineq_rows)
+    for e, b in eq_rows:
+        screen_rows.append((e, b))
+        screen_rows.append(({var: -coef for var, coef in e.items()}, -b))
+    shared_lo, shared_hi = list(lo), list(hi)
+    if not _propagate(screen_rows, shared_lo, shared_hi):
+        return
+
+    order = builder.order
+    p = layout["p"]
+    # running sums over the bricks before the window, order[:j-2]: their
+    # objective terms, and Lambda(j-1), the sum of their caps
+    run_obj, run_const = expr(), 0
+    lam_prev, lam_prev_const = expr(), 0
+    for j in range(1, n + 1):
+        p_rows = []
+        if j > 2:
+            i = order[j - 3]
+            cc, hl, hu = caps[i - 1]
+            v_i = builder.rates[i]
+            run_const += v_i * cc
+            add(run_obj, layout["z"][hl], v_i)
+            add(run_obj, layout["z"][hu], -v_i)
+            lam_prev_const += cc
+            add(lam_prev, layout["z"][hl], 1)
+            add(lam_prev, layout["z"][hu], -1)
+        if j > 1:
+            # Lambda(j-1) + 1 <= p <= Lambda(j)
+            e = dict(lam_prev)
+            add(e, p, -1)
+            p_rows.append((e, -lam_prev_const - 1))
+            cc, hl, hu = caps[order[j - 2] - 1]
+            e = expr()
+            add(e, p, 1)
+            for var, coef in lam_prev.items():
+                add(e, var, -coef)
+            add(e, layout["z"][hl], -1)
+            add(e, layout["z"][hu], 1)
+            p_rows.append((e, lam_prev_const + cc))
+
+        cell_lo = list(lo)
+        cell_hi = list(hi)
+        box_lo, box_hi = list(shared_lo), list(shared_hi)
+        if j == 1:
+            cell_lo[p] = cell_hi[p] = 0
+            box_hi[p] = 0  # p >= 0 already
+        if not _propagate(screen_rows + p_rows, box_lo, box_hi):
+            continue  # no integer point: skip the LP
+
+        obj = dict(base_obj)
+        const = base_const
+        if j > 1:
+            v_j = builder.rates[order[j - 2]]
+            add(obj, p, v_j)
+            for var, coef in run_obj.items():
+                add(obj, var, coef)
+            const += run_const - v_j * lam_prev_const
+            for var, coef in lam_prev.items():
+                add(obj, var, -v_j * coef)
+        # the cell's LP keeps the untightened boxes; rows that the boxes
+        # already imply are dropped
+        rows = [(dense(e), b, b) for e, b in eq_rows]
+        for e, b in ineq_rows + p_rows:
+            mn, mx = _range_of(e, cell_lo, cell_hi)
+            if mx > b:
+                rows.append((dense(e), mn, b))
+
+        lp = LpProblem.make(dense(obj), rows, cell_lo, cell_hi)
+        mip = MipProblem.make(lp, [True] * base_vars)
+        yield CellProblem(
+            mip=mip,
+            constant=const,
+            sub_choice=tuple(chosen[h] for h in gh),
+            layout=layout,
+            order=order,
+            arg_lo=arg_lo,
+            arg_hi=arg_hi,
+        )

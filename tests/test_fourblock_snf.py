@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import fourblock_reference
 import pytest
 from highs_oracle import highs_optimum
 
@@ -464,20 +465,29 @@ def test_propagation_stops_at_its_round_cap():
 
 
 def test_screen_keeps_every_cell_with_a_point():
-    # with the screen switched off every candidate cell reaches its LP: the
-    # feasible cells and their optima must be the same, in the same order
-    rng = random.Random(53)
-    screened = []
-    for _ in range(60):
-        inst = random_instance(rng, n=rng.randint(2, 5), seeded_rate=0.8)
-        screened.append(cell_values(inst))
-    rng = random.Random(53)
+    # with the screen switched off (bound propagation and the merge windows'
+    # slack pre-test) every candidate cell reaches its LP: the feasible cells
+    # and their optima must be the same, in the same order
+    def run():
+        rng = random.Random(53)
+        values, lps = [], 0
+        for _ in range(60):
+            inst = random_instance(rng, n=rng.randint(2, 5), seeded_rate=0.8)
+            values.append(cell_values(inst))
+            prepared = _prepare(inst)
+            if not isinstance(prepared, Infeasible):
+                lps += sum(1 for _ in enumerate_cells(inst, *prepared))
+        return values, lps
+
+    screened, screened_lps = run()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fourblock_snf, "_propagate", lambda rows, lo, hi: True)
-        for want in screened:
-            inst = random_instance(rng, n=rng.randint(2, 5), seeded_rate=0.8)
-            assert cell_values(inst) == want
+        mp.setattr(fourblock_snf, "_p_rows_have_slack", lambda *args: True)
+        unscreened, unscreened_lps = run()
+    assert unscreened == screened
     assert sum(map(len, screened)) >= 50
+    # the switch really reached the screen: without it more cells get an LP
+    assert unscreened_lps > screened_lps, (unscreened_lps, screened_lps)
 
 
 def test_most_cells_are_screened_without_an_lp(monkeypatch):
@@ -582,3 +592,63 @@ def test_smith_routes_edge_shapes_against_the_enumerator():
             assert report.feasible and report.objective == got.objective, solve.__name__
 
     check()
+
+
+def _zero_step_brick(rng, s_A):
+    """A full-row-rank brick matrix whose kernel step has a zero entry."""
+    while True:
+        A = random_full_rank(rng, s_A)
+        if 0 in brick_form(A).V.col(s_A):
+            return A
+
+
+def _enumerations(inst):
+    """(the package's cells, the reference's cells) of inst, or None."""
+    prepared = _prepare(inst)
+    if prepared is None or isinstance(prepared, Infeasible):
+        return None
+    elim, grid = prepared
+    return (list(enumerate_cells(inst, elim, grid)),
+            list(fourblock_reference.enumerate_cells(inst, elim, grid)))
+
+
+def test_enumeration_matches_the_reference():
+    # the vector tournaments and the scalar merge-window sweep must yield
+    # the reference enumerator's cells exactly: same LPs, constants and
+    # order, over s_A = 1, 2, 3, t_B = 1, 2, n = 1..40, and a zero-step
+    # coordinate in every fifth instance
+    rng = random.Random(71)
+    tally = {"instances": 0, "cells": 0, "three_grid": 0, "zero_step": 0}
+    for k in range(330):
+        s_A = (1, 2, 3)[k % 3]
+        n = rng.randint(1, 40)
+        if k % 5 == 4:  # a coordinate with a zero step
+            inst = random_instance(rng, n=n, seeded_rate=0.8, A=_zero_step_brick(rng, s_A))
+        else:
+            inst = generators.random_snf_instance(
+                rng, n=n, s_A=s_A, t_B=rng.randint(1, 2), s_C=rng.randint(0, 2),
+                seeded_rate=0.8)
+        got = _enumerations(inst)
+        if got is None:
+            continue
+        cells, want = got
+        assert cells == want, (k, len(cells), len(want))
+        tally["instances"] += 1
+        tally["cells"] += len(cells)
+        theta = brick_form(inst.A).V.col(s_A)
+        if cells and sum(1 for v in theta if v) >= 3:
+            tally["three_grid"] += 1
+        if cells and 0 in theta:
+            tally["zero_step"] += 1
+    # every shape contributes cells, so the comparison is not vacuous
+    assert tally["instances"] >= 250 and tally["cells"] >= 600, tally
+    assert tally["three_grid"] >= 10 and tally["zero_step"] >= 20, tally
+
+
+def test_enumeration_matches_the_reference_at_scale():
+    rng = random.Random(73)
+    for n, s_A in ((200, 1), (200, 2), (500, 1), (1000, 1)):
+        inst = generators.random_snf_instance(rng, n=n, s_A=s_A, t_B=1, s_C=1, seeded_rate=0.9)
+        got, want = _enumerations(inst)
+        assert got == want, (n, s_A, len(got), len(want))
+        assert got, (n, s_A)  # each instance reaches at least one cell LP

@@ -6,8 +6,9 @@ the LP core's audits are explicit raises; this file runs itself under -O as
 a script, compares each route's answer with enumerate_optimum using plain
 comparisons, checks that each route still refuses with NotEligibleError
 what it cannot take (test_model.NOT_ELIGIBLE), and checks that a tampered
-LP tableau still raises InternalInconsistencyError (TAMPERED), exiting
-nonzero on the first mismatch.
+LP tableau still raises InternalInconsistencyError (TAMPERED) and that an
+LpProblem built directly with a non-int entry raises MalformedProblemError
+(UNTYPED), exiting nonzero on the first mismatch.
 
 Run directly: ``python -O tests/test_python_O.py``.
 """
@@ -19,7 +20,7 @@ import sys
 
 import blockip
 from blockip import generators
-from blockip.errors import InternalInconsistencyError, NotEligibleError
+from blockip.errors import InternalInconsistencyError, MalformedProblemError, NotEligibleError
 from blockip.fourblock_snf import solve_4block_snf
 from blockip.model import Infeasible, Solution, StructureClass, classify, evaluate
 from blockip.nfold_snf import solve_nfold_snf
@@ -73,6 +74,9 @@ def _inconsistent_rows(state):
 
 # each makes a sound WarmLp of max 2x + y, x + y <= 3, x, y in [0, 2] wrong
 TAMPERED = (_flip_reduced_cost, _shift_value, _inconsistent_rows)
+
+# LpProblem constructor arguments, each with one entry that is not an int
+UNTYPED = (([1.5], [], [0], [1]),)
 
 
 def tampered_audit(tamper):
@@ -130,6 +134,14 @@ def main() -> int:
             print(f"{tamper.__name__}: {why}")
             return 1
     print("audits", len(TAMPERED))
+    for args in UNTYPED:
+        try:
+            got = LpProblem(*args)
+        except MalformedProblemError:
+            continue
+        print(f"LpProblem{args}: built {got!r}")
+        return 1
+    print("untyped", len(UNTYPED))
     print("debug", __debug__)
     return 0
 
@@ -143,12 +155,14 @@ def test_whole_battery_under_python_O():
     )
     assert out.returncode == 0, out.stdout + out.stderr
     words = out.stdout.split()
-    assert words[0::2] == ["ones", "nfold_snf", "fourblock_snf", "refused", "audits", "debug"]
+    assert words[0::2] == [
+        "ones", "nfold_snf", "fourblock_snf", "refused", "audits", "untyped", "debug"]
     assert words[-1] == "False"  # the asserts really were stripped
     # each route met both verdicts: feasible optima and proven infeasibility
     assert all(PER_ROUTE // 4 <= int(k) < PER_ROUTE for k in words[1:6:2]), words
     assert int(words[7]) == len(NOT_ELIGIBLE)
     assert int(words[9]) == len(TAMPERED)
+    assert int(words[11]) == len(UNTYPED)
 
 
 if __name__ == "__main__":

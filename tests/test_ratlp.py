@@ -417,3 +417,16 @@ def test_entries_must_be_ints(place, bad):
     for s, box0 in ((state, (0, 2)), (nxt, (1, 2))):
         assert s.bounds(0) == box0 and s.bounds(1) == (0, 2)
         assert all(type(v) is int for v in s.bounds(0) + s.bounds(1))
+
+
+@pytest.mark.parametrize("bad", [1.5, Fraction(1, 2), True], ids=["float", "Fraction", "bool"])
+@pytest.mark.parametrize("place", ["objective", "row coefficient", "row bound", "box bound"])
+def test_constructor_checks_entries(place, bad):
+    # the dataclass constructor checks as make does, so no path lets a
+    # non-int reach the integer tableau
+    objective = [bad] if place == "objective" else [1]
+    row = ([bad] if place == "row coefficient" else [1], bad if place == "row bound" else 0, 3)
+    lower = [bad] if place == "box bound" else [0]
+    with pytest.raises(MalformedProblemError):
+        LpProblem(objective, [row], lower, [2])
+    assert solve_lp(LpProblem([1], [([1], 0, 3)], [0], [2])).value == 2
