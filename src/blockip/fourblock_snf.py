@@ -2,7 +2,7 @@
 
 The brick systems differ only in their right-hand sides, so once brick 1 is
 chosen every other brick is pinned up to one free integer: one Smith form of
-A solves each difference system A x = b_i - b_1 (intlin.brick_solutions),
+A solves each difference system A x = b_i - b_1 (intlin.particular_solutions),
 for a 1x2 brick matrix as for any other.  Splitting the
 anchor brick into remainder and quotient per coordinate turns all box
 constraints into floor/ceil bounds that are piecewise constant in the
@@ -47,7 +47,7 @@ from .errors import (
     MalformedProblemError,
     NotEligibleError,
 )
-from .intlin import brick_form, brick_solutions, quotient_range
+from .intlin import brick_form, kernel_basis, particular_solutions, quotient_range
 from .model import (
     FourBlockInstance,
     Infeasible,
@@ -78,10 +78,10 @@ def elimination_from_snf(inst: FourBlockInstance):
 
     That Smith form, intlin.brick_form(A), is the eligibility check too:
     NotEligibleError when it is None.  Each brick's offset is the particular
-    solution of A x = b_i - b_1 that intlin.brick_solutions gives, and theta
-    is the free column of V.  Returns EliminationData, or
-    Infeasible("DivisibilityFail") at the first brick whose difference
-    system has no integer solution.
+    solution of A x = b_i - b_1 that intlin.particular_solutions gives, and
+    theta is the one vector of intlin.kernel_basis.  Returns
+    EliminationData, or Infeasible("DivisibilityFail") at the first brick
+    whose difference system has no integer solution.
     """
     tB, tA = inst.t_B, inst.t_A
     snf = brick_form(inst.A)
@@ -91,7 +91,7 @@ def elimination_from_snf(inst: FourBlockInstance):
     offsets = []
     totals = [0] * tA
     c0 = 0
-    for i, off in enumerate(brick_solutions(snf, deltas)):
+    for i, off in enumerate(particular_solutions(snf, deltas)):
         if off is None:
             return Infeasible("DivisibilityFail")
         s = tB + i * tA
@@ -99,7 +99,8 @@ def elimination_from_snf(inst: FourBlockInstance):
             totals[h] += off[h]
             c0 += inst.w[s + h] * off[h]
         offsets.append(off)
-    return EliminationData(snf.V.col(inst.s_A), tuple(offsets), tuple(totals), c0)
+    (theta,) = kernel_basis(snf)
+    return EliminationData(theta, tuple(offsets), tuple(totals), c0)
 
 
 # The 1x2 gcd route is the Smith route now; the old name stays only because

@@ -74,7 +74,7 @@ def _full_rank_brick(rng, s_A, coeff, scale=1, forbid_all_ones=False):
 
 
 def random_snf_instance(rng, n=3, s_A=1, t_B=1, s_C=1, width=3, coeff=3,
-                        seeded_rate=0.6) -> FourBlockInstance:
+                        scale=1, seeded_rate=0.6) -> FourBlockInstance:
     """4-block instance with t_A = s_A + 1 and full-row-rank bricks.
 
     t_B must be positive: with no shared variables the instance would route
@@ -84,12 +84,12 @@ def random_snf_instance(rng, n=3, s_A=1, t_B=1, s_C=1, width=3, coeff=3,
         raise BadParamsError("shared brick must be nonempty for this shape")
     if s_A < 1:
         raise BadParamsError("brick matrix needs at least one row")
-    A = _full_rank_brick(rng, s_A, coeff, forbid_all_ones=(s_A == 1))
-    B = _rand_matrix(rng, s_A, t_B, 2)
-    C = _rand_matrix(rng, s_C, t_B, 2)
-    D = _rand_matrix(rng, s_C, s_A + 1, 2)
-    l, u = _rand_box(rng, t_B + n * (s_A + 1), width, 1)
-    return _finish(rng, n, A, B, C, D, l, u, 1, seeded_rate)
+    A = _full_rank_brick(rng, s_A, coeff, scale, forbid_all_ones=(s_A == 1))
+    B = _rand_matrix(rng, s_A, t_B, 2, scale)
+    C = _rand_matrix(rng, s_C, t_B, 2, scale)
+    D = _rand_matrix(rng, s_C, s_A + 1, 2, scale)
+    l, u = _rand_box(rng, t_B + n * (s_A + 1), width, scale)
+    return _finish(rng, n, A, B, C, D, l, u, scale, seeded_rate)
 
 
 def random_nfold_instance(rng, n=4, t_A=2, s_C=1, width=5, coeff=4,

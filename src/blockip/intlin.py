@@ -1,8 +1,15 @@
-"""Integer linear algebra: extended gcd, Smith form, rank, brick solutions.
+"""Integer linear algebra: the one home of Smith forms and integer lattices.
 
 Everything here is exact over Python ints.  The Smith form is computed by
 gcd-driven row/column elimination with a deterministic pivot rule, so equal
-inputs always give byte-equal decompositions.
+inputs always give byte-equal decompositions.  No other module reads a
+decomposition's U, S, V or rank.  The toolkit: extended_gcd;
+smith_normal_form, integer_rank and brick_form (the Smith routes'
+eligibility rule); particular_solutions and kernel_basis, the integer
+solutions of A x = r for A of any rank; reduce_basis, an integral LLL;
+coordinate_box, a lattice's coordinate box over a box; lattice_in_box,
+which chains those four; quotient_range, the ceil/floor rule for the
+multiples of an integer in a range; and round_half_even.
 """
 
 from __future__ import annotations
@@ -231,22 +238,24 @@ def brick_form(A: IntMatrix) -> SnfDecomposition | None:
     return snf if snf.rank == s else None
 
 
-def brick_solutions(snf: SnfDecomposition, rhs):
-    """Particular integer solutions of A x = r for each r in rhs, in turn.
+def particular_solutions(snf: SnfDecomposition, rhs):
+    """One integer solution of A x = r for each r in rhs, in turn.
 
-    snf is brick_form(A), the Smith form U A V = S of an s x (s + 1) A of rank s.
-    For each r this yields V (U r / alpha, 0), or None when a diagonal entry
-    alpha_j does not divide (U r)_j, so that A x = r has no integer point.
-    The integer points are the yielded one plus the integer multiples of the
-    free column theta = V.col(s), which is primitive since V is unimodular.
-    Lazy, so a caller that checks each brick as it comes keeps its order.
+    snf is the Smith form U A V = S of A, of any shape and rank k.  For each
+    r this yields V (U r / alpha, 0), or None when a diagonal entry alpha_j
+    does not divide (U r)_j or a row of U r past the rank is not 0, so that
+    A x = r has no integer point.  The integer points are the yielded one
+    plus the integer kernel, kernel_basis(snf).  Lazy, so a caller that
+    checks each brick as it comes keeps its order.
     """
-    s = snf.rank
-    pivots = list(zip(snf.diagonal, snf.U.row_lists()))
-    fixed = [row[:s] for row in snf.V.row_lists()]  # V without its free column
+    k = snf.rank
+    rows = snf.U.row_lists()
+    pivots = list(zip(snf.diagonal, rows[:k]))
+    zero_rows = rows[k:]  # rows of U whose product with r must vanish
+    fixed = [row[:k] for row in snf.V.row_lists()]  # V without its kernel columns
     for r in rhs:
-        if len(r) != s:
-            raise DimensionMismatchError(f"right-hand side has length {len(r)}, expected {s}")
+        if len(r) != len(rows):
+            raise DimensionMismatchError(f"right-hand side has length {len(r)}, expected {len(rows)}")
         y = []
         for alpha, u in pivots:
             q, m = divmod(sum(map(mul, u, r)), alpha)
@@ -254,7 +263,26 @@ def brick_solutions(snf: SnfDecomposition, rhs):
                 y = None
                 break
             y.append(q)
-        yield None if y is None else tuple(sum(map(mul, v, y)) for v in fixed)
+        if y is None or zero_rows and any(sum(map(mul, u, r)) for u in zero_rows):
+            yield None
+        else:
+            yield tuple(sum(map(mul, v, y)) for v in fixed)
+
+
+def kernel_basis(snf: SnfDecomposition):
+    """Integer kernel basis of A: the columns of V past the rank (unimodular V)."""
+    return tuple(snf.V.col(j) for j in range(snf.rank, snf.V.cols))
+
+
+def round_half_even(num: int, den: int) -> int:
+    """num / den rounded to the nearest integer, ties to even; den > 0.
+
+    The rule of round() on a Fraction, in integers.
+    """
+    q, r = divmod(num, den)
+    if 2 * r > den or (2 * r == den and q & 1):
+        q += 1
+    return q
 
 
 def quotient_range(theta: int, lo: int, hi: int):
@@ -266,3 +294,153 @@ def quotient_range(theta: int, lo: int, hi: int):
     if theta > 0:
         return -(-lo // theta), hi // theta
     return -(-hi // theta), lo // theta
+
+
+def reduce_basis(basis):
+    """Lenstra-Lenstra-Lovasz reduction of an integer lattice basis.
+
+    The unimodular transform out of the normal form is typically extremely
+    skewed: with 40-digit inputs its columns reach 80+ digits even though the
+    lattice has generators near the input magnitude.  Everything downstream
+    (coordinate boxes, branching geometry, nearest-point rounding) needs the
+    basis near-orthogonal, and pairwise size reduction alone is not enough,
+    so this is the classic exact-arithmetic LLL with delta = 3/4.
+
+    It is the integral LLL of de Weger (1987) in the form of Cohen, A Course
+    in Computational Algebraic Number Theory, Alg. 2.6.7: every quantity is
+    an int.  With b*_j the Gram-Schmidt vectors and mu_kj the Gram-Schmidt
+    coefficients, d[0] = 1 and d[i + 1] = |b*_0|^2 ... |b*_i|^2 is the Gram
+    determinant of b_0 .. b_i, and lam[k][j] = d[j + 1] mu_kj; both are
+    integers for an integer basis.  A size-reduction step changes only row k
+    of lam; a swap updates d[k] and the lam of later rows by exact integer
+    division.
+
+    The decisions and their order are those of the textbook loop: b_k is
+    size-reduced against b_{k-1}, ..., b_0 in turn, each multiplier
+    rounded half to even (round(mu_kj) in exact rationals), and only then
+    is the Lovasz condition |b*_k|^2 >= (3/4 - mu_k,k-1^2) |b*_{k-1}|^2
+    tested, as 4 d[k+1] d[k-1] >= 3 d[k]^2 - 4 lam[k][k-1]^2.  (Cohen tests
+    after reducing against b_{k-1} alone, which can end at another basis.)
+    The input vectors must be linearly independent.
+    """
+    basis = [list(v) for v in basis]
+    m = len(basis)
+    if m <= 1:
+        return basis
+
+    # integral Gram-Schmidt of the whole input
+    d = [1] + [0] * m
+    lam = [[0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1):
+            u = sum(map(mul, basis[i], basis[j]))
+            for t in range(j):
+                u = (d[t + 1] * u - lam[i][t] * lam[j][t]) // d[t]
+            if j < i:
+                lam[i][j] = u
+            else:
+                d[i + 1] = u
+
+    k = 1
+    while k < m:
+        row = lam[k]
+        for j in range(k - 1, -1, -1):
+            q = round_half_even(row[j], d[j + 1])
+            if q:
+                basis[k] = [x - q * y for x, y in zip(basis[k], basis[j])]
+                row[j] -= q * d[j + 1]
+                for t in range(j):
+                    row[t] -= q * lam[j][t]
+        la = row[k - 1]
+        if 4 * d[k + 1] * d[k - 1] >= 3 * d[k] * d[k] - 4 * la * la:
+            k += 1
+            continue
+        basis[k], basis[k - 1] = basis[k - 1], basis[k]
+        for t in range(k - 1):
+            lam[k][t], lam[k - 1][t] = lam[k - 1][t], lam[k][t]
+        dk = (d[k + 1] * d[k - 1] + la * la) // d[k]
+        for i in range(k + 1, m):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - la * t) // d[k]
+            lam[i][k - 1] = (dk * t + la * lam[i][k]) // d[k + 1]
+        d[k] = dk
+        k = max(k - 1, 1)
+    return basis
+
+
+def coordinate_box(basis, p, lo, hi):
+    """Recentred offset and coordinate box of the lattice p + basis^T v.
+
+    With W the f x t matrix of the basis rows and G = W W^T its Gram
+    matrix, v = G^-1 W (x - p) recovers the coordinates of a lattice point
+    x.  The work is fraction-free: one Bareiss (1968) elimination of
+    [G | W] (G is positive definite, so no pivot is zero and none is moved)
+    and a back substitution by exact division give the integer matrix
+    Y = det(G) G^-1 W.  The offset is moved by the nearest integer
+    coordinates (ties to even) of the box midpoint, so the numbers of the
+    search stay small, and each coordinate's range over the box lo <= x <= hi,
+    which is Y (x - p) / det(G) summed end by end, is rounded inward.
+    Returns (offset, v_lo, v_hi), or None when some coordinate range holds
+    no integer.
+    """
+    f, t = len(basis), len(p)
+    m = [[sum(map(mul, a, b)) for b in basis] + list(a) for a in basis]
+    width = f + t
+    prev = 1
+    for k in range(f - 1):
+        piv, top = m[k][k], m[k]
+        for r in range(k + 1, f):
+            low, c = m[r], m[r][k]
+            for j in range(k + 1, width):
+                low[j] = (piv * low[j] - c * top[j]) // prev
+            low[k] = 0
+        prev = piv
+    det = m[f - 1][f - 1]
+    y = [None] * f
+    for k in range(f - 1, -1, -1):
+        y[k] = [
+            (det * m[k][f + i] - sum(m[k][j] * y[j][i] for j in range(k + 1, f))) // m[k][k]
+            for i in range(t)
+        ]
+    mid2 = [lo[i] + hi[i] - 2 * p[i] for i in range(t)]
+    shift = [round_half_even(sum(map(mul, y[k], mid2)), 2 * det) for k in range(f)]
+    if any(shift):
+        p = [p[i] + sum(shift[k] * basis[k][i] for k in range(f)) for i in range(t)]
+    v_lo, v_hi = [], []
+    for k in range(f):
+        end_lo = end_hi = 0
+        for i in range(t):
+            c = y[k][i]
+            if c:
+                ends = (c * (lo[i] - p[i]), c * (hi[i] - p[i]))
+                end_lo += min(ends)
+                end_hi += max(ends)
+        a, b = quotient_range(det, end_lo, end_hi)
+        if a > b:
+            return None
+        v_lo.append(a)
+        v_hi.append(b)
+    return p, v_lo, v_hi
+
+
+def lattice_in_box(snf: SnfDecomposition, r, lo, hi):
+    """The integer points of A x = r in the box lo <= x <= hi, in coordinates.
+
+    snf is A's Smith form.  Every such point is p + basis^T v for an integer v
+    in the box v_lo <= v <= v_hi: p is a particular solution recentred near
+    the box midpoint and basis the LLL-reduced integer kernel.  Returns
+    (p, basis, v_lo, v_hi) as tuples, or None when A x = r has no integer
+    point or the coordinate box is empty, which proves that the box holds
+    none.
+    """
+    p = next(particular_solutions(snf, [r]))
+    if p is None:
+        return None
+    basis = reduce_basis(kernel_basis(snf))
+    if not basis:
+        return p, (), (), ()
+    box = coordinate_box(basis, p, lo, hi)
+    if box is None:
+        return None
+    p, v_lo, v_hi = box
+    return tuple(p), tuple(map(tuple, basis)), tuple(v_lo), tuple(v_hi)

@@ -76,16 +76,6 @@ class IntMatrix:
             out.append(sum(self.entries[base + j] * v[j] for j in range(self.cols)))
         return tuple(out)
 
-    def mul_mat(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise DimensionMismatchError("inner dimensions differ")
-        flat = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                flat.append(sum(ri[k] * other.at(k, j) for k in range(self.cols)))
-        return IntMatrix(self.rows, other.cols, tuple(flat))
-
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.entries)
 

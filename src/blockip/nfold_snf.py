@@ -2,7 +2,8 @@
 
 One Smith form of A (intlin.brick_form) decides that A is eligible and
 gives each brick's integer solutions as base_i + theta z_i
-(intlin.brick_solutions), or proves there are none.  The top block then
+(intlin.particular_solutions, with theta the one vector of
+intlin.kernel_basis), or proves there are none.  The top block then
 collapses to a single equation in the sum of the z_i, and the objective
 becomes separable, so a greedy fill finishes the job.  Total work: one
 Smith form, O(1) arithmetic per brick, one sort.
@@ -19,7 +20,7 @@ from .errors import (
     NotEligibleError,
     TargetOutOfRangeError,
 )
-from .intlin import brick_form, brick_solutions, quotient_range
+from .intlin import brick_form, kernel_basis, particular_solutions, quotient_range
 from .model import FourBlockInstance, Infeasible, Solution, evaluate, validate
 
 # classify and smith_normal_form are no longer called here; they stay
@@ -32,7 +33,7 @@ from .model import classify  # noqa: F401
 class NfoldSnfContext:
     """Everything the greedy phase needs, derived brick by brick."""
 
-    theta: tuple  # free column of V: A theta = 0, shared by every brick
+    theta: tuple  # integer kernel step: A theta = 0, shared by every brick
     bases: tuple  # per brick: its particular solution of A x = b_i
     d0: object  # forced value of the free-component sum, None if unconstrained
     intervals: tuple  # per brick: (lo, hi) for the free component
@@ -61,8 +62,8 @@ def reduce_box_to_interval(theta, base, l, u):
         if hi is None or rhi < hi:
             hi = rhi
     if lo is None:
-        # theta is a column of a unimodular matrix, hence never all zero
-        raise InternalInconsistencyError("free column of V is zero")
+        # theta is a kernel basis vector, hence never all zero
+        raise InternalInconsistencyError("kernel step theta is zero")
     if lo > hi:
         return Infeasible("EmptyInterval")
     return (lo, hi)
@@ -101,14 +102,14 @@ def build_context(inst: FourBlockInstance):
     snf = brick_form(inst.A)
     if snf is None:
         raise NotEligibleError("needs t_A = s_A + 1 and full row rank")
-    theta = snf.V.col(sA)
+    (theta,) = kernel_basis(snf)
 
     bases = []
     intervals = []
     weights = []
     c0 = 0
     base_sum = [0] * tA
-    for i, base in enumerate(brick_solutions(snf, inst.b)):
+    for i, base in enumerate(particular_solutions(snf, inst.b)):
         if base is None:
             return Infeasible("DivisibilityFail")
         s = inst.brick_slice(i)

@@ -5,11 +5,13 @@ vector y of column totals, so only (x0, y) stays integer; for fixed (x0, y)
 the bricks relax to a capacitated transportation problem whose matrix is
 totally unimodular, hence the relaxation is exact.  Second, the integral
 (x0, y) live on an explicit affine lattice (coupling rows plus the sum of
-all brick rows), and the concave transportation value function is maximized
-over the lattice coordinates by an exact cutting-plane search: supergradient
-cuts from transportation duals, blocking-set cuts from the max-flow min-cut
-feasibility condition, and box splitting with floor pruning (every candidate
-value is an integer).  Third, the winning aggregate is redistributed over
+all brick rows), which intlin.lattice_in_box writes as a recentred point
+plus an LLL-reduced kernel basis over a coordinate box.  The concave
+transportation value function is maximized over the lattice coordinates
+by an exact cutting-plane search: supergradient cuts from transportation
+duals, blocking-set cuts from the max-flow min-cut feasibility condition,
+and box splitting with floor pruning (every candidate value is an
+integer).  Third, the winning aggregate is redistributed over
 the bricks, and that redistribution is the search's own transport at the
 winning aggregate.  Every transport of the search is solved by
 flow.solve_transport, which fills each brick greedily and then moves units
@@ -34,7 +36,7 @@ from .errors import (
     NotAllOnesError,
 )
 from .flow import TransportProblem, TransportResult, solve_transport
-from .intlin import smith_normal_form
+from .intlin import lattice_in_box, smith_normal_form
 from .model import (
     FourBlockInstance,
     Infeasible,
@@ -79,150 +81,6 @@ def _y_box(inst: FourBlockInstance):
     return y_lo, y_hi
 
 
-def _dot(a, b) -> int:
-    return sum(x * y for x, y in zip(a, b))
-
-
-def _round_half_even(num: int, den: int) -> int:
-    """num / den rounded to the nearest integer, ties to even; den > 0.
-
-    The rule of round() on a Fraction, in integers.
-    """
-    q, r = divmod(num, den)
-    if 2 * r > den or (2 * r == den and q & 1):
-        q += 1
-    return q
-
-
-def _reduce_kernel(kernel):
-    """Lenstra-Lenstra-Lovasz reduction of an integer lattice basis.
-
-    The unimodular transform out of the normal form is typically extremely
-    skewed: with 40-digit inputs its columns reach 80+ digits even though the
-    lattice has generators near the input magnitude.  Everything downstream
-    (coordinate boxes, branching geometry, nearest-point rounding) needs the
-    basis near-orthogonal, and pairwise size reduction alone is not enough,
-    so this is the classic exact-arithmetic LLL with delta = 3/4.
-
-    It is the integral LLL of de Weger (1987) in the form of Cohen, A Course
-    in Computational Algebraic Number Theory, Alg. 2.6.7: every quantity is
-    an int.  With b*_j the Gram-Schmidt vectors and mu_kj the Gram-Schmidt
-    coefficients, d[0] = 1 and d[i + 1] = |b*_0|^2 ... |b*_i|^2 is the Gram
-    determinant of b_0 .. b_i, and lam[k][j] = d[j + 1] mu_kj; both are
-    integers for an integer basis.  A size-reduction step changes only row k
-    of lam; a swap updates d[k] and the lam of later rows by exact integer
-    division.
-
-    The decisions and their order are those of the textbook loop: b_k is
-    size-reduced against b_{k-1}, ..., b_0 in turn, each multiplier
-    rounded half to even (round(mu_kj) in exact rationals), and only then
-    is the Lovasz condition |b*_k|^2 >= (3/4 - mu_k,k-1^2) |b*_{k-1}|^2
-    tested, as 4 d[k+1] d[k-1] >= 3 d[k]^2 - 4 lam[k][k-1]^2.  (Cohen tests
-    after reducing against b_{k-1} alone, which can end at another basis.)
-    The input vectors must be linearly independent.
-    """
-    basis = [list(v) for v in kernel]
-    m = len(basis)
-    if m <= 1:
-        return basis
-
-    # integral Gram-Schmidt of the whole input
-    d = [1] + [0] * m
-    lam = [[0] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i + 1):
-            u = _dot(basis[i], basis[j])
-            for t in range(j):
-                u = (d[t + 1] * u - lam[i][t] * lam[j][t]) // d[t]
-            if j < i:
-                lam[i][j] = u
-            else:
-                d[i + 1] = u
-
-    k = 1
-    while k < m:
-        row = lam[k]
-        for j in range(k - 1, -1, -1):
-            q = _round_half_even(row[j], d[j + 1])
-            if q:
-                basis[k] = [x - q * y for x, y in zip(basis[k], basis[j])]
-                row[j] -= q * d[j + 1]
-                for t in range(j):
-                    row[t] -= q * lam[j][t]
-        la = row[k - 1]
-        if 4 * d[k + 1] * d[k - 1] >= 3 * d[k] * d[k] - 4 * la * la:
-            k += 1
-            continue
-        basis[k], basis[k - 1] = basis[k - 1], basis[k]
-        for t in range(k - 1):
-            lam[k][t], lam[k - 1][t] = lam[k - 1][t], lam[k][t]
-        dk = (d[k + 1] * d[k - 1] + la * la) // d[k]
-        for i in range(k + 1, m):
-            t = lam[i][k]
-            lam[i][k] = (d[k + 1] * lam[i][k - 1] - la * t) // d[k]
-            lam[i][k - 1] = (dk * t + la * lam[i][k]) // d[k + 1]
-        d[k] = dk
-        k = max(k - 1, 1)
-    return basis
-
-
-def _coordinate_box(basis, p, xy_lo, xy_hi):
-    """Recentred offset and coordinate box of the lattice p + basis^T v.
-
-    With W the f x taw matrix of the basis rows and G = W W^T its Gram
-    matrix, v = G^-1 W (xy - p) recovers the coordinates of a lattice point
-    xy.  The work is fraction-free: one Bareiss (1968) elimination of
-    [G | W] (G is positive definite, so no pivot is zero and none is moved)
-    and a back substitution by exact division give the integer matrix
-    Y = det(G) G^-1 W.  The offset is moved by the nearest integer
-    coordinates (ties to even) of the box midpoint, so the numbers of the
-    search stay small, and each coordinate's
-    range over the xy box, which is Y (xy - p) / det(G) summed end by end,
-    is rounded inward.  Returns (offset, v_lo, v_hi), or None when some
-    coordinate range holds no integer.
-    """
-    f, taw = len(basis), len(p)
-    m = [
-        [_dot(basis[a], basis[b]) for b in range(f)] + list(basis[a])
-        for a in range(f)
-    ]
-    width = f + taw
-    prev = 1
-    for k in range(f - 1):
-        piv, top = m[k][k], m[k]
-        for r in range(k + 1, f):
-            low, c = m[r], m[r][k]
-            for j in range(k + 1, width):
-                low[j] = (piv * low[j] - c * top[j]) // prev
-            low[k] = 0
-        prev = piv
-    det = m[f - 1][f - 1]
-    y = [None] * f
-    for k in range(f - 1, -1, -1):
-        y[k] = [
-            (det * m[k][f + i] - sum(m[k][j] * y[j][i] for j in range(k + 1, f))) // m[k][k]
-            for i in range(taw)
-        ]
-    mid2 = [xy_lo[i] + xy_hi[i] - 2 * p[i] for i in range(taw)]
-    shift = [_round_half_even(_dot(y[k], mid2), 2 * det) for k in range(f)]
-    if any(shift):
-        p = [p[i] + sum(shift[k] * basis[k][i] for k in range(f)) for i in range(taw)]
-    v_lo, v_hi = [], []
-    for k in range(f):
-        lo = hi = 0
-        for i in range(taw):
-            c = y[k][i]
-            if c:
-                ends = (c * (xy_lo[i] - p[i]), c * (xy_hi[i] - p[i]))
-                lo += min(ends)
-                hi += max(ends)
-        v_lo.append(-(-lo // det))
-        v_hi.append(hi // det)
-        if v_lo[-1] > v_hi[-1]:
-            return None
-    return p, v_lo, v_hi
-
-
 @dataclass(frozen=True)
 class _LatticeForm:
     """Affine lattice carrying every integral aggregate: (x0, y) = offset + basis v."""
@@ -248,48 +106,24 @@ def _aggregate_lattice(inst: FourBlockInstance):
     so it contains every lattice point of the xy box.  Returns None when the
     lattice or the coordinate box is empty, which proves infeasibility.
 
-    All of it is integer arithmetic: the Smith form, the integral LLL of
-    _reduce_kernel, and the fraction-free coordinate box of _coordinate_box,
-    which scales every rational by the Gram determinant of the basis and
-    rounds by integer division.
+    The rows and the xy box are built here; the lattice is
+    intlin.lattice_in_box of their Smith form: the particular solution and
+    kernel it reads off, the integral LLL of intlin.reduce_basis, and the
+    fraction-free coordinate box of intlin.coordinate_box.  All of it is
+    integer arithmetic.
     """
     n, tA, tB, sC = inst.n, inst.t_A, inst.t_B, inst.s_C
-    taw = tB + tA
     brow = inst.B.row(0) if inst.s_A else (0,) * tB
     rows = [list(inst.C.row(r)) + list(inst.D.row(r)) for r in range(sC)]
     rows.append([n * c for c in brow] + [1] * tA)
     rhs = list(inst.b0) + [sum(inst.b[i][0] for i in range(n))]
-    dec = smith_normal_form(IntMatrix.from_rows(rows))
-    r = dec.rank
-    tt = dec.U.mul_vec(rhs)
-    if any(tt[j] for j in range(r, len(tt))):
-        return None
-    base = [0] * taw
-    for j in range(r):
-        a = dec.S.at(j, j)
-        if tt[j] % a:
-            return None
-        base[j] = tt[j] // a
-    p = dec.V.mul_vec(base)
-    basis = _reduce_kernel([[dec.V.at(i, k) for i in range(taw)] for k in range(r, taw)])
-
     y_lo, y_hi = _y_box(inst)
     xy_lo = list(inst.l[:tB]) + y_lo
     xy_hi = list(inst.u[:tB]) + y_hi
-    v_lo = v_hi = ()
-    if basis:
-        box = _coordinate_box(basis, p, xy_lo, xy_hi)
-        if box is None:
-            return None
-        p, v_lo, v_hi = box
-    return _LatticeForm(
-        tuple(p),
-        tuple(tuple(v) for v in basis),
-        tuple(v_lo),
-        tuple(v_hi),
-        tuple(xy_lo),
-        tuple(xy_hi),
-    )
+    lattice = lattice_in_box(smith_normal_form(IntMatrix.from_rows(rows)), rhs, xy_lo, xy_hi)
+    if lattice is None:
+        return None
+    return _LatticeForm(*lattice, tuple(xy_lo), tuple(xy_hi))
 
 
 def _brick_slices(inst: FourBlockInstance):

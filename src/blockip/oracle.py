@@ -13,16 +13,13 @@ import sys
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, MalformedProblemError
+from .intlin import quotient_range
 from .model import Infeasible, Solution
 
 
 @dataclass(frozen=True)
 class OracleBudget:
     max_points: int = 10**7
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
 
 
 def enumerate_optimum(inst, budget: OracleBudget | None = None):
@@ -96,12 +93,9 @@ def enumerate_optimum(inst, budget: OracleBudget | None = None):
             # residual minus future contributions brackets c * x_j
             rem_lo = residual[idx] - sufmax[idx][j + 1]
             rem_hi = residual[idx] - sufmin[idx][j + 1]
-            if c > 0:
-                lo = max(lo, _ceil_div(rem_lo, c))
-                hi = min(hi, rem_hi // c)
-            else:
-                lo = max(lo, _ceil_div(rem_hi, c))
-                hi = min(hi, rem_lo // c)
+            q_lo, q_hi = quotient_range(c, rem_lo, rem_hi)
+            lo = max(lo, q_lo)
+            hi = min(hi, q_hi)
         if lo > hi:
             return
         finals = ends_at[j]

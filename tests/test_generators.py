@@ -48,3 +48,15 @@ def test_seeded_instances_are_feasible(name):
         assert classify(inst) == cls, (trial,)
         got = enumerate_optimum(inst, OracleBudget(10 ** 6))
         assert isinstance(got, Solution), (trial,)
+
+
+def test_snf_scale_stretches_entries_and_boxes():
+    rng = random.Random(8)
+    big_entry = wide_box = 0
+    for _ in range(10):
+        inst = random_snf_instance(rng, n=3, s_A=rng.randint(1, 2), scale=10 ** 6)
+        assert classify(inst) == StructureClass.SNF_ELIGIBLE
+        entries = inst.A.entries + inst.B.entries + inst.C.entries + inst.D.entries
+        big_entry += max(map(abs, entries)) > 10 ** 5
+        wide_box += max(hi - lo for lo, hi in zip(inst.l, inst.u)) > 10 ** 5
+    assert big_entry == wide_box == 10

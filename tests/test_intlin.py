@@ -1,4 +1,4 @@
-"""Integer linear algebra checks: gcd certificates, Smith forms, brick solutions."""
+"""Integer linear algebra checks: gcd certificates, Smith forms, integer solutions."""
 
 import itertools
 import math
@@ -11,9 +11,10 @@ from blockip.errors import BothZeroError, DimensionMismatchError, ZeroMatrixErro
 from blockip.intlin import (
     BezoutSolution,
     brick_form,
-    brick_solutions,
     extended_gcd,
     integer_rank,
+    kernel_basis,
+    particular_solutions,
     quotient_range,
     smith_normal_form,
 )
@@ -56,6 +57,14 @@ def determinant(A: IntMatrix) -> int:
             M[i][k] = 0
         prev = M[k][k]
     return sign * M[n - 1][n - 1]
+
+
+def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """The matrix product a b."""
+    assert a.cols == b.rows
+    return IntMatrix(a.rows, b.cols, tuple(
+        sum(x * y for x, y in zip(a.row(i), b.col(j))) for i in range(a.rows) for j in range(b.cols)
+    ))
 
 
 def naive_gcd(a, b):
@@ -138,7 +147,7 @@ def test_two_var_diophantine_battery():
 
 
 def check_snf(A, snf):
-    assert snf.U.mul_mat(A).mul_mat(snf.V).entries == snf.S.entries
+    assert mat_mul(mat_mul(snf.U, A), snf.V).entries == snf.S.entries
     assert abs(determinant(snf.U)) == 1
     assert abs(determinant(snf.V)) == 1
     diag = snf.diagonal
@@ -296,11 +305,11 @@ def test_brick_solutions_are_base_plus_multiples_of_theta():
         coeff = 10 ** 6 if trial % 2 else 5
         A = random_full_row_rank(rng, s, coeff)
         snf = smith_normal_form(A)
-        theta = snf.V.col(s)
+        (theta,) = kernel_basis(snf)
         assert all(v == 0 for v in A.mul_vec(theta))
         assert math.gcd(*theta) == 1  # primitive: no shorter kernel step
         xs = [[rng.randint(-10 ** 7, 10 ** 7) for _ in range(s + 1)] for _ in range(4)]
-        bases = list(brick_solutions(snf, [A.mul_vec(x) for x in xs]))
+        bases = list(particular_solutions(snf, [A.mul_vec(x) for x in xs]))
         assert len(bases) == len(xs)
         for x, base in zip(xs, bases):
             assert base is not None
@@ -322,7 +331,7 @@ def test_brick_solutions_fail_only_without_an_integer_point():
         A = random_full_row_rank(rng, s, 3)
         snf = smith_normal_form(A)
         rhs = [tuple(rng.randint(-6, 6) for _ in range(s)) for _ in range(3)]
-        for r, base in zip(rhs, brick_solutions(snf, rhs)):
+        for r, base in zip(rhs, particular_solutions(snf, rhs)):
             if base is not None:
                 assert tuple(A.mul_vec(base)) == r
                 found += 1
@@ -336,12 +345,63 @@ def test_brick_solutions_fail_only_without_an_integer_point():
 def test_brick_solutions_frozen_and_rejections():
     # 4x + 6y = r: gcd 2, so odd r has no integer point
     snf = smith_normal_form(IntMatrix.from_rows([[4, 6]]))
-    got = list(brick_solutions(snf, [(2,), (3,), (0,)]))
+    got = list(particular_solutions(snf, [(2,), (3,), (0,)]))
     assert got[1] is None and got[2] == (0, 0)
     assert 4 * got[0][0] + 6 * got[0][1] == 2
-    assert snf.V.col(1) in ((3, -2), (-3, 2))
+    assert kernel_basis(snf) in (((3, -2),), ((-3, 2),))
     with pytest.raises(DimensionMismatchError):
-        list(brick_solutions(snf, [(1, 2)]))
+        list(particular_solutions(snf, [(1, 2)]))
+
+
+def shear(rng, n, steps, big):
+    """A random n x n unimodular matrix: steps row additions with big multipliers."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(steps if n > 1 else 0):
+        a, b = rng.sample(range(n), 2)
+        q = rng.randint(-big, big)
+        rows[a] = [x + q * y for x, y in zip(rows[a], rows[b])]
+    return IntMatrix.from_rows(rows)
+
+
+def test_particular_solutions_of_any_rank():
+    # M = P S Q with P, Q unimodular and S small: M x = P r exactly when
+    # S (Q x) = r, so a search of S's box checks every None, while M is
+    # rank-deficient or tall and has entries beyond 10^5.  A right-hand side
+    # S y with y in the box must be solved; a free one may be either way.
+    rng = random.Random(707)
+    tally = dict(found=0, missing=0, deficient=0, tall=0, big=0)
+    for trial in range(150):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 3)
+        inner = min(rows, cols) - 1
+        if trial % 2 and inner:  # rank below both sides: a product through inner
+            L = IntMatrix.from_rows([[rng.randint(-2, 2) for _ in range(inner)] for _ in range(rows)])
+            R = IntMatrix.from_rows([[rng.randint(-2, 2) for _ in range(cols)] for _ in range(inner)])
+            S = mat_mul(L, R)
+        else:
+            S = IntMatrix.from_rows([[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)])
+        if S.is_zero():
+            continue
+        P, Q = shear(rng, rows, 2, 10), shear(rng, cols, 3, 100)
+        M = mat_mul(mat_mul(P, S), Q)
+        snf = smith_normal_form(M)
+        tally["deficient"] += snf.rank < min(rows, cols)
+        tally["tall"] += rows > cols
+        tally["big"] += max(map(abs, M.entries)) > 10 ** 5
+        kernel = kernel_basis(snf)
+        assert len(kernel) == cols - snf.rank
+        assert all(not any(M.mul_vec(k)) for k in kernel), (M, kernel)
+        box = list(itertools.product(range(-8, 9), repeat=cols))
+        small = [S.mul_vec(rng.choice(box)) for _ in range(2)]
+        small += [tuple(rng.randint(-6, 6) for _ in range(rows)) for _ in range(2)]
+        rhs = [P.mul_vec(r) for r in small]
+        for k, (r, p) in enumerate(zip(small, particular_solutions(snf, rhs))):
+            if p is None:
+                assert k >= 2 and not any(S.mul_vec(y) == r for y in box), (M, r)
+                tally["missing"] += 1
+            else:
+                assert M.mul_vec(p) == rhs[k], (M, r)
+                tally["found"] += 1
+    assert min(tally.values()) >= 20, tally
 
 
 def test_brick_form_is_the_smith_route_rule(monkeypatch):

@@ -5,15 +5,14 @@ from fractions import Fraction
 import pytest
 from highs_oracle import highs_optimum
 
-from blockip import generators, ones, ratlp
+from blockip import generators, intlin, ones, ratlp
 from blockip.errors import InternalInconsistencyError, NotAllOnesError
 from blockip.flow import TransportProblem, TransportResult, solve_transport
+from blockip.intlin import coordinate_box, reduce_basis
 from blockip.model import FourBlockInstance, Infeasible, IntMatrix, Solution, evaluate
 from blockip.ones import (
     OnesContext,
     _aggregate_lattice,
-    _coordinate_box,
-    _reduce_kernel,
     _require_ones,
     _transport_duals,
     _y_box,
@@ -454,8 +453,8 @@ def test_matches_highs_beyond_the_enumerator():
 
 # The lattice set-up as it was done in Fractions: the LLL that recomputes the
 # whole Gram-Schmidt form after every step, and the coordinate box solved from
-# the Fraction Gram matrix.  _reduce_kernel and _coordinate_box must return
-# exactly what these return.
+# the Fraction Gram matrix.  intlin.reduce_basis and intlin.coordinate_box
+# must return exactly what these return.
 
 def reference_reduce_kernel(kernel):
     def dot(a, b):
@@ -538,8 +537,8 @@ def reference_coordinate_box(basis, p, xy_lo, xy_hi):
 
 def reference_form(inst):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ones, "_reduce_kernel", reference_reduce_kernel)
-        mp.setattr(ones, "_coordinate_box", reference_coordinate_box)
+        mp.setattr(intlin, "reduce_basis", reference_reduce_kernel)
+        mp.setattr(intlin, "coordinate_box", reference_coordinate_box)
         return _aggregate_lattice(inst)
 
 
@@ -598,13 +597,13 @@ def lattice_setup_battery():
 def test_reduce_kernel_matches_the_fraction_reference_with_ties(monkeypatch):
     # small entries make mu = +-1/2 and other half-way roundings common
     ties = [0]
-    real_round = ones._round_half_even
+    real_round = intlin.round_half_even
 
     def counting_round(num, den):
         ties[0] += 2 * (num % den) == den
         return real_round(num, den)
 
-    monkeypatch.setattr(ones, "_round_half_even", counting_round)
+    monkeypatch.setattr(intlin, "round_half_even", counting_round)
     rng = random.Random(9121)
     kernels = []
     for trial in range(2000):
@@ -614,7 +613,7 @@ def test_reduce_kernel_matches_the_fraction_reference_with_ties(monkeypatch):
         m = rng.randint(2, 4)
         kernels.append(skewed_kernel(rng, m, rng.randint(m, m + 2), 10 ** 40, rng.randint(0, 4)))
     for trial, kernel in enumerate(kernels):
-        assert _reduce_kernel(kernel) == reference_reduce_kernel(kernel), trial
+        assert reduce_basis(kernel) == reference_reduce_kernel(kernel), trial
     assert ties[0] >= 200
 
 
@@ -637,7 +636,7 @@ def test_coordinate_box_matches_the_fraction_reference_on_skewed_bases():
         p = [rng.randint(-entry, entry) for _ in range(taw)]
         xy_lo = [rng.randint(-4 * entry, entry) for _ in range(taw)]
         xy_hi = [lo + rng.randint(0, 3 * entry) for lo in xy_lo]
-        got = _coordinate_box(basis, p, xy_lo, xy_hi)
+        got = coordinate_box(basis, p, xy_lo, xy_hi)
         want = reference_coordinate_box(basis, p, xy_lo, xy_hi)
         assert (got is None) == (want is None), trial
         if got is not None:
@@ -675,7 +674,7 @@ def test_reduce_kernel_is_reduced_and_spans_the_input_lattice():
         m = rng.randint(1, 4)
         entry = rng.choice((3, 50, 10 ** 30))
         kernel = skewed_kernel(rng, m, rng.randint(m, m + 2), entry, rng.randint(0, 8))
-        out = _reduce_kernel(kernel)
+        out = reduce_basis(kernel)
         assert len(out) == m and all(type(x) is int for v in out for x in v), trial
         mu, norms = gso(out)
         for i in range(m):

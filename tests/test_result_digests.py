@@ -1,0 +1,80 @@
+"""Pinned digests of every route's results on fixed-seed instances.
+
+Each digest is a sha256 over the repr of a route's intermediate data and
+final result on about 20 generator instances of one benchmark shape (the
+shapes of perfbench/workloads.py, with n capped at 200).  A refactor that
+must keep results bit-identical leaves every pin as it is; a change that
+moves a tie-break on purpose updates the pins and says why.
+"""
+
+import hashlib
+import random
+
+import pytest
+
+from blockip import fourblock_snf, generators, nfold_snf, ones
+
+
+
+def _nfold(rng, i):
+    return generators.random_nfold_instance(
+        rng, n=200, t_A=3, s_C=2, scale=10**30 if i % 4 == 3 else 1, seeded_rate=0.9)
+
+
+def _ones_transport(rng, i):
+    return generators.random_ones_instance(
+        rng, n=30, t_A=3, t_B=1, s_C=1, scale=10**6 if i % 4 == 3 else 1, seeded_rate=0.9)
+
+
+def _ones_lattice(rng, i):
+    return generators.random_ones_instance(
+        rng, n=8, t_A=3, t_B=3, s_C=1, scale=10**6 if i % 4 == 3 else 1, seeded_rate=0.9)
+
+
+def _ones_any_scale(rng, i):
+    shape = dict(t_A=3, t_B=1, n=30) if i % 2 else dict(t_A=3, t_B=3, n=8)
+    return generators.random_ones_instance(
+        rng, s_C=1, scale=(1, 10**6, 10**30)[i % 3], seeded_rate=0.9, **shape)
+
+
+def _fourblock_cells(rng, i):
+    return generators.random_snf_instance(rng, n=40, s_A=1, t_B=1, s_C=1, seeded_rate=0.9)
+
+
+def _ones_results(inst):
+    return ones._aggregate_lattice(inst), ones.solve_ones(inst)
+
+
+# shape -> (instance maker, instance count, what each instance contributes)
+SHAPES = {
+    "nfold-sched": (_nfold, 20, lambda inst: (
+        nfold_snf.build_context(inst), nfold_snf.solve_nfold_snf(inst))),
+    "ones-transport": (_ones_transport, 20, _ones_results),
+    "ones-lattice": (_ones_lattice, 20, _ones_results),
+    # the lattice set-up alone, cheap enough for more instances and scales
+    "ones-lattice-forms": (_ones_any_scale, 120, ones._aggregate_lattice),
+    "fourblock-cells": (_fourblock_cells, 20, lambda inst: (
+        fourblock_snf.elimination_from_snf(inst), fourblock_snf.solve_4block_snf(inst))),
+}
+
+PINNED = {
+    "nfold-sched": "a6849c412fe5101b",
+    "ones-transport": "1c205b27607b7ece",
+    "ones-lattice": "9b9b6ad5372bbc97",
+    "fourblock-cells": "1095976061bb1b51",
+    "ones-lattice-forms": "045603e2eb18520e",
+}
+
+
+def digest(shape):
+    make, count, results = SHAPES[shape]
+    rng = random.Random(f"{shape}/digest")
+    h = hashlib.sha256()
+    for i in range(count):
+        h.update(repr(results(make(rng, i))).encode())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_results_match_the_pinned_digest(shape):
+    assert digest(shape) == PINNED[shape]
