@@ -23,7 +23,15 @@ the Hitchcock transportation problem, SIAM J. Comput. 1995):
    the top; an augmentation pushes again only the rows whose cells it
    changed, and only into the pairs it just made them qualify for.
 
-The greedy start costs O(n t log t) and the heaps O(n t^2); each
+Everything that depends on the cells alone (boxes, profits) is a
+TransportTable, derived once when a problem is built and shared by every
+problem that with_totals derives from it; the all-ones search re-solves
+one table under many totals.  Once per table: the box check, the
+capacities and the lower-bound sums cost O(n t), the rows' profit orders
+O(n t log t), and sorting each column pair's rows by (p_jh - p_jg, j)
+O(t^2 n log n).  Then per call: the lower-bound shift is O(n + t), the
+greedy fill O(n t), and each pair heap starts as a copy of its sorted
+list, O(n t^2) pointer copies with no tuple built and no heapify; each
 augmentation then costs O(t^2 log n) instead of a shortest path over all
 n + t nodes.  Each augmentation empties a surplus or a deficit or fills or
 empties a cell.  All arithmetic is plain Python int, so totals and
@@ -33,33 +41,95 @@ capacities in the 1e40 range cost nothing but digits.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import add, mul, sub
 
 from .errors import MalformedProblemError
 from .model import Infeasible
 
 
 @dataclass(frozen=True)
+class TransportTable:
+    """What a transport's cells determine on their own, whatever the totals.
+
+    cap[j][h] is cell (j, h)'s width above its lower bound; row_lower[j]
+    and col_lower[h] sum the lower bounds of row j and of column h;
+    order[j] lists row j's columns by decreasing profit (ties in column
+    order); pairs[h][g] lists every row j as (p_jh - p_jg, j) in increasing
+    order, the cost of moving a unit of row j from column h to column g
+    (pairs[h][h] is empty).  outside(hmask) gives each row's capacity
+    outside the column set hmask, computed on first use.
+    """
+
+    cap: tuple
+    row_lower: tuple
+    col_lower: tuple
+    order: tuple
+    pairs: tuple
+    _outside: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @staticmethod
+    def of(n, t, cell_lower, cell_upper, cell_profit) -> "TransportTable":
+        """The table of n x t cell matrices; MalformedProblemError on a bad shape or box."""
+        for m in (cell_lower, cell_upper, cell_profit):
+            if len(m) != n or any(len(row) != t for row in m):
+                raise MalformedProblemError("cell matrix shape mismatch")
+        cap = []
+        for i, (low, up) in enumerate(zip(cell_lower, cell_upper)):
+            for h in range(t):
+                if low[h] > up[h]:
+                    raise MalformedProblemError(f"cell ({i},{h}) has empty box")
+            cap.append(tuple(map(sub, up, low)))
+        # column h's profits over the rows; zip(*rows) yields nothing when n = 0
+        cols = list(zip(*cell_profit)) or [()] * t
+        return TransportTable(
+            tuple(cap),
+            tuple(map(sum, cell_lower)),
+            tuple(sum(low[h] for low in cell_lower) for h in range(t)),
+            tuple(tuple(sorted(range(t), key=pj.__getitem__, reverse=True)) for pj in cell_profit),
+            tuple(
+                tuple(
+                    tuple(sorted(zip(map(sub, cols[h], cols[g]), range(n)))) if g != h else ()
+                    for g in range(t)
+                )
+                for h in range(t)
+            ),
+        )
+
+    def outside(self, hmask) -> tuple:
+        """Per row, the summed capacity of its columns not in the bit set hmask."""
+        got = self._outside.get(hmask)
+        if got is None:
+            t = len(self.col_lower)
+            out = [h for h in range(t) if not hmask >> h & 1]
+            got = self._outside[hmask] = tuple(sum(cj[h] for h in out) for cj in self.cap)
+        return got
+
+
+@dataclass(frozen=True)
 class TransportProblem:
-    """Capacitated transportation data: n rows to spread over t columns."""
+    """Capacitated transportation data: n rows to spread over t columns.
+
+    Construction, through make or the dataclass constructor alike, checks
+    the cell shapes and boxes and derives the TransportTable; with_totals
+    changes only the totals and shares that table.
+    """
 
     row_totals: tuple
     col_totals: tuple
     cell_lower: tuple  # per (row, col)
     cell_upper: tuple
     cell_profit: tuple
+    table: TransportTable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "table", TransportTable.of(
+            len(self.row_totals), len(self.col_totals),
+            self.cell_lower, self.cell_upper, self.cell_profit,
+        ))
 
     @staticmethod
     def make(row_totals, col_totals, cell_lower, cell_upper, cell_profit):
-        n, t = len(row_totals), len(col_totals)
-        mats = (cell_lower, cell_upper, cell_profit)
-        for m in mats:
-            if len(m) != n or any(len(row) != t for row in m):
-                raise MalformedProblemError("cell matrix shape mismatch")
-        for i in range(n):
-            for h in range(t):
-                if cell_lower[i][h] > cell_upper[i][h]:
-                    raise MalformedProblemError(f"cell ({i},{h}) has empty box")
         return TransportProblem(
             tuple(row_totals),
             tuple(col_totals),
@@ -67,6 +137,16 @@ class TransportProblem:
             tuple(tuple(r) for r in cell_upper),
             tuple(tuple(r) for r in cell_profit),
         )
+
+    def with_totals(self, row_totals, col_totals) -> "TransportProblem":
+        """The same cells under new totals, sharing this problem's table."""
+        row_totals, col_totals = tuple(row_totals), tuple(col_totals)
+        if len(row_totals) != len(self.row_totals) or len(col_totals) != len(self.col_totals):
+            raise MalformedProblemError("totals vector has the wrong length")
+        # bypasses __post_init__: the table depends on the cells alone
+        p = object.__new__(TransportProblem)
+        p.__dict__.update(self.__dict__, row_totals=row_totals, col_totals=col_totals)
+        return p
 
 
 @dataclass(frozen=True)
@@ -85,27 +165,25 @@ def _cheapest(heap, z, cap, h, g):
     return None
 
 
-def _rebalance(z, cap, profit, surplus) -> bool:
+def _rebalance(z, table, profit, surplus) -> bool:
     """Shift units between columns at least cost until every column total is met.
 
     z is a fill in which every row is optimal on its own, edited in place;
     surplus[h] is column h's sum minus its total, and the surpluses sum to
     zero.  Returns False when a surplus reaches no deficit, which proves the
     transport infeasible.
+
+    Each pair heap starts as a copy of the table's presorted list, and a
+    sorted list is a heap.  It also holds rows that do not qualify, which
+    _cheapest drops when they reach the top.  Every qualifying row has an
+    entry, from the start or pushed when an augmentation makes it qualify,
+    and the keys are static, so _cheapest returns the least qualifying
+    (key, j) whatever else the heap holds: every path and cell is the one
+    that heaps of the qualifying rows alone would give.
     """
-    n, t = len(z), len(surplus)
-    heaps = [[[] for _ in range(t)] for _ in range(t)]
-    for j in range(n):
-        zj, cj, pj = z[j], cap[j], profit[j]
-        room = [g for g in range(t) if zj[g] < cj[g]]
-        for h in range(t):
-            if zj[h]:
-                for g in room:
-                    if g != h:
-                        heaps[h][g].append((pj[h] - pj[g], j))
-    for row in heaps:
-        for heap in row:
-            heapq.heapify(heap)
+    t = len(surplus)
+    cap = table.cap
+    heaps = [[list(pair) for pair in row] for row in table.pairs]
     pot = [0] * t  # reduced cost of h -> g: cost + pot[h] - pot[g] >= 0
     while True:
         s = next((h for h in range(t) if surplus[h] > 0), None)
@@ -178,26 +256,20 @@ def solve_transport(p: TransportProblem):
     carry the totals.  Total unimodularity makes the integral optimum equal
     the LP optimum over the same polytope.
     """
-    n, t = len(p.row_totals), len(p.col_totals)
+    t = len(p.col_totals)
     if sum(p.row_totals) != sum(p.col_totals):
         return Infeasible("TotalsMismatch")
 
-    row_rest = list(p.row_totals)
-    surplus = [-c for c in p.col_totals]  # column sum of z minus its total
-    for i, low in enumerate(p.cell_lower):
-        row_rest[i] -= sum(low)
-        for h in range(t):
-            surplus[h] += low[h]
+    table = p.table
+    row_rest = [r - low for r, low in zip(p.row_totals, table.row_lower)]
+    surplus = [low - c for low, c in zip(table.col_lower, p.col_totals)]  # column sum of z minus its total
     if any(r < 0 for r in row_rest) or any(s > 0 for s in surplus):
         return Infeasible("LowerBoundsExceedTotals")
 
-    profit = p.cell_profit
-    cap = [[hi - lo for hi, lo in zip(up, low)] for up, low in zip(p.cell_upper, p.cell_lower)]
     z = []
-    for i in range(n):
-        rest, cj, pj = row_rest[i], cap[i], profit[i]
+    for rest, cj, order in zip(row_rest, table.cap, table.order):
         zj = [0] * t
-        for h in sorted(range(t), key=pj.__getitem__, reverse=True):
+        for h in order:
             if not rest:
                 break
             q = cj[h] if cj[h] < rest else rest
@@ -208,13 +280,9 @@ def solve_transport(p: TransportProblem):
             return Infeasible("NoAugmentingPath")
         z.append(zj)
 
-    if any(surplus) and not _rebalance(z, cap, profit, surplus):
+    if any(surplus) and not _rebalance(z, table, p.cell_profit, surplus):
         return Infeasible("NoAugmentingPath")
 
-    cells = []
-    objective = 0
-    for zj, low, pj in zip(z, p.cell_lower, profit):
-        row = tuple(lo + v for lo, v in zip(low, zj))
-        objective += sum(w * v for w, v in zip(pj, row))
-        cells.append(row)
-    return TransportResult(tuple(cells), objective)
+    cells = tuple(tuple(map(add, low, zj)) for low, zj in zip(p.cell_lower, z))
+    objective = sum(sum(map(mul, pj, row)) for pj, row in zip(p.cell_profit, cells))
+    return TransportResult(cells, objective)

@@ -17,7 +17,11 @@ winning aggregate.  Every transport of the search is solved by
 flow.solve_transport, which fills each brick greedily and then moves units
 between the t_A columns along shortest paths over those t_A nodes alone,
 the bricks entering only through one heap per ordered column pair.  The
-winning transport was solved once during the search and certified optimal
+transports of one search differ only in their totals (b - q, y), so the
+search builds one flow.TransportTable from the bricks' boxes and profits
+(capacities, lower-bound sums, profit orders, presorted pair lists, and
+the out-of-H capacities the blocking cuts read) and derives every
+transport from it with with_totals.  The winning transport was solved once during the search and certified optimal
 there by integral dual prices, again shortest distances over the t_A
 columns, whose dual value equals its objective, so it is neither solved
 nor checked a second time.
@@ -29,6 +33,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import (
     InternalInconsistencyError,
@@ -156,54 +161,63 @@ def _transport_duals(p: TransportProblem, res: TransportResult):
     each is seeded at min(0, least -profit over the rows with room in it),
     the cheapest row exchange h -> g is relaxed for t rounds, and a row's
     price is min(0, least d_h + profit over its cells above their lower
-    bound).  The certificate is then
-    checked from scratch: the cells meet every box and total, their profit is
-    res.objective, and for the integral prices a, c the dual value
+    bound).  The certificate is checked from scratch, in the same per-row
+    pass that gathers each row's room and above sets and the pair costs:
+    the cells meet every box and total, their profit is res.objective, and
+    for the integral prices a, c the dual value
     a . r + c . y + sum over cells of max(gap * lower, gap * upper), with
     gap = profit - a_i - c_h, equals res.objective.  That dual value bounds
     every feasible transport from above, so equality proves res optimal
-    without trusting the flow code.  Anything else raises
-    InternalInconsistencyError.
+    without trusting the flow code.  Each check is an explicit raise of
+    InternalInconsistencyError, so it still runs under python -O.
 
     The returned prices also satisfy complementarity, so for any totals
     (r', y') the optimum is at most the certified value plus
     a . (r' - r) + c . (y' - y): the value function is concave and (a, c)
     is a supergradient at the current totals.
     """
-    n, t = len(p.row_totals), len(p.col_totals)
+    t = len(p.col_totals)
     cells = res.cells
-    if (
-        len(cells) != n
-        or any(len(cells[i]) != t for i in range(n))
-        or any(not p.cell_lower[i][h] <= cells[i][h] <= p.cell_upper[i][h]
-               for i in range(n) for h in range(t))
-        or any(sum(cells[i]) != p.row_totals[i] for i in range(n))
-        or any(sum(cells[i][h] for i in range(n)) != p.col_totals[h] for h in range(t))
-    ):
+    if len(cells) != len(p.row_totals):
         raise InternalInconsistencyError("transport cells miss their boxes or totals")
-    primal = sum(p.cell_profit[i][h] * cells[i][h] for i in range(n) for h in range(t))
+    col_sums = [0] * t
+    primal = 0
+    d = [0] * t  # column distances
+    pair = [[None] * t for _ in range(t)]  # [h][g]: cheapest p_ih - p_ig over rows that can exchange
+    above = []
+    for z, lo, up, pr, r in zip(cells, p.cell_lower, p.cell_upper, p.cell_profit, p.row_totals):
+        if len(z) != t or sum(z) != r:
+            raise InternalInconsistencyError("transport cells miss their boxes or totals")
+        room, ab = [], []
+        for h in range(t):
+            zh = z[h]
+            if not lo[h] <= zh <= up[h]:
+                raise InternalInconsistencyError("transport cells miss their boxes or totals")
+            col_sums[h] += zh
+            primal += pr[h] * zh
+            if zh < up[h]:
+                room.append(h)
+                if -pr[h] < d[h]:
+                    d[h] = -pr[h]
+            if zh > lo[h]:
+                ab.append(h)
+        above.append(ab)
+        for h in ab:
+            ph, costs = pr[h], pair[h]
+            for g in room:
+                cost = ph - pr[g]
+                if g != h and (costs[g] is None or cost < costs[g]):
+                    costs[g] = cost
+    if col_sums != list(p.col_totals):
+        raise InternalInconsistencyError("transport cells miss their boxes or totals")
     if primal != res.objective:
         raise InternalInconsistencyError(
             f"transport cells are worth {primal}, not the reported {res.objective}"
         )
-    d = [0] * t  # column distances
-    pair = {}  # (h, g) -> cheapest p_ih - p_ig over rows i that can exchange
-    above = []
-    for i in range(n):
-        z, lo, up, pr = cells[i], p.cell_lower[i], p.cell_upper[i], p.cell_profit[i]
-        room = [g for g in range(t) if z[g] < up[g]]
-        above.append([h for h in range(t) if z[h] > lo[h]])
-        for g in room:
-            if -pr[g] < d[g]:
-                d[g] = -pr[g]
-        for h in above[i]:
-            for g in room:
-                cost = pr[h] - pr[g]
-                if g != h and ((h, g) not in pair or cost < pair[h, g]):
-                    pair[h, g] = cost
+    arcs = [(h, g, cost) for h in range(t) for g, cost in enumerate(pair[h]) if cost is not None]
     for _ in range(t):
         changed = False
-        for (h, g), cost in pair.items():
+        for h, g, cost in arcs:
             if d[h] + cost < d[g]:
                 d[g] = d[h] + cost
                 changed = True
@@ -211,14 +225,16 @@ def _transport_duals(p: TransportProblem, res: TransportResult):
             break
     else:
         raise InternalInconsistencyError("negative cycle in optimal transport residual")
-    a = [min([0] + [d[h] + p.cell_profit[i][h] for h in above[i]]) for i in range(n)]
     c = [-dh for dh in d]
-    dual = sum(a[i] * p.row_totals[i] for i in range(n))
-    dual += sum(c[h] * p.col_totals[h] for h in range(t))
-    for i in range(n):
+    dual = sum(map(mul, c, p.col_totals))
+    a = []
+    for ab, lo, up, pr, r in zip(above, p.cell_lower, p.cell_upper, p.cell_profit, p.row_totals):
+        ai = min([0] + [d[h] + pr[h] for h in ab])
+        a.append(ai)
+        dual += ai * r
         for h in range(t):
-            gap = p.cell_profit[i][h] - a[i] - c[h]
-            dual += gap * (p.cell_upper[i][h] if gap > 0 else p.cell_lower[i][h])
+            gap = pr[h] - ai - c[h]
+            dual += gap * (up[h] if gap > 0 else lo[h])
     if dual != res.objective:
         raise InternalInconsistencyError(
             f"transport dual value {dual} != primal objective {res.objective}"
@@ -235,15 +251,15 @@ def _blocking_cut(p: TransportProblem):
     the 2^t column subsets is exhaustive.  Returns None when no pair is
     violated, which certifies feasibility of the totals.
     """
-    n, t = len(p.row_totals), len(p.col_totals)
-    rho = [p.row_totals[i] - sum(p.cell_lower[i]) for i in range(n)]
-    delta = [p.col_totals[h] - sum(p.cell_lower[i][h] for i in range(n)) for h in range(t)]
+    t = len(p.col_totals)
+    table = p.table
+    rho = [r - low for r, low in zip(p.row_totals, table.row_lower)]
+    delta = [c - low for c, low in zip(p.col_totals, table.col_lower)]
     for hmask in range(1 << t):
         cols = [h for h in range(t) if hmask >> h & 1]
-        out = [h for h in range(t) if not hmask >> h & 1]
         rows, lhs = [], 0
-        for i in range(n):
-            m = rho[i] - sum(p.cell_upper[i][h] - p.cell_lower[i][h] for h in out)
+        for i, out in enumerate(table.outside(hmask)):
+            m = rho[i] - out
             if m > 0:
                 rows.append(i)
                 lhs += m
@@ -289,6 +305,9 @@ def _optimize_aggregate(inst: FourBlockInstance, form: _LatticeForm):
 
     lower, upper, profit = _brick_slices(inst)
     bvals = [inst.b[i][0] for i in range(n)]
+    # the bricks' transport table, built once; each evaluation sets its totals
+    bricks = TransportProblem.make(bvals, [0] * tA, lower, upper, profit)
+    table = bricks.table
 
     # range of the shared quantity q = B x0 allowed by the brick row sums
     q_lo = q_hi = None
@@ -340,7 +359,7 @@ def _optimize_aggregate(inst: FourBlockInstance, form: _LatticeForm):
         # distinct x0 with equal q and y share one transport: solve it once
         got = transports.get((q, y))
         if got is None:
-            tp = TransportProblem.make([b - q for b in bvals], y, lower, upper, profit)
+            tp = bricks.with_totals([b - q for b in bvals], y)
             tr = solve_transport(tp)
             if isinstance(tr, TransportResult):
                 cert = _transport_duals(tp, tr)
@@ -373,10 +392,11 @@ def _optimize_aggregate(inst: FourBlockInstance, form: _LatticeForm):
             -len(rows) * beta[k] - sum(basis[k][tB + h] for h in cols)
             for k in range(f)
         ]
+        outside = table.outside(sum(1 << h for h in cols))
         rhs = (
-            sum(p0[tB + h] - sum(lower[i][h] for i in range(n)) for h in cols)
-            + sum(upper[i][h] - lower[i][h] for i in rows for h in range(tA) if h not in cols)
-            - sum(bvals[i] - q0 - sum(lower[i]) for i in rows)
+            sum(p0[tB + h] - table.col_lower[h] for h in cols)
+            + sum(outside[i] for i in rows)
+            - sum(bvals[i] - q0 - table.row_lower[i] for i in rows)
         )
         if sum(coeffs[k] * v[k] for k in range(f)) <= rhs:
             raise InternalInconsistencyError("blocking cut fails to separate its point")

@@ -1,12 +1,14 @@
 import itertools
 import random
+from collections import Counter
 
+import flow_reference
 import pytest
 
 from blockip.errors import MalformedProblemError
 from blockip.flow import TransportProblem, TransportResult, solve_transport
 from blockip.model import Infeasible
-from blockip.ones import _transport_duals
+from blockip.ones import _blocking_cut, _transport_duals
 from blockip.ratlp import INFEASIBLE, OPTIMAL, LpProblem, solve_lp
 
 
@@ -362,3 +364,105 @@ def test_edge_shapes_against_exact_lp():
             assert lp.status == INFEASIBLE
 
     check()
+
+
+def reference_cells(rng, n, t, big):
+    """Boxes and profits of an n x t transport: zero-width cells, tied
+    profits, and with big = 10**30 entries of 30 digits."""
+    lower = [[rng.randint(-3, 3) * big + rng.randint(-2, 2) for _ in range(t)] for _ in range(n)]
+    upper = [[lo + rng.choice((0, 0, 1, 3, rng.randint(0, 6), big)) for lo in row] for row in lower]
+    profit = [[rng.randint(-4, 4) * rng.choice((1, 1, big)) for _ in range(t)] for _ in range(n)]
+    return lower, upper, profit
+
+
+def reference_totals(rng, lower, upper, t, q=0):
+    """Row totals of an in-box point less q, column totals of that point or
+    of a second one, mostly rebalanced on one column: feasible, infeasible
+    and unbalanced totals."""
+    def point():
+        return [[rng.randint(lo, hi) for lo, hi in zip(lr, ur)] for lr, ur in zip(lower, upper)]
+
+    z = point()
+    rows = [sum(r) - q for r in z]
+    if rng.random() < 0.5:
+        z = point()
+    cols = [sum(r[h] for r in z) for h in range(t)]
+    if rng.random() < 0.9:
+        cols[rng.randrange(t)] += sum(rows) - sum(cols)
+    return rows, cols
+
+
+def assert_matches_reference(p: TransportProblem):
+    """The solver, the certificate and the blocking cut agree with the
+    reference code on p; returns the verdict's kind."""
+    got, want = solve_transport(p), flow_reference.solve_transport(p)
+    assert got == want, (p, got, want)
+    if isinstance(got, TransportResult):
+        assert _transport_duals(p, got) == flow_reference._transport_duals(p, want)
+        return "feasible"
+    assert _blocking_cut(p) == flow_reference._blocking_cut(p)
+    return got.reason
+
+
+def test_matches_the_reference_on_fresh_and_shared_tables():
+    # half fresh problems, half chains of with_totals over one table whose
+    # row totals shift by a common q, as the all-ones search re-solves them
+    rng = random.Random(8106)
+    seen = Counter()
+    for trial in range(60):
+        n = rng.choice((0, 1, 2, 3, 5, 12, 40))
+        t = rng.choice((1, 1, 2, 3, 3, 4, 5))
+        big = rng.choice((1, 10 ** 30))
+        lower, upper, profit = reference_cells(rng, n, t, big)
+        for _ in range(5):
+            rows, cols = reference_totals(rng, lower, upper, t)
+            kind = assert_matches_reference(TransportProblem.make(rows, cols, lower, upper, profit))
+            seen["fresh", kind] += 1
+        rows, cols = reference_totals(rng, lower, upper, t)
+        p = TransportProblem.make(rows, cols, lower, upper, profit)
+        for _ in range(5):
+            q = rng.choice((0, 0, rng.randint(-3, 3), rng.randint(-3, 3) * big))
+            p = p.with_totals(*reference_totals(rng, lower, upper, t, q))
+            kind = assert_matches_reference(p)
+            seen["chained", kind] += 1
+        seen["t=1"] += t == 1
+        seen["n=0"] += n == 0
+        seen["30 digits"] += big > 1
+        seen["zero width"] += any(lo == hi for lr, ur in zip(lower, upper) for lo, hi in zip(lr, ur))
+    assert sum(seen[k] for k in seen if k[0] == "fresh") == 300
+    assert sum(seen[k] for k in seen if k[0] == "chained") == 300
+    for origin in ("fresh", "chained"):
+        for kind in ("feasible", "TotalsMismatch", "LowerBoundsExceedTotals", "NoAugmentingPath"):
+            assert seen[origin, kind] >= 10, seen
+    assert min(seen["t=1"], seen["n=0"], seen["30 digits"], seen["zero width"]) >= 5, seen
+
+
+def test_with_totals_shares_the_table_and_checks_lengths():
+    p = TransportProblem.make([1, 2], [3], [[0], [0]], [[5], [5]], [[1], [2]])
+    q = p.with_totals([2, 2], [4])
+    assert q.table is p.table
+    assert (q.row_totals, q.col_totals) == ((2, 2), (4,))
+    assert (p.row_totals, p.col_totals) == ((1, 2), (3,))
+    assert solve_transport(q).cells == ((2,), (2,))
+    for rows, cols in (([1], [3]), ([1, 2, 0], [3]), ([1, 2], []), ([1, 2], [3, 0])):
+        with pytest.raises(MalformedProblemError):
+            p.with_totals(rows, cols)
+
+
+def test_constructor_derives_the_same_table_as_make():
+    rng = random.Random(8107)
+    for _ in range(20):
+        n, t = rng.randint(0, 6), rng.randint(1, 4)
+        lower, upper, profit = reference_cells(rng, n, t, rng.choice((1, 10 ** 30)))
+        rows, cols = reference_totals(rng, lower, upper, t)
+        made = TransportProblem.make(rows, cols, lower, upper, profit)
+        direct = TransportProblem(
+            tuple(rows), tuple(cols),
+            tuple(map(tuple, lower)), tuple(map(tuple, upper)), tuple(map(tuple, profit)),
+        )
+        assert direct == made and direct.table == made.table
+        assert solve_transport(direct) == solve_transport(made)
+    with pytest.raises(MalformedProblemError):  # empty box
+        TransportProblem((1,), (1,), ((2,),), ((1,),), ((0,),))
+    with pytest.raises(MalformedProblemError):  # a row one cell too wide
+        TransportProblem((1,), (1,), ((0, 0),), ((1,),), ((0,),))

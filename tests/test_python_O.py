@@ -6,11 +6,13 @@ the LP core's audits are explicit raises; this file runs itself under -O as
 a script, compares each route's answer with enumerate_optimum using plain
 comparisons, checks that each route still refuses with NotEligibleError
 what it cannot take (test_model.NOT_ELIGIBLE), and checks that a tampered
-LP tableau still raises InternalInconsistencyError (TAMPERED) and that an
+LP tableau still raises InternalInconsistencyError (TAMPERED), that the
+transport certificate rejects each wrong flow (WRONG_FLOWS), and that an
 LpProblem built directly with a non-int entry raises MalformedProblemError
 (UNTYPED), exiting nonzero on the first mismatch.
 
-Run directly: ``python -O tests/test_python_O.py``.
+Run directly: ``python -O tests/test_python_O.py`` (it puts ``src`` on the
+path itself, so no install is needed).
 """
 
 import os
@@ -18,16 +20,20 @@ import random
 import subprocess
 import sys
 
-import blockip
-from blockip import generators
-from blockip.errors import InternalInconsistencyError, MalformedProblemError, NotEligibleError
-from blockip.fourblock_snf import solve_4block_snf
-from blockip.model import Infeasible, Solution, StructureClass, classify, evaluate
-from blockip.nfold_snf import solve_nfold_snf
-from blockip.ones import solve_ones
-from blockip.oracle import OracleBudget, enumerate_optimum
-from blockip.ratlp import OPTIMAL, LpProblem, WarmLp, solve_lp_warm
-from test_model import NOT_ELIGIBLE
+# run as a script, the package is found under src/ without an install
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+
+import blockip  # noqa: E402
+from blockip import generators  # noqa: E402
+from blockip.errors import InternalInconsistencyError, MalformedProblemError, NotEligibleError  # noqa: E402
+from blockip.flow import TransportProblem, TransportResult  # noqa: E402
+from blockip.fourblock_snf import solve_4block_snf  # noqa: E402
+from blockip.model import Infeasible, Solution, StructureClass, classify, evaluate  # noqa: E402
+from blockip.nfold_snf import solve_nfold_snf  # noqa: E402
+from blockip.ones import _transport_duals, solve_ones  # noqa: E402
+from blockip.oracle import OracleBudget, enumerate_optimum  # noqa: E402
+from blockip.ratlp import OPTIMAL, LpProblem, WarmLp, solve_lp_warm  # noqa: E402
+from test_model import NOT_ELIGIBLE  # noqa: E402
 
 
 def _ones(rng):
@@ -74,6 +80,18 @@ def _inconsistent_rows(state):
 
 # each makes a sound WarmLp of max 2x + y, x + y <= 3, x, y in [0, 2] wrong
 TAMPERED = (_flip_reduced_cost, _shift_value, _inconsistent_rows)
+
+# max 3a + b + 2d over a 2 x 2 transport with unit totals and boxes [0, 1],
+# whose optimum is ((1, 0), (0, 1)) worth 5; each wrong result breaks one
+# check of the transport certificate
+TRANSPORT = TransportProblem.make([1, 1], [1, 1], [[0, 0], [0, 0]], [[1, 1], [1, 1]], [[3, 1], [0, 2]])
+WRONG_FLOWS = (
+    TransportResult(((2, -1), (-1, 2)), 5),  # leaves the boxes
+    TransportResult(((1, 1), (0, 0)), 4),  # misses the row totals
+    TransportResult(((1, 0), (1, 0)), 3),  # misses the column totals
+    TransportResult(((1, 0), (0, 1)), 6),  # objective overstated
+    TransportResult(((0, 1), (1, 0)), 1),  # feasible but worse: a negative residual cycle
+)
 
 # LpProblem constructor arguments, each with one entry that is not an int
 UNTYPED = (([1.5], [], [0], [1]),)
@@ -134,6 +152,14 @@ def main() -> int:
             print(f"{tamper.__name__}: {why}")
             return 1
     print("audits", len(TAMPERED))
+    for res in WRONG_FLOWS:
+        try:
+            _transport_duals(TRANSPORT, res)
+        except InternalInconsistencyError:
+            continue
+        print(f"transport certificate accepted {res!r}")
+        return 1
+    print("transports", len(WRONG_FLOWS))
     for args in UNTYPED:
         try:
             got = LpProblem(*args)
@@ -156,13 +182,14 @@ def test_whole_battery_under_python_O():
     assert out.returncode == 0, out.stdout + out.stderr
     words = out.stdout.split()
     assert words[0::2] == [
-        "ones", "nfold_snf", "fourblock_snf", "refused", "audits", "untyped", "debug"]
+        "ones", "nfold_snf", "fourblock_snf", "refused", "audits", "transports", "untyped", "debug"]
     assert words[-1] == "False"  # the asserts really were stripped
     # each route met both verdicts: feasible optima and proven infeasibility
     assert all(PER_ROUTE // 4 <= int(k) < PER_ROUTE for k in words[1:6:2]), words
     assert int(words[7]) == len(NOT_ELIGIBLE)
     assert int(words[9]) == len(TAMPERED)
-    assert int(words[11]) == len(UNTYPED)
+    assert int(words[11]) == len(WRONG_FLOWS)
+    assert int(words[13]) == len(UNTYPED)
 
 
 if __name__ == "__main__":

@@ -5,15 +5,20 @@ final result on about 20 generator instances of one benchmark shape (the
 shapes of perfbench/workloads.py, with n capped at 200).  A refactor that
 must keep results bit-identical leaves every pin as it is; a change that
 moves a tie-break on purpose updates the pins and says why.
+
+The all-ones shapes also pin the search path, not only where it ends: the
+number of transports solved and of bound LPs solved (cold solves and warm
+re-solves) over the same instances.  A speed-up that must not change the
+search leaves these counts as they are.
 """
 
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 
-from blockip import fourblock_snf, generators, nfold_snf, ones
-
+from blockip import fourblock_snf, generators, nfold_snf, ones, ratlp
 
 
 def _nfold(rng, i):
@@ -78,3 +83,35 @@ def digest(shape):
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 def test_results_match_the_pinned_digest(shape):
     assert digest(shape) == PINNED[shape]
+
+
+# shape -> (transports solved, bound LPs solved cold, bound LPs re-solved warm)
+PINNED_PATHS = {
+    "ones-transport": (115, 17, 86),
+    "ones-lattice": (594, 15, 1119),
+}
+
+
+def search_path(shape, monkeypatch):
+    """(solve_transport, solve_lp_warm, WarmLp.edited) calls over a shape's instances."""
+    make, count, _ = SHAPES[shape]
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ones, "solve_transport", counted("transport", ones.solve_transport))
+    monkeypatch.setattr(ones, "solve_lp_warm", counted("cold", ones.solve_lp_warm))
+    monkeypatch.setattr(ratlp.WarmLp, "edited", counted("warm", ratlp.WarmLp.edited))
+    rng = random.Random(f"{shape}/digest")
+    for i in range(count):
+        ones.solve_ones(make(rng, i))
+    return calls["transport"], calls["cold"], calls["warm"]
+
+
+@pytest.mark.parametrize("shape", sorted(PINNED_PATHS))
+def test_search_path_matches_the_pinned_counts(shape, monkeypatch):
+    assert search_path(shape, monkeypatch) == PINNED_PATHS[shape]
