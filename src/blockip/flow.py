@@ -48,6 +48,16 @@ from .errors import MalformedProblemError
 from .model import Infeasible
 
 
+def _check_ints(values) -> None:
+    """MalformedProblemError unless every entry of values is an int.
+
+    bool fails too (type(v) is int), the rule LpProblem and model.validate use.
+    """
+    for v in values:
+        if type(v) is not int:
+            raise MalformedProblemError(f"transport data must be ints, not {v!r}")
+
+
 @dataclass(frozen=True)
 class TransportTable:
     """What a transport's cells determine on their own, whatever the totals.
@@ -70,10 +80,13 @@ class TransportTable:
 
     @staticmethod
     def of(n, t, cell_lower, cell_upper, cell_profit) -> "TransportTable":
-        """The table of n x t cell matrices; MalformedProblemError on a bad shape or box."""
+        """The table of n x t cell matrices; MalformedProblemError on a bad
+        shape, an entry that is not an int or an empty box."""
         for m in (cell_lower, cell_upper, cell_profit):
             if len(m) != n or any(len(row) != t for row in m):
                 raise MalformedProblemError("cell matrix shape mismatch")
+            for row in m:
+                _check_ints(row)
         cap = []
         for i, (low, up) in enumerate(zip(cell_lower, cell_upper)):
             for h in range(t):
@@ -110,8 +123,10 @@ class TransportTable:
 class TransportProblem:
     """Capacitated transportation data: n rows to spread over t columns.
 
-    Construction, through make or the dataclass constructor alike, checks
-    the cell shapes and boxes and derives the TransportTable; with_totals
+    Every total and cell entry is an int.  Construction, through make or
+    the dataclass constructor alike, raises MalformedProblemError for any
+    other value, bools, floats and Fractions included, checks the cell
+    shapes and boxes and derives the TransportTable; with_totals checks and
     changes only the totals and shares that table.
     """
 
@@ -123,6 +138,8 @@ class TransportProblem:
     table: TransportTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _check_ints(self.row_totals)
+        _check_ints(self.col_totals)
         object.__setattr__(self, "table", TransportTable.of(
             len(self.row_totals), len(self.col_totals),
             self.cell_lower, self.cell_upper, self.cell_profit,
@@ -143,6 +160,8 @@ class TransportProblem:
         row_totals, col_totals = tuple(row_totals), tuple(col_totals)
         if len(row_totals) != len(self.row_totals) or len(col_totals) != len(self.col_totals):
             raise MalformedProblemError("totals vector has the wrong length")
+        _check_ints(row_totals)
+        _check_ints(col_totals)
         # bypasses __post_init__: the table depends on the cells alone
         p = object.__new__(TransportProblem)
         p.__dict__.update(self.__dict__, row_totals=row_totals, col_totals=col_totals)

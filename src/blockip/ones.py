@@ -21,10 +21,10 @@ transports of one search differ only in their totals (b - q, y), so the
 search builds one flow.TransportTable from the bricks' boxes and profits
 (capacities, lower-bound sums, profit orders, presorted pair lists, and
 the out-of-H capacities the blocking cuts read) and derives every
-transport from it with with_totals.  The winning transport was solved once during the search and certified optimal
-there by integral dual prices, again shortest distances over the t_A
-columns, whose dual value equals its objective, so it is neither solved
-nor checked a second time.
+transport from it with with_totals.  The winning transport was solved once
+during the search and certified optimal there by integral dual prices,
+again shortest distances over the t_A columns, whose dual value equals its
+objective, so it is neither solved nor checked a second time.
 """
 
 from __future__ import annotations
@@ -288,7 +288,7 @@ def _optimize_aggregate(inst: FourBlockInstance, form: _LatticeForm):
     finite.
 
     The bound LP is one warm tableau carried from box to box.  Only the root
-    box is solved cold, from the slack start.  Every heap entry holds the
+    box is solved cold, from the row-less start.  Every heap entry holds the
     solved state of the box it came from (the two halves of a split share
     it) and the number of cuts that state already holds; on pop the box's
     edges are edited in, the cuts found since are added as rows, and the
@@ -334,7 +334,7 @@ def _optimize_aggregate(inst: FourBlockInstance, form: _LatticeForm):
     # feasibility cuts coeffs . v <= rhs and optimality cuts t - slope . v <= rhs,
     # each bounded below by its minimum over the root box
     cuts = []
-    cache = {}
+    evaluated = set()  # every lattice point v passed to evaluate_at
     transports = {}  # (q, y) -> (result, duals or blocking pair)
     best = None  # (value, x0, y, cells of the certified transport)
 
@@ -346,9 +346,7 @@ def _optimize_aggregate(inst: FourBlockInstance, form: _LatticeForm):
 
     def evaluate_at(v):
         nonlocal best
-        if v in cache:
-            return
-        cache[v] = None
+        evaluated.add(v)
         xy = [p0[i] + sum(basis[k][i] * v[k] for k in range(f)) for i in range(taw)]
         if any(xy[i] < form.xy_lower[i] or xy[i] > form.xy_upper[i] for i in range(taw)):
             return
@@ -382,7 +380,6 @@ def _optimize_aggregate(inst: FourBlockInstance, form: _LatticeForm):
             ]
             rhs = value - sum(slope[k] * v[k] for k in range(f))
             cuts.append(([-s for s in slope] + [1], t_lo - root_max(slope), rhs))
-            cache[v] = value
             if best is None or value > best[0]:
                 best = (value, x0, y, tr.cells)
             return
@@ -435,7 +432,7 @@ def _optimize_aggregate(inst: FourBlockInstance, form: _LatticeForm):
             lo = max(box_lo[k], min(math.floor(vhat[k]), box_hi[k]))
             hi = max(box_lo[k], min(math.ceil(vhat[k]), box_hi[k]))
             cand_axes.append((lo, hi) if hi != lo else (lo,))
-        fresh = [v for v in itertools.product(*cand_axes) if v not in cache]
+        fresh = [v for v in itertools.product(*cand_axes) if v not in evaluated]
         seq += 1
         if fresh:
             for v in fresh:

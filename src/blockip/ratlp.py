@@ -14,35 +14,32 @@ solvers build from them, are integral, and LpProblem and edited reject any
 other entry.  The tableau is fraction free (Edmonds 1967; Bareiss 1968):
 tableau entries, reduced costs, basic values and the objective value are
 integer numerators over one common denominator D, the absolute value of the
-basis determinant; it is 1 at the all-slack start.  A pivot on entry T_re turns
-row i into (D' T_i - T_ie T_r) / D with D' = |T_re| and row r multiplied by
-the sign of T_re, and the division is exact because every entry is a minor
-of the constraint matrix.  Bounds stay plain integers.  The dual ratio test
-cross-multiplies instead of dividing, so every choice is the one the same
-method makes over fractions.Fraction, and so is every point.  The optimum
-of an integer LP is still rational, so the point and the value are returned
-as Fractions over D.
+basis determinant; it is 1 at the row-less start.  A pivot on entry T_re
+turns row i into (D' T_i - T_ie T_r) / D with D' = |T_re| and row r
+multiplied by the sign of T_re, and the division is exact because every
+entry is a minor of the constraint matrix.  Bounds stay plain integers.
+The dual ratio test cross-multiplies instead of dividing, so every choice
+is the one the same method makes over fractions.Fraction, and so is every
+point.  The optimum of an integer LP is still rational, so the point and
+the value are returned as Fractions over D.
 
-One cold start.  An LpProblem has ranged rows lo <= a . x <= hi (an
-equality row has lo = hi).  solve_lp_warm gives each row its own bounded
-slack and starts from the all-slack basis with every structural at the
-bound its cost prefers.  That basis is dual feasible by construction, so the
-dual simplex alone reaches the optimum: no artificials, no phase 1.  Every
-column is boxed, so no LP is unbounded.
-
-The warm path is WarmLp, the optimal tableau of a solve.
-WarmLp.edited changes structural boxes and adds ranged rows, then re-solves
-from the old basis with the same dual simplex.  Every column is boxed, so
-any basis is dual feasible once each nonbasic column sits at the bound its
-reduced cost prefers (the boxed-variable start of Koberstein, The Dual
-Simplex Method, 2005): a box edit puts a nonbasic column there (set_box),
-and a new row enters with its slack basic after the basic columns are
-substituted out of it, which changes neither a reduced cost nor D.  A dual
-simplex pass then restores primal feasibility in a few pivots instead of a
-cold solve.  Branch and bound leans on the box edits (WarmLp.reoptimized:
-each child differs from its parent by one tightened bound); the all-ones
-aggregate search leans on both, carrying one tableau from box to box and
-adding each new cut as a row.
+One tableau, one way in.  An LpProblem has ranged rows lo <= a . x <= hi
+(an equality row has lo = hi) and boxed columns, so no LP is unbounded.
+WarmLp is the tableau: the structurals, then one bounded slack per row.  It
+starts with no row, each structural at the bound its cost prefers, which is
+optimal for the box alone.  A row enters with its slack basic after the
+basic columns are substituted out of it (add_row), which changes neither a
+reduced cost nor D, and a box edit moves a nonbasic column to the bound its
+reduced cost prefers (set_box).  Every reduced cost keeps its optimal sign
+(the boxed-variable start of Koberstein, The Dual Simplex Method, 2005), so
+the dual simplex alone restores primal feasibility: no artificials, no
+phase 1.  solve_lp_warm adds a program's rows to the row-less start;
+WarmLp.edited sets boxes and adds rows on a copy of a solved tableau, so a
+re-solve takes a few pivots instead of a cold solve.  Branch and bound
+leans on the box edits (WarmLp.reoptimized: each child differs from its
+parent by one tightened bound); the all-ones aggregate search leans on
+both, carrying one tableau from box to box and adding each new cut as a
+row.
 
 Every Optimal result is audited in integers with explicit raises, so the
 audits still run under python -O: the point meets every row and box and its
@@ -74,9 +71,12 @@ def _check_ints(values) -> None:
             raise MalformedProblemError(f"LP data must be ints, not {v!r}")
 
 
-def _check_rows(rows) -> None:
-    """_check_ints over every entry of the ranged rows (coefficients, lo, hi)."""
+def _check_rows(rows, n) -> None:
+    """MalformedProblemError unless every ranged row (coefficients, lo, hi)
+    has width n and only int entries."""
     for coeffs, lo, hi in rows:
+        if len(coeffs) != n:
+            raise MalformedProblemError("row has wrong width")
         _check_ints(coeffs)
         _check_ints((lo, hi))
 
@@ -93,10 +93,11 @@ class LpProblem:
     rows holds one (coefficients, lo, hi) per row; an equality row has
     lo = hi.  Every entry is an int: construction, through make or the
     dataclass constructor alike, raises MalformedProblemError for any other
-    value, bools, floats and Fractions included.  make stores lists, not
-    tuples: the solvers build and drop many small programs, and lists of
-    their widths do not pile up in CPython's per-size tuple free lists.
-    Treat the fields as read-only.
+    value, bools, floats and Fractions included, and for a row of the wrong
+    width, a box vector of the wrong length or an empty box.  make stores
+    lists, not tuples: the solvers build and drop many small programs, and
+    lists of their widths do not pile up in CPython's per-size tuple free
+    lists.  Treat the fields as read-only.
     """
 
     objective: list
@@ -105,10 +106,16 @@ class LpProblem:
     upper: list
 
     def __post_init__(self):
+        n = len(self.objective)
         _check_ints(self.objective)
-        _check_rows(self.rows)
+        _check_rows(self.rows, n)
         _check_ints(self.lower)
         _check_ints(self.upper)
+        if len(self.lower) != n or len(self.upper) != n:
+            raise MalformedProblemError("objective and bounds disagree on variable count")
+        for j in range(n):
+            if self.lower[j] > self.upper[j]:
+                raise MalformedProblemError(f"lower[{j}] > upper[{j}]")
 
     @staticmethod
     def make(objective, rows, lower, upper) -> "LpProblem":
@@ -123,76 +130,109 @@ class LpResult:
     nodes: int | None = None  # filled by the branch-and-bound wrapper
 
 
-def _validate(p: LpProblem) -> None:
-    n = len(p.objective)
-    if len(p.lower) != n or len(p.upper) != n:
-        raise MalformedProblemError("objective and bounds disagree on variable count")
-    for j in range(n):
-        if p.lower[j] > p.upper[j]:
-            raise MalformedProblemError(f"lower[{j}] > upper[{j}]")
-
-
-def _ranged(rows, n):
-    """Ranged rows (coefficients, lo, hi) of width n as (support, lo, hi),
-    where support lists the (column, coefficient) pairs with a nonzero
+def _ranged(rows):
+    """Ranged rows (coefficients, lo, hi) as (support, lo, hi), where
+    support lists the (column, coefficient) pairs with a nonzero
     coefficient."""
-    out = []
-    for coeffs, lo, hi in rows:
-        if len(coeffs) != n:
-            raise MalformedProblemError("row has wrong width")
-        out.append(([(j, a) for j, a in enumerate(coeffs) if a], lo, hi))
-    return out
+    return [([(j, a) for j, a in enumerate(coeffs) if a], lo, hi) for coeffs, lo, hi in rows]
 
 
-class _Simplex:
-    """Tableau state over all variables: the structurals, then one slack
-    column per ranged row, all in integers.
+class WarmLp:
+    """The dual simplex tableau of one LP, with the program it solves.
 
-    T holds one dict per row mapping column index to a nonzero numerator
-    over D; the basic column of row r reads D there.  d holds the reduced
-    costs and z the objective value as numerators over D.  lower and upper
-    are the integer boxes.  A nonbasic column sits at the bound where names
-    ("L" or "U"), so only basic values are stored: beta[r] is the value of
-    basis[r] as a numerator over D.
+    objective holds the structural costs and rows the ranged rows, each as
+    (support, lo, hi), meaning lo <= a . x <= hi over the nonzero
+    coefficients in support; the audits read both.  The tableau runs over
+    all variables: the structurals, then one slack column per row, all in
+    integers.  T holds one dict per row mapping column index to a nonzero
+    numerator over D; the basic column of row r reads D there.  d holds the
+    reduced costs and z the objective value as numerators over D.  lower
+    and upper are the integer boxes.  A nonbasic column sits at the bound
+    where names ("L" or "U"), so only basic values are stored: beta[r] is
+    the value of basis[r] as a numerator over D.
+
+    A WarmLp returned by solve_lp_warm or edited is optimal and never
+    mutated again: edited re-solves a copy and returns it, so re-solves
+    chain and several successors (both children of a branch step, both
+    halves of a split box) can reuse one parent state.
     """
 
     @staticmethod
-    def slack_start(objective, rows, lower, upper) -> "_Simplex":
-        """All-slack basis of ranged rows (support, lo, hi), dual feasible.
+    def _row_less(objective, lower, upper) -> "WarmLp":
+        """The optimal tableau of max objective . x over the box alone.
 
-        The costs and the boxes lower, upper are ints.  Row r reads
-        s_r - a_r . x = 0 with its slack s_r boxed to [lo, hi].  Each
-        structural sits at the bound its cost prefers (the lower one at cost
-        zero), so every reduced cost has the optimal sign already.
+        D = 1, and each structural sits at the bound its cost prefers (the
+        lower one at cost zero), so every reduced cost has the optimal
+        sign.  Rows enter through add_row.
         """
-        s = object.__new__(_Simplex)
-        n, m = len(objective), len(rows)
-        s.ns, s.m, s.nv = n, m, n + m
+        s = object.__new__(WarmLp)
+        n = len(objective)
+        s.objective, s.rows = objective, []
+        s.ns, s.m, s.nv = n, 0, n
         s.D = 1
-        s.where = ["U" if c > 0 else "L" for c in objective] + ["B"] * m
-        x = [upper[j] if c > 0 else lower[j] for j, c in enumerate(objective)]
-        s.lower = list(lower) + [lo for _, lo, _ in rows]
-        s.upper = list(upper) + [hi for _, _, hi in rows]
-        s.T = []
-        s.beta = []
-        for r, (support, _, _) in enumerate(rows):
-            trow = {j: -a for j, a in support}
-            trow[n + r] = 1
-            s.T.append(trow)
-            s.beta.append(sum(a * x[j] for j, a in support))
-        s.basis = list(range(n, n + m))
-        s.d = list(objective) + [0] * m
-        s.z = sum(c * x[j] for j, c in enumerate(objective) if c)
+        s.where = ["U" if c > 0 else "L" for c in objective]
+        s.lower = list(lower)
+        s.upper = list(upper)
+        s.T, s.beta, s.basis = [], [], []
+        s.d = list(objective)
+        s.z = sum(c * (upper[j] if c > 0 else lower[j]) for j, c in enumerate(objective) if c)
         return s
+
+    def bounds(self, j: int):
+        """Current (lower, upper) box of structural variable j, as ints."""
+        return self.lower[j], self.upper[j]
+
+    def edited(self, boxes=(), rows=()):
+        """Re-solve with boxes (j, lower, upper) set and rows (coeffs, lo, hi) added.
+
+        Each added row reads lo <= coeffs . x <= hi over the structurals.  An
+        empty box or range makes the result Infeasible; a box index that is
+        not an int naming a structural column, a row of the wrong width or
+        an entry that is not an int raises MalformedProblemError.  Returns
+        (LpResult, WarmLp or None); the state is None exactly when the
+        result is not Optimal.
+        """
+        boxes = list(boxes)
+        for j, lo, hi in boxes:
+            _check_ints((lo, hi))
+            if type(j) is not int or not 0 <= j < self.ns:
+                raise MalformedProblemError(f"box index {j!r} names no structural column")
+        rows = _row_lists(rows)
+        _check_rows(rows, self.ns)
+        if any(lo > hi for _, lo, hi in boxes) or any(lo > hi for _, lo, hi in rows):
+            return LpResult(INFEASIBLE), None
+        return self._copy()._solved(boxes, _ranged(rows))
+
+    def reoptimized(self, j: int, new_lower, new_upper):
+        """Re-solve with variable j's box set to [new_lower, new_upper].
+
+        Returns (LpResult, WarmLp or None).  The state is None exactly when
+        the result is not Optimal.
+        """
+        return self.edited(boxes=((j, new_lower, new_upper),))
+
+    def _solved(self, boxes, rows):
+        """Set boxes (j, lo, hi), add rows (support, lo, hi), then run the
+        dual simplex and the audits, all in place; (LpResult, self or None)."""
+        for j, lo, hi in boxes:
+            self.set_box(j, lo, hi)
+        if rows:
+            row_of = {col: r for r, col in enumerate(self.basis) if col < self.ns}
+            for support, lo, hi in rows:
+                self.add_row(support, lo, hi, row_of)
+        if not self.dual_iterate():
+            return LpResult(INFEASIBLE), None
+        return _extract(self), self
 
     def set_box(self, j: int, lo: int, hi: int) -> None:
         """Replace column j's box with [lo, hi], keeping the basis dual
         feasible.
 
-        A nonbasic j moves to the bound its reduced cost prefers, as in
-        slack_start: the upper one when d_j > 0, the lower one when d_j < 0.
-        With d_j = 0, or a point box lo = hi, it stays on its side.  A basic
-        j keeps its value; the dual simplex repairs a value left outside.
+        A nonbasic j moves to the bound its reduced cost prefers, as at the
+        row-less start: the upper one when d_j > 0, the lower one when
+        d_j < 0.  With d_j = 0, or a point box lo = hi, it stays on its side.
+        A basic j keeps its value; the dual simplex repairs a value left
+        outside.
         """
         side = self.where[j]
         was = self.lower[j] if side == "L" else self.upper[j]
@@ -210,7 +250,7 @@ class _Simplex:
         row_of maps each basic structural column to its tableau row; those
         columns are substituted out so the new row holds nonbasics only.
         The slack's column is a unit column, so D stays; the slack has cost
-        zero, so no reduced cost changes.
+        zero, so no reduced cost changes.  The row joins rows for the audits.
         """
         D, T, beta, lower, upper, where = self.D, self.T, self.beta, self.lower, self.upper, self.where
         col = self.nv
@@ -230,6 +270,7 @@ class _Simplex:
                     trow[k] = v
                 else:
                     trow.pop(k, None)
+        self.rows.append((support, lo, hi))
         T.append(trow)
         beta.append(value)
         self.basis.append(col)
@@ -240,8 +281,9 @@ class _Simplex:
         self.m += 1
         self.nv += 1
 
-    def _copy(self) -> "_Simplex":
-        s = object.__new__(_Simplex)
+    def _copy(self) -> "WarmLp":
+        s = object.__new__(WarmLp)
+        s.objective, s.rows = self.objective, self.rows[:]
         s.ns, s.m, s.nv = self.ns, self.m, self.nv
         s.D = self.D
         s.lower = self.lower[:]
@@ -397,8 +439,8 @@ class _Simplex:
             where[leaving] = "L" if not to_upper else "U"
 
 
-def _extract(s: _Simplex, objective, rows) -> LpResult:
-    """The audited optimum of s; objective and rows are the program it solves."""
+def _extract(s: WarmLp) -> LpResult:
+    """The audited optimum of the tableau s, checked against its own program."""
     n, D = s.ns, s.D
     lower, upper, where = s.lower, s.upper, s.where
     # every structural's value as a numerator over D
@@ -408,11 +450,11 @@ def _extract(s: _Simplex, objective, rows) -> LpResult:
             x[j] = s.beta[r]
     # exactness audit: the reported optimum is the objective at the point,
     # the point meets every row's range exactly and sits inside the live box
-    check = sum(c * x[j] for j, c in enumerate(objective) if c)
+    check = sum(c * x[j] for j, c in enumerate(s.objective) if c)
     if check != s.z:
         raise InternalInconsistencyError(
             f"objective at the point {Fraction(check, D)} != tableau value {Fraction(s.z, D)}")
-    for r, (support, lo, hi) in enumerate(rows):
+    for r, (support, lo, hi) in enumerate(s.rows):
         ax = sum(a * x[j] for j, a in support)
         if not lo * D <= ax <= hi * D:
             raise InternalInconsistencyError(f"row {r} reads {Fraction(ax, D)}, outside [{lo}, {hi}]")
@@ -429,89 +471,17 @@ def _extract(s: _Simplex, objective, rows) -> LpResult:
     return LpResult(OPTIMAL, tuple(Fraction(v, D) for v in x), Fraction(s.z, D))
 
 
-def _finish(s: _Simplex, objective, rows):
-    """The dual simplex, then the audits; (LpResult, WarmLp or None)."""
-    if not s.dual_iterate():
-        return LpResult(INFEASIBLE), None
-    return _extract(s, objective, rows), WarmLp(objective, rows, s)
-
-
-class WarmLp:
-    """A solved tableau that supports exact re-optimization after edits.
-
-    Holds the optimal basis of one LP together with its objective and its
-    rows, each as (support, lo, hi), meaning lo <= a . x <= hi over the
-    nonzero coefficients in support (an equality row has lo = hi).  edited()
-    produces the result for the same program with structural boxes replaced
-    and ranged rows added, starting the dual simplex from this basis, and
-    returns a fresh WarmLp so re-solves chain.  The receiver itself is never
-    mutated, so several successors (both children of a branch step, both
-    halves of a split box) can reuse one parent state.
-    """
-
-    def __init__(self, objective, rows, simplex: _Simplex):
-        self._objective = objective
-        self._rows = rows
-        self._simplex = simplex
-
-    def bounds(self, j: int):
-        """Current (lower, upper) box of structural variable j, as ints."""
-        s = self._simplex
-        return s.lower[j], s.upper[j]
-
-    def edited(self, boxes=(), rows=()):
-        """Re-solve with boxes (j, lower, upper) set and rows (coeffs, lo, hi) added.
-
-        Each added row reads lo <= coeffs . x <= hi over the structurals.  An
-        empty box or range makes the result Infeasible; a box index that
-        names no structural column, a row of the wrong width or an entry
-        that is not an int raises MalformedProblemError.  Returns
-        (LpResult, WarmLp or None); the state is None exactly when the
-        result is not Optimal.
-        """
-        s = self._simplex
-        boxes = list(boxes)
-        for j, lo, hi in boxes:
-            _check_ints((lo, hi))
-            if j not in range(s.ns):
-                raise MalformedProblemError(f"box index {j!r} names no structural column")
-        rows = _row_lists(rows)
-        _check_rows(rows)
-        rows = _ranged(rows, s.ns)
-        if any(lo > hi for _, lo, hi in boxes) or any(lo > hi for _, lo, hi in rows):
-            return LpResult(INFEASIBLE), None
-        s = s._copy()
-        for j, lo, hi in boxes:
-            s.set_box(j, lo, hi)
-        if rows:
-            row_of = {col: r for r, col in enumerate(s.basis) if col < s.ns}
-            for support, lo, hi in rows:
-                s.add_row(support, lo, hi, row_of)
-        return _finish(s, self._objective, self._rows + rows if rows else self._rows)
-
-    def reoptimized(self, j: int, new_lower, new_upper):
-        """Re-solve with variable j's box set to [new_lower, new_upper].
-
-        Returns (LpResult, WarmLp or None).  The state is None exactly when
-        the result is not Optimal.
-        """
-        return self.edited(boxes=((j, new_lower, new_upper),))
-
-
 def solve_lp_warm(p: LpProblem):
     """Exact optimum of p, and a WarmLp for re-solves after edits.
 
-    Solved by the dual simplex from the all-slack basis.  A row with an
-    empty range makes the result Infeasible; shape errors and an empty
-    structural box raise MalformedProblemError.  Returns (LpResult, WarmLp
-    or None); the state is None exactly when the result is not Optimal.
+    p's rows are added to the row-less tableau of its box, as edited adds
+    rows, and the dual simplex runs from there.  A row with an empty range
+    makes the result Infeasible.  Returns (LpResult, WarmLp or None); the
+    state is None exactly when the result is not Optimal.
     """
-    _validate(p)
-    rows = _ranged(p.rows, len(p.objective))
-    if any(lo > hi for _, lo, hi in rows):
+    if any(lo > hi for _, lo, hi in p.rows):
         return LpResult(INFEASIBLE), None
-    s = _Simplex.slack_start(p.objective, rows, p.lower, p.upper)
-    return _finish(s, p.objective, rows)
+    return WarmLp._row_less(p.objective, p.lower, p.upper)._solved((), _ranged(p.rows))
 
 
 def solve_lp(p: LpProblem) -> LpResult:

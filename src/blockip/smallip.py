@@ -6,7 +6,7 @@ primal feasibility and for the sign of every reduced cost, so best-bound
 search with integer feasibility checks is a complete and exact method.
 Child nodes differ from their parent by one tightened bound, which keeps
 the parent's basis dual feasible, so they re-solve warm from it with a few
-dual pivots; only the root is solved cold, from the slack start.
+dual pivots; only the root is solved cold, from the row-less start.
 Intended for the small auxiliary programs the structured solvers generate
 (a handful of variables, narrow boxes), not as a general purpose MIP engine.
 """

@@ -319,6 +319,16 @@ class WarmLp:
         self._rows = rows
         self._simplex = simplex
 
+    @property
+    def basis(self):
+        """The basic column of each row, as blockip.ratlp.WarmLp.basis."""
+        return self._simplex.basis
+
+    @property
+    def where(self):
+        """Each column's side ("B", "L" or "U"), as blockip.ratlp.WarmLp.where."""
+        return self._simplex.where
+
     def bounds(self, j: int):
         """Current (lower, upper) box of structural variable j."""
         return self._simplex.lower[j], self._simplex.upper[j]

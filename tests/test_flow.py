@@ -1,6 +1,7 @@
 import itertools
 import random
 from collections import Counter
+from fractions import Fraction
 
 import flow_reference
 import pytest
@@ -182,6 +183,26 @@ def test_lower_bounds_exceeding_totals_infeasible():
 def test_empty_cell_box_rejected():
     with pytest.raises(MalformedProblemError):
         TransportProblem.make([1], [1], [[2]], [[1]], [[0]])
+
+
+@pytest.mark.parametrize("bad", [1.0, Fraction(1), True], ids=["float", "Fraction", "bool"])
+@pytest.mark.parametrize("place", ["row total", "column total", "cell lower", "cell upper", "cell profit"])
+def test_entries_must_be_ints(place, bad):
+    # a 1 x 1 transport of one unit, cell box [0, 2] and profit 1, with bad
+    # put in place; bad equals 1, a valid value in every place, so only its
+    # type is wrong
+    args = {"row total": [1], "column total": [1], "cell lower": [[0]], "cell upper": [[2]],
+            "cell profit": [[1]]}
+    good = TransportProblem.make(*args.values())
+    assert solve_transport(good).objective == 1
+    args[place] = [bad] if place.endswith("total") else [[bad]]
+    with pytest.raises(MalformedProblemError):
+        TransportProblem.make(*args.values())
+    with pytest.raises(MalformedProblemError):
+        TransportProblem(*args.values())
+    if place.endswith("total"):  # with_totals checks the totals it is given
+        with pytest.raises(MalformedProblemError):
+            good.with_totals(args["row total"], args["column total"])
 
 
 def test_random_battery_against_enumeration():

@@ -400,10 +400,10 @@ def test_one_flow_per_transport_and_no_lp_over_the_bricks(monkeypatch):
 
 
 def test_aggregate_search_makes_no_cold_two_phase_solve(monkeypatch):
-    # the bound LP is one warm tableau: one slack start per search, then
+    # the bound LP is one warm tableau: one row-less start per search, then
     # only warm re-solves that add cuts as rows and edit the box
-    calls = {"solve_lp": 0, "slack_start": 0, "edited": 0}
-    real_start, real_edited = ratlp._Simplex.slack_start, ratlp.WarmLp.edited
+    calls = {"solve_lp": 0, "row_less": 0, "edited": 0}
+    real_start, real_edited = ratlp.WarmLp._row_less, ratlp.WarmLp.edited
 
     def count(name, real):
         def spy(*args, **kwargs):
@@ -412,7 +412,7 @@ def test_aggregate_search_makes_no_cold_two_phase_solve(monkeypatch):
         return spy
 
     monkeypatch.setattr(ones, "solve_lp", count("solve_lp", ones.solve_lp))
-    monkeypatch.setattr(ratlp._Simplex, "slack_start", staticmethod(count("slack_start", real_start)))
+    monkeypatch.setattr(ratlp.WarmLp, "_row_less", staticmethod(count("row_less", real_start)))
     monkeypatch.setattr(ratlp.WarmLp, "edited", count("edited", real_edited))
     rng = random.Random(9116)
     searched = 0
@@ -425,7 +425,7 @@ def test_aggregate_search_makes_no_cold_two_phase_solve(monkeypatch):
             calls[k] = 0
         solve_ones(inst)
         assert calls["solve_lp"] == 0, (trial,)
-        assert calls["slack_start"] <= 1, (trial,)  # more would be a second cold solve
+        assert calls["row_less"] <= 1, (trial,)  # more would be a second cold solve
         searched += calls["edited"] > 0
     assert searched >= 10
 

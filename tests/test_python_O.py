@@ -8,8 +8,8 @@ comparisons, checks that each route still refuses with NotEligibleError
 what it cannot take (test_model.NOT_ELIGIBLE), and checks that a tampered
 LP tableau still raises InternalInconsistencyError (TAMPERED), that the
 transport certificate rejects each wrong flow (WRONG_FLOWS), and that an
-LpProblem built directly with a non-int entry raises MalformedProblemError
-(UNTYPED), exiting nonzero on the first mismatch.
+LpProblem or a TransportProblem built directly with a non-int entry raises
+MalformedProblemError (UNTYPED), exiting nonzero on the first mismatch.
 
 Run directly: ``python -O tests/test_python_O.py`` (it puts ``src`` on the
 path itself, so no install is needed).
@@ -32,7 +32,7 @@ from blockip.model import Infeasible, Solution, StructureClass, classify, evalua
 from blockip.nfold_snf import solve_nfold_snf  # noqa: E402
 from blockip.ones import _transport_duals, solve_ones  # noqa: E402
 from blockip.oracle import OracleBudget, enumerate_optimum  # noqa: E402
-from blockip.ratlp import OPTIMAL, LpProblem, WarmLp, solve_lp_warm  # noqa: E402
+from blockip.ratlp import OPTIMAL, LpProblem, solve_lp_warm  # noqa: E402
 from test_model import NOT_ELIGIBLE  # noqa: E402
 
 
@@ -63,19 +63,19 @@ PER_ROUTE = 100
 
 def _flip_reduced_cost(state):
     # x sits at its upper bound with reduced cost 1 (a numerator over D)
-    state._simplex.d[0] = -state._simplex.d[0]
+    state.d[0] = -state.d[0]
     return state
 
 
 def _shift_value(state):
-    s = state._simplex
-    s.z += s.D  # z is a numerator over D: the value + 1
+    state.z += state.D  # z is a numerator over D: the value + 1
     return state
 
 
 def _inconsistent_rows(state):
     # the row x = 0 in sparse form (support, lo, hi); x = 2 is optimal
-    return WarmLp(state._objective, [([(0, 1)], 0, 0)], state._simplex)
+    state.rows = [([(0, 1)], 0, 0)]
+    return state
 
 
 # each makes a sound WarmLp of max 2x + y, x + y <= 3, x, y in [0, 2] wrong
@@ -93,8 +93,11 @@ WRONG_FLOWS = (
     TransportResult(((0, 1), (1, 0)), 1),  # feasible but worse: a negative residual cycle
 )
 
-# LpProblem constructor arguments, each with one entry that is not an int
-UNTYPED = (([1.5], [], [0], [1]),)
+# (constructor, arguments), each with entries that are not ints
+UNTYPED = (
+    (LpProblem, ([1.5], [], [0], [1])),
+    (TransportProblem, ((1.5,), (1.5,), ((0,),), ((2,),), ((0.5,),))),
+)
 
 
 def tampered_audit(tamper):
@@ -160,12 +163,12 @@ def main() -> int:
         print(f"transport certificate accepted {res!r}")
         return 1
     print("transports", len(WRONG_FLOWS))
-    for args in UNTYPED:
+    for make, args in UNTYPED:
         try:
-            got = LpProblem(*args)
+            got = make(*args)
         except MalformedProblemError:
             continue
-        print(f"LpProblem{args}: built {got!r}")
+        print(f"{make.__name__}{args}: built {got!r}")
         return 1
     print("untyped", len(UNTYPED))
     print("debug", __debug__)

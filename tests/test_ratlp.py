@@ -12,7 +12,6 @@ from blockip.ratlp import (
     OPTIMAL,
     LpProblem,
     LpResult,
-    WarmLp,
     solve_lp,
     solve_lp_warm,
 )
@@ -326,8 +325,32 @@ def test_slack_start_matches_cold_solves_and_chains():
     assert checked >= 400 and infeasible >= 100
 
 
+def test_rows_added_to_a_row_less_solve_match_the_cold_solve():
+    # a row enters the tableau one way: edited adding rows to the solve of
+    # the box alone must end exactly where the cold solve of the whole
+    # program does, on the same result, basis and sides
+    rng = random.Random(505)
+    statuses = {OPTIMAL: 0, INFEASIBLE: 0}
+    for trial in range(300):
+        p = random_lp(rng, feasible=trial % 3 != 0)
+        if trial % 5 == 0:  # ranged rows too, now and then with an empty range
+            rows = [random_row(rng, len(p.objective), p.lower) for _ in range(rng.randint(1, 3))]
+            p = LpProblem.make(p.objective, rows, p.lower, p.upper)
+        bare, state = solve_lp_warm(LpProblem.make(p.objective, [], p.lower, p.upper))
+        assert bare.status == OPTIMAL and state.basis == []
+        got, warm = state.edited(rows=p.rows)
+        want, cold = solve_lp_warm(p)
+        assert got == want
+        statuses[got.status] += 1
+        if got.status == OPTIMAL:
+            assert warm.basis == cold.basis and warm.where == cold.where
+        else:
+            assert warm is None and cold is None
+    assert statuses[OPTIMAL] >= 100 and statuses[INFEASIBLE] >= 50
+
+
 def reduced_cost(s, j):
-    """Column j's reduced cost in the tableau s, a numerator over D."""
+    """Column j's reduced cost in the tableau s, as a Fraction."""
     return Fraction(s.d[j], s.D)
 
 
@@ -338,36 +361,35 @@ def test_unfixed_column_moves_to_the_bound_its_reduced_cost_prefers():
     p = LpProblem.make([1, 2], [([1, 1], 0, 1)], [1, 0], [1, 1])
     res, state = solve_lp_warm(p)
     assert res.status == OPTIMAL and res.point == (1, 0) and res.value == 1
-    s = state._simplex
-    assert s.where[0] == "U" and reduced_cost(s, 0) == -1
+    assert state.where[0] == "U" and reduced_cost(state, 0) == -1
     res, nxt = state.reoptimized(0, 0, 1)
     cold = solve_lp(with_box(p, 0, 0, 1))
     assert res == cold and res.point == (0, 1) and res.value == 2
-    assert nxt._simplex.where[0] == "L"
+    assert nxt.where[0] == "L"
 
 
 def test_dual_sign_audit_rejects_a_tampered_reduced_cost():
     # y enters on the row; x stays at its upper bound with reduced cost 1
     res, state = solve_lp_warm(LpProblem.make([2, 1], [([1, 1], 0, 3)], [0, 0], [2, 2]))
     assert res.status == OPTIMAL and res.value == 5
-    s = state._simplex
-    assert s.where[0] == "U" and reduced_cost(s, 0) == 1 and s.lower[0] != s.upper[0]
+    assert state.where[0] == "U" and reduced_cost(state, 0) == 1 and state.lower[0] != state.upper[0]
     assert state.edited()[0] == res
-    s.d[0] = -s.d[0]  # the numerator over D: the sign flips, nothing else
+    state.d[0] = -state.d[0]  # the numerator over D: the sign flips, nothing else
     with pytest.raises(InternalInconsistencyError):
         state.edited()
 
 
 def test_warm_audit_rejects_an_inconsistent_tableau():
-    res, state = solve_lp_warm(LpProblem.make([1, 1], [([1, 1], 0, 3)], [0, 0], [2, 2]))
+    p = LpProblem.make([1, 1], [([1, 1], 0, 3)], [0, 0], [2, 2])
+    res, state = solve_lp_warm(p)
     assert res.status == OPTIMAL and res.value == 3
     # rows in the tableau's sparse form (support, lo, hi): x = 0, which the
     # optimum (1, 2) breaks
-    tampered = WarmLp(state._objective, [([(0, 1)], 0, 0)], state._simplex)
+    state.rows = [([(0, 1)], 0, 0)]
     with pytest.raises(InternalInconsistencyError):
-        tampered.edited()
-    s = state._simplex
-    s.z += s.D  # z is a numerator over D: the value + 1
+        state.edited()
+    _, state = solve_lp_warm(p)
+    state.z += state.D  # z is a numerator over D: the value + 1
     with pytest.raises(InternalInconsistencyError):
         state.edited()
 
@@ -387,7 +409,8 @@ def test_box_edits_checked_for_index():
     # row's slack, -1 would wrap to it, 7 is past every column
     res, state = solve_lp_warm(LpProblem.make([1, 1], [([1, 1], 0, 10)], [0, 0], [5, 5]))
     assert res.status == OPTIMAL and res.value == 10
-    for box in ((2, 5, 5), (-1, 0, 0), (7, 0, 0)):
+    # 1.0 and True equal the column index 1 but are not ints
+    for box in ((2, 5, 5), (-1, 0, 0), (7, 0, 0), (1.0, 0, 1), (True, 0, 1)):
         with pytest.raises(MalformedProblemError):
             state.edited(boxes=[box])
     assert state.edited(boxes=[(1, 0, 0)])[0].value == 5

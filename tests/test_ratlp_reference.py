@@ -31,8 +31,7 @@ def assert_same(got, want):
         assert state is None and ref_state is None
         return
     assert type(res.value) is Fraction
-    s, t = state._simplex, ref_state._simplex
-    assert s.basis == t.basis and s.where == t.where
+    assert state.basis == ref_state.basis and state.where == ref_state.where
 
 
 def both_cold(p):
