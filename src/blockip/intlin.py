@@ -1,9 +1,10 @@
 """Integer linear algebra: the one home of Smith forms and integer lattices.
 
 Everything here is exact over Python ints.  The Smith form is computed by
-gcd-driven row/column elimination with a deterministic pivot rule, so equal
-inputs always give byte-equal decompositions.  No other module reads a
-decomposition's U, S, V or rank.  The toolkit: extended_gcd;
+one elimination step, a 2x2 unimodular transform (a subtraction or a Bezout
+step) that rows and columns share, under a deterministic pivot rule, so
+equal inputs always give byte-equal decompositions.  No other module reads
+a decomposition's U, S, V or rank.  The toolkit: extended_gcd;
 smith_normal_form, integer_rank and brick_form (the Smith routes'
 eligibility rule); particular_solutions and kernel_basis, the integer
 solutions of A x = r for A of any rank; reduce_basis, an integral LLL;
@@ -74,148 +75,89 @@ class SnfDecomposition:
         return tuple(self.S.at(i, i) for i in range(k))
 
 
-def _pivot_position(M, k, nr, nc):
-    """Smallest nonzero |entry| in the trailing submatrix, row-then-col tie-break."""
-    best = None
-    best_pos = None
-    for i in range(k, nr):
-        Mi = M[i]
-        for j in range(k, nc):
-            v = Mi[j]
-            if v != 0:
-                a = -v if v < 0 else v
-                if best is None or a < best:
-                    best = a
-                    best_pos = (i, j)
-                    if a == 1:
-                        return best_pos
-    return best_pos
+def _eliminate(X, a, b, pivot, target):
+    """Zero the entry b against the pivot a by one 2x2 unimodular step.
+
+    pivot and target are the indices in X of two rows or two columns.  The
+    step subtracts a multiple of the pivot line from the target when a
+    divides b, else it is the Bezout transform, which puts gcd(a, b) on the
+    pivot.
+    """
+    if b % a == 0:
+        q = b // a
+        for u, v in zip(pivot, target):
+            X[v] -= q * X[u]
+        return
+    s = extended_gcd(a, b)
+    p, q = a // s.g, b // s.g
+    for u, v in zip(pivot, target):
+        x, y = X[u], X[v]
+        X[u] = s.x * x + s.y * y
+        X[v] = p * y - q * x
 
 
 def smith_normal_form(A: IntMatrix) -> SnfDecomposition:
     """Smith normal form of a nonzero integer matrix.
 
-    Each elimination step applies one unimodular 2x2 Bezout transform that
-    lands the gcd on the pivot and zeroes the target in a single operation;
-    this keeps pass counts logarithmic and avoids the entry blowup of
-    chained remainder subtractions.
+    Step k moves the row-major first entry of least |value| in the trailing
+    block to (k, k).  It then clears column k by row steps on M and U and
+    row k by column steps on M and V, in turn until both are clear.  Every
+    step is one 2x2 unimodular transform (_eliminate), so the pivot takes
+    the gcd at once rather than through chained remainder subtractions,
+    which blow entries up.  When the pivot fails to divide a trailing
+    entry, that entry's row is folded into row k and step k runs again.
     """
     if A.is_zero():
         raise ZeroMatrixError("Smith form of the zero matrix is not defined here")
     nr, nc = A.rows, A.cols
-    M = A.row_lists()
-    U = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-    V = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
+    # M, U and V row-major in one list, so that a row of the elimination
+    # (row i of M and of U) and a column (column j of M and of V) are each
+    # one sequence of indices
+    oU, oV = nr * nc, nr * nc + nr * nr
+    X = list(A.entries) + [0] * (nr * nr + nc * nc)
+    X[oU:oV:nr + 1] = [1] * nr
+    X[oV::nc + 1] = [1] * nc
+    rows = [(*range(i * nc, i * nc + nc), *range(oU + i * nr, oU + i * nr + nr)) for i in range(nr)]
+    cols = [(*range(j, oU, nc), *range(oV + j, len(X), nc)) for j in range(nc)]
 
-    def swap_rows(i, j):
-        if i != j:
-            M[i], M[j] = M[j], M[i]
-            U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        if i != j:
-            for row in M:
-                row[i], row[j] = row[j], row[i]
-            for row in V:
-                row[i], row[j] = row[j], row[i]
-
-    def clear_in_column(k, i):
-        # zero M[i][k] against pivot M[k][k], leaving gcd on the pivot
-        a, bval = M[k][k], M[i][k]
-        if bval % a == 0:
-            q = bval // a
-            Mk, Mi = M[k], M[i]
-            for j in range(k, nc):
-                Mi[j] -= q * Mk[j]
-            Uk, Ui = U[k], U[i]
-            for j in range(nr):
-                Ui[j] -= q * Uk[j]
-            return
-        s = extended_gcd(a, bval)
-        p, q2 = a // s.g, bval // s.g
-        Mk, Mi = M[k], M[i]
-        for j in range(k, nc):
-            mk, mi = Mk[j], Mi[j]
-            Mk[j] = s.x * mk + s.y * mi
-            Mi[j] = -q2 * mk + p * mi
-        Uk, Ui = U[k], U[i]
-        for j in range(nr):
-            uk, ui = Uk[j], Ui[j]
-            Uk[j] = s.x * uk + s.y * ui
-            Ui[j] = -q2 * uk + p * ui
-
-    def clear_in_row(k, j):
-        # zero M[k][j] against pivot M[k][k], leaving gcd on the pivot
-        a, bval = M[k][k], M[k][j]
-        if bval % a == 0:
-            q = bval // a
-            for row in M:
-                row[j] -= q * row[k]
-            for row in V:
-                row[j] -= q * row[k]
-            return
-        s = extended_gcd(a, bval)
-        p, q2 = a // s.g, bval // s.g
-        for row in M:
-            ck, cj = row[k], row[j]
-            row[k] = s.x * ck + s.y * cj
-            row[j] = -q2 * ck + p * cj
-        for row in V:
-            ck, cj = row[k], row[j]
-            row[k] = s.x * ck + s.y * cj
-            row[j] = -q2 * ck + p * cj
-
-    k = 0
-    limit = min(nr, nc)
+    k, limit = 0, min(nr, nc)
     while k < limit:
-        pos = _pivot_position(M, k, nr, nc)
-        if pos is None:
+        pivot = None
+        for i in range(k, nr):
+            for j in range(k, nc):
+                e = abs(X[i * nc + j])
+                if e and (pivot is None or e < pivot[0]):
+                    pivot = e, i, j
+        if pivot is None:
             break
-        swap_rows(k, pos[0])
-        swap_cols(k, pos[1])
+        _, i, j = pivot
+        for one, other in ((rows[k], rows[i]), (cols[k], cols[j])):
+            if one is not other:
+                for u, v in zip(one, other):
+                    X[u], X[v] = X[v], X[u]
+        p = k * nc + k
         while True:
             for i in range(k + 1, nr):
-                if M[i][k] != 0:
-                    clear_in_column(k, i)
+                if X[i * nc + k]:
+                    _eliminate(X, X[p], X[i * nc + k], rows[k], rows[i])
             for j in range(k + 1, nc):
-                if M[k][j] != 0:
-                    clear_in_row(k, j)
-            # column clears after row clears only when the pivot already
-            # divided the whole row; otherwise the pivot shrank, so repeat
-            if all(M[i][k] == 0 for i in range(k + 1, nr)):
+                if X[k * nc + j]:
+                    _eliminate(X, X[p], X[k * nc + j], cols[k], cols[j])
+            if not any(X[p + nc:oU:nc]):
                 break
-        # divisibility fix: the pivot must divide every trailing entry
-        fixed = True
-        for i in range(k + 1, nr):
-            if not fixed:
-                break
-            for j in range(k + 1, nc):
-                if M[i][j] % M[k][k] != 0:
-                    # fold the offending row into row k and redo this step
-                    Mi, Mk = M[i], M[k]
-                    for jj in range(k, nc):
-                        Mk[jj] += Mi[jj]
-                    Ui, Uk = U[i], U[k]
-                    for jj in range(nr):
-                        Uk[jj] += Ui[jj]
-                    fixed = False
-                    break
-        if fixed:
-            if M[k][k] < 0:
-                for j in range(k, nc):
-                    M[k][j] = -M[k][j]
-                for j in range(nr):
-                    U[k][j] = -U[k][j]
-            k += 1
-
-    rank = k
-    S = IntMatrix(nr, nc, tuple(e for row in M for e in row))
+        bad = next((i for i in range(k + 1, nr) for j in range(k + 1, nc) if X[i * nc + j] % X[p]), None)
+        if bad is not None:
+            # the pivot must divide every trailing entry: fold and redo step k
+            for u, v in zip(rows[k], rows[bad]):
+                X[u] += X[v]
+            continue
+        if X[p] < 0:
+            for u in rows[k]:
+                X[u] = -X[u]
+        k += 1
     return SnfDecomposition(
-        IntMatrix(nr, nr, tuple(e for row in U for e in row)),
-        S,
-        IntMatrix(nc, nc, tuple(e for row in V for e in row)),
-        rank,
-    )
+        IntMatrix(nr, nr, tuple(X[oU:oV])), IntMatrix(nr, nc, tuple(X[:oU])),
+        IntMatrix(nc, nc, tuple(X[oV:])), k)
 
 
 def integer_rank(A: IntMatrix) -> int:

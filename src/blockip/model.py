@@ -472,20 +472,26 @@ def _dec_vec(v, what):
     return tuple(_dec_int(e) for e in v)
 
 
-def _dec_mat(v, what, rows=None, cols=None):
+def _dec_mat(v, what, rows=None):
+    """A matrix from its rows; one with no rows decodes as 0 x 0."""
     if not isinstance(v, list):
         raise ParseError(f"{what} must be an array of rows")
     mat_rows = [_dec_vec(r, f"{what} row") for r in v]
-    if mat_rows:
-        width = len(mat_rows[0])
-        for r in mat_rows:
-            if len(r) != width:
-                raise ParseError(f"{what} has ragged rows")
-    else:
-        width = cols if cols is not None else 0
+    width = len(mat_rows[0]) if mat_rows else 0
+    if any(len(r) != width for r in mat_rows):
+        raise ParseError(f"{what} has ragged rows")
     if rows is not None and len(mat_rows) != rows:
         raise ParseError(f"{what} must have {rows} rows, got {len(mat_rows)}")
     return IntMatrix(len(mat_rows), width, tuple(e for r in mat_rows for e in r))
+
+
+def _widened(M, partner):
+    """M, or the matrix with no rows and partner's width if M has no rows.
+
+    The JSON rows of a matrix with no rows carry no width, but each matrix
+    has a partner of the same width: A and D, B and C, A_i and D_i.
+    """
+    return IntMatrix.zero(0, partner.cols) if M.rows == 0 else M
 
 
 def instance_to_dict(inst) -> dict:
@@ -521,6 +527,9 @@ def instance_from_dict(d):
         if "A_blocks" in d:
             A_blocks = [_dec_mat(m, "A_blocks entry") for m in d["A_blocks"]]
             D_blocks = [_dec_mat(m, "D_blocks entry") for m in d["D_blocks"]]
+            if len(A_blocks) == len(D_blocks):
+                A_blocks, D_blocks = ([_widened(M, N) for M, N in zip(A_blocks, D_blocks)],
+                                      [_widened(N, M) for M, N in zip(A_blocks, D_blocks)])
             return GeneralizedNFoldInstance.make(
                 n,
                 A_blocks,
@@ -533,9 +542,11 @@ def instance_from_dict(d):
             )
         A = _dec_mat(d["A"], "A")
         D = _dec_mat(d["D"], "D")
+        A, D = _widened(A, D), _widened(D, A)
         if "B" in d or "C" in d:
             B = _dec_mat(d["B"], "B", rows=A.rows)
             C = _dec_mat(d["C"], "C", rows=D.rows)
+            B, C = _widened(B, C), _widened(C, B)
         else:
             B = IntMatrix.zero(A.rows, 0)
             C = IntMatrix.zero(D.rows, 0)

@@ -285,7 +285,9 @@ def _optimize_aggregate(inst: FourBlockInstance, form: _LatticeForm):
     so a box closes as soon as its bound drops below the incumbent plus one.
     Evaluated points always either improve the incumbent, tighten the bound
     through their cut, or shrink the box through splitting, so the search is
-    finite.
+    finite.  A box splits only at a fractional coordinate of its LP point:
+    an integral LP point is evaluated if fresh, and if not, its cut already
+    closed the box.
 
     The bound LP is one warm tableau carried from box to box.  Only the root
     box is solved cold, from the row-less start.  Every heap entry holds the
@@ -441,12 +443,11 @@ def _optimize_aggregate(inst: FourBlockInstance, form: _LatticeForm):
             continue
         split = next((k for k in range(f) if vhat[k].denominator != 1), None)
         if split is None:
-            split = max(range(f), key=lambda k: box_hi[k] - box_lo[k])
-            if box_hi[split] == box_lo[split]:
-                continue
-            at = (box_lo[split] + box_hi[split]) // 2
-        else:
-            at = math.floor(vhat[split])
+            # evaluating a point leaves a cut that holds t to its value, at
+            # most the incumbent, or one that cuts the point off: a box whose
+            # LP optimum is an evaluated point closed at the ceiling test
+            raise InternalInconsistencyError("bound LP returned an evaluated lattice point")
+        at = math.floor(vhat[split])
         left_hi = list(box_hi)
         left_hi[split] = at
         right_lo = list(box_lo)

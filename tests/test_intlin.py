@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import smith_reference
 from blockip import intlin
 from blockip.errors import BothZeroError, DimensionMismatchError, ZeroMatrixError
 from blockip.intlin import (
@@ -211,6 +212,30 @@ def test_snf_random_battery():
         if A.is_zero():
             continue
         check_snf(A, smith_normal_form(A))
+
+
+def test_snf_matches_the_reference_bit_for_bit():
+    # the one-step elimination keeps the reference's pivot order and its
+    # transforms, so U, S, V and the rank are equal, not just equivalent
+    rng = random.Random(808)
+    compared = deficient = 0
+    while compared < 10_000:
+        s, t = rng.randint(1, 5), rng.randint(1, 6)
+        big = rng.choice((1, 3, 30, 10**6, 10**30))
+        M = [[0 if rng.random() < 0.2 else rng.randint(-big, big) for _ in range(t)]
+             for _ in range(s)]
+        if s > 1 and rng.random() < 0.3:
+            # the last row a combination of the others: rank below s
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            M[-1] = [a * x + b * y for x, y in zip(M[0], M[-2])]
+        A = IntMatrix.from_rows(M)
+        if A.is_zero():
+            continue
+        snf = smith_normal_form(A)
+        assert snf == smith_reference.smith_normal_form(A), M
+        compared += 1
+        deficient += snf.rank < min(s, t)
+    assert deficient >= 1000, deficient
 
 
 def test_snf_diagonal_matches_sympy():

@@ -31,6 +31,7 @@ from blockip.model import (
 )
 from blockip.nfold_snf import solve_nfold_snf
 from blockip.ones import solve_ones
+from model_cases import NOT_ELIGIBLE, four_of, nfold_of
 
 
 def small_instance(n=2):
@@ -217,30 +218,6 @@ def test_routes_raise_a_typed_error_on_malformed_shapes():
             solve(dataclasses.replace(inst, A=inst.A.row_lists()))
 
 
-def nfold_of(A_rows, D_rows, n=2, width=3):
-    A = IntMatrix.from_rows(A_rows)
-    D = IntMatrix.from_rows(D_rows)
-    N = n * A.cols
-    return FourBlockInstance.nfold(
-        n, A, D,
-        b0=[0] * D.rows,
-        b=[[0] * A.rows] * n,
-        l=[0] * N,
-        u=[width] * N,
-        w=[0] * N,
-    )
-
-
-def four_of(A_rows, n=2, width=3):
-    """4-block instance with one shared variable and one top row."""
-    A = IntMatrix.from_rows(A_rows)
-    N = 1 + n * A.cols
-    return FourBlockInstance.make(
-        n, A, IntMatrix.from_rows([[1]] * A.rows), IntMatrix.from_rows([[1]]),
-        IntMatrix.from_rows([[1] + [0] * (A.cols - 1)]), [0], [[0] * A.rows] * n,
-        [0] * N, [width] * N, [0] * N)
-
-
 def test_classify_priorities():
     # all-ones beats everything, even shapes that fit other classes
     assert classify(nfold_of([[1, 1]], [[1, 0]])) is StructureClass.ALL_ONES_ROW
@@ -343,6 +320,37 @@ def test_json_round_trip_generalized():
     assert back == g
 
 
+def test_json_round_trip_keeps_the_width_of_matrices_with_no_rows():
+    # a matrix with no rows has no JSON rows to carry its width, so the
+    # decoder takes it from the partner of equal width: A and D, B and C,
+    # A_i and D_i
+    rng = random.Random(1)
+    four = [
+        generators.random_snf_instance(rng, n=3, s_A=1, t_B=1, s_C=0, seeded_rate=1.0),
+        generators.random_ones_instance(rng, n=3, t_A=2, t_B=1, s_C=0),
+        generators.random_nfold_instance(rng, n=3, t_A=3, s_C=0),
+        # no brick rows: A and B are the empty ones
+        FourBlockInstance.make(
+            2, IntMatrix.zero(0, 2), IntMatrix.zero(0, 1), IntMatrix.from_rows([[1]]),
+            IntMatrix.from_rows([[1, 2]]), [3], [[], []], [0] * 5, [2] * 5, [1] * 5),
+    ]
+    for inst in four:
+        assert validate(inst) == []
+        back = loads_instance(dumps(inst))
+        assert back == inst
+        assert validate(back) == []
+    A = IntMatrix.from_rows([[2, 1]])
+    generalized = [
+        GeneralizedNFoldInstance.make(2, [A, A], [IntMatrix.zero(0, 2)] * 2, [], [[2], [2]],
+                                      [0] * 4, [1] * 4, [1] * 4),
+        GeneralizedNFoldInstance.make(2, [A, IntMatrix.zero(0, 3)],
+                                      [IntMatrix.from_rows([[1, 0]]), IntMatrix.from_rows([[0, 1, 1]])],
+                                      [2], [[2], []], [0] * 5, [1] * 5, [1] * 5),
+    ]
+    for inst in generalized:
+        assert loads_instance(dumps(inst)) == inst
+
+
 def test_json_big_integers_survive():
     big = 10**40
     inst = nfold_of([[1, big]], [[1, 0]])
@@ -393,21 +401,6 @@ def test_zero_brick_count_is_legal():
     rep = evaluate(inst, ())
     assert rep.feasible  # 0 == 0 top row
     assert rep.objective == 0
-
-
-# (route, instance it cannot take): every route refuses with NotEligibleError
-# (the all-ones route's NotAllOnesError is a subclass), so a caller that
-# tries routes in turn catches one type
-NOT_ELIGIBLE = (
-    ("ones", solve_ones, nfold_of([[1, 2]], [[1, 0]])),
-    ("ones", solve_ones, nfold_of([[0, 0]], [[1, 0]])),
-    ("nfold_snf", solve_nfold_snf, four_of([[2, 3]])),
-    ("nfold_snf", solve_nfold_snf, nfold_of([[1, 1, 1]], [[1, 0, 0]])),
-    ("nfold_snf", solve_nfold_snf, nfold_of([[0, 0]], [[1, 0]])),
-    ("fourblock_snf", solve_4block_snf, four_of([[1, 1, 1]])),
-    ("fourblock_snf", solve_4block_snf, nfold_of([[1, 2, 3], [2, 4, 6]], [[1, 0, 0]], n=0)),
-    ("fourblock_snf", solve_4block_snf, four_of([[0, 0]])),
-)
 
 
 @pytest.mark.parametrize(

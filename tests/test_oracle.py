@@ -1,11 +1,20 @@
 """Enumeration oracle and subset-sum DP checks."""
 
+import dataclasses
 import random
 
 import pytest
 
-from blockip.errors import BudgetExceededError
-from blockip.model import FourBlockInstance, Infeasible, IntMatrix, Solution, evaluate
+from blockip.errors import BudgetExceededError, MalformedProblemError
+from blockip.model import (
+    FourBlockInstance,
+    GeneralizedNFoldInstance,
+    Infeasible,
+    IntMatrix,
+    Solution,
+    evaluate,
+    validate,
+)
 from blockip.oracle import OracleBudget, enumerate_optimum
 from blockip.reductions import SubsetSumInstance, encode_theorem1
 from subset_sum import subset_sum_dp
@@ -47,6 +56,48 @@ def test_empty_box_and_constant_rows():
     inst = boxed(1, [[1, 1]], [[1, 0]], b0=[0], b=[[0]], l=[1, 0], u=[0, 0], w=[0, 0])
     out = enumerate_optimum(inst)
     assert isinstance(out, Infeasible)
+
+
+def test_malformed_instances_raise():
+    # what validate rejects, and the same shape and type checks on a
+    # generalized instance, raise MalformedProblemError before any search
+    A, D = [[1, 1]], [[1, 0]]
+    fine = boxed(1, A, D, b0=[1], b=[[1]], l=[0, 0], u=[1, 1], w=[0, 0])
+    assert enumerate_optimum(fine).objective == 0
+    four = [
+        boxed(1, A, D, b0=[1], b=[[1]], l=[0, 0], u=[1, 1], w=[0.5, 0]),
+        boxed(2, A, D, b0=[1], b=[[1]], l=[0] * 4, u=[1] * 4, w=[0] * 4),  # one b for two bricks
+        boxed(1, A, D, b0=[1], b=[[1]], l=[True, 0], u=[1, 1], w=[0, 0]),
+        boxed(1, A, D, b0=[1], b=[[1]], l=[0, 0], u=[1, 1.0], w=[0, 0]),
+        boxed(1, A, D, b0=[], b=[[1]], l=[0, 0], u=[1, 1], w=[0, 0]),
+    ]
+    for inst in four:
+        assert validate(inst) != []
+        with pytest.raises(MalformedProblemError):
+            enumerate_optimum(inst)
+    Ab, Db = IntMatrix.from_rows(A), IntMatrix.from_rows(D)
+
+    def generalized(**change):
+        parts = dict(n=2, A_blocks=[Ab, Ab], D_blocks=[Db, Db], b0=[1], b=[[1], [1]],
+                     l=[0] * 4, u=[1] * 4, w=[0] * 4)
+        return GeneralizedNFoldInstance.make(**{**parts, **change})
+
+    assert enumerate_optimum(generalized()).objective == 0
+    for change in (
+        dict(b=[[1]]),  # short b
+        dict(n=3),
+        dict(D_blocks=[Db, IntMatrix.from_rows([[1, 0, 0]])]),
+        dict(b=[[1], [1, 1]]),
+        dict(b0=[1, 1]),
+        dict(w=[0] * 3),
+        dict(w=[0.5, 0, 0, 0]),
+        dict(u=[1, 1, 1, True]),
+        dict(b0=["1"]),
+    ):
+        with pytest.raises(MalformedProblemError):
+            enumerate_optimum(generalized(**change))
+    with pytest.raises(MalformedProblemError):
+        enumerate_optimum(dataclasses.replace(generalized(), b=None))
 
 
 def test_budget_exceeded_raises():

@@ -5,7 +5,7 @@ silently there.  The routes' exactness audits, their eligibility rules and
 the LP core's audits are explicit raises; this file runs itself under -O as
 a script, compares each route's answer with enumerate_optimum using plain
 comparisons, checks that each route still refuses with NotEligibleError
-what it cannot take (test_model.NOT_ELIGIBLE), and checks that a tampered
+what it cannot take (model_cases.NOT_ELIGIBLE), and checks that a tampered
 LP tableau still raises InternalInconsistencyError (TAMPERED), that the
 transport certificate rejects each wrong flow (WRONG_FLOWS), and that an
 LpProblem or a TransportProblem built directly with a non-int entry raises
@@ -33,7 +33,7 @@ from blockip.nfold_snf import solve_nfold_snf  # noqa: E402
 from blockip.ones import _transport_duals, solve_ones  # noqa: E402
 from blockip.oracle import OracleBudget, enumerate_optimum  # noqa: E402
 from blockip.ratlp import OPTIMAL, LpProblem, solve_lp_warm  # noqa: E402
-from test_model import NOT_ELIGIBLE  # noqa: E402
+from model_cases import NOT_ELIGIBLE  # noqa: E402
 
 
 def _ones(rng):

@@ -1,11 +1,12 @@
 """Subset-sum encodings: frozen verdicts plus a DP-equivalence battery."""
 
+import dataclasses
 import random
 
 import pytest
 
 from blockip.errors import BadParamsError, BetaExceedsTargetError
-from blockip.model import Infeasible, StructureClass, classify, evaluate
+from blockip.model import EvaluationReport, Infeasible, StructureClass, classify, evaluate
 from blockip.oracle import enumerate_optimum
 from blockip.reductions import (
     SubsetSumInstance,
@@ -64,6 +65,26 @@ def test_theorem2b_frozen_cases():
     assert not feasible(encode_theorem2b(SubsetSumInstance.make([3, 5], 4)))
     n = 4
     assert feasible(encode_theorem2b(SubsetSumInstance.make([1] * n, n)))
+
+
+def test_evaluate_checks_generalized_instances_row_by_row():
+    # feasible at the oracle's optimum; off it, each broken row and bound
+    # is named, rows numbered as dense_rows yields them (top row first)
+    inst = encode_theorem2a(SubsetSumInstance.make([1, 2, 4], 6))
+    sol = enumerate_optimum(inst)
+    assert sol.x == (0, 6, 1, 0, 1, 0)  # items 2 and 4 fill 6
+    assert evaluate(inst, sol.x) == EvaluationReport(True, 0, ())
+    # item 1 taken -1 times: the top row, block 0's row and x[0]'s box break
+    assert evaluate(inst, (-1,) + sol.x[1:]) == EvaluationReport(False, 0, (
+        "row 0: lhs 5 != rhs 6", "row 1: lhs 0 != rhs 6", "x[0] = -1 below lower bound 0"))
+
+    inst = dataclasses.replace(
+        encode_theorem2b(SubsetSumInstance.make([3, 5], 5)), w=(1, 2, 3, 4))
+    sol = enumerate_optimum(inst)
+    assert sol.x == (0, 1, 5, 0) and sol.objective == 17  # only item 2 fits 5 exactly
+    assert evaluate(inst, sol.x) == EvaluationReport(True, 17, ())
+    assert evaluate(inst, (0, 1, 5, 2)) == EvaluationReport(False, 25, (
+        "row 2: lhs 15 != rhs 5", "x[3] = 2 above upper bound 1"))
 
 
 def test_scheduling_frozen_cases():
