@@ -26,10 +26,22 @@ grid coordinate plus a constant, each window adding one brick.  The shared
 rows are propagated once.  A window's two p rows are then first tested at
 that shared box in O(#grid coordinates) (_p_rows_have_slack): a row with
 negative slack there has negative slack in every sub-box, so _propagate,
-whose first pass meets the row in a sub-box, would return False.  Only the
-windows that pass get dict rows, the propagation, an objective and an LP,
-so the survivors and their LPs are exactly those of propagating every
-window.
+whose first pass meets the row in a sub-box, would return False.  The same
+test drops a window whose brick has no room (Lambda(j) = Lambda(j-1)), the
+constant case of the p rows' sum.  Only the windows that pass get dict
+rows, the propagation, an objective and an LP.
+
+Bound propagation reads one row at a time, but a window's empty set mostly
+needs two at once: a p row together with a top equality row, whose p
+coefficient is k_r = sum_h D_rh theta_h.  So each window's screen also gets,
+for each top row with k_r != 0 and each p row with p coefficient c_p, the
+row |k_r| (p row) - sign(k_r) c_p (top row), in which p cancels.  It is a
+nonnegative multiple of an inequality plus a multiple of an equality, so
+every point of the window meets it, and its coefficients are integers like
+those of any other row, so a window that _propagate proves empty with it
+has no integer point.  The survivors and their LPs are therefore those of
+propagating every window without these rows, less some cells with no
+integer point.
 
 All enumeration is exact and the winning cell's solution is lifted back to a
 full point and re-checked against the original constraints; any disagreement
@@ -483,15 +495,33 @@ def _p_rows_have_slack(lam, lam_const, cap, z_lo, z_hi, p_lo, p_hi):
     right-hand side less its least activity over the box; False when either
     is negative.  That is exactly the first test _propagate makes of a row,
     and a tighter box only raises the least activity, so a False here means
-    _propagate over any sub-box would return False too.
+    _propagate over any sub-box would return False too.  The rows' sum is
+    the p-free row cap(z) >= 1, which every point of the window meets; when
+    hl == hu the cap is the constant cc, so a brick with no room (cc == 0,
+    Lambda(j) = Lambda(j-1)) gives False whatever the box.
     """
     cc, hl, hu = cap
+    if hl == hu and cc < 1:
+        return False
     least1 = least2 = 0  # over the z columns of the two rows
     for h, a in lam.items():
         least1 += a * (z_lo[h] if a > 0 else z_hi[h])
         a = -a - (h == hl) + (h == hu)
         least2 += a * (z_lo[h] if a > 0 else z_hi[h])
     return p_hi - lam_const - 1 >= least1 and lam_const + cc - p_lo >= least2
+
+
+def _without_p(k, e, b, t, tb, p):
+    """The row k * (e <= b) + (t <= tb), whose p coefficients cancel."""
+    row = dict(t)
+    for var, a in e.items():
+        if var != p:
+            a = k * a + row.get(var, 0)
+            if a:
+                row[var] = a
+            else:
+                del row[var]
+    return row, k * b + tb
 
 
 def _dense(e, width):
@@ -512,9 +542,10 @@ def _cells_for_windows(builder, combo, d, d_bar, lo, hi, pairs, arg_lo, arg_hi):
     the sums of those bounds); no brick is visited again.  The rows shared
     by every merge window are propagated once, and then the windows are
     swept as the module docstring describes.  The pre-test
-    _p_rows_have_slack only skips windows whose _propagate would return
-    False, so the cells yielded, their untightened LPs and their order are
-    those of screening every window with _propagate alone.
+    _p_rows_have_slack and the p-free rows only skip windows with no
+    integer point, so the cells yielded, their untightened LPs and their
+    order are those of screening every window with its p rows alone, less
+    some empty cells.
     """
     inst = builder.inst
     n = inst.n
@@ -585,6 +616,16 @@ def _cells_for_windows(builder, combo, d, d_bar, lo, hi, pairs, arg_lo, arg_hi):
     shared_lo, shared_hi = list(lo), list(hi)
     if not _propagate(screen_rows, shared_lo, shared_hi):
         return
+    # the p-free rows of the module docstring: per top row t + k p = b with
+    # k != 0, (|k|, s t, s b, -s t) with s the sign of k.  |k| times a p row
+    # whose p coefficient is -1 (+1), plus s t (-s t), has no p term
+    p_free = []
+    for e, b in eq_rows:
+        k = e.get(p, 0)
+        if k:
+            s = 1 if k > 0 else -1
+            t = {var: s * a for var, a in e.items() if var != p}
+            p_free.append((abs(k), t, s * b, {var: -a for var, a in t.items()}))
     eq_rows += builder.anchor_rows
 
     # what every window's LP shares.  The LP keeps the untightened boxes;
@@ -619,14 +660,14 @@ def _cells_for_windows(builder, combo, d, d_bar, lo, hi, pairs, arg_lo, arg_hi):
             lam[hl] += 1
             lam[hu] -= 1
         if j == 1:
-            p_rows = []
+            p_rows = window_rows = []
             box_lo, box_hi = list(shared_lo), list(shared_hi)
             box_hi[p] = 0  # p >= 0 already
         else:
             cap = caps[order[j - 2]]
             if not _p_rows_have_slack(lam, lam_const, cap, z_lo, z_hi,
                                       shared_lo[p], shared_hi[p]):
-                continue  # no integer point: _propagate would say so
+                continue  # no integer point
             box_lo, box_hi = list(shared_lo), list(shared_hi)
             # Lambda(j-1) + 1 <= p <= Lambda(j)
             cc, hl, hu = cap
@@ -638,7 +679,13 @@ def _cells_for_windows(builder, combo, d, d_bar, lo, hi, pairs, arg_lo, arg_hi):
                 if a:
                     e2[zcol[h]] = a
             p_rows = [(e1, -lam_const - 1), (e2, lam_const + cc)]
-        if not _propagate(screen_rows + p_rows, box_lo, box_hi):
+            window_rows = list(p_rows)
+            for k, t, tb, neg_t in p_free:
+                window_rows.append(_without_p(k, e1, -lam_const - 1, t, tb, p))
+                window_rows.append(_without_p(k, e2, lam_const + cc, neg_t, -tb, p))
+        # the window's own rows first: they are the ones that prove most
+        # windows empty, and _propagate stops at the first row with no slack
+        if not _propagate(window_rows + screen_rows, box_lo, box_hi):
             continue  # no integer point: skip the LP
 
         cell_lo, cell_hi = lo, hi

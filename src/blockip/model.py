@@ -550,6 +550,13 @@ def instance_from_dict(d):
         else:
             B = IntMatrix.zero(A.rows, 0)
             C = IntMatrix.zero(D.rows, 0)
+        l = _dec_vec(d["l"], "l")
+        # a plain n-fold whose A and D have no rows keeps t_A only in
+        # len(l) = n t_A.  B and C have A's and D's row counts, so in a
+        # 4-block instance all four are then without rows, and len(l) = t_B +
+        # n t_A leaves the two widths ambiguous
+        if "B" not in d and A.rows == D.rows == 0 and n > 0 and len(l) % n == 0:
+            A = D = IntMatrix.zero(0, len(l) // n)
         return FourBlockInstance.make(
             n,
             A,
@@ -558,7 +565,7 @@ def instance_from_dict(d):
             D,
             _dec_vec(d["b0"], "b0"),
             [_dec_vec(bi, "b entry") for bi in d["b"]],
-            _dec_vec(d["l"], "l"),
+            l,
             _dec_vec(d["u"], "u"),
             _dec_vec(d["w"], "w"),
         )

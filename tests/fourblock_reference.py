@@ -1,13 +1,17 @@
 """The 4-block cell enumerator as it stood before its vector rewrite.
 
-fourblock_snf.enumerate_cells must yield exactly the CellProblem sequence
-this one yields (dataclass ==, same order); tests/test_fourblock_snf.py
-checks that on a seeded battery.  It is kept here, not in src/, because
-only tests use it.  Everything below is the old code unchanged: per brick
-a pairwise tournament through a comparison closure, and per merge window
-the rows and objective rebuilt as sparse dicts and screened by _propagate.
-It shares with the package only the data types and _propagate, which the
-rewrite left as it was.
+fourblock_snf.enumerate_cells must yield the CellProblem sequence this one
+yields (dataclass ==, same order) with some cells removed, and only cells
+with no integer point, since the package screens each merge window with
+more rows than this one does; screened_out finds the removed cells, and
+tests/test_fourblock_snf.py and tests/test_python_O.py check on seeded
+batteries that each is infeasible.  It is kept here, not in src/, because
+only tests use it.  Everything from _range_of to the end of
+_cells_for_windows is the old code unchanged: per brick a pairwise
+tournament through a comparison closure, and per merge window the rows and
+objective rebuilt as sparse dicts and screened by _propagate.  It shares
+with the package only the data types and _propagate, which the rewrite
+left as it was.
 """
 
 import itertools
@@ -412,3 +416,20 @@ def _cells_for_windows(builder, chosen, pairs, arg_lo, arg_hi, zlo, zhi):
             arg_lo=arg_lo,
             arg_hi=arg_hi,
         )
+
+
+def screened_out(cells, want):
+    """The cells of want missing from cells, in order.
+
+    None when cells is not want with some cells removed: a cell that want
+    does not yield, or one out of want's order.
+    """
+    dropped = []
+    kept = iter(cells)
+    nxt = next(kept, None)
+    for cell in want:
+        if nxt is not None and cell == nxt:
+            nxt = next(kept, None)
+        else:
+            dropped.append(cell)
+    return dropped if nxt is None else None

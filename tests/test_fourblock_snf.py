@@ -27,7 +27,7 @@ from blockip.model import (
 )
 from blockip.nfold_snf import solve_nfold_snf
 from blockip.oracle import OracleBudget, enumerate_optimum
-from blockip.ratlp import OPTIMAL
+from blockip.ratlp import INFEASIBLE, OPTIMAL
 
 
 def cell_values(inst):
@@ -492,7 +492,8 @@ def test_screen_keeps_every_cell_with_a_point():
 
 def test_most_cells_are_screened_without_an_lp(monkeypatch):
     # n = 40 single-row bricks make hundreds of candidate cells per solve,
-    # almost all empty; the integer screen must leave few for the LP
+    # almost all empty; the integer screen must leave few for the LP (86
+    # LPs over these 16 solves when written, 120 before the p-free rows)
     calls = []
     real = smallip.solve_lp_warm
 
@@ -506,7 +507,7 @@ def test_most_cells_are_screened_without_an_lp(monkeypatch):
     for _ in range(solves):
         inst = generators.random_snf_instance(rng, n=40, s_A=1, t_B=1, s_C=1, seeded_rate=0.9)
         solve_4block_snf(inst)
-    assert len(calls) <= 10 * solves, len(calls)
+    assert len(calls) <= 6 * solves, len(calls)
 
 
 def test_matches_highs_beyond_the_enumerator():
@@ -612,13 +613,27 @@ def _enumerations(inst):
             list(fourblock_reference.enumerate_cells(inst, elim, grid)))
 
 
+def _screened_out(cells, want):
+    """How many of the reference's cells the package drops.
+
+    cells must be want with some cells removed, and the screen may remove
+    a cell only when it has no integer point, so each removed cell's MIP
+    must be infeasible.
+    """
+    dropped = fourblock_reference.screened_out(cells, want)
+    assert dropped is not None, "a cell the reference does not yield, or out of its order"
+    for cell in dropped:
+        assert solve_cell(cell).status == INFEASIBLE, cell
+    return len(dropped)
+
+
 def test_enumeration_matches_the_reference():
-    # the vector tournaments and the scalar merge-window sweep must yield
-    # the reference enumerator's cells exactly: same LPs, constants and
-    # order, over s_A = 1, 2, 3, t_B = 1, 2, n = 1..40, and a zero-step
-    # coordinate in every fifth instance
+    # the vector tournaments, the scalar merge-window sweep and the p-free
+    # window rows must yield the reference enumerator's cells in its order,
+    # less some that have no integer point, over s_A = 1, 2, 3, t_B = 1, 2,
+    # n = 1..40, and a zero-step coordinate in every fifth instance
     rng = random.Random(71)
-    tally = {"instances": 0, "cells": 0, "three_grid": 0, "zero_step": 0}
+    tally = {"instances": 0, "cells": 0, "dropped": 0, "three_grid": 0, "zero_step": 0}
     for k in range(330):
         s_A = (1, 2, 3)[k % 3]
         n = rng.randint(1, 40)
@@ -632,7 +647,7 @@ def test_enumeration_matches_the_reference():
         if got is None:
             continue
         cells, want = got
-        assert cells == want, (k, len(cells), len(want))
+        tally["dropped"] += _screened_out(cells, want)
         tally["instances"] += 1
         tally["cells"] += len(cells)
         theta = kernel_basis(brick_form(inst.A))[0]
@@ -640,8 +655,10 @@ def test_enumeration_matches_the_reference():
             tally["three_grid"] += 1
         if cells and 0 in theta:
             tally["zero_step"] += 1
-    # every shape contributes cells, so the comparison is not vacuous
+    # every shape contributes cells, and the screen drops some of the
+    # reference's (220 of 1182 when written), so neither check is vacuous
     assert tally["instances"] >= 250 and tally["cells"] >= 600, tally
+    assert tally["dropped"] >= 100, tally
     assert tally["three_grid"] >= 10 and tally["zero_step"] >= 20, tally
 
 
@@ -650,5 +667,5 @@ def test_enumeration_matches_the_reference_at_scale():
     for n, s_A in ((200, 1), (200, 2), (500, 1), (1000, 1)):
         inst = generators.random_snf_instance(rng, n=n, s_A=s_A, t_B=1, s_C=1, seeded_rate=0.9)
         got, want = _enumerations(inst)
-        assert got == want, (n, s_A, len(got), len(want))
+        _screened_out(got, want)
         assert got, (n, s_A)  # each instance reaches at least one cell LP

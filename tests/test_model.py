@@ -351,6 +351,30 @@ def test_json_round_trip_keeps_the_width_of_matrices_with_no_rows():
         assert loads_instance(dumps(inst)) == inst
 
 
+def test_json_round_trip_recovers_the_brick_width_when_no_matrix_has_rows():
+    # a plain n-fold whose A and D have no rows has no JSON rows to carry
+    # t_A; the decoder takes it from len(l) = n t_A
+    for n, t_A in ((2, 2), (1, 3), (3, 1)):
+        N = n * t_A
+        inst = FourBlockInstance.nfold(n, IntMatrix.zero(0, t_A), IntMatrix.zero(0, t_A), [],
+                                       [[]] * n, [0] * N, [1] * N, [1] * N)
+        assert validate(inst) == []
+        back = loads_instance(dumps(inst))
+        assert back == inst
+        assert validate(back) == []
+    # B and C have A's and D's row counts, so a 4-block instance whose B and
+    # C have no rows has no rows in any matrix, and len(l) = t_B + n t_A
+    # leaves both widths open (t_B = 1, t_A = 2 or t_B = 3, t_A = 1 here).
+    # The decoder does not guess: validate rejects what it returns
+    inst = FourBlockInstance.make(2, IntMatrix.zero(0, 2), IntMatrix.zero(0, 1),
+                                  IntMatrix.zero(0, 1), IntMatrix.zero(0, 2), [], [[], []],
+                                  [0] * 5, [1] * 5, [1] * 5)
+    assert validate(inst) == []
+    back = loads_instance(dumps(inst))
+    assert back != inst
+    assert {issue.code for issue in validate(back)} == {"ShapeMismatch"}
+
+
 def test_json_big_integers_survive():
     big = 10**40
     inst = nfold_of([[1, big]], [[1, 0]])

@@ -7,9 +7,12 @@ a script, compares each route's answer with enumerate_optimum using plain
 comparisons, checks that each route still refuses with NotEligibleError
 what it cannot take (model_cases.NOT_ELIGIBLE), and checks that a tampered
 LP tableau still raises InternalInconsistencyError (TAMPERED), that the
-transport certificate rejects each wrong flow (WRONG_FLOWS), and that an
+transport certificate rejects each wrong flow (WRONG_FLOWS), that an
 LpProblem or a TransportProblem built directly with a non-int entry raises
-MalformedProblemError (UNTYPED), exiting nonzero on the first mismatch.
+MalformedProblemError (UNTYPED), and that the 4-block integer screen yields
+the cells of tests/fourblock_reference.py in their order, dropping only
+cells whose MIP is infeasible (SCREENED instances), exiting nonzero on the
+first mismatch.
 
 Run directly: ``python -O tests/test_python_O.py`` (it puts ``src`` on the
 path itself, so no install is needed).
@@ -24,15 +27,16 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
 import blockip  # noqa: E402
+import fourblock_reference  # noqa: E402
 from blockip import generators  # noqa: E402
 from blockip.errors import InternalInconsistencyError, MalformedProblemError, NotEligibleError  # noqa: E402
 from blockip.flow import TransportProblem, TransportResult  # noqa: E402
-from blockip.fourblock_snf import solve_4block_snf  # noqa: E402
+from blockip.fourblock_snf import _prepare, enumerate_cells, solve_4block_snf, solve_cell  # noqa: E402
 from blockip.model import Infeasible, Solution, StructureClass, classify, evaluate  # noqa: E402
 from blockip.nfold_snf import solve_nfold_snf  # noqa: E402
 from blockip.ones import _transport_duals, solve_ones  # noqa: E402
 from blockip.oracle import OracleBudget, enumerate_optimum  # noqa: E402
-from blockip.ratlp import OPTIMAL, LpProblem, solve_lp_warm  # noqa: E402
+from blockip.ratlp import INFEASIBLE, OPTIMAL, LpProblem, solve_lp_warm  # noqa: E402
 from model_cases import NOT_ELIGIBLE  # noqa: E402
 
 
@@ -98,6 +102,35 @@ UNTYPED = (
     (LpProblem, ([1.5], [], [0], [1])),
     (TransportProblem, ((1.5,), (1.5,), ((0,),), ((2,),), ((0.5,),))),
 )
+
+
+# 4-block instances on which the screen's dropped cells are checked
+SCREENED = 40
+
+
+def screen_unsound(rng):
+    """(why the screen drops a cell it may not, or None; cells dropped).
+
+    The package's cells must be the reference's in the same order with some
+    removed, and each removed cell's MIP must be infeasible.
+    """
+    dropped = 0
+    for trial in range(SCREENED):
+        inst = generators.random_snf_instance(
+            rng, n=rng.randint(10, 40), s_A=rng.choice((1, 2)), t_B=rng.randint(1, 2),
+            s_C=1, seeded_rate=0.9)
+        prepared = _prepare(inst)
+        if prepared is None or isinstance(prepared, Infeasible):
+            continue
+        cells = fourblock_reference.screened_out(
+            list(enumerate_cells(inst, *prepared)),
+            list(fourblock_reference.enumerate_cells(inst, *prepared)))
+        if cells is None:
+            return f"trial {trial}: a cell the reference does not yield, or out of its order", dropped
+        if any(solve_cell(cell).status != INFEASIBLE for cell in cells):
+            return f"trial {trial}: dropped a cell with an integer point", dropped
+        dropped += len(cells)
+    return None, dropped
 
 
 def tampered_audit(tamper):
@@ -171,6 +204,11 @@ def main() -> int:
         print(f"{make.__name__}{args}: built {got!r}")
         return 1
     print("untyped", len(UNTYPED))
+    why, dropped = screen_unsound(random.Random("python-O/screen"))
+    if why is not None:
+        print(f"screen: {why}")
+        return 1
+    print("screened", dropped)
     print("debug", __debug__)
     return 0
 
@@ -185,7 +223,8 @@ def test_whole_battery_under_python_O():
     assert out.returncode == 0, out.stdout + out.stderr
     words = out.stdout.split()
     assert words[0::2] == [
-        "ones", "nfold_snf", "fourblock_snf", "refused", "audits", "transports", "untyped", "debug"]
+        "ones", "nfold_snf", "fourblock_snf", "refused", "audits", "transports", "untyped",
+        "screened", "debug"]
     assert words[-1] == "False"  # the asserts really were stripped
     # each route met both verdicts: feasible optima and proven infeasibility
     assert all(PER_ROUTE // 4 <= int(k) < PER_ROUTE for k in words[1:6:2]), words
@@ -193,6 +232,7 @@ def test_whole_battery_under_python_O():
     assert int(words[9]) == len(TAMPERED)
     assert int(words[11]) == len(WRONG_FLOWS)
     assert int(words[13]) == len(UNTYPED)
+    assert int(words[15]) >= 1  # the screen really dropped cells to check
 
 
 if __name__ == "__main__":
