@@ -128,19 +128,12 @@ class SubInterval:
     d_bar: tuple  # per brick, the upper quotient bound
 
 
-@dataclass(frozen=True)
-class SubIntervalGrid:
-    """Per coordinate: the constancy partition of its remainder range.
+def build_grid(elim: EliminationData, lower, upper) -> tuple:
+    """Per coordinate h: the constancy partition of its remainder range.
 
-    Coordinates with a zero step carry None; their anchor value is directly
-    box-bounded and needs no remainder split.
-    """
-
-    per_h: tuple  # tuple per h: tuple of SubInterval, or None
-
-
-def build_grid(elim: EliminationData, lower, upper) -> SubIntervalGrid:
-    """Constancy cells of the floor/ceil bound values per remainder.
+    Each entry is a tuple of SubInterval, the cells of the floor/ceil bound
+    values per remainder, or None when theta_h = 0: that coordinate's
+    anchor value is directly box-bounded and needs no remainder split.
 
     lower/upper are per-brick coordinate bounds.  A bound's value changes
     only where its shifted endpoint crosses a multiple of |theta_h|: the
@@ -175,7 +168,7 @@ def build_grid(elim: EliminationData, lower, upper) -> SubIntervalGrid:
                 dbar.append(b)
             cells.append(SubInterval(tau, tau_bar, tuple(d), tuple(dbar)))
         per_h.append(tuple(cells))
-    return SubIntervalGrid(tuple(per_h))
+    return tuple(per_h)
 
 
 @dataclass(frozen=True)
@@ -350,8 +343,7 @@ class _CellBuilder:
         self.objective = obj
 
 
-def enumerate_cells(inst: FourBlockInstance, elim: EliminationData,
-                    grid: SubIntervalGrid):
+def enumerate_cells(inst: FourBlockInstance, elim: EliminationData, grid: tuple):
     """Yield every CellProblem; the max over their optima is the optimum."""
     builder = _CellBuilder(inst, elim)
     if any(builder.zero_lo[h] > builder.zero_hi[h] for h in builder.zero_hs):
@@ -359,7 +351,7 @@ def enumerate_cells(inst: FourBlockInstance, elim: EliminationData,
     # the anchor brick has no free integer: its box bounds each quotient,
     # so a sub-interval whose anchor range d[0]..d_bar[0] is empty is in no
     # cell, whatever the other coordinates choose
-    axes = [[c for c in grid.per_h[h] if c.d[0] <= c.d_bar[0]]
+    axes = [[c for c in grid[h] if c.d[0] <= c.d_bar[0]]
             for h in builder.grid_hs]
     for combo in itertools.product(*axes):
         yield from _cells_for_combo(builder, combo)
@@ -793,15 +785,18 @@ def _solve_trivial(inst: FourBlockInstance):
 def _prepare(inst: FourBlockInstance):
     """The solver's input checks, then the elimination and the grid.
 
-    Raises MalformedProblemError for a malformed instance, and, from the
-    elimination's Smith form (run with or without bricks), NotEligibleError
-    for an ineligible brick matrix.  Returns None when there are no bricks,
+    Raises MalformedProblemError for a malformed instance,
+    NotEligibleError for a GeneralizedNFoldInstance and, from the
+    elimination's Smith form (run with or without bricks), for an
+    ineligible brick matrix.  Returns None when there are no bricks,
     Infeasible when the brick differences have no integral solution, and
     (elimination, grid) otherwise.
     """
     issues = validate(inst)
     if issues:
         raise MalformedProblemError(issues[0].message)
+    if not isinstance(inst, FourBlockInstance):
+        raise NotEligibleError("needs one brick matrix A and one top block D")
     elim = elimination_from_snf(inst)
     if inst.n == 0:
         return None

@@ -13,6 +13,18 @@ from .intlin import brick_form
 from .model import FourBlockInstance, IntMatrix
 
 
+def _check_sizes(n, width, coeff, scale):
+    """BadParamsError for a size no instance can have, before any draw.
+
+    coeff < 1 or scale < 1 would leave only the zero brick matrix, which
+    _full_rank_brick redraws forever, and a negative width or n has no box.
+    """
+    if n < 0 or width < 0:
+        raise BadParamsError(f"n and width must be nonnegative, got {n} and {width}")
+    if coeff < 1 or scale < 1:
+        raise BadParamsError(f"coeff and scale must be positive, got {coeff} and {scale}")
+
+
 def _rand_matrix(rng, rows, cols, coeff, scale=1):
     span = coeff * scale
     return IntMatrix.from_rows(
@@ -58,6 +70,7 @@ def random_ones_instance(rng, n=3, t_A=2, t_B=1, s_C=1, width=4, coeff=5,
     """Instance whose single brick row is all ones (aggregation route)."""
     if t_A < 1:
         raise BadParamsError("need at least one brick column")
+    _check_sizes(n, width, coeff, scale)
     A = IntMatrix.from_rows([[1] * t_A])
     B = _rand_matrix(rng, 1, t_B, coeff, scale)
     C = _rand_matrix(rng, s_C, t_B, coeff, scale)
@@ -84,6 +97,7 @@ def random_snf_instance(rng, n=3, s_A=1, t_B=1, s_C=1, width=3, coeff=3,
         raise BadParamsError("shared brick must be nonempty for this shape")
     if s_A < 1:
         raise BadParamsError("brick matrix needs at least one row")
+    _check_sizes(n, width, coeff, scale)
     A = _full_rank_brick(rng, s_A, coeff, scale, forbid_all_ones=(s_A == 1))
     B = _rand_matrix(rng, s_A, t_B, 2, scale)
     C = _rand_matrix(rng, s_C, t_B, 2, scale)
@@ -97,6 +111,7 @@ def random_nfold_instance(rng, n=4, t_A=2, s_C=1, width=5, coeff=4,
     """Eligible plain n-fold instance (no shared brick, Smith route)."""
     if t_A < 2:
         raise BadParamsError("brick needs at least two columns")
+    _check_sizes(n, width, coeff, scale)
     s_A = t_A - 1
     A = _full_rank_brick(rng, s_A, coeff, scale, forbid_all_ones=(s_A == 1))
     B = IntMatrix.zero(s_A, 0)

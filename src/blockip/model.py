@@ -267,15 +267,15 @@ class EvaluationReport:
 _SEQS = {tuple, list}
 
 
-def _matrix_issues(inst) -> list[str]:
-    """What makes the four matrices of inst unusable, as messages; [] if nothing.
+def _matrix_issues(matrices) -> list[str]:
+    """What makes the named matrices unusable, as messages; [] if nothing.
 
-    In order, each stage only when the stages before it found nothing: a
-    matrix that is not an IntMatrix or whose entries are not a tuple or
-    list; a shape that is not an int; an entry count other than rows x
-    cols.  Constant work per matrix: the entries themselves are not read.
+    matrices holds (name, matrix) pairs.  In order, each stage only when
+    the stages before it found nothing: a matrix that is not an IntMatrix
+    or whose entries are not a tuple or list; a shape that is not an int;
+    an entry count other than rows x cols.  Constant work per matrix: the
+    entries themselves are not read.
     """
-    matrices = (("A", inst.A), ("B", inst.B), ("C", inst.C), ("D", inst.D))
     odd = [f"{name} is a {type(M).__name__}, not an IntMatrix"
            for name, M in matrices if type(M) is not IntMatrix]
     odd += [f"{name}.entries is a {type(M.entries).__name__}, not a tuple or list"
@@ -286,17 +286,31 @@ def _matrix_issues(inst) -> list[str]:
                    for name, M in matrices if len(M.entries) != M.rows * M.cols]
 
 
-def validate(inst: FourBlockInstance) -> list[ValidationIssue]:
+def validate(inst) -> list[ValidationIssue]:
     """Check shapes, integrality and bound sanity; empty list means valid.
 
-    Every entry of l, u, w, b0, b and the four matrices must be an int
-    (not a bool, float or Fraction).  Entries are numbered flat: row-major
-    in a matrix, brick-major in b.  A brick count n that is not an int is
-    the only issue reported, since every other check depends on it.  A
-    vector (b's entries too) that is not a tuple or list, or any issue that
-    _matrix_issues finds, ends the checks the same way, after the other
-    vectors and the matrices are checked.
+    Takes a FourBlockInstance or a GeneralizedNFoldInstance; anything else
+    gets one ShapeMismatch issue.  Both kinds run the same stages, and only
+    the shape stage differs by kind.  Every entry of l, u, w, b0, b and the
+    matrices (A, B, C, D, or each A_blocks[i] and D_blocks[i]) must be an
+    int (not a bool, float or Fraction).  Entries are numbered flat:
+    row-major in a matrix, brick-major in b.  A brick count n that is not
+    an int is the only issue reported, since every other check depends on
+    it.  A vector (b's entries and the block lists too) that is not a tuple
+    or list, or any issue that _matrix_issues finds, ends the checks the
+    same way, after the other vectors and the matrices are checked.
     """
+    if isinstance(inst, FourBlockInstance):
+        matrices = (("A", inst.A), ("B", inst.B), ("C", inst.C), ("D", inst.D))
+        vectors = {"l": inst.l, "u": inst.u, "w": inst.w, "b0": inst.b0, "b": inst.b}
+    elif isinstance(inst, GeneralizedNFoldInstance):
+        vectors = {"A_blocks": inst.A_blocks, "D_blocks": inst.D_blocks,
+                   "l": inst.l, "u": inst.u, "w": inst.w, "b0": inst.b0, "b": inst.b}
+        matrices = [(f"{name}[{i}]", M) for name in ("A_blocks", "D_blocks")
+                    if type(vectors[name]) in _SEQS for i, M in enumerate(vectors[name])]
+    else:
+        return [ValidationIssue("ShapeMismatch", f"the instance is a {type(inst).__name__}, "
+                                "not a FourBlockInstance or a GeneralizedNFoldInstance")]
     issues = []
 
     def bad(code, msg):
@@ -307,29 +321,40 @@ def validate(inst: FourBlockInstance) -> list[ValidationIssue]:
         return issues
     if inst.n < 0:
         bad("ShapeMismatch", f"n must be nonnegative, got {inst.n}")
-    vectors = {"l": inst.l, "u": inst.u, "w": inst.w, "b0": inst.b0, "b": inst.b}
     if type(inst.b) in _SEQS and not set(map(type, inst.b)) <= _SEQS:
         vectors.update((f"b[{i}]", bi) for i, bi in enumerate(inst.b))
-    odd = _matrix_issues(inst) + [f"{name} is a {type(v).__name__}, not a tuple or list"
-                                  for name, v in vectors.items() if type(v) not in _SEQS]
+    odd = _matrix_issues(matrices) + [f"{name} is a {type(v).__name__}, not a tuple or list"
+                                      for name, v in vectors.items() if type(v) not in _SEQS]
     if odd:
         return issues + [ValidationIssue("ShapeMismatch", msg) for msg in odd]
-    if inst.C.rows != inst.D.rows:
-        bad("ShapeMismatch", f"C has {inst.C.rows} rows, D has {inst.D.rows}")
-    if inst.A.rows != inst.B.rows:
-        bad("ShapeMismatch", f"A has {inst.A.rows} rows, B has {inst.B.rows}")
-    if inst.B.cols != inst.C.cols:
-        bad("ShapeMismatch", f"B has {inst.B.cols} cols, C has {inst.C.cols}")
-    if inst.A.cols != inst.D.cols:
-        bad("ShapeMismatch", f"A has {inst.A.cols} cols, D has {inst.D.cols}")
-    if len(inst.b0) != inst.s_C:
-        bad("ShapeMismatch", f"b0 has length {len(inst.b0)}, expected {inst.s_C}")
-    if len(inst.b) != inst.n:
-        bad("ShapeMismatch", f"b has {len(inst.b)} blocks, expected {inst.n}")
+    if isinstance(inst, GeneralizedNFoldInstance):
+        if not len(inst.A_blocks) == len(inst.D_blocks) == len(inst.b) == inst.n:
+            bad("ShapeMismatch", f"A_blocks, D_blocks and b have {len(inst.A_blocks)}, "
+                f"{len(inst.D_blocks)} and {len(inst.b)} entries, expected n = {inst.n}")
+        for i, (Ai, Di, bi) in enumerate(zip(inst.A_blocks, inst.D_blocks, inst.b)):
+            if Ai.cols != Di.cols:
+                bad("ShapeMismatch", f"A_blocks[{i}] has {Ai.cols} cols, D_blocks[{i}] has {Di.cols}")
+            if Di.rows != len(inst.b0):
+                bad("ShapeMismatch", f"D_blocks[{i}] has {Di.rows} rows, b0 has length {len(inst.b0)}")
+            if len(bi) != Ai.rows:
+                bad("ShapeMismatch", f"b[{i}] has length {len(bi)}, expected {Ai.rows}")
     else:
-        for i, bi in enumerate(inst.b):
-            if len(bi) != inst.s_A:
-                bad("ShapeMismatch", f"b[{i}] has length {len(bi)}, expected {inst.s_A}")
+        if inst.C.rows != inst.D.rows:
+            bad("ShapeMismatch", f"C has {inst.C.rows} rows, D has {inst.D.rows}")
+        if inst.A.rows != inst.B.rows:
+            bad("ShapeMismatch", f"A has {inst.A.rows} rows, B has {inst.B.rows}")
+        if inst.B.cols != inst.C.cols:
+            bad("ShapeMismatch", f"B has {inst.B.cols} cols, C has {inst.C.cols}")
+        if inst.A.cols != inst.D.cols:
+            bad("ShapeMismatch", f"A has {inst.A.cols} cols, D has {inst.D.cols}")
+        if len(inst.b0) != inst.s_C:
+            bad("ShapeMismatch", f"b0 has length {len(inst.b0)}, expected {inst.s_C}")
+        if len(inst.b) != inst.n:
+            bad("ShapeMismatch", f"b has {len(inst.b)} blocks, expected {inst.n}")
+        else:
+            for i, bi in enumerate(inst.b):
+                if len(bi) != inst.s_A:
+                    bad("ShapeMismatch", f"b[{i}] has length {len(bi)}, expected {inst.s_A}")
     N = inst.num_vars
     for name, vec in (("l", inst.l), ("u", inst.u), ("w", inst.w)):
         if len(vec) != N:
@@ -340,10 +365,7 @@ def validate(inst: FourBlockInstance) -> list[ValidationIssue]:
         ("NonIntegerData", "w", inst.w),
         ("NonIntegerData", "b0", inst.b0),
         ("NonIntegerData", "b", tuple(chain.from_iterable(inst.b))),
-        ("NonIntegerData", "A", inst.A.entries),
-        ("NonIntegerData", "B", inst.B.entries),
-        ("NonIntegerData", "C", inst.C.entries),
-        ("NonIntegerData", "D", inst.D.entries),
+        *(("NonIntegerData", name, M.entries) for name, M in matrices),
     ):
         # one pass in C over the entry types; type(v) is int rejects bools,
         # floats and Fractions alike
@@ -357,17 +379,25 @@ def validate(inst: FourBlockInstance) -> list[ValidationIssue]:
     return issues
 
 
-def classify(inst: FourBlockInstance) -> StructureClass:
+def classify(inst) -> StructureClass:
     """Structural class of A, in fixed priority order.
 
     An all-ones row wins over everything; the Smith-form classes need
-    intlin.brick_form(A); two or more extra columns are hard.  Reads only
-    the matrices: one that _matrix_issues rejects raises
-    MalformedProblemError.  The vectors are left to the routes' validate.
+    intlin.brick_form(A); two or more extra columns are hard.  For a
+    FourBlockInstance, reads only the matrices: one that _matrix_issues
+    rejects raises MalformedProblemError, and the vectors are left to the
+    routes' validate.  A GeneralizedNFoldInstance is GENERAL, since no
+    route takes one; it and anything else that validate rejects for more
+    than an empty box raise MalformedProblemError.
     """
     from .intlin import brick_form
 
-    odd = _matrix_issues(inst)
+    if not isinstance(inst, FourBlockInstance):
+        odd = [i.message for i in validate(inst) if i.code != "LowerExceedsUpper"]
+        if odd:
+            raise MalformedProblemError(odd[0])
+        return StructureClass.GENERAL
+    odd = _matrix_issues((("A", inst.A), ("B", inst.B), ("C", inst.C), ("D", inst.D)))
     if odd:
         raise MalformedProblemError(odd[0])
     A = inst.A

@@ -152,8 +152,8 @@ def solve_nfold_snf(inst: FourBlockInstance):
     issues = validate(inst)
     if issues:
         raise MalformedProblemError(issues[0].message)
-    if not inst.is_nfold:
-        raise NotEligibleError("needs a plain n-fold, with t_B = 0")
+    if not isinstance(inst, FourBlockInstance) or not inst.is_nfold:
+        raise NotEligibleError("needs a plain n-fold: one A, one D and t_B = 0")
 
     ctx = build_context(inst)
     if isinstance(ctx, Infeasible):

@@ -5,17 +5,22 @@ residual intervals, so block-structured instances collapse to a tiny search
 tree.  A visited-node budget keeps it from wandering off into boxes it has
 no business enumerating; any box whose volume fits the budget is guaranteed
 to finish.
+
+It decides either instance kind, FourBlockInstance or
+GeneralizedNFoldInstance, row by row from dense_rows, so it is the one
+solver for the per-block encodings of reductions and for what classify
+calls GENERAL or HARD.  Its input check is model.validate, as for the
+structured routes.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from itertools import chain
 
 from .errors import BudgetExceededError, MalformedProblemError
 from .intlin import quotient_range
-from .model import FourBlockInstance, GeneralizedNFoldInstance, Infeasible, IntMatrix, Solution, validate
+from .model import Infeasible, Solution, validate
 
 
 @dataclass(frozen=True)
@@ -23,53 +28,16 @@ class OracleBudget:
     max_points: int = 10**7
 
 
-def _generalized_issues(g: GeneralizedNFoldInstance) -> list[str]:
-    """validate's shape and integrality checks for a GeneralizedNFoldInstance.
-
-    n must be a nonnegative int; A_blocks, D_blocks, b, each b_i, b0, l, u
-    and w tuples or lists, with n entries in A_blocks, D_blocks and b;
-    every block an IntMatrix of rows x cols entries, each D_i as wide as
-    A_i with one row per entry of b0, each b_i one entry per row of A_i;
-    l, u and w one entry per variable; and every entry an int (not a bool).
-    """
-    if type(g.n) is not int or g.n < 0:
-        return [f"n = {g.n!r} is not a nonnegative int"]
-    vectors = (g.A_blocks, g.D_blocks, g.b, g.b0, g.l, g.u, g.w)
-    seqs = (tuple, list)
-    if any(type(v) not in seqs for v in vectors) or any(type(bi) not in seqs for bi in g.b):
-        return ["A_blocks, D_blocks, b, each b_i, b0, l, u and w must be tuples or lists"]
-    if not len(g.A_blocks) == len(g.D_blocks) == len(g.b) == g.n:
-        return [f"A_blocks, D_blocks and b have {len(g.A_blocks)}, {len(g.D_blocks)} "
-                f"and {len(g.b)} entries, expected n = {g.n}"]
-    blocks = list(chain(g.A_blocks, g.D_blocks))
-    if any(type(M) is not IntMatrix or len(M.entries) != M.rows * M.cols for M in blocks):
-        return ["a block is not an IntMatrix with rows x cols entries"]
-    issues = [f"block {i} has the wrong shape"
-              for i, (Ai, Di, bi) in enumerate(zip(g.A_blocks, g.D_blocks, g.b))
-              if Di.cols != Ai.cols or Di.rows != len(g.b0) or len(bi) != Ai.rows]
-    issues += [f"{name} has length {len(v)}, expected {g.num_vars}"
-               for name, v in (("l", g.l), ("u", g.u), ("w", g.w)) if len(v) != g.num_vars]
-    entries = chain(g.l, g.u, g.w, g.b0, *g.b, *(M.entries for M in blocks))
-    if not set(map(type, entries)) <= {int}:
-        issues.append("an entry of l, u, w, b0, b or a block is not an int")
-    return issues
-
-
 def enumerate_optimum(inst, budget: OracleBudget | None = None):
     """Exact optimum of a FourBlockInstance or a GeneralizedNFoldInstance.
 
     Returns a Solution or Infeasible; raises BudgetExceededError once the
     number of visited value assignments passes budget.max_points, and
-    MalformedProblemError for an instance that validate rejects (or, for
-    a generalized instance, _generalized_issues).  An empty box, l_j > u_j,
-    is no error here: it is Infeasible.
+    MalformedProblemError for anything that model.validate rejects, either
+    instance kind alike.  An empty box, l_j > u_j, is no error here: it is
+    Infeasible.
     """
-    if isinstance(inst, FourBlockInstance):
-        issues = [i.message for i in validate(inst) if i.code != "LowerExceedsUpper"]
-    elif isinstance(inst, GeneralizedNFoldInstance):
-        issues = _generalized_issues(inst)
-    else:
-        issues = [f"enumeration takes a 4-block or generalized n-fold instance, not {type(inst).__name__}"]
+    issues = [i.message for i in validate(inst) if i.code != "LowerExceedsUpper"]
     if issues:
         raise MalformedProblemError(issues[0])
     if budget is None:

@@ -20,7 +20,11 @@ class SubsetSumInstance:
 
     @staticmethod
     def make(betas, delta: int) -> "SubsetSumInstance":
-        betas = tuple(int(b) for b in betas)
+        betas = tuple(betas)
+        # int() would turn 2.5 into 2 and True into 1: an instance of
+        # another problem
+        if any(type(v) is not int for v in (*betas, delta)):
+            raise BadParamsError("items and target must be ints")
         if not betas:
             raise BadParamsError("need at least one item")
         if any(b < 1 for b in betas):

@@ -17,7 +17,7 @@ left as it was.
 import itertools
 
 from blockip.errors import InternalInconsistencyError
-from blockip.fourblock_snf import CellProblem, EliminationData, SubIntervalGrid, _propagate
+from blockip.fourblock_snf import CellProblem, EliminationData, _propagate
 from blockip.model import FourBlockInstance
 from blockip.ratlp import LpProblem
 from blockip.smallip import MipProblem
@@ -71,14 +71,13 @@ class _CellBuilder:
         )
 
 
-def enumerate_cells(inst: FourBlockInstance, elim: EliminationData,
-                    grid: SubIntervalGrid):
+def enumerate_cells(inst: FourBlockInstance, elim: EliminationData, grid: tuple):
     """Yield every CellProblem; the max over their optima is the optimum."""
     builder = _CellBuilder(inst, elim)
     if any(builder.zero_lo[h] > builder.zero_hi[h] for h in builder.zero_hs):
         return
     gh = builder.grid_hs
-    axes = [grid.per_h[h] for h in gh]
+    axes = [grid[h] for h in gh]
     for combo in itertools.product(*axes):
         yield from _cells_for_combo(builder, dict(zip(gh, combo)))
 

@@ -4,10 +4,19 @@ It imports no pytest, so test_python_O.py still runs as a plain script
 under python -O on an interpreter without pytest.
 """
 
+import dataclasses
+
 from blockip.fourblock_snf import solve_4block_snf
 from blockip.model import FourBlockInstance, IntMatrix
 from blockip.nfold_snf import solve_nfold_snf
 from blockip.ones import solve_ones
+from blockip.reductions import SubsetSumInstance, encode_theorem2b
+
+SOLVERS = (solve_ones, solve_nfold_snf, solve_4block_snf)
+
+# a well-formed GeneralizedNFoldInstance: the per-block brick matrices
+# (1, 1) and (1, 1) under the top row (1, 0), so x_11 + x_21 = 1
+GENERALIZED = encode_theorem2b(SubsetSumInstance.make([1, 1], 1))
 
 
 def nfold_of(A_rows, D_rows, n=2, width=3):
@@ -46,4 +55,32 @@ NOT_ELIGIBLE = (
     ("fourblock_snf", solve_4block_snf, four_of([[1, 1, 1]])),
     ("fourblock_snf", solve_4block_snf, nfold_of([[1, 2, 3], [2, 4, 6]], [[1, 0, 0]], n=0)),
     ("fourblock_snf", solve_4block_snf, four_of([[0, 0]])),
+    # per-block matrices are outside every route
+    ("ones", solve_ones, GENERALIZED),
+    ("nfold_snf", solve_nfold_snf, GENERALIZED),
+    ("fourblock_snf", solve_4block_snf, GENERALIZED),
 )
+
+_A, _D = GENERALIZED.A_blocks[0], GENERALIZED.D_blocks[0]
+
+# (what is wrong, input): validate reports it, and classify, every route
+# and the oracle raise MalformedProblemError, not AttributeError or TypeError
+MALFORMED = tuple(
+    (what, dataclasses.replace(GENERALIZED, **change)) for what, change in (
+        ("b short of n", {"b": [[1]]}),
+        ("n past the blocks", {"n": 3}),
+        ("D_1 wider than A_1", {"D_blocks": [_D, IntMatrix.from_rows([[1, 0, 0]])]}),
+        ("b_1 longer than A_1's rows", {"b": [[1], [1, 1]]}),
+        ("b0 longer than D_i's rows", {"b0": [1, 1]}),
+        ("w short", {"w": [0] * 3}),
+        ("float in w", {"w": [0.5, 0, 0, 0]}),
+        ("bool in u", {"u": [1, 1, 1, True]}),
+        ("str in b0", {"b0": ["1"]}),
+        ("b not a sequence", {"b": None}),
+        ("float n", {"n": 2.0}),
+        ("A_blocks not a sequence", {"A_blocks": None}),
+        ("a block not an IntMatrix", {"A_blocks": [_A, [[1, 1]]]}),
+        ("a block short of rows x cols", {"D_blocks": [_D, IntMatrix(1, 2, (1,))]}),
+        ("float in a block", {"A_blocks": [_A, IntMatrix(1, 2, (1, 1.0))]}),
+    )
+) + (("not an instance", None), ("a matrix, not an instance", _A))

@@ -235,21 +235,21 @@ def _unit_elim(theta):
 def test_grid_partition_positive_step():
     # step 3, shifted bounds [4, 7]: the bound values change at 1 and 2
     grid = build_grid(_unit_elim(3), [(4,)], [(7,)])
-    cells = grid.per_h[0]
+    cells = grid[0]
     assert [(c.tau, c.tau_bar) for c in cells] == [(0, 0), (1, 1), (2, 2)]
     assert [(c.d[0], c.d_bar[0]) for c in cells] == [(2, 2), (1, 2), (1, 1)]
 
 
 def test_grid_partition_negative_step():
     grid = build_grid(_unit_elim(-3), [(4,)], [(7,)])
-    cells = grid.per_h[0]
+    cells = grid[0]
     assert [(c.tau, c.tau_bar) for c in cells] == [(0, 0), (1, 1), (2, 2)]
     assert [(c.d[0], c.d_bar[0]) for c in cells] == [(-2, -2), (-2, -1), (-1, -1)]
 
 
 def test_grid_unit_step_single_cell():
     grid = build_grid(_unit_elim(1), [(4,)], [(7,)])
-    cells = grid.per_h[0]
+    cells = grid[0]
     assert len(cells) == 1
     (c,) = cells
     assert (c.tau, c.tau_bar, c.d[0], c.d_bar[0]) == (0, 0, 4, 7)
@@ -275,7 +275,7 @@ def test_grid_values_constant_within_cells():
             theta=(theta,), offsets=tuple(offsets),
             offset_totals=(sum(o[0] for o in offsets),), c0=0,
         )
-        cells = build_grid(elim, lower, upper).per_h[0]
+        cells = build_grid(elim, lower, upper)[0]
         assert cells[0].tau == 0 and cells[-1].tau_bar == abs(theta) - 1
         for k, c in enumerate(cells):
             if k:

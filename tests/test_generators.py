@@ -3,8 +3,9 @@ import random
 
 import pytest
 
+from blockip.errors import BadParamsError
 from blockip.generators import random_nfold_instance, random_ones_instance, random_snf_instance
-from blockip.model import Solution, StructureClass, classify, dumps
+from blockip.model import Solution, StructureClass, classify, dumps, validate
 from blockip.oracle import OracleBudget, enumerate_optimum
 
 GENERATORS = {
@@ -60,3 +61,20 @@ def test_snf_scale_stretches_entries_and_boxes():
         big_entry += max(map(abs, entries)) > 10 ** 5
         wide_box += max(hi - lo for lo, hi in zip(inst.l, inst.u)) > 10 ** 5
     assert big_entry == wide_box == 10
+
+
+@pytest.mark.parametrize("name", sorted(GENERATORS))
+def test_sizes_out_of_range_raise_before_any_draw(name):
+    # coeff or scale 0 once redrew an all-zero brick matrix forever, -1
+    # raised ValueError from randint, and n = -1 returned an instance that
+    # validate rejects
+    make, cls = GENERATORS[name]
+    rng = random.Random(9)
+    state = rng.getstate()
+    for size in ({"coeff": 0}, {"coeff": -1}, {"scale": 0}, {"scale": -1}, {"width": -1}, {"n": -1}):
+        with pytest.raises(BadParamsError):
+            make(rng, **size)
+        assert rng.getstate() == state, size
+    # the edge of the range is still an instance
+    inst = make(rng, n=0, width=0, coeff=1, scale=1)
+    assert validate(inst) == [] and classify(inst) == cls

@@ -31,7 +31,8 @@ from blockip.model import (
 )
 from blockip.nfold_snf import solve_nfold_snf
 from blockip.ones import solve_ones
-from model_cases import NOT_ELIGIBLE, four_of, nfold_of
+from blockip.oracle import enumerate_optimum
+from model_cases import GENERALIZED, MALFORMED, NOT_ELIGIBLE, SOLVERS, four_of, nfold_of
 
 
 def small_instance(n=2):
@@ -427,6 +428,67 @@ def test_zero_brick_count_is_legal():
     assert rep.objective == 0
 
 
+def test_validate_and_classify_take_a_generalized_instance():
+    # both once raised AttributeError: the instance has no attribute 'A'
+    assert validate(GENERALIZED) == []
+    assert classify(GENERALIZED) is StructureClass.GENERAL
+    # an empty box is no malformed structure: classify still names the
+    # class, the oracle proves it empty, and the routes refuse it as
+    # validate does a 4-block one
+    empty = dataclasses.replace(GENERALIZED, l=(2, 0, 0, 0))
+    assert [(i.code, i.message) for i in validate(empty)] == [("LowerExceedsUpper", "l[0] = 2 > u[0] = 1")]
+    assert classify(empty) is StructureClass.GENERAL
+    assert enumerate_optimum(empty) == Infeasible("EmptyBox")
+    for solve in SOLVERS:
+        with pytest.raises(MalformedProblemError, match=r"l\[0\] = 2 > u\[0\] = 1"):
+            solve(empty)
+
+
+def test_validate_names_what_is_wrong_with_a_generalized_instance():
+    A, D = GENERALIZED.A_blocks[0], GENERALIZED.D_blocks[0]
+    for change, msgs in (
+        ({"n": 2.0}, ["n = 2.0 is not an int"]),
+        ({"n": -1}, ["n must be nonnegative, got -1",
+                     "A_blocks, D_blocks and b have 2, 2 and 2 entries, expected n = -1"]),
+        ({"A_blocks": (A, [[1, 1]]), "w": 0}, ["A_blocks[1] is a list, not an IntMatrix",
+                                              "w is a int, not a tuple or list"]),
+        ({"D_blocks": None}, ["D_blocks is a NoneType, not a tuple or list"]),
+        ({"b0": (1, 1)}, ["D_blocks[0] has 1 rows, b0 has length 2",
+                          "D_blocks[1] has 1 rows, b0 has length 2"]),
+        ({"D_blocks": (D, IntMatrix.from_rows([[1, 0, 0]])), "l": (0, 0, 0)},
+         ["A_blocks[1] has 2 cols, D_blocks[1] has 3", "l has length 3, expected 4"]),
+        ({"b": ((1,), (1, 1))}, ["b[1] has length 2, expected 1"]),
+        ({"A_blocks": (A, IntMatrix(1, 2, (1, True)))}, ["A_blocks[1] entry 1 = True is not a finite integer"]),
+        ({"l": [0] * 4, "b": [[1], [1]], "A_blocks": [A, A]}, []),
+    ):
+        issues = validate(dataclasses.replace(GENERALIZED, **change))
+        assert [i.message for i in issues] == msgs, change
+
+
+@pytest.mark.parametrize("inst", [case[1] for case in MALFORMED], ids=[case[0] for case in MALFORMED])
+def test_malformed_input_of_either_kind_raises_a_typed_error(inst):
+    # routes once raised AttributeError on a generalized instance, and
+    # validate on anything that is no instance; the oracle checks both
+    # kinds with the same validate
+    issues = validate(inst)
+    assert issues, inst
+    with pytest.raises(MalformedProblemError) as err:
+        classify(inst)
+    assert str(err.value) == issues[0].message
+    for solve in SOLVERS + (enumerate_optimum,):
+        with pytest.raises(MalformedProblemError) as err:
+            solve(inst)
+        assert str(err.value) == issues[0].message
+
+
+def test_validate_takes_only_instances():
+    for thing in (None, "instance", GENERALIZED.A_blocks[0], instance_to_dict(GENERALIZED)):
+        issues = validate(thing)
+        assert [i.code for i in issues] == ["ShapeMismatch"]
+        assert issues[0].message == (f"the instance is a {type(thing).__name__}, "
+                                     "not a FourBlockInstance or a GeneralizedNFoldInstance")
+
+
 @pytest.mark.parametrize(
     "solve, inst", [case[1:] for case in NOT_ELIGIBLE], ids=[case[0] for case in NOT_ELIGIBLE])
 def test_each_route_refuses_what_it_cannot_take(solve, inst):
@@ -468,10 +530,10 @@ def test_one_smith_form_per_smith_route_call(monkeypatch):
         classify(inst)
         assert len(calls) == 1
     assert verdicts == {Solution, Infeasible}
-    # a wrong shape or a zero A is refused without a Smith form; the
-    # rank-deficient 2 x 3 A needs one to be refused
+    # a wrong shape, a zero A or per-block matrices are refused without a
+    # Smith form; the rank-deficient 2 x 3 A needs one to be refused
     for _, solve, inst in NOT_ELIGIBLE[2:]:
         calls.clear()
         with pytest.raises(NotEligibleError):
             solve(inst)
-        assert len(calls) == (inst.A.rows == 2), (solve.__name__, inst.A)
+        assert len(calls) == (isinstance(inst, FourBlockInstance) and inst.A.rows == 2), (solve, inst)

@@ -5,7 +5,9 @@ silently there.  The routes' exactness audits, their eligibility rules and
 the LP core's audits are explicit raises; this file runs itself under -O as
 a script, compares each route's answer with enumerate_optimum using plain
 comparisons, checks that each route still refuses with NotEligibleError
-what it cannot take (model_cases.NOT_ELIGIBLE), and checks that a tampered
+what it cannot take (model_cases.NOT_ELIGIBLE), that classify and each
+route raise MalformedProblemError on malformed input of either instance
+kind or on no instance (model_cases.MALFORMED), and that a tampered
 LP tableau still raises InternalInconsistencyError (TAMPERED), that the
 transport certificate rejects each wrong flow (WRONG_FLOWS), that an
 LpProblem or a TransportProblem built directly with a non-int entry raises
@@ -37,7 +39,7 @@ from blockip.nfold_snf import solve_nfold_snf  # noqa: E402
 from blockip.ones import _transport_duals, solve_ones  # noqa: E402
 from blockip.oracle import OracleBudget, enumerate_optimum  # noqa: E402
 from blockip.ratlp import INFEASIBLE, OPTIMAL, LpProblem, solve_lp_warm  # noqa: E402
-from model_cases import NOT_ELIGIBLE  # noqa: E402
+from model_cases import MALFORMED, NOT_ELIGIBLE, SOLVERS  # noqa: E402
 
 
 def _ones(rng):
@@ -182,6 +184,15 @@ def main() -> int:
         print(f"{name} refusal {k}: returned {got!r}")
         return 1
     print("refused", len(NOT_ELIGIBLE))
+    for what, inst in MALFORMED:
+        for solve in (classify,) + SOLVERS:
+            try:
+                got = solve(inst)
+            except MalformedProblemError:
+                continue
+            print(f"{solve.__name__} on {what}: returned {got!r}")
+            return 1
+    print("malformed", len(MALFORMED))
     for tamper in TAMPERED:
         why = tampered_audit(tamper)
         if why is not None:
@@ -223,16 +234,17 @@ def test_whole_battery_under_python_O():
     assert out.returncode == 0, out.stdout + out.stderr
     words = out.stdout.split()
     assert words[0::2] == [
-        "ones", "nfold_snf", "fourblock_snf", "refused", "audits", "transports", "untyped",
-        "screened", "debug"]
+        "ones", "nfold_snf", "fourblock_snf", "refused", "malformed", "audits", "transports",
+        "untyped", "screened", "debug"]
     assert words[-1] == "False"  # the asserts really were stripped
     # each route met both verdicts: feasible optima and proven infeasibility
     assert all(PER_ROUTE // 4 <= int(k) < PER_ROUTE for k in words[1:6:2]), words
     assert int(words[7]) == len(NOT_ELIGIBLE)
-    assert int(words[9]) == len(TAMPERED)
-    assert int(words[11]) == len(WRONG_FLOWS)
-    assert int(words[13]) == len(UNTYPED)
-    assert int(words[15]) >= 1  # the screen really dropped cells to check
+    assert int(words[9]) == len(MALFORMED)
+    assert int(words[11]) == len(TAMPERED)
+    assert int(words[13]) == len(WRONG_FLOWS)
+    assert int(words[15]) == len(UNTYPED)
+    assert int(words[17]) >= 1  # the screen really dropped cells to check
 
 
 if __name__ == "__main__":

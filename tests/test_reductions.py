@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -20,6 +21,16 @@ from subset_sum import subset_sum_dp
 
 def feasible(inst):
     return not isinstance(enumerate_optimum(inst), Infeasible)
+
+
+def test_subset_sum_items_and_target_must_be_ints():
+    # int() once made [2.5, 2.5] the items (2, 2) and True the item 1, so
+    # the oracle answered another problem; a str target raised TypeError
+    for betas, delta in (([2.5, 2.5], 5), ([True, 2], 3), ([2, 3], "5"), ([2, 3], 5.0),
+                         ([Fraction(2)], 2), ([2, "3"], 5)):
+        with pytest.raises(BadParamsError):
+            SubsetSumInstance.make(betas, delta)
+    assert SubsetSumInstance.make([2, 3], 5) == SubsetSumInstance((2, 3), 5)
 
 
 def test_subset_sum_validation():
