@@ -13,14 +13,25 @@ from .intlin import brick_form
 from .model import FourBlockInstance, IntMatrix
 
 
-def _check_sizes(n, width, coeff, scale):
-    """BadParamsError for a size no instance can have, before any draw.
+def _check_params(seeded_rate, **sizes):
+    """BadParamsError for parameters no instance can have, before any draw.
 
-    coeff < 1 or scale < 1 would leave only the zero brick matrix, which
-    _full_rank_brick redraws forever, and a negative width or n has no box.
+    Every size must be an int (a bool or a float equal to an int is
+    refused, as model.validate refuses such entries) and seeded_rate an int
+    or a float.  No size may be negative: a negative width or n has no box,
+    and a negative block shape no matrix.  coeff < 1 or scale < 1 would
+    leave only the zero brick matrix, which _full_rank_brick redraws
+    forever.
     """
-    if n < 0 or width < 0:
-        raise BadParamsError(f"n and width must be nonnegative, got {n} and {width}")
+    odd = [f"{name} = {v!r}" for name, v in sizes.items() if type(v) is not int]
+    if odd:
+        raise BadParamsError(f"sizes must be ints, got {', '.join(odd)}")
+    if type(seeded_rate) not in (int, float):
+        raise BadParamsError(f"seeded_rate must be an int or a float, got {seeded_rate!r}")
+    odd = [f"{name} = {v}" for name, v in sizes.items() if v < 0]
+    if odd:
+        raise BadParamsError(f"sizes must be nonnegative, got {', '.join(odd)}")
+    coeff, scale = sizes["coeff"], sizes["scale"]
     if coeff < 1 or scale < 1:
         raise BadParamsError(f"coeff and scale must be positive, got {coeff} and {scale}")
 
@@ -68,9 +79,9 @@ def _finish(rng, n, A, B, C, D, l, u, scale, seeded_rate):
 def random_ones_instance(rng, n=3, t_A=2, t_B=1, s_C=1, width=4, coeff=5,
                          scale=1, seeded_rate=0.6) -> FourBlockInstance:
     """Instance whose single brick row is all ones (aggregation route)."""
+    _check_params(seeded_rate, n=n, t_A=t_A, t_B=t_B, s_C=s_C, width=width, coeff=coeff, scale=scale)
     if t_A < 1:
         raise BadParamsError("need at least one brick column")
-    _check_sizes(n, width, coeff, scale)
     A = IntMatrix.from_rows([[1] * t_A])
     B = _rand_matrix(rng, 1, t_B, coeff, scale)
     C = _rand_matrix(rng, s_C, t_B, coeff, scale)
@@ -93,11 +104,11 @@ def random_snf_instance(rng, n=3, s_A=1, t_B=1, s_C=1, width=3, coeff=3,
     t_B must be positive: with no shared variables the instance would route
     to the plain n-fold solver instead.
     """
+    _check_params(seeded_rate, n=n, s_A=s_A, t_B=t_B, s_C=s_C, width=width, coeff=coeff, scale=scale)
     if t_B < 1:
         raise BadParamsError("shared brick must be nonempty for this shape")
     if s_A < 1:
         raise BadParamsError("brick matrix needs at least one row")
-    _check_sizes(n, width, coeff, scale)
     A = _full_rank_brick(rng, s_A, coeff, scale, forbid_all_ones=(s_A == 1))
     B = _rand_matrix(rng, s_A, t_B, 2, scale)
     C = _rand_matrix(rng, s_C, t_B, 2, scale)
@@ -109,9 +120,9 @@ def random_snf_instance(rng, n=3, s_A=1, t_B=1, s_C=1, width=3, coeff=3,
 def random_nfold_instance(rng, n=4, t_A=2, s_C=1, width=5, coeff=4,
                           scale=1, seeded_rate=0.6) -> FourBlockInstance:
     """Eligible plain n-fold instance (no shared brick, Smith route)."""
+    _check_params(seeded_rate, n=n, t_A=t_A, s_C=s_C, width=width, coeff=coeff, scale=scale)
     if t_A < 2:
         raise BadParamsError("brick needs at least two columns")
-    _check_sizes(n, width, coeff, scale)
     s_A = t_A - 1
     A = _full_rank_brick(rng, s_A, coeff, scale, forbid_all_ones=(s_A == 1))
     B = IntMatrix.zero(s_A, 0)

@@ -415,8 +415,23 @@ def classify(inst) -> StructureClass:
 
 
 def evaluate(inst, x) -> EvaluationReport:
-    """Recompute every constraint of the instance at the point x."""
+    """Recompute every constraint of the instance at the point x.
+
+    Not validate: the checks take constant work, so a caller that has
+    validated the instance pays nothing per entry.  An inst that is neither
+    instance kind, or whose l, u or w is not a tuple or list of length
+    num_vars, raises MalformedProblemError; an x of another length raises
+    DimensionMismatchError.
+    """
+    if not isinstance(inst, (FourBlockInstance, GeneralizedNFoldInstance)):
+        raise MalformedProblemError(f"the instance is a {type(inst).__name__}, "
+                                    "not a FourBlockInstance or a GeneralizedNFoldInstance")
     N = inst.num_vars
+    for name, vec in (("l", inst.l), ("u", inst.u), ("w", inst.w)):
+        if type(vec) not in _SEQS:
+            raise MalformedProblemError(f"{name} is a {type(vec).__name__}, not a tuple or list")
+        if len(vec) != N:
+            raise MalformedProblemError(f"{name} has length {len(vec)}, expected {N}")
     if len(x) != N:
         raise DimensionMismatchError(f"x has length {len(x)}, expected {N}")
     if isinstance(inst, GeneralizedNFoldInstance):

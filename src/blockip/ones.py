@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 from dataclasses import dataclass
 from operator import mul
 
@@ -425,14 +424,15 @@ def _optimize_aggregate(inst: FourBlockInstance, form: _LatticeForm):
         if res.status != OPTIMAL:
             continue
         seen = len(cuts)
-        vhat = res.point[:f]
-        ceiling = math.floor(res.value)
+        # the LP point (v, t) is num over den: floors and ceilings in ints
+        num, den = res.num, res.den
+        ceiling = res.value_num // den
         if best is not None and ceiling <= best[0]:
             continue
         cand_axes = []
         for k in range(f):
-            lo = max(box_lo[k], min(math.floor(vhat[k]), box_hi[k]))
-            hi = max(box_lo[k], min(math.ceil(vhat[k]), box_hi[k]))
+            lo = max(box_lo[k], min(num[k] // den, box_hi[k]))
+            hi = max(box_lo[k], min(-(-num[k] // den), box_hi[k]))
             cand_axes.append((lo, hi) if hi != lo else (lo,))
         fresh = [v for v in itertools.product(*cand_axes) if v not in evaluated]
         seq += 1
@@ -441,13 +441,13 @@ def _optimize_aggregate(inst: FourBlockInstance, form: _LatticeForm):
                 evaluate_at(v)
             heapq.heappush(heap, (-ceiling, -seq, box_lo, box_hi, state, seen))
             continue
-        split = next((k for k in range(f) if vhat[k].denominator != 1), None)
+        split = next((k for k in range(f) if num[k] % den), None)
         if split is None:
             # evaluating a point leaves a cut that holds t to its value, at
             # most the incumbent, or one that cuts the point off: a box whose
             # LP optimum is an evaluated point closed at the ceiling test
             raise InternalInconsistencyError("bound LP returned an evaluated lattice point")
-        at = math.floor(vhat[split])
+        at = num[split] // den
         left_hi = list(box_hi)
         left_hi[split] = at
         right_lo = list(box_lo)

@@ -3,11 +3,8 @@
 One algorithm: the bounded-variable dual simplex, exact in integer
 arithmetic.  The leaving row is the most bound-violated basic variable, with
 a fallback to Bland's rule after a run of degenerate pivots, so the method is
-fast in practice and still provably finite.  Tableau rows are sparse maps
-from column to nonzero entry: the programs the structured solvers build are
-block angular, and their bases keep the tableau sparse.  Every pivot is
-exact, so the returned optimum is the true rational optimum, not an
-approximation.
+fast in practice and still provably finite.  Every pivot is exact, so the
+returned optimum is the true rational optimum, not an approximation.
 
 The data are integers: the paper's programs, and every LP the structured
 solvers build from them, are integral, and LpProblem and edited reject any
@@ -20,8 +17,21 @@ multiplied by the sign of T_re, and the division is exact because every
 entry is a minor of the constraint matrix.  Bounds stay plain integers.
 The dual ratio test cross-multiplies instead of dividing, so every choice
 is the one the same method makes over fractions.Fraction, and so is every
-point.  The optimum of an integer LP is still rational, so the point and
-the value are returned as Fractions over D.
+point.
+
+The tableau is reduced to the nonbasic columns.  With ns structurals and
+one slack per row, exactly ns columns are nonbasic whatever the basis, so
+each row is a list of ns integers, one per nonbasic position, and the basic
+column's own entry, always D, is left implicit.  A pivot rebuilds each row
+with one comprehension over two lists, and the leaving column takes the
+entering column's position.  Rows are never changed in place, so a copy of
+the tableau shares them.
+
+The optimum of an integer LP is rational, and it comes back in integers:
+LpResult holds the point as int numerators over one common denominator
+den, the tableau's D, and the value as a numerator over den.  Callers that
+floor, round or compare coordinates do so with // and %, in integers; point
+and value are also available as Fractions, built on first read.
 
 One tableau, one way in.  An LpProblem has ranged rows lo <= a . x <= hi
 (an equality row has lo = hi) and boxed columns, so no LP is unbounded.
@@ -43,17 +53,19 @@ row.
 
 Every Optimal result is audited in integers with explicit raises, so the
 audits still run under python -O: the point meets every row and box and its
-objective is the tableau value, and every reduced cost has its optimal sign
-(zero on a basic column; at most zero at a lower bound and at least zero at
-an upper bound, unless the box is a point).  A failed audit raises
-InternalInconsistencyError.  Only then are the point and the value built as
-Fractions.
+objective is the tableau value; basis and nonbasic split the columns
+between them, as where and pos say; and every nonbasic reduced cost has its
+optimal sign (at most zero at a lower bound and at least zero at an upper
+bound, unless the box is a point).  A failed audit raises
+InternalInconsistencyError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 
 from .errors import InternalInconsistencyError, MalformedProblemError
 
@@ -122,34 +134,67 @@ class LpProblem:
         return LpProblem(list(objective), _row_lists(rows), list(lower), list(upper))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LpResult:
+    """An LP or MIP verdict; an Optimal one carries its point in integers.
+
+    num holds the point's coordinates as int numerators over the common
+    denominator den > 0, and value_num the objective value as a numerator
+    over den; den need not be the least common one.  point and value give
+    the same numbers as Fractions, built on first read.  Two results are
+    equal when their status, point, value and nodes are, whatever their
+    den.  nodes is filled by the branch-and-bound wrapper.
+    """
+
     status: str
-    point: tuple | None = None
-    value: Fraction | None = None
-    nodes: int | None = None  # filled by the branch-and-bound wrapper
+    num: tuple | None = None
+    den: int = 1
+    value_num: int | None = None
+    nodes: int | None = None
 
+    @cached_property
+    def point(self):
+        if self.num is None:
+            return None
+        den = self.den
+        return tuple(Fraction(v, den) for v in self.num)
 
-def _ranged(rows):
-    """Ranged rows (coefficients, lo, hi) as (support, lo, hi), where
-    support lists the (column, coefficient) pairs with a nonzero
-    coefficient."""
-    return [([(j, a) for j, a in enumerate(coeffs) if a], lo, hi) for coeffs, lo, hi in rows]
+    @cached_property
+    def value(self):
+        if self.value_num is None:
+            return None
+        return Fraction(self.value_num, self.den)
+
+    def _key(self):
+        return self.status, self.point, self.value, self.nodes
+
+    def __eq__(self, other):
+        if not isinstance(other, LpResult):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 class WarmLp:
     """The dual simplex tableau of one LP, with the program it solves.
 
     objective holds the structural costs and rows the ranged rows, each as
-    (support, lo, hi), meaning lo <= a . x <= hi over the nonzero
-    coefficients in support; the audits read both.  The tableau runs over
-    all variables: the structurals, then one slack column per row, all in
-    integers.  T holds one dict per row mapping column index to a nonzero
-    numerator over D; the basic column of row r reads D there.  d holds the
-    reduced costs and z the objective value as numerators over D.  lower
-    and upper are the integer boxes.  A nonbasic column sits at the bound
-    where names ("L" or "U"), so only basic values are stored: beta[r] is
-    the value of basis[r] as a numerator over D.
+    (coefficients, lo, hi), meaning lo <= a . x <= hi; the audits read
+    both.  The columns are the ns structurals, then one slack per row, nv
+    in all, and everything is an integer.  basis[r] is the basic column of
+    row r; the other ns columns are nonbasic, listed in nonbasic, and
+    pos[j] is the position of a nonbasic column j there (-1 for a basic
+    one).  T holds one list per row, the entries of the nonbasic columns by
+    position as numerators over D, meaning
+    D x_basis[r] + sum_q T[r][q] x_nonbasic[q] = 0; a row is replaced,
+    never changed in place.  d holds the reduced costs of the nonbasic
+    columns by position, and z the objective value, as numerators over D.
+    lower and upper are the integer boxes of all columns.  A nonbasic
+    column sits at the bound where names ("L" or "U"; "B" marks a basic
+    one), so only basic values are stored: beta[r] is the value of basis[r]
+    as a numerator over D.
 
     A WarmLp returned by solve_lp_warm or edited is optimal and never
     mutated again: edited re-solves a copy and returns it, so re-solves
@@ -174,6 +219,8 @@ class WarmLp:
         s.lower = list(lower)
         s.upper = list(upper)
         s.T, s.beta, s.basis = [], [], []
+        s.nonbasic = list(range(n))
+        s.pos = list(range(n))
         s.d = list(objective)
         s.z = sum(c * (upper[j] if c > 0 else lower[j]) for j, c in enumerate(objective) if c)
         return s
@@ -201,7 +248,7 @@ class WarmLp:
         _check_rows(rows, self.ns)
         if any(lo > hi for _, lo, hi in boxes) or any(lo > hi for _, lo, hi in rows):
             return LpResult(INFEASIBLE), None
-        return self._copy()._solved(boxes, _ranged(rows))
+        return self._copy()._solved(boxes, rows)
 
     def reoptimized(self, j: int, new_lower, new_upper):
         """Re-solve with variable j's box set to [new_lower, new_upper].
@@ -212,14 +259,15 @@ class WarmLp:
         return self.edited(boxes=((j, new_lower, new_upper),))
 
     def _solved(self, boxes, rows):
-        """Set boxes (j, lo, hi), add rows (support, lo, hi), then run the
-        dual simplex and the audits, all in place; (LpResult, self or None)."""
+        """Set boxes (j, lo, hi), add rows (coefficients, lo, hi), then run
+        the dual simplex and the audits, all in place; (LpResult, self or
+        None)."""
         for j, lo, hi in boxes:
             self.set_box(j, lo, hi)
         if rows:
             row_of = {col: r for r, col in enumerate(self.basis) if col < self.ns}
-            for support, lo, hi in rows:
-                self.add_row(support, lo, hi, row_of)
+            for coeffs, lo, hi in rows:
+                self.add_row(coeffs, lo, hi, row_of)
         if not self.dual_iterate():
             return LpResult(INFEASIBLE), None
         return _extract(self), self
@@ -240,11 +288,13 @@ class WarmLp:
         self.upper[j] = hi
         if side == "B":
             return
-        if lo != hi and self.d[j]:
-            side = self.where[j] = "U" if self.d[j] > 0 else "L"
-        self._shift_nonbasic(j, (lo if side == "L" else hi) - was)
+        q = self.pos[j]
+        dj = self.d[q]
+        if lo != hi and dj:
+            side = self.where[j] = "U" if dj > 0 else "L"
+        self._shift_nonbasic(q, (lo if side == "L" else hi) - was)
 
-    def add_row(self, support, lo: int, hi: int, row_of) -> None:
+    def add_row(self, coeffs, lo: int, hi: int, row_of) -> None:
         """Append the integer ranged row lo <= a . x <= hi with its slack basic.
 
         row_of maps each basic structural column to its tableau row; those
@@ -252,32 +302,29 @@ class WarmLp:
         The slack's column is a unit column, so D stays; the slack has cost
         zero, so no reduced cost changes.  The row joins rows for the audits.
         """
-        D, T, beta, lower, upper, where = self.D, self.T, self.beta, self.lower, self.upper, self.where
-        col = self.nv
-        trow = {col: D}
+        D, T, beta, lower, upper, where, pos = (
+            self.D, self.T, self.beta, self.lower, self.upper, self.where, self.pos,
+        )
+        trow = [0] * self.ns
         value = 0
-        for j, a in support:
+        for j, a in enumerate(coeffs):
+            if not a:
+                continue
             r = row_of.get(j)
             if r is None:
-                terms = ((j, -a * D),)
+                trow[pos[j]] -= a * D
                 value += a * D * (lower[j] if where[j] == "L" else upper[j])
             else:
-                terms = ((k, a * b) for k, b in T[r].items() if k != j)
+                trow = [t + a * b for t, b in zip(trow, T[r])]
                 value += a * beta[r]
-            for k, b in terms:
-                v = trow.get(k, 0) + b
-                if v:
-                    trow[k] = v
-                else:
-                    trow.pop(k, None)
-        self.rows.append((support, lo, hi))
+        self.rows.append((coeffs, lo, hi))
         T.append(trow)
         beta.append(value)
-        self.basis.append(col)
+        self.basis.append(self.nv)
         where.append("B")
+        pos.append(-1)
         lower.append(lo)
         upper.append(hi)
-        self.d.append(0)
         self.m += 1
         self.nv += 1
 
@@ -291,72 +338,82 @@ class WarmLp:
         s.beta = self.beta[:]
         s.where = self.where[:]
         s.basis = self.basis[:]
-        s.T = [row.copy() for row in self.T]
+        s.nonbasic = self.nonbasic[:]
+        s.pos = self.pos[:]
+        s.T = self.T[:]  # rows are replaced, never changed in place
         s.d = self.d[:]
         s.z = self.z
         return s
 
-    def _pivot(self, r: int, e: int, bound: int) -> None:
-        """Column e enters on row r, whose basic leaves at bound.
+    def _pivot(self, r: int, q: int, bound: int) -> None:
+        """The nonbasic column at position q enters on row r, whose basic
+        leaves at bound and takes position q.
 
         Every row, reduced cost, basic value and z moves to the new common
-        denominator D' = |T_re| in one Bareiss step.
+        denominator D' = |T_rq| in one Bareiss step.
         """
-        T, beta, d, D = self.T, self.beta, self.d, self.D
+        T, beta, D = self.T, self.beta, self.D
+        e, leaving = self.nonbasic[q], self.basis[r]
         Tr = T[r]
-        p = Tr[e]
+        p = Tr[q]
+        # row r signed so the entering entry is p > 0; over the new
+        # nonbasics, the leaving column's entry at q is then sgn * D
         if p < 0:
-            p = -p
-            for j in Tr:
-                Tr[j] = -Tr[j]
+            p, sgn = -p, -1
+            Tr = [-v for v in Tr]
             delta = D * bound - beta[r]
         else:
+            sgn = 1
+            Tr = Tr[:]
             delta = beta[r] - D * bound
         # column e moves by delta / D', which takes the leaving basic to bound
         start = self.lower[e] if self.where[e] == "L" else self.upper[e]
         for i, Ti in enumerate(T):
             if i == r:
                 continue
-            f = Ti.get(e)
-            if f is None:
+            f = Ti[q]
+            if not f:
                 if p != D:
-                    T[i] = {j: v * p // D for j, v in Ti.items()}
+                    T[i] = [v * p // D for v in Ti]
                     beta[i] = beta[i] * p // D
                 continue
-            if p != 1:
-                Ti = {j: v * p for j, v in Ti.items()}
-            for j, b in Tr.items():
-                v = Ti.get(j, 0) - f * b
-                if v:
-                    Ti[j] = v
-                else:
-                    del Ti[j]
-            T[i] = {j: v // D for j, v in Ti.items()} if D != 1 else Ti
+            if D == 1:
+                row = [p * a - f * b for a, b in zip(Ti, Tr)]
+            else:
+                row = [(p * a - f * b) // D for a, b in zip(Ti, Tr)]
+            row[q] = -f * sgn
+            T[i] = row
             beta[i] = (p * beta[i] - f * delta) // D
         beta[r] = p * start + delta
-        de = d[e]
+        d = self.d
+        de = d[q]
         self.z = (p * self.z + de * delta) // D
-        if p != 1:
-            d[:] = [v * p for v in d]
         if de:
-            for j, b in Tr.items():
-                d[j] -= de * b
-        if D != 1:
-            d[:] = [v // D for v in d]
+            d = [(p * v - de * b) // D for v, b in zip(d, Tr)]
+            d[q] = -de * sgn
+        elif p != D:
+            d = [v * p // D for v in d]
+        self.d = d
+        Tr[q] = sgn * D
+        T[r] = Tr
         self.D = p
         self.basis[r] = e
+        self.nonbasic[q] = leaving
+        self.pos[leaving] = q
+        self.pos[e] = -1
         self.where[e] = "B"
 
-    def _shift_nonbasic(self, j: int, delta: int) -> None:
-        """Move nonbasic variable j by delta, updating basics and z."""
+    def _shift_nonbasic(self, q: int, delta: int) -> None:
+        """Move the nonbasic variable at position q by delta, updating
+        basics and z."""
         if delta == 0:
             return
         beta = self.beta
         for r, Tr in enumerate(self.T):
-            a = Tr.get(j)
+            a = Tr[q]
             if a:
                 beta[r] -= a * delta
-        self.z += self.d[j] * delta
+        self.z += self.d[q] * delta
 
     def dual_iterate(self) -> bool:
         """Restore primal feasibility from a dual feasible basis.
@@ -369,8 +426,8 @@ class WarmLp:
         (the violated basic of smallest index leaves), which cannot cycle, so
         every pass finishes.
         """
-        lower, upper, where, d, basis, beta, T = (
-            self.lower, self.upper, self.where, self.d, self.basis, self.beta, self.T,
+        lower, upper, where, basis, beta, T, nonbasic = (
+            self.lower, self.upper, self.where, self.basis, self.beta, self.T, self.nonbasic,
         )
         degenerate = 0
         fallback = 50 + 2 * (self.m + self.nv)
@@ -405,12 +462,15 @@ class WarmLp:
             r = r_best
             leaving = basis[r]
             # entering column: admissible sign pattern, tightest dual ratio
-            # d_j / a_j (negated toward an upper bound) as num / den, den > 0
-            enter = -1
+            # d_j / a_j (negated toward an upper bound) as num / den, den > 0,
+            # ties to the smaller column
+            d = self.d
+            enter = q_enter = -1
             best_num, best_den = 0, 1
-            for j, a in T[r].items():
-                if where[j] == "B":
+            for q, a in enumerate(T[r]):
+                if not a:
                     continue
+                j = nonbasic[q]
                 if lower[j] == upper[j]:
                     continue
                 at_low = where[j] == "L"
@@ -420,7 +480,7 @@ class WarmLp:
                     ok = (at_low and a > 0) or (not at_low and a < 0)
                 if not ok:
                     continue
-                num, den = (d[j], a) if a > 0 else (-d[j], -a)
+                num, den = (d[q], a) if a > 0 else (-d[q], -a)
                 if to_upper:
                     num = -num
                 if enter < 0:
@@ -429,46 +489,54 @@ class WarmLp:
                     lhs, rhs = num * best_den, best_num * den
                     better = lhs < rhs or (lhs == rhs and j < enter)
                 if better:
-                    best_num, best_den, enter = num, den, j
+                    best_num, best_den, enter, q_enter = num, den, j, q
             if enter < 0:
                 return False  # the violated row admits no compensating move
             # a zero dual ratio leaves the dual objective unchanged
             degenerate = degenerate + 1 if best_num == 0 else 0
             bland = bland or degenerate >= fallback
-            self._pivot(r, enter, lower[leaving] if not to_upper else upper[leaving])
+            self._pivot(r, q_enter, lower[leaving] if not to_upper else upper[leaving])
             where[leaving] = "L" if not to_upper else "U"
 
 
 def _extract(s: WarmLp) -> LpResult:
     """The audited optimum of the tableau s, checked against its own program."""
     n, D = s.ns, s.D
-    lower, upper, where = s.lower, s.upper, s.where
+    lower, upper, where, basis, nonbasic, pos = s.lower, s.upper, s.where, s.basis, s.nonbasic, s.pos
     # every structural's value as a numerator over D
     x = [D * (lower[j] if where[j] == "L" else upper[j]) for j in range(n)]
-    for r, j in enumerate(s.basis):
+    for r, j in enumerate(basis):
         if j < n:
             x[j] = s.beta[r]
     # exactness audit: the reported optimum is the objective at the point,
     # the point meets every row's range exactly and sits inside the live box
-    check = sum(c * x[j] for j, c in enumerate(s.objective) if c)
+    check = sum(map(mul, s.objective, x))
     if check != s.z:
         raise InternalInconsistencyError(
             f"objective at the point {Fraction(check, D)} != tableau value {Fraction(s.z, D)}")
-    for r, (support, lo, hi) in enumerate(s.rows):
-        ax = sum(a * x[j] for j, a in support)
+    for r, (coeffs, lo, hi) in enumerate(s.rows):
+        ax = sum(map(mul, coeffs, x))
         if not lo * D <= ax <= hi * D:
             raise InternalInconsistencyError(f"row {r} reads {Fraction(ax, D)}, outside [{lo}, {hi}]")
     for j in range(n):
         if not D * lower[j] <= x[j] <= D * upper[j]:
             raise InternalInconsistencyError(f"variable {j} = {Fraction(x[j], D)} leaves its box")
-    # optimality audit: no column can improve the objective, so a basic one
-    # has reduced cost zero and a nonbasic one with room to move a cost that
-    # pushes it against the bound it sits at (<= 0 at lower, >= 0 at upper)
-    for j, dj in enumerate(s.d):
-        if dj and (where[j] == "B" or (lower[j] != upper[j] and (dj > 0) == (where[j] == "L"))):
+    # basis audit: basis holds m distinct columns marked "B", and those are
+    # all the "B" columns; nonbasic holds the other ns, each where pos says
+    m = s.m
+    if (len(basis) != m or len(nonbasic) != n or len(where) != s.nv or where.count("B") != m
+            or len(set(basis)) != m or any(where[j] != "B" for j in basis)
+            or any(where[j] == "B" or pos[j] != q for q, j in enumerate(nonbasic))):
+        raise InternalInconsistencyError("basic and nonbasic columns do not split the columns")
+    # optimality audit: no nonbasic column with room to move can improve the
+    # objective, so its reduced cost pushes it against the bound it sits at
+    # (<= 0 at lower, >= 0 at upper)
+    for q, dj in enumerate(s.d):
+        j = nonbasic[q]
+        if dj and lower[j] != upper[j] and (dj > 0) == (where[j] == "L"):
             raise InternalInconsistencyError(
                 f"column {j} ({where[j]}) has reduced cost {Fraction(dj, D)} of the wrong sign")
-    return LpResult(OPTIMAL, tuple(Fraction(v, D) for v in x), Fraction(s.z, D))
+    return LpResult(OPTIMAL, tuple(x), D, s.z)
 
 
 def solve_lp_warm(p: LpProblem):
@@ -481,7 +549,7 @@ def solve_lp_warm(p: LpProblem):
     """
     if any(lo > hi for _, lo, hi in p.rows):
         return LpResult(INFEASIBLE), None
-    return WarmLp._row_less(p.objective, p.lower, p.upper)._solved((), _ranged(p.rows))
+    return WarmLp._row_less(p.objective, p.lower, p.upper)._solved((), p.rows)
 
 
 def solve_lp(p: LpProblem) -> LpResult:

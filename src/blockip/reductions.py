@@ -20,7 +20,10 @@ class SubsetSumInstance:
 
     @staticmethod
     def make(betas, delta: int) -> "SubsetSumInstance":
-        betas = tuple(betas)
+        try:
+            betas = tuple(betas)
+        except TypeError:
+            raise BadParamsError(f"items must be a sequence of ints, got {betas!r}") from None
         # int() would turn 2.5 into 2 and True into 1: an instance of
         # another problem
         if any(type(v) is not int for v in (*betas, delta)):

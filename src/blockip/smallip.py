@@ -4,6 +4,10 @@ Sits directly on the exact dual simplex of ratlp, whose integer tableau
 returns every node bound as the true rational LP optimum, audited for
 primal feasibility and for the sign of every reduced cost, so best-bound
 search with integer feasibility checks is a complete and exact method.
+Each node's point comes back as int numerators over one common
+denominator, so the branching variable is chosen and the split point taken
+in integers; only the node values, which order the search, are read as
+Fractions.
 Child nodes differ from their parent by one tightened bound, which keeps
 the parent's basis dual feasible, so they re-solve warm from it with a few
 dual pivots; only the root is solved cold, from the row-less start.
@@ -14,8 +18,7 @@ Intended for the small auxiliary programs the structured solvers generate
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, replace
 
 from .errors import MalformedProblemError
 from .ratlp import INFEASIBLE, OPTIMAL, LpProblem, LpResult, solve_lp_warm
@@ -36,17 +39,19 @@ class MipProblem:
         return MipProblem(lp, mask)
 
 
-def _branch_var(point, mask):
+def _branch_var(num, den, mask):
     """Masked variable farthest from an integer, or -1 if all integral.
 
+    The point is num over the common denominator den, so each distance is
+    min(r, den - r) over den with r = num % den, compared as numerators.
     Ties go to the smallest index so the search order is deterministic.
     """
-    best, best_dist = -1, Fraction(0)
-    for j, v in enumerate(point):
+    best, best_dist = -1, 0
+    for j, v in enumerate(num):
         if not mask[j]:
             continue
-        frac = v - (v.numerator // v.denominator)
-        dist = min(frac, 1 - frac)
+        r = v % den
+        dist = min(r, den - r)
         if dist > best_dist:
             best, best_dist = j, dist
     return best
@@ -61,15 +66,13 @@ def solve_mip(p: MipProblem, cutoff=None) -> LpResult:
     Infeasible even if the program has worse feasible points.  The nodes field
     counts LP relaxations solved.
     """
-    if cutoff is not None:
-        cutoff = Fraction(cutoff)
     root, state = solve_lp_warm(p.lp)
     nodes = 1
     if root.status != OPTIMAL:
         return LpResult(status=root.status, nodes=nodes)
 
     mask = p.integer_mask
-    best_point, best_val = None, cutoff
+    best, best_val = None, cutoff
     heap = []
     seq = 0
 
@@ -86,17 +89,17 @@ def solve_mip(p: MipProblem, cutoff=None) -> LpResult:
         negb, _, state, res = heapq.heappop(heap)
         if best_val is not None and -negb <= best_val:
             break  # best-bound order: nothing left can improve
-        j = _branch_var(res.point, mask)
+        j = _branch_var(res.num, res.den, mask)
         if j < 0:
-            best_point, best_val = res.point, res.value
+            best, best_val = res, res.value
             continue
-        split = res.point[j].numerator // res.point[j].denominator
+        split = res.num[j] // res.den
         lo, up = state.bounds(j)
         for child_lo, child_up in ((lo, split), (split + 1, up)):
             child_res, child_state = state.reoptimized(j, child_lo, child_up)
             nodes += 1
             push(child_state, child_res)
 
-    if best_point is None:
+    if best is None:
         return LpResult(status=INFEASIBLE, nodes=nodes)
-    return LpResult(status=OPTIMAL, point=best_point, value=best_val, nodes=nodes)
+    return replace(best, nodes=nodes)

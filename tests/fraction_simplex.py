@@ -14,6 +14,7 @@ namesakes do; every number is turned into a Fraction on entry.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from blockip.errors import InternalInconsistencyError, MalformedProblemError
@@ -281,7 +282,10 @@ def _extract(s: _Simplex, objective, rows) -> LpResult:
                 s.lower[j] != s.upper[j] and (dj > 0) == (s.where[j] == "L"))):
             raise InternalInconsistencyError(
                 f"column {j} ({s.where[j]}) has reduced cost {dj} of the wrong sign")
-    return LpResult(OPTIMAL, point, value)
+    # as ratlp hands it back: int numerators over one common denominator
+    den = math.lcm(value.denominator, *(v.denominator for v in point))
+    return LpResult(OPTIMAL, tuple(v.numerator * (den // v.denominator) for v in point), den,
+                    value.numerator * (den // value.denominator))
 
 
 def _finish(s: _Simplex, objective, rows):

@@ -66,15 +66,38 @@ def test_snf_scale_stretches_entries_and_boxes():
 @pytest.mark.parametrize("name", sorted(GENERATORS))
 def test_sizes_out_of_range_raise_before_any_draw(name):
     # coeff or scale 0 once redrew an all-zero brick matrix forever, -1
-    # raised ValueError from randint, and n = -1 returned an instance that
-    # validate rejects
+    # raised ValueError from randint, and n = -1, s_C = -1 or, on the
+    # all-ones shape, t_B = -1 returned an instance that validate rejects
     make, cls = GENERATORS[name]
     rng = random.Random(9)
     state = rng.getstate()
-    for size in ({"coeff": 0}, {"coeff": -1}, {"scale": 0}, {"scale": -1}, {"width": -1}, {"n": -1}):
+    shape = {"ones": "t_B", "snf": "t_B", "nfold": "t_A"}[name]
+    for size in ({"coeff": 0}, {"coeff": -1}, {"scale": 0}, {"scale": -1}, {"width": -1}, {"n": -1},
+                 {"s_C": -1}, {shape: -1}):
         with pytest.raises(BadParamsError):
             make(rng, **size)
         assert rng.getstate() == state, size
     # the edge of the range is still an instance
     inst = make(rng, n=0, width=0, coeff=1, scale=1)
     assert validate(inst) == [] and classify(inst) == cls
+
+
+@pytest.mark.parametrize("name", sorted(GENERATORS))
+def test_parameters_of_the_wrong_type_raise_before_any_draw(name):
+    # n = 2.0 and t_A = 2.0 once raised TypeError from range and randint,
+    # after part of the stream was drawn
+    make, _ = GENERATORS[name]
+    rng = random.Random(10)
+    state = rng.getstate()
+    shape = {"ones": "t_A", "snf": "s_A", "nfold": "t_A"}[name]
+    for param in ("n", shape, "s_C", "width", "coeff", "scale"):
+        for bad in (2.0, True, None, "2"):
+            with pytest.raises(BadParamsError):
+                make(rng, **{param: bad})
+            assert rng.getstate() == state, (param, bad)
+    for bad in (None, "0.5"):
+        with pytest.raises(BadParamsError):
+            make(rng, seeded_rate=bad)
+        assert rng.getstate() == state
+    # an int rate is a rate: 1 seeds every instance, as 1.0 does
+    assert dumps(make(random.Random(3), seeded_rate=1)) == dumps(make(random.Random(3), seeded_rate=1.0))

@@ -292,6 +292,20 @@ def test_evaluate_reports_violations_by_block_and_row():
         evaluate(inst, (0, 0))
 
 
+@pytest.mark.parametrize("field", ["l", "u", "w"])
+def test_evaluate_rejects_what_is_no_instance(field):
+    # these once raised AttributeError (no num_vars) and TypeError (None is
+    # not iterable); a short w once gave a truncated objective silently
+    with pytest.raises(MalformedProblemError):
+        evaluate(None, ())
+    for inst in (small_instance(n=2), GENERALIZED):
+        x = (0,) * inst.num_vars
+        assert evaluate(inst, x).objective == 0
+        for bad in (None, 7, {j: 0 for j in range(inst.num_vars)}, getattr(inst, field)[1:]):
+            with pytest.raises(MalformedProblemError):
+                evaluate(dataclasses.replace(inst, **{field: bad}), x)
+
+
 def test_json_round_trip_four_block():
     inst = small_instance(n=3)
     text = dumps(inst)

@@ -68,8 +68,10 @@ PER_ROUTE = 100
 
 
 def _flip_reduced_cost(state):
-    # x sits at its upper bound with reduced cost 1 (a numerator over D)
-    state.d[0] = -state.d[0]
+    # x sits at its upper bound with reduced cost 1 (a numerator over D),
+    # held at x's position among the nonbasic columns
+    q = state.pos[0]
+    state.d[q] = -state.d[q]
     return state
 
 
@@ -79,13 +81,20 @@ def _shift_value(state):
 
 
 def _inconsistent_rows(state):
-    # the row x = 0 in sparse form (support, lo, hi); x = 2 is optimal
-    state.rows = [([(0, 1)], 0, 0)]
+    # the row x = 0 as (coefficients, lo, hi); x = 2 is optimal
+    state.rows = [([1, 0], 0, 0)]
+    return state
+
+
+def _misplaced_nonbasic(state):
+    # x and the row's slack are nonbasic; swapping them in nonbasic leaves
+    # pos, and the reduced cost and row entries held by position, wrong
+    state.nonbasic.reverse()
     return state
 
 
 # each makes a sound WarmLp of max 2x + y, x + y <= 3, x, y in [0, 2] wrong
-TAMPERED = (_flip_reduced_cost, _shift_value, _inconsistent_rows)
+TAMPERED = (_flip_reduced_cost, _shift_value, _inconsistent_rows, _misplaced_nonbasic)
 
 # max 3a + b + 2d over a 2 x 2 transport with unit totals and boxes [0, 1],
 # whose optimum is ((1, 0), (0, 1)) worth 5; each wrong result breaks one

@@ -350,8 +350,9 @@ def test_rows_added_to_a_row_less_solve_match_the_cold_solve():
 
 
 def reduced_cost(s, j):
-    """Column j's reduced cost in the tableau s, as a Fraction."""
-    return Fraction(s.d[j], s.D)
+    """Nonbasic column j's reduced cost in the tableau s, as a Fraction;
+    d holds one per nonbasic column, at the column's position pos[j]."""
+    return Fraction(s.d[s.pos[j]], s.D)
 
 
 def test_unfixed_column_moves_to_the_bound_its_reduced_cost_prefers():
@@ -374,18 +375,43 @@ def test_dual_sign_audit_rejects_a_tampered_reduced_cost():
     assert res.status == OPTIMAL and res.value == 5
     assert state.where[0] == "U" and reduced_cost(state, 0) == 1 and state.lower[0] != state.upper[0]
     assert state.edited()[0] == res
-    state.d[0] = -state.d[0]  # the numerator over D: the sign flips, nothing else
+    q = state.pos[0]  # x's position among the nonbasic columns
+    state.d[q] = -state.d[q]  # the numerator over D: the sign flips, nothing else
     with pytest.raises(InternalInconsistencyError):
         state.edited()
+
+
+def test_basis_audit_rejects_columns_that_do_not_split():
+    # max 2x + y, x + y <= 3: y is basic, x and the slack are nonbasic
+    p = LpProblem.make([2, 1], [([1, 1], 0, 3)], [0, 0], [2, 2])
+    res, state = solve_lp_warm(p)
+    assert state.basis == [1] and sorted(state.nonbasic) == [0, 2]
+    assert [state.pos[j] for j in state.nonbasic] == [0, 1] and state.pos[1] == -1
+    assert state.edited()[0] == res
+
+    def swapped(s):  # pos no longer names the positions
+        s.nonbasic.reverse()
+
+    def doubled(s):  # the basic column listed as nonbasic too
+        s.nonbasic[s.pos[0]] = s.basis[0]
+
+    def unmarked(s):  # a basic column marked as sitting at a bound
+        s.where[s.basis[0]] = "L"
+
+    for tamper in (swapped, doubled, unmarked):
+        _, state = solve_lp_warm(p)
+        tamper(state)
+        with pytest.raises(InternalInconsistencyError):
+            state.edited()
 
 
 def test_warm_audit_rejects_an_inconsistent_tableau():
     p = LpProblem.make([1, 1], [([1, 1], 0, 3)], [0, 0], [2, 2])
     res, state = solve_lp_warm(p)
     assert res.status == OPTIMAL and res.value == 3
-    # rows in the tableau's sparse form (support, lo, hi): x = 0, which the
-    # optimum (1, 2) breaks
-    state.rows = [([(0, 1)], 0, 0)]
+    # the row x = 0 as (coefficients, lo, hi), which the optimum (1, 2)
+    # breaks
+    state.rows = [([1, 0], 0, 0)]
     with pytest.raises(InternalInconsistencyError):
         state.edited()
     _, state = solve_lp_warm(p)

@@ -7,7 +7,8 @@ draw integer rows, bounds and costs (the only data ratlp takes), chains of
 WarmLp.edited box edits and added rows, and whole branch-and-bound runs of
 smallip.solve_mip; the hypothesis shapes push on the integer tableau
 itself: 30-digit numbers, point boxes, rows with empty support, m = 0 and
-n = 1.
+n = 1; and tall programs of 100-300 rows over at most 6 columns, the
+shape of the all-ones search's bound LP at large Δ.
 """
 
 import math
@@ -174,3 +175,85 @@ def test_edge_shapes_match_the_fraction_simplex():
             got, want = both_edited(got, want, boxes, rows)
 
     check()
+
+
+def assert_integer_result(res):
+    """num, den and value_num are ints that give point and value exactly."""
+    if res.status != OPTIMAL:
+        assert res.num is None and res.value_num is None and res.point is None
+        return
+    assert type(res.den) is int and res.den > 0 and type(res.value_num) is int
+    assert all(type(v) is int for v in res.num)
+    assert res.point == tuple(Fraction(v, res.den) for v in res.num)
+    assert res.value == Fraction(res.value_num, res.den)
+
+
+def tall_cut(centre, weights, v, big):
+    """The tangent row t - slope . v <= rhs of the concave quadratic
+    g(v) = -sum_k weights[k] (v_k - centre_k)^2 at the integer point v."""
+    slope = [-2 * a * (x - c) for a, x, c in zip(weights, v, centre)]
+    value = -sum(a * (x - c) ** 2 for a, x, c in zip(weights, v, centre))
+    rhs = value - sum(sk * x for sk, x in zip(slope, v))
+    return [-sk for sk in slope] + [1], rhs - big ** 3, rhs
+
+
+def tall_lp(rng, big=10 ** 30):
+    """100-300 ranged rows over at most 6 columns, entries up to 30 digits.
+
+    The shape of the all-ones search's bound LP when Δ is large and cuts
+    pile up: maximize t over a box of v (f <= 5 coordinates) under tangent
+    rows t <= g(v_i) + slope_i . (v - v_i) of one concave g, a few plain
+    ranged rows through an in-box point, and the bound on t.  Returns the
+    program and (centre, weights), which tall_edit needs for more cuts.
+    """
+    f = rng.randint(1, 5)
+    lower = [rng.randint(-big, 0) for _ in range(f)]
+    upper = [lo + rng.choice((rng.randint(0, 9), rng.randint(big, 2 * big))) for lo in lower]
+    centre = [rng.randint(lo - big // 4, hi + big // 4) for lo, hi in zip(lower, upper)]
+    weights = [rng.randint(1, 9) for _ in range(f)]
+    seed = [rng.randint(lo, hi) for lo, hi in zip(lower, upper)]
+    rows = []
+    for _ in range(rng.randint(100, 300)):
+        if rng.random() < 0.9:
+            v = [rng.randint(lo, hi) for lo, hi in zip(lower, upper)]
+            rows.append(tall_cut(centre, weights, v, big))
+        else:
+            coeffs = [rng.choice((0, rng.randint(-9, 9), rng.randint(-big, big))) for _ in range(f)]
+            at = sum(a * x for a, x in zip(coeffs, seed))
+            rows.append((coeffs + [0], at - rng.randint(0, big ** 2), at + rng.randint(0, big ** 2)))
+    objective = [rng.choice((0, 0, rng.randint(-big, big))) for _ in range(f)] + [1]
+    return LpProblem.make(objective, rows, lower + [-big ** 3], upper + [big ** 3]), (centre, weights)
+
+
+def tall_edit(rng, p, point, shape, big=10 ** 30):
+    """A box split at a coordinate of the rational point, as the search
+    splits, and new tangent rows at integer points near it."""
+    centre, weights = shape
+    f = len(centre)
+    rows = []
+    for _ in range(rng.randint(0, 2)):
+        near = [math.floor(x) + rng.randint(-1, 1) for x in point[:f]]
+        rows.append(tall_cut(centre, weights, near, big))
+    k = rng.randrange(f)
+    lo, hi = p.lower[k], p.upper[k]
+    at = min(max(math.floor(point[k]), lo), hi)
+    box = (k, lo, at) if rng.random() < 0.5 else (k, min(at + 1, hi), hi)
+    return [box], rows
+
+
+def test_tall_programs_match_the_fraction_simplex():
+    rng = random.Random(1104)
+    optimal = steps = 0
+    for _ in range(12):
+        p, shape = tall_lp(rng)
+        got, want = both_cold(p)
+        assert_integer_result(got[0])
+        optimal += got[0].status == OPTIMAL
+        for _ in range(6):
+            if got[0].status != OPTIMAL:
+                break
+            boxes, rows = tall_edit(rng, p, got[0].point, shape)
+            got, want = both_edited(got, want, boxes, rows)
+            assert_integer_result(got[0])
+            steps += 1
+    assert optimal >= 10 and steps >= 40

@@ -26,8 +26,9 @@ def feasible(inst):
 def test_subset_sum_items_and_target_must_be_ints():
     # int() once made [2.5, 2.5] the items (2, 2) and True the item 1, so
     # the oracle answered another problem; a str target raised TypeError
+    # and items that are no sequence at all raised TypeError from tuple()
     for betas, delta in (([2.5, 2.5], 5), ([True, 2], 3), ([2, 3], "5"), ([2, 3], 5.0),
-                         ([Fraction(2)], 2), ([2, "3"], 5)):
+                         ([Fraction(2)], 2), ([2, "3"], 5), (None, 5), (7, 5)):
         with pytest.raises(BadParamsError):
             SubsetSumInstance.make(betas, delta)
     assert SubsetSumInstance.make([2, 3], 5) == SubsetSumInstance((2, 3), 5)

@@ -6,7 +6,7 @@ import pytest
 
 from blockip.errors import MalformedProblemError
 from blockip.ratlp import INFEASIBLE, OPTIMAL, LpProblem, solve_lp
-from blockip.smallip import MipProblem, solve_mip
+from blockip.smallip import MipProblem, _branch_var, solve_mip
 
 
 def brute_force(objective, eq_matrix, eq_rhs, lower, upper):
@@ -143,3 +143,17 @@ def test_node_count_bounded_by_lattice_size():
             lattice *= h - l + 1
         assert res.nodes <= 2 * lattice
 
+
+
+def test_branch_var_picks_the_masked_variable_farthest_from_an_integer():
+    # the integer rule on num over den against the distance to the nearest
+    # integer as a Fraction, ties to the smallest index
+    rng = random.Random(31)
+    for _ in range(2000):
+        den = rng.randint(1, 12)
+        num = [rng.randint(-40, 40) for _ in range(rng.randint(1, 5))]
+        mask = [rng.random() < 0.8 for _ in num]
+        dists = [min(Fraction(v, den) % 1, 1 - Fraction(v, den) % 1) if m else 0
+                 for v, m in zip(num, mask)]
+        far = max(dists)
+        assert _branch_var(num, den, mask) == (dists.index(far) if far else -1)
