@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import (
     InternalInconsistencyError,
@@ -95,21 +96,18 @@ def elimination_from_snf(inst: FourBlockInstance):
     EliminationData, or Infeasible("DivisibilityFail") at the first brick
     whose difference system has no integer solution.
     """
-    tB, tA = inst.t_B, inst.t_A
     snf = brick_form(inst.A)
     if snf is None:
         raise NotEligibleError("needs one more brick column than rows and full row rank")
     deltas = ([v - v1 for v, v1 in zip(bi, inst.b[0])] for bi in inst.b)
     offsets = []
-    totals = [0] * tA
+    totals = [0] * inst.t_A
     c0 = 0
-    for i, off in enumerate(particular_solutions(snf, deltas)):
+    for off, wi in zip(particular_solutions(snf, deltas), inst.bricks(inst.w)):
         if off is None:
             return Infeasible("DivisibilityFail")
-        s = tB + i * tA
-        for h in range(tA):
-            totals[h] += off[h]
-            c0 += inst.w[s + h] * off[h]
+        totals = [t + o for t, o in zip(totals, off)]
+        c0 += sum(map(mul, wi, off))
         offsets.append(off)
     (theta,) = kernel_basis(snf)
     return EliminationData(theta, tuple(offsets), tuple(totals), c0)
@@ -258,25 +256,13 @@ class _CellBuilder:
         # coordinates with a zero step: the anchor value is shared by all
         # bricks up to constant shifts, so the boxes intersect directly
         self.zero_lo, self.zero_hi = {}, {}
+        lower, upper = inst.bricks(inst.l), inst.bricks(inst.u)
         for h in zh:
-            los, his = [], []
-            for i in range(n):
-                s = tB + i * tA
-                los.append(inst.l[s + h] - elim.offsets[i][h])
-                his.append(inst.u[s + h] - elim.offsets[i][h])
-            self.zero_lo[h] = max(los)
-            self.zero_hi[h] = min(his)
-        self.wsum = [0] * tA  # total objective weight per coordinate
-        for i in range(n):
-            s = tB + i * tA
-            for h in range(tA):
-                self.wsum[h] += inst.w[s + h]
-        self.rates = [0] * n  # objective rate of each brick's free integer
-        for i in range(n):
-            s = tB + i * tA
-            self.rates[i] = sum(
-                inst.w[s + h] * theta[h] for h in range(tA)
-            )
+            self.zero_lo[h] = max(lo[h] - off[h] for lo, off in zip(lower, elim.offsets))
+            self.zero_hi[h] = min(up[h] - off[h] for up, off in zip(upper, elim.offsets))
+        self.wsum = inst.brick_sums(inst.w)  # total objective weight per coordinate
+        # objective rate of each brick's free integer
+        self.rates = [sum(map(mul, wi, theta)) for wi in inst.bricks(inst.w)]
         self.order = tuple(
             sorted(range(1, n), key=lambda i: (-self.rates[i], i))
         )
@@ -779,7 +765,12 @@ def _solve_trivial(inst: FourBlockInstance):
     if res.status != OPTIMAL:
         return Infeasible("NoLatticePoint")
     x = tuple(int(v) for v in res.point)
-    return Solution(x=x, objective=int(res.value), solver_tag="fourblock_snf")
+    report = evaluate(inst, x)
+    if not report.feasible or report.objective != res.value:
+        raise InternalInconsistencyError(
+            f"shared-variable optimum infeasible or off-objective: {report.violations[:3]}"
+        )
+    return Solution(x=x, objective=report.objective, solver_tag="fourblock_snf")
 
 
 def _prepare(inst: FourBlockInstance):
@@ -802,12 +793,7 @@ def _prepare(inst: FourBlockInstance):
         return None
     if isinstance(elim, Infeasible):
         return elim
-    grid = build_grid(
-        elim,
-        [inst.l[inst.brick_slice(i)] for i in range(inst.n)],
-        [inst.u[inst.brick_slice(i)] for i in range(inst.n)],
-    )
-    return elim, grid
+    return elim, build_grid(elim, inst.bricks(inst.l), inst.bricks(inst.u))
 
 
 def solve_4block_snf(inst: FourBlockInstance):

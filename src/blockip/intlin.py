@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import mul
 
-from .errors import BothZeroError, DimensionMismatchError, ZeroMatrixError
+from .errors import BothZeroError, DimensionMismatchError, MalformedProblemError, ZeroMatrixError
 from .model import IntMatrix
 
 
@@ -106,7 +106,10 @@ def smith_normal_form(A: IntMatrix) -> SnfDecomposition:
     the gcd at once rather than through chained remainder subtractions,
     which blow entries up.  When the pivot fails to divide a trailing
     entry, that entry's row is folded into row k and step k runs again.
+    Anything but an IntMatrix raises MalformedProblemError.
     """
+    if type(A) is not IntMatrix:
+        raise MalformedProblemError(f"A is a {type(A).__name__}, not an IntMatrix")
     if A.is_zero():
         raise ZeroMatrixError("Smith form of the zero matrix is not defined here")
     nr, nc = A.rows, A.cols

@@ -11,7 +11,12 @@ integral, where H has the block shape
 
 The variable vector is brick-major: the prefix x0 (length t_B) is shared by
 every block row, followed by n bricks of length t_A each.  Setting t_B = 0
-removes x0 and gives the plain n-fold shape.
+removes x0 and gives the plain n-fold shape.  FourBlockInstance.bricks and
+FourBlockInstance.brick_sums are how a brick-major vector is read: the n
+brick pieces, and the per-coordinate sums over the bricks.  Outside the
+class, the one place that still writes the layout by offset is
+generators._finish, which builds the bricks from a witness point before the
+instance exists.
 """
 
 from __future__ import annotations
@@ -163,6 +168,20 @@ class FourBlockInstance:
         """Index range of brick i (0-based) within a flat vector."""
         start = self.t_B + i * self.t_A
         return slice(start, start + self.t_A)
+
+    def bricks(self, vec) -> list:
+        """The n brick pieces of vec, a brick-major vector of length num_vars."""
+        tB, tA = self.t_B, self.t_A
+        return [vec[tB + i * tA : tB + (i + 1) * tA] for i in range(self.n)]
+
+    def brick_sums(self, vec) -> list[int]:
+        """Per brick coordinate h, the sum of every brick's entry h in vec.
+
+        vec is brick-major of length num_vars, so coordinate h of the bricks
+        is the strided slice vec[t_B + h :: t_A].
+        """
+        tB, tA = self.t_B, self.t_A
+        return [sum(vec[tB + h :: tA]) for h in range(tA)]
 
     def dense_rows(self):
         """Yield (coefficients, rhs) for every constraint row, top rows first."""
@@ -417,11 +436,13 @@ def classify(inst) -> StructureClass:
 def evaluate(inst, x) -> EvaluationReport:
     """Recompute every constraint of the instance at the point x.
 
-    Not validate: the checks take constant work, so a caller that has
-    validated the instance pays nothing per entry.  An inst that is neither
-    instance kind, or whose l, u or w is not a tuple or list of length
-    num_vars, raises MalformedProblemError; an x of another length raises
-    DimensionMismatchError.
+    Not validate: the checks of the instance take constant work, so a
+    caller that has validated it pays nothing per entry; x gets one pass
+    over its entry types.  An inst that is neither instance kind, or whose
+    l, u or w is not a tuple or list of length num_vars, raises
+    MalformedProblemError, and so does an x that is not a tuple or list of
+    ints (a bool, float or Fraction entry included); an x of another length
+    raises DimensionMismatchError.
     """
     if not isinstance(inst, (FourBlockInstance, GeneralizedNFoldInstance)):
         raise MalformedProblemError(f"the instance is a {type(inst).__name__}, "
@@ -432,26 +453,26 @@ def evaluate(inst, x) -> EvaluationReport:
             raise MalformedProblemError(f"{name} is a {type(vec).__name__}, not a tuple or list")
         if len(vec) != N:
             raise MalformedProblemError(f"{name} has length {len(vec)}, expected {N}")
+    if type(x) not in _SEQS:
+        raise MalformedProblemError(f"x is a {type(x).__name__}, not a tuple or list")
+    # one pass in C over the entry types, as in validate
+    if not set(map(type, x)) <= {int}:
+        j, v = next((j, v) for j, v in enumerate(x) if type(v) is not int)
+        raise MalformedProblemError(f"x entry {j} = {v!r} is not an int")
     if len(x) != N:
         raise DimensionMismatchError(f"x has length {len(x)}, expected {N}")
     if isinstance(inst, GeneralizedNFoldInstance):
         return _evaluate_dense(inst, x)
     violations = []
-    tB, tA, n = inst.t_B, inst.t_A, inst.n
-    x0 = x[:tB]
-    brick_sum = [0] * tA
-    for i in range(n):
-        s = tB + i * tA
-        for h in range(tA):
-            brick_sum[h] += x[s + h]
+    x0 = x[:inst.t_B]
     top = inst.C.mul_vec(x0)
-    dsum = inst.D.mul_vec(brick_sum)
+    dsum = inst.D.mul_vec(inst.brick_sums(x))
     for r in range(inst.s_C):
         lhs = top[r] + dsum[r]
         if lhs != inst.b0[r]:
             violations.append(f"top row {r}: lhs {lhs} != rhs {inst.b0[r]}")
     bx0 = inst.B.mul_vec(x0)
-    for i in range(n):
+    for i in range(inst.n):
         brick = x[inst.brick_slice(i)]
         ax = inst.A.mul_vec(brick)
         for r in range(inst.s_A):

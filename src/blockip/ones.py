@@ -73,18 +73,6 @@ def _require_ones(inst: FourBlockInstance) -> None:
         raise NotAllOnesError("brick matrix is not a single all-ones row")
 
 
-def _y_box(inst: FourBlockInstance):
-    """Componentwise sums of the brick boxes: the tightest box on y."""
-    y_lo = [0] * inst.t_A
-    y_hi = [0] * inst.t_A
-    for i in range(inst.n):
-        s = inst.brick_slice(i).start
-        for h in range(inst.t_A):
-            y_lo[h] += inst.l[s + h]
-            y_hi[h] += inst.u[s + h]
-    return y_lo, y_hi
-
-
 @dataclass(frozen=True)
 class _LatticeForm:
     """Affine lattice carrying every integral aggregate: (x0, y) = offset + basis v."""
@@ -121,31 +109,19 @@ def _aggregate_lattice(inst: FourBlockInstance):
     rows = [list(inst.C.row(r)) + list(inst.D.row(r)) for r in range(sC)]
     rows.append([n * c for c in brow] + [1] * tA)
     rhs = list(inst.b0) + [sum(inst.b[i][0] for i in range(n))]
-    y_lo, y_hi = _y_box(inst)
-    xy_lo = list(inst.l[:tB]) + y_lo
-    xy_hi = list(inst.u[:tB]) + y_hi
+    # y's box is the brick sums of the brick boxes, the tightest one
+    xy_lo = list(inst.l[:tB]) + inst.brick_sums(inst.l)
+    xy_hi = list(inst.u[:tB]) + inst.brick_sums(inst.u)
     lattice = lattice_in_box(smith_normal_form(IntMatrix.from_rows(rows)), rhs, xy_lo, xy_hi)
     if lattice is None:
         return None
     return _LatticeForm(*lattice, tuple(xy_lo), tuple(xy_hi))
 
 
-def _brick_slices(inst: FourBlockInstance):
-    """(lower, upper, profit): per brick, its slices of l, u and w."""
-    tA, tB = inst.t_A, inst.t_B
-    lower, upper, profit = [], [], []
-    for i in range(inst.n):
-        s = tB + i * tA
-        lower.append(inst.l[s:s + tA])
-        upper.append(inst.u[s:s + tA])
-        profit.append(inst.w[s:s + tA])
-    return lower, upper, profit
-
-
 def _transport_problem(inst: FourBlockInstance, ctx: OnesContext) -> TransportProblem:
     bx0 = inst.B.mul_vec(ctx.x0)[0] if inst.s_A else 0
     row_totals = [inst.b[i][0] - bx0 for i in range(inst.n)]
-    return TransportProblem.make(row_totals, ctx.y, *_brick_slices(inst))
+    return TransportProblem.make(row_totals, ctx.y, *map(inst.bricks, (inst.l, inst.u, inst.w)))
 
 
 def _transport_duals(p: TransportProblem, res: TransportResult):
@@ -304,7 +280,7 @@ def _optimize_aggregate(inst: FourBlockInstance, form: _LatticeForm):
     basis = form.basis
     p0 = form.offset
 
-    lower, upper, profit = _brick_slices(inst)
+    lower, upper, profit = map(inst.bricks, (inst.l, inst.u, inst.w))
     bvals = [inst.b[i][0] for i in range(n)]
     # the bricks' transport table, built once; each evaluation sets its totals
     bricks = TransportProblem.make(bvals, [0] * tA, lower, upper, profit)

@@ -34,14 +34,16 @@ def enumerate_optimum(inst, budget: OracleBudget | None = None):
     Returns a Solution or Infeasible; raises BudgetExceededError once the
     number of visited value assignments passes budget.max_points, and
     MalformedProblemError for anything that model.validate rejects, either
-    instance kind alike.  An empty box, l_j > u_j, is no error here: it is
-    Infeasible.
+    instance kind alike, and for a budget that is not an OracleBudget.  An
+    empty box, l_j > u_j, is no error here: it is Infeasible.
     """
     issues = [i.message for i in validate(inst) if i.code != "LowerExceedsUpper"]
     if issues:
         raise MalformedProblemError(issues[0])
     if budget is None:
         budget = OracleBudget()
+    if type(budget) is not OracleBudget:
+        raise MalformedProblemError(f"budget is a {type(budget).__name__}, not an OracleBudget")
     max_points = budget.max_points
     lower, upper, weights = inst.l, inst.u, inst.w
     N = len(lower)

@@ -33,6 +33,9 @@ class MipProblem:
 
     @staticmethod
     def make(lp: LpProblem, integer_mask) -> "MipProblem":
+        if type(integer_mask) not in (tuple, list):
+            raise MalformedProblemError(
+                f"integrality mask is a {type(integer_mask).__name__}, not a tuple or list")
         mask = tuple(bool(f) for f in integer_mask)
         if len(mask) != len(lp.objective):
             raise MalformedProblemError("integrality mask has wrong length")

@@ -5,12 +5,17 @@ under python -O on an interpreter without pytest.
 """
 
 import dataclasses
+from fractions import Fraction
 
 from blockip.fourblock_snf import solve_4block_snf
-from blockip.model import FourBlockInstance, IntMatrix
+from blockip.intlin import smith_normal_form
+from blockip.model import FourBlockInstance, IntMatrix, evaluate
 from blockip.nfold_snf import solve_nfold_snf
 from blockip.ones import solve_ones
+from blockip.oracle import enumerate_optimum
+from blockip.ratlp import LpProblem
 from blockip.reductions import SubsetSumInstance, encode_theorem2b
+from blockip.smallip import MipProblem
 
 SOLVERS = (solve_ones, solve_nfold_snf, solve_4block_snf)
 
@@ -84,3 +89,21 @@ MALFORMED = tuple(
         ("float in a block", {"A_blocks": [_A, IntMatrix(1, 2, (1, 1.0))]}),
     )
 ) + (("not an instance", None), ("a matrix, not an instance", _A))
+
+# the n-fold x_1 + x_2 = 1 over the box [0, 1]^2, with no top rows
+PAIR = FourBlockInstance.nfold(1, IntMatrix.from_rows([[1, 1]]), IntMatrix.zero(0, 2),
+                               b0=[], b=[[1]], l=[0, 0], u=[1, 1], w=[0, 1])
+
+# (what is wrong, function, arguments): each call raises
+# MalformedProblemError, not AttributeError or TypeError, and evaluate
+# reports no point that is not integral as feasible
+UNTYPED_CALLS = (
+    ("oracle budget a str", enumerate_optimum, (PAIR, "x")),
+    ("integrality mask None", MipProblem.make, (LpProblem.make([1], [], [0], [1]), None)),
+    ("Smith form of a list", smith_normal_form, ([[1, 2]],)),
+    ("Smith form of None", smith_normal_form, (None,)),
+    ("bools as a point", evaluate, (PAIR, (True, False))),
+    ("a float in a point", evaluate, (PAIR, [0.0, 1])),
+    ("a Fraction in a point", evaluate, (PAIR, (0, Fraction(1)))),
+    ("a point that is no sequence", evaluate, (PAIR, None)),
+)

@@ -6,7 +6,7 @@ import pytest
 from highs_oracle import highs_optimum
 
 from blockip import fourblock_snf, generators, smallip
-from blockip.errors import MalformedProblemError, NotEligibleError
+from blockip.errors import InternalInconsistencyError, MalformedProblemError, NotEligibleError
 from blockip.fourblock_snf import (
     EliminationData,
     _prepare,
@@ -27,7 +27,7 @@ from blockip.model import (
 )
 from blockip.nfold_snf import solve_nfold_snf
 from blockip.oracle import OracleBudget, enumerate_optimum
-from blockip.ratlp import INFEASIBLE, OPTIMAL
+from blockip.ratlp import INFEASIBLE, OPTIMAL, LpResult
 
 
 def cell_values(inst):
@@ -163,13 +163,16 @@ def test_divisibility_gap_is_infeasible():
     assert solve_4block_snf(inst) == Infeasible("DivisibilityFail")
 
 
+# no bricks: max 2 x_1 + x_2 with x_1 + x_2 = 4 over [0, 3]^2
+NO_BRICKS = FourBlockInstance.make(
+    n=0, A=IntMatrix.from_rows([(1, 1)]), B=IntMatrix.from_rows([(1, 0)]),
+    C=IntMatrix.from_rows([(1, 1)]), D=IntMatrix.from_rows([(1, 2)]),
+    b0=(4,), b=(), l=(0, 0), u=(3, 3), w=(2, 1),
+)
+
+
 def test_no_bricks_reduces_to_shared_variables():
-    inst = FourBlockInstance.make(
-        n=0, A=IntMatrix.from_rows([(1, 1)]), B=IntMatrix.from_rows([(1, 0)]),
-        C=IntMatrix.from_rows([(1, 1)]), D=IntMatrix.from_rows([(1, 2)]),
-        b0=(4,), b=(), l=(0, 0), u=(3, 3), w=(2, 1),
-    )
-    got = solve_4block_snf(inst)
+    got = solve_4block_snf(NO_BRICKS)
     assert got == Solution(x=(3, 1), objective=7, solver_tag="fourblock_snf")
     odd = FourBlockInstance.make(
         n=0, A=IntMatrix.from_rows([(1, 1)]), B=IntMatrix.from_rows([(2,)]),
@@ -177,6 +180,15 @@ def test_no_bricks_reduces_to_shared_variables():
         b0=(3,), b=(), l=(0,), u=(5,), w=(1,),
     )
     assert solve_4block_snf(odd) == Infeasible("NoLatticePoint")
+
+
+def test_no_bricks_optimum_is_re_evaluated(monkeypatch):
+    # an infeasible point, then the optimum with the wrong value
+    for num, value in (((3, 0), 6), ((3, 1), 8)):
+        wrong = LpResult(OPTIMAL, num, 1, value)
+        monkeypatch.setattr(fourblock_snf, "solve_mip", lambda p, cutoff=None, r=wrong: r)
+        with pytest.raises(InternalInconsistencyError):
+            solve_4block_snf(NO_BRICKS)
 
 
 def test_no_variables_at_all():

@@ -32,7 +32,16 @@ from blockip.model import (
 from blockip.nfold_snf import solve_nfold_snf
 from blockip.ones import solve_ones
 from blockip.oracle import enumerate_optimum
-from model_cases import GENERALIZED, MALFORMED, NOT_ELIGIBLE, SOLVERS, four_of, nfold_of
+from model_cases import (
+    GENERALIZED,
+    MALFORMED,
+    NOT_ELIGIBLE,
+    PAIR,
+    SOLVERS,
+    UNTYPED_CALLS,
+    four_of,
+    nfold_of,
+)
 
 
 def small_instance(n=2):
@@ -432,6 +441,33 @@ def test_dense_rows_match_evaluate():
         assert rep.feasible == (dense_ok and bounds_ok)
 
 
+def _shaped(n, t_A, t_B):
+    """Instance of the given shape whose vectors hold distinct entries."""
+    N = t_B + n * t_A
+    vec = list(range(10, 10 + N))
+    return FourBlockInstance.make(n, IntMatrix.zero(1, t_A), IntMatrix.zero(1, t_B),
+                                  IntMatrix.zero(0, t_B), IntMatrix.zero(0, t_A),
+                                  [], [[0]] * n, vec, vec, vec)
+
+
+def test_bricks_and_brick_sums_follow_brick_slice():
+    rng = random.Random("brick accessors")
+    insts = []
+    for _ in range(5):
+        insts.append(generators.random_ones_instance(
+            rng, n=rng.randint(0, 5), t_A=rng.randint(1, 3), t_B=rng.randint(0, 2)))
+        insts.append(generators.random_nfold_instance(rng, n=rng.randint(0, 5), t_A=rng.randint(2, 3)))
+        insts.append(generators.random_snf_instance(
+            rng, n=rng.randint(0, 5), s_A=rng.randint(1, 2), t_B=rng.randint(1, 2)))
+    # edge shapes: no bricks, no shared brick, one column, no columns
+    insts += [_shaped(0, 3, 2), _shaped(4, 2, 0), _shaped(4, 1, 2), _shaped(4, 0, 2), _shaped(0, 0, 0)]
+    for inst in insts:
+        for vec in (inst.l, inst.u, inst.w, list(inst.w)):
+            pieces = [vec[inst.brick_slice(i)] for i in range(inst.n)]
+            assert inst.bricks(vec) == pieces
+            assert inst.brick_sums(vec) == [sum(p[h] for p in pieces) for h in range(inst.t_A)]
+
+
 def test_zero_brick_count_is_legal():
     A = IntMatrix.from_rows([[1, 1]])
     D = IntMatrix.from_rows([[1, 0]])
@@ -493,6 +529,16 @@ def test_malformed_input_of_either_kind_raises_a_typed_error(inst):
         with pytest.raises(MalformedProblemError) as err:
             solve(inst)
         assert str(err.value) == issues[0].message
+
+
+@pytest.mark.parametrize(
+    "call, args", [case[1:] for case in UNTYPED_CALLS], ids=[case[0] for case in UNTYPED_CALLS])
+def test_untyped_arguments_raise_a_typed_error(call, args):
+    # each once raised AttributeError or TypeError, or, for evaluate at
+    # (True, False), reported a feasible point
+    assert evaluate(PAIR, (0, 1)).feasible
+    with pytest.raises(MalformedProblemError):
+        call(*args)
 
 
 def test_validate_takes_only_instances():

@@ -15,7 +15,6 @@ from blockip.ones import (
     _aggregate_lattice,
     _require_ones,
     _transport_duals,
-    _y_box,
     round_bricks,
     solve_ones,
 )
@@ -36,7 +35,7 @@ def build_mip2(inst: FourBlockInstance) -> MipProblem:
     n, tA, tB, sC = inst.n, inst.t_A, inst.t_B, inst.s_C
     nv = tB + tA + n * tA
 
-    y_lo, y_hi = _y_box(inst)
+    y_lo, y_hi = inst.brick_sums(inst.l), inst.brick_sums(inst.u)
 
     rows = []
     for r in range(sC):

@@ -10,8 +10,9 @@ route raise MalformedProblemError on malformed input of either instance
 kind or on no instance (model_cases.MALFORMED), and that a tampered
 LP tableau still raises InternalInconsistencyError (TAMPERED), that the
 transport certificate rejects each wrong flow (WRONG_FLOWS), that an
-LpProblem or a TransportProblem built directly with a non-int entry raises
-MalformedProblemError (UNTYPED), and that the 4-block integer screen yields
+LpProblem or a TransportProblem built directly with a non-int entry, and
+each call of model_cases.UNTYPED_CALLS, raises MalformedProblemError
+(UNTYPED), and that the 4-block integer screen yields
 the cells of tests/fourblock_reference.py in their order, dropping only
 cells whose MIP is infeasible (SCREENED instances), exiting nonzero on the
 first mismatch.
@@ -39,7 +40,7 @@ from blockip.nfold_snf import solve_nfold_snf  # noqa: E402
 from blockip.ones import _transport_duals, solve_ones  # noqa: E402
 from blockip.oracle import OracleBudget, enumerate_optimum  # noqa: E402
 from blockip.ratlp import INFEASIBLE, OPTIMAL, LpProblem, solve_lp_warm  # noqa: E402
-from model_cases import MALFORMED, NOT_ELIGIBLE, SOLVERS  # noqa: E402
+from model_cases import MALFORMED, NOT_ELIGIBLE, SOLVERS, UNTYPED_CALLS  # noqa: E402
 
 
 def _ones(rng):
@@ -108,11 +109,12 @@ WRONG_FLOWS = (
     TransportResult(((0, 1), (1, 0)), 1),  # feasible but worse: a negative residual cycle
 )
 
-# (constructor, arguments), each with entries that are not ints
+# (constructor or function, arguments), each with an argument or entries
+# of the wrong type
 UNTYPED = (
     (LpProblem, ([1.5], [], [0], [1])),
     (TransportProblem, ((1.5,), (1.5,), ((0,),), ((2,),), ((0.5,),))),
-)
+) + tuple(case[1:] for case in UNTYPED_CALLS)
 
 
 # 4-block instances on which the screen's dropped cells are checked
