@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from operator import mul
 
 from .errors import BothZeroError, DimensionMismatchError, MalformedProblemError, ZeroMatrixError
-from .model import IntMatrix
+from .model import IntMatrix, _matrix_issues
 
 
 @dataclass(frozen=True)
@@ -106,10 +106,15 @@ def smith_normal_form(A: IntMatrix) -> SnfDecomposition:
     the gcd at once rather than through chained remainder subtractions,
     which blow entries up.  When the pivot fails to divide a trailing
     entry, that entry's row is folded into row k and step k runs again.
-    Anything but an IntMatrix raises MalformedProblemError.
+    Anything but an IntMatrix, and an IntMatrix that model._matrix_issues
+    rejects or with an entry that is not an int, raises
+    MalformedProblemError.
     """
-    if type(A) is not IntMatrix:
-        raise MalformedProblemError(f"A is a {type(A).__name__}, not an IntMatrix")
+    issues = _matrix_issues((("A", A),))
+    if issues:
+        raise MalformedProblemError(issues[0])
+    if not set(map(type, A.entries)) <= {int}:
+        raise MalformedProblemError("A has an entry that is not an int")
     if A.is_zero():
         raise ZeroMatrixError("Smith form of the zero matrix is not defined here")
     nr, nc = A.rows, A.cols

@@ -11,8 +11,11 @@ transportation value function is maximized over the lattice coordinates
 by an exact cutting-plane search: supergradient cuts from transportation
 duals, blocking-set cuts from the max-flow min-cut feasibility condition,
 and box splitting with floor pruning (every candidate value is an
-integer).  Third, the winning aggregate is redistributed over
-the bricks, and that redistribution is the search's own transport at the
+integer).  A box splits at the coordinate of its bound LP point farthest
+from an integer, the rule of smallip's branch and bound, and a box that
+comes back with no new cut reuses its bound LP's result instead of solving
+that LP again.  Third, the winning aggregate is redistributed over the
+bricks, and that redistribution is the search's own transport at the
 winning aggregate.  Every transport of the search is solved by
 flow.solve_transport, which fills each brick greedily and then moves units
 between the t_A columns along shortest paths over those t_A nodes alone,
@@ -32,7 +35,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from operator import mul
+from operator import le, mul
 
 from .errors import (
     InternalInconsistencyError,
@@ -54,6 +57,7 @@ from .model import (
 # solve_lp is no longer called here; it stays importable under this name
 # because perfbench/tracer.py wraps blockip.ones.solve_lp
 from .ratlp import OPTIMAL, LpProblem, solve_lp, solve_lp_warm  # noqa: F401
+from .smallip import _branch_var
 
 
 @dataclass(frozen=True)
@@ -136,15 +140,20 @@ def _transport_duals(p: TransportProblem, res: TransportResult):
     each is seeded at min(0, least -profit over the rows with room in it),
     the cheapest row exchange h -> g is relaxed for t rounds, and a row's
     price is min(0, least d_h + profit over its cells above their lower
-    bound).  The certificate is checked from scratch, in the same per-row
-    pass that gathers each row's room and above sets and the pair costs:
-    the cells meet every box and total, their profit is res.objective, and
-    for the integral prices a, c the dual value
-    a . r + c . y + sum over cells of max(gap * lower, gap * upper), with
-    gap = profit - a_i - c_h, equals res.objective.  That dual value bounds
-    every feasible transport from above, so equality proves res optimal
-    without trusting the flow code.  Each check is an explicit raise of
-    InternalInconsistencyError, so it still runs under python -O.
+    bound).  The cost of the cheapest exchange h -> g comes from the
+    table's presorted p.table.pairs[h][g]: it is that of the first row j
+    with z_jh above its lower bound and z_jg below its upper one, so no
+    pass over every row and column pair is made.  The certificate is
+    checked from scratch, in the per-row pass that gathers each row's
+    above set and seeds the distances: the cells meet every box and total,
+    their profit is res.objective, and for the integral prices a, c the
+    dual value a . r + c . y + sum over cells of
+    max(gap * lower, gap * upper), with gap = profit - a_i - c_h, equals
+    res.objective.  That dual value bounds every feasible transport from
+    above, whatever prices produced it, so equality proves res optimal
+    without trusting the flow code or the pair lists.  Each check is an
+    explicit raise of InternalInconsistencyError, so it still runs under
+    python -O.
 
     The returned prices also satisfy complementarity, so for any totals
     (r', y') the optimum is at most the certified value plus
@@ -158,38 +167,38 @@ def _transport_duals(p: TransportProblem, res: TransportResult):
     col_sums = [0] * t
     primal = 0
     d = [0] * t  # column distances
-    pair = [[None] * t for _ in range(t)]  # [h][g]: cheapest p_ih - p_ig over rows that can exchange
     above = []
     for z, lo, up, pr, r in zip(cells, p.cell_lower, p.cell_upper, p.cell_profit, p.row_totals):
         if len(z) != t or sum(z) != r:
             raise InternalInconsistencyError("transport cells miss their boxes or totals")
-        room, ab = [], []
+        ab = []
         for h in range(t):
             zh = z[h]
             if not lo[h] <= zh <= up[h]:
                 raise InternalInconsistencyError("transport cells miss their boxes or totals")
             col_sums[h] += zh
             primal += pr[h] * zh
-            if zh < up[h]:
-                room.append(h)
-                if -pr[h] < d[h]:
-                    d[h] = -pr[h]
+            if zh < up[h] and -pr[h] < d[h]:
+                d[h] = -pr[h]
             if zh > lo[h]:
                 ab.append(h)
         above.append(ab)
-        for h in ab:
-            ph, costs = pr[h], pair[h]
-            for g in room:
-                cost = ph - pr[g]
-                if g != h and (costs[g] is None or cost < costs[g]):
-                    costs[g] = cost
     if col_sums != list(p.col_totals):
         raise InternalInconsistencyError("transport cells miss their boxes or totals")
     if primal != res.objective:
         raise InternalInconsistencyError(
             f"transport cells are worth {primal}, not the reported {res.objective}"
         )
-    arcs = [(h, g, cost) for h in range(t) for g, cost in enumerate(pair[h]) if cost is not None]
+    # the cheapest exchange h -> g is the first row of the presorted
+    # pairs[h][g] that sits above its lower bound in h and has room in g
+    lower, upper = p.cell_lower, p.cell_upper
+    arcs = []
+    for h, row in enumerate(p.table.pairs):
+        for g, pairs in enumerate(row):
+            for cost, j in pairs:
+                if cells[j][h] > lower[j][h] and cells[j][g] < upper[j][g]:
+                    arcs.append((h, g, cost))
+                    break
     for _ in range(t):
         changed = False
         for h, g, cost in arcs:
@@ -260,16 +269,22 @@ def _optimize_aggregate(inst: FourBlockInstance, form: _LatticeForm):
     so a box closes as soon as its bound drops below the incumbent plus one.
     Evaluated points always either improve the incumbent, tighten the bound
     through their cut, or shrink the box through splitting, so the search is
-    finite.  A box splits only at a fractional coordinate of its LP point:
-    an integral LP point is evaluated if fresh, and if not, its cut already
-    closed the box.
+    finite.  A box splits only at a fractional coordinate of its LP point,
+    the one farthest from an integer (ties to the smaller index, never t),
+    by smallip._branch_var as in smallip.solve_mip: an integral LP point is
+    evaluated if fresh, and if not, its cut already closed the box.
 
     The bound LP is one warm tableau carried from box to box.  Only the root
     box is solved cold, from the row-less start.  Every heap entry holds the
     solved state of the box it came from (the two halves of a split share
     it) and the number of cuts that state already holds; on pop the box's
     edges are edited in, the cuts found since are added as rows, and the
-    dual simplex re-solves from the old basis.  A cut whose range is empty
+    dual simplex re-solves from the old basis.  A box pushed back after its
+    fresh corners were evaluated also carries its own LpResult (a split
+    half carries None).  When those corners added no cut, its box and rows
+    are those of its state, so a re-solve would return the same tableau
+    and result, which _extract already audited: the carried result is used
+    and nothing is re-solved.  A cut whose range is empty
     over the root box makes every later bound LP infeasible, which closes
     the box as it should.
     """
@@ -294,6 +309,8 @@ def _optimize_aggregate(inst: FourBlockInstance, form: _LatticeForm):
         if q_lo > q_hi:
             return None
     q0 = sum(brow[j] * p0[j] for j in range(tB))
+    # coordinate i of xy as a row over v; zip(*basis) yields nothing when f = 0
+    basis_rows = list(zip(*basis)) or [()] * taw
     beta = [sum(brow[j] * basis[k][j] for j in range(tB)) for k in range(f)]
     w0w = [sum(inst.w[j] * basis[k][j] for j in range(tB)) for k in range(f)]
 
@@ -324,10 +341,10 @@ def _optimize_aggregate(inst: FourBlockInstance, form: _LatticeForm):
     def evaluate_at(v):
         nonlocal best
         evaluated.add(v)
-        xy = [p0[i] + sum(basis[k][i] * v[k] for k in range(f)) for i in range(taw)]
-        if any(xy[i] < form.xy_lower[i] or xy[i] > form.xy_upper[i] for i in range(taw)):
+        xy = [p + sum(map(mul, row, v)) for p, row in zip(p0, basis_rows)]
+        if not (all(map(le, form.xy_lower, xy)) and all(map(le, xy, form.xy_upper))):
             return
-        q = sum(brow[j] * xy[j] for j in range(tB))
+        q = sum(map(mul, brow, xy))
         if q_lo is not None and not q_lo <= q <= q_hi:
             return
         x0, y = tuple(xy[:tB]), tuple(xy[tB:])
@@ -347,7 +364,7 @@ def _optimize_aggregate(inst: FourBlockInstance, form: _LatticeForm):
             got = transports[q, y] = (tr, cert)
         tr, cert = got
         if isinstance(tr, TransportResult):
-            value = sum(inst.w[j] * x0[j] for j in range(tB)) + tr.objective
+            value = sum(map(mul, inst.w, x0)) + tr.objective
             a, c = cert
             asum = sum(a)
             slope = [
@@ -355,7 +372,7 @@ def _optimize_aggregate(inst: FourBlockInstance, form: _LatticeForm):
                 + sum(c[h] * basis[k][tB + h] for h in range(tA))
                 for k in range(f)
             ]
-            rhs = value - sum(slope[k] * v[k] for k in range(f))
+            rhs = value - sum(map(mul, slope, v))
             cuts.append(([-s for s in slope] + [1], t_lo - root_max(slope), rhs))
             if best is None or value > best[0]:
                 best = (value, x0, y, tr.cells)
@@ -383,15 +400,18 @@ def _optimize_aggregate(inst: FourBlockInstance, form: _LatticeForm):
     objective = [0] * f + [1]
     evaluate_at(tuple(min(max(0, form.v_lo[k]), form.v_hi[k]) for k in range(f)))
     seq = 0
-    # entries: (-bound, -seq, box, solved state of the parent box, cuts it holds)
-    heap = [(-t_hi, 0, form.v_lo, form.v_hi, None, 0)]
+    # take the v coordinate farthest from an integer, never t
+    mask = (True,) * f + (False,)
+    # entries: (-bound, -seq, box, solved state of the parent box, cuts it
+    # holds, and that state's result if it was solved for this same box)
+    heap = [(-t_hi, 0, form.v_lo, form.v_hi, None, 0, None)]
     while heap:
-        _, _, box_lo, box_hi, state, seen = heapq.heappop(heap)
+        _, _, box_lo, box_hi, state, seen, res = heapq.heappop(heap)
         if state is None:
             res, state = solve_lp_warm(LpProblem.make(
                 objective, box_rows + cuts, list(box_lo) + [t_lo], list(box_hi) + [t_hi]
             ))
-        else:
+        elif res is None or seen < len(cuts):
             edges = [
                 (k, box_lo[k], box_hi[k]) for k in range(f)
                 if state.bounds(k) != (box_lo[k], box_hi[k])
@@ -415,10 +435,10 @@ def _optimize_aggregate(inst: FourBlockInstance, form: _LatticeForm):
         if fresh:
             for v in fresh:
                 evaluate_at(v)
-            heapq.heappush(heap, (-ceiling, -seq, box_lo, box_hi, state, seen))
+            heapq.heappush(heap, (-ceiling, -seq, box_lo, box_hi, state, seen, res))
             continue
-        split = next((k for k in range(f) if num[k] % den), None)
-        if split is None:
+        split = _branch_var(num, den, mask)
+        if split < 0:
             # evaluating a point leaves a cut that holds t to its value, at
             # most the incumbent, or one that cuts the point off: a box whose
             # LP optimum is an evaluated point closed at the ceiling test
@@ -428,8 +448,8 @@ def _optimize_aggregate(inst: FourBlockInstance, form: _LatticeForm):
         left_hi[split] = at
         right_lo = list(box_lo)
         right_lo[split] = at + 1
-        heapq.heappush(heap, (-ceiling, -seq, box_lo, tuple(left_hi), state, seen))
-        heapq.heappush(heap, (-ceiling, -seq, tuple(right_lo), box_hi, state, seen))
+        heapq.heappush(heap, (-ceiling, -seq, box_lo, tuple(left_hi), state, seen, None))
+        heapq.heappush(heap, (-ceiling, -seq, tuple(right_lo), box_hi, state, seen, None))
     return best
 
 

@@ -34,8 +34,9 @@ def enumerate_optimum(inst, budget: OracleBudget | None = None):
     Returns a Solution or Infeasible; raises BudgetExceededError once the
     number of visited value assignments passes budget.max_points, and
     MalformedProblemError for anything that model.validate rejects, either
-    instance kind alike, and for a budget that is not an OracleBudget.  An
-    empty box, l_j > u_j, is no error here: it is Infeasible.
+    instance kind alike, and for a budget that is not an OracleBudget or
+    whose max_points is not an int.  An empty box, l_j > u_j, is no error
+    here: it is Infeasible.
     """
     issues = [i.message for i in validate(inst) if i.code != "LowerExceedsUpper"]
     if issues:
@@ -44,6 +45,9 @@ def enumerate_optimum(inst, budget: OracleBudget | None = None):
         budget = OracleBudget()
     if type(budget) is not OracleBudget:
         raise MalformedProblemError(f"budget is a {type(budget).__name__}, not an OracleBudget")
+    if type(budget.max_points) is not int:
+        raise MalformedProblemError(
+            f"budget.max_points is a {type(budget.max_points).__name__}, not an int")
     max_points = budget.max_points
     lower, upper, weights = inst.l, inst.u, inst.w
     N = len(lower)

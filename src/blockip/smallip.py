@@ -33,6 +33,8 @@ class MipProblem:
 
     @staticmethod
     def make(lp: LpProblem, integer_mask) -> "MipProblem":
+        if type(lp) is not LpProblem:
+            raise MalformedProblemError(f"lp is a {type(lp).__name__}, not an LpProblem")
         if type(integer_mask) not in (tuple, list):
             raise MalformedProblemError(
                 f"integrality mask is a {type(integer_mask).__name__}, not a tuple or list")

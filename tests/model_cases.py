@@ -12,7 +12,7 @@ from blockip.intlin import smith_normal_form
 from blockip.model import FourBlockInstance, IntMatrix, evaluate
 from blockip.nfold_snf import solve_nfold_snf
 from blockip.ones import solve_ones
-from blockip.oracle import enumerate_optimum
+from blockip.oracle import OracleBudget, enumerate_optimum
 from blockip.ratlp import LpProblem
 from blockip.reductions import SubsetSumInstance, encode_theorem2b
 from blockip.smallip import MipProblem
@@ -99,9 +99,13 @@ PAIR = FourBlockInstance.nfold(1, IntMatrix.from_rows([[1, 1]]), IntMatrix.zero(
 # reports no point that is not integral as feasible
 UNTYPED_CALLS = (
     ("oracle budget a str", enumerate_optimum, (PAIR, "x")),
+    ("oracle budget of a str", enumerate_optimum, (PAIR, OracleBudget("x"))),
     ("integrality mask None", MipProblem.make, (LpProblem.make([1], [], [0], [1]), None)),
+    ("MIP over a str, not an LP", MipProblem.make, ("lp", [True])),
     ("Smith form of a list", smith_normal_form, ([[1, 2]],)),
     ("Smith form of None", smith_normal_form, (None,)),
+    ("Smith form of a float entry", smith_normal_form, (IntMatrix(1, 2, (1, 2.5)),)),
+    ("Smith form short of rows x cols", smith_normal_form, (IntMatrix(1, 2, (1,)),)),
     ("bools as a point", evaluate, (PAIR, (True, False))),
     ("a float in a point", evaluate, (PAIR, [0.0, 1])),
     ("a Fraction in a point", evaluate, (PAIR, (0, Fraction(1)))),

@@ -10,15 +10,24 @@ The all-ones shapes also pin the search path, not only where it ends: the
 number of transports solved and of bound LPs solved (cold solves and warm
 re-solves) over the same instances.  A speed-up that must not change the
 search leaves these counts as they are.
+
+Run as a script, ``python tests/test_result_digests.py`` prints every
+shape's digest and search path in the layout of PINNED and PINNED_PATHS,
+so a change that moves them on purpose re-pins from one command.
 """
 
 import hashlib
+import os
 import random
+import sys
 from collections import Counter
 
 import pytest
 
-from blockip import fourblock_snf, generators, nfold_snf, ones, ratlp
+# run as a script, the package is found under src/ without an install
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+
+from blockip import fourblock_snf, generators, nfold_snf, ones, ratlp  # noqa: E402
 
 
 def _nfold(rng, i):
@@ -88,7 +97,7 @@ def test_results_match_the_pinned_digest(shape):
 # shape -> (transports solved, bound LPs solved cold, bound LPs re-solved warm)
 PINNED_PATHS = {
     "ones-transport": (115, 17, 86),
-    "ones-lattice": (594, 15, 1119),
+    "ones-lattice": (548, 15, 655),
 }
 
 
@@ -115,3 +124,33 @@ def search_path(shape, monkeypatch):
 @pytest.mark.parametrize("shape", sorted(PINNED_PATHS))
 def test_search_path_matches_the_pinned_counts(shape, monkeypatch):
     assert search_path(shape, monkeypatch) == PINNED_PATHS[shape]
+
+
+def test_search_never_re_solves_an_unchanged_bound_lp(monkeypatch):
+    # a box pushed back after fresh corners that added no cut reuses its
+    # result; a re-solve with no box edge and no row would repeat it
+    edited = ratlp.WarmLp.edited
+
+    def changed_only(self, boxes=(), rows=()):
+        boxes, rows = list(boxes), list(rows)
+        assert boxes or rows, "bound LP re-solved with no box edge and no row"
+        return edited(self, boxes, rows)
+
+    monkeypatch.setattr(ratlp.WarmLp, "edited", changed_only)
+    make, count, _ = SHAPES["ones-lattice"]
+    rng = random.Random("ones-lattice/digest")
+    for i in range(count):
+        ones.solve_ones(make(rng, i))
+
+
+if __name__ == "__main__":
+    print("PINNED = {")
+    for shape in list(PINNED) + [s for s in SHAPES if s not in PINNED]:
+        print(f'    "{shape}": "{digest(shape)}",')
+    print("}")
+    print()
+    print("PINNED_PATHS = {")
+    for shape in PINNED_PATHS:
+        with pytest.MonkeyPatch.context() as mp:
+            print(f'    "{shape}": {search_path(shape, mp)},')
+    print("}")
