@@ -17,7 +17,11 @@ the Hitchcock transportation problem, SIAM J. Comput. 1995):
    residual graph, and the arc h -> g costs the least p_jh - p_jg over
    those rows.  Successive shortest paths then run Dijkstra over the t
    columns, with potentials, from a column with a surplus to the nearest
-   column with a deficit, and augment by the bottleneck.
+   column with a deficit, and augment by the bottleneck.  The final
+   potentials leave no residual arc of negative reduced cost, so, negated,
+   they are optimal column prices (Ahuja, Magnanti & Orlin, Network Flows,
+   1993, ch. 9); the result carries them, zeros when step 2 already meets
+   the column totals.
 4. Every ordered pair (h, g) keeps a heap of rows keyed by the static
    p_jh - p_jg.  A row that stops qualifying is dropped when it reaches
    the top; an augmentation pushes again only the rows whose cells it
@@ -42,20 +46,10 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from operator import add, mul, sub
+from operator import add, mul, neg, sub
 
 from .errors import MalformedProblemError
-from .model import Infeasible
-
-
-def _check_ints(values) -> None:
-    """MalformedProblemError unless every entry of values is an int.
-
-    bool fails too (type(v) is int), the rule LpProblem and model.validate use.
-    """
-    for v in values:
-        if type(v) is not int:
-            raise MalformedProblemError(f"transport data must be ints, not {v!r}")
+from .model import Infeasible, _check_ints
 
 
 @dataclass(frozen=True)
@@ -170,8 +164,17 @@ class TransportProblem:
 
 @dataclass(frozen=True)
 class TransportResult:
+    """An optimal transport and the column prices that certify it.
+
+    prices[h] is column h's dual price c_h, an int: with them no row can
+    move a unit from a cell above its lower bound to one with room at a
+    gain, p_jh - c_h >= p_jg - c_g, so the row prices follow row by row
+    (ones._transport_duals derives and checks them).
+    """
+
     cells: tuple  # n x t integral matrix
     objective: int
+    prices: tuple  # length t
 
 
 def _cheapest(heap, z, cap, h, g):
@@ -184,13 +187,14 @@ def _cheapest(heap, z, cap, h, g):
     return None
 
 
-def _rebalance(z, table, profit, surplus) -> bool:
+def _rebalance(z, table, profit, surplus):
     """Shift units between columns at least cost until every column total is met.
 
     z is a fill in which every row is optimal on its own, edited in place;
     surplus[h] is column h's sum minus its total, and the surpluses sum to
-    zero.  Returns False when a surplus reaches no deficit, which proves the
-    transport infeasible.
+    zero.  Returns the final node potentials, under which every residual
+    exchange h -> g has p_jh - p_jg + pot[h] - pot[g] >= 0, or None when a
+    surplus reaches no deficit, which proves the transport infeasible.
 
     Each pair heap starts as a copy of the table's presorted list, and a
     sorted list is a heap.  It also holds rows that do not qualify, which
@@ -207,7 +211,7 @@ def _rebalance(z, table, profit, surplus) -> bool:
     while True:
         s = next((h for h in range(t) if surplus[h] > 0), None)
         if s is None:
-            return True
+            return pot
         # Dijkstra over the columns, from s to the nearest deficit
         dist = [None] * t
         dist[s] = 0
@@ -220,7 +224,7 @@ def _rebalance(z, table, profit, surplus) -> bool:
                 if not done[v] and dist[v] is not None and (u is None or dist[v] < dist[u]):
                     u = v
             if u is None:
-                return False
+                return None
             done[u] = True
             if surplus[u] < 0:
                 target = u
@@ -267,7 +271,7 @@ def _rebalance(z, table, profit, surplus) -> bool:
 
 
 def solve_transport(p: TransportProblem):
-    """Profit-maximal integral cell matrix, or Infeasible.
+    """Profit-maximal integral cell matrix with its column prices, or Infeasible.
 
     Infeasible reasons: TotalsMismatch when the row and column totals sum
     differently, LowerBoundsExceedTotals when the lower bounds alone
@@ -299,9 +303,10 @@ def solve_transport(p: TransportProblem):
             return Infeasible("NoAugmentingPath")
         z.append(zj)
 
-    if any(surplus) and not _rebalance(z, table, p.cell_profit, surplus):
+    pot = _rebalance(z, table, p.cell_profit, surplus) if any(surplus) else [0] * t
+    if pot is None:
         return Infeasible("NoAugmentingPath")
 
     cells = tuple(tuple(map(add, low, zj)) for low, zj in zip(p.cell_lower, z))
     objective = sum(sum(map(mul, pj, row)) for pj, row in zip(p.cell_profit, cells))
-    return TransportResult(cells, objective)
+    return TransportResult(cells, objective, tuple(map(neg, pot)))

@@ -561,7 +561,7 @@ def _cells_for_windows(builder, combo, d, d_bar, lo, hi, pairs, arg_lo, arg_hi):
     if p_hi < 0:
         return
     lo = lo + [0]
-    hi = hi + [max(0, p_hi)]
+    hi = hi + [p_hi]
 
     # equality rows: top block, then the anchor brick's own system
     eq_rows = []

@@ -286,6 +286,17 @@ class EvaluationReport:
 _SEQS = {tuple, list}
 
 
+def _check_ints(values) -> None:
+    """MalformedProblemError unless every entry of values is an int.
+
+    bool fails too (type(v) is int), the rule validate uses; LpProblem and
+    TransportProblem check their data with it.
+    """
+    for v in values:
+        if type(v) is not int:
+            raise MalformedProblemError(f"problem data must be ints, not {v!r}")
+
+
 def _matrix_issues(matrices) -> list[str]:
     """What makes the named matrices unusable, as messages; [] if nothing.
 

@@ -75,8 +75,16 @@ def greedy_ip8(intervals, weights, target):
     Returns the per-brick amounts (in units above each interval's low end).
     Equal rates fill in ascending brick index.  Exchange argument: moving a
     unit from a chosen brick to an unchosen one never raises the objective.
+    MalformedProblemError when target is not an int, weights and intervals
+    differ in length or an interval is empty (hi < lo).
     """
+    if type(target) is not int:
+        raise MalformedProblemError(f"target must be an int, not {target!r}")
+    if len(weights) != len(intervals):
+        raise MalformedProblemError("weights and intervals differ in length")
     caps = [hi - lo for lo, hi in intervals]
+    if caps and min(caps) < 0:
+        raise MalformedProblemError("an interval is empty (hi < lo)")
     if target < 0 or target > sum(caps):
         raise TargetOutOfRangeError(f"target {target} outside [0, {sum(caps)}]")
     order = sorted(range(len(caps)), key=lambda i: (-weights[i], i))

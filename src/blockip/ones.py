@@ -25,8 +25,9 @@ search builds one flow.TransportTable from the bricks' boxes and profits
 (capacities, lower-bound sums, profit orders, presorted pair lists, and
 the out-of-H capacities the blocking cuts read) and derives every
 transport from it with with_totals.  The winning transport was solved once
-during the search and certified optimal there by integral dual prices,
-again shortest distances over the t_A columns, whose dual value equals its
+during the search and certified optimal there by integral dual prices:
+the flow's own column prices, the potentials of its last shortest-path
+pass, and row prices derived from them, whose dual value equals its
 objective, so it is neither solved nor checked a second time.
 """
 
@@ -35,7 +36,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from operator import le, mul
+from operator import le, mul, sub
 
 from .errors import (
     InternalInconsistencyError,
@@ -131,29 +132,19 @@ def _transport_problem(inst: FourBlockInstance, ctx: OnesContext) -> TransportPr
 def _transport_duals(p: TransportProblem, res: TransportResult):
     """Optimal dual prices (row, column), certifying that res is optimal.
 
-    The prices are shortest distances in the residual graph of res's cells
-    (arcs row -> column at cost -profit where a cell has room, column -> row
-    at cost profit where it is above its lower bound) from a virtual source
-    joined to every node at cost zero; they exist exactly when the residual
-    graph has no negative cycle, which optimality guarantees.  Rows only
-    pass paths between columns, so Bellman-Ford runs over the t columns:
-    each is seeded at min(0, least -profit over the rows with room in it),
-    the cheapest row exchange h -> g is relaxed for t rounds, and a row's
-    price is min(0, least d_h + profit over its cells above their lower
-    bound).  The cost of the cheapest exchange h -> g comes from the
-    table's presorted p.table.pairs[h][g]: it is that of the first row j
-    with z_jh above its lower bound and z_jg below its upper one, so no
-    pass over every row and column pair is made.  The certificate is
-    checked from scratch, in the per-row pass that gathers each row's
-    above set and seeds the distances: the cells meet every box and total,
-    their profit is res.objective, and for the integral prices a, c the
-    dual value a . r + c . y + sum over cells of
+    The column prices c are res.prices, the flow's own (negated node
+    potentials of its last shortest-path pass).  Each row price follows in
+    the one pass over the rows that checks the cells: a_i is the least
+    profit - c_h over row i's cells above their lower bound, or, when it has
+    none, the greatest over its cells with room, or 0.  The certificate
+    reads only the TransportProblem fields and res, and is checked from
+    scratch: c is t ints, the cells meet every box and total, their profit
+    is res.objective, and the dual value a . r + c . y + sum over cells of
     max(gap * lower, gap * upper), with gap = profit - a_i - c_h, equals
     res.objective.  That dual value bounds every feasible transport from
     above, whatever prices produced it, so equality proves res optimal
-    without trusting the flow code or the pair lists.  Each check is an
-    explicit raise of InternalInconsistencyError, so it still runs under
-    python -O.
+    without trusting the flow code.  Each check is an explicit raise of
+    InternalInconsistencyError, so it still runs under python -O.
 
     The returned prices also satisfy complementarity, so for any totals
     (r', y') the optimum is at most the certified value plus
@@ -161,64 +152,43 @@ def _transport_duals(p: TransportProblem, res: TransportResult):
     is a supergradient at the current totals.
     """
     t = len(p.col_totals)
-    cells = res.cells
+    cells, c = res.cells, res.prices
+    if len(c) != t or not set(map(type, c)) <= {int}:
+        raise InternalInconsistencyError(f"transport prices {c!r} are not {t} ints")
     if len(cells) != len(p.row_totals):
         raise InternalInconsistencyError("transport cells miss their boxes or totals")
     col_sums = [0] * t
     primal = 0
-    d = [0] * t  # column distances
-    above = []
+    dual = sum(map(mul, c, p.col_totals))
+    a = []
     for z, lo, up, pr, r in zip(cells, p.cell_lower, p.cell_upper, p.cell_profit, p.row_totals):
         if len(z) != t or sum(z) != r:
             raise InternalInconsistencyError("transport cells miss their boxes or totals")
-        ab = []
+        worths = list(map(sub, pr, c))
+        above = room = None  # least worth above the lower bound, greatest with room
         for h in range(t):
             zh = z[h]
             if not lo[h] <= zh <= up[h]:
                 raise InternalInconsistencyError("transport cells miss their boxes or totals")
             col_sums[h] += zh
             primal += pr[h] * zh
-            if zh < up[h] and -pr[h] < d[h]:
-                d[h] = -pr[h]
-            if zh > lo[h]:
-                ab.append(h)
-        above.append(ab)
+            worth = worths[h]
+            if zh > lo[h] and (above is None or worth < above):
+                above = worth
+            if zh < up[h] and (room is None or worth > room):
+                room = worth
+        ai = above if above is not None else room if room is not None else 0
+        a.append(ai)
+        dual += ai * r
+        for worth, low, high in zip(worths, lo, up):
+            gap = worth - ai
+            dual += gap * (high if gap > 0 else low)
     if col_sums != list(p.col_totals):
         raise InternalInconsistencyError("transport cells miss their boxes or totals")
     if primal != res.objective:
         raise InternalInconsistencyError(
             f"transport cells are worth {primal}, not the reported {res.objective}"
         )
-    # the cheapest exchange h -> g is the first row of the presorted
-    # pairs[h][g] that sits above its lower bound in h and has room in g
-    lower, upper = p.cell_lower, p.cell_upper
-    arcs = []
-    for h, row in enumerate(p.table.pairs):
-        for g, pairs in enumerate(row):
-            for cost, j in pairs:
-                if cells[j][h] > lower[j][h] and cells[j][g] < upper[j][g]:
-                    arcs.append((h, g, cost))
-                    break
-    for _ in range(t):
-        changed = False
-        for h, g, cost in arcs:
-            if d[h] + cost < d[g]:
-                d[g] = d[h] + cost
-                changed = True
-        if not changed:
-            break
-    else:
-        raise InternalInconsistencyError("negative cycle in optimal transport residual")
-    c = [-dh for dh in d]
-    dual = sum(map(mul, c, p.col_totals))
-    a = []
-    for ab, lo, up, pr, r in zip(above, p.cell_lower, p.cell_upper, p.cell_profit, p.row_totals):
-        ai = min([0] + [d[h] + pr[h] for h in ab])
-        a.append(ai)
-        dual += ai * r
-        for h in range(t):
-            gap = pr[h] - ai - c[h]
-            dual += gap * (up[h] if gap > 0 else lo[h])
     if dual != res.objective:
         raise InternalInconsistencyError(
             f"transport dual value {dual} != primal objective {res.objective}"

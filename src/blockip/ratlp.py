@@ -68,19 +68,10 @@ from functools import cached_property
 from operator import mul
 
 from .errors import InternalInconsistencyError, MalformedProblemError
+from .model import _check_ints
 
 OPTIMAL = "Optimal"
 INFEASIBLE = "Infeasible"
-
-
-def _check_ints(values) -> None:
-    """MalformedProblemError unless every entry of values is an int.
-
-    bool fails too (type(v) is int), the rule model.validate uses.
-    """
-    for v in values:
-        if type(v) is not int:
-            raise MalformedProblemError(f"LP data must be ints, not {v!r}")
 
 
 def _check_rows(rows, n) -> None:

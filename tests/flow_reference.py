@@ -1,15 +1,19 @@
 """The all-ones transport code as it stood before the shared transport table.
 
 solve_transport fills each row greedily and rebalances the columns with one
-heap per ordered column pair, built and heapified afresh on every call;
-_transport_duals certifies a result with integral dual prices;
-_blocking_cut finds the violated column set of an infeasible transport,
-summing capacities afresh for every column set.  All three read only the
-five TransportProblem fields, so they run on any problem of blockip.flow.
-tests/test_flow.py compares blockip.flow.solve_transport,
-blockip.ones._transport_duals and blockip.ones._blocking_cut with them:
-cells, objective, Infeasible reason, dual prices and blocking pairs must
-agree exactly.
+heap per ordered column pair, built and heapified afresh on every call, and
+returns its negated final potentials as the column prices;
+_transport_duals certifies a result with integral dual prices of its own,
+shortest distances of a Bellman-Ford pass over the residual graph, and
+ignores the result's prices; _blocking_cut finds the violated column set of
+an infeasible transport, summing capacities afresh for every column set.
+All three read only the five TransportProblem fields, so they run on any
+problem of blockip.flow.  tests/test_flow.py compares
+blockip.flow.solve_transport, blockip.ones._transport_duals and
+blockip.ones._blocking_cut with them: cells, objective, column prices,
+Infeasible reason and blocking pairs must agree exactly, and both
+certificates must accept with the same dual value, although their prices
+may be different optimal duals.
 """
 
 from __future__ import annotations
@@ -31,13 +35,13 @@ def _cheapest(heap, z, cap, h, g):
     return None
 
 
-def _rebalance(z, cap, profit, surplus) -> bool:
+def _rebalance(z, cap, profit, surplus):
     """Shift units between columns at least cost until every column total is met.
 
     z is a fill in which every row is optimal on its own, edited in place;
     surplus[h] is column h's sum minus its total, and the surpluses sum to
-    zero.  Returns False when a surplus reaches no deficit, which proves the
-    transport infeasible.
+    zero.  Returns the final node potentials, or None when a surplus reaches
+    no deficit, which proves the transport infeasible.
     """
     n, t = len(z), len(surplus)
     heaps = [[[] for _ in range(t)] for _ in range(t)]
@@ -56,7 +60,7 @@ def _rebalance(z, cap, profit, surplus) -> bool:
     while True:
         s = next((h for h in range(t) if surplus[h] > 0), None)
         if s is None:
-            return True
+            return pot
         # Dijkstra over the columns, from s to the nearest deficit
         dist = [None] * t
         dist[s] = 0
@@ -69,7 +73,7 @@ def _rebalance(z, cap, profit, surplus) -> bool:
                 if not done[v] and dist[v] is not None and (u is None or dist[v] < dist[u]):
                     u = v
             if u is None:
-                return False
+                return None
             done[u] = True
             if surplus[u] < 0:
                 target = u
@@ -154,7 +158,8 @@ def solve_transport(p: TransportProblem):
             return Infeasible("NoAugmentingPath")
         z.append(zj)
 
-    if any(surplus) and not _rebalance(z, cap, profit, surplus):
+    pot = _rebalance(z, cap, profit, surplus) if any(surplus) else [0] * t
+    if pot is None:
         return Infeasible("NoAugmentingPath")
 
     cells = []
@@ -163,7 +168,7 @@ def solve_transport(p: TransportProblem):
         row = tuple(lo + v for lo, v in zip(low, zj))
         objective += sum(w * v for w, v in zip(pj, row))
         cells.append(row)
-    return TransportResult(tuple(cells), objective)
+    return TransportResult(tuple(cells), objective, tuple(-v for v in pot))
 
 
 def _transport_duals(p: TransportProblem, res: TransportResult):

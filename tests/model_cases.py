@@ -10,7 +10,7 @@ from fractions import Fraction
 from blockip.fourblock_snf import solve_4block_snf
 from blockip.intlin import smith_normal_form
 from blockip.model import FourBlockInstance, IntMatrix, evaluate
-from blockip.nfold_snf import solve_nfold_snf
+from blockip.nfold_snf import greedy_ip8, solve_nfold_snf
 from blockip.ones import solve_ones
 from blockip.oracle import OracleBudget, enumerate_optimum
 from blockip.ratlp import LpProblem
@@ -110,4 +110,8 @@ UNTYPED_CALLS = (
     ("a float in a point", evaluate, (PAIR, [0.0, 1])),
     ("a Fraction in a point", evaluate, (PAIR, (0, Fraction(1)))),
     ("a point that is no sequence", evaluate, (PAIR, None)),
+    ("greedy weights short of the intervals", greedy_ip8, (((0, 2), (0, 2)), (1,), 1)),
+    ("greedy target a float", greedy_ip8, (((0, 2), (0, 2)), (1, 1), 2.5)),
+    ("greedy target a bool", greedy_ip8, (((0, 2),), (1,), True)),
+    ("greedy empty interval", greedy_ip8, (((3, 0),), (1,), 0)),
 )

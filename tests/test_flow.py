@@ -413,13 +413,28 @@ def reference_totals(rng, lower, upper, t, q=0):
     return rows, cols
 
 
+def dual_value(p: TransportProblem, a, c):
+    """a . r + c . y + the sum over cells of max(gap * lower, gap * upper),
+    gap = profit - a_i - c_h: an upper bound on every feasible transport."""
+    value = sum(ai * r for ai, r in zip(a, p.row_totals))
+    value += sum(ch * y for ch, y in zip(c, p.col_totals))
+    for ai, lo, up, pr in zip(a, p.cell_lower, p.cell_upper, p.cell_profit):
+        for h, ch in enumerate(c):
+            gap = pr[h] - ai - ch
+            value += max(gap * lo[h], gap * up[h])
+    return value
+
+
 def assert_matches_reference(p: TransportProblem):
-    """The solver, the certificate and the blocking cut agree with the
-    reference code on p; returns the verdict's kind."""
+    """The solver and the blocking cut agree with the reference code on p,
+    and both certificates accept with the same dual value; returns the
+    verdict's kind."""
     got, want = solve_transport(p), flow_reference.solve_transport(p)
     assert got == want, (p, got, want)
     if isinstance(got, TransportResult):
-        assert _transport_duals(p, got) == flow_reference._transport_duals(p, want)
+        # the two certificates may pick different optimal duals
+        mine, theirs = _transport_duals(p, got), flow_reference._transport_duals(p, want)
+        assert dual_value(p, *mine) == dual_value(p, *theirs) == got.objective
         return "feasible"
     assert _blocking_cut(p) == flow_reference._blocking_cut(p)
     return got.reason

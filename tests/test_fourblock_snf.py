@@ -6,7 +6,12 @@ import pytest
 from highs_oracle import highs_optimum
 
 from blockip import fourblock_snf, generators, smallip
-from blockip.errors import InternalInconsistencyError, MalformedProblemError, NotEligibleError
+from blockip.errors import (
+    InternalInconsistencyError,
+    LiftInconsistencyError,
+    MalformedProblemError,
+    NotEligibleError,
+)
 from blockip.fourblock_snf import (
     EliminationData,
     _prepare,
@@ -14,6 +19,7 @@ from blockip.fourblock_snf import (
     build_grid,
     elimination_from_snf,
     enumerate_cells,
+    lift_solution,
     solve_4block_snf,
     solve_cell,
 )
@@ -315,6 +321,38 @@ def test_every_cell_value_is_dominated_by_the_optimum():
         assert vals and max(vals) == got.objective
         assert all(v <= got.objective for v in vals)
         checked += 1
+
+
+def test_lift_rejects_a_tampered_cell_point():
+    # an optimal cell point lifts; moving its z or p coordinate off the
+    # cell leaves a brick a negative bound gap or more merged total than
+    # the gaps hold, and the lift raises before it builds a point
+    rng = random.Random(4242)
+    tampered = 0
+    while tampered < 3:
+        inst = random_instance(rng, n=rng.randint(2, 4), seeded_rate=1.0)
+        prepared = _prepare(inst)
+        if not isinstance(prepared, tuple):
+            continue
+        elim, grid = prepared
+        for cell in enumerate_cells(inst, elim, grid):
+            res = solve_cell(cell)
+            # a brick whose gap runs between two different z columns
+            pairs = [(hl, hu) for hl, hu in zip(cell.arg_lo, cell.arg_hi) if hl != hu]
+            if res.status != OPTIMAL or not pairs:
+                continue
+            value = res.value + cell.constant
+            assert lift_solution(inst, elim, cell, res.point, value).objective == value
+            point = list(res.point)
+            point[cell.layout["z"][pairs[0][1]]] += 10 ** 6
+            with pytest.raises(LiftInconsistencyError, match="negative bound gap"):
+                lift_solution(inst, elim, cell, point, value)
+            point = list(res.point)
+            point[cell.layout["p"]] += 10 ** 6
+            with pytest.raises(LiftInconsistencyError, match="merged total exceeds"):
+                lift_solution(inst, elim, cell, point, value)
+            tampered += 1
+            break
 
 
 def test_cell_mips_have_no_slack_columns():

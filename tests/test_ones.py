@@ -257,28 +257,11 @@ def test_transport_duals_certify_supergradient():
             assert res2.objective <= bound
 
 
-def residual_distances(p: TransportProblem, cells):
-    """Bellman-Ford over all n + t residual nodes, every node seeded at zero."""
-    n, t = len(p.row_totals), len(p.col_totals)
-    arcs = []
-    for i in range(n):
-        for h in range(t):
-            if cells[i][h] < p.cell_upper[i][h]:
-                arcs.append((i, n + h, -p.cell_profit[i][h]))
-            if cells[i][h] > p.cell_lower[i][h]:
-                arcs.append((n + h, i, p.cell_profit[i][h]))
-    dist = [0] * (n + t)
-    for _ in range(n + t):
-        for tail, head, cost in arcs:
-            dist[head] = min(dist[head], dist[tail] + cost)
-    return dist
-
-
-def test_transport_duals_are_the_residual_shortest_distances():
-    # the column-only relaxation must give the very prices of a full
-    # Bellman-Ford, so the search's supergradient cuts do not change
+def test_flow_prices_leave_no_exchange_of_negative_reduced_cost():
+    # with the flow's column prices c, no row gains by moving a unit from a
+    # cell above its lower bound to one with room: p_jh - c_h >= p_jg - c_g
     rng = random.Random(9117)
-    checked = 0
+    checked = priced = 0
     for trial in range(150):
         n, t = rng.randint(0, 12), rng.randint(1, 5)
         lower = [[rng.randint(-2, 1) for _ in range(t)] for _ in range(n)]
@@ -294,11 +277,18 @@ def test_transport_duals_are_the_residual_shortest_distances():
         if not isinstance(res, TransportResult):
             continue
         checked += 1
-        a, c = _transport_duals(p, res)
-        dist = residual_distances(p, res.cells)
-        assert list(a) == dist[:n], trial
-        assert list(c) == [-d for d in dist[n:]], trial
-    assert checked >= 50
+        priced += any(res.prices)  # the greedy fill needed rebalancing
+        c = res.prices
+        assert len(c) == t and all(type(ch) is int for ch in c), trial
+        for i, cells in enumerate(res.cells):
+            for h in range(t):
+                if cells[h] == lower[i][h]:
+                    continue
+                for g in range(t):
+                    if cells[g] < upper[i][g]:
+                        assert profit[i][h] - c[h] >= profit[i][g] - c[g], (trial, i, h, g)
+        assert _transport_duals(p, res)[1] == c, trial
+    assert checked >= 50 and priced >= 20
 
 
 def test_large_magnitudes_complete_exactly():
@@ -326,14 +316,18 @@ def test_transport_duals_reject_a_wrong_flow():
     best = solve_transport(p)
     assert best.cells == ((1, 0), (0, 1)) and best.objective == 5
     _transport_duals(p, best)
+    c = best.prices
     with pytest.raises(InternalInconsistencyError):
-        _transport_duals(p, TransportResult(((0, 1), (1, 0)), 1))  # swapped: feasible, worse
+        _transport_duals(p, TransportResult(((0, 1), (1, 0)), 1, c))  # swapped: feasible, worse
     with pytest.raises(InternalInconsistencyError):
-        _transport_duals(p, TransportResult(best.cells, 6))  # objective overstated
+        _transport_duals(p, TransportResult(best.cells, 6, c))  # objective overstated
     with pytest.raises(InternalInconsistencyError):
-        _transport_duals(p, TransportResult(((1, 1), (0, 0)), 4))  # misses the totals
+        _transport_duals(p, TransportResult(((1, 1), (0, 0)), 4, c))  # misses the totals
     with pytest.raises(InternalInconsistencyError):
-        _transport_duals(p, TransportResult(((2, -1), (-1, 2)), 5))  # leaves the boxes
+        _transport_duals(p, TransportResult(((2, -1), (-1, 2)), 5, c))  # leaves the boxes
+    for prices in ((0,), (0, 0, 0), (0, 0.0), (True, 0), (0, "0")):
+        with pytest.raises(InternalInconsistencyError):
+            _transport_duals(p, TransportResult(best.cells, 5, prices))  # not t ints
 
 
 def test_transport_duals_reject_every_suboptimal_feasible_flow():
@@ -353,7 +347,7 @@ def test_transport_duals_reject_every_suboptimal_feasible_flow():
         worth = sum(profit[i][h] * z[i][h] for i in range(n) for h in range(t))
         if worth < best.objective:
             with pytest.raises(InternalInconsistencyError):
-                _transport_duals(p, TransportResult(tuple(z), worth))
+                _transport_duals(p, TransportResult(tuple(z), worth, best.prices))
             rejected += 1
     assert rejected >= 15
 

@@ -9,7 +9,8 @@ what it cannot take (model_cases.NOT_ELIGIBLE), that classify and each
 route raise MalformedProblemError on malformed input of either instance
 kind or on no instance (model_cases.MALFORMED), and that a tampered
 LP tableau still raises InternalInconsistencyError (TAMPERED), that the
-transport certificate rejects each wrong flow (WRONG_FLOWS), that an
+transport certificate rejects each wrong flow and each optimal flow with
+one column price moved by 1 (WRONG_FLOWS), that an
 LpProblem or a TransportProblem built directly with a non-int entry, and
 each call of model_cases.UNTYPED_CALLS, raises MalformedProblemError
 (UNTYPED), and that the 4-block integer screen yields
@@ -33,7 +34,7 @@ import blockip  # noqa: E402
 import fourblock_reference  # noqa: E402
 from blockip import generators  # noqa: E402
 from blockip.errors import InternalInconsistencyError, MalformedProblemError, NotEligibleError  # noqa: E402
-from blockip.flow import TransportProblem, TransportResult  # noqa: E402
+from blockip.flow import TransportProblem, TransportResult, solve_transport  # noqa: E402
 from blockip.fourblock_snf import _prepare, enumerate_cells, solve_4block_snf, solve_cell  # noqa: E402
 from blockip.model import Infeasible, Solution, StructureClass, classify, evaluate  # noqa: E402
 from blockip.nfold_snf import solve_nfold_snf  # noqa: E402
@@ -98,16 +99,34 @@ def _misplaced_nonbasic(state):
 TAMPERED = (_flip_reduced_cost, _shift_value, _inconsistent_rows, _misplaced_nonbasic)
 
 # max 3a + b + 2d over a 2 x 2 transport with unit totals and boxes [0, 1],
-# whose optimum is ((1, 0), (0, 1)) worth 5; each wrong result breaks one
-# check of the transport certificate
+# whose optimum is ((1, 0), (0, 1)) worth 5 at column prices (0, 0)
 TRANSPORT = TransportProblem.make([1, 1], [1, 1], [[0, 0], [0, 0]], [[1, 1], [1, 1]], [[3, 1], [0, 2]])
-WRONG_FLOWS = (
-    TransportResult(((2, -1), (-1, 2)), 5),  # leaves the boxes
-    TransportResult(((1, 1), (0, 0)), 4),  # misses the row totals
-    TransportResult(((1, 0), (1, 0)), 3),  # misses the column totals
-    TransportResult(((1, 0), (0, 1)), 6),  # objective overstated
-    TransportResult(((0, 1), (1, 0)), 1),  # feasible but worse: a negative residual cycle
-)
+# one row of total 2 over boxes [0, 2], column totals 1 and 1, profits 3 and
+# 1: both cells sit strictly inside their boxes, so the optimal column
+# prices are fixed up to a common shift, and moving one alone by 1 makes
+# the dual value exceed the objective
+TIGHT = TransportProblem.make([2], [1, 1], [[0, 0]], [[2, 2]], [[3, 1]])
+
+
+def _moved_price(p, h, step):
+    """p's optimal flow with column price h moved by step."""
+    best = solve_transport(p)
+    prices = list(best.prices)
+    prices[h] += step
+    return TransportResult(best.cells, best.objective, tuple(prices))
+
+
+# (problem, result): each wrong result breaks one check of the transport
+# certificate
+WRONG_FLOWS = tuple((TRANSPORT, res) for res in (
+    TransportResult(((2, -1), (-1, 2)), 5, (0, 0)),  # leaves the boxes
+    TransportResult(((1, 1), (0, 0)), 4, (0, 0)),  # misses the row totals
+    TransportResult(((1, 0), (1, 0)), 3, (0, 0)),  # misses the column totals
+    TransportResult(((1, 0), (0, 1)), 6, (0, 0)),  # objective overstated
+    TransportResult(((0, 1), (1, 0)), 1, (0, 0)),  # feasible but worse
+    TransportResult(((1, 0), (0, 1)), 5, (0,)),  # one price short
+    TransportResult(((1, 0), (0, 1)), 5, (0, 0.0)),  # a price that is no int
+)) + tuple((TIGHT, _moved_price(TIGHT, h, step)) for h in range(2) for step in (1, -1))
 
 # (constructor or function, arguments), each with an argument or entries
 # of the wrong type
@@ -210,9 +229,11 @@ def main() -> int:
             print(f"{tamper.__name__}: {why}")
             return 1
     print("audits", len(TAMPERED))
-    for res in WRONG_FLOWS:
+    for p in (TRANSPORT, TIGHT):
+        _transport_duals(p, solve_transport(p))  # the optimal flow passes
+    for p, res in WRONG_FLOWS:
         try:
-            _transport_duals(TRANSPORT, res)
+            _transport_duals(p, res)
         except InternalInconsistencyError:
             continue
         print(f"transport certificate accepted {res!r}")
