@@ -21,7 +21,8 @@ the Hitchcock transportation problem, SIAM J. Comput. 1995):
    potentials leave no residual arc of negative reduced cost, so, negated,
    they are optimal column prices (Ahuja, Magnanti & Orlin, Network Flows,
    1993, ch. 9); the result carries them, zeros when step 2 already meets
-   the column totals.
+   the column totals.  When a surplus reaches no deficit, the verdict is
+   Blocked by the columns the failing search settled (min-cut, ch. 6).
 4. Every ordered pair (h, g) keeps a heap of rows keyed by the static
    p_jh - p_jg.  A row that stops qualifying is dropped when it reaches
    the top; an augmentation pushes again only the rows whose cells it
@@ -49,7 +50,7 @@ from dataclasses import dataclass, field
 from operator import add, mul, neg, sub
 
 from .errors import MalformedProblemError
-from .model import Infeasible, _check_ints
+from .model import _SEQS, Infeasible, _check_ints
 
 
 @dataclass(frozen=True)
@@ -61,8 +62,7 @@ class TransportTable:
     order[j] lists row j's columns by decreasing profit (ties in column
     order); pairs[h][g] lists every row j as (p_jh - p_jg, j) in increasing
     order, the cost of moving a unit of row j from column h to column g
-    (pairs[h][h] is empty).  outside(hmask) gives each row's capacity
-    outside the column set hmask, computed on first use.
+    (pairs[h][h] is empty).
     """
 
     cap: tuple
@@ -70,15 +70,14 @@ class TransportTable:
     col_lower: tuple
     order: tuple
     pairs: tuple
-    _outside: dict = field(default_factory=dict, repr=False, compare=False)
 
     @staticmethod
     def of(n, t, cell_lower, cell_upper, cell_profit) -> "TransportTable":
         """The table of n x t cell matrices; MalformedProblemError on a bad
         shape, an entry that is not an int or an empty box."""
         for m in (cell_lower, cell_upper, cell_profit):
-            if len(m) != n or any(len(row) != t for row in m):
-                raise MalformedProblemError("cell matrix shape mismatch")
+            if type(m) not in _SEQS or len(m) != n or any(type(r) not in _SEQS or len(r) != t for r in m):
+                raise MalformedProblemError("cell matrix is not n x t tuples or lists")
             for row in m:
                 _check_ints(row)
         cap = []
@@ -103,25 +102,17 @@ class TransportTable:
             ),
         )
 
-    def outside(self, hmask) -> tuple:
-        """Per row, the summed capacity of its columns not in the bit set hmask."""
-        got = self._outside.get(hmask)
-        if got is None:
-            t = len(self.col_lower)
-            out = [h for h in range(t) if not hmask >> h & 1]
-            got = self._outside[hmask] = tuple(sum(cj[h] for h in out) for cj in self.cap)
-        return got
-
 
 @dataclass(frozen=True)
 class TransportProblem:
     """Capacitated transportation data: n rows to spread over t columns.
 
-    Every total and cell entry is an int.  Construction, through make or
-    the dataclass constructor alike, raises MalformedProblemError for any
-    other value, bools, floats and Fractions included, checks the cell
-    shapes and boxes and derives the TransportTable; with_totals checks and
-    changes only the totals and shares that table.
+    Every total and cell entry is an int, in tuples or lists (make takes
+    any iterables).  Construction, through make or the dataclass
+    constructor alike, raises MalformedProblemError for anything else,
+    bools, floats and Fractions included, checks the cell shapes and boxes
+    and derives the TransportTable; with_totals checks and changes only
+    the totals and shares that table.
     """
 
     row_totals: tuple
@@ -141,25 +132,36 @@ class TransportProblem:
 
     @staticmethod
     def make(row_totals, col_totals, cell_lower, cell_upper, cell_profit):
-        return TransportProblem(
-            tuple(row_totals),
-            tuple(col_totals),
-            tuple(tuple(r) for r in cell_lower),
-            tuple(tuple(r) for r in cell_upper),
-            tuple(tuple(r) for r in cell_profit),
-        )
+        try:
+            args = [tuple(row_totals), tuple(col_totals)]
+            args += [tuple(map(tuple, m)) for m in (cell_lower, cell_upper, cell_profit)]
+        except TypeError:
+            raise MalformedProblemError("transport totals and cell rows must be iterable") from None
+        return TransportProblem(*args)
 
     def with_totals(self, row_totals, col_totals) -> "TransportProblem":
         """The same cells under new totals, sharing this problem's table."""
+        _check_ints(row_totals)
+        _check_ints(col_totals)
         row_totals, col_totals = tuple(row_totals), tuple(col_totals)
         if len(row_totals) != len(self.row_totals) or len(col_totals) != len(self.col_totals):
             raise MalformedProblemError("totals vector has the wrong length")
-        _check_ints(row_totals)
-        _check_ints(col_totals)
         # bypasses __post_init__: the table depends on the cells alone
         p = object.__new__(TransportProblem)
         p.__dict__.update(self.__dict__, row_totals=row_totals, col_totals=col_totals)
         return p
+
+
+@dataclass(frozen=True)
+class Blocked(Infeasible):
+    """An infeasible transport's verdict and a column set H proving it.
+
+    columns lists H in increasing order: the rows' supply that cannot leave
+    H exceeds H's demand (ones._blocking_pair checks it).  It is None when
+    no H does, for totals whose columns ask more than the rows give.
+    """
+
+    columns: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -193,8 +195,12 @@ def _rebalance(z, table, profit, surplus):
     z is a fill in which every row is optimal on its own, edited in place;
     surplus[h] is column h's sum minus its total, and the surpluses sum to
     zero.  Returns the final node potentials, under which every residual
-    exchange h -> g has p_jh - p_jg + pot[h] - pot[g] >= 0, or None when a
-    surplus reaches no deficit, which proves the transport infeasible.
+    exchange h -> g has p_jh - p_jg + pot[h] - pot[g] >= 0, or, when a
+    surplus reaches no deficit, the Blocked verdict whose columns H are the
+    ones the failing search settled.  Each has a surplus >= 0, the source
+    one > 0, and no row can move a unit out of H, so every row with flow in
+    H has its cells outside H full: the rows' supply that cannot leave H
+    exceeds H's demand.
 
     Each pair heap starts as a copy of the table's presorted list, and a
     sorted list is a heap.  It also holds rows that do not qualify, which
@@ -224,7 +230,7 @@ def _rebalance(z, table, profit, surplus):
                 if not done[v] and dist[v] is not None and (u is None or dist[v] < dist[u]):
                     u = v
             if u is None:
-                return None
+                return Blocked("NoAugmentingPath", tuple(h for h in range(t) if done[h]))
             done[u] = True
             if surplus[u] < 0:
                 target = u
@@ -271,23 +277,30 @@ def _rebalance(z, table, profit, surplus):
 
 
 def solve_transport(p: TransportProblem):
-    """Profit-maximal integral cell matrix with its column prices, or Infeasible.
+    """Profit-maximal integral cell matrix with its column prices, or Blocked.
 
-    Infeasible reasons: TotalsMismatch when the row and column totals sum
-    differently, LowerBoundsExceedTotals when the lower bounds alone
-    overshoot a total, NoAugmentingPath when the cell capacities cannot
-    carry the totals.  Total unimodularity makes the integral optimum equal
-    the LP optimum over the same polytope.
+    Blocked reasons and their column sets H: TotalsMismatch when the row
+    and column totals sum differently, H all columns when the rows give
+    more, else None; LowerBoundsExceedTotals when the lower bounds alone
+    overshoot a total, H all columns for a row's, {h} for column h's;
+    NoAugmentingPath when the cell capacities cannot carry the totals, H
+    empty when a row's rest exceeds its capacity, else the columns the
+    failing shortest-path search settled.  Total unimodularity makes the
+    integral optimum equal the LP optimum over the same polytope.
     """
     t = len(p.col_totals)
+    every = tuple(range(t))
     if sum(p.row_totals) != sum(p.col_totals):
-        return Infeasible("TotalsMismatch")
+        return Blocked("TotalsMismatch", every if sum(p.row_totals) > sum(p.col_totals) else None)
 
     table = p.table
     row_rest = [r - low for r, low in zip(p.row_totals, table.row_lower)]
     surplus = [low - c for low, c in zip(table.col_lower, p.col_totals)]  # column sum of z minus its total
-    if any(r < 0 for r in row_rest) or any(s > 0 for s in surplus):
-        return Infeasible("LowerBoundsExceedTotals")
+    if any(r < 0 for r in row_rest):
+        return Blocked("LowerBoundsExceedTotals", every)
+    over = next((h for h in range(t) if surplus[h] > 0), None)
+    if over is not None:
+        return Blocked("LowerBoundsExceedTotals", (over,))
 
     z = []
     for rest, cj, order in zip(row_rest, table.cap, table.order):
@@ -300,12 +313,12 @@ def solve_transport(p: TransportProblem):
             surplus[h] += q
             rest -= q
         if rest:
-            return Infeasible("NoAugmentingPath")
+            return Blocked("NoAugmentingPath", ())
         z.append(zj)
 
     pot = _rebalance(z, table, p.cell_profit, surplus) if any(surplus) else [0] * t
-    if pot is None:
-        return Infeasible("NoAugmentingPath")
+    if isinstance(pot, Blocked):
+        return pot
 
     cells = tuple(tuple(map(add, low, zj)) for low, zj in zip(p.cell_lower, z))
     objective = sum(sum(map(mul, pj, row)) for pj, row in zip(p.cell_profit, cells))

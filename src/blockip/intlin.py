@@ -40,6 +40,8 @@ class BezoutSolution:
 
 def extended_gcd(lam: int, mu: int) -> BezoutSolution:
     """Positive gcd g of (lam, mu) with certificate lam*x + mu*y = g."""
+    if type(lam) is not int or type(mu) is not int:
+        raise MalformedProblemError(f"gcd of {lam!r} and {mu!r}: both must be ints")
     if lam == 0 and mu == 0:
         raise BothZeroError("gcd(0, 0) is undefined")
     old_r, r = lam, mu

@@ -287,11 +287,13 @@ _SEQS = {tuple, list}
 
 
 def _check_ints(values) -> None:
-    """MalformedProblemError unless every entry of values is an int.
+    """MalformedProblemError unless values is a tuple or list of ints.
 
     bool fails too (type(v) is int), the rule validate uses; LpProblem and
     TransportProblem check their data with it.
     """
+    if type(values) not in _SEQS:
+        raise MalformedProblemError(f"problem data must be a tuple or list, not {values!r}")
     for v in values:
         if type(v) is not int:
             raise MalformedProblemError(f"problem data must be ints, not {v!r}")
@@ -543,10 +545,14 @@ def _dec_int(v):
     raise ParseError(f"expected integer or decimal string, got {v!r}")
 
 
-def _dec_vec(v, what):
+def _dec_array(v, what):
     if not isinstance(v, list):
         raise ParseError(f"{what} must be an array")
-    return tuple(_dec_int(e) for e in v)
+    return v
+
+
+def _dec_vec(v, what):
+    return tuple(_dec_int(e) for e in _dec_array(v, what))
 
 
 def _dec_mat(v, what, rows=None):
@@ -602,8 +608,8 @@ def instance_from_dict(d):
     try:
         n = _dec_int(d["n"])
         if "A_blocks" in d:
-            A_blocks = [_dec_mat(m, "A_blocks entry") for m in d["A_blocks"]]
-            D_blocks = [_dec_mat(m, "D_blocks entry") for m in d["D_blocks"]]
+            A_blocks = [_dec_mat(m, "A_blocks entry") for m in _dec_array(d["A_blocks"], "A_blocks")]
+            D_blocks = [_dec_mat(m, "D_blocks entry") for m in _dec_array(d["D_blocks"], "D_blocks")]
             if len(A_blocks) == len(D_blocks):
                 A_blocks, D_blocks = ([_widened(M, N) for M, N in zip(A_blocks, D_blocks)],
                                       [_widened(N, M) for M, N in zip(A_blocks, D_blocks)])
@@ -612,7 +618,7 @@ def instance_from_dict(d):
                 A_blocks,
                 D_blocks,
                 _dec_vec(d["b0"], "b0"),
-                [_dec_vec(bi, "b entry") for bi in d["b"]],
+                [_dec_vec(bi, "b entry") for bi in _dec_array(d["b"], "b")],
                 _dec_vec(d["l"], "l"),
                 _dec_vec(d["u"], "u"),
                 _dec_vec(d["w"], "w"),
@@ -641,7 +647,7 @@ def instance_from_dict(d):
             C,
             D,
             _dec_vec(d["b0"], "b0"),
-            [_dec_vec(bi, "b entry") for bi in d["b"]],
+            [_dec_vec(bi, "b entry") for bi in _dec_array(d["b"], "b")],
             l,
             _dec_vec(d["u"], "u"),
             _dec_vec(d["w"], "w"),

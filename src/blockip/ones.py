@@ -1,34 +1,27 @@
 """Solver for instances whose brick matrix is a single all-ones row.
 
-Three stages.  First the bricks are collapsed into one integral aggregate
+Three stages.  First the bricks collapse into one integral aggregate
 vector y of column totals, so only (x0, y) stays integer; for fixed (x0, y)
-the bricks relax to a capacitated transportation problem whose matrix is
-totally unimodular, hence the relaxation is exact.  Second, the integral
-(x0, y) live on an explicit affine lattice (coupling rows plus the sum of
-all brick rows), which intlin.lattice_in_box writes as a recentred point
-plus an LLL-reduced kernel basis over a coordinate box.  The concave
-transportation value function is maximized over the lattice coordinates
-by an exact cutting-plane search: supergradient cuts from transportation
-duals, blocking-set cuts from the max-flow min-cut feasibility condition,
-and box splitting with floor pruning (every candidate value is an
-integer).  A box splits at the coordinate of its bound LP point farthest
-from an integer, the rule of smallip's branch and bound, and a box that
-comes back with no new cut reuses its bound LP's result instead of solving
-that LP again.  Third, the winning aggregate is redistributed over the
-bricks, and that redistribution is the search's own transport at the
-winning aggregate.  Every transport of the search is solved by
-flow.solve_transport, which fills each brick greedily and then moves units
-between the t_A columns along shortest paths over those t_A nodes alone,
-the bricks entering only through one heap per ordered column pair.  The
-transports of one search differ only in their totals (b - q, y), so the
-search builds one flow.TransportTable from the bricks' boxes and profits
-(capacities, lower-bound sums, profit orders, presorted pair lists, and
-the out-of-H capacities the blocking cuts read) and derives every
-transport from it with with_totals.  The winning transport was solved once
-during the search and certified optimal there by integral dual prices:
-the flow's own column prices, the potentials of its last shortest-path
-pass, and row prices derived from them, whose dual value equals its
-objective, so it is neither solved nor checked a second time.
+the bricks relax to a capacitated transportation problem, totally
+unimodular, so the relaxation is exact.  Second, the integral (x0, y) live
+on an affine lattice (coupling rows plus the sum of all brick rows), which
+intlin.lattice_in_box writes as a recentred point plus an LLL-reduced
+kernel basis over a coordinate box, and an exact cutting-plane search
+maximizes the concave transport value function over its coordinates:
+supergradient cuts from transport duals, blocking-set cuts from the
+max-flow min-cut feasibility condition, and box splitting with floor
+pruning (every candidate value is an integer).  Third, the winning
+aggregate's bricks are the search's own transport there.
+
+Every transport is solved by flow.solve_transport on one
+flow.TransportTable that the search builds from the bricks' boxes and
+profits, the transports differing only in their totals (b - q, y).  Both
+kinds of cut come from the flow and are checked once from the transport's
+data: a feasible transport by the flow's column prices and row prices
+derived from them, whose dual value equals its objective; an infeasible
+one by the column set H its verdict names, where the rows' supply that
+cannot leave H exceeds H's demand.  So the winning transport is neither
+solved nor checked a second time.
 """
 
 from __future__ import annotations
@@ -43,7 +36,7 @@ from .errors import (
     MalformedProblemError,
     NotAllOnesError,
 )
-from .flow import TransportProblem, TransportResult, solve_transport
+from .flow import Blocked, TransportProblem, TransportResult, solve_transport
 from .intlin import lattice_in_box, smith_normal_form
 from .model import (
     FourBlockInstance,
@@ -132,24 +125,19 @@ def _transport_problem(inst: FourBlockInstance, ctx: OnesContext) -> TransportPr
 def _transport_duals(p: TransportProblem, res: TransportResult):
     """Optimal dual prices (row, column), certifying that res is optimal.
 
-    The column prices c are res.prices, the flow's own (negated node
-    potentials of its last shortest-path pass).  Each row price follows in
-    the one pass over the rows that checks the cells: a_i is the least
-    profit - c_h over row i's cells above their lower bound, or, when it has
-    none, the greatest over its cells with room, or 0.  The certificate
-    reads only the TransportProblem fields and res, and is checked from
-    scratch: c is t ints, the cells meet every box and total, their profit
-    is res.objective, and the dual value a . r + c . y + sum over cells of
-    max(gap * lower, gap * upper), with gap = profit - a_i - c_h, equals
-    res.objective.  That dual value bounds every feasible transport from
-    above, whatever prices produced it, so equality proves res optimal
-    without trusting the flow code.  Each check is an explicit raise of
-    InternalInconsistencyError, so it still runs under python -O.
-
-    The returned prices also satisfy complementarity, so for any totals
-    (r', y') the optimum is at most the certified value plus
-    a . (r' - r) + c . (y' - y): the value function is concave and (a, c)
-    is a supergradient at the current totals.
+    The column prices c are res.prices, the flow's own.  In the one pass
+    over the rows that checks the cells, a_i is the least profit - c_h over
+    row i's cells above their lower bound, else the greatest over its cells
+    with room, else 0.  From the TransportProblem fields and res alone it
+    checks that c is t ints, that the cells meet every box and total and
+    are worth res.objective, and that the dual value a . r + c . y + the sum
+    over cells of max(gap * lower, gap * upper), gap = profit - a_i - c_h,
+    equals res.objective.  That value bounds every feasible transport
+    whatever produced the prices, so equality proves res optimal; each
+    check is an explicit raise of InternalInconsistencyError, so it still
+    runs under python -O.  By complementarity (a, c) is also a supergradient
+    of the concave value function at these totals: for totals (r', y') the
+    optimum is at most res.objective + a . (r' - r) + c . (y' - y).
     """
     t = len(p.col_totals)
     cells, c = res.cells, res.prices
@@ -196,65 +184,62 @@ def _transport_duals(p: TransportProblem, res: TransportResult):
     return a, c
 
 
-def _blocking_cut(p: TransportProblem):
-    """Violated blocking pair (rows R, columns H) of an infeasible transport.
+def _blocking_pair(p: TransportProblem, blocked: Blocked):
+    """Violated blocking pair (rows R, columns H) of an infeasible transport
+    and R's summed capacity outside H, certifying that p is infeasible.
 
-    After shifting out the lower bounds, a feasible flow exists iff for every
-    column set H the rows' surplus that cannot drain outside H fits under H's
-    demand.  The worst row set for a fixed H is found greedily, so scanning
-    the 2^t column subsets is exhaustive.  Returns None when no pair is
-    violated, which certifies feasibility of the totals.
+    H is the flow's own, blocked.columns.  With the lower bounds shifted
+    out, rho_i is row i's supply, delta_h column h's demand and out_i row
+    i's capacity outside H; R is the rows with rho_i > out_i.  One pass over
+    the TransportProblem fields checks that R's excess, the sum of
+    rho_i - out_i, exceeds H's demand, which no flow can carry.  A missing
+    or non-blocking H raises InternalInconsistencyError, under python -O too.
     """
     t = len(p.col_totals)
-    table = p.table
-    rho = [r - low for r, low in zip(p.row_totals, table.row_lower)]
-    delta = [c - low for c, low in zip(p.col_totals, table.col_lower)]
-    for hmask in range(1 << t):
-        cols = [h for h in range(t) if hmask >> h & 1]
-        rows, lhs = [], 0
-        for i, out in enumerate(table.outside(hmask)):
-            m = rho[i] - out
-            if m > 0:
-                rows.append(i)
-                lhs += m
-        if lhs > sum(delta[h] for h in cols):
-            return rows, cols
-    return None
+    if blocked.columns is None:
+        raise InternalInconsistencyError(f"transport infeasible ({blocked.reason}) but no blocking pair")
+    cols = [h for h in range(t) if h in blocked.columns]
+    outside = [h for h in range(t) if h not in blocked.columns]
+    rows, excess, out_sum = [], 0, 0
+    demand = sum(p.col_totals[h] for h in cols)
+    for i, (r, lo, up) in enumerate(zip(p.row_totals, p.cell_lower, p.cell_upper)):
+        demand -= sum(lo[h] for h in cols)
+        out = sum(up[h] - lo[h] for h in outside)
+        m = r - sum(lo) - out
+        if m > 0:
+            rows.append(i)
+            excess += m
+            out_sum += out
+    if excess <= demand:
+        raise InternalInconsistencyError(f"{blocked.reason}: transport columns {cols} do not block")
+    return rows, cols, out_sum
 
 
 def _optimize_aggregate(inst: FourBlockInstance, form: _LatticeForm):
-    """Optimal (value, x0, y, cells) over the lattice, or None.
+    """Optimal (value, x0, y, cells) over the lattice, or None; cells is the
+    bricks' transport at the winning (x0, y), certified by _transport_duals.
 
-    cells is the bricks' transport at the winning aggregate (x0, y), already
-    certified optimal by _transport_duals, so it is the rounding.
+    Maximizes g(v) = w0 . x0(v) + T(v) over integer lattice coordinates v,
+    T the bricks' exact transport optimum at the aggregate of v.  A box's
+    upper bound is a small exact LP over (v, t) whose integer ranged rows
+    hold at every lattice point of the box: the xy box rows, the shared-row
+    range, supergradient cuts at feasible evaluations and blocking cuts at
+    infeasible ones.  g is an integer at every point, so a box closes once
+    its bound is below the incumbent plus one.  Each evaluated point
+    improves the incumbent or tightens the bound through its cut, or else
+    the box splits, so the search is finite.  A box splits at its LP
+    point's coordinate farthest from an integer (ties to the smaller index,
+    never t), by smallip._branch_var; an integral LP point is evaluated if
+    fresh, and if not, its cut already closed the box.
 
-    Maximizes g(v) = w0 . x0(v) + T(v) over integer lattice coordinates,
-    where T is the exact transportation optimum of the bricks for the
-    aggregate at v.  g is evaluated only at integer points, so there is no
-    relaxation gap to cross: the upper bound on a coordinate box comes from a
-    small exact LP over (v, t) whose integer ranged rows hold at every
-    lattice point of the box (xy box rows, the shared-row range,
-    supergradient cuts at feasible evaluations, blocking cuts at infeasible
-    ones), and g is an integer at every point (integral data, integral flow),
-    so a box closes as soon as its bound drops below the incumbent plus one.
-    Evaluated points always either improve the incumbent, tighten the bound
-    through their cut, or shrink the box through splitting, so the search is
-    finite.  A box splits only at a fractional coordinate of its LP point,
-    the one farthest from an integer (ties to the smaller index, never t),
-    by smallip._branch_var as in smallip.solve_mip: an integral LP point is
-    evaluated if fresh, and if not, its cut already closed the box.
-
-    The bound LP is one warm tableau carried from box to box.  Only the root
-    box is solved cold, from the row-less start.  Every heap entry holds the
-    solved state of the box it came from (the two halves of a split share
-    it) and the number of cuts that state already holds; on pop the box's
-    edges are edited in, the cuts found since are added as rows, and the
-    dual simplex re-solves from the old basis.  A box pushed back after its
-    fresh corners were evaluated also carries its own LpResult (a split
-    half carries None).  When those corners added no cut, its box and rows
-    are those of its state, so a re-solve would return the same tableau
-    and result, which _extract already audited: the carried result is used
-    and nothing is re-solved.  A cut whose range is empty
+    The bound LP is one warm tableau carried from box to box; only the root
+    is solved cold.  Each heap entry holds the solved state of the box it
+    came from (split halves share it) and how many cuts that state holds;
+    on pop the box's edges are edited in, the newer cuts added as rows, and
+    the dual simplex re-solves from the old basis.  A box pushed back after
+    evaluating its fresh corners also carries its own LpResult; when those
+    corners added no cut, a re-solve would repeat that result, which
+    _extract already audited, so it is reused.  A cut whose range is empty
     over the root box makes every later bound LP infeasible, which closes
     the box as it should.
     """
@@ -326,11 +311,7 @@ def _optimize_aggregate(inst: FourBlockInstance, form: _LatticeForm):
             if isinstance(tr, TransportResult):
                 cert = _transport_duals(tp, tr)
             else:
-                cert = _blocking_cut(tp)
-                if cert is None:
-                    raise InternalInconsistencyError(
-                        f"transport infeasible ({tr.reason}) but no blocking pair"
-                    )
+                cert = _blocking_pair(tp, tr)
             got = transports[q, y] = (tr, cert)
         tr, cert = got
         if isinstance(tr, TransportResult):
@@ -347,18 +328,11 @@ def _optimize_aggregate(inst: FourBlockInstance, form: _LatticeForm):
             if best is None or value > best[0]:
                 best = (value, x0, y, tr.cells)
             return
-        rows, cols = cert
+        rows, cols, out_sum = cert
         # surplus of R that cannot leave H must fit under H's demand; linear in v
-        coeffs = [
-            -len(rows) * beta[k] - sum(basis[k][tB + h] for h in cols)
-            for k in range(f)
-        ]
-        outside = table.outside(sum(1 << h for h in cols))
-        rhs = (
-            sum(p0[tB + h] - table.col_lower[h] for h in cols)
-            + sum(outside[i] for i in rows)
-            - sum(bvals[i] - q0 - table.row_lower[i] for i in rows)
-        )
+        coeffs = [-len(rows) * beta[k] - sum(basis[k][tB + h] for h in cols) for k in range(f)]
+        rhs = out_sum + sum(p0[tB + h] - table.col_lower[h] for h in cols)
+        rhs -= sum(bvals[i] - q0 - table.row_lower[i] for i in rows)
         if sum(coeffs[k] * v[k] for k in range(f)) <= rhs:
             raise InternalInconsistencyError("blocking cut fails to separate its point")
         cuts.append((coeffs + [0], root_min(coeffs), rhs))

@@ -109,8 +109,8 @@ class LpProblem:
     upper: list
 
     def __post_init__(self):
-        n = len(self.objective)
         _check_ints(self.objective)
+        n = len(self.objective)
         _check_rows(self.rows, n)
         _check_ints(self.lower)
         _check_ints(self.upper)

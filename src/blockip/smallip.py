@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 from .errors import MalformedProblemError
 from .ratlp import INFEASIBLE, OPTIMAL, LpProblem, LpResult, solve_lp_warm
@@ -69,8 +70,12 @@ def solve_mip(p: MipProblem, cutoff=None) -> LpResult:
     subtrees whose LP bound is <= cutoff are pruned and only solutions with
     value > cutoff are returned.  When nothing beats the cutoff the result is
     Infeasible even if the program has worse feasible points.  The nodes field
-    counts LP relaxations solved.
+    counts LP relaxations solved.  cutoff is None, an int or a Fraction.
     """
+    if type(p) is not MipProblem:
+        raise MalformedProblemError(f"p is a {type(p).__name__}, not a MipProblem")
+    if cutoff is not None and type(cutoff) not in (int, Fraction):
+        raise MalformedProblemError(f"cutoff {cutoff!r} is not None, an int or a Fraction")
     root, state = solve_lp_warm(p.lp)
     nodes = 1
     if root.status != OPTIMAL:

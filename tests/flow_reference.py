@@ -5,15 +5,16 @@ heap per ordered column pair, built and heapified afresh on every call, and
 returns its negated final potentials as the column prices;
 _transport_duals certifies a result with integral dual prices of its own,
 shortest distances of a Bellman-Ford pass over the residual graph, and
-ignores the result's prices; _blocking_cut finds the violated column set of
-an infeasible transport, summing capacities afresh for every column set.
-All three read only the five TransportProblem fields, so they run on any
-problem of blockip.flow.  tests/test_flow.py compares
-blockip.flow.solve_transport, blockip.ones._transport_duals and
-blockip.ones._blocking_cut with them: cells, objective, column prices,
-Infeasible reason and blocking pairs must agree exactly, and both
-certificates must accept with the same dual value, although their prices
-may be different optimal duals.
+ignores the result's prices; _blocking_cut finds a violated column set of
+an infeasible transport by scanning all 2^t column sets, summing
+capacities afresh for each.  All three read only the five TransportProblem
+fields, so they run on any problem of blockip.flow.  tests/test_flow.py
+compares blockip.flow.solve_transport and blockip.ones._transport_duals
+with them: cells, objective, column prices and Infeasible reason must
+agree exactly, and both certificates must accept with the same dual
+value, although their prices may be different optimal duals.  For an
+infeasible transport the flow names its own blocking column set, which
+need not be the scan's first, so both must block.
 """
 
 from __future__ import annotations

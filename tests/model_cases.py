@@ -7,15 +7,16 @@ under python -O on an interpreter without pytest.
 import dataclasses
 from fractions import Fraction
 
+from blockip.flow import TransportProblem
 from blockip.fourblock_snf import solve_4block_snf
-from blockip.intlin import smith_normal_form
+from blockip.intlin import extended_gcd, smith_normal_form
 from blockip.model import FourBlockInstance, IntMatrix, evaluate
 from blockip.nfold_snf import greedy_ip8, solve_nfold_snf
 from blockip.ones import solve_ones
 from blockip.oracle import OracleBudget, enumerate_optimum
 from blockip.ratlp import LpProblem
 from blockip.reductions import SubsetSumInstance, encode_theorem2b
-from blockip.smallip import MipProblem
+from blockip.smallip import MipProblem, solve_mip
 
 SOLVERS = (solve_ones, solve_nfold_snf, solve_4block_snf)
 
@@ -114,4 +115,12 @@ UNTYPED_CALLS = (
     ("greedy target a float", greedy_ip8, (((0, 2), (0, 2)), (1, 1), 2.5)),
     ("greedy target a bool", greedy_ip8, (((0, 2),), (1,), True)),
     ("greedy empty interval", greedy_ip8, (((3, 0),), (1,), 0)),
+    ("transport row totals an int", TransportProblem.make, (5, [1], [[0]], [[1]], [[1]])),
+    ("transport cell matrices ints", TransportProblem, ((1,), (1,), 5, 5, 5)),
+    ("transport totals changed to an int",
+     TransportProblem.make([1], [1], [[0]], [[1]], [[1]]).with_totals, (5, [1])),
+    ("LP objective an int", LpProblem, (5, [], [0], [1])),
+    ("gcd of a float", extended_gcd, (1.5, 2)),
+    ("MIP solve of a str", solve_mip, ("x",)),
+    ("MIP cutoff a str", solve_mip, (MipProblem.make(LpProblem.make([1], [], [0], [1]), [True]), "x")),
 )

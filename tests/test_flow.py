@@ -7,9 +7,9 @@ import flow_reference
 import pytest
 
 from blockip.errors import MalformedProblemError
-from blockip.flow import TransportProblem, TransportResult, solve_transport
+from blockip.flow import Blocked, TransportProblem, TransportResult, solve_transport
 from blockip.model import Infeasible
-from blockip.ones import _blocking_cut, _transport_duals
+from blockip.ones import _transport_duals
 from blockip.ratlp import INFEASIBLE, OPTIMAL, LpProblem, solve_lp
 
 
@@ -425,19 +425,57 @@ def dual_value(p: TransportProblem, a, c):
     return value
 
 
+def blocks(p: TransportProblem, columns):
+    """Whether the column set columns proves p infeasible, from scratch:
+    after shifting out the lower bounds, the rows' supply that cannot leave
+    it, the sum of max(0, rho_i - out_i), exceeds its demand."""
+    supply = 0
+    for r, lo, up in zip(p.row_totals, p.cell_lower, p.cell_upper):
+        out = sum(up[h] - lo[h] for h in range(len(lo)) if h not in columns)
+        supply += max(0, r - sum(lo) - out)
+    demand = sum(p.col_totals[h] - sum(lo[h] for lo in p.cell_lower) for h in columns)
+    return supply > demand
+
+
+def blocked_source(p: TransportProblem, got: Blocked):
+    """Which check of the flow blocked p, after asserting that it named the
+    column set that check gives."""
+    t = len(p.col_totals)
+    every = tuple(range(t))
+    if got.reason == "TotalsMismatch":
+        assert got.columns == (every if sum(p.row_totals) > sum(p.col_totals) else None), got
+        return got.reason
+    if got.reason == "LowerBoundsExceedTotals":
+        if any(sum(lo) > r for lo, r in zip(p.cell_lower, p.row_totals)):
+            assert got.columns == every, got
+            return "row lower bounds"
+        over = [h for h in range(t) if sum(lo[h] for lo in p.cell_lower) > p.col_totals[h]]
+        assert got.columns == tuple(over[:1]), got
+        return "column lower bounds"
+    assert got.reason == "NoAugmentingPath", got
+    return "greedy fill" if got.columns == () else "shortest-path search"
+
+
 def assert_matches_reference(p: TransportProblem):
-    """The solver and the blocking cut agree with the reference code on p,
-    and both certificates accept with the same dual value; returns the
-    verdict's kind."""
+    """The solver agrees with the reference code on p: a feasible result is
+    equal and both certificates accept with the same dual value; an
+    infeasible one has the same reason, and its column set, checked by
+    blocks, proves it, as a set the reference's exhaustive scan also finds.
+    Returns the verdict's kind, for an infeasible one the check that
+    blocked p."""
     got, want = solve_transport(p), flow_reference.solve_transport(p)
-    assert got == want, (p, got, want)
-    if isinstance(got, TransportResult):
+    if isinstance(want, TransportResult):
+        assert got == want, (p, got, want)
         # the two certificates may pick different optimal duals
         mine, theirs = _transport_duals(p, got), flow_reference._transport_duals(p, want)
         assert dual_value(p, *mine) == dual_value(p, *theirs) == got.objective
         return "feasible"
-    assert _blocking_cut(p) == flow_reference._blocking_cut(p)
-    return got.reason
+    assert isinstance(got, Blocked) and got.reason == want.reason, (p, got, want)
+    source = blocked_source(p, got)
+    if got.columns is not None:
+        assert blocks(p, got.columns), (p, got)
+        assert blocks(p, flow_reference._blocking_cut(p)[1]), p
+    return source
 
 
 def test_matches_the_reference_on_fresh_and_shared_tables():
@@ -468,8 +506,11 @@ def test_matches_the_reference_on_fresh_and_shared_tables():
     assert sum(seen[k] for k in seen if k[0] == "fresh") == 300
     assert sum(seen[k] for k in seen if k[0] == "chained") == 300
     for origin in ("fresh", "chained"):
-        for kind in ("feasible", "TotalsMismatch", "LowerBoundsExceedTotals", "NoAugmentingPath"):
-            assert seen[origin, kind] >= 10, seen
+        assert seen[origin, "feasible"] >= 10 and seen[origin, "TotalsMismatch"] >= 10, seen
+        assert seen[origin, "row lower bounds"] + seen[origin, "column lower bounds"] >= 10, seen
+        assert seen[origin, "greedy fill"] + seen[origin, "shortest-path search"] >= 10, seen
+    for source in ("row lower bounds", "column lower bounds", "greedy fill", "shortest-path search"):
+        assert seen["fresh", source] + seen["chained", source] >= 1, seen
     assert min(seen["t=1"], seen["n=0"], seen["30 digits"], seen["zero width"]) >= 5, seen
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+import json
 import pkgutil
 import random
 from fractions import Fraction
@@ -419,6 +420,13 @@ def test_json_rejects_malformed():
         loads_instance('{"n": 1, "A": [["x"]], "D": [["1"]], "b0": ["0"], "b": [["0"]], "l": ["0"], "u": ["1"], "w": ["0"]}')
     with pytest.raises(ParseError):
         loads_solution('{"x": ["1"]}')
+    # a field that must hold an array of arrays, given a number
+    four = instance_to_dict(small_instance())
+    general = instance_to_dict(GENERALIZED)
+    for d, field in ((four, "b"), (general, "b"), (general, "A_blocks"), (general, "D_blocks")):
+        loads_instance(json.dumps(d))
+        with pytest.raises(ParseError, match=f"^{field} must be an array$"):
+            loads_instance(json.dumps(dict(d, **{field: 5})))
 
 
 def test_solution_round_trip():

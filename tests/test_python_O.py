@@ -10,7 +10,9 @@ route raise MalformedProblemError on malformed input of either instance
 kind or on no instance (model_cases.MALFORMED), and that a tampered
 LP tableau still raises InternalInconsistencyError (TAMPERED), that the
 transport certificate rejects each wrong flow and each optimal flow with
-one column price moved by 1 (WRONG_FLOWS), that an
+one column price moved by 1 (WRONG_FLOWS), that the blocking-set check
+rejects each column set that does not prove a transport infeasible
+(WRONG_BLOCKS), that an
 LpProblem or a TransportProblem built directly with a non-int entry, and
 each call of model_cases.UNTYPED_CALLS, raises MalformedProblemError
 (UNTYPED), and that the 4-block integer screen yields
@@ -34,11 +36,11 @@ import blockip  # noqa: E402
 import fourblock_reference  # noqa: E402
 from blockip import generators  # noqa: E402
 from blockip.errors import InternalInconsistencyError, MalformedProblemError, NotEligibleError  # noqa: E402
-from blockip.flow import TransportProblem, TransportResult, solve_transport  # noqa: E402
+from blockip.flow import Blocked, TransportProblem, TransportResult, solve_transport  # noqa: E402
 from blockip.fourblock_snf import _prepare, enumerate_cells, solve_4block_snf, solve_cell  # noqa: E402
 from blockip.model import Infeasible, Solution, StructureClass, classify, evaluate  # noqa: E402
 from blockip.nfold_snf import solve_nfold_snf  # noqa: E402
-from blockip.ones import _transport_duals, solve_ones  # noqa: E402
+from blockip.ones import _blocking_pair, _transport_duals, solve_ones  # noqa: E402
 from blockip.oracle import OracleBudget, enumerate_optimum  # noqa: E402
 from blockip.ratlp import INFEASIBLE, OPTIMAL, LpProblem, solve_lp_warm  # noqa: E402
 from model_cases import MALFORMED, NOT_ELIGIBLE, SOLVERS, UNTYPED_CALLS  # noqa: E402
@@ -127,6 +129,14 @@ WRONG_FLOWS = tuple((TRANSPORT, res) for res in (
     TransportResult(((1, 0), (0, 1)), 5, (0,)),  # one price short
     TransportResult(((1, 0), (0, 1)), 5, (0, 0.0)),  # a price that is no int
 )) + tuple((TIGHT, _moved_price(TIGHT, h, step)) for h in range(2) for step in (1, -1))
+
+# two rows of total 2 over boxes [0, 1], column totals 3 and 1: the greedy
+# fill puts a unit of each row in each column, and no row can move one from
+# column 1 to the full column 0, so the search from column 1's surplus
+# settles only column 1, the one set of columns that blocks
+SHORT = TransportProblem.make([2, 2], [3, 1], [[0, 0], [0, 0]], [[1, 1], [1, 1]], [[0, 0], [0, 0]])
+# each names a column set of SHORT that does not block, or none
+WRONG_BLOCKS = tuple(Blocked("NoAugmentingPath", cols) for cols in ((), (0,), (0, 1), None))
 
 # (constructor or function, arguments), each with an argument or entries
 # of the wrong type
@@ -239,6 +249,19 @@ def main() -> int:
         print(f"transport certificate accepted {res!r}")
         return 1
     print("transports", len(WRONG_FLOWS))
+    got = solve_transport(SHORT)
+    if got != Blocked("NoAugmentingPath", (1,)):
+        print(f"blocking set of {SHORT!r}: {got!r}")
+        return 1
+    _blocking_pair(SHORT, got)  # the flow's own set passes
+    for blocked in WRONG_BLOCKS:
+        try:
+            _blocking_pair(SHORT, blocked)
+        except InternalInconsistencyError:
+            continue
+        print(f"blocking-set check accepted {blocked!r}")
+        return 1
+    print("blocks", len(WRONG_BLOCKS))
     for make, args in UNTYPED:
         try:
             got = make(*args)
@@ -267,7 +290,7 @@ def test_whole_battery_under_python_O():
     words = out.stdout.split()
     assert words[0::2] == [
         "ones", "nfold_snf", "fourblock_snf", "refused", "malformed", "audits", "transports",
-        "untyped", "screened", "debug"]
+        "blocks", "untyped", "screened", "debug"]
     assert words[-1] == "False"  # the asserts really were stripped
     # each route met both verdicts: feasible optima and proven infeasibility
     assert all(PER_ROUTE // 4 <= int(k) < PER_ROUTE for k in words[1:6:2]), words
@@ -275,8 +298,9 @@ def test_whole_battery_under_python_O():
     assert int(words[9]) == len(MALFORMED)
     assert int(words[11]) == len(TAMPERED)
     assert int(words[13]) == len(WRONG_FLOWS)
-    assert int(words[15]) == len(UNTYPED)
-    assert int(words[17]) >= 1  # the screen really dropped cells to check
+    assert int(words[15]) == len(WRONG_BLOCKS)
+    assert int(words[17]) == len(UNTYPED)
+    assert int(words[19]) >= 1  # the screen really dropped cells to check
 
 
 if __name__ == "__main__":

@@ -96,8 +96,8 @@ def test_results_match_the_pinned_digest(shape):
 
 # shape -> (transports solved, bound LPs solved cold, bound LPs re-solved warm)
 PINNED_PATHS = {
-    "ones-transport": (113, 17, 83),
-    "ones-lattice": (538, 15, 660),
+    "ones-transport": (111, 17, 79),
+    "ones-lattice": (527, 15, 657),
 }
 
 
