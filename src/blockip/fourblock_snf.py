@@ -43,15 +43,31 @@ has no integer point.  The survivors and their LPs are therefore those of
 propagating every window without these rows, less some cells with no
 integer point.
 
-All enumeration is exact and the winning cell's solution is lifted back to a
-full point and re-checked against the original constraints; any disagreement
-raises instead of returning silently wrong output.
+Only the best cell matters, so the cells are not solved one by one.  Each
+carries a ceiling, an int that no integer point of the cell exceeds: its
+constant plus, per column, the larger of the objective coefficient times
+either end of the box _propagate has tightened.  The screen's rows contain
+or imply every row of the cell's LP, so that box holds every integer point
+of the cell; the LP keeps the untightened box, so the ceiling is no bound
+on the relaxation.  Every cell is buffered and handed to smallip.best_of,
+one best-first branch and bound over the nodes of all cells, in which a
+cell not yet solved waits under its ceiling.  A cell gets an LP only when
+its ceiling is the best bound left, so a cell whose ceiling is below the
+optimum is never solved.  Ties go to the earlier cell, and within a cell
+the nodes above the old cutoff pop in the old order, so the point returned
+is the one that solving each cell in turn, with the incumbent as its
+cutoff, returns (tests/fourblock_reference.py keeps that loop).
+
+All enumeration is exact, the winning cell's value is checked against its
+ceiling, and its solution is lifted back to a full point and re-checked
+against the original constraints; any disagreement raises instead of
+returning silently wrong output.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import mul
 
 from .errors import (
@@ -69,7 +85,7 @@ from .model import (
     validate,
 )
 from .ratlp import OPTIMAL, LpProblem
-from .smallip import MipProblem, solve_mip
+from .smallip import MipProblem, best_of, solve_mip
 
 # integer_rank and smith_normal_form are no longer called here; they stay
 # importable under these names because perfbench/tracer.py wraps them here
@@ -180,6 +196,10 @@ class CellProblem:
     order: tuple  # brick indices (>=1) sorted by objective rate
     arg_lo: tuple  # per brick >=1: coordinate attaining its lower bound
     arg_hi: tuple  # per brick >=1: coordinate attaining its upper bound
+    # an int no integer point of the cell exceeds, constant included; it
+    # orders the search and is no part of the cell's identity (== skips it,
+    # and the tests' reference enumerator builds cells without one)
+    ceiling: int = field(default=None, compare=False)
 
 
 def _range_of(coeffs, lo, hi):
@@ -684,6 +704,10 @@ def _cells_for_windows(builder, combo, d, d_bar, lo, hi, pairs, arg_lo, arg_hi):
                 if mx > b:
                     rows.append((_dense(e, width), mn, b))
 
+        # every integer point of the cell lies in the propagated box
+        ceiling = const
+        for c, a, b in zip(obj, box_lo, box_hi):
+            ceiling += c * (b if c > 0 else a)
         lp = LpProblem.make(obj, rows, cell_lo, cell_hi)
         mip = MipProblem.make(lp, [True] * width)
         yield CellProblem(
@@ -694,11 +718,16 @@ def _cells_for_windows(builder, combo, d, d_bar, lo, hi, pairs, arg_lo, arg_hi):
             order=order,
             arg_lo=arg_lo,
             arg_hi=arg_hi,
+            ceiling=ceiling,
         )
 
 
 def solve_cell(cell: CellProblem, cutoff=None):
-    """Exact optimum of one cell's MIP; cutoff is on the MIP part only."""
+    """Exact optimum of one cell's MIP; cutoff is on the MIP part only.
+
+    The route searches all cells at once through best_of; this solves one
+    alone, for the tests, and perfbench/tracer.py wraps it by name.
+    """
     return solve_mip(cell.mip, cutoff=cutoff)
 
 
@@ -805,17 +834,14 @@ def solve_4block_snf(inst: FourBlockInstance):
         return prepared
     elim, grid = prepared
 
-    best = None  # (value, cell, point)
-    for cell in enumerate_cells(inst, elim, grid):
-        cutoff = None if best is None else best[0] - cell.constant
-        res = solve_cell(cell, cutoff=cutoff)
-        if res.status == OPTIMAL:
-            total = res.value + cell.constant
-            if best is None or total > best[0]:
-                best = (total, cell, res.point)
-
-    if best is None:
+    cells = list(enumerate_cells(inst, elim, grid))
+    k, res = best_of([(cell.mip, cell.constant, cell.ceiling) for cell in cells])
+    if k is None:
         return Infeasible("NoLatticePoint")
-    total, cell, point = best
-    return lift_solution(inst, elim, cell, point, total)
+    cell = cells[k]
+    total = res.value + cell.constant
+    if total > cell.ceiling:
+        raise InternalInconsistencyError(
+            f"cell optimum {total} exceeds the cell's ceiling {cell.ceiling}")
+    return lift_solution(inst, elim, cell, res.point, total)
 

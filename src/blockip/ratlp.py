@@ -68,19 +68,24 @@ from functools import cached_property
 from operator import mul
 
 from .errors import InternalInconsistencyError, MalformedProblemError
-from .model import _check_ints
+from .model import _SEQS, _check_ints
 
 OPTIMAL = "Optimal"
 INFEASIBLE = "Infeasible"
 
 
 def _check_rows(rows, n) -> None:
-    """MalformedProblemError unless every ranged row (coefficients, lo, hi)
-    has width n and only int entries."""
-    for coeffs, lo, hi in rows:
+    """MalformedProblemError unless rows is a tuple or list of ranged rows
+    (coefficients, lo, hi), each of width n with only int entries."""
+    if type(rows) not in _SEQS:
+        raise MalformedProblemError(f"rows must be a tuple or list, not {rows!r}")
+    for row in rows:
+        if type(row) not in _SEQS or len(row) != 3:
+            raise MalformedProblemError(f"row {row!r} is not (coefficients, lo, hi)")
+        coeffs, lo, hi = row
+        _check_ints(coeffs)
         if len(coeffs) != n:
             raise MalformedProblemError("row has wrong width")
-        _check_ints(coeffs)
         _check_ints((lo, hi))
 
 
@@ -217,26 +222,36 @@ class WarmLp:
         return s
 
     def bounds(self, j: int):
-        """Current (lower, upper) box of structural variable j, as ints."""
+        """Current (lower, upper) box of structural variable j, as ints.
+
+        MalformedProblemError unless j is an int naming a structural column.
+        """
+        if type(j) is not int or not 0 <= j < self.ns:
+            raise MalformedProblemError(f"index {j!r} names no structural column")
         return self.lower[j], self.upper[j]
 
     def edited(self, boxes=(), rows=()):
         """Re-solve with boxes (j, lower, upper) set and rows (coeffs, lo, hi) added.
 
         Each added row reads lo <= coeffs . x <= hi over the structurals.  An
-        empty box or range makes the result Infeasible; a box index that is
-        not an int naming a structural column, a row of the wrong width or
-        an entry that is not an int raises MalformedProblemError.  Returns
-        (LpResult, WarmLp or None); the state is None exactly when the
-        result is not Optimal.
+        empty box or range makes the result Infeasible.  boxes and rows are
+        tuples or lists; a box that is not a triple, a box index that is not
+        an int naming a structural column, a row that is not a triple or has
+        the wrong width, or an entry that is not an int raises
+        MalformedProblemError.  Returns (LpResult, WarmLp or None); the
+        state is None exactly when the result is not Optimal.
         """
-        boxes = list(boxes)
-        for j, lo, hi in boxes:
+        if type(boxes) not in _SEQS:
+            raise MalformedProblemError(f"boxes must be a tuple or list, not {boxes!r}")
+        for box in boxes:
+            if type(box) not in _SEQS or len(box) != 3:
+                raise MalformedProblemError(f"box {box!r} is not (index, lower, upper)")
+            j, lo, hi = box
             _check_ints((lo, hi))
             if type(j) is not int or not 0 <= j < self.ns:
                 raise MalformedProblemError(f"box index {j!r} names no structural column")
-        rows = _row_lists(rows)
         _check_rows(rows, self.ns)
+        rows = _row_lists(rows)
         if any(lo > hi for _, lo, hi in boxes) or any(lo > hi for _, lo, hi in rows):
             return LpResult(INFEASIBLE), None
         return self._copy()._solved(boxes, rows)

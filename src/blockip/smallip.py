@@ -11,6 +11,11 @@ Fractions.
 Child nodes differ from their parent by one tightened bound, which keeps
 the parent's basis dual feasible, so they re-solve warm from it with a few
 dual pivots; only the root is solved cold, from the row-less start.
+Several programs can share one search (best_of): a single heap holds the
+roots not yet solved, each under a ceiling its caller proves without an
+LP, beside the open nodes of the roots already solved, so a root's LP is
+solved only once its ceiling is the best bound left.  solve_mip is that
+search over one root.
 Intended for the small auxiliary programs the structured solvers generate
 (a handful of variables, narrow boxes), not as a general purpose MIP engine.
 """
@@ -39,7 +44,9 @@ class MipProblem:
         if type(integer_mask) not in (tuple, list):
             raise MalformedProblemError(
                 f"integrality mask is a {type(integer_mask).__name__}, not a tuple or list")
-        mask = tuple(bool(f) for f in integer_mask)
+        mask = tuple(integer_mask)
+        if any(type(f) is not bool for f in mask):
+            raise MalformedProblemError(f"integrality mask {mask!r} holds a value that is not a bool")
         if len(mask) != len(lp.objective):
             raise MalformedProblemError("integrality mask has wrong length")
         return MipProblem(lp, mask)
@@ -76,40 +83,53 @@ def solve_mip(p: MipProblem, cutoff=None) -> LpResult:
         raise MalformedProblemError(f"p is a {type(p).__name__}, not a MipProblem")
     if cutoff is not None and type(cutoff) not in (int, Fraction):
         raise MalformedProblemError(f"cutoff {cutoff!r} is not None, an int or a Fraction")
-    root, state = solve_lp_warm(p.lp)
-    nodes = 1
-    if root.status != OPTIMAL:
-        return LpResult(status=root.status, nodes=nodes)
+    # one root orders nothing, so its ceiling is never read
+    return best_of(((p, 0, 0),), cutoff)[1]
 
-    mask = p.integer_mask
-    best, best_val = None, cutoff
-    heap = []
+
+def best_of(roots, cutoff=None):
+    """The best integral point over several MIPs, by one best-first search.
+
+    roots is a sequence of (MipProblem, constant, ceiling) with int constant
+    and ceiling: a root's total is its MIP value plus its constant, and its
+    ceiling bounds the total of every integer point of the root from above.
+    One heap holds every root not yet solved under its ceiling, and every
+    open node under its LP value plus its root's constant.  Ties go to the
+    root listed first and, within one root, to the node pushed last: on a
+    value plateau the search dives to an integral point instead of sweeping
+    the tie.  Popping a root solves its LP; popping a node branches on it;
+    the first integral node popped has the best total, and a root whose
+    ceiling is below it is never solved.  So the result is the one solve_mip
+    gives the first root that reaches the best total, with the best total
+    of the roots before it as its cutoff, and no more LPs are solved than
+    by such a solve of every root in turn.
+
+    cutoff, when given, prunes every node whose total is <= cutoff, as in
+    solve_mip.  Returns (index of the winning root, LpResult of its MIP
+    part), or (None, Infeasible); nodes counts every LP solved.
+    """
+    heap = [(-ceiling, k, 0, None, None) for k, (_, _, ceiling) in enumerate(roots)]
+    heapq.heapify(heap)
+    nodes = 0
     seq = 0
-
-    def push(state, res):
-        nonlocal seq
-        if res.status == OPTIMAL and (best_val is None or res.value > best_val):
-            # ties on the bound pop newest-first: on a value plateau the
-            # search dives to an integral point instead of sweeping the tie
-            heapq.heappush(heap, (-res.value, -seq, state, res))
-            seq += 1
-
-    push(state, root)
     while heap:
-        negb, _, state, res = heapq.heappop(heap)
-        if best_val is not None and -negb <= best_val:
-            break  # best-bound order: nothing left can improve
-        j = _branch_var(res.num, res.den, mask)
-        if j < 0:
-            best, best_val = res, res.value
-            continue
-        split = res.num[j] // res.den
-        lo, up = state.bounds(j)
-        for child_lo, child_up in ((lo, split), (split + 1, up)):
-            child_res, child_state = state.reoptimized(j, child_lo, child_up)
-            nodes += 1
-            push(child_state, child_res)
-
-    if best is None:
-        return LpResult(status=INFEASIBLE, nodes=nodes)
-    return replace(best, nodes=nodes)
+        _, k, _, state, res = heapq.heappop(heap)
+        mip, constant, _ = roots[k]
+        if state is None:
+            solved = (solve_lp_warm(mip.lp),)
+        else:
+            j = _branch_var(res.num, res.den, mip.integer_mask)
+            if j < 0:
+                return k, replace(res, nodes=nodes)
+            split = res.num[j] // res.den
+            lo, up = state.bounds(j)
+            solved = (state.reoptimized(j, lo, split), state.reoptimized(j, split + 1, up))
+        nodes += len(solved)
+        for res, state in solved:
+            if res.status == OPTIMAL:
+                # the total as one Fraction, negated for the min-heap
+                neg = Fraction(-res.value_num - constant * res.den, res.den)
+                if cutoff is None or -neg > cutoff:
+                    seq += 1
+                    heapq.heappush(heap, (neg, k, -seq, state, res))
+    return None, LpResult(status=INFEASIBLE, nodes=nodes)

@@ -1,4 +1,5 @@
-"""The 4-block cell enumerator as it stood before its vector rewrite.
+"""The 4-block cell enumerator as it stood before its vector rewrite, and
+the route's cell-by-cell loop as it stood before its best-first search.
 
 fourblock_snf.enumerate_cells must yield the CellProblem sequence this one
 yields (dataclass ==, same order) with some cells removed, and only cells
@@ -12,14 +13,20 @@ tournament through a comparison closure, and per merge window the rows and
 objective rebuilt as sparse dicts and screened by _propagate.  It shares
 with the package only the data types and _propagate, which the rewrite
 left as it was.
+
+solve_cell_by_cell is fourblock_snf.solve_4block_snf with its old loop: the
+package's cells in enumeration order, each solved to optimality with the
+best total so far, less the cell's constant, as its cutoff.  The route
+must return the same Solution, point included, with no more LPs.
 """
 
 import itertools
 
+from blockip import fourblock_snf
 from blockip.errors import InternalInconsistencyError
 from blockip.fourblock_snf import CellProblem, EliminationData, _propagate
-from blockip.model import FourBlockInstance
-from blockip.ratlp import LpProblem
+from blockip.model import FourBlockInstance, Infeasible
+from blockip.ratlp import OPTIMAL, LpProblem
 from blockip.smallip import MipProblem
 
 
@@ -432,3 +439,27 @@ def screened_out(cells, want):
         else:
             dropped.append(cell)
     return dropped if nxt is None else None
+
+
+def solve_cell_by_cell(inst):
+    """solve_4block_snf with one cutoff-pruned solve per cell, in order."""
+    prepared = fourblock_snf._prepare(inst)
+    if prepared is None:
+        return fourblock_snf._solve_trivial(inst)
+    if isinstance(prepared, Infeasible):
+        return prepared
+    elim, grid = prepared
+
+    best = None  # (value, cell, point)
+    for cell in fourblock_snf.enumerate_cells(inst, elim, grid):
+        cutoff = None if best is None else best[0] - cell.constant
+        res = fourblock_snf.solve_cell(cell, cutoff=cutoff)
+        if res.status == OPTIMAL:
+            total = res.value + cell.constant
+            if best is None or total > best[0]:
+                best = (total, cell, res.point)
+
+    if best is None:
+        return Infeasible("NoLatticePoint")
+    total, cell, point = best
+    return fourblock_snf.lift_solution(inst, elim, cell, point, total)

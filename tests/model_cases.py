@@ -14,7 +14,7 @@ from blockip.model import FourBlockInstance, IntMatrix, evaluate
 from blockip.nfold_snf import greedy_ip8, solve_nfold_snf
 from blockip.ones import solve_ones
 from blockip.oracle import OracleBudget, enumerate_optimum
-from blockip.ratlp import LpProblem
+from blockip.ratlp import LpProblem, solve_lp_warm
 from blockip.reductions import SubsetSumInstance, encode_theorem2b
 from blockip.smallip import MipProblem, solve_mip
 
@@ -95,6 +95,10 @@ MALFORMED = tuple(
 PAIR = FourBlockInstance.nfold(1, IntMatrix.from_rows([[1, 1]]), IntMatrix.zero(0, 2),
                                b0=[], b=[[1]], l=[0, 0], u=[1, 1], w=[0, 1])
 
+# the solved tableau of max x over 0 <= x <= 1 in the box [0, 2]: one
+# structural column, and column 1 is the row's slack
+WARM = solve_lp_warm(LpProblem.make([1], [([1], 0, 1)], [0], [2]))[1]
+
 # (what is wrong, function, arguments): each call raises
 # MalformedProblemError, not AttributeError or TypeError, and evaluate
 # reports no point that is not integral as feasible
@@ -103,6 +107,12 @@ UNTYPED_CALLS = (
     ("oracle budget of a str", enumerate_optimum, (PAIR, OracleBudget("x"))),
     ("integrality mask None", MipProblem.make, (LpProblem.make([1], [], [0], [1]), None)),
     ("MIP over a str, not an LP", MipProblem.make, ("lp", [True])),
+    ("integrality mask of a str", MipProblem.make, (LpProblem.make([1], [], [0], [1]), ["x"])),
+    ("integrality mask of None", MipProblem.make, (LpProblem.make([1], [], [0], [1]), [None])),
+    ("warm box of two entries", WARM.edited, ([(0, 1)],)),
+    ("warm rows None", WARM.edited, ((), None)),
+    ("warm bounds of the slack", WARM.bounds, (1,)),
+    ("warm bounds past the columns", WARM.bounds, (5,)),
     ("Smith form of a list", smith_normal_form, ([[1, 2]],)),
     ("Smith form of None", smith_normal_form, (None,)),
     ("Smith form of a float entry", smith_normal_form, (IntMatrix(1, 2, (1, 2.5)),)),

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -5,7 +6,7 @@ import fourblock_reference
 import pytest
 from highs_oracle import highs_optimum
 
-from blockip import fourblock_snf, generators, smallip
+from blockip import fourblock_snf, generators, ratlp, smallip
 from blockip.errors import (
     InternalInconsistencyError,
     LiftInconsistencyError,
@@ -719,3 +720,109 @@ def test_enumeration_matches_the_reference_at_scale():
         got, want = _enumerations(inst)
         _screened_out(got, want)
         assert got, (n, s_A)  # each instance reaches at least one cell LP
+
+
+def _count_lps(monkeypatch):
+    """A list that grows by one per cell LP: root solves and B&B re-solves."""
+    calls = []
+    cold, warm = smallip.solve_lp_warm, ratlp.WarmLp.reoptimized
+
+    def counted_cold(*args, **kwargs):
+        calls.append(None)
+        return cold(*args, **kwargs)
+
+    def counted_warm(self, *args, **kwargs):
+        calls.append(None)
+        return warm(self, *args, **kwargs)
+
+    monkeypatch.setattr(smallip, "solve_lp_warm", counted_cold)
+    monkeypatch.setattr(ratlp.WarmLp, "reoptimized", counted_warm)
+    return calls
+
+
+def _search_battery():
+    """Seeded instances with s_A, t_B in {1, 2}, n in 1..40 and scale 1, 10
+    or 100; every third has w = 0, where every feasible cell ties.
+
+    At scale 100 t_B is 1, and two-row bricks have n at most 16 at scale 10
+    and 8 at scale 100: wider shared boxes there leave cells whose branch
+    and bound takes 10^4 nodes, and two-row bricks grids that take seconds
+    to enumerate, for the same check.
+    """
+    rng = random.Random(83)
+    for k in range(120):
+        s_A, scale = 1 + k % 2, (1, 10, 100)[k % 3]
+        inst = generators.random_snf_instance(
+            rng, n=rng.randint(1, {1: 40, 10: 16, 100: 8}[scale] if s_A == 2 else 40), s_A=s_A,
+            t_B=1 if scale == 100 else rng.randint(1, 2), s_C=1, scale=scale, seeded_rate=0.9)
+        if k % 3 == 1:
+            inst = dataclasses.replace(inst, w=[0] * len(inst.w))
+        yield inst
+
+
+def test_best_first_search_matches_the_cell_by_cell_loop(monkeypatch):
+    # the same Solution, point included, as solving every cell in order
+    # with the incumbent as cutoff, and never more LPs
+    calls = _count_lps(monkeypatch)
+    tally = {"solutions": 0, "ties": 0, "fewer": 0}
+    for inst in _search_battery():
+        want = fourblock_reference.solve_cell_by_cell(inst)
+        reference_lps = len(calls)
+        del calls[:]
+        got = solve_4block_snf(inst)
+        assert got == want, inst
+        assert len(calls) <= reference_lps, inst
+        tally["fewer"] += len(calls) < reference_lps
+        del calls[:]
+        if isinstance(got, Solution):
+            tally["solutions"] += 1
+            tally["ties"] += not any(inst.w)
+    # 113 solutions, 38 of them ties, and 21 solves with fewer LPs (1555
+    # LPs in all, against 2222) when written
+    assert tally["solutions"] >= 90 and tally["ties"] >= 30 and tally["fewer"] >= 15, tally
+
+
+def test_every_cell_ceiling_bounds_its_optimum():
+    # the ceiling bounds every integer point of the cell, so it bounds the
+    # cell's own optimum; many cells reach it, so it is no idle bound
+    cells = tight = 0
+    for inst in _search_battery():
+        prepared = _prepare(inst)
+        if not isinstance(prepared, tuple):
+            continue
+        for cell in enumerate_cells(inst, *prepared):
+            res = solve_cell(cell)
+            assert type(cell.ceiling) is int
+            if res.status == OPTIMAL:
+                total = res.value + cell.constant
+                assert cell.ceiling >= total, (inst, cell)
+                cells += 1
+                tight += cell.ceiling == total
+    # 154 cells with a point, 120 of them at their ceiling, when written
+    assert cells >= 120 and tight >= 60, (cells, tight)
+
+
+def test_a_ceiling_below_the_cell_optimum_raises(monkeypatch):
+    # the winning cell's value is checked against its ceiling: lowering
+    # every ceiling keeps their order and puts each below its cell's points
+    real = fourblock_snf.enumerate_cells
+
+    def lowered(*args):
+        for cell in real(*args):
+            yield dataclasses.replace(cell, ceiling=cell.ceiling - 10**6)
+
+    monkeypatch.setattr(fourblock_snf, "enumerate_cells", lowered)
+    with pytest.raises(InternalInconsistencyError, match="exceeds the cell's ceiling"):
+        solve_4block_snf(running_example())
+
+
+def test_one_cell_lp_decides_ten_thousand_bricks(monkeypatch):
+    # 2000 cells reach an LP when each is solved in turn; the best ceiling
+    # is the winner's, so the search solves at most half of them (1 when
+    # written)
+    calls = _count_lps(monkeypatch)
+    inst = generators.random_snf_instance(random.Random(1), 10**4, s_A=1, t_B=1, s_C=1,
+                                          seeded_rate=0.9)
+    got = solve_4block_snf(inst)
+    assert isinstance(got, Solution) and got.objective == 5922
+    assert len(calls) <= 1000, len(calls)

@@ -8,12 +8,15 @@ moves a tie-break on purpose updates the pins and says why.
 
 The all-ones shapes also pin the search path, not only where it ends: the
 number of transports solved and of bound LPs solved (cold solves and warm
-re-solves) over the same instances.  A speed-up that must not change the
-search leaves these counts as they are.
+re-solves) over the same instances.  The 4-block shape pins the LPs of its
+best-first search over the cells the same way (root solves and warm
+re-solves).  A speed-up that must not change the search leaves these
+counts as they are.
 
 Run as a script, ``python tests/test_result_digests.py`` prints every
-shape's digest and search path in the layout of PINNED and PINNED_PATHS,
-so a change that moves them on purpose re-pins from one command.
+shape's digest and search path in the layout of PINNED, PINNED_PATHS and
+PINNED_CELL_LPS, so a change that moves them on purpose re-pins from one
+command.
 """
 
 import hashlib
@@ -27,7 +30,7 @@ import pytest
 # run as a script, the package is found under src/ without an install
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
-from blockip import fourblock_snf, generators, nfold_snf, ones, ratlp  # noqa: E402
+from blockip import fourblock_snf, generators, nfold_snf, ones, ratlp, smallip  # noqa: E402
 
 
 def _nfold(rng, i):
@@ -101,29 +104,55 @@ PINNED_PATHS = {
 }
 
 
-def search_path(shape, monkeypatch):
-    """(solve_transport, solve_lp_warm, WarmLp.edited) calls over a shape's instances."""
+def _counted(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def _solve_all(shape, solve):
     make, count, _ = SHAPES[shape]
-    calls = Counter()
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(ones, "solve_transport", counted("transport", ones.solve_transport))
-    monkeypatch.setattr(ones, "solve_lp_warm", counted("cold", ones.solve_lp_warm))
-    monkeypatch.setattr(ratlp.WarmLp, "edited", counted("warm", ratlp.WarmLp.edited))
     rng = random.Random(f"{shape}/digest")
     for i in range(count):
-        ones.solve_ones(make(rng, i))
+        solve(make(rng, i))
+
+
+def search_path(shape, monkeypatch):
+    """(solve_transport, solve_lp_warm, WarmLp.edited) calls over a shape's instances."""
+    calls = Counter()
+    monkeypatch.setattr(ones, "solve_transport", _counted(calls, "transport", ones.solve_transport))
+    monkeypatch.setattr(ones, "solve_lp_warm", _counted(calls, "cold", ones.solve_lp_warm))
+    monkeypatch.setattr(ratlp.WarmLp, "edited", _counted(calls, "warm", ratlp.WarmLp.edited))
+    _solve_all(shape, ones.solve_ones)
     return calls["transport"], calls["cold"], calls["warm"]
 
 
 @pytest.mark.parametrize("shape", sorted(PINNED_PATHS))
 def test_search_path_matches_the_pinned_counts(shape, monkeypatch):
     assert search_path(shape, monkeypatch) == PINNED_PATHS[shape]
+
+
+# shape -> (cell root LPs solved, cell LPs re-solved warm); 123 and 0 when
+# each cell was solved in turn with the incumbent as its cutoff
+PINNED_CELL_LPS = {
+    "fourblock-cells": (65, 0),
+}
+
+
+def cell_lps(shape, monkeypatch):
+    """(smallip.solve_lp_warm, WarmLp.reoptimized) calls over a shape's instances."""
+    calls = Counter()
+    monkeypatch.setattr(smallip, "solve_lp_warm", _counted(calls, "root", smallip.solve_lp_warm))
+    monkeypatch.setattr(ratlp.WarmLp, "reoptimized",
+                        _counted(calls, "warm", ratlp.WarmLp.reoptimized))
+    _solve_all(shape, fourblock_snf.solve_4block_snf)
+    return calls["root"], calls["warm"]
+
+
+@pytest.mark.parametrize("shape", sorted(PINNED_CELL_LPS))
+def test_cell_lps_match_the_pinned_counts(shape, monkeypatch):
+    assert cell_lps(shape, monkeypatch) == PINNED_CELL_LPS[shape]
 
 
 def test_search_never_re_solves_an_unchanged_bound_lp(monkeypatch):
@@ -137,10 +166,7 @@ def test_search_never_re_solves_an_unchanged_bound_lp(monkeypatch):
         return edited(self, boxes, rows)
 
     monkeypatch.setattr(ratlp.WarmLp, "edited", changed_only)
-    make, count, _ = SHAPES["ones-lattice"]
-    rng = random.Random("ones-lattice/digest")
-    for i in range(count):
-        ones.solve_ones(make(rng, i))
+    _solve_all("ones-lattice", ones.solve_ones)
 
 
 if __name__ == "__main__":
@@ -153,4 +179,10 @@ if __name__ == "__main__":
     for shape in PINNED_PATHS:
         with pytest.MonkeyPatch.context() as mp:
             print(f'    "{shape}": {search_path(shape, mp)},')
+    print("}")
+    print()
+    print("PINNED_CELL_LPS = {")
+    for shape in PINNED_CELL_LPS:
+        with pytest.MonkeyPatch.context() as mp:
+            print(f'    "{shape}": {cell_lps(shape, mp)},')
     print("}")
