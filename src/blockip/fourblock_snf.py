@@ -14,9 +14,10 @@ optimum.
 Almost all of these cells have no integer point.  While a cell's rows are
 still sparse int maps, integer bound propagation over them (_propagate)
 proves most empty cells empty, and only the survivors become exact LPs and
-MIPs.  The screen removes only cells with no integer point, and survivors
-keep their untightened boxes, so the cell LPs and the answer are the same
-as without it.
+MIPs.  Each survivor's LP is taken over the box that propagation
+tightened, less the rows that box implies.  Propagation removes no integer
+point that meets the cell's rows, so each cell keeps its integer points
+and its optimum, and the screen removes only cells with none.
 
 The merge windows j = 1..n of one choice of sub-intervals, difference
 windows and arguments share all rows but two, the p rows Lambda(j-1) + 1
@@ -39,21 +40,17 @@ row |k_r| (p row) - sign(k_r) c_p (top row), in which p cancels.  It is a
 nonnegative multiple of an inequality plus a multiple of an equality, so
 every point of the window meets it, and its coefficients are integers like
 those of any other row, so a window that _propagate proves empty with it
-has no integer point.  The survivors and their LPs are therefore those of
-propagating every window without these rows, less some cells with no
-integer point.
+has no integer point.  The survivors are therefore those of propagating
+every window without these rows, less some cells with no integer point.
 
 Only the best cell matters, so the cells are not solved one by one.  Each
 carries a ceiling, an int that no integer point of the cell exceeds: its
 constant plus, per column, the larger of the objective coefficient times
-either end of the box _propagate has tightened.  The screen's rows contain
-or imply every row of the cell's LP, so that box holds every integer point
-of the cell; the LP keeps the untightened box, so the ceiling is no bound
-on the relaxation.  Every cell is buffered and handed to smallip.best_of,
-one best-first branch and bound over the nodes of all cells, in which a
-cell not yet solved waits under its ceiling.  A cell gets an LP only when
-its ceiling is the best bound left, so a cell whose ceiling is below the
-optimum is never solved.  Ties go to the earlier cell, and within a cell
+either end of the cell's box.  Every cell is buffered and handed to
+smallip.best_of, one best-first branch and bound over the nodes of all
+cells, in which a cell not yet solved waits under its ceiling.  A cell gets
+an LP only when its ceiling is the best bound left, so a cell whose ceiling
+is below the optimum is never solved.  Ties go to the earlier cell, and within a cell
 the nodes above the old cutoff pop in the old order, so the point returned
 is the one that solving each cell in turn, with the incumbent as its
 cutoff, returns (tests/fourblock_reference.py keeps that loop).
@@ -541,9 +538,8 @@ def _cells_for_windows(builder, combo, d, d_bar, lo, hi, pairs, arg_lo, arg_hi):
     by every merge window are propagated once, and then the windows are
     swept as the module docstring describes.  The pre-test
     _p_rows_have_slack and the p-free rows only skip windows with no
-    integer point, so the cells yielded, their untightened LPs and their
-    order are those of screening every window with its p rows alone, less
-    some empty cells.
+    integer point, so the cells yielded and their order are those of
+    screening every window with its p rows alone, less some empty cells.
     """
     inst = builder.inst
     n = inst.n
@@ -624,15 +620,7 @@ def _cells_for_windows(builder, combo, d, d_bar, lo, hi, pairs, arg_lo, arg_hi):
             s = 1 if k > 0 else -1
             t = {var: s * a for var, a in e.items() if var != p}
             p_free.append((abs(k), t, s * b, {var: -a for var, a in t.items()}))
-    eq_rows += builder.anchor_rows
-
-    # what every window's LP shares.  The LP keeps the untightened boxes;
-    # rows that the boxes already imply are dropped
-    lp_rows = [(_dense(e, width), b, b) for e, b in eq_rows]
-    for e, b in ineq_rows:
-        mn, mx = _range_of(e, lo, hi)
-        if mx > b:
-            lp_rows.append((_dense(e, width), mn, b))
+    eq_dense = [(_dense(e, width), b, b) for e, b in eq_rows + builder.anchor_rows]
     base_obj = list(builder.objective)
     for h in gh:
         base_obj[zcol[h]] -= rate_lo[h]
@@ -686,29 +674,24 @@ def _cells_for_windows(builder, combo, d, d_bar, lo, hi, pairs, arg_lo, arg_hi):
         if not _propagate(window_rows + screen_rows, box_lo, box_hi):
             continue  # no integer point: skip the LP
 
-        cell_lo, cell_hi = lo, hi
-        rows = list(lp_rows)
         obj = list(base_obj)
         const = base_const
-        if j == 1:
-            cell_lo, cell_hi = list(lo), list(hi)
-            cell_lo[p] = cell_hi[p] = 0
-        else:
+        if j > 1:
             v_j = rates[order[j - 2]]
             obj[p] += v_j
             for h in gh:
                 obj[zcol[h]] += run[h] - v_j * lam[h]
             const += run_const - v_j * lam_const
-            for e, b in p_rows:
-                mn, mx = _range_of(e, lo, hi)
-                if mx > b:
-                    rows.append((_dense(e, width), mn, b))
-
-        # every integer point of the cell lies in the propagated box
+        # the LP is taken over the propagated box, less the rows it implies
+        rows = list(eq_dense)
+        for e, b in ineq_rows + p_rows:
+            mn, mx = _range_of(e, box_lo, box_hi)
+            if mx > b:
+                rows.append((_dense(e, width), mn, b))
         ceiling = const
         for c, a, b in zip(obj, box_lo, box_hi):
             ceiling += c * (b if c > 0 else a)
-        lp = LpProblem.make(obj, rows, cell_lo, cell_hi)
+        lp = LpProblem.make(obj, rows, box_lo, box_hi)
         mip = MipProblem.make(lp, [True] * width)
         yield CellProblem(
             mip=mip,

@@ -231,6 +231,8 @@ def round_half_even(num: int, den: int) -> int:
 
     The rule of round() on a Fraction, in integers.
     """
+    if den <= 0:
+        raise MalformedProblemError(f"round_half_even needs den > 0, not {den!r}")
     q, r = divmod(num, den)
     if 2 * r > den or (2 * r == den and q & 1):
         q += 1
@@ -245,7 +247,9 @@ def quotient_range(theta: int, lo: int, hi: int):
     """
     if theta > 0:
         return -(-lo // theta), hi // theta
-    return -(-hi // theta), lo // theta
+    if theta < 0:
+        return -(-hi // theta), lo // theta
+    raise MalformedProblemError("quotient_range needs theta != 0")
 
 
 def reduce_basis(basis):
@@ -273,12 +277,11 @@ def reduce_basis(basis):
     is the Lovasz condition |b*_k|^2 >= (3/4 - mu_k,k-1^2) |b*_{k-1}|^2
     tested, as 4 d[k+1] d[k-1] >= 3 d[k]^2 - 4 lam[k][k-1]^2.  (Cohen tests
     after reducing against b_{k-1} alone, which can end at another basis.)
-    The input vectors must be linearly independent.
+    The input vectors must be linearly independent: a zero Gram determinant
+    raises MalformedProblemError.
     """
     basis = [list(v) for v in basis]
     m = len(basis)
-    if m <= 1:
-        return basis
 
     # integral Gram-Schmidt of the whole input
     d = [1] + [0] * m
@@ -290,8 +293,10 @@ def reduce_basis(basis):
                 u = (d[t + 1] * u - lam[i][t] * lam[j][t]) // d[t]
             if j < i:
                 lam[i][j] = u
-            else:
+            elif u:
                 d[i + 1] = u
+            else:
+                raise MalformedProblemError("reduce_basis needs linearly independent vectors")
 
     k = 1
     while k < m:
@@ -385,6 +390,8 @@ def lattice_in_box(snf: SnfDecomposition, r, lo, hi):
     point or the coordinate box is empty, which proves that the box holds
     none.
     """
+    if type(snf) is not SnfDecomposition:
+        raise MalformedProblemError(f"lattice_in_box needs a Smith form, not a {type(snf).__name__}")
     p = next(particular_solutions(snf, [r]))
     if p is None:
         return None

@@ -18,9 +18,9 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 
-from .errors import BudgetExceededError, MalformedProblemError
+from .errors import BudgetExceededError, InternalInconsistencyError, MalformedProblemError
 from .intlin import quotient_range
-from .model import Infeasible, Solution, validate
+from .model import Infeasible, Solution, evaluate, validate
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,9 @@ def enumerate_optimum(inst, budget: OracleBudget | None = None):
     MalformedProblemError for anything that model.validate rejects, either
     instance kind alike, and for a budget that is not an OracleBudget or
     whose max_points is not an int.  An empty box, l_j > u_j, is no error
-    here: it is Infeasible.
+    here: it is Infeasible.  The point returned is re-checked by
+    model.evaluate, and InternalInconsistencyError is raised when it is
+    infeasible or worth another objective.
     """
     issues = [i.message for i in validate(inst) if i.code != "LowerExceedsUpper"]
     if issues:
@@ -87,7 +89,7 @@ def enumerate_optimum(inst, budget: OracleBudget | None = None):
         ends_at[support[-1]].append(idx)
 
     if N == 0:
-        return Solution((), 0, "bruteforce")
+        return _checked(inst, (), 0)
 
     best_obj = None
     best_x = None
@@ -131,4 +133,12 @@ def enumerate_optimum(inst, budget: OracleBudget | None = None):
     descend(0, 0)
     if best_obj is None:
         return Infeasible("NoLatticePoint")
-    return Solution(best_x, best_obj, "bruteforce")
+    return _checked(inst, best_x, best_obj)
+
+
+def _checked(inst, x, objective):
+    report = evaluate(inst, x)
+    if not report.feasible or report.objective != objective:
+        raise InternalInconsistencyError(
+            f"enumerated point infeasible or off-objective: {report.violations[:3]}")
+    return Solution(x, objective, "bruteforce")

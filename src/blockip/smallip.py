@@ -106,8 +106,15 @@ def best_of(roots, cutoff=None):
 
     cutoff, when given, prunes every node whose total is <= cutoff, as in
     solve_mip.  Returns (index of the winning root, LpResult of its MIP
-    part), or (None, Infeasible); nodes counts every LP solved.
+    part), or (None, Infeasible); nodes counts every LP solved.  Raises
+    MalformedProblemError when roots is no list or tuple of such triples.
     """
+    if type(roots) not in (list, tuple):
+        raise MalformedProblemError(f"roots is a {type(roots).__name__}, not a list or tuple")
+    for root in roots:
+        if (type(root) is not tuple or len(root) != 3 or type(root[0]) is not MipProblem
+                or type(root[1]) is not int or type(root[2]) is not int):
+            raise MalformedProblemError(f"root {root!r} is not a (MipProblem, int, int) triple")
     heap = [(-ceiling, k, 0, None, None) for k, (_, _, ceiling) in enumerate(roots)]
     heapq.heapify(heap)
     nodes = 0

@@ -2,17 +2,22 @@
 the route's cell-by-cell loop as it stood before its best-first search.
 
 fourblock_snf.enumerate_cells must yield the CellProblem sequence this one
-yields (dataclass ==, same order) with some cells removed, and only cells
-with no integer point, since the package screens each merge window with
-more rows than this one does; screened_out finds the removed cells, and
-tests/test_fourblock_snf.py and tests/test_python_O.py check on seeded
-batteries that each is infeasible.  It is kept here, not in src/, because
-only tests use it.  Everything from _range_of to the end of
-_cells_for_windows is the old code unchanged: per brick a pairwise
-tournament through a comparison closure, and per merge window the rows and
-objective rebuilt as sparse dicts and screened by _propagate.  It shares
-with the package only the data types and _propagate, which the rewrite
-left as it was.
+yields, in the same order, with some cells removed, and only cells with no
+integer point, since the package screens each merge window with more rows
+than this one does.  The package also takes each cell's LP over the box
+that its screen tightened, less the rows that box implies, where this one
+keeps the untightened box.  So a kept cell equals its cell here in every
+field but mip, and its LP is this one's over a sub-box (_stands_for).
+screened_out pairs the two sequences, and screen_fault checks, on the
+seeded batteries of tests/test_fourblock_snf.py and tests/test_python_O.py,
+that each kept cell's box lies in its cell's box here with the same
+solve_cell optimum, and that each removed cell is infeasible.  It is kept
+here, not in src/, because only tests use it.  Everything from _range_of
+to the end of _cells_for_windows is the old code unchanged: per brick a
+pairwise tournament through a comparison closure, and per merge window the
+rows and objective rebuilt as sparse dicts and screened by _propagate.  It
+shares with the package only the data types and _propagate, which the
+rewrite left as it was.
 
 solve_cell_by_cell is fourblock_snf.solve_4block_snf with its old loop: the
 package's cells in enumeration order, each solved to optimality with the
@@ -20,13 +25,14 @@ best total so far, less the cell's constant, as its cutoff.  The route
 must return the same Solution, point included, with no more LPs.
 """
 
+import dataclasses
 import itertools
 
 from blockip import fourblock_snf
 from blockip.errors import InternalInconsistencyError
 from blockip.fourblock_snf import CellProblem, EliminationData, _propagate
 from blockip.model import FourBlockInstance, Infeasible
-from blockip.ratlp import OPTIMAL, LpProblem
+from blockip.ratlp import INFEASIBLE, OPTIMAL, LpProblem
 from blockip.smallip import MipProblem
 
 
@@ -424,21 +430,79 @@ def _cells_for_windows(builder, chosen, pairs, arg_lo, arg_hi, zlo, zhi):
         )
 
 
-def screened_out(cells, want):
-    """The cells of want missing from cells, in order.
+def _stands_for(cell, ref):
+    """Whether cell is ref with its LP over the cell's own box.
 
-    None when cells is not want with some cells removed: a cell that want
-    does not yield, or one out of want's order.
+    Every field but mip is ref's, and so are the LP's objective and
+    integrality mask.  The LP's rows are ref's in ref's order, less some
+    that the cell's box implies; a row kept keeps its coefficients and
+    upper end, and its lower end is ref's or its least activity over the
+    box.  So the cell's integer points are those of ref in its box.
     """
-    dropped = []
-    kept = iter(cells)
-    nxt = next(kept, None)
+    lp, ref_lp = cell.mip.lp, ref.mip.lp
+    if (dataclasses.replace(cell, mip=None) != dataclasses.replace(ref, mip=None)
+            or lp.objective != ref_lp.objective
+            or cell.mip.integer_mask != ref.mip.integer_mask):
+        return False
+    rows = iter(lp.rows)
+    row = next(rows, None)
+    for coeffs, lo, hi in ref_lp.rows:
+        mn, mx = _range_of(dict(enumerate(coeffs)), lp.lower, lp.upper)
+        if row is not None and row[0] == coeffs and row[2] == hi and row[1] in (lo, mn):
+            row = next(rows, None)
+        elif mn < lo or mx > hi:
+            return False  # a row the box does not imply is missing
+    return row is None
+
+
+def screened_out(cells, want):
+    """(kept, dropped): the cells of want that cells keeps and drops.
+
+    kept pairs each cell of cells with the cell of want it stands for
+    (_stands_for), and dropped lists the cells of want with no partner,
+    both in want's order.  None when cells is not want with some cells
+    removed: a cell that stands for no cell of want, or one out of want's
+    order.
+    """
+    kept, dropped = [], []
+    rest = iter(cells)
+    nxt = next(rest, None)
     for cell in want:
-        if nxt is not None and cell == nxt:
-            nxt = next(kept, None)
+        if nxt is not None and _stands_for(nxt, cell):
+            kept.append((nxt, cell))
+            nxt = next(rest, None)
         else:
             dropped.append(cell)
-    return dropped if nxt is None else None
+    return (kept, dropped) if nxt is None else None
+
+
+def _optimum(cell):
+    res = fourblock_snf.solve_cell(cell)
+    return res.status, res.value
+
+
+def screen_fault(cells, want):
+    """(why cells is no sound screen of want, or None; cells dropped).
+
+    cells must be want with some cells removed (screened_out).  A kept cell
+    must have its box inside its reference cell's box and the same
+    solve_cell optimum, and a dropped cell must be infeasible.
+    """
+    paired = screened_out(cells, want)
+    if paired is None:
+        return "a cell the reference does not yield, or out of its order", 0
+    kept, dropped = paired
+    for cell, ref in kept:
+        lp, ref_lp = cell.mip.lp, ref.mip.lp
+        if any(lo < ref_lo or hi > ref_hi for lo, hi, ref_lo, ref_hi
+               in zip(lp.lower, lp.upper, ref_lp.lower, ref_lp.upper)):
+            return f"a box outside the reference box: {cell!r}", len(dropped)
+        if _optimum(cell) != _optimum(ref):
+            return f"optimum {_optimum(cell)}, reference {_optimum(ref)}: {cell!r}", len(dropped)
+    for cell in dropped:
+        if fourblock_snf.solve_cell(cell).status != INFEASIBLE:
+            return f"dropped a cell with an integer point: {cell!r}", len(dropped)
+    return None, len(dropped)
 
 
 def solve_cell_by_cell(inst):

@@ -9,14 +9,21 @@ from fractions import Fraction
 
 from blockip.flow import TransportProblem
 from blockip.fourblock_snf import solve_4block_snf
-from blockip.intlin import extended_gcd, smith_normal_form
+from blockip.intlin import (
+    extended_gcd,
+    lattice_in_box,
+    quotient_range,
+    reduce_basis,
+    round_half_even,
+    smith_normal_form,
+)
 from blockip.model import FourBlockInstance, IntMatrix, evaluate
 from blockip.nfold_snf import greedy_ip8, solve_nfold_snf
 from blockip.ones import solve_ones
 from blockip.oracle import OracleBudget, enumerate_optimum
 from blockip.ratlp import LpProblem, solve_lp_warm
 from blockip.reductions import SubsetSumInstance, encode_theorem2b
-from blockip.smallip import MipProblem, solve_mip
+from blockip.smallip import MipProblem, best_of, solve_mip
 
 SOLVERS = (solve_ones, solve_nfold_snf, solve_4block_snf)
 
@@ -95,13 +102,15 @@ MALFORMED = tuple(
 PAIR = FourBlockInstance.nfold(1, IntMatrix.from_rows([[1, 1]]), IntMatrix.zero(0, 2),
                                b0=[], b=[[1]], l=[0, 0], u=[1, 1], w=[0, 1])
 
+MIP = MipProblem.make(LpProblem.make([1], [], [0], [1]), [True])
+
 # the solved tableau of max x over 0 <= x <= 1 in the box [0, 2]: one
 # structural column, and column 1 is the row's slack
 WARM = solve_lp_warm(LpProblem.make([1], [([1], 0, 1)], [0], [2]))[1]
 
 # (what is wrong, function, arguments): each call raises
-# MalformedProblemError, not AttributeError or TypeError, and evaluate
-# reports no point that is not integral as feasible
+# MalformedProblemError, not AttributeError, TypeError or ZeroDivisionError,
+# and evaluate reports no point that is not integral as feasible
 UNTYPED_CALLS = (
     ("oracle budget a str", enumerate_optimum, (PAIR, "x")),
     ("oracle budget of a str", enumerate_optimum, (PAIR, OracleBudget("x"))),
@@ -133,4 +142,11 @@ UNTYPED_CALLS = (
     ("gcd of a float", extended_gcd, (1.5, 2)),
     ("MIP solve of a str", solve_mip, ("x",)),
     ("MIP cutoff a str", solve_mip, (MipProblem.make(LpProblem.make([1], [], [0], [1]), [True]), "x")),
+    ("best_of roots an int", best_of, (5,)),
+    ("best_of root None, not a MIP", best_of, ([(None, 0, 0)],)),
+    ("best_of ceiling a float", best_of, ([(MIP, 0, 1.5)],)),
+    ("LLL of a dependent basis", reduce_basis, ([[1, 2], [2, 4]],)),
+    ("quotient range of a zero step", quotient_range, (0, 1, 2)),
+    ("half-even rounding over zero", round_half_even, (1, 0)),
+    ("lattice in a box without a Smith form", lattice_in_box, (None, [0], [0], [1])),
 )

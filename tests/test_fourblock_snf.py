@@ -34,7 +34,7 @@ from blockip.model import (
 )
 from blockip.nfold_snf import solve_nfold_snf
 from blockip.oracle import OracleBudget, enumerate_optimum
-from blockip.ratlp import INFEASIBLE, OPTIMAL, LpResult
+from blockip.ratlp import OPTIMAL, LpResult
 
 
 def cell_values(inst):
@@ -669,13 +669,13 @@ def _screened_out(cells, want):
 
     cells must be want with some cells removed, and the screen may remove
     a cell only when it has no integer point, so each removed cell's MIP
-    must be infeasible.
+    must be infeasible.  Each kept cell's LP is taken over the box that
+    propagation tightened, so it must lie in its reference cell's box and
+    have the same optimum.
     """
-    dropped = fourblock_reference.screened_out(cells, want)
-    assert dropped is not None, "a cell the reference does not yield, or out of its order"
-    for cell in dropped:
-        assert solve_cell(cell).status == INFEASIBLE, cell
-    return len(dropped)
+    why, dropped = fourblock_reference.screen_fault(cells, want)
+    assert why is None, why
+    return dropped
 
 
 def test_enumeration_matches_the_reference():

@@ -15,15 +15,18 @@ rejects each column set that does not prove a transport infeasible
 (WRONG_BLOCKS), that an
 LpProblem or a TransportProblem built directly with a non-int entry, and
 each call of model_cases.UNTYPED_CALLS, raises MalformedProblemError
-(UNTYPED), and that the 4-block integer screen yields
-the cells of tests/fourblock_reference.py in their order, dropping only
-cells whose MIP is infeasible (SCREENED instances), exiting nonzero on the
-first mismatch.
+(UNTYPED), that the 4-block integer screen yields
+the cells of tests/fourblock_reference.py in their order, each kept cell's
+LP over a sub-box of its reference cell's with the same optimum, dropping
+only cells whose MIP is infeasible (SCREENED instances), and that each
+route and the oracle raise when evaluate reports a wrong objective for the
+point they return (EXITS), exiting nonzero on the first mismatch.
 
 Run directly: ``python -O tests/test_python_O.py`` (it puts ``src`` on the
 path itself, so no install is needed).
 """
 
+import dataclasses
 import os
 import random
 import subprocess
@@ -34,15 +37,20 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 
 import blockip  # noqa: E402
 import fourblock_reference  # noqa: E402
-from blockip import generators  # noqa: E402
-from blockip.errors import InternalInconsistencyError, MalformedProblemError, NotEligibleError  # noqa: E402
+from blockip import fourblock_snf, generators, nfold_snf, ones, oracle  # noqa: E402
+from blockip.errors import (  # noqa: E402
+    InternalInconsistencyError,
+    LiftInconsistencyError,
+    MalformedProblemError,
+    NotEligibleError,
+)
 from blockip.flow import Blocked, TransportProblem, TransportResult, solve_transport  # noqa: E402
-from blockip.fourblock_snf import _prepare, enumerate_cells, solve_4block_snf, solve_cell  # noqa: E402
+from blockip.fourblock_snf import _prepare, enumerate_cells, solve_4block_snf  # noqa: E402
 from blockip.model import Infeasible, Solution, StructureClass, classify, evaluate  # noqa: E402
 from blockip.nfold_snf import solve_nfold_snf  # noqa: E402
 from blockip.ones import _blocking_pair, _transport_duals, solve_ones  # noqa: E402
 from blockip.oracle import OracleBudget, enumerate_optimum  # noqa: E402
-from blockip.ratlp import INFEASIBLE, OPTIMAL, LpProblem, solve_lp_warm  # noqa: E402
+from blockip.ratlp import OPTIMAL, LpProblem, solve_lp_warm  # noqa: E402
 from model_cases import MALFORMED, NOT_ELIGIBLE, SOLVERS, UNTYPED_CALLS  # noqa: E402
 
 
@@ -154,7 +162,8 @@ def screen_unsound(rng):
     """(why the screen drops a cell it may not, or None; cells dropped).
 
     The package's cells must be the reference's in the same order with some
-    removed, and each removed cell's MIP must be infeasible.
+    removed, each kept cell's LP box must lie in its reference cell's box
+    with the same optimum, and each removed cell's MIP must be infeasible.
     """
     dropped = 0
     for trial in range(SCREENED):
@@ -164,15 +173,52 @@ def screen_unsound(rng):
         prepared = _prepare(inst)
         if prepared is None or isinstance(prepared, Infeasible):
             continue
-        cells = fourblock_reference.screened_out(
+        why, k = fourblock_reference.screen_fault(
             list(enumerate_cells(inst, *prepared)),
             list(fourblock_reference.enumerate_cells(inst, *prepared)))
-        if cells is None:
-            return f"trial {trial}: a cell the reference does not yield, or out of its order", dropped
-        if any(solve_cell(cell).status != INFEASIBLE for cell in cells):
-            return f"trial {trial}: dropped a cell with an integer point", dropped
-        dropped += len(cells)
+        if why is not None:
+            return f"trial {trial}: {why}", dropped
+        dropped += k
     return None, dropped
+
+
+def _off_by_one(evaluate):
+    """evaluate with every objective reported one too high."""
+    def wrong(inst, x):
+        report = evaluate(inst, x)
+        return dataclasses.replace(report, objective=report.objective + 1)
+    return wrong
+
+
+# (module whose evaluate is patched, its solver, seeded instance maker, the
+# error its exit check must raise when evaluate disowns the point)
+EXITS = (
+    (ones, solve_ones, _ones, InternalInconsistencyError),
+    (nfold_snf, solve_nfold_snf, _nfold, InternalInconsistencyError),
+    (fourblock_snf, solve_4block_snf, _snf, LiftInconsistencyError),
+    (oracle, enumerate_optimum, _snf, InternalInconsistencyError),
+)
+
+
+def exit_unchecked(module, solve, make, error):
+    """Why solve returns a point that its module's evaluate disowns, or None.
+
+    The instance is the first of make's seeded draws that solve finds
+    feasible, so the exit check is reached.
+    """
+    rng = random.Random(f"python-O/exit/{solve.__name__}")
+    inst = make(rng)
+    while not isinstance(solve(inst), Solution):
+        inst = make(rng)
+    saved = module.evaluate
+    module.evaluate = _off_by_one(saved)
+    try:
+        got = solve(inst)
+    except error:
+        return None
+    finally:
+        module.evaluate = saved
+    return f"returned {got!r}"
 
 
 def tampered_audit(tamper):
@@ -275,6 +321,12 @@ def main() -> int:
         print(f"screen: {why}")
         return 1
     print("screened", dropped)
+    for case in EXITS:
+        why = exit_unchecked(*case)
+        if why is not None:
+            print(f"{case[1].__name__} exit: {why}")
+            return 1
+    print("exits", len(EXITS))
     print("debug", __debug__)
     return 0
 
@@ -290,7 +342,7 @@ def test_whole_battery_under_python_O():
     words = out.stdout.split()
     assert words[0::2] == [
         "ones", "nfold_snf", "fourblock_snf", "refused", "malformed", "audits", "transports",
-        "blocks", "untyped", "screened", "debug"]
+        "blocks", "untyped", "screened", "exits", "debug"]
     assert words[-1] == "False"  # the asserts really were stripped
     # each route met both verdicts: feasible optima and proven infeasibility
     assert all(PER_ROUTE // 4 <= int(k) < PER_ROUTE for k in words[1:6:2]), words
@@ -301,6 +353,7 @@ def test_whole_battery_under_python_O():
     assert int(words[15]) == len(WRONG_BLOCKS)
     assert int(words[17]) == len(UNTYPED)
     assert int(words[19]) >= 1  # the screen really dropped cells to check
+    assert int(words[21]) == len(EXITS)
 
 
 if __name__ == "__main__":
