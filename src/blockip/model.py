@@ -183,24 +183,20 @@ class FourBlockInstance:
         tB, tA = self.t_B, self.t_A
         return [sum(vec[tB + h :: tA]) for h in range(tA)]
 
-    def dense_rows(self):
-        """Yield (coefficients, rhs) for every constraint row, top rows first."""
-        n, tA, tB, N = self.n, self.t_A, self.t_B, self.num_vars
+    def rows(self):
+        """Yield (row, rhs) for every constraint row, top rows first.
+
+        row maps a column to its coefficient, only the nonzeros, in
+        increasing column order: the s_C top rows [C D ... D], then brick
+        i's s_A rows [B 0 .. A .. 0] for i = 0..n-1.
+        """
+        n, tA, tB = self.n, self.t_A, self.t_B
         for r in range(self.s_C):
-            coeffs = [0] * N
-            coeffs[:tB] = self.C.row(r)
             drow = self.D.row(r)
-            for i in range(n):
-                s = tB + i * tA
-                coeffs[s : s + tA] = drow
-            yield tuple(coeffs), self.b0[r]
+            yield _sparse([(0, self.C.row(r))] + [(tB + i * tA, drow) for i in range(n)]), self.b0[r]
         for i in range(n):
-            s = tB + i * tA
             for r in range(self.s_A):
-                coeffs = [0] * N
-                coeffs[:tB] = self.B.row(r)
-                coeffs[s : s + tA] = self.A.row(r)
-                yield tuple(coeffs), self.b[i][r]
+                yield _sparse([(0, self.B.row(r)), (tB + i * tA, self.A.row(r))]), self.b[i][r]
 
 
 @dataclass(frozen=True)
@@ -237,23 +233,27 @@ class GeneralizedNFoldInstance:
     def num_vars(self) -> int:
         return sum(Ai.cols for Ai in self.A_blocks)
 
-    def dense_rows(self):
-        N = self.num_vars
-        starts = []
-        s = 0
+    def rows(self):
+        """Yield (row, rhs) for every constraint row, top rows first.
+
+        row maps a column to its coefficient, only the nonzeros, in
+        increasing column order: the top rows [D_0 D_1 ... D_{n-1}], then
+        block i's rows [0 .. A_i .. 0] for i = 0..n-1.
+        """
+        starts = [0]
         for Ai in self.A_blocks:
-            starts.append(s)
-            s += Ai.cols
+            starts.append(starts[-1] + Ai.cols)
         for r in range(len(self.b0)):
-            coeffs = [0] * N
-            for i, Di in enumerate(self.D_blocks):
-                coeffs[starts[i] : starts[i] + Di.cols] = Di.row(r)
-            yield tuple(coeffs), self.b0[r]
+            yield _sparse([(starts[i], Di.row(r)) for i, Di in enumerate(self.D_blocks)]), self.b0[r]
         for i, Ai in enumerate(self.A_blocks):
             for r in range(Ai.rows):
-                coeffs = [0] * N
-                coeffs[starts[i] : starts[i] + Ai.cols] = Ai.row(r)
-                yield tuple(coeffs), self.b[i][r]
+                yield _sparse([(starts[i], Ai.row(r))]), self.b[i][r]
+
+
+def _sparse(pieces) -> dict[int, int]:
+    """{column: coefficient} of the nonzeros of pieces, (start, coefficients)
+    pairs whose column ranges are disjoint and increase."""
+    return {s + h: c for s, coeffs in pieces for h, c in enumerate(coeffs) if c}
 
 
 @dataclass(frozen=True)
@@ -475,7 +475,7 @@ def evaluate(inst, x) -> EvaluationReport:
     if len(x) != N:
         raise DimensionMismatchError(f"x has length {len(x)}, expected {N}")
     if isinstance(inst, GeneralizedNFoldInstance):
-        return _evaluate_dense(inst, x)
+        return _evaluate_rows(inst, x)
     violations = []
     x0 = x[:inst.t_B]
     top = inst.C.mul_vec(x0)
@@ -496,11 +496,11 @@ def evaluate(inst, x) -> EvaluationReport:
     return EvaluationReport(not violations, objective, tuple(violations))
 
 
-def _evaluate_dense(inst, x) -> EvaluationReport:
+def _evaluate_rows(inst, x) -> EvaluationReport:
     """Row-by-row check for shapes without the fixed 4-block layout."""
     violations = []
-    for idx, (coeffs, rhs) in enumerate(inst.dense_rows()):
-        lhs = sum(c * v for c, v in zip(coeffs, x))
+    for idx, (row, rhs) in enumerate(inst.rows()):
+        lhs = sum(c * x[j] for j, c in row.items())
         if lhs != rhs:
             violations.append(f"row {idx}: lhs {lhs} != rhs {rhs}")
     objective = _box_and_objective(inst, x, violations)

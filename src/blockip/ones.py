@@ -233,15 +233,16 @@ def _optimize_aggregate(inst: FourBlockInstance, form: _LatticeForm):
     fresh, and if not, its cut already closed the box.
 
     The bound LP is one warm tableau carried from box to box; only the root
-    is solved cold.  Each heap entry holds the solved state of the box it
-    came from (split halves share it) and how many cuts that state holds;
-    on pop the box's edges are edited in, the newer cuts added as rows, and
-    the dual simplex re-solves from the old basis.  A box pushed back after
-    evaluating its fresh corners also carries its own LpResult; when those
-    corners added no cut, a re-solve would repeat that result, which
-    _extract already audited, so it is reused.  A cut whose range is empty
-    over the root box makes every later bound LP infeasible, which closes
-    the box as it should.
+    is solved cold, once the first corner's cut is in, and a lattice of
+    dimension 0 closes in the same loop.  Each heap entry holds the solved
+    state of the box it came from (split halves share it) and how many cuts
+    that state holds; on pop the box's edges are edited in, the newer cuts
+    added as rows, and the dual simplex re-solves from the old basis.  The
+    root, and a box pushed back after evaluating its fresh corners, also
+    carry their own LpResult; when no cut came since, a re-solve would
+    repeat that result, which _extract already audited, so it is reused.
+    A cut whose range is empty over the root box makes every later bound LP
+    infeasible, which closes the box as it should.
     """
     n, tA, tB = inst.n, inst.t_A, inst.t_B
     taw = tB + tA
@@ -337,25 +338,20 @@ def _optimize_aggregate(inst: FourBlockInstance, form: _LatticeForm):
             raise InternalInconsistencyError("blocking cut fails to separate its point")
         cuts.append((coeffs + [0], root_min(coeffs), rhs))
 
-    if f == 0:
-        evaluate_at(())
-        return best
-
     objective = [0] * f + [1]
     evaluate_at(tuple(min(max(0, form.v_lo[k]), form.v_hi[k]) for k in range(f)))
+    res, state = solve_lp_warm(LpProblem.make(
+        objective, box_rows + cuts, list(form.v_lo) + [t_lo], list(form.v_hi) + [t_hi]
+    ))
     seq = 0
     # take the v coordinate farthest from an integer, never t
     mask = (True,) * f + (False,)
     # entries: (-bound, -seq, box, solved state of the parent box, cuts it
     # holds, and that state's result if it was solved for this same box)
-    heap = [(-t_hi, 0, form.v_lo, form.v_hi, None, 0, None)]
+    heap = [(-t_hi, 0, form.v_lo, form.v_hi, state, len(cuts), res)]
     while heap:
         _, _, box_lo, box_hi, state, seen, res = heapq.heappop(heap)
-        if state is None:
-            res, state = solve_lp_warm(LpProblem.make(
-                objective, box_rows + cuts, list(box_lo) + [t_lo], list(box_hi) + [t_hi]
-            ))
-        elif res is None or seen < len(cuts):
+        if res is None or seen < len(cuts):
             edges = [
                 (k, box_lo[k], box_hi[k]) for k in range(f)
                 if state.bounds(k) != (box_lo[k], box_hi[k])

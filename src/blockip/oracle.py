@@ -4,10 +4,12 @@ The enumerator walks variables in odometer order and prunes with per-row
 residual intervals, so block-structured instances collapse to a tiny search
 tree.  A visited-node budget keeps it from wandering off into boxes it has
 no business enumerating; any box whose volume fits the budget is guaranteed
-to finish.
+to finish.  Set-up reads each row's nonzeros once, so the work before the
+first visit is linear in them and a small budget fails fast on a large
+instance.
 
 It decides either instance kind, FourBlockInstance or
-GeneralizedNFoldInstance, row by row from dense_rows, so it is the one
+GeneralizedNFoldInstance, row by row from their rows(), so it is the one
 solver for the per-block encodings of reductions and for what classify
 calls GENERAL or HARD.  Its input check is model.validate, as for the
 structured routes.
@@ -38,7 +40,8 @@ def enumerate_optimum(inst, budget: OracleBudget | None = None):
     whose max_points is not an int.  An empty box, l_j > u_j, is no error
     here: it is Infeasible.  The point returned is re-checked by
     model.evaluate, and InternalInconsistencyError is raised when it is
-    infeasible or worth another objective.
+    infeasible or worth another objective.  The search raises the recursion
+    limit to the depth it needs and restores the caller's on every exit.
     """
     issues = [i.message for i in validate(inst) if i.code != "LowerExceedsUpper"]
     if issues:
@@ -56,46 +59,31 @@ def enumerate_optimum(inst, budget: OracleBudget | None = None):
     if any(lower[j] > upper[j] for j in range(N)):
         return Infeasible("EmptyBox")
 
-    rows = list(inst.dense_rows())
+    # by_var[j] holds (row, c, rest_lo, rest_hi) for each row with c x_j,
+    # rest_* the least and greatest contribution of the row's later columns
     by_var = [[] for _ in range(N)]
     residual = []
-    # sufmin/sufmax[r][j] bound the contribution of variables >= j to row r
-    sufmin = []
-    sufmax = []
     ends_at = [[] for _ in range(N)]
-    for r, (coeffs, rhs) in enumerate(rows):
-        support = [j for j in range(N) if coeffs[j] != 0]
-        if not support:
+    for row, rhs in inst.rows():
+        if not row:
             if rhs != 0:
                 return Infeasible("ConstantRowViolated")
             continue
         idx = len(residual)
         residual.append(rhs)
-        mins = [0] * (N + 1)
-        maxs = [0] * (N + 1)
-        for j in range(N - 1, -1, -1):
-            c = coeffs[j]
-            lo_c = hi_c = 0
-            if c > 0:
-                lo_c, hi_c = c * lower[j], c * upper[j]
-            elif c < 0:
-                lo_c, hi_c = c * upper[j], c * lower[j]
-            mins[j] = mins[j + 1] + lo_c
-            maxs[j] = maxs[j + 1] + hi_c
-        sufmin.append(mins)
-        sufmax.append(maxs)
-        for j in support:
-            by_var[j].append((idx, coeffs[j]))
-        ends_at[support[-1]].append(idx)
-
-    if N == 0:
-        return _checked(inst, (), 0)
+        rest_lo = rest_hi = 0
+        for j in reversed(row):
+            c = row[j]
+            by_var[j].append((idx, c, rest_lo, rest_hi))
+            lo_c, hi_c = sorted((c * lower[j], c * upper[j]))
+            rest_lo += lo_c
+            rest_hi += hi_c
+        ends_at[max(row)].append(idx)
 
     best_obj = None
     best_x = None
     x = [0] * N
     visited = 0
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), N + 200))
 
     def descend(j: int, obj: int):
         nonlocal best_obj, best_x, visited
@@ -106,11 +94,9 @@ def enumerate_optimum(inst, budget: OracleBudget | None = None):
             return
         lo, hi = lower[j], upper[j]
         touched = by_var[j]
-        for idx, c in touched:
-            # residual minus future contributions brackets c * x_j
-            rem_lo = residual[idx] - sufmax[idx][j + 1]
-            rem_hi = residual[idx] - sufmin[idx][j + 1]
-            q_lo, q_hi = quotient_range(c, rem_lo, rem_hi)
+        for idx, c, rest_lo, rest_hi in touched:
+            # residual minus the later contributions brackets c * x_j
+            q_lo, q_hi = quotient_range(c, residual[idx] - rest_hi, residual[idx] - rest_lo)
             lo = max(lo, q_lo)
             hi = min(hi, q_hi)
         if lo > hi:
@@ -121,16 +107,20 @@ def enumerate_optimum(inst, budget: OracleBudget | None = None):
             visited += 1
             if visited > max_points:
                 raise BudgetExceededError(visited, max_points)
-            for idx, c in touched:
+            for idx, c, _, _ in touched:
                 residual[idx] -= c * v
             if all(residual[idx] == 0 for idx in finals):
                 x[j] = v
                 descend(j + 1, obj + wj * v)
-            for idx, c in touched:
+            for idx, c, _, _ in touched:
                 residual[idx] += c * v
-        return
 
-    descend(0, 0)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, N + 200))
+    try:
+        descend(0, 0)
+    finally:
+        sys.setrecursionlimit(limit)
     if best_obj is None:
         return Infeasible("NoLatticePoint")
     return _checked(inst, best_x, best_obj)

@@ -5,6 +5,8 @@ and re-checked exactly with evaluate, so no float is trusted.  Callers
 skip when scipy is missing, through importorskip here.
 """
 
+import itertools
+
 import pytest
 
 from blockip.model import Solution, evaluate
@@ -13,11 +15,17 @@ from blockip.model import Solution, evaluate
 def highs_optimum(inst):
     """HiGHS's optimum as an exact Solution, or None when it finds no point."""
     opt = pytest.importorskip("scipy.optimize")
-    rows = list(inst.dense_rows())
+    sparse = pytest.importorskip("scipy.sparse")
+    rows = list(inst.rows())
     rhs = [float(b) for _, b in rows]
+    # CSR straight from the maps: each row's columns and values, in key order
+    H = sparse.csr_matrix(
+        ([float(c) for row, _ in rows for c in row.values()], [j for row, _ in rows for j in row],
+         [0, *itertools.accumulate(len(row) for row, _ in rows)]),
+        shape=(len(rows), inst.num_vars))
     res = opt.milp(
         [-float(w) for w in inst.w],
-        constraints=opt.LinearConstraint([[float(a) for a in c] for c, _ in rows], rhs, rhs),
+        constraints=opt.LinearConstraint(H, rhs, rhs),
         integrality=[1] * inst.num_vars,
         bounds=opt.Bounds([float(v) for v in inst.l], [float(v) for v in inst.u]),
         options={"mip_rel_gap": 0, "time_limit": 60},

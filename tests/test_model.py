@@ -2,9 +2,11 @@
 
 import dataclasses
 import importlib
+import itertools
 import json
 import pkgutil
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -33,6 +35,7 @@ from blockip.model import (
 from blockip.nfold_snf import solve_nfold_snf
 from blockip.ones import solve_ones
 from blockip.oracle import enumerate_optimum
+from blockip.reductions import SubsetSumInstance, encode_theorem2b
 from model_cases import (
     GENERALIZED,
     MALFORMED,
@@ -436,17 +439,48 @@ def test_solution_round_trip():
     assert loads_solution(dumps(sol)) == sol
 
 
-def test_dense_rows_match_evaluate():
+def _violated_rows(inst, x):
+    """{row index: lhs} of the rows that evaluate reports broken at x."""
+    s_A = len(inst.b[0]) if inst.b else 0
+    out = {}
+    for v in evaluate(inst, x).violations:
+        m = re.fullmatch(r"(?:top row|row) (\d+): lhs (-?\d+) != rhs -?\d+", v)
+        if m:
+            out[int(m[1])] = int(m[2])
+        m = re.fullmatch(r"block (\d+) row (\d+): lhs (-?\d+) != rhs -?\d+", v)
+        if m:
+            out[len(inst.b0) + int(m[1]) * s_A + int(m[2])] = int(m[3])
+    return out
+
+
+def _block_lhs(inst, x):
+    """Each row's lhs at x, read off the blocks of a GeneralizedNFoldInstance."""
+    starts = list(itertools.accumulate((Ai.cols for Ai in inst.A_blocks), initial=0))
+    parts = [x[s:e] for s, e in zip(starts, starts[1:])]
+    top = [sum(Di.row(r)[h] * v for Di, p in zip(inst.D_blocks, parts) for h, v in enumerate(p))
+           for r in range(len(inst.b0))]
+    return top + [v for Ai, p in zip(inst.A_blocks, parts) for v in Ai.mul_vec(p)]
+
+
+def test_rows_match_evaluate():
     rng = random.Random(21)
-    inst = small_instance(n=3)
-    rows = list(inst.dense_rows())
-    assert len(rows) == inst.num_rows
-    for _ in range(20):
-        x = [rng.randint(-3, 6) for _ in range(inst.num_vars)]
-        rep = evaluate(inst, x)
-        dense_ok = all(sum(c * v for c, v in zip(coeffs, x)) == rhs for coeffs, rhs in rows)
-        bounds_ok = all(inst.l[j] <= x[j] <= inst.u[j] for j in range(inst.num_vars))
-        assert rep.feasible == (dense_ok and bounds_ok)
+    for inst in (small_instance(n=3), encode_theorem2b(SubsetSumInstance.make([3, 5, 2], 7))):
+        rows = list(inst.rows())
+        assert len(rows) == len(inst.b0) + sum(map(len, inst.b))
+        for row, _ in rows:
+            assert all(type(c) is int and c != 0 for c in row.values())
+            assert list(row) == sorted(row) and set(row) <= set(range(inst.num_vars))
+        # random points, and points one step off the optimum, which break few rows
+        opt = enumerate_optimum(inst).x
+        points = [[rng.randint(-3, 6) for _ in opt] for _ in range(20)]
+        points += [[v + (rng.random() < 0.2) * rng.choice((-1, 1)) for v in opt] for _ in range(20)]
+        for x in points + [list(opt)]:
+            lhs = [sum(c * x[j] for j, c in row.items()) for row, _ in rows]
+            if isinstance(inst, GeneralizedNFoldInstance):
+                assert lhs == _block_lhs(inst, x)  # evaluate reads rows() for this kind
+            assert _violated_rows(inst, x) == {
+                r: a for r, (a, (_, rhs)) in enumerate(zip(lhs, rows)) if a != rhs}
+        assert _violated_rows(inst, list(opt)) == {}
 
 
 def _shaped(n, t_A, t_B):

@@ -2,10 +2,13 @@
 
 import dataclasses
 import random
+import sys
+import tracemalloc
 
 import pytest
 
 from blockip.errors import BudgetExceededError, MalformedProblemError
+from blockip.generators import random_nfold_instance
 from blockip.model import (
     FourBlockInstance,
     GeneralizedNFoldInstance,
@@ -107,6 +110,35 @@ def test_budget_exceeded_raises():
                  l=[0, 0], u=[wide, wide], w=[1, 0])
     with pytest.raises(BudgetExceededError):
         enumerate_optimum(inst, OracleBudget(max_points=1000))
+
+
+def test_recursion_limit_is_restored():
+    # 1500 fixed columns and no rows: the search recurses 1500 deep
+    n = 1500
+    limit = sys.getrecursionlimit()
+    assert limit < n + 200
+    inst = FourBlockInstance.nfold(n, IntMatrix.zero(0, 1), IntMatrix.zero(0, 1), [], [[]] * n,
+                                   l=[1] * n, u=[1] * n, w=[1] * n)
+    assert enumerate_optimum(inst) == Solution((1,) * n, n, "bruteforce")
+    assert sys.getrecursionlimit() == limit
+    with pytest.raises(BudgetExceededError):
+        enumerate_optimum(inst, OracleBudget(max_points=n // 2))
+    assert sys.getrecursionlimit() == limit
+
+
+def test_set_up_is_linear_in_the_nonzeros():
+    # 600 columns under two full top rows; a budget of 10 has to fail before
+    # the set-up allocates per row and column (dense rows peaked at 8.3 MB)
+    inst = random_nfold_instance(random.Random(0), n=200, t_A=3, s_C=2, seeded_rate=0.9)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError) as err:
+            enumerate_optimum(inst, OracleBudget(max_points=10))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert err.value.visited == 11
+    assert peak < 2_000_000, peak
 
 
 def test_oracle_solution_feasible_and_brick_permutation_invariant():

@@ -67,9 +67,8 @@ def test_theorem2a_frozen_cases():
     inst = encode_theorem2a(s)
     assert feasible(inst)
     # taking the single item: x1=1 forces x2=0 in the brick row
-    rows = list(inst.dense_rows())
     x = (1, 0)
-    assert all(sum(c * v for c, v in zip(coeffs, x)) == rhs for coeffs, rhs in rows)
+    assert all(sum(c * x[j] for j, c in row.items()) == rhs for row, rhs in inst.rows())
 
 
 def test_theorem2b_frozen_cases():
@@ -81,7 +80,7 @@ def test_theorem2b_frozen_cases():
 
 def test_evaluate_checks_generalized_instances_row_by_row():
     # feasible at the oracle's optimum; off it, each broken row and bound
-    # is named, rows numbered as dense_rows yields them (top row first)
+    # is named, rows numbered as rows() yields them (top row first)
     inst = encode_theorem2a(SubsetSumInstance.make([1, 2, 4], 6))
     sol = enumerate_optimum(inst)
     assert sol.x == (0, 6, 1, 0, 1, 0)  # items 2 and 4 fill 6
