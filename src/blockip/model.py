@@ -360,16 +360,7 @@ def validate(inst) -> list[ValidationIssue]:
     if odd:
         return issues + [ValidationIssue("ShapeMismatch", msg) for msg in odd]
     if isinstance(inst, GeneralizedNFoldInstance):
-        if not len(inst.A_blocks) == len(inst.D_blocks) == len(inst.b) == inst.n:
-            bad("ShapeMismatch", f"A_blocks, D_blocks and b have {len(inst.A_blocks)}, "
-                f"{len(inst.D_blocks)} and {len(inst.b)} entries, expected n = {inst.n}")
-        for i, (Ai, Di, bi) in enumerate(zip(inst.A_blocks, inst.D_blocks, inst.b)):
-            if Ai.cols != Di.cols:
-                bad("ShapeMismatch", f"A_blocks[{i}] has {Ai.cols} cols, D_blocks[{i}] has {Di.cols}")
-            if Di.rows != len(inst.b0):
-                bad("ShapeMismatch", f"D_blocks[{i}] has {Di.rows} rows, b0 has length {len(inst.b0)}")
-            if len(bi) != Ai.rows:
-                bad("ShapeMismatch", f"b[{i}] has length {len(bi)}, expected {Ai.rows}")
+        issues += [ValidationIssue("ShapeMismatch", msg) for msg in _block_shape_issues(inst)]
     else:
         if inst.C.rows != inst.D.rows:
             bad("ShapeMismatch", f"C has {inst.C.rows} rows, D has {inst.D.rows}")
@@ -411,6 +402,23 @@ def validate(inst) -> list[ValidationIssue]:
     return issues
 
 
+def _block_shape_issues(inst) -> list[str]:
+    """How the blocks, b and b0 of a GeneralizedNFoldInstance, whose fields
+    have the right types, fail to fit together; empty when they fit."""
+    msgs = []
+    if not len(inst.A_blocks) == len(inst.D_blocks) == len(inst.b) == inst.n:
+        msgs.append(f"A_blocks, D_blocks and b have {len(inst.A_blocks)}, "
+                    f"{len(inst.D_blocks)} and {len(inst.b)} entries, expected n = {inst.n}")
+    for i, (Ai, Di, bi) in enumerate(zip(inst.A_blocks, inst.D_blocks, inst.b)):
+        if Ai.cols != Di.cols:
+            msgs.append(f"A_blocks[{i}] has {Ai.cols} cols, D_blocks[{i}] has {Di.cols}")
+        if Di.rows != len(inst.b0):
+            msgs.append(f"D_blocks[{i}] has {Di.rows} rows, b0 has length {len(inst.b0)}")
+        if len(bi) != Ai.rows:
+            msgs.append(f"b[{i}] has length {len(bi)}, expected {Ai.rows}")
+    return msgs
+
+
 def classify(inst) -> StructureClass:
     """Structural class of A, in fixed priority order.
 
@@ -449,13 +457,16 @@ def classify(inst) -> StructureClass:
 def evaluate(inst, x) -> EvaluationReport:
     """Recompute every constraint of the instance at the point x.
 
-    Not validate: the checks of the instance take constant work, so a
+    Not validate: the checks of a FourBlockInstance take constant work, so a
     caller that has validated it pays nothing per entry; x gets one pass
     over its entry types.  An inst that is neither instance kind, or whose
     l, u or w is not a tuple or list of length num_vars, raises
     MalformedProblemError, and so does an x that is not a tuple or list of
     ints (a bool, float or Fraction entry included); an x of another length
-    raises DimensionMismatchError.
+    raises DimensionMismatchError.  A GeneralizedNFoldInstance whose blocks,
+    b and b0 do not fit together raises MalformedProblemError with
+    validate's first shape message, one check per block before its rows
+    are read.
     """
     if not isinstance(inst, (FourBlockInstance, GeneralizedNFoldInstance)):
         raise MalformedProblemError(f"the instance is a {type(inst).__name__}, "
@@ -475,6 +486,9 @@ def evaluate(inst, x) -> EvaluationReport:
     if len(x) != N:
         raise DimensionMismatchError(f"x has length {len(x)}, expected {N}")
     if isinstance(inst, GeneralizedNFoldInstance):
+        shape = _block_shape_issues(inst)
+        if shape:
+            raise MalformedProblemError(shape[0])
         return _evaluate_rows(inst, x)
     violations = []
     x0 = x[:inst.t_B]

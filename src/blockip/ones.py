@@ -10,8 +10,10 @@ kernel basis over a coordinate box, and an exact cutting-plane search
 maximizes the concave transport value function over its coordinates:
 supergradient cuts from transport duals, blocking-set cuts from the
 max-flow min-cut feasibility condition, and box splitting with floor
-pruning (every candidate value is an integer).  Third, the winning
-aggregate's bricks are the search's own transport there.
+pruning (every candidate value is an integer).  It evaluates the lattice
+corners around a bound LP point nearest first and solves the bound again
+at the first cut that separates the point, not after all 2^f corners.
+Third, the winning aggregate's bricks are the search's own transport there.
 
 Every transport is solved by flow.solve_transport on one
 flow.TransportTable that the search builds from the bricks' boxes and
@@ -215,6 +217,21 @@ def _blocking_pair(p: TransportProblem, blocked: Blocked):
     return rows, cols, out_sum
 
 
+def _nearest_first(axes, num, den):
+    """The corners of itertools.product(*axes) by L1 distance to the point
+    num / den, the sum over k of |v_k den - num_k|, ties in product order.
+
+    The first is the coordinatewise rounding (halves to the first value of
+    the axis); the rest are sorted only when the caller asks for a second.
+    """
+    def dist(v):
+        return sum(abs(c * den - x) for c, x in zip(v, num))
+
+    rounding = tuple(min(axis, key=lambda c, x=x: abs(c * den - x)) for axis, x in zip(axes, num))
+    yield rounding
+    yield from (v for v in sorted(itertools.product(*axes), key=dist) if v != rounding)
+
+
 def _optimize_aggregate(inst: FourBlockInstance, form: _LatticeForm):
     """Optimal (value, x0, y, cells) over the lattice, or None; cells is the
     bricks' transport at the winning (x0, y), certified by _transport_duals.
@@ -225,12 +242,24 @@ def _optimize_aggregate(inst: FourBlockInstance, form: _LatticeForm):
     hold at every lattice point of the box: the xy box rows, the shared-row
     range, supergradient cuts at feasible evaluations and blocking cuts at
     infeasible ones.  g is an integer at every point, so a box closes once
-    its bound is below the incumbent plus one.  Each evaluated point
-    improves the incumbent or tightens the bound through its cut, or else
-    the box splits, so the search is finite.  A box splits at its LP
-    point's coordinate farthest from an integer (ties to the smaller index,
-    never t), by smallip._branch_var; an integral LP point is evaluated if
-    fresh, and if not, its cut already closed the box.
+    its bound is below the incumbent plus one; a popped box whose heap key,
+    its own ceiling or its parent's, is already at most the incumbent
+    closes before its LP is solved again.
+
+    The candidates of a box are its LP point's lattice corners: the floor
+    or the ceiling of each coordinate, clamped to the box.  The fresh ones
+    are evaluated one at a time in order of L1 distance to the point, the
+    sum of |v_k den - num_k|, with ties in itertools.product order, so the
+    coordinatewise rounding comes first.  The first evaluation that appends
+    a cut the LP point violates stops the loop, and the box goes back on
+    the heap to be solved with that cut; a point outside the xy box or the
+    q range adds no cut and does not stop it.  The corners not reached are
+    fresh again when the box is next popped.  A box with no fresh corner
+    splits at its LP point's coordinate farthest from an integer (ties to
+    the smaller index, never t), by smallip._branch_var; an integral LP
+    point that is not fresh had its cut close the box already.  The search
+    is finite: each pop evaluates at least one fresh point of the root box,
+    splits a box, or closes one.
 
     The bound LP is one warm tableau carried from box to box; only the root
     is solved cold, once the first corner's cut is in, and a lattice of
@@ -238,7 +267,7 @@ def _optimize_aggregate(inst: FourBlockInstance, form: _LatticeForm):
     state of the box it came from (split halves share it) and how many cuts
     that state holds; on pop the box's edges are edited in, the newer cuts
     added as rows, and the dual simplex re-solves from the old basis.  The
-    root, and a box pushed back after evaluating its fresh corners, also
+    root, and a box pushed back after evaluating some of its corners, also
     carry their own LpResult; when no cut came since, a re-solve would
     repeat that result, which _extract already audited, so it is reused.
     A cut whose range is empty over the root box makes every later bound LP
@@ -350,7 +379,10 @@ def _optimize_aggregate(inst: FourBlockInstance, form: _LatticeForm):
     # holds, and that state's result if it was solved for this same box)
     heap = [(-t_hi, 0, form.v_lo, form.v_hi, state, len(cuts), res)]
     while heap:
-        _, _, box_lo, box_hi, state, seen, res = heapq.heappop(heap)
+        key, _, box_lo, box_hi, state, seen, res = heapq.heappop(heap)
+        # the key is this box's ceiling or its parent's: a bound on the box
+        if best is not None and -key <= best[0]:
+            continue
         if res is None or seen < len(cuts):
             edges = [
                 (k, box_lo[k], box_hi[k]) for k in range(f)
@@ -370,11 +402,18 @@ def _optimize_aggregate(inst: FourBlockInstance, form: _LatticeForm):
             lo = max(box_lo[k], min(num[k] // den, box_hi[k]))
             hi = max(box_lo[k], min(-(-num[k] // den), box_hi[k]))
             cand_axes.append((lo, hi) if hi != lo else (lo,))
-        fresh = [v for v in itertools.product(*cand_axes) if v not in evaluated]
         seq += 1
+        fresh = False
+        for v in _nearest_first(cand_axes, num, den):
+            if v in evaluated:
+                continue
+            fresh = True
+            made = len(cuts)
+            evaluate_at(v)
+            # re-solve once a cut separates the LP point (v, t) = num / den
+            if len(cuts) > made and sum(map(mul, cuts[-1][0], num)) > cuts[-1][2] * den:
+                break
         if fresh:
-            for v in fresh:
-                evaluate_at(v)
             heapq.heappush(heap, (-ceiling, -seq, box_lo, box_hi, state, seen, res))
             continue
         split = _branch_var(num, den, mask)

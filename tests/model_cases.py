@@ -108,9 +108,19 @@ MIP = MipProblem.make(LpProblem.make([1], [], [0], [1]), [True])
 # structural column, and column 1 is the row's slack
 WARM = solve_lp_warm(LpProblem.make([1], [([1], 0, 1)], [0], [2]))[1]
 
+# generalized instances whose blocks do not fit together, each with a point
+# of num_vars zeros: evaluate once raised IndexError on the first two and
+# reported violations of rows that do not exist on the third
+MISFIT = (
+    ("evaluate with D_blocks doubled", dataclasses.replace(GENERALIZED, D_blocks=GENERALIZED.D_blocks * 2)),
+    ("evaluate with b one block short", dataclasses.replace(GENERALIZED, b=GENERALIZED.b[:-1])),
+    ("evaluate with b0 one entry longer", dataclasses.replace(GENERALIZED, b0=GENERALIZED.b0 + (1,))),
+)
+
 # (what is wrong, function, arguments): each call raises
-# MalformedProblemError, not AttributeError, TypeError or ZeroDivisionError,
-# and evaluate reports no point that is not integral as feasible
+# MalformedProblemError, not AttributeError, TypeError, IndexError or
+# ZeroDivisionError, and evaluate reports no point that is not integral as
+# feasible
 UNTYPED_CALLS = (
     ("oracle budget a str", enumerate_optimum, (PAIR, "x")),
     ("oracle budget of a str", enumerate_optimum, (PAIR, OracleBudget("x"))),
@@ -149,4 +159,4 @@ UNTYPED_CALLS = (
     ("quotient range of a zero step", quotient_range, (0, 1, 2)),
     ("half-even rounding over zero", round_half_even, (1, 0)),
     ("lattice in a box without a Smith form", lattice_in_box, (None, [0], [0], [1])),
-)
+) + tuple((what, evaluate, (inst, (0,) * inst.num_vars)) for what, inst in MISFIT)

@@ -39,6 +39,7 @@ from blockip.reductions import SubsetSumInstance, encode_theorem2b
 from model_cases import (
     GENERALIZED,
     MALFORMED,
+    MISFIT,
     NOT_ELIGIBLE,
     PAIR,
     SOLVERS,
@@ -576,11 +577,18 @@ def test_malformed_input_of_either_kind_raises_a_typed_error(inst):
 @pytest.mark.parametrize(
     "call, args", [case[1:] for case in UNTYPED_CALLS], ids=[case[0] for case in UNTYPED_CALLS])
 def test_untyped_arguments_raise_a_typed_error(call, args):
-    # each once raised AttributeError or TypeError, or, for evaluate at
-    # (True, False), reported a feasible point
+    # each once raised AttributeError, TypeError or IndexError, or, for
+    # evaluate at (True, False), reported a feasible point
     assert evaluate(PAIR, (0, 1)).feasible
     with pytest.raises(MalformedProblemError):
         call(*args)
+
+
+@pytest.mark.parametrize("inst", [case[1] for case in MISFIT], ids=[case[0] for case in MISFIT])
+def test_evaluate_names_the_block_shape_that_validate_names(inst):
+    with pytest.raises(MalformedProblemError) as err:
+        evaluate(inst, (0,) * inst.num_vars)
+    assert str(err.value) == validate(inst)[0].message
 
 
 def test_validate_takes_only_instances():

@@ -206,27 +206,36 @@ def test_random_battery_against_oracle():
     assert feasible >= 30 and infeasible >= 10
 
 
+def _narrow_shape(rng):
+    return rng.randint(1, 4), rng.randint(1, 3), rng.randint(0, 2), rng.randint(0, 2)
+
+
+def _wide_shape(rng):
+    # aggregate lattices mostly of dimension 5 to 9: a bound LP point has up
+    # to 2^9 corners, and the search re-solves after the first that cuts it
+    return rng.randint(1, 3), rng.randint(4, 6), rng.randint(2, 4), rng.randint(0, 1)
+
+
 def test_lattice_route_matches_direct_mip():
-    # the lattice search and the direct aggregated MIP must agree exactly
+    # the lattice search and the direct aggregated MIP must agree exactly,
+    # on narrow shapes and on wide aggregate lattices
     from blockip.ratlp import INFEASIBLE
     from blockip.smallip import solve_mip
 
-    rng = random.Random(9104)
-    agreed = 0
-    for trial in range(40):
-        inst = ones_instance(
-            rng.randint(1, 4), rng.randint(1, 3), rng.randint(0, 2),
-            rng.randint(0, 2), rng, width=3, coeff=3, seeded=trial % 2 == 0,
-        )
-        direct = solve_mip(build_mip2(inst))
-        got = solve_ones(inst)
-        if direct.status == INFEASIBLE:
-            assert isinstance(got, Infeasible), (trial,)
-        else:
-            assert isinstance(got, Solution), (trial,)
-            assert got.objective == direct.value, (trial,)
-            agreed += 1
-    assert agreed >= 15
+    for seed, trials, shape in ((9104, 40, _narrow_shape), (9112, 30, _wide_shape)):
+        rng = random.Random(seed)
+        agreed = 0
+        for trial in range(trials):
+            inst = ones_instance(*shape(rng), rng, width=3, coeff=3, seeded=trial % 2 == 0)
+            direct = solve_mip(build_mip2(inst))
+            got = solve_ones(inst)
+            if direct.status == INFEASIBLE:
+                assert isinstance(got, Infeasible), (seed, trial)
+            else:
+                assert isinstance(got, Solution), (seed, trial)
+                assert got.objective == direct.value, (seed, trial)
+                agreed += 1
+        assert agreed >= 15, seed
 
 
 def test_transport_duals_certify_supergradient():

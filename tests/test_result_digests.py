@@ -2,9 +2,10 @@
 
 Each digest is a sha256 over the repr of a route's intermediate data and
 final result on about 20 generator instances of one benchmark shape (the
-shapes of perfbench/workloads.py, with n capped at 200).  A refactor that
-must keep results bit-identical leaves every pin as it is; a change that
-moves a tie-break on purpose updates the pins and says why.
+shapes of perfbench/workloads.py, with n capped at 200), or on 6 of
+ones-wide, an all-ones shape with an 8-dimensional aggregate lattice.  A
+refactor that must keep results bit-identical leaves every pin as it is; a
+change that moves a tie-break on purpose updates the pins and says why.
 
 The all-ones shapes also pin the search path, not only where it ends: the
 number of transports solved and of bound LPs solved (cold solves and warm
@@ -48,6 +49,12 @@ def _ones_lattice(rng, i):
         rng, n=8, t_A=3, t_B=3, s_C=1, scale=10**6 if i % 4 == 3 else 1, seeded_rate=0.9)
 
 
+def _ones_wide(rng, i):
+    # an aggregate lattice of dimension 8, where a bound LP point has up to
+    # 2^8 lattice corners
+    return generators.random_ones_instance(rng, n=100, t_A=6, t_B=4, s_C=1, seeded_rate=0.9)
+
+
 def _ones_any_scale(rng, i):
     shape = dict(t_A=3, t_B=1, n=30) if i % 2 else dict(t_A=3, t_B=3, n=8)
     return generators.random_ones_instance(
@@ -68,6 +75,7 @@ SHAPES = {
         nfold_snf.build_context(inst), nfold_snf.solve_nfold_snf(inst))),
     "ones-transport": (_ones_transport, 20, _ones_results),
     "ones-lattice": (_ones_lattice, 20, _ones_results),
+    "ones-wide": (_ones_wide, 6, _ones_results),
     # the lattice set-up alone, cheap enough for more instances and scales
     "ones-lattice-forms": (_ones_any_scale, 120, ones._aggregate_lattice),
     "fourblock-cells": (_fourblock_cells, 20, lambda inst: (
@@ -76,10 +84,11 @@ SHAPES = {
 
 PINNED = {
     "nfold-sched": "a6849c412fe5101b",
-    "ones-transport": "1c205b27607b7ece",
+    "ones-transport": "4dd0694742adc148",
     "ones-lattice": "9b9b6ad5372bbc97",
     "fourblock-cells": "1095976061bb1b51",
     "ones-lattice-forms": "045603e2eb18520e",
+    "ones-wide": "e55bb4fe1e49fee4",
 }
 
 
@@ -99,8 +108,9 @@ def test_results_match_the_pinned_digest(shape):
 
 # shape -> (transports solved, bound LPs solved cold, bound LPs re-solved warm)
 PINNED_PATHS = {
-    "ones-transport": (111, 17, 79),
-    "ones-lattice": (527, 15, 657),
+    "ones-transport": (88, 17, 83),
+    "ones-lattice": (397, 15, 662),
+    "ones-wide": (401, 6, 1475),
 }
 
 
