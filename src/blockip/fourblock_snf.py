@@ -12,12 +12,13 @@ leaves a family of constant-size integer programs.  Their best value is the
 optimum.
 
 Almost all of these cells have no integer point.  While a cell's rows are
-still sparse int maps, integer bound propagation over them (_propagate)
-proves most empty cells empty, and only the survivors become exact LPs and
-MIPs.  Each survivor's LP is taken over the box that propagation
-tightened, less the rows that box implies.  Propagation removes no integer
-point that meets the cell's rows, so each cell keeps its integer points
-and its optimum, and the screen removes only cells with none.
+still sparse int maps, integer bound propagation over them
+(smallip._propagate, at its default cap of 30 rounds) proves most empty
+cells empty, and only the survivors become exact LPs and MIPs.  Each
+survivor's LP is taken over the box that propagation tightened, less the
+rows that box implies.  Propagation removes no integer point that meets
+the cell's rows, so each cell keeps its integer points and its optimum,
+and the screen removes only cells with none.
 
 The merge windows j = 1..n of one choice of sub-intervals, difference
 windows and arguments share all rows but two, the p rows Lambda(j-1) + 1
@@ -82,7 +83,7 @@ from .model import (
     validate,
 )
 from .ratlp import OPTIMAL, LpProblem
-from .smallip import MipProblem, best_of, solve_mip
+from .smallip import MipProblem, _propagate, best_of, solve_mip
 
 # integer_rank and smith_normal_form are no longer called here; they stay
 # importable under these names because perfbench/tracer.py wraps them here
@@ -209,50 +210,6 @@ def _range_of(coeffs, lo, hi):
             mn += a * hi[j]
             mx += a * lo[j]
     return mn, mx
-
-
-# Rounds of bound propagation per cell.  A fixpoint can take as many rounds
-# as the coefficients are large (x - y <= -1 and y - x <= 0 over [0, M]
-# shrink the boxes by one per round), so the screen stops here and lets the
-# cell's LP decide.
-_PROPAGATION_ROUNDS = 30
-
-
-def _propagate(rows, lo, hi):
-    """Integer bound propagation; False when the box has no integer point.
-
-    rows are (coeffs, b) for sum_k coeffs[k] * x_k <= b, where coeffs maps a
-    variable index to a nonzero int, over integer x with lo <= x <= hi.  Each
-    row bounds every variable by the row's least activity over the others,
-    rounded inward because x is integral (Savelsbergh, ORSA J. Comput. 1994;
-    Achterberg, Constraint Integer Programming, 2007, ch. 7).  lo and hi are
-    tightened in place and never lose an integer point that meets every
-    row, so False is a proof of emptiness and True proves nothing.
-    """
-    for k in range(len(lo)):
-        if lo[k] > hi[k]:
-            return False
-    for _ in range(_PROPAGATION_ROUNDS):
-        changed = False
-        for coeffs, b in rows:
-            slack = b
-            for k, a in coeffs.items():
-                slack -= a * (lo[k] if a > 0 else hi[k])
-            if slack < 0:
-                return False
-            # x_k may move from its best bound by slack // |a| at most; the
-            # tightened bound stays on the box side, so lo <= hi holds
-            for k, a in coeffs.items():
-                if a > 0:
-                    if a * (hi[k] - lo[k]) > slack:
-                        hi[k] = lo[k] + slack // a
-                        changed = True
-                elif a * (lo[k] - hi[k]) > slack:
-                    lo[k] = hi[k] - slack // -a
-                    changed = True
-        if not changed:
-            break
-    return True
 
 
 class _CellBuilder:

@@ -10,10 +10,11 @@ kernel basis over a coordinate box, and an exact cutting-plane search
 maximizes the concave transport value function over its coordinates:
 supergradient cuts from transport duals, blocking-set cuts from the
 max-flow min-cut feasibility condition, and box splitting with floor
-pruning (every candidate value is an integer).  It evaluates the lattice
-corners around a bound LP point nearest first and solves the bound again
-at the first cut that separates the point, not after all 2^f corners.
-Third, the winning aggregate's bricks are the search's own transport there.
+pruning (every candidate value is an integer).  Before a box's bound LP,
+one round of smallip._propagate over the same rows closes the box or
+shrinks it.  It evaluates the lattice corners around a bound LP point
+nearest first and solves the bound again at the first cut that separates
+the point, not after all 2^f corners.  Third, the winning aggregate's bricks are the search's own transport there.
 
 Every transport is solved by flow.solve_transport on one
 flow.TransportTable that the search builds from the bricks' boxes and
@@ -53,7 +54,7 @@ from .model import (
 # solve_lp is no longer called here; it stays importable under this name
 # because perfbench/tracer.py wraps blockip.ones.solve_lp
 from .ratlp import OPTIMAL, LpProblem, solve_lp, solve_lp_warm  # noqa: F401
-from .smallip import _branch_var
+from .smallip import _branch_var, _propagate
 
 
 @dataclass(frozen=True)
@@ -246,6 +247,18 @@ def _optimize_aggregate(inst: FourBlockInstance, form: _LatticeForm):
     its own ceiling or its parent's, is already at most the incumbent
     closes before its LP is solved again.
 
+    Every other popped box first gets one round of integer bound
+    propagation (smallip._propagate) over (v, t): both sides of the xy box
+    and q range rows, and the upper side of every cut, with v over the box
+    and t over [incumbent + 1, min(ceiling, t_hi)], the ceiling read off
+    the heap key (t_lo for the lower end before there is an incumbent).  No lattice point that beats the incumbent is lost: at such
+    a point v, with t = g(v), the box and q rows hold because the point is
+    feasible, the supergradient cuts because g is concave, the blocking
+    cuts by max-flow min-cut, and g(v) is an integer, so t is rounded as
+    v is.  A box that propagation proves empty closes with no LP; a box
+    that it shrinks replaces the popped box, so the LP is solved over the
+    smaller box and the corners and the split halves come from it.
+
     The candidates of a box are its LP point's lattice corners: the floor
     or the ceiling of each coordinate, clamped to the box.  The fresh ones
     are evaluated one at a time in order of L1 distance to the point, the
@@ -258,8 +271,11 @@ def _optimize_aggregate(inst: FourBlockInstance, form: _LatticeForm):
     splits at its LP point's coordinate farthest from an integer (ties to
     the smaller index, never t), by smallip._branch_var; an integral LP
     point that is not fresh had its cut close the box already.  The search
-    is finite: each pop evaluates at least one fresh point of the root box,
-    splits a box, or closes one.
+    is finite: propagation only shrinks a box, and a shrunk box has its LP
+    solved over itself, so its LP point lies in it; then each pop evaluates
+    at least one fresh point of the root box, splits a box into two
+    strictly smaller ones, or closes one, by its key, by propagation, by
+    an infeasible LP or by its ceiling.
 
     The bound LP is one warm tableau carried from box to box; only the root
     is solved cold, once the first corner's cut is in, and a lattice of
@@ -271,7 +287,8 @@ def _optimize_aggregate(inst: FourBlockInstance, form: _LatticeForm):
     carry their own LpResult; when no cut came since, a re-solve would
     repeat that result, which _extract already audited, so it is reused.
     A cut whose range is empty over the root box makes every later bound LP
-    infeasible, which closes the box as it should.
+    infeasible, which closes the box as it should.  A root whose LP is
+    infeasible has no state to edit and ends the search.
     """
     n, tA, tB = inst.n, inst.t_A, inst.t_B
     taw = tB + tA
@@ -313,6 +330,21 @@ def _optimize_aggregate(inst: FourBlockInstance, form: _LatticeForm):
     # feasibility cuts coeffs . v <= rhs and optimality cuts t - slope . v <= rhs,
     # each bounded below by its minimum over the root box
     cuts = []
+    # the same rows over (v, t) as sparse maps for _propagate, each as
+    # coeffs <= b: both sides of a box row, the upper side of a cut
+    prop_rows = []
+
+    def add_prop_row(coeffs, b):
+        prop_rows.append(({k: a for k, a in enumerate(coeffs) if a}, b))
+
+    for coeffs, lo, hi in box_rows:
+        add_prop_row(coeffs, hi)
+        add_prop_row([-a for a in coeffs], -lo)
+
+    def add_cut(coeffs, lo, hi):
+        cuts.append((coeffs, lo, hi))
+        add_prop_row(coeffs, hi)
+
     evaluated = set()  # every lattice point v passed to evaluate_at
     transports = {}  # (q, y) -> (result, duals or blocking pair)
     best = None  # (value, x0, y, cells of the certified transport)
@@ -354,7 +386,7 @@ def _optimize_aggregate(inst: FourBlockInstance, form: _LatticeForm):
                 for k in range(f)
             ]
             rhs = value - sum(map(mul, slope, v))
-            cuts.append(([-s for s in slope] + [1], t_lo - root_max(slope), rhs))
+            add_cut([-s for s in slope] + [1], t_lo - root_max(slope), rhs)
             if best is None or value > best[0]:
                 best = (value, x0, y, tr.cells)
             return
@@ -365,7 +397,7 @@ def _optimize_aggregate(inst: FourBlockInstance, form: _LatticeForm):
         rhs -= sum(bvals[i] - q0 - table.row_lower[i] for i in rows)
         if sum(coeffs[k] * v[k] for k in range(f)) <= rhs:
             raise InternalInconsistencyError("blocking cut fails to separate its point")
-        cuts.append((coeffs + [0], root_min(coeffs), rhs))
+        add_cut(coeffs + [0], root_min(coeffs), rhs)
 
     objective = [0] * f + [1]
     evaluate_at(tuple(min(max(0, form.v_lo[k]), form.v_hi[k]) for k in range(f)))
@@ -377,12 +409,20 @@ def _optimize_aggregate(inst: FourBlockInstance, form: _LatticeForm):
     mask = (True,) * f + (False,)
     # entries: (-bound, -seq, box, solved state of the parent box, cuts it
     # holds, and that state's result if it was solved for this same box)
-    heap = [(-t_hi, 0, form.v_lo, form.v_hi, state, len(cuts), res)]
+    # an infeasible root has no state and closes the search
+    heap = [(-t_hi, 0, form.v_lo, form.v_hi, state, len(cuts), res)] if state is not None else []
     while heap:
         key, _, box_lo, box_hi, state, seen, res = heapq.heappop(heap)
         # the key is this box's ceiling or its parent's: a bound on the box
         if best is not None and -key <= best[0]:
             continue
+        # a point worth keeping has t = g(v) above the incumbent and under the key
+        vt_lo = list(box_lo) + [t_lo if best is None else best[0] + 1]
+        vt_hi = list(box_hi) + [min(-key, t_hi)]
+        if not _propagate(prop_rows, vt_lo, vt_hi, 1):
+            continue
+        if vt_lo[:f] != list(box_lo) or vt_hi[:f] != list(box_hi):
+            box_lo, box_hi, res = tuple(vt_lo[:f]), tuple(vt_hi[:f]), None
         if res is None or seen < len(cuts):
             edges = [
                 (k, box_lo[k], box_hi[k]) for k in range(f)

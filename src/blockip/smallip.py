@@ -16,6 +16,9 @@ roots not yet solved, each under a ceiling its caller proves without an
 LP, beside the open nodes of the roots already solved, so a root's LP is
 solved only once its ceiling is the best bound left.  solve_mip is that
 search over one root.
+Integer bound propagation over sparse rows (_propagate) is here too: the
+4-block route screens its cells with it, and the all-ones search closes
+or shrinks its boxes with it before their bound LPs.
 Intended for the small auxiliary programs the structured solvers generate
 (a handful of variables, narrow boxes), not as a general purpose MIP engine.
 """
@@ -68,6 +71,48 @@ def _branch_var(num, den, mask):
         if dist > best_dist:
             best, best_dist = j, dist
     return best
+
+
+def _propagate(rows, lo, hi, rounds=30):
+    """Integer bound propagation; False when the box has no integer point.
+
+    rows are (coeffs, b) for sum_k coeffs[k] * x_k <= b, where coeffs maps a
+    variable index to a nonzero int, over integer x with lo <= x <= hi.  Each
+    row bounds every variable by the row's least activity over the others,
+    rounded inward because x is integral (Savelsbergh, ORSA J. Comput. 1994;
+    Achterberg, Constraint Integer Programming, 2007, ch. 7).  lo and hi are
+    tightened in place and never lose an integer point that meets every
+    row, so False is a proof of emptiness and True proves nothing.
+
+    A fixpoint can take as many rounds as the coefficients are large (x - y
+    <= -1 and y - x <= 0 over [0, M] shrink the boxes by one per round), so
+    propagation stops after rounds passes over the rows and leaves the rest
+    to the caller's LP.
+    """
+    for k in range(len(lo)):
+        if lo[k] > hi[k]:
+            return False
+    for _ in range(rounds):
+        changed = False
+        for coeffs, b in rows:
+            slack = b
+            for k, a in coeffs.items():
+                slack -= a * (lo[k] if a > 0 else hi[k])
+            if slack < 0:
+                return False
+            # x_k may move from its best bound by slack // |a| at most; the
+            # tightened bound stays on the box side, so lo <= hi holds
+            for k, a in coeffs.items():
+                if a > 0:
+                    if a * (hi[k] - lo[k]) > slack:
+                        hi[k] = lo[k] + slack // a
+                        changed = True
+                elif a * (lo[k] - hi[k]) > slack:
+                    lo[k] = hi[k] - slack // -a
+                    changed = True
+        if not changed:
+            break
+    return True
 
 
 def solve_mip(p: MipProblem, cutoff=None) -> LpResult:

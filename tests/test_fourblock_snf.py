@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import random
 
 import fourblock_reference
@@ -16,7 +15,6 @@ from blockip.errors import (
 from blockip.fourblock_snf import (
     EliminationData,
     _prepare,
-    _propagate,
     build_grid,
     elimination_from_snf,
     enumerate_cells,
@@ -445,74 +443,6 @@ def test_pinned_boxes():
         2, A, B, C, D, (1,), ((6,), (4,)), x, x, (1, 1, 1, 1, 1),
     )
     assert solve_4block_snf(bad) == Infeasible("NoLatticePoint")
-
-
-def _integer_points(rows, lo, hi):
-    """Every integer point of the box that meets each row sum a_k x_k <= b."""
-    for x in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
-        if all(sum(a * x[k] for k, a in coeffs.items()) <= b for coeffs, b in rows):
-            yield x
-
-
-def test_propagation_never_cuts_off_an_integer_point():
-    hypothesis = pytest.importorskip("hypothesis")
-    st = pytest.importorskip("hypothesis.strategies")
-
-    @st.composite
-    def systems(draw):
-        nvars = draw(st.integers(1, 4))
-        big = draw(st.sampled_from((1, 10 ** 30)))
-        lo = [draw(st.integers(-3, 3)) for _ in range(nvars)]
-        hi = [v + draw(st.sampled_from((0, 0, 1, 2, 4))) for v in lo]  # l = u often
-        rows = []
-        for _ in range(draw(st.integers(1, 4))):
-            coeffs = {}
-            for k in range(nvars):
-                a = draw(st.integers(-3, 3)) * big + draw(st.integers(-2, 2))
-                if a:
-                    coeffs[k] = a
-            if not coeffs:
-                continue
-            # a right-hand side near the row's range over the box, so that
-            # the rows often bind and sometimes exclude the whole box
-            mn = sum(a * (lo[k] if a > 0 else hi[k]) for k, a in coeffs.items())
-            mx = sum(a * (hi[k] if a > 0 else lo[k]) for k, a in coeffs.items())
-            b = draw(st.integers(mn - 2, mx + 1))
-            rows.append((coeffs, b))
-            if draw(st.booleans()):  # an equality row, as two <= rows
-                rows.append(({k: -a for k, a in coeffs.items()}, -b))
-        return rows, lo, hi
-
-    tally = {"empty": 0, "tightened": 0}
-
-    @hypothesis.settings(max_examples=400, deadline=None, derandomize=True)
-    @hypothesis.given(systems())
-    def check(system):
-        rows, lo, hi = system
-        points = list(_integer_points(rows, lo, hi))
-        new_lo, new_hi = list(lo), list(hi)
-        if not _propagate(rows, new_lo, new_hi):
-            assert points == [], (rows, lo, hi)
-            tally["empty"] += 1
-            return
-        assert all(lo[k] <= new_lo[k] <= new_hi[k] <= hi[k] for k in range(len(lo)))
-        for x in points:
-            assert all(new_lo[k] <= x[k] <= new_hi[k] for k in range(len(x))), (rows, lo, hi, x)
-        tally["tightened"] += (new_lo, new_hi) != (lo, hi)
-
-    check()
-    # both outcomes occur, so neither assertion above is vacuous
-    assert tally["empty"] >= 100 and tally["tightened"] >= 40, tally
-
-
-def test_propagation_stops_at_its_round_cap():
-    # x - y <= -1 and y - x <= 0 have no solution, but each round shrinks
-    # the boxes by one, so over [0, 10**30] the screen gives up undecided
-    rows = [({0: 1, 1: -1}, -1), ({0: -1, 1: 1}, 0)]
-    lo, hi = [0, 0], [10 ** 30, 10 ** 30]
-    assert _propagate(rows, lo, hi)
-    assert hi[0] < 10 ** 30 and lo[1] > 0
-    assert not _propagate(rows, [0, 0], [3, 3])
 
 
 def test_screen_keeps_every_cell_with_a_point():

@@ -216,12 +216,14 @@ def _wide_shape(rng):
     return rng.randint(1, 3), rng.randint(4, 6), rng.randint(2, 4), rng.randint(0, 1)
 
 
-def test_lattice_route_matches_direct_mip():
-    # the lattice search and the direct aggregated MIP must agree exactly,
-    # on narrow shapes and on wide aggregate lattices
+def _lattice_battery():
+    """Objectives, None for Infeasible, of solve_ones on the narrow shapes
+    and on wide aggregate lattices, each checked against the direct
+    aggregated MIP."""
     from blockip.ratlp import INFEASIBLE
     from blockip.smallip import solve_mip
 
+    objectives = []
     for seed, trials, shape in ((9104, 40, _narrow_shape), (9112, 30, _wide_shape)):
         rng = random.Random(seed)
         agreed = 0
@@ -231,11 +233,43 @@ def test_lattice_route_matches_direct_mip():
             got = solve_ones(inst)
             if direct.status == INFEASIBLE:
                 assert isinstance(got, Infeasible), (seed, trial)
+                objectives.append(None)
             else:
                 assert isinstance(got, Solution), (seed, trial)
                 assert got.objective == direct.value, (seed, trial)
+                objectives.append(got.objective)
                 agreed += 1
         assert agreed >= 15, seed
+    return objectives
+
+
+def test_lattice_route_matches_direct_mip():
+    # the lattice search and the direct aggregated MIP must agree exactly,
+    # on narrow shapes and on wide aggregate lattices
+    _lattice_battery()
+
+
+def test_propagation_loses_no_optimum(monkeypatch):
+    # bound propagation closes or shrinks a box before its bound LP; with it
+    # switched off every box reaches its LP, and the verdicts and optima
+    # must be the same
+    from test_result_digests import _solve_all
+
+    closed = []
+    real = ones._propagate
+
+    def counted(rows, lo, hi, rounds=30):
+        empty = not real(rows, lo, hi, rounds)
+        closed.append(empty)
+        return not empty
+
+    monkeypatch.setattr(ones, "_propagate", counted)
+    _solve_all("ones-lattice", solve_ones)
+    # the switch below is not vacuous: some box closes with no LP
+    assert any(closed), len(closed)
+    propagated = _lattice_battery()
+    monkeypatch.setattr(ones, "_propagate", lambda rows, lo, hi, rounds=30: True)
+    assert _lattice_battery() == propagated
 
 
 def test_transport_duals_certify_supergradient():

@@ -84,11 +84,11 @@ SHAPES = {
 
 PINNED = {
     "nfold-sched": "a6849c412fe5101b",
-    "ones-transport": "4dd0694742adc148",
+    "ones-transport": "1c205b27607b7ece",
     "ones-lattice": "9b9b6ad5372bbc97",
     "fourblock-cells": "1095976061bb1b51",
     "ones-lattice-forms": "045603e2eb18520e",
-    "ones-wide": "e55bb4fe1e49fee4",
+    "ones-wide": "4ed1109209f9805f",
 }
 
 
@@ -108,9 +108,9 @@ def test_results_match_the_pinned_digest(shape):
 
 # shape -> (transports solved, bound LPs solved cold, bound LPs re-solved warm)
 PINNED_PATHS = {
-    "ones-transport": (88, 17, 83),
-    "ones-lattice": (397, 15, 662),
-    "ones-wide": (401, 6, 1475),
+    "ones-transport": (81, 17, 64),
+    "ones-lattice": (356, 15, 458),
+    "ones-wide": (442, 6, 743),
 }
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from blockip.errors import MalformedProblemError
 from blockip.ratlp import INFEASIBLE, OPTIMAL, LpProblem, solve_lp
-from blockip.smallip import MipProblem, _branch_var, solve_mip
+from blockip.smallip import MipProblem, _branch_var, _propagate, solve_mip
 
 
 def brute_force(objective, eq_matrix, eq_rhs, lower, upper):
@@ -157,3 +157,78 @@ def test_branch_var_picks_the_masked_variable_farthest_from_an_integer():
                  for v, m in zip(num, mask)]
         far = max(dists)
         assert _branch_var(num, den, mask) == (dists.index(far) if far else -1)
+
+
+def _integer_points(rows, lo, hi):
+    """Every integer point of the box that meets each row sum a_k x_k <= b."""
+    for x in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
+        if all(sum(a * x[k] for k, a in coeffs.items()) <= b for coeffs, b in rows):
+            yield x
+
+
+@pytest.mark.parametrize("rounds", [1, 30])
+def test_propagation_never_cuts_off_an_integer_point(rounds):
+    # one round is what the all-ones search runs per box, 30 the default
+    # that screens the 4-block cells
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def systems(draw):
+        nvars = draw(st.integers(1, 4))
+        big = draw(st.sampled_from((1, 10 ** 30)))
+        lo = [draw(st.integers(-3, 3)) for _ in range(nvars)]
+        hi = [v + draw(st.sampled_from((0, 0, 1, 2, 4))) for v in lo]  # l = u often
+        rows = []
+        for _ in range(draw(st.integers(1, 4))):
+            coeffs = {}
+            for k in range(nvars):
+                a = draw(st.integers(-3, 3)) * big + draw(st.integers(-2, 2))
+                if a:
+                    coeffs[k] = a
+            if not coeffs:
+                continue
+            # a right-hand side near the row's range over the box, so that
+            # the rows often bind and sometimes exclude the whole box
+            mn = sum(a * (lo[k] if a > 0 else hi[k]) for k, a in coeffs.items())
+            mx = sum(a * (hi[k] if a > 0 else lo[k]) for k, a in coeffs.items())
+            b = draw(st.integers(mn - 2, mx + 1))
+            rows.append((coeffs, b))
+            if draw(st.booleans()):  # an equality row, as two <= rows
+                rows.append(({k: -a for k, a in coeffs.items()}, -b))
+        return rows, lo, hi
+
+    tally = {"empty": 0, "tightened": 0}
+
+    @hypothesis.settings(max_examples=400, deadline=None, derandomize=True)
+    @hypothesis.given(systems())
+    def check(system):
+        rows, lo, hi = system
+        points = list(_integer_points(rows, lo, hi))
+        new_lo, new_hi = list(lo), list(hi)
+        if not _propagate(rows, new_lo, new_hi, rounds):
+            assert points == [], (rows, lo, hi)
+            tally["empty"] += 1
+            return
+        assert all(lo[k] <= new_lo[k] <= new_hi[k] <= hi[k] for k in range(len(lo)))
+        for x in points:
+            assert all(new_lo[k] <= x[k] <= new_hi[k] for k in range(len(x))), (rows, lo, hi, x)
+        tally["tightened"] += (new_lo, new_hi) != (lo, hi)
+
+    check()
+    # both outcomes occur, so neither assertion above is vacuous
+    assert tally["empty"] >= 100 and tally["tightened"] >= 40, tally
+
+
+def test_propagation_stops_at_its_round_cap():
+    # x - y <= -1 and y - x <= 0 have no solution, but each round shrinks
+    # the boxes by one, so over [0, 10**30] the screen gives up undecided
+    rows = [({0: 1, 1: -1}, -1), ({0: -1, 1: 1}, 0)]
+    lo, hi = [0, 0], [10 ** 30, 10 ** 30]
+    assert _propagate(rows, lo, hi)
+    assert hi[0] < 10 ** 30 and lo[1] > 0
+    assert not _propagate(rows, [0, 0], [3, 3])
+    # the cap is an argument: one round leaves [1, 2] x [1, 2] undecided
+    lo, hi = [0, 0], [3, 3]
+    assert _propagate(rows, lo, hi, 1)
+    assert (lo, hi) == ([1, 1], [2, 2])
