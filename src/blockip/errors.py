@@ -43,11 +43,8 @@ class TargetOutOfRangeError(BlockIpError):
 
 
 class InternalInconsistencyError(BlockIpError):
-    """Two exact routes that must agree disagreed; indicates a bug."""
-
-
-class LiftInconsistencyError(BlockIpError):
-    """A lifted solution failed re-evaluation; indicates a bug."""
+    """A solver invariant broke: an audit, a certificate or an exit check
+    failed, so the answer cannot be trusted; indicates a bug."""
 
 
 class BetaExceedsTargetError(BlockIpError):

@@ -70,7 +70,6 @@ from operator import mul
 
 from .errors import (
     InternalInconsistencyError,
-    LiftInconsistencyError,
     MalformedProblemError,
     NotEligibleError,
 )
@@ -79,6 +78,7 @@ from .model import (
     FourBlockInstance,
     Infeasible,
     Solution,
+    checked_solution,
     evaluate,
     validate,
 )
@@ -700,30 +700,20 @@ def lift_solution(inst: FourBlockInstance, elim: EliminationData,
         lows[i] = chosen[hl].d[i] - zval[hl]
         caps[i] = (chosen[hu].d_bar[i] - zval[hu]) - lows[i]
         if caps[i] < 0:
-            raise LiftInconsistencyError(f"negative bound gap at brick {i}")
+            raise InternalInconsistencyError(f"negative bound gap at brick {i}")
     for i in cell.order:
         take = caps[i] if caps[i] < rem else rem
         free[i] = lows[i] + take
         rem -= take
     if rem != 0:
-        raise LiftInconsistencyError("merged total exceeds the bound gaps")
+        raise InternalInconsistencyError("merged total exceeds the bound gaps")
 
     x = list(x0)
     for i in range(n):
         off = elim.offsets[i]
         for h in range(tA):
             x.append(anchor[h] + off[h] + theta[h] * free[i])
-    report = evaluate(inst, tuple(x))
-    if not report.feasible:
-        raise LiftInconsistencyError(
-            f"lifted point violates: {report.violations[:3]}"
-        )
-    if report.objective != cell_value:
-        raise LiftInconsistencyError(
-            f"lifted objective {report.objective} != cell value {cell_value}"
-        )
-    return Solution(x=tuple(x), objective=report.objective,
-                    solver_tag="fourblock_snf")
+    return checked_solution(evaluate(inst, x), x, cell_value, "fourblock_snf")
 
 
 def _solve_trivial(inst: FourBlockInstance):
@@ -733,13 +723,8 @@ def _solve_trivial(inst: FourBlockInstance):
     res = solve_mip(MipProblem.make(lp, [True] * inst.t_B))
     if res.status != OPTIMAL:
         return Infeasible("NoLatticePoint")
-    x = tuple(int(v) for v in res.point)
-    report = evaluate(inst, x)
-    if not report.feasible or report.objective != res.value:
-        raise InternalInconsistencyError(
-            f"shared-variable optimum infeasible or off-objective: {report.violations[:3]}"
-        )
-    return Solution(x=x, objective=report.objective, solver_tag="fourblock_snf")
+    x = [int(v) for v in res.point]
+    return checked_solution(evaluate(inst, x), x, res.value, "fourblock_snf")
 
 
 def _prepare(inst: FourBlockInstance):

@@ -26,7 +26,12 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
 
-from .errors import DimensionMismatchError, MalformedProblemError, ParseError
+from .errors import (
+    DimensionMismatchError,
+    InternalInconsistencyError,
+    MalformedProblemError,
+    ParseError,
+)
 
 
 @dataclass(frozen=True)
@@ -508,6 +513,23 @@ def evaluate(inst, x) -> EvaluationReport:
                 violations.append(f"block {i} row {r}: lhs {lhs} != rhs {inst.b[i][r]}")
     objective = _box_and_objective(inst, x, violations)
     return EvaluationReport(not violations, objective, tuple(violations))
+
+
+def checked_solution(report, x, objective, solver_tag) -> Solution:
+    """Solution(tuple(x), report.objective, solver_tag): every route's exit check.
+
+    report is evaluate(inst, x), which each route calls through its own
+    module, so a wrapper around that module's evaluate sees the call.
+    Unless report finds x feasible and worth objective, an int or a
+    Fraction, raises InternalInconsistencyError naming solver_tag; the
+    raise is explicit, so it runs under python -O too.  The objective
+    returned is always the report's int.
+    """
+    if not report.feasible or report.objective != objective:
+        raise InternalInconsistencyError(
+            f"{solver_tag}: the point is infeasible or worth {report.objective}, "
+            f"not {objective}: {report.violations[:3]}")
+    return Solution(tuple(x), report.objective, solver_tag)
 
 
 def _evaluate_rows(inst, x) -> EvaluationReport:

@@ -21,7 +21,7 @@ from .errors import (
     TargetOutOfRangeError,
 )
 from .intlin import brick_form, kernel_basis, particular_solutions, quotient_range
-from .model import FourBlockInstance, Infeasible, Solution, evaluate, validate
+from .model import FourBlockInstance, Infeasible, checked_solution, evaluate, validate
 
 # classify and smith_normal_form are no longer called here; they stay
 # importable under these names because perfbench/tracer.py wraps them here
@@ -75,11 +75,14 @@ def greedy_ip8(intervals, weights, target):
     Returns the per-brick amounts (in units above each interval's low end).
     Equal rates fill in ascending brick index.  Exchange argument: moving a
     unit from a chosen brick to an unchosen one never raises the objective.
-    MalformedProblemError when target is not an int, weights and intervals
-    differ in length or an interval is empty (hi < lo).
+    MalformedProblemError when target is not an int, intervals or weights
+    is not a tuple or list, the two differ in length or an interval is
+    empty (hi < lo).
     """
     if type(target) is not int:
         raise MalformedProblemError(f"target must be an int, not {target!r}")
+    if type(intervals) not in (tuple, list) or type(weights) not in (tuple, list):
+        raise MalformedProblemError("intervals and weights must be tuples or lists")
     if len(weights) != len(intervals):
         raise MalformedProblemError("weights and intervals differ in length")
     caps = [hi - lo for lo, hi in intervals]
@@ -189,9 +192,4 @@ def solve_nfold_snf(inst: FourBlockInstance):
         x.extend(b + th * z for b, th in zip(base, theta))
         objective += ctx.weights[i] * z
 
-    report = evaluate(inst, tuple(x))
-    if not report.feasible or report.objective != objective:
-        raise InternalInconsistencyError(
-            f"reconstructed point infeasible or off-objective: {report.violations[:3]}"
-        )
-    return Solution(x=tuple(x), objective=objective, solver_tag="nfold_snf")
+    return checked_solution(evaluate(inst, x), x, objective, "nfold_snf")

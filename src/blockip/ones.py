@@ -14,7 +14,8 @@ pruning (every candidate value is an integer).  Before a box's bound LP,
 one round of smallip._propagate over the same rows closes the box or
 shrinks it.  It evaluates the lattice corners around a bound LP point
 nearest first and solves the bound again at the first cut that separates
-the point, not after all 2^f corners.  Third, the winning aggregate's bricks are the search's own transport there.
+the point, not after all 2^f corners.  Third, the winning aggregate's
+bricks are the search's own transport there.
 
 Every transport is solved by flow.solve_transport on one
 flow.TransportTable that the search builds from the bricks' boxes and
@@ -45,8 +46,8 @@ from .model import (
     FourBlockInstance,
     Infeasible,
     IntMatrix,
-    Solution,
     StructureClass,
+    checked_solution,
     classify,
     evaluate,
     validate,
@@ -234,7 +235,7 @@ def _nearest_first(axes, num, den):
 
 
 def _optimize_aggregate(inst: FourBlockInstance, form: _LatticeForm):
-    """Optimal (value, x0, y, cells) over the lattice, or None; cells is the
+    """Optimal (value, x0, cells) over the lattice, or None; cells is the
     bricks' transport at the winning (x0, y), certified by _transport_duals.
 
     Maximizes g(v) = w0 . x0(v) + T(v) over integer lattice coordinates v,
@@ -243,24 +244,26 @@ def _optimize_aggregate(inst: FourBlockInstance, form: _LatticeForm):
     hold at every lattice point of the box: the xy box rows, the shared-row
     range, supergradient cuts at feasible evaluations and blocking cuts at
     infeasible ones.  g is an integer at every point, so a box closes once
-    its bound is below the incumbent plus one; a popped box whose heap key,
-    its own ceiling or its parent's, is already at most the incumbent
-    closes before its LP is solved again.
+    its bound is below the incumbent plus one.
 
-    Every other popped box first gets one round of integer bound
-    propagation (smallip._propagate) over (v, t): both sides of the xy box
-    and q range rows, and the upper side of every cut, with v over the box
-    and t over [incumbent + 1, min(ceiling, t_hi)], the ceiling read off
-    the heap key (t_lo for the lower end before there is an incumbent).  No lattice point that beats the incumbent is lost: at such
-    a point v, with t = g(v), the box and q rows hold because the point is
-    feasible, the supergradient cuts because g is concave, the blocking
-    cuts by max-flow min-cut, and g(v) is an integer, so t is rounded as
-    v is.  A box that propagation proves empty closes with no LP; a box
-    that it shrinks replaces the popped box, so the LP is solved over the
-    smaller box and the corners and the split halves come from it.
+    Every popped box first gets one round of integer bound propagation
+    (smallip._propagate) over (v, t): both sides of the xy box and q range
+    rows, and the upper side of every cut, with v over the box and t over
+    [incumbent + 1, key], the key being the box's own ceiling or its
+    parent's (t_lo for the lower end before there is an incumbent).  A box
+    whose key is at most the incumbent has an empty t range, and
+    propagation closes it before reading a row.  No lattice point that
+    beats the incumbent is lost: at such a point v, with t = g(v), the box
+    and q rows hold because the point is feasible, the supergradient cuts
+    because g is concave, the blocking cuts by max-flow min-cut, and g(v)
+    is an integer, so t is rounded as v is.  A box that propagation proves
+    empty closes with no LP; a box that it shrinks replaces the popped box,
+    so the LP is solved over the smaller box and the corners and the split
+    halves come from it.
 
     The candidates of a box are its LP point's lattice corners: the floor
-    or the ceiling of each coordinate, clamped to the box.  The fresh ones
+    or the ceiling of each coordinate, which lie in the box because the
+    LP point does and the box's ends are integers.  The fresh ones
     are evaluated one at a time in order of L1 distance to the point, the
     sum of |v_k den - num_k|, with ties in itertools.product order, so the
     coordinatewise rounding comes first.  The first evaluation that appends
@@ -274,8 +277,8 @@ def _optimize_aggregate(inst: FourBlockInstance, form: _LatticeForm):
     is finite: propagation only shrinks a box, and a shrunk box has its LP
     solved over itself, so its LP point lies in it; then each pop evaluates
     at least one fresh point of the root box, splits a box into two
-    strictly smaller ones, or closes one, by its key, by propagation, by
-    an infeasible LP or by its ceiling.
+    strictly smaller ones, or closes one, by propagation (its key
+    included), by an infeasible LP or by its ceiling.
 
     The bound LP is one warm tableau carried from box to box; only the root
     is solved cold, once the first corner's cut is in, and a lattice of
@@ -328,7 +331,7 @@ def _optimize_aggregate(inst: FourBlockInstance, form: _LatticeForm):
     if q_lo is not None:
         box_rows.append((beta + [0], q_lo - q0, q_hi - q0))
     # feasibility cuts coeffs . v <= rhs and optimality cuts t - slope . v <= rhs,
-    # each bounded below by its minimum over the root box
+    # each bounded below by its minimum over the root box of (v, t)
     cuts = []
     # the same rows over (v, t) as sparse maps for _propagate, each as
     # coeffs <= b: both sides of a box row, the upper side of a cut
@@ -341,19 +344,16 @@ def _optimize_aggregate(inst: FourBlockInstance, form: _LatticeForm):
         add_prop_row(coeffs, hi)
         add_prop_row([-a for a in coeffs], -lo)
 
-    def add_cut(coeffs, lo, hi):
+    root_lo, root_hi = list(form.v_lo) + [t_lo], list(form.v_hi) + [t_hi]
+
+    def add_cut(coeffs, hi):
+        lo = sum(min(c * a, c * b) for c, a, b in zip(coeffs, root_lo, root_hi))
         cuts.append((coeffs, lo, hi))
         add_prop_row(coeffs, hi)
 
     evaluated = set()  # every lattice point v passed to evaluate_at
     transports = {}  # (q, y) -> (result, duals or blocking pair)
-    best = None  # (value, x0, y, cells of the certified transport)
-
-    def root_min(coeffs):
-        return sum(min(c * form.v_lo[k], c * form.v_hi[k]) for k, c in enumerate(coeffs))
-
-    def root_max(coeffs):
-        return sum(max(c * form.v_lo[k], c * form.v_hi[k]) for k, c in enumerate(coeffs))
+    best = None  # (value, x0, cells of the certified transport)
 
     def evaluate_at(v):
         nonlocal best
@@ -386,9 +386,9 @@ def _optimize_aggregate(inst: FourBlockInstance, form: _LatticeForm):
                 for k in range(f)
             ]
             rhs = value - sum(map(mul, slope, v))
-            add_cut([-s for s in slope] + [1], t_lo - root_max(slope), rhs)
+            add_cut([-s for s in slope] + [1], rhs)
             if best is None or value > best[0]:
-                best = (value, x0, y, tr.cells)
+                best = (value, x0, tr.cells)
             return
         rows, cols, out_sum = cert
         # surplus of R that cannot leave H must fit under H's demand; linear in v
@@ -397,13 +397,11 @@ def _optimize_aggregate(inst: FourBlockInstance, form: _LatticeForm):
         rhs -= sum(bvals[i] - q0 - table.row_lower[i] for i in rows)
         if sum(coeffs[k] * v[k] for k in range(f)) <= rhs:
             raise InternalInconsistencyError("blocking cut fails to separate its point")
-        add_cut(coeffs + [0], root_min(coeffs), rhs)
+        add_cut(coeffs + [0], rhs)
 
     objective = [0] * f + [1]
     evaluate_at(tuple(min(max(0, form.v_lo[k]), form.v_hi[k]) for k in range(f)))
-    res, state = solve_lp_warm(LpProblem.make(
-        objective, box_rows + cuts, list(form.v_lo) + [t_lo], list(form.v_hi) + [t_hi]
-    ))
+    res, state = solve_lp_warm(LpProblem.make(objective, box_rows + cuts, root_lo, root_hi))
     seq = 0
     # take the v coordinate farthest from an integer, never t
     mask = (True,) * f + (False,)
@@ -413,12 +411,11 @@ def _optimize_aggregate(inst: FourBlockInstance, form: _LatticeForm):
     heap = [(-t_hi, 0, form.v_lo, form.v_hi, state, len(cuts), res)] if state is not None else []
     while heap:
         key, _, box_lo, box_hi, state, seen, res = heapq.heappop(heap)
-        # the key is this box's ceiling or its parent's: a bound on the box
-        if best is not None and -key <= best[0]:
-            continue
-        # a point worth keeping has t = g(v) above the incumbent and under the key
+        # the key, this box's ceiling or its parent's, bounds the box: a point
+        # worth keeping has t = g(v) above the incumbent and at most the key,
+        # so an empty t range closes the box before a row is read
         vt_lo = list(box_lo) + [t_lo if best is None else best[0] + 1]
-        vt_hi = list(box_hi) + [min(-key, t_hi)]
+        vt_hi = list(box_hi) + [-key]
         if not _propagate(prop_rows, vt_lo, vt_hi, 1):
             continue
         if vt_lo[:f] != list(box_lo) or vt_hi[:f] != list(box_hi):
@@ -437,10 +434,10 @@ def _optimize_aggregate(inst: FourBlockInstance, form: _LatticeForm):
         ceiling = res.value_num // den
         if best is not None and ceiling <= best[0]:
             continue
+        # the LP point lies in the box, so its floors and ceilings do too
         cand_axes = []
         for k in range(f):
-            lo = max(box_lo[k], min(num[k] // den, box_hi[k]))
-            hi = max(box_lo[k], min(-(-num[k] // den), box_hi[k]))
+            lo, hi = num[k] // den, -(-num[k] // den)
             cand_axes.append((lo, hi) if hi != lo else (lo,))
         seq += 1
         fresh = False
@@ -505,11 +502,6 @@ def solve_ones(inst: FourBlockInstance):
     agg = _optimize_aggregate(inst, form)
     if agg is None:
         return Infeasible("NoLatticePoint")
-    value, x0, _, cells = agg
+    value, x0, cells = agg
     x = x0 + tuple(v for row in cells for v in row)
-    report = evaluate(inst, x)
-    if not report.feasible or report.objective != value:
-        raise InternalInconsistencyError(
-            f"assembled point infeasible or off-objective: {report.violations[:3]}"
-        )
-    return Solution(x=x, objective=report.objective, solver_tag="ones")
+    return checked_solution(evaluate(inst, x), x, value, "ones")

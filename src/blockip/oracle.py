@@ -20,9 +20,9 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 
-from .errors import BudgetExceededError, InternalInconsistencyError, MalformedProblemError
+from .errors import BudgetExceededError, MalformedProblemError
 from .intlin import quotient_range
-from .model import Infeasible, Solution, evaluate, validate
+from .model import Infeasible, checked_solution, evaluate, validate
 
 
 @dataclass(frozen=True)
@@ -38,10 +38,11 @@ def enumerate_optimum(inst, budget: OracleBudget | None = None):
     MalformedProblemError for anything that model.validate rejects, either
     instance kind alike, and for a budget that is not an OracleBudget or
     whose max_points is not an int.  An empty box, l_j > u_j, is no error
-    here: it is Infeasible.  The point returned is re-checked by
-    model.evaluate, and InternalInconsistencyError is raised when it is
-    infeasible or worth another objective.  The search raises the recursion
-    limit to the depth it needs and restores the caller's on every exit.
+    here: it is Infeasible.  The point returned passes model.evaluate
+    through model.checked_solution, which raises InternalInconsistencyError
+    when it is infeasible or worth another objective.  The search raises
+    the recursion limit to the depth it needs and restores the caller's on
+    every exit.
     """
     issues = [i.message for i in validate(inst) if i.code != "LowerExceedsUpper"]
     if issues:
@@ -123,12 +124,4 @@ def enumerate_optimum(inst, budget: OracleBudget | None = None):
         sys.setrecursionlimit(limit)
     if best_obj is None:
         return Infeasible("NoLatticePoint")
-    return _checked(inst, best_x, best_obj)
-
-
-def _checked(inst, x, objective):
-    report = evaluate(inst, x)
-    if not report.feasible or report.objective != objective:
-        raise InternalInconsistencyError(
-            f"enumerated point infeasible or off-objective: {report.violations[:3]}")
-    return Solution(x, objective, "bruteforce")
+    return checked_solution(evaluate(inst, best_x), best_x, best_obj, "bruteforce")

@@ -127,7 +127,10 @@ class LpProblem:
 
     @staticmethod
     def make(objective, rows, lower, upper) -> "LpProblem":
-        return LpProblem(list(objective), _row_lists(rows), list(lower), list(upper))
+        try:
+            return LpProblem(list(objective), _row_lists(rows), list(lower), list(upper))
+        except TypeError:
+            raise MalformedProblemError("LP objective, rows and bounds must be iterable") from None
 
 
 @dataclass(frozen=True, eq=False)

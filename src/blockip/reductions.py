@@ -111,8 +111,12 @@ def encode_scheduling(s: SubsetSumInstance, k: int) -> FourBlockInstance:
     and every machine must be loaded to exactly delta.  With k = n the
     type-2 job count goes negative, which simply leaves the top row
     unsatisfiable: the instance is constructed anyway and is infeasible.
+    A k that is not an int (a bool, float or Fraction included) raises
+    BadParamsError, as one outside [0, n] does.
     """
     _check_betas_bounded(s)
+    if type(k) is not int:
+        raise BadParamsError(f"k must be an int, not {k!r}")
     if k < 0 or k > len(s.betas):
         raise BadParamsError(f"k must lie in [0, {len(s.betas)}], got {k}")
     n, delta = len(s.betas), s.delta

@@ -144,11 +144,14 @@ UNTYPED_CALLS = (
     ("greedy target a float", greedy_ip8, (((0, 2), (0, 2)), (1, 1), 2.5)),
     ("greedy target a bool", greedy_ip8, (((0, 2),), (1,), True)),
     ("greedy empty interval", greedy_ip8, (((3, 0),), (1,), 0)),
+    ("greedy intervals None", greedy_ip8, (None, (1,), 0)),
+    ("greedy weights None", greedy_ip8, (((0, 1),), None, 0)),
     ("transport row totals an int", TransportProblem.make, (5, [1], [[0]], [[1]], [[1]])),
     ("transport cell matrices ints", TransportProblem, ((1,), (1,), 5, 5, 5)),
     ("transport totals changed to an int",
      TransportProblem.make([1], [1], [[0]], [[1]], [[1]]).with_totals, (5, [1])),
     ("LP objective an int", LpProblem, (5, [], [0], [1])),
+    ("LP rows None", LpProblem.make, ([1], None, [0], [1])),
     ("gcd of a float", extended_gcd, (1.5, 2)),
     ("MIP solve of a str", solve_mip, ("x",)),
     ("MIP cutoff a str", solve_mip, (MipProblem.make(LpProblem.make([1], [], [0], [1]), [True]), "x")),

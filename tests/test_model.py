@@ -13,7 +13,13 @@ import pytest
 
 import blockip
 from blockip import generators, intlin
-from blockip.errors import DimensionMismatchError, MalformedProblemError, NotEligibleError, ParseError
+from blockip.errors import (
+    DimensionMismatchError,
+    InternalInconsistencyError,
+    MalformedProblemError,
+    NotEligibleError,
+    ParseError,
+)
 from blockip.fourblock_snf import solve_4block_snf
 from blockip.model import (
     FourBlockInstance,
@@ -21,6 +27,7 @@ from blockip.model import (
     Infeasible,
     IntMatrix,
     StructureClass,
+    checked_solution,
     classify,
     dumps,
     evaluate,
@@ -438,6 +445,25 @@ def test_solution_round_trip():
     d = solution_to_dict(sol)
     assert d["objective"] == "-7"
     assert loads_solution(dumps(sol)) == sol
+
+
+def test_checked_solution_returns_the_report_objective_or_raises():
+    inst = small_instance()
+    x = [0, 2, 1, 2, 1]
+    report = evaluate(inst, x)
+    assert report.feasible and report.objective == 6
+    # a Fraction objective that agrees gives way to the report's int
+    got = checked_solution(report, x, Fraction(6), "fourblock_snf")
+    assert got == Solution((0, 2, 1, 2, 1), 6, "fourblock_snf")
+    assert type(got.objective) is int
+    with pytest.raises(InternalInconsistencyError, match="^ones: .* worth 6, not 7"):
+        checked_solution(report, x, 7, "ones")
+    # infeasible at its own objective: feasibility is checked, not only the value
+    bad = [1, 2, 1, 2, 1]
+    report = evaluate(inst, bad)
+    assert not report.feasible
+    with pytest.raises(InternalInconsistencyError, match="^nfold_snf: the point is infeasible"):
+        checked_solution(report, bad, report.objective, "nfold_snf")
 
 
 def _violated_rows(inst, x):

@@ -418,10 +418,13 @@ def test_one_flow_per_transport_and_no_lp_over_the_bricks(monkeypatch):
         )
         for _ in range(24)
     ]
-    # the first of these meets one transport at two lattice points whose x0
-    # differ but share B x0 and y
     rng = random.Random(9115)
     cases += [ones_instance(8, 3, 3, 1, rng) for _ in range(2)]
+    # the first ones-lattice digest instance meets one transport at two
+    # lattice points whose x0 differ but share B x0 and y; the (q, y) memo
+    # solves it once, and none of the cases above reaches the memo
+    cases.append(generators.random_ones_instance(
+        random.Random("ones-lattice/digest"), n=8, t_A=3, t_B=3, s_C=1, scale=1, seeded_rate=0.9))
     solved_by_f = {}
     for trial, inst in enumerate(cases):
         transports.clear()

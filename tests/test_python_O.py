@@ -40,7 +40,6 @@ import fourblock_reference  # noqa: E402
 from blockip import fourblock_snf, generators, nfold_snf, ones, oracle  # noqa: E402
 from blockip.errors import (  # noqa: E402
     InternalInconsistencyError,
-    LiftInconsistencyError,
     MalformedProblemError,
     NotEligibleError,
 )
@@ -190,17 +189,18 @@ def _off_by_one(evaluate):
     return wrong
 
 
-# (module whose evaluate is patched, its solver, seeded instance maker, the
-# error its exit check must raise when evaluate disowns the point)
+# (module whose evaluate is patched, its solver, seeded instance maker): each
+# returns through model.checked_solution, which must raise
+# InternalInconsistencyError when evaluate disowns the point
 EXITS = (
-    (ones, solve_ones, _ones, InternalInconsistencyError),
-    (nfold_snf, solve_nfold_snf, _nfold, InternalInconsistencyError),
-    (fourblock_snf, solve_4block_snf, _snf, LiftInconsistencyError),
-    (oracle, enumerate_optimum, _snf, InternalInconsistencyError),
+    (ones, solve_ones, _ones),
+    (nfold_snf, solve_nfold_snf, _nfold),
+    (fourblock_snf, solve_4block_snf, _snf),
+    (oracle, enumerate_optimum, _snf),
 )
 
 
-def exit_unchecked(module, solve, make, error):
+def exit_unchecked(module, solve, make):
     """Why solve returns a point that its module's evaluate disowns, or None.
 
     The instance is the first of make's seeded draws that solve finds
@@ -214,7 +214,7 @@ def exit_unchecked(module, solve, make, error):
     module.evaluate = _off_by_one(saved)
     try:
         got = solve(inst)
-    except error:
+    except InternalInconsistencyError:
         return None
     finally:
         module.evaluate = saved

@@ -108,6 +108,11 @@ def test_scheduling_frozen_cases():
     assert not feasible(encode_scheduling(s, 2))
     with pytest.raises(BadParamsError):
         encode_scheduling(s, 3)
+    # k = 0.5 over the items (1, 2) once gave b0 = (3, 1.5, 0.5), which
+    # validate rejects as NonIntegerData
+    for k in (0.5, 1.0, Fraction(1), True, "1", None):
+        with pytest.raises(BadParamsError):
+            encode_scheduling(SubsetSumInstance.make([1, 2], 3), k)
 
 
 def test_scheduling_matches_size_restricted_subset_sum():
