@@ -6,16 +6,16 @@ the bricks relax to a capacitated transportation problem, totally
 unimodular, so the relaxation is exact.  Second, the integral (x0, y) live
 on an affine lattice (coupling rows plus the sum of all brick rows), which
 intlin.lattice_in_box writes as a recentred point plus an LLL-reduced
-kernel basis over a coordinate box, and an exact cutting-plane search
-maximizes the concave transport value function over its coordinates:
-supergradient cuts from transport duals, blocking-set cuts from the
-max-flow min-cut feasibility condition, and box splitting with floor
-pruning (every candidate value is an integer).  Before a box's bound LP,
-one round of smallip._propagate over the same rows closes the box or
-shrinks it.  It evaluates the lattice corners around a bound LP point
-nearest first and solves the bound again at the first cut that separates
-the point, not after all 2^f corners.  Third, the winning aggregate's
-bricks are the search's own transport there.
+kernel basis over a coordinate box.  The concave transport value function
+is maximized over its coordinates by smallip.best_of, the package's
+best-first search, with this module's separator: it evaluates the lattice
+corners around a bound LP point nearest first and hands the search
+supergradient cuts from transport duals and blocking-set cuts from the
+max-flow min-cut feasibility condition, stopping at the first cut that
+separates the point, not after all 2^f corners.  The search propagates
+over those rows, solves the bound LPs warm, splits boxes and prunes them
+with floored bounds (every candidate value is an integer).  Third, the
+winning aggregate's bricks are the search's own transport there.
 
 Every transport is solved by flow.solve_transport on one
 flow.TransportTable that the search builds from the bricks' boxes and
@@ -30,7 +30,6 @@ solved nor checked a second time.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass
 from operator import le, mul, sub
@@ -54,8 +53,8 @@ from .model import (
 )
 # solve_lp is no longer called here; it stays importable under this name
 # because perfbench/tracer.py wraps blockip.ones.solve_lp
-from .ratlp import OPTIMAL, LpProblem, solve_lp, solve_lp_warm  # noqa: F401
-from .smallip import _branch_var, _propagate
+from .ratlp import LpProblem, solve_lp  # noqa: F401
+from .smallip import MipProblem, best_of
 
 
 @dataclass(frozen=True)
@@ -219,13 +218,17 @@ def _blocking_pair(p: TransportProblem, blocked: Blocked):
     return rows, cols, out_sum
 
 
-def _nearest_first(axes, num, den):
-    """The corners of itertools.product(*axes) by L1 distance to the point
-    num / den, the sum over k of |v_k den - num_k|, ties in product order.
+def _nearest_first(num, den, f):
+    """The lattice corners of the point num / den in its first f
+    coordinates, each the floor or the ceiling of the point's, by L1
+    distance to the point, the sum over k of |v_k den - num_k|, ties in
+    itertools.product order.
 
-    The first is the coordinatewise rounding (halves to the first value of
-    the axis); the rest are sorted only when the caller asks for a second.
+    The first is the coordinatewise rounding (halves down); the rest are
+    sorted only when the caller asks for a second.
     """
+    axes = [sorted({x // den, -(-x // den)}) for x in num[:f]]
+
     def dist(v):
         return sum(abs(c * den - x) for c, x in zip(v, num))
 
@@ -239,59 +242,28 @@ def _optimize_aggregate(inst: FourBlockInstance, form: _LatticeForm):
     bricks' transport at the winning (x0, y), certified by _transport_duals.
 
     Maximizes g(v) = w0 . x0(v) + T(v) over integer lattice coordinates v,
-    T the bricks' exact transport optimum at the aggregate of v.  A box's
-    upper bound is a small exact LP over (v, t) whose integer ranged rows
-    hold at every lattice point of the box: the xy box rows, the shared-row
-    range, supergradient cuts at feasible evaluations and blocking cuts at
-    infeasible ones.  g is an integer at every point, so a box closes once
-    its bound is below the incumbent plus one.
+    T the bricks' exact transport optimum at the aggregate of v, by
+    smallip.best_of over one root, max t over (v, t) in the coordinate box
+    and [t_lo, t_hi] with t not masked integral, and the separator below.
+    The rows it holds are integer rows over (v, t) that hold at every
+    lattice point v with t = g(v): both sides of the xy box rows and of the
+    shared-row range, and the upper sides of supergradient cuts at feasible
+    evaluations and of blocking cuts at infeasible ones.  They hold there
+    because the point is feasible, because g is concave, and by max-flow
+    min-cut; g is an integer at every point, so t is integral there too, as
+    best_of asks of a separator.
 
-    Every popped box first gets one round of integer bound propagation
-    (smallip._propagate) over (v, t): both sides of the xy box and q range
-    rows, and the upper side of every cut, with v over the box and t over
-    [incumbent + 1, key], the key being the box's own ceiling or its
-    parent's (t_lo for the lower end before there is an incumbent).  A box
-    whose key is at most the incumbent has an empty t range, and
-    propagation closes it before reading a row.  No lattice point that
-    beats the incumbent is lost: at such a point v, with t = g(v), the box
-    and q rows hold because the point is feasible, the supergradient cuts
-    because g is concave, the blocking cuts by max-flow min-cut, and g(v)
-    is an integer, so t is rounded as v is.  A box that propagation proves
-    empty closes with no LP; a box that it shrinks replaces the popped box,
-    so the LP is solved over the smaller box and the corners and the split
-    halves come from it.
-
-    The candidates of a box are its LP point's lattice corners: the floor
-    or the ceiling of each coordinate, which lie in the box because the
-    LP point does and the box's ends are integers.  The fresh ones
-    are evaluated one at a time in order of L1 distance to the point, the
-    sum of |v_k den - num_k|, with ties in itertools.product order, so the
-    coordinatewise rounding comes first.  The first evaluation that appends
-    a cut the LP point violates stops the loop, and the box goes back on
-    the heap to be solved with that cut; a point outside the xy box or the
-    q range adds no cut and does not stop it.  The corners not reached are
-    fresh again when the box is next popped.  A box with no fresh corner
-    splits at its LP point's coordinate farthest from an integer (ties to
-    the smaller index, never t), by smallip._branch_var; an integral LP
-    point that is not fresh had its cut close the box already.  The search
-    is finite: propagation only shrinks a box, and a shrunk box has its LP
-    solved over itself, so its LP point lies in it; then each pop evaluates
-    at least one fresh point of the root box, splits a box into two
-    strictly smaller ones, or closes one, by propagation (its key
-    included), by an infeasible LP or by its ceiling.
-
-    The bound LP is one warm tableau carried from box to box; only the root
-    is solved cold, once the first corner's cut is in, and a lattice of
-    dimension 0 closes in the same loop.  Each heap entry holds the solved
-    state of the box it came from (split halves share it) and how many cuts
-    that state holds; on pop the box's edges are edited in, the newer cuts
-    added as rows, and the dual simplex re-solves from the old basis.  The
-    root, and a box pushed back after evaluating some of its corners, also
-    carry their own LpResult; when no cut came since, a re-solve would
-    repeat that result, which _extract already audited, so it is reused.
-    A cut whose range is empty over the root box makes every later bound LP
-    infeasible, which closes the box as it should.  A root whose LP is
-    infeasible has no state to edit and ends the search.
+    At a node's LP point the separator evaluates the fresh lattice corners
+    (the floor or the ceiling of each coordinate, in the box because the
+    point is) one at a time, nearest first (_nearest_first).  It stops at
+    the first one whose cut is new and separates the point; a point outside
+    the xy box or the q range adds no cut and does not stop it.  Its first
+    call, at the point of the bare box, holds the box rows and puts the box
+    point nearest the recentred offset before the corners.  It returns the
+    best value evaluated and keeps that point's transport.  At an LP point
+    integral in v, the cut at v holds t to g(v), which the best value
+    reaches, so the search accepts no point and the best one evaluated is
+    the optimum.
     """
     n, tA, tB = inst.n, inst.t_A, inst.t_B
     taw = tB + tA
@@ -322,48 +294,27 @@ def _optimize_aggregate(inst: FourBlockInstance, form: _LatticeForm):
     t_lo = sum(min(inst.w[j] * inst.l[j], inst.w[j] * inst.u[j]) for j in range(inst.num_vars))
     t_hi = sum(max(inst.w[j] * inst.l[j], inst.w[j] * inst.u[j]) for j in range(inst.num_vars))
 
-    # bound-LP rows over (v, t) as (coefficients, lo, hi): the xy box, then
-    # the shared-quantity range; cuts grows as the search evaluates points
-    box_rows = [
-        ([basis[k][i] for k in range(f)] + [0], form.xy_lower[i] - p0[i], form.xy_upper[i] - p0[i])
-        for i in range(taw)
-    ]
+    # rows over (v, t) as (coefficients, lo, hi): the xy box, then the
+    # shared-quantity range
+    box_rows = [([basis[k][i] for k in range(f)] + [0], form.xy_lower[i] - p0[i], form.xy_upper[i] - p0[i])
+                for i in range(taw)]
     if q_lo is not None:
         box_rows.append((beta + [0], q_lo - q0, q_hi - q0))
-    # feasibility cuts coeffs . v <= rhs and optimality cuts t - slope . v <= rhs,
-    # each bounded below by its minimum over the root box of (v, t)
-    cuts = []
-    # the same rows over (v, t) as sparse maps for _propagate, each as
-    # coeffs <= b: both sides of a box row, the upper side of a cut
-    prop_rows = []
-
-    def add_prop_row(coeffs, b):
-        prop_rows.append(({k: a for k, a in enumerate(coeffs) if a}, b))
-
-    for coeffs, lo, hi in box_rows:
-        add_prop_row(coeffs, hi)
-        add_prop_row([-a for a in coeffs], -lo)
-
-    root_lo, root_hi = list(form.v_lo) + [t_lo], list(form.v_hi) + [t_hi]
-
-    def add_cut(coeffs, hi):
-        lo = sum(min(c * a, c * b) for c, a, b in zip(coeffs, root_lo, root_hi))
-        cuts.append((coeffs, lo, hi))
-        add_prop_row(coeffs, hi)
 
     evaluated = set()  # every lattice point v passed to evaluate_at
     transports = {}  # (q, y) -> (result, duals or blocking pair)
     best = None  # (value, x0, cells of the certified transport)
 
     def evaluate_at(v):
+        """The cut at lattice point v, or None outside the xy box or q range."""
         nonlocal best
         evaluated.add(v)
         xy = [p + sum(map(mul, row, v)) for p, row in zip(p0, basis_rows)]
         if not (all(map(le, form.xy_lower, xy)) and all(map(le, xy, form.xy_upper))):
-            return
+            return None
         q = sum(map(mul, brow, xy))
         if q_lo is not None and not q_lo <= q <= q_hi:
-            return
+            return None
         x0, y = tuple(xy[:tB]), tuple(xy[tB:])
         # distinct x0 with equal q and y share one transport: solve it once
         got = transports.get((q, y))
@@ -385,11 +336,9 @@ def _optimize_aggregate(inst: FourBlockInstance, form: _LatticeForm):
                 + sum(c[h] * basis[k][tB + h] for h in range(tA))
                 for k in range(f)
             ]
-            rhs = value - sum(map(mul, slope, v))
-            add_cut([-s for s in slope] + [1], rhs)
             if best is None or value > best[0]:
                 best = (value, x0, tr.cells)
-            return
+            return [-s for s in slope] + [1], None, value - sum(map(mul, slope, v))
         rows, cols, out_sum = cert
         # surplus of R that cannot leave H must fit under H's demand; linear in v
         coeffs = [-len(rows) * beta[k] - sum(basis[k][tB + h] for h in cols) for k in range(f)]
@@ -397,75 +346,28 @@ def _optimize_aggregate(inst: FourBlockInstance, form: _LatticeForm):
         rhs -= sum(bvals[i] - q0 - table.row_lower[i] for i in rows)
         if sum(coeffs[k] * v[k] for k in range(f)) <= rhs:
             raise InternalInconsistencyError("blocking cut fails to separate its point")
-        add_cut(coeffs + [0], rhs)
+        return coeffs + [0], None, rhs
 
-    objective = [0] * f + [1]
-    evaluate_at(tuple(min(max(0, form.v_lo[k]), form.v_hi[k]) for k in range(f)))
-    res, state = solve_lp_warm(LpProblem.make(objective, box_rows + cuts, root_lo, root_hi))
-    seq = 0
-    # take the v coordinate farthest from an integer, never t
-    mask = (True,) * f + (False,)
-    # entries: (-bound, -seq, box, solved state of the parent box, cuts it
-    # holds, and that state's result if it was solved for this same box)
-    # an infeasible root has no state and closes the search
-    heap = [(-t_hi, 0, form.v_lo, form.v_hi, state, len(cuts), res)] if state is not None else []
-    while heap:
-        key, _, box_lo, box_hi, state, seen, res = heapq.heappop(heap)
-        # the key, this box's ceiling or its parent's, bounds the box: a point
-        # worth keeping has t = g(v) above the incumbent and at most the key,
-        # so an empty t range closes the box before a row is read
-        vt_lo = list(box_lo) + [t_lo if best is None else best[0] + 1]
-        vt_hi = list(box_hi) + [-key]
-        if not _propagate(prop_rows, vt_lo, vt_hi, 1):
-            continue
-        if vt_lo[:f] != list(box_lo) or vt_hi[:f] != list(box_hi):
-            box_lo, box_hi, res = tuple(vt_lo[:f]), tuple(vt_hi[:f]), None
-        if res is None or seen < len(cuts):
-            edges = [
-                (k, box_lo[k], box_hi[k]) for k in range(f)
-                if state.bounds(k) != (box_lo[k], box_hi[k])
-            ]
-            res, state = state.edited(edges, cuts[seen:])
-        if res.status != OPTIMAL:
-            continue
-        seen = len(cuts)
-        # the LP point (v, t) is num over den: floors and ceilings in ints
-        num, den = res.num, res.den
-        ceiling = res.value_num // den
-        if best is not None and ceiling <= best[0]:
-            continue
-        # the LP point lies in the box, so its floors and ceilings do too
-        cand_axes = []
-        for k in range(f):
-            lo, hi = num[k] // den, -(-num[k] // den)
-            cand_axes.append((lo, hi) if hi != lo else (lo,))
-        seq += 1
-        fresh = False
-        for v in _nearest_first(cand_axes, num, den):
-            if v in evaluated:
-                continue
-            fresh = True
-            made = len(cuts)
-            evaluate_at(v)
-            # re-solve once a cut separates the LP point (v, t) = num / den
-            if len(cuts) > made and sum(map(mul, cuts[-1][0], num)) > cuts[-1][2] * den:
+    def separate(num, den, add):
+        corners = _nearest_first(num, den, f)
+        if not evaluated:
+            # the bare box's point: hold the box rows, and take the box point
+            # nearest the recentred offset first
+            for row in box_rows:
+                add(*row)
+            start = tuple(min(max(0, form.v_lo[k]), form.v_hi[k]) for k in range(f))
+            corners = itertools.chain([start], corners)
+        for v in corners:
+            cut = None if v in evaluated else evaluate_at(v)
+            # solve again once a new cut separates the LP point (v, t) = num / den
+            if cut and add(*cut) and sum(map(mul, cut[0], num)) > cut[2] * den:
                 break
-        if fresh:
-            heapq.heappush(heap, (-ceiling, -seq, box_lo, box_hi, state, seen, res))
-            continue
-        split = _branch_var(num, den, mask)
-        if split < 0:
-            # evaluating a point leaves a cut that holds t to its value, at
-            # most the incumbent, or one that cuts the point off: a box whose
-            # LP optimum is an evaluated point closed at the ceiling test
-            raise InternalInconsistencyError("bound LP returned an evaluated lattice point")
-        at = num[split] // den
-        left_hi = list(box_hi)
-        left_hi[split] = at
-        right_lo = list(box_lo)
-        right_lo[split] = at + 1
-        heapq.heappush(heap, (-ceiling, -seq, box_lo, tuple(left_hi), state, seen, None))
-        heapq.heappush(heap, (-ceiling, -seq, tuple(right_lo), box_hi, state, seen, None))
+        return None if best is None else best[0]
+
+    lp = LpProblem.make([0] * f + [1], [], list(form.v_lo) + [t_lo], list(form.v_hi) + [t_hi])
+    root = MipProblem.make(lp, (True,) * f + (False,))
+    if best_of([(root, 0, t_hi)], None, separate)[0] is not None:
+        raise InternalInconsistencyError("bound LP returned an evaluated lattice point")
     return best
 
 

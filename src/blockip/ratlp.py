@@ -46,10 +46,9 @@ the dual simplex alone restores primal feasibility: no artificials, no
 phase 1.  solve_lp_warm adds a program's rows to the row-less start;
 WarmLp.edited sets boxes and adds rows on a copy of a solved tableau, so a
 re-solve takes a few pivots instead of a cold solve.  Branch and bound
-leans on the box edits (WarmLp.reoptimized: each child differs from its
-parent by one tightened bound); the all-ones aggregate search leans on
-both, carrying one tableau from box to box and adding each new cut as a
-row.
+(smallip.best_of) leans on both: a node differs from the parent it is
+re-solved from by a few tightened bounds, and by the rows the search has
+added since, such as the all-ones search's cuts.
 
 Every Optimal result is audited in integers with explicit raises, so the
 audits still run under python -O: the point meets every row and box and its
@@ -554,8 +553,11 @@ def solve_lp_warm(p: LpProblem):
     p's rows are added to the row-less tableau of its box, as edited adds
     rows, and the dual simplex runs from there.  A row with an empty range
     makes the result Infeasible.  Returns (LpResult, WarmLp or None); the
-    state is None exactly when the result is not Optimal.
+    state is None exactly when the result is not Optimal.  Raises
+    MalformedProblemError when p is not an LpProblem.
     """
+    if type(p) is not LpProblem:
+        raise MalformedProblemError(f"p is a {type(p).__name__}, not an LpProblem")
     if any(lo > hi for _, lo, hi in p.rows):
         return LpResult(INFEASIBLE), None
     return WarmLp._row_less(p.objective, p.lower, p.upper)._solved((), p.rows)

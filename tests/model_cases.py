@@ -21,7 +21,7 @@ from blockip.model import FourBlockInstance, IntMatrix, evaluate
 from blockip.nfold_snf import greedy_ip8, solve_nfold_snf
 from blockip.ones import solve_ones
 from blockip.oracle import OracleBudget, enumerate_optimum
-from blockip.ratlp import LpProblem, solve_lp_warm
+from blockip.ratlp import LpProblem, solve_lp, solve_lp_warm
 from blockip.reductions import SubsetSumInstance, encode_theorem2b
 from blockip.smallip import MipProblem, best_of, solve_mip
 
@@ -158,6 +158,11 @@ UNTYPED_CALLS = (
     ("best_of roots an int", best_of, (5,)),
     ("best_of root None, not a MIP", best_of, ([(None, 0, 0)],)),
     ("best_of ceiling a float", best_of, ([(MIP, 0, 1.5)],)),
+    ("best_of cutoff a float", best_of, ([(MIP, 0, 1)], 1.5)),
+    ("best_of cutoff a str", best_of, ([(MIP, 0, 1)], "a")),
+    ("best_of separator an int", best_of, ([(MIP, 0, 1)], None, 5)),
+    ("warm LP solve of a str", solve_lp_warm, ("x",)),
+    ("LP solve of None", solve_lp, (None,)),
     ("LLL of a dependent basis", reduce_basis, ([[1, 2], [2, 4]],)),
     ("quotient range of a zero step", quotient_range, (0, 1, 2)),
     ("half-even rounding over zero", round_half_even, (1, 0)),

@@ -654,7 +654,7 @@ def test_enumeration_matches_the_reference_at_scale():
 def _count_lps(monkeypatch):
     """A list that grows by one per cell LP: root solves and B&B re-solves."""
     calls = []
-    cold, warm = smallip.solve_lp_warm, ratlp.WarmLp.reoptimized
+    cold, warm = smallip.solve_lp_warm, ratlp.WarmLp.edited
 
     def counted_cold(*args, **kwargs):
         calls.append(None)
@@ -665,7 +665,7 @@ def _count_lps(monkeypatch):
         return warm(self, *args, **kwargs)
 
     monkeypatch.setattr(smallip, "solve_lp_warm", counted_cold)
-    monkeypatch.setattr(ratlp.WarmLp, "reoptimized", counted_warm)
+    monkeypatch.setattr(ratlp.WarmLp, "edited", counted_warm)
     return calls
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from highs_oracle import highs_optimum
 
-from blockip import generators, intlin, ones, ratlp
+from blockip import generators, intlin, ones, ratlp, smallip
 from blockip.errors import InternalInconsistencyError, NotAllOnesError
 from blockip.flow import TransportProblem, TransportResult, solve_transport
 from blockip.intlin import coordinate_box, reduce_basis
@@ -256,19 +256,19 @@ def test_propagation_loses_no_optimum(monkeypatch):
     from test_result_digests import _solve_all
 
     closed = []
-    real = ones._propagate
+    real = smallip._propagate
 
     def counted(rows, lo, hi, rounds=30):
         empty = not real(rows, lo, hi, rounds)
         closed.append(empty)
         return not empty
 
-    monkeypatch.setattr(ones, "_propagate", counted)
+    monkeypatch.setattr(smallip, "_propagate", counted)
     _solve_all("ones-lattice", solve_ones)
     # the switch below is not vacuous: some box closes with no LP
     assert any(closed), len(closed)
     propagated = _lattice_battery()
-    monkeypatch.setattr(ones, "_propagate", lambda rows, lo, hi, rounds=30: True)
+    monkeypatch.setattr(smallip, "_propagate", lambda rows, lo, hi, rounds=30: True)
     assert _lattice_battery() == propagated
 
 
@@ -439,9 +439,10 @@ def test_one_flow_per_transport_and_no_lp_over_the_bricks(monkeypatch):
 
 
 def test_aggregate_search_makes_no_cold_two_phase_solve(monkeypatch):
-    # the bound LP is one warm tableau: one row-less start per search, then
-    # only warm re-solves that add cuts as rows and edit the box
-    calls = {"solve_lp": 0, "row_less": 0, "edited": 0}
+    # the bound LP is one warm tableau: one cold root solve in best_of from
+    # one row-less start per search, then only warm re-solves that add cuts
+    # as rows and edit the box
+    calls = {"cold": 0, "row_less": 0, "edited": 0}
     real_start, real_edited = ratlp.WarmLp._row_less, ratlp.WarmLp.edited
 
     def count(name, real):
@@ -450,7 +451,7 @@ def test_aggregate_search_makes_no_cold_two_phase_solve(monkeypatch):
             return real(*args, **kwargs)
         return spy
 
-    monkeypatch.setattr(ones, "solve_lp", count("solve_lp", ones.solve_lp))
+    monkeypatch.setattr(smallip, "solve_lp_warm", count("cold", smallip.solve_lp_warm))
     monkeypatch.setattr(ratlp.WarmLp, "_row_less", staticmethod(count("row_less", real_start)))
     monkeypatch.setattr(ratlp.WarmLp, "edited", count("edited", real_edited))
     rng = random.Random(9116)
@@ -463,7 +464,7 @@ def test_aggregate_search_makes_no_cold_two_phase_solve(monkeypatch):
         for k in calls:
             calls[k] = 0
         solve_ones(inst)
-        assert calls["solve_lp"] == 0, (trial,)
+        assert calls["cold"] == 1, (trial,)
         assert calls["row_less"] <= 1, (trial,)  # more would be a second cold solve
         searched += calls["edited"] > 0
     assert searched >= 10

@@ -88,7 +88,7 @@ PINNED = {
     "ones-lattice": "9b9b6ad5372bbc97",
     "fourblock-cells": "1095976061bb1b51",
     "ones-lattice-forms": "045603e2eb18520e",
-    "ones-wide": "4ed1109209f9805f",
+    "ones-wide": "c0920afc5696b31d",
 }
 
 
@@ -109,8 +109,8 @@ def test_results_match_the_pinned_digest(shape):
 # shape -> (transports solved, bound LPs solved cold, bound LPs re-solved warm)
 PINNED_PATHS = {
     "ones-transport": (81, 17, 64),
-    "ones-lattice": (356, 15, 458),
-    "ones-wide": (442, 6, 743),
+    "ones-lattice": (350, 15, 401),
+    "ones-wide": (352, 6, 661),
 }
 
 
@@ -132,7 +132,7 @@ def search_path(shape, monkeypatch):
     """(solve_transport, solve_lp_warm, WarmLp.edited) calls over a shape's instances."""
     calls = Counter()
     monkeypatch.setattr(ones, "solve_transport", _counted(calls, "transport", ones.solve_transport))
-    monkeypatch.setattr(ones, "solve_lp_warm", _counted(calls, "cold", ones.solve_lp_warm))
+    monkeypatch.setattr(smallip, "solve_lp_warm", _counted(calls, "cold", smallip.solve_lp_warm))
     monkeypatch.setattr(ratlp.WarmLp, "edited", _counted(calls, "warm", ratlp.WarmLp.edited))
     _solve_all(shape, ones.solve_ones)
     return calls["transport"], calls["cold"], calls["warm"]
@@ -151,11 +151,10 @@ PINNED_CELL_LPS = {
 
 
 def cell_lps(shape, monkeypatch):
-    """(smallip.solve_lp_warm, WarmLp.reoptimized) calls over a shape's instances."""
+    """(smallip.solve_lp_warm, WarmLp.edited) calls over a shape's instances."""
     calls = Counter()
     monkeypatch.setattr(smallip, "solve_lp_warm", _counted(calls, "root", smallip.solve_lp_warm))
-    monkeypatch.setattr(ratlp.WarmLp, "reoptimized",
-                        _counted(calls, "warm", ratlp.WarmLp.reoptimized))
+    monkeypatch.setattr(ratlp.WarmLp, "edited", _counted(calls, "warm", ratlp.WarmLp.edited))
     _solve_all(shape, fourblock_snf.solve_4block_snf)
     return calls["root"], calls["warm"]
 

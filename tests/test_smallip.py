@@ -6,7 +6,7 @@ import pytest
 
 from blockip.errors import MalformedProblemError
 from blockip.ratlp import INFEASIBLE, OPTIMAL, LpProblem, solve_lp
-from blockip.smallip import MipProblem, _branch_var, _propagate, solve_mip
+from blockip.smallip import MipProblem, _branch_var, _propagate, best_of, solve_mip
 
 
 def brute_force(objective, eq_matrix, eq_rhs, lower, upper):
@@ -66,6 +66,10 @@ def test_mixed_keeps_continuous_fraction():
     assert res.status == OPTIMAL
     assert res.value == 3
     assert res.point == (Fraction(0), Fraction(3, 2))
+    # a total of 3/2 reads the continuous y, so its bound is not floored to
+    # 1 and a cutoff of 1 keeps it
+    p = make_mip([1, 1], [[2, 2]], [3], [0, 0], [1, 2], mask=[True, False])
+    assert solve_mip(p, cutoff=1).value == Fraction(3, 2)
 
 
 def test_infeasible_lattice_inside_feasible_polytope():
@@ -144,6 +148,83 @@ def test_node_count_bounded_by_lattice_size():
         assert res.nodes <= 2 * lattice
 
 
+
+
+def _lazy_concave_program(rng):
+    """max g(v) over an integer box, g the least of a few integer affine
+    pieces, subject to one lazy row c . v <= e: the box, the pieces, the
+    row and the best value by brute force (None when no point meets it)."""
+    d = rng.randint(1, 3)
+    lo = [rng.randint(-3, 0) for _ in range(d)]
+    hi = [a + rng.randint(0, 4) for a in lo]
+    pieces = [([rng.randint(-4, 4) for _ in range(d)], rng.randint(-6, 6))
+              for _ in range(rng.randint(1, 5))]
+    row = ([rng.randint(-2, 2) for _ in range(d)], rng.randint(-3, 3))
+    values = [min(sum(a * x for a, x in zip(s, v)) + b for s, b in pieces)
+              for v in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi)))
+              if sum(a * x for a, x in zip(row[0], v)) <= row[1]]
+    return lo, hi, pieces, row, max(values, default=None)
+
+
+def _run_lazy(lo, hi, pieces, row, report):
+    """best_of over (v, t), max t, seeing the pieces and the row only as
+    cuts its separator adds; (result, the separator's best, cuts held)."""
+    d = len(lo)
+
+    def span(coeffs):  # least and greatest of coeffs . v over the box
+        least = sum(a * (l if a > 0 else h) for a, l, h in zip(coeffs, lo, hi))
+        most = sum(a * (h if a > 0 else l) for a, l, h in zip(coeffs, lo, hi))
+        return least, most
+
+    # t's box holds g over the v box: g is at most each piece
+    t_lo = min(span(s)[0] + b for s, b in pieces)
+    t_hi = min(span(s)[1] + b for s, b in pieces)
+    # each piece as t - s . v <= b, the row as c . v <= e, both bounded below over the box
+    cuts = [([-a for a in s] + [1], t_lo - span(s)[1], b) for s, b in pieces]
+    cuts.append((list(row[0]) + [0], span(row[0])[0], row[1]))
+    best, held = [None], [0]
+
+    def separate(num, den, add):
+        for coeffs, lo_, hi_ in cuts:
+            if sum(a * x for a, x in zip(coeffs, num)) > hi_ * den and add(coeffs, lo_, hi_):
+                held[0] += 1
+        v = [x // den for x in num[:d]]
+        if all(x % den == 0 for x in num[:d]) and sum(a * x for a, x in zip(row[0], v)) <= row[1]:
+            value = min(sum(a * x for a, x in zip(s, v)) + b for s, b in pieces)
+            if best[0] is None or value > best[0]:
+                best[0] = value
+        return best[0] if report else None
+
+    lp = LpProblem.make([0] * d + [1], [], lo + [t_lo], hi + [t_hi])
+    root = MipProblem.make(lp, [True] * d + [False])
+    return best_of([(root, 0, t_hi)], None, separate), best[0], held[0]
+
+
+def test_separator_finds_the_optimum_of_a_function_seen_only_through_cuts():
+    # the LP over (v, t) starts with the bare box; the separator adds the
+    # violated pieces and lazy row at each node's point and records the
+    # values it meets at integer points.  Reported, they prune the search
+    # and the best is the separator's; unreported, the search accepts the
+    # best point itself.  Either way it is the brute-force optimum.
+    rng = random.Random(7004)
+    tally = {"feasible": 0, "many cuts": 0, "branched": 0}
+    for trial in range(150):
+        lo, hi, pieces, row, want = _lazy_concave_program(rng)
+        (k, res), found, held = _run_lazy(lo, hi, pieces, row, report=False)
+        if want is None:
+            assert k is None and res.status == INFEASIBLE, trial
+        else:
+            assert k == 0 and res.status == OPTIMAL and res.value == want, (trial, res)
+            assert all(x.denominator == 1 for x in res.point), trial
+            tally["feasible"] += 1
+        tally["many cuts"] += held >= 3
+        # the root, and one re-solve per held cut at most, leave the rest to splits
+        tally["branched"] += res.nodes > held + 1
+        (k, res), found, _ = _run_lazy(lo, hi, pieces, row, report=True)
+        assert k is None and res.status == INFEASIBLE and found == want, (trial, found, want)
+    # the optimum is often reached only after several cuts or a split (116
+    # feasible, 45 with three cuts or more and 18 split when written)
+    assert tally["feasible"] >= 100 and tally["many cuts"] >= 30 and tally["branched"] >= 10, tally
 
 def test_branch_var_picks_the_masked_variable_farthest_from_an_integer():
     # the integer rule on num over den against the distance to the nearest
