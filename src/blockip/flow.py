@@ -23,24 +23,34 @@ the Hitchcock transportation problem, SIAM J. Comput. 1995):
    1993, ch. 9); the result carries them, zeros when step 2 already meets
    the column totals.  When a surplus reaches no deficit, the verdict is
    Blocked by the columns the failing search settled (min-cut, ch. 6).
-4. Every ordered pair (h, g) keeps a heap of rows keyed by the static
-   p_jh - p_jg.  A row that stops qualifying is dropped when it reaches
-   the top; an augmentation pushes again only the rows whose cells it
-   changed, and only into the pairs it just made them qualify for.
+4. Every ordered pair (h, g) keeps a heap of the rows that can move a
+   unit from h to g, keyed by the static p_jh - p_jg.  A row that stops
+   qualifying is dropped when it reaches the top; an augmentation pushes
+   again only the rows whose cells it changed, and only into the pairs it
+   just made them qualify for.
 
 Everything that depends on the cells alone (boxes, profits) is a
 TransportTable, derived once when a problem is built and shared by every
-problem that with_totals derives from it; the all-ones search re-solves
-one table under many totals.  Once per table: the box check, the
-capacities and the lower-bound sums cost O(n t), the rows' profit orders
-O(n t log t), and sorting each column pair's rows by (p_jh - p_jg, j)
-O(t^2 n log n).  Then per call: the lower-bound shift is O(n + t), the
-greedy fill O(n t), and each pair heap starts as a copy of its sorted
-list, O(n t^2) pointer copies with no tuple built and no heapify; each
-augmentation then costs O(t^2 log n) instead of a shortest path over all
-n + t nodes.  Each augmentation empties a surplus or a deficit or fills or
-empties a cell.  All arithmetic is plain Python int, so totals and
-capacities in the 1e40 range cost nothing but digits.
+problem that with_totals derives from it.  The all-ones search re-solves
+one table under many totals, mostly under one row-total vector, and steps
+1 and 2 and the heaps' start depend on the row totals alone; so the table
+also holds the start state of the last row-total vector it was solved
+under, and re-solves from it.
+
+Once per table: the box check, the capacities and the lower-bound sums
+cost O(n t), the rows' profit orders O(n t log t).  Once per row-total
+vector: the row lower-bound check and the greedy fill with its cells and
+objective, O(n t), and the heaps of the rows that qualify under the fill,
+O(n t^2).  Then per call: comparing the row totals with the held ones
+costs O(n), the column lower-bound check and the surplus O(t), and when
+the fill meets the column totals that is all.  Otherwise the fill's row
+list and the heaps are copied, O(n t^2) pointer copies with no tuple
+built, and each augmentation costs O(t^2 log n) instead of a shortest
+path over all n + t nodes; only the rows it changes are copied and get new
+cells and a new share of the objective.  Each augmentation empties a
+surplus or a deficit or fills or empties a cell.  All arithmetic is plain
+Python int, so totals and capacities in the 1e40 range cost nothing but
+digits.
 """
 
 from __future__ import annotations
@@ -60,16 +70,17 @@ class TransportTable:
     cap[j][h] is cell (j, h)'s width above its lower bound; row_lower[j]
     and col_lower[h] sum the lower bounds of row j and of column h;
     order[j] lists row j's columns by decreasing profit (ties in column
-    order); pairs[h][g] lists every row j as (p_jh - p_jg, j) in increasing
-    order, the cost of moving a unit of row j from column h to column g
-    (pairs[h][h] is empty).
+    order).  start is the _Start of the last row-total vector the table
+    was solved under, or None: one start state at a time, replaced whole
+    and never edited.  It changes no result: solve_transport gives every
+    problem the cells, prices and verdict that a fresh table would.
     """
 
     cap: tuple
     row_lower: tuple
     col_lower: tuple
     order: tuple
-    pairs: tuple
+    start: _Start | None = field(default=None, init=False, compare=False, repr=False)
 
     @staticmethod
     def of(n, t, cell_lower, cell_upper, cell_profit) -> "TransportTable":
@@ -86,21 +97,73 @@ class TransportTable:
                 if low[h] > up[h]:
                     raise MalformedProblemError(f"cell ({i},{h}) has empty box")
             cap.append(tuple(map(sub, up, low)))
-        # column h's profits over the rows; zip(*rows) yields nothing when n = 0
-        cols = list(zip(*cell_profit)) or [()] * t
         return TransportTable(
             tuple(cap),
             tuple(map(sum, cell_lower)),
             tuple(sum(low[h] for low in cell_lower) for h in range(t)),
             tuple(tuple(sorted(range(t), key=pj.__getitem__, reverse=True)) for pj in cell_profit),
-            tuple(
-                tuple(
-                    tuple(sorted(zip(map(sub, cols[h], cols[g]), range(n)))) if g != h else ()
-                    for g in range(t)
-                )
-                for h in range(t)
-            ),
         )
+
+
+@dataclass(frozen=True)
+class _Start:
+    """Where every solve of a table under one row-total vector starts.
+
+    blocked is the verdict that the row totals alone give:
+    LowerBoundsExceedTotals with every column when a row total is below
+    its row's lower bounds, NoAugmentingPath with () when a row's rest
+    exceeds its capacities; the other fields are then empty.  Otherwise
+    fill[j] is row j's greedy fill above its lower bounds, a tuple,
+    col_sums the fill's column sums, cells and objective the transport it
+    is, and heaps[h][g] a heap of (p_jh - p_jg, j) over exactly the rows j
+    that can move a unit from h to g under the fill (heaps[h][h] is empty).
+    """
+
+    row_totals: tuple
+    blocked: Blocked | None
+    fill: tuple = ()
+    col_sums: tuple = ()
+    cells: tuple = ()
+    objective: int = 0
+    heaps: tuple = ()
+
+    @staticmethod
+    def of(p: "TransportProblem") -> "_Start":
+        """The start state of p's table under p's row totals."""
+        table = p.table
+        t = len(table.col_lower)
+        rests = list(map(sub, p.row_totals, table.row_lower))
+        row_totals = tuple(p.row_totals)
+        if any(r < 0 for r in rests):
+            return _Start(row_totals, Blocked("LowerBoundsExceedTotals", tuple(range(t))))
+        fill = []
+        col_sums = [0] * t
+        heaps = [[[] for _ in range(t)] for _ in range(t)]
+        for j, (rest, cj, order, pj) in enumerate(zip(rests, table.cap, table.order, p.cell_profit)):
+            zj = [0] * t
+            for h in order:
+                if not rest:
+                    break
+                q = cj[h] if cj[h] < rest else rest
+                zj[h] = q
+                col_sums[h] += q
+                rest -= q
+            if rest:
+                return _Start(row_totals, Blocked("NoAugmentingPath", ()))
+            fill.append(tuple(zj))
+            room = [g for g in range(t) if zj[g] < cj[g]]
+            for h in range(t):
+                if zj[h]:
+                    for g in room:
+                        if g != h:
+                            heaps[h][g].append((pj[h] - pj[g], j))
+        for row in heaps:
+            for heap in row:
+                heapq.heapify(heap)
+        cells = tuple(tuple(map(add, low, zj)) for low, zj in zip(p.cell_lower, fill))
+        objective = sum(sum(map(mul, pj, row)) for pj, row in zip(p.cell_profit, cells))
+        return _Start(row_totals, None, tuple(fill), tuple(col_sums), cells, objective,
+                      tuple(map(tuple, heaps)))
 
 
 @dataclass(frozen=True)
@@ -140,7 +203,9 @@ class TransportProblem:
         return TransportProblem(*args)
 
     def with_totals(self, row_totals, col_totals) -> "TransportProblem":
-        """The same cells under new totals, sharing this problem's table."""
+        """The same cells under new totals, sharing this problem's table and
+        so its start state: solving any problem derived from one table under
+        the row totals it was last solved under re-solves from that fill."""
         _check_ints(row_totals)
         _check_ints(col_totals)
         row_totals, col_totals = tuple(row_totals), tuple(col_totals)
@@ -189,30 +254,29 @@ def _cheapest(heap, z, cap, h, g):
     return None
 
 
-def _rebalance(z, table, profit, surplus):
+def _rebalance(z, heaps, cap, profit, surplus, moved):
     """Shift units between columns at least cost until every column total is met.
 
-    z is a fill in which every row is optimal on its own, edited in place;
-    surplus[h] is column h's sum minus its total, and the surpluses sum to
-    zero.  Returns the final node potentials, under which every residual
-    exchange h -> g has p_jh - p_jg + pot[h] - pot[g] >= 0, or, when a
-    surplus reaches no deficit, the Blocked verdict whose columns H are the
-    ones the failing search settled.  Each has a surplus >= 0, the source
-    one > 0, and no row can move a unit out of H, so every row with flow in
-    H has its cells outside H full: the rows' supply that cannot leave H
-    exceeds H's demand.
+    z is a fill in which every row is optimal on its own, a list of rows
+    that may be tuples; a row it changes is first replaced by a list copy
+    and its index added to the set moved.  heaps are the pair heaps of z,
+    edited in place.  surplus[h] is column h's sum minus its total, and the
+    surpluses sum to zero.  Returns the final node potentials, under which
+    every residual exchange h -> g has p_jh - p_jg + pot[h] - pot[g] >= 0,
+    or, when a surplus reaches no deficit, the Blocked verdict whose
+    columns H are the ones the failing search settled.  Each has a surplus
+    >= 0, the source one > 0, and no row can move a unit out of H, so every
+    row with flow in H has its cells outside H full: the rows' supply that
+    cannot leave H exceeds H's demand.
 
-    Each pair heap starts as a copy of the table's presorted list, and a
-    sorted list is a heap.  It also holds rows that do not qualify, which
-    _cheapest drops when they reach the top.  Every qualifying row has an
-    entry, from the start or pushed when an augmentation makes it qualify,
-    and the keys are static, so _cheapest returns the least qualifying
-    (key, j) whatever else the heap holds: every path and cell is the one
-    that heaps of the qualifying rows alone would give.
+    A heap also holds rows that stopped qualifying, which _cheapest drops
+    when they reach the top.  Every qualifying row has an entry, from the
+    start or pushed when an augmentation makes it qualify, and the keys are
+    static, so _cheapest returns the least qualifying (key, j) whatever
+    else the heap holds: every path and cell is the one that heaps of the
+    qualifying rows alone would give.
     """
     t = len(surplus)
-    cap = table.cap
-    heaps = [[list(pair) for pair in row] for row in table.pairs]
     pot = [0] * t  # reduced cost of h -> g: cost + pot[h] - pot[g] >= 0
     while True:
         s = next((h for h in range(t) if surplus[h] > 0), None)
@@ -261,6 +325,9 @@ def _rebalance(z, table, profit, surplus):
         g = target
         while g != s:
             h, j = via[g]
+            if j not in moved:
+                z[j] = list(z[j])
+                moved.add(j)
             zj, cj, pj = z[j], cap[j], profit[j]
             gained, freed = zj[g] == 0, zj[h] == cj[h]
             zj[h] -= amount
@@ -289,37 +356,35 @@ def solve_transport(p: TransportProblem):
     integral optimum equal the LP optimum over the same polytope.
     """
     t = len(p.col_totals)
-    every = tuple(range(t))
     if sum(p.row_totals) != sum(p.col_totals):
-        return Blocked("TotalsMismatch", every if sum(p.row_totals) > sum(p.col_totals) else None)
+        return Blocked("TotalsMismatch", tuple(range(t)) if sum(p.row_totals) > sum(p.col_totals) else None)
 
     table = p.table
-    row_rest = [r - low for r, low in zip(p.row_totals, table.row_lower)]
-    surplus = [low - c for low, c in zip(table.col_lower, p.col_totals)]  # column sum of z minus its total
-    if any(r < 0 for r in row_rest):
-        return Blocked("LowerBoundsExceedTotals", every)
-    over = next((h for h in range(t) if surplus[h] > 0), None)
+    start = table.start
+    if start is None or start.row_totals != p.row_totals:
+        start = _Start.of(p)
+        object.__setattr__(table, "start", start)
+    blocked = start.blocked
+    if blocked is not None and blocked.reason == "LowerBoundsExceedTotals":
+        return blocked
+    over = next((h for h in range(t) if table.col_lower[h] > p.col_totals[h]), None)
     if over is not None:
         return Blocked("LowerBoundsExceedTotals", (over,))
+    if blocked is not None:
+        return blocked
 
-    z = []
-    for rest, cj, order in zip(row_rest, table.cap, table.order):
-        zj = [0] * t
-        for h in order:
-            if not rest:
-                break
-            q = cj[h] if cj[h] < rest else rest
-            zj[h] = q
-            surplus[h] += q
-            rest -= q
-        if rest:
-            return Blocked("NoAugmentingPath", ())
-        z.append(zj)
-
-    pot = _rebalance(z, table, p.cell_profit, surplus) if any(surplus) else [0] * t
+    # column sum of z minus its total
+    surplus = [s + low - c for s, low, c in zip(start.col_sums, table.col_lower, p.col_totals)]
+    if not any(surplus):
+        return TransportResult(start.cells, start.objective, (0,) * t)
+    z, moved = list(start.fill), set()
+    pot = _rebalance(z, [[list(heap) for heap in row] for row in start.heaps],
+                     table.cap, p.cell_profit, surplus, moved)
     if isinstance(pot, Blocked):
         return pot
-
-    cells = tuple(tuple(map(add, low, zj)) for low, zj in zip(p.cell_lower, z))
-    objective = sum(sum(map(mul, pj, row)) for pj, row in zip(p.cell_profit, cells))
-    return TransportResult(cells, objective, tuple(map(neg, pot)))
+    cells, objective = list(start.cells), start.objective
+    for j in moved:
+        pj, was = p.cell_profit[j], cells[j]
+        cells[j] = tuple(map(add, p.cell_lower[j], z[j]))
+        objective += sum(map(mul, pj, cells[j])) - sum(map(mul, pj, was))
+    return TransportResult(tuple(cells), objective, tuple(map(neg, pot)))

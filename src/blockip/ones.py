@@ -19,13 +19,16 @@ winning aggregate's bricks are the search's own transport there.
 
 Every transport is solved by flow.solve_transport on one
 flow.TransportTable that the search builds from the bricks' boxes and
-profits, the transports differing only in their totals (b - q, y).  Both
-kinds of cut come from the flow and are checked once from the transport's
-data: a feasible transport by the flow's column prices and row prices
-derived from them, whose dual value equals its objective; an infeasible
-one by the column set H its verdict names, where the rows' supply that
-cannot leave H exceeds H's demand.  So the winning transport is neither
-solved nor checked a second time.
+profits, the transports differing only in their totals (b - q, y).  Most
+share the row totals b - q too, and the table holds the greedy fill of the
+last row totals it met, so a transport at a new y only rebalances that
+fill's columns.  Both kinds of cut come from the flow and are checked once
+from the transport's own data, not from the held fill: a feasible
+transport by the flow's column prices and row prices derived from them,
+whose dual value equals its objective; an infeasible one by the column set
+H its verdict names, where the rows' supply that cannot leave H exceeds
+H's demand.  So the winning transport is neither solved nor checked a
+second time.
 """
 
 from __future__ import annotations

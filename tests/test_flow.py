@@ -6,6 +6,7 @@ from fractions import Fraction
 import flow_reference
 import pytest
 
+from blockip import flow
 from blockip.errors import MalformedProblemError
 from blockip.flow import Blocked, TransportProblem, TransportResult, solve_transport
 from blockip.model import Infeasible
@@ -512,6 +513,125 @@ def test_matches_the_reference_on_fresh_and_shared_tables():
     for source in ("row lower bounds", "column lower bounds", "greedy fill", "shortest-path search"):
         assert seen["fresh", source] + seen["chained", source] >= 1, seen
     assert min(seen["t=1"], seen["n=0"], seen["30 digits"], seen["zero width"]) >= 5, seen
+
+
+def in_box_point(rng, lower, upper):
+    return [[rng.randint(lo, hi) for lo, hi in zip(lr, ur)] for lr, ur in zip(lower, upper)]
+
+
+def held_column_totals(rng, lower, upper, z, rows, t):
+    """Column totals to pair with rows, the row sums of the in-box point z
+    less some q: z's own, z's with one unit moved between two columns, or a
+    second point's, rebalanced on one column to the sum of rows but one
+    time in ten."""
+    pick = rng.random()
+    w = z if pick < 0.6 else in_box_point(rng, lower, upper)
+    cols = [sum(r[h] for r in w) for h in range(t)]
+    if pick < 0.3 and t > 1:
+        h, g = rng.sample(range(t), 2)
+        cols[h] -= 1
+        cols[g] += 1
+    if rng.random() < 0.9:
+        cols[rng.randrange(t)] += sum(rows) - sum(cols)
+    return cols
+
+
+def counting_fills(monkeypatch):
+    """A list that records (table, row totals) of every start state built."""
+    fills = []
+    of = flow._Start.of
+
+    def counted(p):
+        fills.append((p.table, p.row_totals))
+        return of(p)
+
+    monkeypatch.setattr(flow._Start, "of", staticmethod(counted))
+    return fills
+
+
+def test_matches_the_reference_when_the_row_totals_are_held(monkeypatch):
+    # chains over one table: one row-total vector held across 6 column-total
+    # vectors, then two alternating A, B, A, B; the table fills once per
+    # change of row totals and keeps one start state, the last one's
+    fills = counting_fills(monkeypatch)
+    rng = random.Random(8108)
+    seen = Counter()
+    mismatched = 0
+    for trial in range(50):
+        n = rng.choice((1, 2, 3, 5, 12, 40))
+        t = rng.choice((1, 2, 3, 3, 4, 5))
+        lower, upper, profit = reference_cells(rng, n, t, rng.choice((1, 10 ** 30)))
+        za, zb = in_box_point(rng, lower, upper), in_box_point(rng, lower, upper)
+        q = rng.choice((0, 0, rng.randint(-3, 3)))
+        a, b = ([sum(r) - q for r in z] for z in (za, zb))
+        p = TransportProblem.make(a, [0] * t, lower, upper, profit)
+        del fills[:]
+        for rows, z in [(a, za)] * 6 + [(a, za), (b, zb)] * 2:
+            p = p.with_totals(rows, held_column_totals(rng, lower, upper, z, rows, t))
+            kind = assert_matches_reference(p)
+            seen[kind] += 1
+            # a mismatch of the sums returns before the start state is read
+            if kind != "TotalsMismatch":
+                assert p.table.start.row_totals == tuple(rows)
+        # one fill per change of the row totals: a, the held six and the
+        # seventh, then b, a, b, fewer when a mismatch skips a solve
+        if seen["TotalsMismatch"] == mismatched and a != b:
+            assert fills == [(p.table, tuple(a)), (p.table, tuple(b))] * 2, fills
+            seen["four fills"] += 1
+        mismatched = seen["TotalsMismatch"]
+        # at most one start state, held in the table's one start field
+        assert set(vars(p.table)) <= {"cap", "row_lower", "col_lower", "order", "start"}
+        assert isinstance(p.table.start, flow._Start) == bool(fills)
+    assert seen["feasible"] >= 150 and seen["shortest-path search"] >= 20, seen
+    assert min(seen["TotalsMismatch"], seen["row lower bounds"], seen["column lower bounds"],
+               seen["greedy fill"]) >= 5, seen
+    assert seen["four fills"] >= 10, seen
+
+
+def test_verdict_order_at_held_row_totals():
+    # boxes [1, 2] x [0, 1] and [0, 1] x [0, 1]: row totals (0, 2) break
+    # row 0's lower bound, (3, 3) leave row 1 a rest of 3 over capacity 2;
+    # column totals (0, *) break column 0's lower bound of 1
+    p = TransportProblem.make([2, 0], [1, 1], [[1, 0], [0, 0]], [[2, 1], [1, 1]], [[0, 0], [0, 0]])
+    assert isinstance(solve_transport(p), TransportResult)
+    every = Blocked("LowerBoundsExceedTotals", (0, 1))
+    for rows, cols, want in (
+        ((0, 2), (2, 0), every),
+        ((0, 2), (0, 2), every),  # the row verdict comes before the column one
+        ((3, 3), (3, 3), Blocked("NoAugmentingPath", ())),
+        ((3, 3), (0, 6), Blocked("LowerBoundsExceedTotals", (0,))),  # columns before the fill
+        ((3, 3), (3, 3), Blocked("NoAugmentingPath", ())),
+        ((0, 2), (0, 2), every),
+    ):
+        for _ in range(2):  # the second solve starts from the held state
+            q = p.with_totals(rows, cols)
+            assert solve_transport(q) == want, (rows, cols)
+            assert flow_reference.solve_transport(q).reason == want.reason
+            assert p.table.start.row_totals == rows
+
+
+def test_n2000_t3_chain_matches_fresh_tables(monkeypatch):
+    fills = counting_fills(monkeypatch)
+    rng = random.Random(8109)
+    n, t = 2000, 3
+    lower = [[rng.randint(0, 2) for _ in range(t)] for _ in range(n)]
+    upper = [[lo + rng.randint(0, 8) for lo in row] for row in lower]
+    profit = [[rng.randint(-6, 6) for _ in range(t)] for _ in range(n)]
+    za, zb = in_box_point(rng, lower, upper), in_box_point(rng, lower, upper)
+    p = TransportProblem.make([0] * n, [0] * t, lower, upper, profit)
+    kinds = Counter()
+    for z in (za, za, za, zb, zb, za, za):
+        rows = [sum(r) for r in z]
+        p = p.with_totals(rows, held_column_totals(rng, lower, upper, z, rows, t))
+        got = solve_transport(p)
+        assert got == solve_transport(TransportProblem.make(rows, p.col_totals, lower, upper, profit))
+        if isinstance(got, TransportResult):
+            assert_certified(p, got)
+        kinds[type(got).__name__] += 1
+    assert kinds["TransportResult"] >= 3, kinds
+    # the chain's table fills once per change of rows
+    assert [rows for table, rows in fills if table is p.table] == [
+        tuple(sum(r) for r in z) for z in (za, zb, za)]
 
 
 def test_with_totals_shares_the_table_and_checks_lengths():

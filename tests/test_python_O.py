@@ -12,7 +12,8 @@ LP tableau still raises InternalInconsistencyError (TAMPERED), that the
 transport certificate rejects each wrong flow and each optimal flow with
 one column price moved by 1 (WRONG_FLOWS), that the blocking-set check
 rejects each column set that does not prove a transport infeasible
-(WRONG_BLOCKS), that an
+(WRONG_BLOCKS), that the all-ones route raises from _transport_duals when a
+transport is re-solved from a tampered start state (HELD instances), that an
 LpProblem or a TransportProblem built directly with a non-int entry, and
 each call of model_cases.UNTYPED_CALLS, raises MalformedProblemError
 (UNTYPED), that the 4-block integer screen yields
@@ -27,6 +28,7 @@ path itself, so no install is needed).
 """
 
 import dataclasses
+import itertools
 import os
 import random
 import subprocess
@@ -144,6 +146,81 @@ WRONG_FLOWS = tuple((TRANSPORT, res) for res in (
 SHORT = TransportProblem.make([2, 2], [3, 1], [[0, 0], [0, 0]], [[1, 1], [1, 1]], [[0, 0], [0, 0]])
 # each names a column set of SHORT that does not block, or none
 WRONG_BLOCKS = tuple(Blocked("NoAugmentingPath", cols) for cols in ((), (0,), (0, 1), None))
+
+# all-ones instances whose route must reject a transport re-solved from a
+# tampered start state
+HELD = 5
+
+
+def _moved_units(start, cap):
+    """start with one unit of a fill row moved between two columns, inside
+    the row's boxes, and with the column sums and objective left as they
+    were, for each row and pair of columns that can move one."""
+    for j, zj in enumerate(start.fill):
+        for h, g in itertools.permutations(range(len(zj)), 2):
+            if zj[h] > 0 and zj[g] < cap[j][g]:
+                fill, cells = list(start.fill), list(start.cells)
+                for rows in (fill, cells):
+                    row = list(rows[j])
+                    row[h] -= 1
+                    row[g] += 1
+                    rows[j] = tuple(row)
+                yield dataclasses.replace(start, fill=tuple(fill), cells=tuple(cells))
+
+
+def held_start_unchecked():
+    """(why the all-ones route accepts a transport re-solved from a tampered
+    start state, or None; instances checked).
+
+    ones.solve_transport is wrapped: at the first feasible transport of a
+    solve, the wrapper replaces the table's start state by a tampered one
+    (_moved_units) and solves again from it, keeping the first tampered
+    state whose transport comes out feasible.  The route must then raise
+    InternalInconsistencyError from _transport_duals: the certificate, not
+    the held state, vouches for every transport.
+    """
+    real = ones.solve_transport
+    tampered = []
+
+    def tamper_then_solve(p):
+        res = real(p)
+        if tampered or not isinstance(res, TransportResult):
+            return res
+        start = p.table.start
+        for moved in _moved_units(start, p.table.cap):
+            object.__setattr__(p.table, "start", moved)
+            got = real(p)
+            if isinstance(got, TransportResult):
+                tampered.append(p)
+                return got
+        object.__setattr__(p.table, "start", start)
+        return res
+
+    rng = random.Random("python-O/held")
+    checked = 0
+    ones.solve_transport = tamper_then_solve
+    try:
+        for trial in range(20 * HELD):
+            inst = generators.random_ones_instance(rng, n=rng.randint(2, 8), t_A=rng.randint(2, 3))
+            tampered.clear()
+            try:
+                got = solve_ones(inst)
+            except InternalInconsistencyError as e:
+                tb = e.__traceback__
+                while tb.tb_next is not None:
+                    tb = tb.tb_next
+                if tb.tb_frame.f_code.co_name != "_transport_duals":
+                    return f"trial {trial}: raised from {tb.tb_frame.f_code.co_name}", checked
+                checked += 1
+                if checked == HELD:
+                    return None, checked
+                continue
+            if tampered:
+                return f"trial {trial}: returned {got!r} from a tampered start", checked
+    finally:
+        ones.solve_transport = real
+    return f"only {checked} instances met a feasible transport with a unit to move", checked
+
 
 # (constructor or function, arguments), each with an argument or entries
 # of the wrong type
@@ -308,6 +385,11 @@ def main() -> int:
         print(f"blocking-set check accepted {blocked!r}")
         return 1
     print("blocks", len(WRONG_BLOCKS))
+    why, checked = held_start_unchecked()
+    if why is not None:
+        print(f"held start: {why}")
+        return 1
+    print("held", checked)
     for make, args in UNTYPED:
         try:
             got = make(*args)
@@ -342,7 +424,7 @@ def test_whole_battery_under_python_O():
     words = out.stdout.split()
     assert words[0::2] == [
         "ones", "nfold_snf", "fourblock_snf", "refused", "malformed", "audits", "transports",
-        "blocks", "untyped", "screened", "exits", "debug"]
+        "blocks", "held", "untyped", "screened", "exits", "debug"]
     assert words[-1] == "False"  # the asserts really were stripped
     # each route met both verdicts: feasible optima and proven infeasibility
     assert all(PER_ROUTE // 4 <= int(k) < PER_ROUTE for k in words[1:6:2]), words
@@ -351,9 +433,10 @@ def test_whole_battery_under_python_O():
     assert int(words[11]) == len(TAMPERED)
     assert int(words[13]) == len(WRONG_FLOWS)
     assert int(words[15]) == len(WRONG_BLOCKS)
-    assert int(words[17]) == len(UNTYPED)
-    assert int(words[19]) >= 1  # the screen really dropped cells to check
-    assert int(words[21]) == len(EXITS)
+    assert int(words[17]) == HELD
+    assert int(words[19]) == len(UNTYPED)
+    assert int(words[21]) >= 1  # the screen really dropped cells to check
+    assert int(words[23]) == len(EXITS)
 
 
 if __name__ == "__main__":
