@@ -47,14 +47,22 @@ every window without these rows, less some cells with no integer point.
 Only the best cell matters, so the cells are not solved one by one.  Each
 carries a ceiling, an int that no integer point of the cell exceeds: its
 constant plus, per column, the larger of the objective coefficient times
-either end of the cell's box.  Every cell is buffered and handed to
+either end of the cell's box.  The cells are yielded with their ceilings
+and a recipe for their MipProblem, not as built LPs, and handed to
 smallip.best_of, one best-first branch and bound over the nodes of all
-cells, in which a cell not yet solved waits under its ceiling.  A cell gets
-an LP only when its ceiling is the best bound left, so a cell whose ceiling
-is below the optimum is never solved.  Ties go to the earlier cell, and within a cell
-the nodes above the old cutoff pop in the old order, so the point returned
-is the one that solving each cell in turn, with the incumbent as its
-cutoff, returns (tests/fourblock_reference.py keeps that loop).
+cells, in which a cell not yet built waits under its ceiling.  A cell is
+built only when its ceiling is the best bound left, so a cell whose
+ceiling is below the optimum is never built or solved.  A popped cell
+whose box corner at the objective meets its rows is settled there with no
+LP: that corner is the point its ceiling reads.  A cell whose root LP point
+is fractional is rewritten at that first split in the lattice coordinates
+of its equality rows and branched on them, which keeps its node count
+from growing with the width of its box when its integer points form a
+sparse lattice (tests/fourblock_reference.py keeps the branching on the
+cell's own columns, cell by cell, as the reference).  Ties go to the
+earlier cell, so the value returned is the one that solving each cell in
+turn, with the incumbent as its cutoff, returns, and the point is that
+loop's or, in a rewritten cell, another point of the same value.
 
 All enumeration is exact, the winning cell's value is checked against its
 ceiling, and its solution is lifted back to a full point and re-checked
@@ -185,9 +193,15 @@ def build_grid(elim: EliminationData, lower, upper) -> tuple:
 
 @dataclass(frozen=True)
 class CellProblem:
-    """One fully discretized subproblem, ready for the small MIP solver."""
+    """One fully discretized subproblem, ready for the small MIP solver.
 
-    mip: MipProblem
+    Its MipProblem is built by its recipe on the first read of mip, or when
+    the search first pops the cell, and at most once.
+    """
+
+    # builds the cell's MipProblem once and keeps it (_CellRecipe); it is no
+    # part of the cell's identity, which its choices below fix
+    recipe: object = field(compare=False, repr=False)
     constant: int  # objective value outside the MIP variables
     sub_choice: tuple  # per grid coordinate, the chosen SubInterval
     layout: dict  # variable-name -> column metadata for lifting
@@ -198,6 +212,39 @@ class CellProblem:
     # orders the search and is no part of the cell's identity (== skips it,
     # and the tests' reference enumerator builds cells without one)
     ceiling: int = field(default=None, compare=False)
+
+    @property
+    def mip(self) -> MipProblem:
+        return self.recipe()
+
+
+class _CellRecipe:
+    """A cell's MipProblem, built on the first call and kept.
+
+    The LP is max objective . x over the box, with the equality rows and
+    those of the sparse rows e . x <= b that the box does not imply, each
+    as a ranged row from its least activity over the box.
+    """
+
+    __slots__ = ("args", "mip")
+
+    def __init__(self, objective, eq_dense, sparse_rows, box_lo, box_hi):
+        self.args = (objective, eq_dense, sparse_rows, box_lo, box_hi)
+        self.mip = None
+
+    def __call__(self) -> MipProblem:
+        if self.mip is None:
+            objective, eq_dense, sparse_rows, box_lo, box_hi = self.args
+            width = len(objective)
+            rows = list(eq_dense)
+            for e, b in sparse_rows:
+                mn, mx = _range_of(e, box_lo, box_hi)
+                if mx > b:
+                    rows.append((_dense(e, width), mn, b))
+            lp = LpProblem.make(objective, rows, box_lo, box_hi)
+            self.mip = MipProblem.make(lp, [True] * width)
+            self.args = None
+        return self.mip
 
 
 def _range_of(coeffs, lo, hi):
@@ -639,19 +686,13 @@ def _cells_for_windows(builder, combo, d, d_bar, lo, hi, pairs, arg_lo, arg_hi):
             for h in gh:
                 obj[zcol[h]] += run[h] - v_j * lam[h]
             const += run_const - v_j * lam_const
-        # the LP is taken over the propagated box, less the rows it implies
-        rows = list(eq_dense)
-        for e, b in ineq_rows + p_rows:
-            mn, mx = _range_of(e, box_lo, box_hi)
-            if mx > b:
-                rows.append((_dense(e, width), mn, b))
+        # the LP is taken over the propagated box, less the rows it implies;
+        # its ceiling reads the box corner at the objective
         ceiling = const
         for c, a, b in zip(obj, box_lo, box_hi):
             ceiling += c * (b if c > 0 else a)
-        lp = LpProblem.make(obj, rows, box_lo, box_hi)
-        mip = MipProblem.make(lp, [True] * width)
         yield CellProblem(
-            mip=mip,
+            recipe=_CellRecipe(obj, eq_dense, ineq_rows + p_rows, box_lo, box_hi),
             constant=const,
             sub_choice=combo,
             layout=builder.layout,
@@ -666,7 +707,8 @@ def solve_cell(cell: CellProblem, cutoff=None):
     """Exact optimum of one cell's MIP; cutoff is on the MIP part only.
 
     The route searches all cells at once through best_of; this solves one
-    alone, for the tests, and perfbench/tracer.py wraps it by name.
+    alone and branches on the cell's own columns, for the tests' reference,
+    and perfbench/tracer.py wraps it by name.
     """
     return solve_mip(cell.mip, cutoff=cutoff)
 
@@ -760,7 +802,7 @@ def solve_4block_snf(inst: FourBlockInstance):
     elim, grid = prepared
 
     cells = list(enumerate_cells(inst, elim, grid))
-    k, res = best_of([(cell.mip, cell.constant, cell.ceiling) for cell in cells])
+    k, res = best_of([(cell.recipe, cell.constant, cell.ceiling) for cell in cells])
     if k is None:
         return Infeasible("NoLatticePoint")
     cell = cells[k]

@@ -12,8 +12,12 @@ can share it: a single heap holds every node under a proven bound, a root
 under a ceiling its caller proves without an LP, so a root's LP is solved
 only once its ceiling is the best bound left.  A node is solved when it is
 popped, warm from the state of the node it came from, with a few dual
-pivots; only a root is solved cold, from the row-less start.  solve_mip is
-that search over one root, and the 4-block route runs it over its cells.
+pivots; only a root is solved cold, from the row-less start, and a root
+whose start already meets its rows is settled there with no tableau.
+solve_mip is that search over one root, and the 4-block route runs it over
+its cells, each given as a recipe that the search builds when it pops the
+cell and rewrites in the lattice coordinates of its equality rows at its
+first split.
 A separator can grow the rows of the search as it goes: the all-ones route
 runs best_of with its cut separator, and the search then closes or shrinks
 each node by integer bound propagation over those rows (_propagate, which
@@ -30,6 +34,8 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import MalformedProblemError
+from .intlin import lattice_in_box, smith_normal_form
+from .model import IntMatrix
 from .ratlp import INFEASIBLE, OPTIMAL, LpProblem, LpResult, solve_lp_warm
 
 
@@ -115,6 +121,100 @@ def _propagate(rows, lo, hi, rounds=30):
     return True
 
 
+def _settled(lp: LpProblem):
+    """The LpResult solve_lp_warm gives lp when it would make no pivot, else None.
+
+    solve_lp_warm starts from the row-less tableau with D = 1, where every
+    column sits at the end of its box that its cost prefers (the lower one
+    at cost zero), and adds the rows with their slacks basic.  When that
+    corner meets every row, no row is violated, the dual simplex stops at
+    once, and the result is the corner and its value over den 1.  So this
+    is that same result, read without a tableau.
+    """
+    objective = lp.objective
+    x = [u if c > 0 else l for c, l, u in zip(objective, lp.lower, lp.upper)]
+    for coeffs, lo, hi in lp.rows:
+        if not lo <= sum(map(mul, coeffs, x)) <= hi:
+            return None
+    return LpResult(OPTIMAL, tuple(x), 1, sum(map(mul, objective, x)))
+
+
+def _lattice_form(mip: MipProblem, lo, hi):
+    """mip over the box lo <= x <= hi, in the lattice coordinates of its equality rows.
+
+    Every column of mip must be integral.  Where the integer points of the
+    equality rows form a sparse lattice in a wide box, branching on x
+    sweeps the box; branching on the coordinates v of an LLL-reduced basis
+    does not (Aardal, Hurkens & Lenstra, Math. Oper. Res. 25(3), 2000).
+    The columns with lo = hi are substituted.  The integer points of the
+    equality rows over the other columns J are x_J = p + Q^T v for integer
+    v (intlin.lattice_in_box), and every one inside the box has v in the
+    coordinate box v_lo..v_hi; with no equality row left, Q is the
+    identity and p is 0.  The other rows, the box of x_J and the objective
+    are rewritten over v; a row that reads a constant over v is checked
+    and dropped, and so is a row that every point of the v box meets.  So
+    the integer v of the new program are the integer points of mip in the
+    box, one to one, with the same values less a constant.
+
+    Returns None when this proves that the box holds no integer point of
+    mip, and otherwise (MipProblem over v, constant, to_x): the objective
+    at x = p + Q^T v is the new program's at v plus constant, and to_x maps
+    an LpResult over v to the LpResult of that x, its value included.
+    """
+    n = len(lo)
+    free = [j for j in range(n) if lo[j] < hi[j]]
+    fixed = [(j, lo[j]) for j in range(n) if lo[j] == hi[j]]
+    eq, rhs, other = [], [], []
+    for coeffs, a, b in mip.lp.rows:
+        s = sum(coeffs[j] * x for j, x in fixed)
+        row = [coeffs[j] for j in free]
+        if not any(row):
+            if not a <= s <= b:
+                return None
+        elif a == b:
+            eq.append(row)
+            rhs.append(a - s)
+        else:
+            other.append((row, a - s, b - s))
+    lo_j, hi_j = [lo[j] for j in free], [hi[j] for j in free]
+    unit = [[int(i == k) for i in range(len(free))] for k in range(len(free))]
+    if eq:
+        lattice = lattice_in_box(smith_normal_form(IntMatrix.from_rows(eq)), rhs, lo_j, hi_j)
+        if lattice is None:
+            return None
+        p, basis, v_lo, v_hi = lattice
+    else:
+        p, basis, v_lo, v_hi = [0] * len(free), unit, lo_j, hi_j
+
+    rows = []
+    for row, a, b in other + list(zip(unit, lo_j, hi_j)):
+        coeffs = [sum(map(mul, row, q)) for q in basis]
+        s = sum(map(mul, row, p))
+        a, b = a - s, b - s
+        least = most = 0
+        for c, vl, vh in zip(coeffs, v_lo, v_hi):
+            least += c * (vl if c > 0 else vh)
+            most += c * (vh if c > 0 else vl)
+        if not any(coeffs):
+            if not a <= 0 <= b:
+                return None
+        elif least < a or most > b:
+            rows.append((coeffs, a, b))
+    objective = mip.lp.objective
+    c_j = [objective[j] for j in free]
+    constant = sum(map(mul, c_j, p)) + sum(objective[j] * x for j, x in fixed)
+    lp = LpProblem.make([sum(map(mul, c_j, q)) for q in basis], rows, v_lo, v_hi)
+
+    def to_x(res):
+        den = res.den
+        x = [lo[j] * den for j in range(n)]
+        for k, j in enumerate(free):
+            x[j] = p[k] * den + sum(q[k] * v for q, v in zip(basis, res.num))
+        return LpResult(res.status, tuple(x), den, res.value_num + constant * den, res.nodes)
+
+    return MipProblem.make(lp, [True] * len(basis)), constant, to_x
+
+
 def solve_mip(p: MipProblem, cutoff=None) -> LpResult:
     """Maximize over the mixed lattice of p.  Exact.
 
@@ -133,9 +233,12 @@ def solve_mip(p: MipProblem, cutoff=None) -> LpResult:
 def best_of(roots, cutoff=None, separator=None):
     """The best integral point over several MIPs, by one best-first search.
 
-    roots is a sequence of (MipProblem, constant, ceiling) with int constant
+    roots is a sequence of (program, constant, ceiling) with int constant
     and ceiling: a root's total is its MIP value plus its constant, and its
     ceiling bounds the total of every integer point of the root from above.
+    program is a MipProblem, or a recipe: a callable that returns one and
+    is called at most once, when the search first pops the root, so a root
+    the search never reaches is never built.
     Every node enters the heap unsolved, under a proven bound on the totals
     of its integer points: a root's ceiling, or the LP total of the node it
     was split from, whose state it is re-solved from.  A node gets its LP
@@ -147,17 +250,31 @@ def best_of(roots, cutoff=None, separator=None):
     search dives to an integral point instead of sweeping the tie.  A root
     whose ceiling is below the best total is never solved, and the result
     is the one solve_mip gives the first root that reaches the best total,
-    with the best total of the roots before it as its cutoff.  An LP total
-    is floored when the total is an integer at every point the search
-    accepts: when the objective reads only masked variables, or when a
-    separator is given.
+    with the best total of the roots before it as its cutoff (for a recipe
+    root, with the same value and possibly another point of that value).
+    An LP total is floored when the total is an integer at every point the
+    search accepts: when the objective reads only masked variables, or
+    when a separator is given.  nodes counts every node whose LP is solved,
+    settled ones included.
+
+    Without a separator a popped root is settled when it can be: when the
+    corner of its box at the objective meets every row, that corner is the
+    LP optimum that solve_lp_warm would return from its row-less start, so
+    it is taken with no tableau (_settled), and it is integral.  A recipe
+    root whose every column is integral and whose LP point is fractional
+    is not split: at this first split it is rewritten over its box in the
+    lattice coordinates of its equality rows (_lattice_form), which proves
+    some roots empty, and the rewritten root goes back on the heap under
+    the same bound and branches on those coordinates.  The point accepted
+    there is mapped back to the root's own columns, so the result reads
+    the same whatever program the search branched in.
 
     cutoff, when given, prunes every node whose total is <= cutoff, as in
     solve_mip.  Returns (index of the winning root, LpResult of its MIP
-    part), or (None, Infeasible); nodes counts every LP solved.  Raises
-    MalformedProblemError when roots is no list or tuple of such triples,
-    when cutoff is not None, an int or a Fraction, or when separator is
-    neither None nor callable.
+    part), or (None, Infeasible).  Raises MalformedProblemError when roots
+    is no list or tuple of such triples, when a recipe returns no
+    MipProblem, when cutoff is not None, an int or a Fraction, or when
+    separator is neither None nor callable or is given with a recipe root.
 
     separator, when given, is called as separator(num, den, add) at the
     point num / den of each node popped above every bound left, unless a
@@ -180,15 +297,30 @@ def best_of(roots, cutoff=None, separator=None):
     if type(roots) not in (list, tuple):
         raise MalformedProblemError(f"roots is a {type(roots).__name__}, not a list or tuple")
     for root in roots:
-        if (type(root) is not tuple or len(root) != 3 or type(root[0]) is not MipProblem
+        if (type(root) is not tuple or len(root) != 3
+                or not (type(root[0]) is MipProblem or callable(root[0]))
                 or type(root[1]) is not int or type(root[2]) is not int):
-            raise MalformedProblemError(f"root {root!r} is not a (MipProblem, int, int) triple")
+            raise MalformedProblemError(f"root {root!r} is not a (program, int, int) triple")
     if cutoff is not None and type(cutoff) not in (int, Fraction):
         raise MalformedProblemError(f"cutoff {cutoff!r} is not None, an int or a Fraction")
     if separator is not None and not callable(separator):
         raise MalformedProblemError(f"separator {separator!r} is not callable")
-    integral = [separator is not None or all(m or not c for c, m in zip(mip.lp.objective, mip.integer_mask))
-                for mip, _, _ in roots]
+    # per root: its program once built, its constant, whether its totals are
+    # integers, and the map of an accepted point back once it is rewritten
+    problems, integral, lifts = [None] * len(roots), [None] * len(roots), [None] * len(roots)
+    constants = [constant for _, constant, _ in roots]
+    pending = set()  # recipe roots built and not yet split
+
+    def program_of(k, mip):
+        problems[k] = mip
+        integral[k] = separator is not None or all(
+            m or not c for c, m in zip(mip.lp.objective, mip.integer_mask))
+
+    for k, (program, _, _) in enumerate(roots):
+        if type(program) is MipProblem:
+            program_of(k, program)
+        elif separator is not None:
+            raise MalformedProblemError("a separator needs every root built, not a recipe")
     # the held rows, as LP rows and each side as a sparse map for _propagate
     rows, prop, held = [], [], set()
 
@@ -201,24 +333,35 @@ def best_of(roots, cutoff=None, separator=None):
         prop.append((sparse, hi))
         if lo is None:
             lo = min(sum(a * (mip.lp.lower[j] if a > 0 else mip.lp.upper[j]) for j, a in sparse.items())
-                     for mip, _, _ in roots)
+                     for mip in problems)
         else:
             prop.append(({j: -a for j, a in sparse.items()}, -lo))
         rows.append((list(coeffs), lo, hi))
         return True
 
     # (-bound, root, -seq, box, state to re-solve from, held rows it holds,
-    # its LpResult once solved over this box)
-    heap = [(-ceiling, k, 0, tuple(mip.lp.lower), tuple(mip.lp.upper), None, 0, None)
-            for k, (mip, _, ceiling) in enumerate(roots)]
+    # its LpResult once solved over this box); a root's box is its program's
+    heap = [(-ceiling, k, 0, None, None, None, 0, None) for k, (_, _, ceiling) in enumerate(roots)]
     heapq.heapify(heap)
     nodes = seq = 0
     while heap:
         neg, k, _, lo, hi, state, seen, res = heapq.heappop(heap)
-        mip, constant, _ = roots[k]
+        mip = problems[k]
+        if mip is None:
+            mip = roots[k][0]()
+            if type(mip) is not MipProblem:
+                raise MalformedProblemError(f"recipe of root {k} returned {mip!r}, not a MipProblem")
+            program_of(k, mip)
+            if all(mip.integer_mask):
+                pending.add(k)
+        constant = constants[k]
         if res is None:
             if state is None:
-                res, state = solve_lp_warm(mip.lp)
+                lo, hi = tuple(mip.lp.lower), tuple(mip.lp.upper)
+                if separator is None:
+                    res = _settled(mip.lp)
+                if res is None:
+                    res, state = solve_lp_warm(mip.lp)
             else:
                 if prop:
                     objective = {j: c for j, c in enumerate(mip.lp.objective) if c}
@@ -258,7 +401,19 @@ def best_of(roots, cutoff=None, separator=None):
             continue
         j = _branch_var(num, den, mip.integer_mask)
         if j < 0:
-            return k, replace(res, nodes=nodes)
+            res = replace(res, nodes=nodes)
+            return k, res if lifts[k] is None else lifts[k](res)
+        if k in pending:
+            pending.discard(k)
+            form = _lattice_form(mip, lo, hi)
+            if form is None:
+                continue
+            mip, shift, lifts[k] = form
+            program_of(k, mip)
+            constants[k] += shift
+            seq += 1
+            heapq.heappush(heap, (neg, k, -seq, None, None, None, 0, None))
+            continue
         at = num[j] // den
         for child in ((lo, hi[:j] + (at,) + hi[j + 1:]), (lo[:j] + (at + 1,) + lo[j + 1:], hi)):
             seq += 1

@@ -6,8 +6,9 @@ yields, in the same order, with some cells removed, and only cells with no
 integer point, since the package screens each merge window with more rows
 than this one does.  The package also takes each cell's LP over the box
 that its screen tightened, less the rows that box implies, where this one
-keeps the untightened box.  So a kept cell equals its cell here in every
-field but mip, and its LP is this one's over a sub-box (_stands_for).
+keeps the untightened box.  So a kept cell equals its cell here (== reads
+neither the recipe that builds mip nor the ceiling), and its LP is this
+one's over a sub-box (_stands_for).
 screened_out pairs the two sequences, and screen_fault checks, on the
 seeded batteries of tests/test_fourblock_snf.py and tests/test_python_O.py,
 that each kept cell's box lies in its cell's box here with the same
@@ -21,11 +22,13 @@ rewrite left as it was.
 
 solve_cell_by_cell is fourblock_snf.solve_4block_snf with its old loop: the
 package's cells in enumeration order, each solved to optimality with the
-best total so far, less the cell's constant, as its cutoff.  The route
-must return the same Solution, point included, with no more LPs.
+best total so far, less the cell's constant, as its cutoff.  solve_cell
+branches on the cell's own columns, so this loop is also the reference for
+the route's branching in lattice coordinates: the route must return the
+same verdict and value with no more LPs, and the same point or another
+point of the same value.
 """
 
-import dataclasses
 import itertools
 
 from blockip import fourblock_snf
@@ -420,7 +423,7 @@ def _cells_for_windows(builder, chosen, pairs, arg_lo, arg_hi, zlo, zhi):
         lp = LpProblem.make(dense(obj), rows, cell_lo, cell_hi)
         mip = MipProblem.make(lp, [True] * base_vars)
         yield CellProblem(
-            mip=mip,
+            recipe=lambda mip=mip: mip,
             constant=const,
             sub_choice=tuple(chosen[h] for h in gh),
             layout=layout,
@@ -433,14 +436,14 @@ def _cells_for_windows(builder, chosen, pairs, arg_lo, arg_hi, zlo, zhi):
 def _stands_for(cell, ref):
     """Whether cell is ref with its LP over the cell's own box.
 
-    Every field but mip is ref's, and so are the LP's objective and
-    integrality mask.  The LP's rows are ref's in ref's order, less some
-    that the cell's box implies; a row kept keeps its coefficients and
-    upper end, and its lower end is ref's or its least activity over the
-    box.  So the cell's integer points are those of ref in its box.
+    cell == ref, and the LP's objective and integrality mask are ref's.
+    The LP's rows are ref's in ref's order, less some that the cell's box
+    implies; a row kept keeps its coefficients and upper end, and its
+    lower end is ref's or its least activity over the box.  So the cell's
+    integer points are those of ref in its box.
     """
     lp, ref_lp = cell.mip.lp, ref.mip.lp
-    if (dataclasses.replace(cell, mip=None) != dataclasses.replace(ref, mip=None)
+    if (cell != ref
             or lp.objective != ref_lp.objective
             or cell.mip.integer_mask != ref.mip.integer_mask):
         return False

@@ -19,7 +19,10 @@ each call of model_cases.UNTYPED_CALLS, raises MalformedProblemError
 (UNTYPED), that the 4-block integer screen yields
 the cells of tests/fourblock_reference.py in their order, each kept cell's
 LP over a sub-box of its reference cell's with the same optimum, dropping
-only cells whose MIP is infeasible (SCREENED instances), and that each
+only cells whose MIP is infeasible (SCREENED instances), that a cell
+root settled at its box corner gets the LP's own result, that a corner
+breaking a row goes to the LP, and that the search builds each cell at
+most once and only when it pops it (SETTLED instances), and that each
 route and the oracle raise when evaluate reports a wrong objective for the
 point they return (EXITS), exiting nonzero on the first mismatch.
 
@@ -39,7 +42,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 
 import blockip  # noqa: E402
 import fourblock_reference  # noqa: E402
-from blockip import fourblock_snf, generators, nfold_snf, ones, oracle  # noqa: E402
+from blockip import fourblock_snf, generators, nfold_snf, ones, oracle, smallip  # noqa: E402
 from blockip.errors import (  # noqa: E402
     InternalInconsistencyError,
     MalformedProblemError,
@@ -52,6 +55,7 @@ from blockip.nfold_snf import solve_nfold_snf  # noqa: E402
 from blockip.ones import _blocking_pair, _transport_duals, solve_ones  # noqa: E402
 from blockip.oracle import OracleBudget, enumerate_optimum  # noqa: E402
 from blockip.ratlp import OPTIMAL, LpProblem, solve_lp_warm  # noqa: E402
+from blockip.smallip import MipProblem, _settled, best_of  # noqa: E402
 from model_cases import MALFORMED, NOT_ELIGIBLE, SOLVERS, UNTYPED_CALLS  # noqa: E402
 
 
@@ -258,6 +262,54 @@ def screen_unsound(rng):
     return None, dropped
 
 
+# 4-block instances whose cells are settled and built by the search
+SETTLED = 10
+
+
+def settle_unsound(rng):
+    """(why settling or building a cell goes wrong, or None; roots settled).
+
+    Each cell LP that _settled takes at its box corner must be solve_lp_warm's
+    own result, and a corner that breaks a row must go to the LP: max x + y
+    over [0, 1]^2 with x + y <= 1 is worth 1, not the corner's 2.  The
+    search over the cells' recipes must call each recipe it builds only
+    when it pops that root, so it builds at most as many cells as it tries
+    to settle, and never one twice.
+    """
+    tied = MipProblem.make(LpProblem.make([1, 1], [([1, 1], 0, 1)], [0, 0], [1, 1]), [True, True])
+    got = best_of([(tied, 0, 2)])[1]
+    if _settled(tied.lp) is not None or got.value != 1:
+        return f"a corner that breaks its row gives {got!r}", 0
+    settled = 0
+    real = smallip._settled
+    popped = []
+    smallip._settled = lambda lp: popped.append(None) or real(lp)
+    try:
+        for trial in range(SETTLED):
+            inst = generators.random_snf_instance(rng, n=40, s_A=1, t_B=1, s_C=1, seeded_rate=0.9)
+            prepared = _prepare(inst)
+            if not isinstance(prepared, tuple):
+                continue
+            cells = list(enumerate_cells(inst, *prepared))
+            builds = []
+            roots = [(lambda r=cell.recipe: builds.append(r) or r(), cell.constant, cell.ceiling)
+                     for cell in cells]
+            del popped[:]
+            best_of(roots)
+            if len(builds) > len(popped) or len(set(map(id, builds))) != len(builds):
+                return f"trial {trial}: {len(builds)} cells built, {len(popped)} popped", settled
+            for cell in cells:
+                lp = cell.mip.lp
+                res = real(lp)
+                if res is not None:
+                    if res != solve_lp_warm(lp)[0] or res.den != 1:
+                        return f"trial {trial}: settled {res!r} is not the LP's result", settled
+                    settled += 1
+    finally:
+        smallip._settled = real
+    return None, settled
+
+
 def _off_by_one(evaluate):
     """evaluate with every objective reported one too high."""
     def wrong(inst, x):
@@ -403,6 +455,11 @@ def main() -> int:
         print(f"screen: {why}")
         return 1
     print("screened", dropped)
+    why, settled = settle_unsound(random.Random("python-O/settle"))
+    if why is not None:
+        print(f"settle: {why}")
+        return 1
+    print("settled", settled)
     for case in EXITS:
         why = exit_unchecked(*case)
         if why is not None:
@@ -424,7 +481,7 @@ def test_whole_battery_under_python_O():
     words = out.stdout.split()
     assert words[0::2] == [
         "ones", "nfold_snf", "fourblock_snf", "refused", "malformed", "audits", "transports",
-        "blocks", "held", "untyped", "screened", "exits", "debug"]
+        "blocks", "held", "untyped", "screened", "settled", "exits", "debug"]
     assert words[-1] == "False"  # the asserts really were stripped
     # each route met both verdicts: feasible optima and proven infeasibility
     assert all(PER_ROUTE // 4 <= int(k) < PER_ROUTE for k in words[1:6:2]), words
@@ -436,7 +493,8 @@ def test_whole_battery_under_python_O():
     assert int(words[17]) == HELD
     assert int(words[19]) == len(UNTYPED)
     assert int(words[21]) >= 1  # the screen really dropped cells to check
-    assert int(words[23]) == len(EXITS)
+    assert int(words[23]) >= 1  # some cell roots really were settled
+    assert int(words[25]) == len(EXITS)
 
 
 if __name__ == "__main__":

@@ -1,9 +1,11 @@
 import itertools
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
+from blockip import smallip
 from blockip.errors import MalformedProblemError
 from blockip.ratlp import INFEASIBLE, OPTIMAL, LpProblem, solve_lp
 from blockip.smallip import MipProblem, _branch_var, _propagate, best_of, solve_mip
@@ -130,6 +132,55 @@ def test_random_battery_against_enumeration():
             assert all(v.denominator == 1 for v in res.point)
             agree += 1
     assert agree > 50  # the battery must exercise the feasible path
+
+
+def test_recipe_roots_branch_in_lattice_coordinates(monkeypatch):
+    # a recipe root is built once, when popped, and at its first split it
+    # is rewritten in the lattice coordinates of its equality rows over
+    # its box; it must reach the brute-force optimum of its equality and
+    # ranged rows with an integral point that meets them, whether its
+    # boxes are narrow or wide and some columns are fixed
+    forms = []
+    real = smallip._lattice_form
+    monkeypatch.setattr(smallip, "_lattice_form", lambda *args: forms.append(real(*args)) or forms[-1])
+    rng = random.Random(7005)
+    agree = 0
+    for trial in range(250):
+        n = rng.randint(1, 4)
+        scale = rng.choice((1, 1, 10))
+        c = [rng.randint(-6, 6) for _ in range(n)]
+        lo = [rng.randint(-3, 1) for _ in range(n)]
+        hi = [a + rng.choice((0, rng.randint(1, 4))) * scale for a in lo]
+        eq = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, 2))]
+        seed = [rng.randint(a, b) for a, b in zip(lo, hi)]
+        rhs = [sum(map(operator.mul, row, seed)) + rng.choice((0, 0, 1)) for row in eq]
+        ranged = [rng.randint(-2, 2) for _ in range(n)]
+        top = sum(map(operator.mul, ranged, seed)) + rng.randint(-1, 2)
+        rows = [(row, b, b) for row, b in zip(eq, rhs)] + [(ranged, top - 3 * scale, top)]
+        mip = MipProblem.make(LpProblem.make(c, rows, lo, hi), [True] * n)
+        built = []
+        ceiling = sum(a * (u if a > 0 else l) for a, l, u in zip(c, lo, hi))
+        k, res = best_of([(lambda: built.append(None) or mip, 0, ceiling)])
+        assert len(built) == 1, trial
+        want = None
+        for x in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
+            if all(a <= sum(map(operator.mul, row, x)) <= b for row, a, b in rows):
+                value = sum(map(operator.mul, c, x))
+                want = value if want is None else max(want, value)
+        if want is None:
+            assert k is None and res.status == INFEASIBLE, trial
+            continue
+        assert k == 0 and res.value == want, (trial, res, want)
+        x = [v.numerator for v in res.point]
+        assert all(v.denominator == 1 for v in res.point), trial
+        assert all(a <= v <= b for v, a, b in zip(x, lo, hi)), trial
+        assert all(a <= sum(map(operator.mul, row, x)) <= b for row, a, b in rows), trial
+        assert sum(map(operator.mul, c, x)) == want, trial
+        agree += 1
+    # the rewrite is reached, and some rewrites prove the box empty (130
+    # optima, and 33 rewrites of which 16 empty, when written)
+    assert agree >= 100, agree
+    assert len(forms) >= 25 and forms.count(None) >= 8, (len(forms), forms.count(None))
 
 
 def test_node_count_bounded_by_lattice_size():
