@@ -56,13 +56,14 @@ ceiling is below the optimum is never built or solved.  A popped cell
 whose box corner at the objective meets its rows is settled there with no
 LP: that corner is the point its ceiling reads.  A cell whose root LP point
 is fractional is rewritten at that first split in the lattice coordinates
-of its equality rows and branched on them, which keeps its node count
-from growing with the width of its box when its integer points form a
-sparse lattice (tests/fourblock_reference.py keeps the branching on the
-cell's own columns, cell by cell, as the reference).  Ties go to the
-earlier cell, so the value returned is the one that solving each cell in
-turn, with the incumbent as its cutoff, returns, and the point is that
-loop's or, in a rewritten cell, another point of the same value.
+of its equality rows and branched on them, as best_of does with every
+all-integer root, so its node count does not grow with the width of its
+box when its integer points form a sparse lattice (tests/fourblock_reference.py
+keeps branching on the cell's own columns as the reference).  Ties go to
+the earlier cell, so the Solution returned, point included, is the one
+that solve_mip on each cell in turn, with the incumbent as cutoff, returns.
+With no bricks, solve_mip branches the shared columns in the lattice
+coordinates of the top rows too.
 
 All enumeration is exact, the winning cell's value is checked against its
 ceiling, and its solution is lifted back to a full point and re-checked
@@ -703,14 +704,14 @@ def _cells_for_windows(builder, combo, d, d_bar, lo, hi, pairs, arg_lo, arg_hi):
         )
 
 
-def solve_cell(cell: CellProblem, cutoff=None):
-    """Exact optimum of one cell's MIP; cutoff is on the MIP part only.
+def solve_cell(cell: CellProblem):
+    """Exact optimum of one cell's MIP, its constant left out.
 
     The route searches all cells at once through best_of; this solves one
-    alone and branches on the cell's own columns, for the tests' reference,
-    and perfbench/tracer.py wraps it by name.
+    alone with the same branching, for the tests' screen checks, and
+    perfbench/tracer.py wraps it by name.
     """
-    return solve_mip(cell.mip, cutoff=cutoff)
+    return solve_mip(cell.mip)
 
 
 def lift_solution(inst: FourBlockInstance, elim: EliminationData,

@@ -16,8 +16,9 @@ pivots; only a root is solved cold, from the row-less start, and a root
 whose start already meets its rows is settled there with no tableau.
 solve_mip is that search over one root, and the 4-block route runs it over
 its cells, each given as a recipe that the search builds when it pops the
-cell and rewrites in the lattice coordinates of its equality rows at its
-first split.
+cell.  Without a separator, every root whose columns are all integral is
+rewritten in the lattice coordinates of its equality rows at its first
+split; a mixed root branches on its own columns.
 A separator can grow the rows of the search as it goes: the all-ones route
 runs best_of with its cut separator, and the search then closes or shrinks
 each node by integer bound propagation over those rows (_propagate, which
@@ -222,7 +223,8 @@ def solve_mip(p: MipProblem, cutoff=None) -> LpResult:
     subtrees whose LP bound is <= cutoff are pruned and only solutions with
     value > cutoff are returned.  When nothing beats the cutoff the result is
     Infeasible even if the program has worse feasible points.  The nodes field
-    counts LP relaxations solved.  cutoff is None, an int or a Fraction.
+    counts the nodes whose LP is solved, a settled root included (best_of).
+    cutoff is None, an int or a Fraction.
     """
     if type(p) is not MipProblem:
         raise MalformedProblemError(f"p is a {type(p).__name__}, not a MipProblem")
@@ -250,8 +252,7 @@ def best_of(roots, cutoff=None, separator=None):
     search dives to an integral point instead of sweeping the tie.  A root
     whose ceiling is below the best total is never solved, and the result
     is the one solve_mip gives the first root that reaches the best total,
-    with the best total of the roots before it as its cutoff (for a recipe
-    root, with the same value and possibly another point of that value).
+    with the best total of the roots before it as its cutoff.
     An LP total is floored when the total is an integer at every point the
     search accepts: when the objective reads only masked variables, or
     when a separator is given.  nodes counts every node whose LP is solved,
@@ -260,14 +261,15 @@ def best_of(roots, cutoff=None, separator=None):
     Without a separator a popped root is settled when it can be: when the
     corner of its box at the objective meets every row, that corner is the
     LP optimum that solve_lp_warm would return from its row-less start, so
-    it is taken with no tableau (_settled), and it is integral.  A recipe
-    root whose every column is integral and whose LP point is fractional
-    is not split: at this first split it is rewritten over its box in the
+    it is taken with no tableau (_settled), and it is integral.  A root
+    whose every column is integral and whose LP point is fractional is
+    not split: at this first split it is rewritten over its box in the
     lattice coordinates of its equality rows (_lattice_form), which proves
     some roots empty, and the rewritten root goes back on the heap under
     the same bound and branches on those coordinates.  The point accepted
     there is mapped back to the root's own columns, so the result reads
-    the same whatever program the search branched in.
+    the same whatever program the search branched in.  A mixed root, and
+    every root of a search with a separator, branches on its own columns.
 
     cutoff, when given, prunes every node whose total is <= cutoff, as in
     solve_mip.  Returns (index of the winning root, LpResult of its MIP
@@ -309,7 +311,6 @@ def best_of(roots, cutoff=None, separator=None):
     # integers, and the map of an accepted point back once it is rewritten
     problems, integral, lifts = [None] * len(roots), [None] * len(roots), [None] * len(roots)
     constants = [constant for _, constant, _ in roots]
-    pending = set()  # recipe roots built and not yet split
 
     def program_of(k, mip):
         problems[k] = mip
@@ -352,8 +353,6 @@ def best_of(roots, cutoff=None, separator=None):
             if type(mip) is not MipProblem:
                 raise MalformedProblemError(f"recipe of root {k} returned {mip!r}, not a MipProblem")
             program_of(k, mip)
-            if all(mip.integer_mask):
-                pending.add(k)
         constant = constants[k]
         if res is None:
             if state is None:
@@ -403,8 +402,9 @@ def best_of(roots, cutoff=None, separator=None):
         if j < 0:
             res = replace(res, nodes=nodes)
             return k, res if lifts[k] is None else lifts[k](res)
-        if k in pending:
-            pending.discard(k)
+        # without a separator, an all-integer root not yet rewritten is
+        # at its first split: every later split is in lattice coordinates
+        if separator is None and lifts[k] is None and all(mip.integer_mask):
             form = _lattice_form(mip, lo, hi)
             if form is None:
                 continue

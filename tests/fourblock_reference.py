@@ -1,5 +1,6 @@
-"""The 4-block cell enumerator as it stood before its vector rewrite, and
-the route's cell-by-cell loop as it stood before its best-first search.
+"""The 4-block cell enumerator as it stood before its vector rewrite, the
+route's cell-by-cell loop as it stood before its best-first search, and
+smallip.solve_mip as it stood before it branched in lattice coordinates.
 
 fourblock_snf.enumerate_cells must yield the CellProblem sequence this one
 yields, in the same order, with some cells removed, and only cells with no
@@ -20,22 +21,32 @@ rows and objective rebuilt as sparse dicts and screened by _propagate.  It
 shares with the package only the data types and _propagate, which the
 rewrite left as it was.
 
-solve_cell_by_cell is fourblock_snf.solve_4block_snf with its old loop: the
-package's cells in enumeration order, each solved to optimality with the
-best total so far, less the cell's constant, as its cutoff.  solve_cell
-branches on the cell's own columns, so this loop is also the reference for
-the route's branching in lattice coordinates: the route must return the
-same verdict and value with no more LPs, and the same point or another
-point of the same value.
+solve_mip_by_coordinates is smallip.solve_mip as it stood before every
+all-integer root was rewritten in the lattice coordinates of its equality
+rows: the same best-first search over one root, branching on the
+program's own columns throughout.  solve_cell_by_cell is
+fourblock_snf.solve_4block_snf with its old loop: the package's cells in
+enumeration order, each solved to optimality with the best total so far,
+less the cell's constant, as its cutoff, and with no bricks the route's
+own _solve_trivial.  By default it solves each cell with
+solve_mip_by_coordinates, so it is the reference for the route's
+branching in lattice coordinates: the route must return the same verdict
+and value with no more LPs, and the same point or another point of the
+same value.  With smallip.solve_mip as its solve, it is the reference for
+the route's best-first search over all cells at once, which must return
+the same Solution exactly.
 """
 
+import heapq
 import itertools
+from dataclasses import replace
+from fractions import Fraction
 
-from blockip import fourblock_snf
+from blockip import fourblock_snf, smallip
 from blockip.errors import InternalInconsistencyError
 from blockip.fourblock_snf import CellProblem, EliminationData, _propagate
 from blockip.model import FourBlockInstance, Infeasible
-from blockip.ratlp import INFEASIBLE, OPTIMAL, LpProblem
+from blockip.ratlp import INFEASIBLE, OPTIMAL, LpProblem, LpResult
 from blockip.smallip import MipProblem
 
 
@@ -508,8 +519,55 @@ def screen_fault(cells, want):
     return None, len(dropped)
 
 
-def solve_cell_by_cell(inst):
-    """solve_4block_snf with one cutoff-pruned solve per cell, in order."""
+def solve_mip_by_coordinates(mip, cutoff=None):
+    """smallip.solve_mip with coordinate branching at every node.
+
+    Best-first over the nodes of mip's one root, each node under the LP
+    total of the node it was split from, or its own once solved; ties go
+    to the node pushed last.  The root is settled at its box corner when
+    that corner meets its rows (smallip._settled), and otherwise solved
+    cold; each child is re-solved warm from its parent's state with its
+    box edited.  A node whose point is integral on the mask is accepted
+    when popped again; otherwise it is split at smallip._branch_var, and
+    it is never rewritten.  An LP total is floored when the objective
+    reads only masked variables.  The LP calls go through
+    smallip.solve_lp_warm and the state's edited method, looked up when
+    called, so a test can count or replace them.
+    """
+    integral = all(m or not c for c, m in zip(mip.lp.objective, mip.integer_mask))
+    # (-bound, -seq, box, state to re-solve from, its LpResult once solved)
+    heap = [(0, 0, tuple(mip.lp.lower), tuple(mip.lp.upper), None, None)]
+    nodes = seq = 0
+    while heap:
+        neg, _, lo, hi, state, res = heapq.heappop(heap)
+        if res is None:
+            if state is None:
+                res = smallip._settled(mip.lp)
+                if res is None:
+                    res, state = smallip.solve_lp_warm(mip.lp)
+            else:
+                edges = [(j, a, b) for j, (a, b) in enumerate(zip(lo, hi)) if state.bounds(j) != (a, b)]
+                res, state = state.edited(edges, [])
+            nodes += 1
+            if res.status != OPTIMAL:
+                continue
+            bound = res.value_num // res.den if integral else Fraction(res.value_num, res.den)
+            if cutoff is None or bound > cutoff:
+                seq += 1
+                heapq.heappush(heap, (-bound, -seq, lo, hi, state, res))
+            continue
+        j = smallip._branch_var(res.num, res.den, mip.integer_mask)
+        if j < 0:
+            return replace(res, nodes=nodes)
+        at = res.num[j] // res.den
+        for child in ((lo, hi[:j] + (at,) + hi[j + 1:]), (lo[:j] + (at + 1,) + lo[j + 1:], hi)):
+            seq += 1
+            heapq.heappush(heap, (neg, -seq, *child, state, None))
+    return LpResult(status=INFEASIBLE, nodes=nodes)
+
+
+def solve_cell_by_cell(inst, solve=solve_mip_by_coordinates):
+    """solve_4block_snf with one cutoff-pruned solve(mip, cutoff) per cell, in order."""
     prepared = fourblock_snf._prepare(inst)
     if prepared is None:
         return fourblock_snf._solve_trivial(inst)
@@ -520,7 +578,7 @@ def solve_cell_by_cell(inst):
     best = None  # (value, cell, point)
     for cell in fourblock_snf.enumerate_cells(inst, elim, grid):
         cutoff = None if best is None else best[0] - cell.constant
-        res = fourblock_snf.solve_cell(cell, cutoff=cutoff)
+        res = solve(cell.mip, cutoff=cutoff)
         if res.status == OPTIMAL:
             total = res.value + cell.constant
             if best is None or total > best[0]:

@@ -9,6 +9,7 @@ from highs_oracle import highs_optimum
 
 from blockip import fourblock_snf, generators, ratlp, smallip
 from blockip.errors import (
+    BudgetExceededError,
     InternalInconsistencyError,
     MalformedProblemError,
     NotEligibleError,
@@ -32,6 +33,7 @@ from blockip.model import (
     evaluate,
 )
 from blockip.nfold_snf import solve_nfold_snf
+from blockip.ones import solve_ones
 from blockip.oracle import OracleBudget, enumerate_optimum
 from blockip.ratlp import OPTIMAL, LpProblem, LpResult, solve_lp_warm
 from blockip.smallip import MipProblem, _settled, best_of
@@ -712,7 +714,8 @@ def _same_or_tie(inst, got, want):
 def test_best_first_search_matches_the_cell_by_cell_loop(monkeypatch):
     # the same Solution as solving every cell in order with the incumbent
     # as cutoff and coordinate branching, or another optimum (a tie), and
-    # never more LPs
+    # never more LPs; and exactly the Solution of that loop under the
+    # route's own branching rule, smallip.solve_mip per cell
     calls = _count_lps(monkeypatch)
     tally = {"solutions": 0, "ties": 0, "fewer": 0}
     for inst in _search_battery():
@@ -724,6 +727,7 @@ def test_best_first_search_matches_the_cell_by_cell_loop(monkeypatch):
         assert why is None, (why, inst)
         assert len(calls) <= reference_lps, inst
         tally["fewer"] += len(calls) < reference_lps
+        assert got == fourblock_reference.solve_cell_by_cell(inst, smallip.solve_mip), inst
         del calls[:]
         if isinstance(got, Solution):
             tally["solutions"] += 1
@@ -837,6 +841,53 @@ def test_large_coefficients_solve_under_the_alarm(scale, seed):
     assert isinstance(got, Solution) and got.objective == LARGE_DELTA[(scale, seed)]
     report = evaluate(inst, got.x)
     assert report.feasible and report.objective == got.objective
+
+
+# no bricks at large coefficients: max w . x0 over C x0 = b0 and the box
+# [0, S]^t_B, C's entries in [S, 2S], one seeded draw per shape, never
+# chosen by solve time.  The integer points form a sparse lattice in a box
+# S wide, which branching on x0 sweeps: at 10^6 and 10^30 that ran past
+# 20 s on 8 of the 12 draws and took 11 s and 0.7 s on two more, and in
+# the lattice coordinates of the top rows every draw took at most 1.1 ms,
+# when written
+NO_BRICKS_DRAWS = {
+    f"tB{t_B}-sC{s_C}-1e{len(str(scale)) - 1}": (t_B, s_C, scale)
+    for t_B, s_C, scale in itertools.product((2, 3, 4), (1, 2), (10**2, 10**3, 10**6, 10**30))
+}
+NO_BRICKS_ALARM_S = 1.0
+
+
+def _no_bricks(t_B, s_C, scale):
+    rng = random.Random(f"no-bricks/{t_B}/{s_C}/{scale}")
+    C = IntMatrix.from_rows([[rng.randint(scale, 2 * scale) for _ in range(t_B)] for _ in range(s_C)])
+    seed = [rng.randint(0, scale) for _ in range(t_B)]
+    w = [rng.randint(-scale, scale) for _ in range(t_B)]
+    return FourBlockInstance.make(0, IntMatrix.from_rows([(1, 1)]), IntMatrix.zero(1, t_B), C,
+                                  IntMatrix.zero(s_C, 2), C.mul_vec(seed), [], [0] * t_B, [scale] * t_B, w)
+
+
+def _one_empty_brick(inst):
+    """inst with one brick held at zero: A = (1, 1), b_1 = 0, box [0, 0]^2."""
+    return FourBlockInstance.make(1, inst.A, inst.B, inst.C, inst.D, inst.b0, [(0,)],
+                                  inst.l + (0, 0), inst.u + (0, 0), inst.w + (0, 0))
+
+
+@pytest.mark.parametrize("draw", sorted(NO_BRICKS_DRAWS))
+def test_no_bricks_at_large_coefficients_matches_the_ones_route(draw):
+    # the embedding is all-ones, so the ones route solves it by its own
+    # aggregate search; at 10^3 and below the enumerator confirms the
+    # optimum where its budget allows (6 of the 12 draws when written)
+    inst = _no_bricks(*NO_BRICKS_DRAWS[draw])
+    got, _ = timed(solve_4block_snf, inst, NO_BRICKS_ALARM_S)
+    want, _ = timed(solve_ones, _one_empty_brick(inst), NO_BRICKS_ALARM_S)
+    assert isinstance(got, Solution) and isinstance(want, Solution)
+    assert got.objective == want.objective
+    if NO_BRICKS_DRAWS[draw][2] <= 10**3:
+        try:
+            oracle = enumerate_optimum(inst, OracleBudget(10**4))
+        except BudgetExceededError:
+            return
+        assert got.objective == oracle.objective
 
 
 def _cells_of(count, seed="settle"):

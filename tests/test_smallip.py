@@ -4,9 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from fourblock_reference import solve_mip_by_coordinates
 
-from blockip import smallip
+from blockip import generators, smallip
 from blockip.errors import MalformedProblemError
+from blockip.ones import solve_ones
+from blockip.oracle import enumerate_optimum
 from blockip.ratlp import INFEASIBLE, OPTIMAL, LpProblem, solve_lp
 from blockip.smallip import MipProblem, _branch_var, _propagate, best_of, solve_mip
 
@@ -139,12 +142,15 @@ def test_recipe_roots_branch_in_lattice_coordinates(monkeypatch):
     # is rewritten in the lattice coordinates of its equality rows over
     # its box; it must reach the brute-force optimum of its equality and
     # ranged rows with an integral point that meets them, whether its
-    # boxes are narrow or wide and some columns are fixed
+    # boxes are narrow or wide and some columns are fixed.  The same
+    # program built, through solve_mip, takes the same search, rewrite
+    # included, and gives the same result
     forms = []
     real = smallip._lattice_form
     monkeypatch.setattr(smallip, "_lattice_form", lambda *args: forms.append(real(*args)) or forms[-1])
     rng = random.Random(7005)
     agree = 0
+    rewrites = {"recipe": 0, "built": 0}
     for trial in range(250):
         n = rng.randint(1, 4)
         scale = rng.choice((1, 1, 10))
@@ -160,8 +166,13 @@ def test_recipe_roots_branch_in_lattice_coordinates(monkeypatch):
         mip = MipProblem.make(LpProblem.make(c, rows, lo, hi), [True] * n)
         built = []
         ceiling = sum(a * (u if a > 0 else l) for a, l, u in zip(c, lo, hi))
+        before = len(forms)
         k, res = best_of([(lambda: built.append(None) or mip, 0, ceiling)])
         assert len(built) == 1, trial
+        rewrites["recipe"] += len(forms) - before
+        before = len(forms)
+        assert solve_mip(mip) == res, trial  # status, point, value and node count
+        rewrites["built"] += len(forms) - before
         want = None
         for x in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
             if all(a <= sum(map(operator.mul, row, x)) <= b for row, a, b in rows):
@@ -178,9 +189,49 @@ def test_recipe_roots_branch_in_lattice_coordinates(monkeypatch):
         assert sum(map(operator.mul, c, x)) == want, trial
         agree += 1
     # the rewrite is reached, and some rewrites prove the box empty (130
-    # optima, and 33 rewrites of which 16 empty, when written)
+    # optima, and 33 rewrites per kind of root, 16 of them empty, when
+    # written)
     assert agree >= 100, agree
-    assert len(forms) >= 25 and forms.count(None) >= 8, (len(forms), forms.count(None))
+    assert rewrites["recipe"] == rewrites["built"] >= 25, rewrites
+    assert forms.count(None) >= 16, forms.count(None)
+
+
+def _rewrite_refused(*args):
+    raise AssertionError("rewritten in lattice coordinates")
+
+
+def test_mixed_roots_and_separated_searches_branch_on_their_columns(monkeypatch):
+    # only an all-integer root searched without a separator is rewritten:
+    # a mixed root, and a root under a separator, branch on their own
+    # columns, so a mixed solve_mip run is the coordinate reference's run
+    # exactly, and an all-integer root under a separator that adds nothing
+    # reaches the reference's point with no settled root
+    monkeypatch.setattr(smallip, "_lattice_form", _rewrite_refused)
+    rng = random.Random(7006)
+    tally = {"mixed split": 0, "separated split": 0}
+    for trial in range(150):
+        n = rng.randint(2, 4)
+        lo = [rng.randint(-3, 1) for _ in range(n)]
+        hi = [a + rng.randint(0, 5) for a in lo]
+        rows = [([rng.randint(-4, 4) for _ in range(n)], b - rng.choice((0, 3)), b)
+                for b in (rng.randint(-6, 6) for _ in range(rng.randint(1, 2)))]
+        lp = LpProblem.make([rng.randint(-6, 6) for _ in range(n)], rows, lo, hi)
+        mixed = MipProblem.make(lp, [True] * (n - 1) + [False])
+        res = solve_mip(mixed)
+        assert res == solve_mip_by_coordinates(mixed), trial
+        tally["mixed split"] += res.nodes > 1
+        whole = MipProblem.make(lp, [True] * n)
+        _, res = best_of([(whole, 0, 0)], None, lambda num, den, add: None)
+        want = solve_mip_by_coordinates(whole)
+        assert (res.status, res.point, res.value) == (want.status, want.point, want.value), trial
+        tally["separated split"] += res.nodes > 1
+    # the all-ones route searches its aggregate under its cut separator
+    for seed in range(10):
+        inst = generators.random_ones_instance(random.Random(seed), n=4, seeded_rate=0.9)
+        got, want = solve_ones(inst), enumerate_optimum(inst)
+        assert type(got) is type(want) and getattr(got, "objective", None) == getattr(want, "objective", None)
+    # 28 mixed and 38 separated runs split when written
+    assert tally["mixed split"] >= 20 and tally["separated split"] >= 20, tally
 
 
 def test_node_count_bounded_by_lattice_size():
