@@ -1,8 +1,9 @@
 """Exact solvers for block-structured integer programs.
 
 Three structured routes (aggregate all-ones row, n-fold Smith elimination,
-4-block Smith elimination with cell enumeration) plus an exhaustive oracle,
-hardness-reduction encoders and seeded instance generators.
+4-block Smith elimination with one concave master per residue combination)
+plus an exhaustive oracle, hardness-reduction encoders and seeded instance
+generators.
 
 An instance is a FourBlockInstance, or a GeneralizedNFoldInstance whose
 brick matrices A_i and top blocks D_i vary per brick.  validate checks

@@ -1,102 +1,53 @@
 """4-block solver for bricks with one more column than rows.
 
-The brick systems differ only in their right-hand sides, so once brick 1 is
-chosen every other brick is pinned up to one free integer: one Smith form of
-A solves each difference system A x = b_i - b_1 (intlin.particular_solutions),
-for a 1x2 brick matrix as for any other.  Splitting the
-anchor brick into remainder and quotient per coordinate turns all box
-constraints into floor/ceil bounds that are piecewise constant in the
-remainders; enumerating the constancy cells, the orderings of the per-brick
-bounds (via pairwise quotient differences), and the greedy-merge windows
-leaves a family of constant-size integer programs.  Their best value is the
-optimum.
+The brick systems differ only in their right-hand sides, so one Smith form
+of A pins every brick to brick 1 up to one free integer:
+x^i = x^1 + offset_i + theta t_i (intlin.particular_solutions).  Splitting
+each anchor coordinate with theta_h != 0 into remainder and quotient,
+x^1_h = xi_h + theta_h z_h, turns each brick's box into bounds d_ih <= z_h +
+t_i <= dbar_ih that stay constant while xi_h stays in one sub-interval of
+the residue grid (build_grid).  One sub-interval per grid axis, the paper's
+n^{O(t_A)} guess, leaves a master over (x0, xi_h, z_h, the zero-step anchor
+values, P = sum t_i): the anchor's rows A x^1 + B x0 = b_1, the top rows
+C x0 + n D x^1 + (D theta) P = b0 - D . offset_totals, and z_a - z_c <=
+min_i(dbar_ia - d_ic), which keep each L_i(z) = max_h(d_ih - z_h) ..
+U_i(z) = min_h(dbar_ih - z_h) nonempty.  At integer (z, P) the bricks are
+worth G(z, P), the greedy fill of P - sum L_i units, best rates first
+(nfold_snf.greedy_ip8), the value of a box and one sum row: concave.
 
-Almost all of these cells have no integer point.  While a cell's rows are
-still sparse int maps, integer bound propagation over them
-(smallip._propagate, at its default cap of 30 rounds) proves most empty
-cells empty, and only the survivors become exact LPs and MIPs.  Each
-survivor's LP is taken over the box that propagation tightened, less the
-rows that box implies.  Propagation removes no integer point that meets
-the cell's rows, so each cell keeps its integer points and its optimum,
-and the screen removes only cells with none.
-
-The merge windows j = 1..n of one choice of sub-intervals, difference
-windows and arguments share all rows but two, the p rows Lambda(j-1) + 1
-<= p <= Lambda(j).  They are swept in one pass along the rate order, with
-Lambda(j-1) and the running objective carried as integer coefficients per
-grid coordinate plus a constant, each window adding one brick.  The shared
-rows are propagated once.  A window's two p rows are then first tested at
-that shared box in O(#grid coordinates) (_p_rows_have_slack): a row with
-negative slack there has negative slack in every sub-box, so _propagate,
-whose first pass meets the row in a sub-box, would return False.  The same
-test drops a window whose brick has no room (Lambda(j) = Lambda(j-1)), the
-constant case of the p rows' sum.  Only the windows that pass get dict
-rows, the propagation, an objective and an LP.
-
-Bound propagation reads one row at a time, but a window's empty set mostly
-needs two at once: a p row together with a top equality row, whose p
-coefficient is k_r = sum_h D_rh theta_h.  So each window's screen also gets,
-for each top row with k_r != 0 and each p row with p coefficient c_p, the
-row |k_r| (p row) - sign(k_r) c_p (top row), in which p cancels.  It is a
-nonnegative multiple of an inequality plus a multiple of an equality, so
-every point of the window meets it, and its coefficients are integers like
-those of any other row, so a window that _propagate proves empty with it
-has no integer point.  The survivors are therefore those of propagating
-every window without these rows, less some cells with no integer point.
-
-Only the best cell matters, so the cells are not solved one by one.  Each
-carries a ceiling, an int that no integer point of the cell exceeds: its
-constant plus, per column, the larger of the objective coefficient times
-either end of the cell's box.  The cells are yielded with their ceilings
-and a recipe for their MipProblem, not as built LPs, and handed to
-smallip.best_of, one best-first branch and bound over the nodes of all
-cells, in which a cell not yet built waits under its ceiling.  A cell is
-built only when its ceiling is the best bound left, so a cell whose
-ceiling is below the optimum is never built or solved.  A popped cell
-whose box corner at the objective meets its rows is settled there with no
-LP: that corner is the point its ceiling reads.  A cell whose root LP point
-is fractional is rewritten at that first split in the lattice coordinates
-of its equality rows and branched on them, as best_of does with every
-all-integer root, so its node count does not grow with the width of its
-box when its integer points form a sparse lattice (tests/fourblock_reference.py
-keeps branching on the cell's own columns as the reference).  Ties go to
-the earlier cell, so the Solution returned, point included, is the one
-that solve_mip on each cell in turn, with the incumbent as cutoff, returns.
-With no bricks, solve_mip branches the shared columns in the lattice
-coordinates of the top rows too.
-
-All enumeration is exact, the winning cell's value is checked against its
-ceiling, and its solution is lifted back to a full point and re-checked
-against the original constraints; any disagreement raises instead of
-returning silently wrong output.
+A master maximizes its linear part plus a continuous eta <= G by
+smallip.best_of with a separator, as the all-ones route does with its
+transports, in the lattice coordinates v of its equality rows, x = p + Q^T
+v (Aardal, Hurkens & Lenstra, Math. Oper. Res. 25(3), 2000), Q reduced in
+the metric of its box.  The separator cuts at the LP point's lattice
+corners, nearest first, or at the point itself: the greedy's supergradient
+cut, or the P-range row where P leaves sum L_i .. sum U_i (Padberg &
+Rinaldi, SIAM Rev. 33, 1991).  Each holds at every integer point by LP
+duality and as a max is at least, and a min at most, any of its terms; each
+supergradient cut is certified in O(n) integers by its dual (_greedy_dual).
+The masters are searched in ceiling order, and the winner is lifted and
+re-checked against the original rows; any disagreement raises.  With no
+bricks, solve_mip branches the shared columns in lattice coordinates.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
-from operator import mul
+from itertools import compress
+from operator import add, eq, gt, le, lt, mul, sub
 
-from .errors import (
-    InternalInconsistencyError,
-    MalformedProblemError,
-    NotEligibleError,
-)
-from .intlin import brick_form, kernel_basis, particular_solutions, quotient_range
-from .model import (
-    FourBlockInstance,
-    Infeasible,
-    Solution,
-    checked_solution,
-    evaluate,
-    validate,
-)
-from .ratlp import OPTIMAL, LpProblem
-from .smallip import MipProblem, _propagate, best_of, solve_mip
+from .errors import InternalInconsistencyError, MalformedProblemError, NotEligibleError
+from .intlin import (box_reduced, brick_form, coordinate_box, kernel_basis, particular_solutions,
+                     quotient_range, reduce_basis, smith_normal_form)
+from .model import (FourBlockInstance, Infeasible, IntMatrix, Solution, checked_solution, evaluate,
+                    validate)
+from .nfold_snf import greedy_ip8
+from .ratlp import INFEASIBLE, OPTIMAL, LpProblem, LpResult
+from .smallip import MipProblem, _nearest_first, best_of, solve_mip
 
-# integer_rank and smith_normal_form are no longer called here; they stay
-# importable under these names because perfbench/tracer.py wraps them here
-from .intlin import integer_rank, smith_normal_form  # noqa: F401
+from .intlin import integer_rank  # noqa: F401  (perfbench/tracer.py wraps it here)
 
 
 @dataclass(frozen=True)
@@ -136,8 +87,7 @@ def elimination_from_snf(inst: FourBlockInstance):
     return EliminationData(theta, tuple(offsets), tuple(totals), c0)
 
 
-# The 1x2 gcd route is the Smith route now; the old name stays only because
-# perfbench/tracer.py wraps it by name and perfbench/checks.py calls it.
+# the old name of the 1x2 gcd route, which perfbench wraps and calls
 elimination_from_bezout = elimination_from_snf
 
 
@@ -150,613 +100,413 @@ class SubInterval:
 
 
 def build_grid(elim: EliminationData, lower, upper) -> tuple:
-    """Per coordinate h: the constancy partition of its remainder range.
-
-    Each entry is a tuple of SubInterval, the cells of the floor/ceil bound
-    values per remainder, or None when theta_h = 0: that coordinate's
-    anchor value is directly box-bounded and needs no remainder split.
-
-    lower/upper are per-brick coordinate bounds.  A bound's value changes
-    only where its shifted endpoint crosses a multiple of |theta_h|: the
-    lower endpoint at its remainder, the upper one just past it.  Both
-    signs of theta_h produce the same breakpoint set with the roles of the
-    two bounds swapped.
+    """Per coordinate h: the SubIntervals of its remainder range where the
+    floor/ceil bounds of every brick's box (lower/upper, per brick) are
+    constant, or None when theta_h = 0.  A bound changes only where its
+    shifted endpoint crosses a multiple of |theta_h|: the lower endpoint at
+    its remainder, the upper one just past it.
     """
-    n = len(lower)
     per_h = []
     for h, th in enumerate(elim.theta):
         if th == 0:
             per_h.append(None)
             continue
         m = abs(th)
-        points = {0}
-        for i in range(n):
-            shift = elim.offsets[i][h]
-            points.add((lower[i][h] - shift) % m)
-            r = (upper[i][h] - shift) % m
-            if r + 1 < m:
-                points.add(r + 1)
-        starts = sorted(points)
+        # each brick's box on coordinate h, less its offset
+        los = [lo[h] - off[h] for lo, off in zip(lower, elim.offsets)]
+        his = [up[h] - off[h] for up, off in zip(upper, elim.offsets)]
+        starts = sorted({0, *(a % m for a in los), *(b % m + 1 for b in his)} - {m})
         cells = []
-        for k, tau in enumerate(starts):
-            tau_bar = (starts[k + 1] - 1) if k + 1 < len(starts) else m - 1
-            d, dbar = [], []
-            for i in range(n):
-                shift = elim.offsets[i][h]
-                a, b = quotient_range(th, lower[i][h] - shift - tau,
-                                      upper[i][h] - shift - tau)
-                d.append(a)
-                dbar.append(b)
-            cells.append(SubInterval(tau, tau_bar, tuple(d), tuple(dbar)))
+        for tau, end in zip(starts, starts[1:] + [m]):
+            d, dbar = zip(*(quotient_range(th, a - tau, b - tau) for a, b in zip(los, his)))
+            cells.append(SubInterval(tau, end - 1, d, dbar))
         per_h.append(tuple(cells))
     return tuple(per_h)
 
 
 @dataclass(frozen=True)
-class CellProblem:
-    """One fully discretized subproblem, ready for the small MIP solver.
+class Master:
+    """One combination of sub-intervals, one per grid axis, for solve_cell.
 
-    Its MipProblem is built by its recipe on the first read of mip, or when
-    the search first pops the cell, and at most once.
-    """
+    Its columns x0 | xi_h, then z_h, per grid axis | the zero-step anchor
+    values | P are boxed by lower..upper, where each integer point of the
+    equality rows is offset + Q^T v, v_lo <= v <= v_hi, Q the basis.
+    static holds the rows z_a - z_c <= k as (a, c, k)."""
 
-    # builds the cell's MipProblem once and keeps it (_CellRecipe); it is no
-    # part of the cell's identity, which its choices below fix
-    recipe: object = field(compare=False, repr=False)
-    constant: int  # objective value outside the MIP variables
-    sub_choice: tuple  # per grid coordinate, the chosen SubInterval
-    layout: dict  # variable-name -> column metadata for lifting
-    order: tuple  # brick indices (>=1) sorted by objective rate
-    arg_lo: tuple  # per brick >=1: coordinate attaining its lower bound
-    arg_hi: tuple  # per brick >=1: coordinate attaining its upper bound
-    # an int no integer point of the cell exceeds, constant included; it
-    # orders the search and is no part of the cell's identity (== skips it,
-    # and the tests' reference enumerator builds cells without one)
-    ceiling: int = field(default=None, compare=False)
-
-    @property
-    def mip(self) -> MipProblem:
-        return self.recipe()
+    # the instance's _MasterBuilder and the basis Q, out of == and repr
+    builder: object = field(compare=False, repr=False)
+    basis: tuple = field(compare=False, repr=False)
+    sub_choice: tuple  # per grid axis, the chosen SubInterval
+    lower: tuple
+    upper: tuple
+    offset: tuple
+    v_lo: tuple
+    v_hi: tuple
+    static: tuple
+    eta_lo: int  # eta_lo..eta_hi bounds G over the box
+    eta_hi: int
+    ceiling: int  # no integer point's total exceeds it
 
 
-class _CellRecipe:
-    """A cell's MipProblem, built on the first call and kept.
-
-    The LP is max objective . x over the box, with the equality rows and
-    those of the sparse rows e . x <= b that the box does not imply, each
-    as a ranged row from its least activity over the box.
-    """
-
-    __slots__ = ("args", "mip")
-
-    def __init__(self, objective, eq_dense, sparse_rows, box_lo, box_hi):
-        self.args = (objective, eq_dense, sparse_rows, box_lo, box_hi)
-        self.mip = None
-
-    def __call__(self) -> MipProblem:
-        if self.mip is None:
-            objective, eq_dense, sparse_rows, box_lo, box_hi = self.args
-            width = len(objective)
-            rows = list(eq_dense)
-            for e, b in sparse_rows:
-                mn, mx = _range_of(e, box_lo, box_hi)
-                if mx > b:
-                    rows.append((_dense(e, width), mn, b))
-            lp = LpProblem.make(objective, rows, box_lo, box_hi)
-            self.mip = MipProblem.make(lp, [True] * width)
-            self.args = None
-        return self.mip
-
-
-def _range_of(coeffs, lo, hi):
-    mn = mx = 0
-    for j, a in coeffs.items():
-        if a > 0:
-            mn += a * lo[j]
-            mx += a * hi[j]
-        elif a < 0:
-            mn += a * hi[j]
-            mx += a * lo[j]
-    return mn, mx
-
-
-class _CellBuilder:
-    """Per-instance data shared by every cell.
-
-    The variable layout, the anchor brick's own rows, and the parts of the
-    top rows and of the objective that no choice of sub-intervals, windows
-    or arguments changes; the per-brick objective rates and the merge order.
-    """
+class _MasterBuilder:
+    """Per-instance data of the masters: layout, linear objective, rates of
+    bricks i >= 1, the equality rows (the same in every combination)."""
 
     def __init__(self, inst: FourBlockInstance, elim: EliminationData):
-        self.inst = inst
-        self.elim = elim
         n, tA, tB = inst.n, inst.t_A, inst.t_B
         theta = elim.theta
-        gh = self.grid_hs = [h for h in range(tA) if theta[h] != 0]
-        zh = self.zero_hs = [h for h in range(tA) if theta[h] == 0]
-        # coordinates with a zero step: the anchor value is shared by all
-        # bricks up to constant shifts, so the boxes intersect directly
-        self.zero_lo, self.zero_hi = {}, {}
-        lower, upper = inst.bricks(inst.l), inst.bricks(inst.u)
-        for h in zh:
-            self.zero_lo[h] = max(lo[h] - off[h] for lo, off in zip(lower, elim.offsets))
-            self.zero_hi[h] = min(up[h] - off[h] for up, off in zip(upper, elim.offsets))
-        self.wsum = inst.brick_sums(inst.w)  # total objective weight per coordinate
-        # objective rate of each brick's free integer
-        self.rates = [sum(map(mul, wi, theta)) for wi in inst.bricks(inst.w)]
-        self.order = tuple(
-            sorted(range(1, n), key=lambda i: (-self.rates[i], i))
-        )
-
-        # variable layout: x0 | xi_h | z_h | anchor values on zero-step coords | p
-        g = len(gh)
-        xi = {h: tB + k for k, h in enumerate(gh)}
-        z = self.z_col = {h: tB + g + k for k, h in enumerate(gh)}
-        direct = {h: tB + 2 * g + k for k, h in enumerate(zh)}
-        p = self.p = tB + 2 * g + len(zh)
-        self.layout = {"xi": xi, "z": z, "direct": direct, "p": p}
-        self.nvars = p + 1
-        anchor_col = {**xi, **direct}
-
-        # top rows: brick i's free integer is its lower bound d_i - z_{h_i}
-        # plus its share of p, where h_i is the coordinate setting that bound
-        # (arg_lo) and d_i its quotient, so top row r reads
-        #   C_r x0 + n sum_h D_rh (xi_h or direct_h)
-        #     + sum_h (n D_rh theta_h - k_r cnt_h) z_h + k_r p
-        #   = b0_r - sum_h D_rh offset_totals_h - k_r sum_i d_i
-        # with k_r = sum_h D_rh theta_h and cnt_h the number of bricks with
-        # h_i = h.  Kept per row: the coefficients no cell changes, the z
-        # coefficients before the cnt_h term, k_r, and the constant before
-        # the sum of the d_i
-        self.top = []
-        for r in range(inst.s_C):
-            e = {bcol: a for bcol in range(tB) if (a := inst.C.at(r, bcol))}
-            zc = dict.fromkeys(gh, 0)
-            k = 0
-            const = 0
-            for h in range(tA):
-                drh = inst.D.at(r, h)
-                if drh == 0:
-                    continue
-                const += drh * elim.offset_totals[h]
-                e[anchor_col[h]] = n * drh
-                if theta[h]:
-                    zc[h] = n * drh * theta[h]
-                    k += drh * theta[h]
-            self.top.append((e, zc, k, inst.b0[r] - const))
-        # the anchor brick's own system A x^1 + B x0 = b_1, the same in every cell
-        self.anchor_rows = []
-        for r in range(inst.s_A):
-            e = {bcol: a for bcol in range(tB) if (a := inst.B.at(r, bcol))}
-            for h in range(tA):
-                arh = inst.A.at(r, h)
-                if arh:
-                    e[anchor_col[h]] = arh
-                    if theta[h]:
-                        e[z[h]] = arh * theta[h]
-            self.anchor_rows.append((e, inst.b[0][r]))
-        self.anchor_screen = []
-        for e, b in self.anchor_rows:
-            self.anchor_screen += [(e, b), ({var: -a for var, a in e.items()}, -b)]
-        # objective terms with no brick's bound in them; z_h's is completed
-        # per cell by the rates of the bricks whose lower bound it sets
-        obj = [0] * self.nvars
-        obj[:tB] = inst.w[:tB]
+        gh = self.grid_hs = [h for h in range(tA) if theta[h]]
+        zh = [h for h in range(tA) if not theta[h]]
+        # a zero-step anchor value is every brick's up to its offset
+        lower, upper = (inst.bricks(inst.l), inst.bricks(inst.u)) if zh else ((), ())
+        self.zero_lo = [max(lo[h] - off[h] for lo, off in zip(lower, elim.offsets)) for h in zh]
+        self.zero_hi = [min(up[h] - off[h] for up, off in zip(upper, elim.offsets)) for h in zh]
+        rates = [0] * n  # w_i . theta per brick, one coordinate at a time
         for h in gh:
-            obj[xi[h]] = self.wsum[h]
-            obj[z[h]] = self.wsum[h] * theta[h]
-        for h in zh:
-            obj[direct[h]] = self.wsum[h]
-        self.objective = obj
+            rates = [r + theta[h] * v for r, v in zip(rates, inst.w[tB + h::tA])]
+        self.anchor_rate, self.rates = rates[0], rates[1:]
+        g = len(gh)
+        self.z_cols = range(tB + g, tB + 2 * g)
+        self.p_col = tB + 2 * g + len(zh)
+
+        def spread(coef):
+            # coef . x^1 as a row over the anchor's columns xi | z | direct
+            return [coef[h] for h in gh] + [coef[h] * theta[h] for h in gh] + [coef[h] for h in zh]
+
+        self.objective = list(inst.w[:tB]) + spread(inst.brick_sums(inst.w)) + [0]
+        self.c0 = elim.c0
+        rows = [list(inst.B.row(r)) + spread(inst.A.row(r)) + [0] for r in range(inst.s_A)]
+        rhs = list(inst.b[0])
+        for r in range(inst.s_C):
+            drow = inst.D.row(r)
+            rows.append(list(inst.C.row(r)) + spread([n * v for v in drow]) + [sum(map(mul, drow, theta))])
+            rhs.append(inst.b0[r] - sum(map(mul, drow, elim.offset_totals)))
+        self.eq_rows, self.eq_rhs = rows, rhs
+        self.forms = {}  # fixed columns -> their _LatticeForm
+        self.shifts = not any(row[-1] for row in rows[inst.s_A:])  # no top row reads P
+
+    def boxes(self, lo, hi):
+        """The boxes to search for one combination's box lo..hi.  When no top
+        row reads P, the move z_h - 1 on every grid axis with P + n - 1 keeps
+        every row and brick i >= 1 (t_i + 1) and moves only the anchor brick,
+        by -theta, changing the total by -r_0.  So the box is searched once
+        per grid axis with that anchor quotient at the end the move does not
+        make worse: a flat direction, where the search would creep, is gone."""
+        if not self.shifts:
+            return [(lo, hi)]
+        out = []
+        for j in self.z_cols:
+            end = hi[j] if self.anchor_rate >= 0 else lo[j]
+            box = (lo[:j] + [end] + lo[j + 1:], hi[:j] + [end] + hi[j + 1:])
+            if box not in out:  # an axis fixed already gives the box itself
+                out.append(box)
+        return out
+
+    def lattice(self, lo, hi):
+        """(basis, recentred point, v_lo, v_hi) of the equality rows' integer
+        points in the box lo..hi, or None when it holds none.  Its fixed
+        columns (lo = hi) are substituted; each set of them gets one
+        _LatticeForm per instance.  A box with more coordinate points than
+        2^f corners, which solve_cell searches, reduces that basis again in
+        its own metric (intlin.box_reduced), as its widths differ widely."""
+        fixed = tuple(j for j, (a, b) in enumerate(zip(lo, hi)) if a == b)
+        form = self.forms.get(fixed)
+        if form is None:
+            form = self.forms[fixed] = _LatticeForm(self, fixed)
+        rhs = [r - sum(row[j] * lo[j] for j in fixed) for row, r in zip(self.eq_rows, self.eq_rhs)]
+        q = next(particular_solutions(form.snf, [rhs])) if form.snf else [0] * len(form.free)
+        if q is None or not form.snf and any(rhs):
+            return None
+        values = iter(q)
+        p = [a if j in fixed else next(values) for j, a in enumerate(lo)]
+        if any(not lo[j] <= p[j] <= hi[j] for j in form.pinned):
+            return None
+        basis = form.basis
+        if not basis:
+            return basis, p, (), ()
+        box = coordinate_box(basis, p, lo, hi)
+        if box is not None and math.prod(b - a + 1 for a, b in zip(*box[1:])) > 2 ** len(basis):
+            basis = box_reduced(basis, lo, hi)
+            box = coordinate_box(basis, p, lo, hi)
+        return None if box is None else (basis, *box)
+
+    def master(self, combo, lo, hi, basis, offset, v_lo, v_hi):
+        """combo's Master over lo..hi, or None when its static rows or some
+        brick's range of t_i over the z box prove it empty; O(n)."""
+        g = len(combo)
+        z_lo, z_hi = lo[self.z_cols.start:self.z_cols.stop], hi[self.z_cols.start:self.z_cols.stop]
+        static = []
+        if self.rates:
+            for a, c in itertools.permutations(range(g), 2):
+                k = min(map(sub, combo[a].d_bar[1:], combo[c].d[1:]))
+                if z_lo[a] - z_hi[c] > k:
+                    return None
+                static.append((a, c, k))
+        t_lo = _ends([[v - z for v in sub_.d[1:]] for sub_, z in zip(combo, z_hi)], max)
+        t_hi = _ends([[v - z for v in sub_.d_bar[1:]] for sub_, z in zip(combo, z_lo)], min)
+        if any(map(gt, t_lo, t_hi)):
+            return None
+        lo[-1], hi[-1] = max(lo[-1], sum(t_lo)), min(hi[-1], sum(t_hi))
+        if lo[-1] > hi[-1]:
+            return None
+        ends = [(r * a, r * b) for r, a, b in zip(self.rates, t_lo, t_hi)]
+        eta_lo, eta_hi = sum(map(min, ends)), sum(map(max, ends))
+        ceiling = self.c0 + eta_hi + sum(max(c * a, c * b) for c, a, b in zip(self.objective, lo, hi))
+        return Master(self, tuple(basis), combo, tuple(lo), tuple(hi), tuple(offset), tuple(v_lo),
+                      tuple(v_hi), tuple(static), eta_lo, eta_hi, ceiling)
+
+
+class _LatticeForm:
+    """The Smith form of the equality rows over the free columns, None when
+    they read none, the LLL-reduced basis of its integer kernel, 0 in the
+    fixed columns, and pinned, the free columns no basis vector moves."""
+
+    def __init__(self, builder: _MasterBuilder, fixed):
+        width = builder.p_col + 1
+        self.free = [j for j in range(width) if j not in fixed]
+        rows = [[row[j] for j in self.free] for row in builder.eq_rows]
+        self.snf = smith_normal_form(IntMatrix.from_rows(rows)) if any(map(any, rows)) else None
+        kernel = reduce_basis(kernel_basis(self.snf)) if self.snf else [
+            [int(k == j) for k in self.free] for j in self.free]
+        self.basis = [[0 if j in fixed else next(q) for j in range(width)] for q in map(iter, kernel)]
+        self.pinned = [j for j in self.free if not any(q[j] for q in self.basis)]
 
 
 def enumerate_cells(inst: FourBlockInstance, elim: EliminationData, grid: tuple):
-    """Yield every CellProblem; the max over their optima is the optimum."""
-    builder = _CellBuilder(inst, elim)
-    if any(builder.zero_lo[h] > builder.zero_hi[h] for h in builder.zero_hs):
+    """Yield the Masters of every combination of sub-intervals that may hold
+    a point; the best total over them is the optimum.  Three screens run
+    before any O(n) work on a combination, in order: the constant checks (a
+    sub-interval whose anchor range or own range of some brick is empty is
+    in no combination), the P-range test (z_h <= dbar_0h puts P >= sum_i d_ih
+    - (n - 1) dbar_0h, and z_h >= d_0h bounds P above alike) and the lattice
+    test (_MasterBuilder.lattice)."""
+    builder = _MasterBuilder(inst, elim)
+    if any(map(gt, builder.zero_lo, builder.zero_hi)):
         return
-    # the anchor brick has no free integer: its box bounds each quotient,
-    # so a sub-interval whose anchor range d[0]..d_bar[0] is empty is in no
-    # cell, whatever the other coordinates choose
-    axes = [[c for c in grid[h] if c.d[0] <= c.d_bar[0]]
+    m, tB = inst.n - 1, inst.t_B
+    axes = [[(c, sum(c.d[1:]), sum(c.d_bar[1:])) for c in grid[h]
+             if c.d[0] <= c.d_bar[0] and all(map(le, c.d[1:], c.d_bar[1:]))]
             for h in builder.grid_hs]
     for combo in itertools.product(*axes):
-        yield from _cells_for_combo(builder, combo)
+        p_lo = max(s - m * c.d_bar[0] for c, s, _ in combo)
+        p_hi = min(s - m * c.d[0] for c, _, s in combo)
+        if p_lo > p_hi:
+            continue
+        subs = tuple(c for c, _, _ in combo)
+        lo = [*inst.l[:tB], *(c.tau for c in subs), *(c.d[0] for c in subs), *builder.zero_lo, p_lo]
+        hi = [*inst.u[:tB], *(c.tau_bar for c in subs), *(c.d_bar[0] for c in subs), *builder.zero_hi, p_hi]
+        for lo, hi in builder.boxes(lo, hi):
+            lattice = builder.lattice(lo, hi)
+            if lattice is not None:
+                master = builder.master(subs, lo, hi, *lattice)
+                if master is not None:
+                    yield master
 
 
-def _pair_windows(n, chosen, zlo, zhi, a, b):
-    """Difference windows for z_a - z_b, clipped to the box range."""
-    da, dba = chosen[a].d, chosen[a].d_bar
-    db, dbb = chosen[b].d, chosen[b].d_bar
-    crit = set()
-    for i in range(1, n):
-        crit.add(da[i] - db[i])
-        crit.add(dba[i] - dbb[i])
-    lo_all = zlo[a] - zhi[b]
-    hi_all = zhi[a] - zlo[b]
-    cuts = sorted(c for c in crit if lo_all < c <= hi_all)
-    windows = []
-    start = lo_all
-    for c in cuts:
-        windows.append((start, c - 1))
-        start = c
-    windows.append((start, hi_all))
-    return [w for w in windows if w[0] <= w[1]]
+def _ends(cols, pick):
+    """Per brick, pick (max or min) over the axes' columns of values."""
+    return cols[0] if len(cols) == 1 else list(map(pick, *cols))
 
 
-def _tournament(n, gh, diffs, pairs, lower_side):
-    """Per brick i >= 1, the coordinate attaining the binding bound, or None.
+def _brick_bounds(combo, z, den):
+    """(L, U, L's columns, U's columns) times den over the bricks i >= 1 at
+    quotients z / den: the columns hold d_ih den - z_h and dbar_ih den - z_h."""
+    lo_cols = [[v * den - zh for v in c.d[1:]] for c, zh in zip(combo, z)]
+    hi_cols = [[v * den - zh for v in c.d_bar[1:]] for c, zh in zip(combo, z)]
+    return _ends(lo_cols, max), _ends(hi_cols, min), lo_cols, hi_cols
 
-    lower_side picks argmax of d - z; otherwise argmin of d_bar - z.  For
-    each coordinate pair x < y, diffs[(x, y)] lists per brick the difference
-    dd of the two coordinates' d (or d_bar) values, and pairs[(x, y)] is the
-    chosen window [lo, hi] of z_x - z_y.  One pass per pair decides it for
-    every brick: dd > hi puts d_x - z_x above d_y - z_y throughout the
-    window, dd <= lo puts it at or below.  _pair_windows cuts the windows at
-    every such dd, so one of the two holds; otherwise the bound comparison
-    is undecided and InternalInconsistencyError is raised.  With two grid
-    coordinates these outcomes are the arguments.  With more, each brick's
-    argument is the winner of a tournament read from them; if the relation
-    turns cyclic the windows admit no actual point and the caller must skip
-    the cell.
-    """
-    if len(gh) == 1:
-        return (gh[0],) * (n - 1)
-    beats = {}  # (a, b) -> per brick, True when a binds at least as tightly as b
-    for (x, y), (lo, hi) in pairs.items():
-        dds = diffs[(x, y)]
-        if any(lo < dd <= hi for dd in dds):
-            raise InternalInconsistencyError("undecided bound comparison")
-        above = [dd > hi for dd in dds]
-        if len(gh) == 2:
-            return tuple(x if a == lower_side else y for a in above)
-        beats[(x, y)] = [a == lower_side for a in above]
-        beats[(y, x)] = [a != lower_side for a in above]
-    args = []
-    for i in range(n - 1):
-        best = gh[0]
-        for h in gh[1:]:
-            if not beats[(best, h)][i]:
-                best = h
-        if all(h == best or beats[(best, h)][i] for h in gh):
-            args.append(best)
+
+def _per_axis(weights, ends, cols):
+    """Per axis, the sum of weights[i] over the bricks i whose ends[i] it is first to attain."""
+    sums = []
+    for col in cols[:-1]:
+        hit = list(map(eq, col, ends))
+        sums.append(sum(compress(weights, hit)))
+        weights = [0 if h else wt for wt, h in zip(weights, hit)]
+    sums.append(sum(weights))
+    return sums
+
+
+def _greedy_dual(rates, lows, highs, fill, total, lam, alpha, beta):
+    """The value of fill, certified optimal by the dual (lam, alpha, beta):
+    fill must lie in lows..highs and sum to total, and alpha, beta >= 0
+    with lam + beta_i - alpha_i = rate_i, so that by weak duality lam P +
+    sum_i (beta_i highs_i - alpha_i lows_i) bounds any fill of any total P;
+    at P = total it must equal fill's value.  O(n) in integers, each check
+    an explicit raise of InternalInconsistencyError, so also under -O."""
+    if len({len(rates), len(lows), len(highs), len(fill), len(alpha), len(beta)}) != 1:
+        raise InternalInconsistencyError("greedy fill and dual miss a brick")
+    if not (all(map(le, lows, fill)) and all(map(le, fill, highs))) or sum(fill) != total:
+        raise InternalInconsistencyError(f"greedy fill {fill} is no fill of {total} in its box")
+    if min(alpha + beta, default=0) < 0 or list(map(sub, beta, alpha)) != [r - lam for r in rates]:
+        raise InternalInconsistencyError(f"greedy dual ({lam}, {alpha}, {beta}) is infeasible")
+    value = sum(map(mul, rates, fill))
+    dual = lam * total + sum(map(mul, beta, highs)) - sum(map(mul, alpha, lows))
+    if dual != value:
+        raise InternalInconsistencyError(f"greedy dual value {dual} != fill value {value}")
+    return value
+
+
+def _greedy_cut(rates, lows, highs, total):
+    """(fill, value, lam, alpha, beta): greedy_ip8's fill of total over
+    lows..highs and its dual, certified by _greedy_dual.  lam is the greatest
+    rate of a brick with room left (or the least rate when all are full)."""
+    extra = greedy_ip8(list(zip(lows, highs)), rates, total - sum(lows))
+    room = list(compress(rates, map(lt, extra, map(sub, highs, lows))))
+    lam = max(room) if room else min(rates, default=0)
+    alpha = [lam - r if r < lam else 0 for r in rates]
+    beta = [r - lam if r > lam else 0 for r in rates]
+    fill = list(map(add, lows, extra))
+    return fill, _greedy_dual(rates, lows, highs, fill, total, lam, alpha, beta), lam, alpha, beta
+
+
+class _MasterSearch:
+    """One master's program over (v, eta), and the separator that cuts it.
+    The program maximizes the linear objective at x = offset + Q^T v plus
+    eta over the v box and eta_lo..eta_hi.  Its held rows hold at every
+    integer point of the master with eta = G, an integer, as best_of asks:
+    the box rows the v box does not imply, the static rows, and the cuts."""
+
+    def __init__(self, master: Master):
+        self.master, self.builder, self.f = master, master.builder, len(master.basis)
+        self.cols = list(zip(*master.basis)) or [()] * len(master.lower)  # zip(*()) yields nothing
+        self.rows = []  # held at the separator's first call
+        self.evaluated = set()  # every lattice point passed to cut_at
+        self.best = None  # (total, point over the master's columns)
+
+    def root(self):
+        """best_of's root (MipProblem, constant, ceiling); gathers self.rows."""
+        m, b = self.master, self.builder
+        p = m.offset
+        for col, a, c, pj in zip(self.cols, m.lower, m.upper, p):
+            least = sum(q * (vl if q > 0 else vh) for q, vl, vh in zip(col, m.v_lo, m.v_hi))
+            most = sum(q * (vh if q > 0 else vl) for q, vl, vh in zip(col, m.v_lo, m.v_hi))
+            if least < a - pj or most > c - pj:
+                self.rows.append((list(col) + [0], a - pj, c - pj))
+        zc = b.z_cols
+        for a, c, k in m.static:
+            coeffs = list(map(sub, self.cols[zc[a]], self.cols[zc[c]]))
+            self.rows.append((coeffs + [0], None, k - p[zc[a]] + p[zc[c]]))
+        objective_v = [sum(map(mul, b.objective, q)) for q in m.basis]
+        lp = LpProblem.make(objective_v + [1], [], [*m.v_lo, m.eta_lo], [*m.v_hi, m.eta_hi])
+        constant = b.c0 + sum(map(mul, b.objective, p))
+        return MipProblem.make(lp, (True,) * self.f + (False,)), constant, m.ceiling
+
+    def cut_at(self, v):
+        """The cut at lattice point v (_cut), or None outside the box; the
+        total at v may become the best one."""
+        self.evaluated.add(v)
+        m, b = self.master, self.builder
+        x = [pj + sum(map(mul, col, v)) for pj, col in zip(m.offset, self.cols)]
+        if not (all(map(le, m.lower, x)) and all(map(le, x, m.upper))):
+            return None
+        cut, value = self._cut(x, 1)
+        if value is not None:
+            total = b.c0 + sum(map(mul, b.objective, x)) + value
+            if self.best is None or total > self.best[0]:
+                self.best = (total, x)
+        return cut
+
+    def _cut(self, x, den):
+        """(cut, G) at the point x / den of the master's columns, or (None,
+        None) where some brick's interval is empty (held rows cut it off).
+        Where P < sum L_i the cut is P >= sum_i (d_ih - z_h), where P > sum
+        U_i it is P <= sum_i (dbar_ig - z_g), h and g the axes attaining L_i
+        and U_i here, with G None; otherwise the greedy's supergradient cut.
+        Each is an integer row, exact at a fractional point too."""
+        m, b = self.master, self.builder
+        z, big_p = [x[j] for j in b.z_cols], x[b.p_col]
+        lows, highs, lo_cols, hi_cols = _brick_bounds(m.sub_choice, z, den)
+        if any(map(gt, lows, highs)):
+            return None, None
+        if big_p < sum(lows):
+            e = [-c for c in _per_axis([1] * len(lows), lows, lo_cols)]
+            e_p, e_eta, rhs, value = -1, 0, -sum(lows), None
+        elif big_p > sum(highs):
+            e = _per_axis([1] * len(highs), highs, hi_cols)
+            e_p, e_eta, rhs, value = 1, 0, sum(highs), None
         else:
-            return None  # cyclic: the windows are jointly unrealizable
-    return tuple(args)
+            _, value, lam, alpha, beta = _greedy_cut(b.rates, lows, highs, big_p)
+            e = list(map(sub, _per_axis(beta, highs, hi_cols), _per_axis(alpha, lows, lo_cols)))
+            e_p, e_eta, rhs = -lam, 1, value - lam * big_p
+        row = [0] * len(x)
+        for j, eh in zip(b.z_cols, e):
+            row[j] = eh
+        row[b.p_col] = e_p
+        rhs, rest = divmod(rhs + sum(map(mul, e, z)), den)
+        if rest:
+            raise InternalInconsistencyError(f"cut at {x} / {den} has no integer right-hand side")
+        rhs -= sum(map(mul, row, m.offset))
+        return ([sum(map(mul, row, q)) for q in m.basis] + [e_eta], None, rhs), value
 
-
-def _cells_for_combo(builder, combo):
-    n = builder.inst.n
-    gh = builder.grid_hs
-    chosen = dict(zip(gh, combo))
-    zlo = {h: chosen[h].d[0] for h in gh}
-    zhi = {h: chosen[h].d_bar[0] for h in gh}
-    pairs_list = list(itertools.combinations(gh, 2))
-    options = []
-    for a, b in pairs_list:
-        ws = _pair_windows(n, chosen, zlo, zhi, a, b)
-        if not ws:
-            return
-        options.append(ws)
-    d = {h: chosen[h].d for h in gh}
-    d_bar = {h: chosen[h].d_bar for h in gh}
-    diffs_lo, diffs_hi = {}, {}
-    for a, b in pairs_list:
-        diffs_lo[(a, b)] = [x - y for x, y in zip(d[a][1:], d[b][1:])]
-        diffs_hi[(a, b)] = [x - y for x, y in zip(d_bar[a][1:], d_bar[b][1:])]
-    # the box of every column but p, the same in every cell of this combo
-    inst = builder.inst
-    lo = list(inst.l[:inst.t_B])
-    hi = list(inst.u[:inst.t_B])
-    for h in gh:
-        lo.append(chosen[h].tau)
-        hi.append(chosen[h].tau_bar)
-    for h in gh:
-        lo.append(zlo[h])
-        hi.append(zhi[h])
-    for h in builder.zero_hs:
-        lo.append(builder.zero_lo[h])
-        hi.append(builder.zero_hi[h])
-    for assignment in itertools.product(*options):
-        pairs = dict(zip(pairs_list, assignment))
-        ok = True
-        for (a, b), (c, dd) in pairs.items():
-            for e in gh:
-                if e == a or e == b:
-                    continue
-                # transitivity: (a-e) + (e-b) must meet (a-b)
-                lo1, hi1 = pairs[(a, e) if a < e else (e, a)]
-                lo2, hi2 = pairs[(e, b) if e < b else (b, e)]
-                s1, t1 = (lo1, hi1) if a < e else (-hi1, -lo1)
-                s2, t2 = (lo2, hi2) if e < b else (-hi2, -lo2)
-                if s1 + s2 > dd or t1 + t2 < c:
-                    ok = False
-                    break
-            if not ok:
+    def separate(self, num, den, add):
+        """best_of's separator: the fresh lattice corners of the LP point num
+        / den nearest first, up to the first new cut that separates it (the
+        first call holds self.rows and starts at the box point nearest the
+        offset), else the cut at the point itself.  Returns the best total."""
+        corners = _nearest_first(num, den, self.f)
+        if not self.evaluated:
+            for row in self.rows:
+                add(*row)
+            start = tuple(min(max(0, lo), hi) for lo, hi in zip(self.master.v_lo, self.master.v_hi))
+            corners = itertools.chain([start], corners)
+        for v in corners:
+            cut = None if v in self.evaluated else self.cut_at(v)
+            if cut and add(*cut) and sum(map(mul, cut[0], num)) > cut[2] * den:
                 break
-        if not ok:
-            continue
-        arg_lo = _tournament(n, gh, diffs_lo, pairs, True)
-        arg_hi = _tournament(n, gh, diffs_hi, pairs, False)
-        if arg_lo is None or arg_hi is None:
-            continue
-        yield from _cells_for_windows(builder, combo, d, d_bar, lo, hi, pairs,
-                                      arg_lo, arg_hi)
-
-
-def _p_rows_have_slack(lam, lam_const, cap, z_lo, z_hi, p_lo, p_hi):
-    """Whether both p rows of a merge window can hold in the given box.
-
-    The rows are Lambda(j-1) + 1 <= p and p <= Lambda(j) = Lambda(j-1) +
-    cap, where lam maps each grid coordinate to its z coefficient in
-    Lambda(j-1), lam_const is its constant and cap is (cc, hl, hu), the
-    window brick's bound gap cc + z_hl - z_hu.  A row's slack is its
-    right-hand side less its least activity over the box; False when either
-    is negative.  That is exactly the first test _propagate makes of a row,
-    and a tighter box only raises the least activity, so a False here means
-    _propagate over any sub-box would return False too.  The rows' sum is
-    the p-free row cap(z) >= 1, which every point of the window meets; when
-    hl == hu the cap is the constant cc, so a brick with no room (cc == 0,
-    Lambda(j) = Lambda(j-1)) gives False whatever the box.
-    """
-    cc, hl, hu = cap
-    if hl == hu and cc < 1:
-        return False
-    least1 = least2 = 0  # over the z columns of the two rows
-    for h, a in lam.items():
-        least1 += a * (z_lo[h] if a > 0 else z_hi[h])
-        a = -a - (h == hl) + (h == hu)
-        least2 += a * (z_lo[h] if a > 0 else z_hi[h])
-    return p_hi - lam_const - 1 >= least1 and lam_const + cc - p_lo >= least2
-
-
-def _without_p(k, e, b, t, tb, p):
-    """The row k * (e <= b) + (t <= tb), whose p coefficients cancel."""
-    row = dict(t)
-    for var, a in e.items():
-        if var != p:
-            a = k * a + row.get(var, 0)
-            if a:
-                row[var] = a
-            else:
-                del row[var]
-    return row, k * b + tb
-
-
-def _dense(e, width):
-    row = [0] * width
-    for var, coef in e.items():
-        row[var] = coef
-    return row
-
-
-def _cells_for_windows(builder, combo, d, d_bar, lo, hi, pairs, arg_lo, arg_hi):
-    """The cells of one choice of sub-intervals, windows and arguments.
-
-    combo holds the chosen sub-interval per grid coordinate, d and d_bar
-    their quotient bounds per brick, and lo, hi the box of every column but
-    p.  One pass over the bricks gives each brick's cap and the
-    per-coordinate sums that the top rows, p's box and the objective take
-    (how many bricks each coordinate bounds from below, their rates, and
-    the sums of those bounds); no brick is visited again.  The rows shared
-    by every merge window are propagated once, and then the windows are
-    swept as the module docstring describes.  The pre-test
-    _p_rows_have_slack and the p-free rows only skip windows with no
-    integer point, so the cells yielded and their order are those of
-    screening every window with its p rows alone, less some empty cells.
-    """
-    inst = builder.inst
-    n = inst.n
-    gh = builder.grid_hs
-    zcol = builder.z_col
-    p = builder.p
-    rates = builder.rates
-    width = builder.nvars
-
-    # per brick i>=1: bound gap cap_i(z) = cc_i + z_{arg_lo} - z_{arg_hi} >= 0;
-    # per coordinate h, the bricks whose lower bound h sets: their count and
-    # their rates; and the sums of those bounds and of rate times bound
-    caps = [None] * n
-    cnt_lo = dict.fromkeys(gh, 0)
-    rate_lo = dict.fromkeys(gh, 0)
-    d_lo_sum = rate_d_lo_sum = 0
-    p_hi = 0
-    gaps = {}  # (hl, hu) -> least cc over the bricks with that pair
-    for i in range(1, n):
-        hl, hu = arg_lo[i - 1], arg_hi[i - 1]
-        dl = d[hl][i]
-        cc = d_bar[hu][i] - dl
-        caps[i] = (cc, hl, hu)
-        cnt_lo[hl] += 1
-        rate_lo[hl] += rates[i]
-        d_lo_sum += dl
-        rate_d_lo_sum += rates[i] * dl
-        # p's own box from the caps over the z boxes
-        p_hi += cc + hi[zcol[hl]] - lo[zcol[hu]]
-        if hl == hu:
-            if cc < 0:
-                return
-        elif (hl, hu) not in gaps or cc < gaps[(hl, hu)]:
-            gaps[(hl, hu)] = cc
-    if p_hi < 0:
-        return
-    lo = lo + [0]
-    hi = hi + [p_hi]
-
-    # equality rows: top block, then the anchor brick's own system
-    eq_rows = []
-    for fixed, zc, k, b in builder.top:
-        e = dict(fixed)
-        for h in gh:
-            a = zc[h] - k * cnt_lo[h]
-            if a:
-                e[zcol[h]] = a
-        if k:
-            e[p] = k
-        eq_rows.append((e, b - k * d_lo_sum))
-
-    # inequality rows, as coefficient maps with a <= bound
-    ineq_rows = []
-    for (hl, hu), cc in sorted(gaps.items()):
-        ineq_rows.append(({zcol[hu]: 1, zcol[hl]: -1}, cc))
-    for (a, b), (wlo, whi) in sorted(pairs.items()):
-        ineq_rows.append(({zcol[a]: 1, zcol[b]: -1}, whi))
-        ineq_rows.append(({zcol[a]: -1, zcol[b]: 1}, -wlo))
-
-    # the integer screen: the inequality rows, and each equality row as two
-    # <= rows.  What it proves over the rows shared by every merge window holds
-    # in each window, so each window's screen starts from these bounds.
-    screen_rows = list(ineq_rows)
-    for e, b in eq_rows:
-        screen_rows.append((e, b))
-        screen_rows.append(({var: -coef for var, coef in e.items()}, -b))
-    screen_rows += builder.anchor_screen
-    shared_lo, shared_hi = list(lo), list(hi)
-    if not _propagate(screen_rows, shared_lo, shared_hi):
-        return
-    # the p-free rows of the module docstring: per top row t + k p = b with
-    # k != 0, (|k|, s t, s b, -s t) with s the sign of k.  |k| times a p row
-    # whose p coefficient is -1 (+1), plus s t (-s t), has no p term
-    p_free = []
-    for e, b in eq_rows:
-        k = e.get(p, 0)
-        if k:
-            s = 1 if k > 0 else -1
-            t = {var: s * a for var, a in e.items() if var != p}
-            p_free.append((abs(k), t, s * b, {var: -a for var, a in t.items()}))
-    eq_dense = [(_dense(e, width), b, b) for e, b in eq_rows + builder.anchor_rows]
-    base_obj = list(builder.objective)
-    for h in gh:
-        base_obj[zcol[h]] -= rate_lo[h]
-    base_const = builder.elim.c0 + rate_d_lo_sum
-
-    z_lo = {h: shared_lo[zcol[h]] for h in gh}
-    z_hi = {h: shared_hi[zcol[h]] for h in gh}
-    order = builder.order
-    # running sums over the bricks before the window, order[:j-2], as z
-    # coefficients per coordinate and a constant: their objective terms,
-    # and Lambda(j-1), the sum of their caps
-    run, run_const = dict.fromkeys(gh, 0), 0
-    lam, lam_const = dict.fromkeys(gh, 0), 0
-    for j in range(1, n + 1):
-        if j > 2:
-            i = order[j - 3]
-            cc, hl, hu = caps[i]
-            v_i = rates[i]
-            run_const += v_i * cc
-            run[hl] += v_i
-            run[hu] -= v_i
-            lam_const += cc
-            lam[hl] += 1
-            lam[hu] -= 1
-        if j == 1:
-            p_rows = window_rows = []
-            box_lo, box_hi = list(shared_lo), list(shared_hi)
-            box_hi[p] = 0  # p >= 0 already
         else:
-            cap = caps[order[j - 2]]
-            if not _p_rows_have_slack(lam, lam_const, cap, z_lo, z_hi,
-                                      shared_lo[p], shared_hi[p]):
-                continue  # no integer point
-            box_lo, box_hi = list(shared_lo), list(shared_hi)
-            # Lambda(j-1) + 1 <= p <= Lambda(j)
-            cc, hl, hu = cap
-            e1 = {zcol[h]: a for h, a in lam.items() if a}
-            e1[p] = -1
-            e2 = {p: 1}
-            for h, a in lam.items():
-                a = -a - (h == hl) + (h == hu)
-                if a:
-                    e2[zcol[h]] = a
-            p_rows = [(e1, -lam_const - 1), (e2, lam_const + cc)]
-            window_rows = list(p_rows)
-            for k, t, tb, neg_t in p_free:
-                window_rows.append(_without_p(k, e1, -lam_const - 1, t, tb, p))
-                window_rows.append(_without_p(k, e2, lam_const + cc, neg_t, -tb, p))
-        # the window's own rows first: they are the ones that prove most
-        # windows empty, and _propagate stops at the first row with no slack
-        if not _propagate(window_rows + screen_rows, box_lo, box_hi):
-            continue  # no integer point: skip the LP
-
-        obj = list(base_obj)
-        const = base_const
-        if j > 1:
-            v_j = rates[order[j - 2]]
-            obj[p] += v_j
-            for h in gh:
-                obj[zcol[h]] += run[h] - v_j * lam[h]
-            const += run_const - v_j * lam_const
-        # the LP is taken over the propagated box, less the rows it implies;
-        # its ceiling reads the box corner at the objective
-        ceiling = const
-        for c, a, b in zip(obj, box_lo, box_hi):
-            ceiling += c * (b if c > 0 else a)
-        yield CellProblem(
-            recipe=_CellRecipe(obj, eq_dense, ineq_rows + p_rows, box_lo, box_hi),
-            constant=const,
-            sub_choice=combo,
-            layout=builder.layout,
-            order=order,
-            arg_lo=arg_lo,
-            arg_hi=arg_hi,
-            ceiling=ceiling,
-        )
+            # no corner's cut separates the point: the cut at the point itself
+            x = [pj * den + sum(map(mul, col, num)) for pj, col in zip(self.master.offset, self.cols)]
+            cut = self._cut(x, den)[0]
+            if cut and sum(map(mul, cut[0], num)) > cut[2] * den:
+                add(*cut)
+        return None if self.best is None else self.best[0]
 
 
-def solve_cell(cell: CellProblem):
-    """Exact optimum of one cell's MIP, its constant left out.
-
-    The route searches all cells at once through best_of; this solves one
-    alone with the same branching, for the tests' screen checks, and
-    perfbench/tracer.py wraps it by name.
-    """
-    return solve_mip(cell.mip)
+def solve_cell(master: Master, cutoff=None) -> LpResult:
+    """The best total of one master above cutoff (None or an int): Optimal
+    with the best point over its columns, den 1 and the total, or Infeasible,
+    with the search's nodes.  best_of accepts no node: at an LP point integral
+    in v the cut at v holds eta to G.  A box of at most 2^f points has no LP."""
+    search = _MasterSearch(master)
+    if math.prod(b - a + 1 for a, b in zip(master.v_lo, master.v_hi)) <= 2 ** search.f:
+        for v in itertools.product(*map(range, master.v_lo, [b + 1 for b in master.v_hi])):
+            search.cut_at(v)
+        nodes = 0
+    else:
+        k, res = best_of([search.root()], cutoff, search.separate)
+        if k is not None:
+            raise InternalInconsistencyError("a master's bound LP returned an evaluated lattice point")
+        nodes = res.nodes
+    best = search.best
+    if best is None or cutoff is not None and best[0] <= cutoff:
+        return LpResult(INFEASIBLE, nodes=nodes)
+    return LpResult(OPTIMAL, tuple(best[1]), 1, best[0], nodes)
 
 
 def lift_solution(inst: FourBlockInstance, elim: EliminationData,
-                  cell: CellProblem, point, cell_value) -> Solution:
-    """Expand a cell optimum back to a full point and re-verify it."""
-    n, tA, tB = inst.n, inst.t_A, inst.t_B
-    layout = cell.layout
-    theta = elim.theta
-    x0 = tuple(int(point[j]) for j in range(tB))
-    anchor = [0] * tA
-    zval = {}
-    for h, cidx in layout["xi"].items():
-        anchor[h] = int(point[cidx])
-    for h, cidx in layout["z"].items():
-        zval[h] = int(point[cidx])
-        anchor[h] += theta[h] * zval[h]
-    for h, cidx in layout["direct"].items():
-        anchor[h] = int(point[cidx])
-    p_total = int(point[layout["p"]])
-
-    chosen = dict(zip([h for h in range(tA) if theta[h] != 0], cell.sub_choice))
-    free = [0] * n  # free integer per brick; the anchor's is zero
-    rem = p_total
-    caps = {}
-    lows = {}
-    for i in range(1, n):
-        hl = cell.arg_lo[i - 1]
-        hu = cell.arg_hi[i - 1]
-        lows[i] = chosen[hl].d[i] - zval[hl]
-        caps[i] = (chosen[hu].d_bar[i] - zval[hu]) - lows[i]
-        if caps[i] < 0:
-            raise InternalInconsistencyError(f"negative bound gap at brick {i}")
-    for i in cell.order:
-        take = caps[i] if caps[i] < rem else rem
-        free[i] = lows[i] + take
-        rem -= take
-    if rem != 0:
+                  master: Master, point, value) -> Solution:
+    """Expand a master's point to a full point and re-verify it: brick i >= 1
+    takes t_i = L_i(z) plus its share of P - sum L_i from greedy_ip8, and a
+    point that leaves a brick no room or P outside sum L_i .. sum U_i raises
+    InternalInconsistencyError."""
+    b = master.builder
+    tB, g = inst.t_B, len(master.sub_choice)
+    point = [int(v) for v in point]
+    z = [point[j] for j in b.z_cols]
+    xi, zs, direct = iter(point[tB:tB + g]), iter(z), iter(point[tB + 2 * g:b.p_col])
+    anchor = [next(xi) + th * next(zs) if th else next(direct) for th in elim.theta]
+    lows, highs, _, _ = _brick_bounds(master.sub_choice, z, 1)
+    gaps = list(map(gt, lows, highs))
+    if any(gaps):
+        raise InternalInconsistencyError(f"negative bound gap at brick {1 + gaps.index(True)}")
+    target = point[b.p_col] - sum(lows)
+    if not 0 <= target <= sum(highs) - sum(lows):
         raise InternalInconsistencyError("merged total exceeds the bound gaps")
-
-    x = list(x0)
-    for i in range(n):
-        off = elim.offsets[i]
-        for h in range(tA):
-            x.append(anchor[h] + off[h] + theta[h] * free[i])
-    return checked_solution(evaluate(inst, x), x, cell_value, "fourblock_snf")
+    free = [0] + list(map(add, lows, greedy_ip8(list(zip(lows, highs)), b.rates, target)))
+    x = point[:tB] + [a + o + th * t for off, t in zip(elim.offsets, free)
+                      for a, o, th in zip(anchor, off, elim.theta)]
+    return checked_solution(evaluate(inst, x), x, value, "fourblock_snf")
 
 
 def _solve_trivial(inst: FourBlockInstance):
@@ -771,15 +521,8 @@ def _solve_trivial(inst: FourBlockInstance):
 
 
 def _prepare(inst: FourBlockInstance):
-    """The solver's input checks, then the elimination and the grid.
-
-    Raises MalformedProblemError for a malformed instance,
-    NotEligibleError for a GeneralizedNFoldInstance and, from the
-    elimination's Smith form (run with or without bricks), for an
-    ineligible brick matrix.  Returns None when there are no bricks,
-    Infeasible when the brick differences have no integral solution, and
-    (elimination, grid) otherwise.
-    """
+    """The input checks (MalformedProblemError, NotEligibleError), then
+    None with no bricks, the elimination's Infeasible, or (elimination, grid)."""
     issues = validate(inst)
     if issues:
         raise MalformedProblemError(issues[0].message)
@@ -794,7 +537,11 @@ def _prepare(inst: FourBlockInstance):
 
 
 def solve_4block_snf(inst: FourBlockInstance):
-    """Exact optimum for eligible 4-block instances; Solution or Infeasible."""
+    """Exact optimum for eligible 4-block instances; Solution or Infeasible.
+
+    The masters are searched in ceiling order (ties in enumeration order),
+    each with the best total so far as its cutoff, up to the first ceiling
+    not above it; the winner's total is checked against its ceiling."""
     prepared = _prepare(inst)
     if prepared is None:
         return _solve_trivial(inst)
@@ -802,14 +549,17 @@ def solve_4block_snf(inst: FourBlockInstance):
         return prepared
     elim, grid = prepared
 
-    cells = list(enumerate_cells(inst, elim, grid))
-    k, res = best_of([(cell.recipe, cell.constant, cell.ceiling) for cell in cells])
-    if k is None:
+    best = None  # (total, master, point)
+    for master in sorted(enumerate_cells(inst, elim, grid), key=lambda m: -m.ceiling):
+        if best is not None and master.ceiling <= best[0]:
+            break
+        res = solve_cell(master, None if best is None else best[0])
+        if res.status == OPTIMAL:
+            if res.value_num > master.ceiling:
+                raise InternalInconsistencyError(
+                    f"master optimum {res.value_num} exceeds the master's ceiling {master.ceiling}")
+            best = (res.value_num, master, res.num)
+    if best is None:
         return Infeasible("NoLatticePoint")
-    cell = cells[k]
-    total = res.value + cell.constant
-    if total > cell.ceiling:
-        raise InternalInconsistencyError(
-            f"cell optimum {total} exceeds the cell's ceiling {cell.ceiling}")
-    return lift_solution(inst, elim, cell, res.point, total)
-
+    total, master, point = best
+    return lift_solution(inst, elim, master, point, total)

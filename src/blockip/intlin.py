@@ -7,8 +7,9 @@ equal inputs always give byte-equal decompositions.  No other module reads
 a decomposition's U, S, V or rank.  The toolkit: extended_gcd;
 smith_normal_form, integer_rank and brick_form (the Smith routes'
 eligibility rule); particular_solutions and kernel_basis, the integer
-solutions of A x = r for A of any rank; reduce_basis, an integral LLL;
-coordinate_box, a lattice's coordinate box over a box; lattice_in_box,
+solutions of A x = r for A of any rank; reduce_basis, an integral LLL,
+and box_reduced, the same in a box's metric; coordinate_box, a lattice's
+coordinate box over a box; lattice_in_box,
 which chains those four; quotient_range, the ceil/floor rule for the
 multiples of an integer in a range; and round_half_even.
 """
@@ -323,6 +324,23 @@ def reduce_basis(basis):
         d[k] = dk
         k = max(k - 1, 1)
     return basis
+
+
+def box_reduced(basis, lo, hi):
+    """basis reduced by reduce_basis in the metric of the box lo..hi.
+
+    Each coordinate is scaled by the box's widest width over its own width
+    before the reduction and divided back after it, exactly, since the
+    scaled lattice is the image of the lattice.  A branch and bound in the
+    coordinates of the result meets a box whose widths differ by orders of
+    magnitude as if it were a cube, a cheap stand-in for the generalized
+    basis reduction of Lovasz & Scarf (Ann. Math. 135(1), 1992).  A
+    coordinate of width 0 keeps scale 1.
+    """
+    widths = [b - a for a, b in zip(lo, hi)]
+    scale = [max(widths) // w if w else 1 for w in widths]
+    reduced = reduce_basis([list(map(mul, q, scale)) for q in basis])
+    return [[c // s for c, s in zip(q, scale)] for q in reduced]
 
 
 def coordinate_box(basis, p, lo, hi):

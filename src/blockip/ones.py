@@ -57,7 +57,7 @@ from .model import (
 # solve_lp is no longer called here; it stays importable under this name
 # because perfbench/tracer.py wraps blockip.ones.solve_lp
 from .ratlp import LpProblem, solve_lp  # noqa: F401
-from .smallip import MipProblem, best_of
+from .smallip import MipProblem, _nearest_first, best_of
 
 
 @dataclass(frozen=True)
@@ -219,25 +219,6 @@ def _blocking_pair(p: TransportProblem, blocked: Blocked):
     if excess <= demand:
         raise InternalInconsistencyError(f"{blocked.reason}: transport columns {cols} do not block")
     return rows, cols, out_sum
-
-
-def _nearest_first(num, den, f):
-    """The lattice corners of the point num / den in its first f
-    coordinates, each the floor or the ceiling of the point's, by L1
-    distance to the point, the sum over k of |v_k den - num_k|, ties in
-    itertools.product order.
-
-    The first is the coordinatewise rounding (halves down); the rest are
-    sorted only when the caller asks for a second.
-    """
-    axes = [sorted({x // den, -(-x // den)}) for x in num[:f]]
-
-    def dist(v):
-        return sum(abs(c * den - x) for c, x in zip(v, num))
-
-    rounding = tuple(min(axis, key=lambda c, x=x: abs(c * den - x)) for axis, x in zip(axes, num))
-    yield rounding
-    yield from (v for v in sorted(itertools.product(*axes), key=dist) if v != rounding)
 
 
 def _optimize_aggregate(inst: FourBlockInstance, form: _LatticeForm):

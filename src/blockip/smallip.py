@@ -14,15 +14,16 @@ only once its ceiling is the best bound left.  A node is solved when it is
 popped, warm from the state of the node it came from, with a few dual
 pivots; only a root is solved cold, from the row-less start, and a root
 whose start already meets its rows is settled there with no tableau.
-solve_mip is that search over one root, and the 4-block route runs it over
-its cells, each given as a recipe that the search builds when it pops the
-cell.  Without a separator, every root whose columns are all integral is
-rewritten in the lattice coordinates of its equality rows at its first
-split; a mixed root branches on its own columns.
+solve_mip is that search over one root, and a root may also be given as a
+recipe that the search builds when it first pops it.  Without a separator,
+every root whose columns are all integral is rewritten in the lattice
+coordinates of its equality rows at its first split; a mixed root branches
+on its own columns.
 A separator can grow the rows of the search as it goes: the all-ones route
-runs best_of with its cut separator, and the search then closes or shrinks
-each node by integer bound propagation over those rows (_propagate, which
-also screens the 4-block cells) before its LP.
+and each master of the 4-block route run best_of with a cut separator that
+evaluates lattice corners nearest first (_nearest_first), and the search
+then closes or shrinks each node by integer bound propagation over those
+rows (_propagate) before its LP.
 Intended for the small auxiliary programs the structured solvers generate
 (a handful of variables, narrow boxes), not as a general purpose MIP engine.
 """
@@ -30,6 +31,7 @@ Intended for the small auxiliary programs the structured solvers generate
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import mul
@@ -138,6 +140,25 @@ def _settled(lp: LpProblem):
         if not lo <= sum(map(mul, coeffs, x)) <= hi:
             return None
     return LpResult(OPTIMAL, tuple(x), 1, sum(map(mul, objective, x)))
+
+
+def _nearest_first(num, den, f):
+    """The lattice corners of the point num / den in its first f
+    coordinates, each the floor or the ceiling of the point's, by L1
+    distance to the point, the sum over k of |v_k den - num_k|, ties in
+    itertools.product order.
+
+    The first is the coordinatewise rounding (halves down); the rest are
+    sorted only when the caller asks for a second.
+    """
+    axes = [sorted({x // den, -(-x // den)}) for x in num[:f]]
+
+    def dist(v):
+        return sum(abs(c * den - x) for c, x in zip(v, num))
+
+    rounding = tuple(min(axis, key=lambda c, x=x: abs(c * den - x)) for axis, x in zip(axes, num))
+    yield rounding
+    yield from (v for v in sorted(itertools.product(*axes), key=dist) if v != rounding)
 
 
 def _lattice_form(mip: MipProblem, lo, hi):

@@ -1,53 +1,62 @@
-"""The 4-block cell enumerator as it stood before its vector rewrite, the
-route's cell-by-cell loop as it stood before its best-first search, and
-smallip.solve_mip as it stood before it branched in lattice coordinates.
+"""References for the 4-block route: its old cell enumeration, its old
+cell-by-cell loop, smallip.solve_mip as it stood before it branched in
+lattice coordinates, and the paper's own reduction to n-folds.
 
-fourblock_snf.enumerate_cells must yield the CellProblem sequence this one
-yields, in the same order, with some cells removed, and only cells with no
-integer point, since the package screens each merge window with more rows
-than this one does.  The package also takes each cell's LP over the box
-that its screen tightened, less the rows that box implies, where this one
-keeps the untightened box.  So a kept cell equals its cell here (== reads
-neither the recipe that builds mip nor the ceiling), and its LP is this
-one's over a sub-box (_stands_for).
-screened_out pairs the two sequences, and screen_fault checks, on the
-seeded batteries of tests/test_fourblock_snf.py and tests/test_python_O.py,
-that each kept cell's box lies in its cell's box here with the same
-solve_cell optimum, and that each removed cell is infeasible.  It is kept
-here, not in src/, because only tests use it.  Everything from _range_of
-to the end of _cells_for_windows is the old code unchanged: per brick a
-pairwise tournament through a comparison closure, and per merge window the
-rows and objective rebuilt as sparse dicts and screened by _propagate.  It
-shares with the package only the data types and _propagate, which the
-rewrite left as it was.
+enumerate_cells is the route's cell enumerator as it stood before its
+vector rewrite: per choice of sub-intervals, difference windows and
+arguments, per brick a pairwise tournament through a comparison closure,
+and per merge window the rows and objective built as sparse dicts and
+screened by smallip._propagate.  It yields CellProblem, whose linear MIP
+the cell's mip reads, and lift_cell expands a cell optimum to a full point
+as the route once did.  The route no longer has cells: it searches one
+concave master per choice of sub-intervals (fourblock_snf.enumerate_cells
+and solve_cell).  This enumerator shares with the package only the data
+types, build_grid and _propagate.
 
 solve_mip_by_coordinates is smallip.solve_mip as it stood before every
 all-integer root was rewritten in the lattice coordinates of its equality
 rows: the same best-first search over one root, branching on the
-program's own columns throughout.  solve_cell_by_cell is
-fourblock_snf.solve_4block_snf with its old loop: the package's cells in
-enumeration order, each solved to optimality with the best total so far,
-less the cell's constant, as its cutoff, and with no bricks the route's
-own _solve_trivial.  By default it solves each cell with
-solve_mip_by_coordinates, so it is the reference for the route's
-branching in lattice coordinates: the route must return the same verdict
-and value with no more LPs, and the same point or another point of the
-same value.  With smallip.solve_mip as its solve, it is the reference for
-the route's best-first search over all cells at once, which must return
-the same Solution exactly.
+program's own columns throughout.  solve_cell_by_cell is the route's old
+loop over these cells, each solved to optimality with the best total so
+far, less the cell's constant, as its cutoff, and with no bricks the
+route's own _solve_trivial.  The route must return its verdict, Infeasible
+reason included, and its objective.
+
+solve_by_shared_brick is the paper's reduction and uses none of the cell
+or master code: for every x0 in the shared box it solves the n-fold that
+is left with nfold_snf and takes the best total.
 """
 
 import heapq
 import itertools
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from blockip import fourblock_snf, smallip
 from blockip.errors import InternalInconsistencyError
-from blockip.fourblock_snf import CellProblem, EliminationData, _propagate
-from blockip.model import FourBlockInstance, Infeasible
+from blockip.fourblock_snf import EliminationData
+from blockip.model import FourBlockInstance, Infeasible, Solution, checked_solution, evaluate
+from blockip.nfold_snf import solve_nfold_snf
 from blockip.ratlp import INFEASIBLE, OPTIMAL, LpProblem, LpResult
-from blockip.smallip import MipProblem
+from blockip.smallip import MipProblem, _propagate
+
+
+@dataclass(frozen=True)
+class CellProblem:
+    """One fully discretized subproblem, ready for the small MIP solver."""
+
+    # returns the cell's MipProblem; no part of the cell's identity
+    recipe: object = field(compare=False, repr=False)
+    constant: int  # objective value outside the MIP variables
+    sub_choice: tuple  # per grid coordinate, the chosen SubInterval
+    layout: dict  # variable-name -> column metadata for lifting
+    order: tuple  # brick indices (>=1) sorted by objective rate
+    arg_lo: tuple  # per brick >=1: coordinate attaining its lower bound
+    arg_hi: tuple  # per brick >=1: coordinate attaining its upper bound
+
+    @property
+    def mip(self) -> MipProblem:
+        return self.recipe()
 
 
 def _range_of(coeffs, lo, hi):
@@ -444,81 +453,6 @@ def _cells_for_windows(builder, chosen, pairs, arg_lo, arg_hi, zlo, zhi):
         )
 
 
-def _stands_for(cell, ref):
-    """Whether cell is ref with its LP over the cell's own box.
-
-    cell == ref, and the LP's objective and integrality mask are ref's.
-    The LP's rows are ref's in ref's order, less some that the cell's box
-    implies; a row kept keeps its coefficients and upper end, and its
-    lower end is ref's or its least activity over the box.  So the cell's
-    integer points are those of ref in its box.
-    """
-    lp, ref_lp = cell.mip.lp, ref.mip.lp
-    if (cell != ref
-            or lp.objective != ref_lp.objective
-            or cell.mip.integer_mask != ref.mip.integer_mask):
-        return False
-    rows = iter(lp.rows)
-    row = next(rows, None)
-    for coeffs, lo, hi in ref_lp.rows:
-        mn, mx = _range_of(dict(enumerate(coeffs)), lp.lower, lp.upper)
-        if row is not None and row[0] == coeffs and row[2] == hi and row[1] in (lo, mn):
-            row = next(rows, None)
-        elif mn < lo or mx > hi:
-            return False  # a row the box does not imply is missing
-    return row is None
-
-
-def screened_out(cells, want):
-    """(kept, dropped): the cells of want that cells keeps and drops.
-
-    kept pairs each cell of cells with the cell of want it stands for
-    (_stands_for), and dropped lists the cells of want with no partner,
-    both in want's order.  None when cells is not want with some cells
-    removed: a cell that stands for no cell of want, or one out of want's
-    order.
-    """
-    kept, dropped = [], []
-    rest = iter(cells)
-    nxt = next(rest, None)
-    for cell in want:
-        if nxt is not None and _stands_for(nxt, cell):
-            kept.append((nxt, cell))
-            nxt = next(rest, None)
-        else:
-            dropped.append(cell)
-    return (kept, dropped) if nxt is None else None
-
-
-def _optimum(cell):
-    res = fourblock_snf.solve_cell(cell)
-    return res.status, res.value
-
-
-def screen_fault(cells, want):
-    """(why cells is no sound screen of want, or None; cells dropped).
-
-    cells must be want with some cells removed (screened_out).  A kept cell
-    must have its box inside its reference cell's box and the same
-    solve_cell optimum, and a dropped cell must be infeasible.
-    """
-    paired = screened_out(cells, want)
-    if paired is None:
-        return "a cell the reference does not yield, or out of its order", 0
-    kept, dropped = paired
-    for cell, ref in kept:
-        lp, ref_lp = cell.mip.lp, ref.mip.lp
-        if any(lo < ref_lo or hi > ref_hi for lo, hi, ref_lo, ref_hi
-               in zip(lp.lower, lp.upper, ref_lp.lower, ref_lp.upper)):
-            return f"a box outside the reference box: {cell!r}", len(dropped)
-        if _optimum(cell) != _optimum(ref):
-            return f"optimum {_optimum(cell)}, reference {_optimum(ref)}: {cell!r}", len(dropped)
-    for cell in dropped:
-        if fourblock_snf.solve_cell(cell).status != INFEASIBLE:
-            return f"dropped a cell with an integer point: {cell!r}", len(dropped)
-    return None, len(dropped)
-
-
 def solve_mip_by_coordinates(mip, cutoff=None):
     """smallip.solve_mip with coordinate branching at every node.
 
@@ -566,8 +500,53 @@ def solve_mip_by_coordinates(mip, cutoff=None):
     return LpResult(status=INFEASIBLE, nodes=nodes)
 
 
+def lift_cell(inst, elim, cell, point, cell_value):
+    """Expand a cell optimum back to a full point and re-verify it."""
+    n, tA, tB = inst.n, inst.t_A, inst.t_B
+    layout = cell.layout
+    theta = elim.theta
+    x0 = tuple(int(point[j]) for j in range(tB))
+    anchor = [0] * tA
+    zval = {}
+    for h, cidx in layout["xi"].items():
+        anchor[h] = int(point[cidx])
+    for h, cidx in layout["z"].items():
+        zval[h] = int(point[cidx])
+        anchor[h] += theta[h] * zval[h]
+    for h, cidx in layout["direct"].items():
+        anchor[h] = int(point[cidx])
+    p_total = int(point[layout["p"]])
+
+    chosen = dict(zip([h for h in range(tA) if theta[h] != 0], cell.sub_choice))
+    free = [0] * n  # free integer per brick; the anchor's is zero
+    rem = p_total
+    caps = {}
+    lows = {}
+    for i in range(1, n):
+        hl = cell.arg_lo[i - 1]
+        hu = cell.arg_hi[i - 1]
+        lows[i] = chosen[hl].d[i] - zval[hl]
+        caps[i] = (chosen[hu].d_bar[i] - zval[hu]) - lows[i]
+        if caps[i] < 0:
+            raise InternalInconsistencyError(f"negative bound gap at brick {i}")
+    for i in cell.order:
+        take = caps[i] if caps[i] < rem else rem
+        free[i] = lows[i] + take
+        rem -= take
+    if rem != 0:
+        raise InternalInconsistencyError("merged total exceeds the bound gaps")
+
+    x = list(x0)
+    for i in range(n):
+        off = elim.offsets[i]
+        for h in range(tA):
+            x.append(anchor[h] + off[h] + theta[h] * free[i])
+    return checked_solution(evaluate(inst, x), x, cell_value, "fourblock_snf")
+
+
 def solve_cell_by_cell(inst, solve=solve_mip_by_coordinates):
-    """solve_4block_snf with one cutoff-pruned solve(mip, cutoff) per cell, in order."""
+    """The route's old loop: one cutoff-pruned solve(mip, cutoff) per cell of
+    this module's enumerate_cells, in order."""
     prepared = fourblock_snf._prepare(inst)
     if prepared is None:
         return fourblock_snf._solve_trivial(inst)
@@ -576,7 +555,7 @@ def solve_cell_by_cell(inst, solve=solve_mip_by_coordinates):
     elim, grid = prepared
 
     best = None  # (value, cell, point)
-    for cell in fourblock_snf.enumerate_cells(inst, elim, grid):
+    for cell in enumerate_cells(inst, elim, grid):
         cutoff = None if best is None else best[0] - cell.constant
         res = solve(cell.mip, cutoff=cutoff)
         if res.status == OPTIMAL:
@@ -587,4 +566,27 @@ def solve_cell_by_cell(inst, solve=solve_mip_by_coordinates):
     if best is None:
         return Infeasible("NoLatticePoint")
     total, cell, point = best
-    return fourblock_snf.lift_solution(inst, elim, cell, point, total)
+    return lift_cell(inst, elim, cell, point, total)
+
+
+def solve_by_shared_brick(inst):
+    """The best total over every x0 of the shared box, each by nfold_snf.
+
+    For fixed x0 the instance is an n-fold with brick rows b_i - B x0 and
+    top rows b0 - C x0 (FourBlockInstance.nfold); its optimum plus w0 . x0
+    is the best total with that x0.  Returns the best Solution, or
+    Infeasible("NoLatticePoint") when no x0 leaves a feasible n-fold.
+    """
+    tB = inst.t_B
+    best = None
+    for x0 in itertools.product(*(range(a, b + 1) for a, b in zip(inst.l[:tB], inst.u[:tB]))):
+        bx, cx = inst.B.mul_vec(x0), inst.C.mul_vec(x0)
+        rest = FourBlockInstance.nfold(
+            inst.n, inst.A, inst.D, [v - c for v, c in zip(inst.b0, cx)],
+            [[v - c for v, c in zip(bi, bx)] for bi in inst.b], inst.l[tB:], inst.u[tB:], inst.w[tB:])
+        got = solve_nfold_snf(rest)
+        if isinstance(got, Solution):
+            total = got.objective + sum(w * v for w, v in zip(inst.w, x0))
+            if best is None or total > best.objective:
+                best = Solution(x0 + got.x, total, "shared_brick")
+    return Infeasible("NoLatticePoint") if best is None else best

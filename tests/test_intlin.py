@@ -467,3 +467,30 @@ def test_quotient_range_is_the_set_of_multiples():
             for hi in range(lo - 1, 8):
                 a, b = quotient_range(theta, lo, hi)
                 assert list(range(a, b + 1)) == [q for q in range(-20, 21) if lo <= theta * q <= hi]
+
+
+def test_box_reduced_spans_the_same_lattice_and_keeps_fixed_columns():
+    # the basis reduced in a box's metric is a basis of the same lattice: each
+    # of its vectors is an integer combination of the input (Cramer's rule),
+    # and both span the same volume; a column of width 0 stays 0
+    rng = random.Random("box metric")
+    checked = 0
+    for _ in range(60):
+        f = rng.randint(1, 4)
+        fixed = rng.randrange(f + 1)
+        basis = [[0 if j == fixed else rng.randint(-9, 9) for j in range(f + 1)] for _ in range(f)]
+        square = [[v for j, v in enumerate(q) if j != fixed] for q in basis]
+        det = determinant(IntMatrix.from_rows(square))
+        if det == 0:
+            continue
+        hi = [0 if j == fixed else rng.choice((1, 10**3, 10**9)) for j in range(f + 1)]
+        reduced = intlin.box_reduced(basis, [0] * (f + 1), hi)
+        assert len(reduced) == f and all(q[fixed] == 0 for q in reduced)
+        rows = [[v for j, v in enumerate(q) if j != fixed] for q in reduced]
+        assert abs(determinant(IntMatrix.from_rows(rows))) == abs(det)
+        for r in rows:
+            for k in range(f):
+                swapped = square[:k] + [r] + square[k + 1:]
+                assert determinant(IntMatrix.from_rows(swapped)) % det == 0
+        checked += 1
+    assert checked >= 40

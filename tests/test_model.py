@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 import blockip
-from blockip import generators, intlin
+from blockip import fourblock_snf, generators, intlin
 from blockip.errors import (
     DimensionMismatchError,
     InternalInconsistencyError,
@@ -635,7 +635,19 @@ def test_each_route_refuses_what_it_cannot_take(solve, inst):
 
 def test_one_smith_form_per_smith_route_call(monkeypatch):
     # the route's Smith form is its eligibility check and its elimination;
-    # classify, which a caller runs first, makes one more
+    # the 4-block route's masters add one per lattice form they make whose
+    # rows read a free column, and they make one per set of fixed columns,
+    # not one per combination; classify, which a caller runs first, makes
+    # one more
+    forms = []  # (fixed columns, whether it took a Smith form) per lattice form made
+    lattice_form = fourblock_snf._LatticeForm
+
+    def recorded(builder, fixed):
+        form = lattice_form(builder, fixed)
+        forms.append((fixed, form.snf is not None))
+        return form
+
+    monkeypatch.setattr(fourblock_snf, "_LatticeForm", recorded)
     original = intlin.smith_normal_form
     calls = []
 
@@ -657,15 +669,18 @@ def test_one_smith_form_per_smith_route_call(monkeypatch):
     cases += [(solve_4block_snf, inst) for _, inst in cases]  # t_B = 0
     cases += [(solve_4block_snf, generators.random_snf_instance(
         rng, n=rng.randint(0, 3), t_B=rng.randint(1, 2), s_C=rng.randint(0, 1))) for _ in range(20)]
-    verdicts = set()
+    verdicts, made = set(), 0
     for solve, inst in cases:
         calls.clear()
+        forms.clear()
         verdicts.add(type(solve(inst)))
-        assert len(calls) == 1, (solve.__name__, inst)
+        assert len({fixed for fixed, _ in forms}) == len(forms), (forms, inst)
+        assert len(calls) == 1 + sum(snf for _, snf in forms), (solve.__name__, inst)
+        made += any(snf for _, snf in forms)
         calls.clear()
         classify(inst)
         assert len(calls) == 1
-    assert verdicts == {Solution, Infeasible}
+    assert verdicts == {Solution, Infeasible} and made
     # a wrong shape, a zero A or per-block matrices are refused without a
     # Smith form; the rank-deficient 2 x 3 A needs one to be refused
     for _, solve, inst in NOT_ELIGIBLE[2:]:

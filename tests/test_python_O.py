@@ -16,15 +16,15 @@ rejects each column set that does not prove a transport infeasible
 transport is re-solved from a tampered start state (HELD instances), that an
 LpProblem or a TransportProblem built directly with a non-int entry, and
 each call of model_cases.UNTYPED_CALLS, raises MalformedProblemError
-(UNTYPED), that the 4-block integer screen yields
-the cells of tests/fourblock_reference.py in their order, each kept cell's
-LP over a sub-box of its reference cell's with the same optimum, dropping
-only cells whose MIP is infeasible (SCREENED instances), that a cell
-root settled at its box corner gets the LP's own result, that a corner
-breaking a row goes to the LP, and that the search builds each cell at
-most once and only when it pops it (SETTLED instances), and that each
-route and the oracle raise when evaluate reports a wrong objective for the
-point they return (EXITS), exiting nonzero on the first mismatch.
+(UNTYPED), that the 4-block route returns the verdict, Infeasible reason
+included, and the objective of the cell-by-cell loop of
+tests/fourblock_reference.py (SCREENED instances), that the greedy's dual
+check rejects a wrong lambda and a flipped alpha or beta (GREEDY), that a
+cell root settled at its box corner gets the LP's own result, that a
+corner breaking a row goes to the LP, and that the search builds each
+cell at most once and only when it pops it (SETTLED instances), and that
+each route and the oracle raise when evaluate reports a wrong objective
+for the point they return (EXITS), exiting nonzero on the first mismatch.
 
 Run directly: ``python -O tests/test_python_O.py`` (it puts ``src`` on the
 path itself, so no install is needed).
@@ -49,7 +49,7 @@ from blockip.errors import (  # noqa: E402
     NotEligibleError,
 )
 from blockip.flow import Blocked, TransportProblem, TransportResult, solve_transport  # noqa: E402
-from blockip.fourblock_snf import _prepare, enumerate_cells, solve_4block_snf  # noqa: E402
+from blockip.fourblock_snf import _greedy_cut, _greedy_dual, _prepare, solve_4block_snf  # noqa: E402
 from blockip.model import Infeasible, Solution, StructureClass, classify, evaluate  # noqa: E402
 from blockip.nfold_snf import solve_nfold_snf  # noqa: E402
 from blockip.ones import _blocking_pair, _transport_duals, solve_ones  # noqa: E402
@@ -234,32 +234,43 @@ UNTYPED = (
 ) + tuple(case[1:] for case in UNTYPED_CALLS)
 
 
-# 4-block instances on which the screen's dropped cells are checked
+# 4-block instances on which the route meets the reference's cell-by-cell loop
 SCREENED = 40
 
 
-def screen_unsound(rng):
-    """(why the screen drops a cell it may not, or None; cells dropped).
+def reference_unmet(rng):
+    """(why the route's verdict or objective is not the reference's, or None;
+    instances compared).
 
-    The package's cells must be the reference's in the same order with some
-    removed, each kept cell's LP box must lie in its reference cell's box
-    with the same optimum, and each removed cell's MIP must be infeasible.
+    The reference is fourblock_reference.solve_cell_by_cell, which solves
+    every cell of the old enumeration in turn; the route's point may be
+    another optimum, so it must meet every row and be worth the objective.
     """
-    dropped = 0
+    compared = 0
     for trial in range(SCREENED):
         inst = generators.random_snf_instance(
             rng, n=rng.randint(10, 40), s_A=rng.choice((1, 2)), t_B=rng.randint(1, 2),
             s_C=1, seeded_rate=0.9)
-        prepared = _prepare(inst)
-        if prepared is None or isinstance(prepared, Infeasible):
-            continue
-        why, k = fourblock_reference.screen_fault(
-            list(enumerate_cells(inst, *prepared)),
-            list(fourblock_reference.enumerate_cells(inst, *prepared)))
-        if why is not None:
-            return f"trial {trial}: {why}", dropped
-        dropped += k
-    return None, dropped
+        got, want = solve_4block_snf(inst), fourblock_reference.solve_cell_by_cell(inst)
+        if isinstance(want, Solution):
+            report = isinstance(got, Solution) and evaluate(inst, got.x)
+            if not report or got.objective != want.objective or not report.feasible \
+                    or report.objective != got.objective:
+                return f"trial {trial}: {got!r}, reference {want!r}", compared
+        elif got != want:
+            return f"trial {trial}: {got!r}, reference {want!r}", compared
+        compared += 1
+    return None, compared
+
+
+# max 3 t_1 + t_2 + 2 t_3 with t in [0, 2] x [0, 2] x [-1, 1] and t_1 + t_2 +
+# t_3 = 2: the greedy fills t = (2, 0, 0), the rate-2 brick part way, so
+# lambda = 2, alpha = (0, 1, 0) and beta = (1, 0, 0) is its only dual
+GREEDY_BOX = ([3, 1, 2], [0, 0, -1], [2, 2, 1], 2)
+# each a wrong (lambda, alpha, beta) for it: lambda moved with alpha and
+# beta as they were, lambda moved with alpha and beta recomputed from it,
+# and alpha and beta of one brick swapped
+GREEDY = ((3, (0, 1, 0), (1, 0, 0)), (3, (0, 2, 1), (0, 0, 0)), (2, (1, 1, 0), (0, 0, 0)))
 
 
 # 4-block instances whose cells are settled and built by the search
@@ -269,12 +280,15 @@ SETTLED = 10
 def settle_unsound(rng):
     """(why settling or building a cell goes wrong, or None; roots settled).
 
-    Each cell LP that _settled takes at its box corner must be solve_lp_warm's
-    own result, and a corner that breaks a row must go to the LP: max x + y
-    over [0, 1]^2 with x + y <= 1 is worth 1, not the corner's 2.  The
-    search over the cells' recipes must call each recipe it builds only
-    when it pops that root, so it builds at most as many cells as it tries
-    to settle, and never one twice.
+    Each LP of a reference cell or a random small LP that _settled takes at
+    its box corner must be solve_lp_warm's own result (the reference's
+    cells keep their untightened boxes, so they are seldom settled), and a
+    corner that breaks a row must go
+    to the LP: max x + y over [0, 1]^2 with x + y <= 1 is worth 1, not the
+    corner's 2.  The search over the cells' recipes, each root under its
+    LP optimum, must call each recipe it builds only when it pops that
+    root, so it builds at most as many cells as it tries to settle, and
+    never one twice.
     """
     tied = MipProblem.make(LpProblem.make([1, 1], [([1, 1], 0, 1)], [0, 0], [1, 1]), [True, True])
     got = best_of([(tied, 0, 2)])[1]
@@ -290,16 +304,24 @@ def settle_unsound(rng):
             prepared = _prepare(inst)
             if not isinstance(prepared, tuple):
                 continue
-            cells = list(enumerate_cells(inst, *prepared))
-            builds = []
-            roots = [(lambda r=cell.recipe: builds.append(r) or r(), cell.constant, cell.ceiling)
-                     for cell in cells]
+            cells = list(fourblock_reference.enumerate_cells(inst, *prepared))
+            builds, roots = [], []
+            for cell in cells:
+                res = solve_lp_warm(cell.mip.lp)[0]
+                ceiling = res.value_num // res.den if res.status == OPTIMAL else -10 ** 9
+                roots.append((lambda r=cell.recipe: builds.append(r) or r(), cell.constant,
+                              cell.constant + ceiling))
             del popped[:]
             best_of(roots)
             if len(builds) > len(popped) or len(set(map(id, builds))) != len(builds):
                 return f"trial {trial}: {len(builds)} cells built, {len(popped)} popped", settled
-            for cell in cells:
-                lp = cell.mip.lp
+            lps = [cell.mip.lp for cell in cells]
+            for _ in range(10):
+                lo = [rng.randint(-3, 1) for _ in range(3)]
+                rows = [([rng.randint(-2, 2) for _ in range(3)], -2, rng.randint(-2, 3))]
+                lps.append(LpProblem.make([rng.randint(-3, 3) for _ in range(3)], rows, lo,
+                                          [a + rng.randint(0, 3) for a in lo]))
+            for lp in lps:
                 res = real(lp)
                 if res is not None:
                     if res != solve_lp_warm(lp)[0] or res.den != 1:
@@ -450,11 +472,24 @@ def main() -> int:
         print(f"{make.__name__}{args}: built {got!r}")
         return 1
     print("untyped", len(UNTYPED))
-    why, dropped = screen_unsound(random.Random("python-O/screen"))
+    why, compared = reference_unmet(random.Random("python-O/screen"))
     if why is not None:
-        print(f"screen: {why}")
+        print(f"reference: {why}")
         return 1
-    print("screened", dropped)
+    print("screened", compared)
+    rates, lows, highs, total = GREEDY_BOX
+    fill, _, lam, alpha, beta = _greedy_cut(rates, lows, highs, total)  # the greedy's own dual passes
+    if (lam, tuple(alpha), tuple(beta)) != (2, (0, 1, 0), (1, 0, 0)):
+        print(f"greedy dual of {GREEDY_BOX!r}: {(lam, alpha, beta)!r}")
+        return 1
+    for lam, alpha, beta in GREEDY:
+        try:
+            _greedy_dual(rates, lows, highs, fill, total, lam, list(alpha), list(beta))
+        except InternalInconsistencyError:
+            continue
+        print(f"greedy dual check accepted {(lam, alpha, beta)!r}")
+        return 1
+    print("greedy", len(GREEDY))
     why, settled = settle_unsound(random.Random("python-O/settle"))
     if why is not None:
         print(f"settle: {why}")
@@ -481,7 +516,7 @@ def test_whole_battery_under_python_O():
     words = out.stdout.split()
     assert words[0::2] == [
         "ones", "nfold_snf", "fourblock_snf", "refused", "malformed", "audits", "transports",
-        "blocks", "held", "untyped", "screened", "settled", "exits", "debug"]
+        "blocks", "held", "untyped", "screened", "greedy", "settled", "exits", "debug"]
     assert words[-1] == "False"  # the asserts really were stripped
     # each route met both verdicts: feasible optima and proven infeasibility
     assert all(PER_ROUTE // 4 <= int(k) < PER_ROUTE for k in words[1:6:2]), words
@@ -492,9 +527,10 @@ def test_whole_battery_under_python_O():
     assert int(words[15]) == len(WRONG_BLOCKS)
     assert int(words[17]) == HELD
     assert int(words[19]) == len(UNTYPED)
-    assert int(words[21]) >= 1  # the screen really dropped cells to check
-    assert int(words[23]) >= 1  # some cell roots really were settled
-    assert int(words[25]) == len(EXITS)
+    assert int(words[21]) >= SCREENED // 2  # most draws reached a verdict to compare
+    assert int(words[23]) == len(GREEDY)
+    assert int(words[25]) >= 1  # some cell roots really were settled
+    assert int(words[27]) == len(EXITS)
 
 
 if __name__ == "__main__":

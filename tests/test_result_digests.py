@@ -9,10 +9,10 @@ change that moves a tie-break on purpose updates the pins and says why.
 
 The all-ones shapes also pin the search path, not only where it ends: the
 number of transports solved and of bound LPs solved (cold solves and warm
-re-solves) over the same instances.  The 4-block shape pins the LPs of its
-best-first search over the cells the same way (root solves and warm
-re-solves).  A speed-up that must not change the search leaves these
-counts as they are.
+re-solves) over the same instances.  The 4-block shape pins its master
+search the same way: the masters searched, the nodes of their searches
+and the greedy evaluations of their separators.  A speed-up that must not
+change the search leaves these counts as they are.
 
 Run as a script, ``python tests/test_result_digests.py`` prints every
 shape's digest and search path in the layout of PINNED, PINNED_PATHS and
@@ -86,7 +86,7 @@ PINNED = {
     "nfold-sched": "a6849c412fe5101b",
     "ones-transport": "1c205b27607b7ece",
     "ones-lattice": "9b9b6ad5372bbc97",
-    "fourblock-cells": "1095976061bb1b51",
+    "fourblock-cells": "e1a8fc092b5793dd",
     "ones-lattice-forms": "045603e2eb18520e",
     "ones-wide": "c0920afc5696b31d",
 }
@@ -143,21 +143,30 @@ def test_search_path_matches_the_pinned_counts(shape, monkeypatch):
     assert search_path(shape, monkeypatch) == PINNED_PATHS[shape]
 
 
-# shape -> (cell root LPs solved, cell LPs re-solved warm); 123 and 0 when
-# each cell was solved in turn with the incumbent as its cutoff, and 65 and
-# 0 before a root whose box corner meets its rows was settled with no LP
+# shape -> (masters searched, nodes of their searches, greedy evaluations);
+# a master settled at the few lattice points of its box adds no node.
+# While the route searched cells this pinned (cell root LPs, warm re-solves)
+# at (49, 0)
 PINNED_CELL_LPS = {
-    "fourblock-cells": (49, 0),
+    "fourblock-cells": (23, 47, 57),
 }
 
 
 def cell_lps(shape, monkeypatch):
-    """(smallip.solve_lp_warm, WarmLp.edited) calls over a shape's instances."""
+    """(solve_cell calls, their nodes, _greedy_cut calls) over a shape's instances."""
     calls = Counter()
-    monkeypatch.setattr(smallip, "solve_lp_warm", _counted(calls, "root", smallip.solve_lp_warm))
-    monkeypatch.setattr(ratlp.WarmLp, "edited", _counted(calls, "warm", ratlp.WarmLp.edited))
+    search = fourblock_snf.solve_cell
+
+    def searched(master, cutoff=None):
+        res = search(master, cutoff)
+        calls["searched"] += 1
+        calls["nodes"] += res.nodes
+        return res
+
+    monkeypatch.setattr(fourblock_snf, "solve_cell", searched)
+    monkeypatch.setattr(fourblock_snf, "_greedy_cut", _counted(calls, "greedy", fourblock_snf._greedy_cut))
     _solve_all(shape, fourblock_snf.solve_4block_snf)
-    return calls["root"], calls["warm"]
+    return calls["searched"], calls["nodes"], calls["greedy"]
 
 
 @pytest.mark.parametrize("shape", sorted(PINNED_CELL_LPS))

@@ -1,4 +1,4 @@
-"""Deterministic counters of the 4-block route's cell search, per instance.
+"""Deterministic counters of the 4-block route's master search, per instance.
 
     python3 tools/cell_counts.py --list fourblock-cells [--count N]
     python3 tools/cell_counts.py --snf n=20,s_A=1,t_B=1,s_C=1,scale=1000000 --seeds 0,3
@@ -9,12 +9,15 @@ per seed from random.Random(seed).  Each instance is solved by
 fourblock_snf.solve_4block_snf with the search's steps counted around it,
 and one line per instance gives:
 
-    cells      cells enumerate_cells yields
-    built      cells whose MipProblem the search builds (each when popped)
-    settled    built cells accepted at their box corner with no LP
-    lp         built cells whose root LP is solved
-    rewritten  cells rewritten in lattice coordinates at their first split
-    nodes      nodes of smallip.best_of (settled ones included)
+    yielded      masters enumerate_cells yields, one or more per combination
+                 of sub-intervals that passes its screens
+    searched     masters solve_cell searches; the others' ceilings are not
+                 above the best total found before them
+    nodes        nodes of their smallip.best_of searches (a master settled
+                 at the few lattice points of its box has none)
+    evaluations  greedy evaluations (_greedy_cut), at lattice corners and
+                 at LP points
+    cuts         cuts the searches hold, supergradient and P-range rows
 
 and then the verdict.  A last line sums the counters.  Every count is a
 count of calls, so it repeats exactly from run to run and host to host.
@@ -30,53 +33,43 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from blockip import fourblock_snf, generators, smallip  # noqa: E402
+from blockip import fourblock_snf, generators  # noqa: E402
 from blockip.model import Solution  # noqa: E402
 
-COLUMNS = ("cells", "built", "settled", "lp", "rewritten", "nodes")
+COLUMNS = ("yielded", "searched", "nodes", "evaluations", "cuts")
 
 
 def counts(inst):
     """(the counters of one solve, its verdict)."""
     c = dict.fromkeys(COLUMNS, 0)
-    built = set()  # ids of the cell LPs the search built
-    enumerate_cells, best_of = fourblock_snf.enumerate_cells, fourblock_snf.best_of
-    settled, solve_lp_warm, lattice_form = smallip._settled, smallip.solve_lp_warm, smallip._lattice_form
+    search = fourblock_snf._MasterSearch
+    enumerate_cells, solve_cell = fourblock_snf.enumerate_cells, fourblock_snf.solve_cell
+    greedy_cut, separate = fourblock_snf._greedy_cut, search.separate
 
-    def cells(*args):
-        for cell in enumerate_cells(*args):
-            c["cells"] += 1
-            yield cell
+    def masters(*args):
+        for master in enumerate_cells(*args):
+            c["yielded"] += 1
+            yield master
 
-    def counted(recipe):
-        def build():
-            mip = recipe()
-            built.add(id(mip.lp))
-            c["built"] += 1
-            return mip
-        return build
-
-    def search(roots):
-        k, res = best_of([(counted(program), constant, ceiling) for program, constant, ceiling in roots])
-        c["nodes"] = res.nodes
-        return k, res
-
-    def settle(lp):
-        res = settled(lp)
-        c["settled"] += res is not None and id(lp) in built
+    def searched(master, cutoff=None):
+        res = solve_cell(master, cutoff)
+        c["searched"] += 1
+        c["nodes"] += res.nodes
         return res
 
-    def solve(lp):
-        c["lp"] += id(lp) in built
-        return solve_lp_warm(lp)
+    def evaluated(*args):
+        c["evaluations"] += 1
+        return greedy_cut(*args)
 
-    def rewrite(*args):
-        c["rewritten"] += 1
-        return lattice_form(*args)
+    def cutting(self, num, den, add):
+        def held(*row):
+            new = add(*row)
+            c["cuts"] += new and row not in self.rows
+            return new
+        return separate(self, num, den, held)
 
-    patches = ((fourblock_snf, "enumerate_cells", cells), (fourblock_snf, "best_of", search),
-               (smallip, "_settled", settle), (smallip, "solve_lp_warm", solve),
-               (smallip, "_lattice_form", rewrite))
+    patches = ((fourblock_snf, "enumerate_cells", masters), (fourblock_snf, "solve_cell", searched),
+               (fourblock_snf, "_greedy_cut", evaluated), (search, "separate", cutting))
     saved = [(owner, name, getattr(owner, name)) for owner, name, _ in patches]
     for owner, name, wrapper in patches:
         setattr(owner, name, wrapper)
@@ -113,13 +106,13 @@ def main(argv=None):
         named = [(f"seed {s}", generators.random_snf_instance(random.Random(s), **args.snf))
                  for s in map(int, args.seeds.split(","))]
     total = dict.fromkeys(COLUMNS, 0)
-    print("instance " + " ".join(f"{name:>9}" for name in COLUMNS) + "  verdict")
+    print("instance " + " ".join(f"{name:>11}" for name in COLUMNS) + "  verdict")
     for name, inst in named:
         c, verdict = counts(inst)
         for key in COLUMNS:
             total[key] += c[key]
-        print(f"{name:>8} " + " ".join(f"{c[key]:>9}" for key in COLUMNS) + f"  {verdict}", flush=True)
-    print(f"{'total':>8} " + " ".join(f"{total[key]:>9}" for key in COLUMNS))
+        print(f"{name:>8} " + " ".join(f"{c[key]:>11}" for key in COLUMNS) + f"  {verdict}", flush=True)
+    print(f"{'total':>8} " + " ".join(f"{total[key]:>11}" for key in COLUMNS))
     return 0
 
 
